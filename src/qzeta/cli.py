@@ -209,7 +209,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except QZetaError as exc:
+    except (QZetaError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -4,10 +4,20 @@ The coefficient type used everywhere else in the library.  Exponents are
 exact rationals, not just integers: braided dimensions of odd-weight sl2
 modules involve q^(-j(j+2)/2), which is half-integral.  Values are stored
 as a finitely supported map exponent -> coefficient with no zero entries.
+
+Exact division has two routes behind the one entry point ``exact_div``.
+When both operands have only ``int`` exponents and ``int`` coefficients --
+nearly every division the library does, such as the q-binomial chain and the
+division by q - q^-1 -- it is a dense integer long division.  Any
+``Fraction`` exponent or coefficient, or a step whose coefficient the
+divisor's lowest coefficient does not divide, sends the whole division to
+the ``Fraction`` loop ``_exact_div_fraction``.  Both routes give the same
+quotient and both raise ``ExactDivisionError`` on a nonzero remainder.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import DivisionByZero, ExactDivisionError
@@ -17,8 +27,12 @@ Coeff = int | Fraction
 
 
 def _norm_num(x):
-    """Collapse integral Fractions to int (canonical dict keys/values)."""
-    if isinstance(x, Fraction) and x.denominator == 1:
+    """Collapse integral Fractions to int (canonical dict keys/values).
+
+    Tests the exact type: Fraction is a ``numbers.Rational``, so
+    ``isinstance(x, Fraction)`` would run ``ABCMeta.__instancecheck__``.
+    """
+    if type(x) is Fraction and x.denominator == 1:
         return int(x)
     return x
 
@@ -227,35 +241,23 @@ class QLaurent:
     # -- exact division -------------------------------------------------
 
     def exact_div(self, other: "QLaurent") -> "QLaurent":
-        """Exact Laurent division; raises ExactDivisionError on nonzero remainder."""
+        """Exact Laurent division; raises ExactDivisionError on nonzero remainder.
+
+        Integer operands (``int`` exponents and coefficients on both sides)
+        take a dense integer long division.  Anything else, or a quotient
+        coefficient that is not an integer, takes the ``Fraction`` loop.
+        """
         if other.is_zero:
             raise DivisionByZero("division by zero QLaurent")
         if self.is_zero:
             return QLaurent()
-        vb, db = other.valuation(), other.degree()
-        blow = other._terms[vb]
-        rem = dict(self._terms)
-        quot = {}
-        # divide from the lowest exponent upwards; quotient exponents are
-        # bounded by deg(self) - deg(other), which bounds the loop.
-        max_qexp = self.degree() - db
-        while rem:
-            e_low = min(rem)
-            qe = e_low - vb
-            if qe > max_qexp:
-                raise ExactDivisionError("nonzero remainder in exact_div")
-            qc = Fraction(rem[e_low]) / blow
-            quot[qe] = _norm_num(qc)
-            for e2, c2 in other._terms.items():
-                e = qe + e2
-                v = rem.get(e, 0) - qc * c2
-                if v:
-                    rem[e] = v
-                elif e in rem:
-                    del rem[e]
-        res = QLaurent.__new__(QLaurent)
-        res._terms = {_norm_num(e): c for e, c in quot.items() if c}
-        return res
+        if _int_terms(self._terms) and _int_terms(other._terms):
+            quot = _exact_div_int(self._terms, other._terms)
+            if quot is not None:
+                res = QLaurent.__new__(QLaurent)
+                res._terms = quot
+                return res
+        return _exact_div_fraction(self, other)
 
     def monomial_content(self):
         """(exponent, coefficient) of the common monomial factor, for a != 0.
@@ -270,8 +272,8 @@ class QLaurent:
         den_lcm = 1
         for c in self._terms.values():
             f = Fraction(c)
-            num_gcd = _gcd(num_gcd, abs(f.numerator))
-            den_lcm = _lcm(den_lcm, f.denominator)
+            num_gcd = math.gcd(num_gcd, f.numerator)
+            den_lcm = math.lcm(den_lcm, f.denominator)
         g = Fraction(num_gcd, den_lcm)
         if self._terms[v] < 0:
             g = -g
@@ -312,11 +314,76 @@ class QLaurent:
         return f"QLaurent({self._terms!r})"
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+def _int_terms(terms) -> bool:
+    """True when every exponent and coefficient is exactly an ``int``."""
+    return all(type(e) is int and type(c) is int for e, c in terms.items())
 
 
-def _lcm(a, b):
-    return a * b // _gcd(a, b) if a and b else a or b
+def _exact_div_int(a: dict, b: dict):
+    """Dense integer long division of term maps a / b, lowest exponent first.
+
+    Returns the quotient's term map, or None when some step's coefficient is
+    not divisible by b's lowest coefficient (the quotient is not integral,
+    so the caller falls back to ``_exact_div_fraction``).  Raises
+    ExactDivisionError on a nonzero remainder, including a dividend whose
+    span is narrower than the divisor's.
+    """
+    va, vb = min(a), min(b)
+    span_a, span_b = max(a) - va, max(b) - vb
+    if span_a < span_b:
+        raise ExactDivisionError("nonzero remainder in exact_div")
+    rem = [0] * (span_a + 1)
+    for e, c in a.items():
+        rem[e - va] = c
+    blow = b[vb]
+    # rem[i] is not read again once step i is done, so the divisor's lowest
+    # term is left out of the update.
+    divisor = [(e - vb, c) for e, c in b.items() if e != vb]
+    qv = va - vb
+    quot = {}
+    for i in range(span_a - span_b + 1):
+        c = rem[i]
+        if not c:
+            continue
+        qc, r = divmod(c, blow)
+        if r:
+            return None
+        quot[qv + i] = qc
+        for j, d in divisor:
+            rem[i + j] -= qc * d
+    if any(rem[span_a - span_b + 1:]):
+        raise ExactDivisionError("nonzero remainder in exact_div")
+    return quot
+
+
+def _exact_div_fraction(a: QLaurent, b: QLaurent) -> QLaurent:
+    """Exact division of nonzero a by nonzero b over the rationals.
+
+    The general route, for ``Fraction`` exponents or coefficients; it also
+    serves as the oracle for the integer route.  Raises ExactDivisionError
+    on a nonzero remainder.
+    """
+    vb, db = b.valuation(), b.degree()
+    blow = b._terms[vb]
+    rem = dict(a._terms)
+    quot = {}
+    # divide from the lowest exponent upwards; quotient exponents are
+    # bounded by deg(a) - deg(b), which bounds the loop.
+    max_qexp = a.degree() - db
+    while rem:
+        e_low = min(rem)
+        qe = e_low - vb
+        if qe > max_qexp:
+            raise ExactDivisionError("nonzero remainder in exact_div")
+        qc = Fraction(rem[e_low]) / blow
+        quot[qe] = _norm_num(qc)
+        for e2, c2 in b._terms.items():
+            e = qe + e2
+            v = rem.get(e, 0) - qc * c2
+            if v:
+                rem[e] = v
+            elif e in rem:
+                del rem[e]
+    res = QLaurent.__new__(QLaurent)
+    res._terms = {_norm_num(e): c for e, c in quot.items() if c}
+    return res

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as _igcd
 
-from .errors import DivisionByZero
+from .errors import DivisionByZero, ExactDivisionError, QZetaError
 from .qlaurent import QLaurent
 
 
@@ -92,7 +92,8 @@ def _poly_exact_div(a, b):
         out[shift] += f
         for i, c in enumerate(b):
             rem[shift + i] -= f * c
-    assert not trim(rem), "inexact division after gcd reduction"
+    if trim(rem):
+        raise ExactDivisionError("inexact division after gcd reduction")
     return out
 
 
@@ -124,7 +125,8 @@ class QRational:
             pd = _poly_exact_div(pd, g)
         # denominator: valuation 0, lowest coefficient 1; shift goes to num
         lead = pd[0]
-        assert lead != 0
+        if lead == 0:
+            raise QZetaError("reduced denominator has no constant term")
         pd = [c / lead for c in pd]
         pn = [c / lead for c in pn]
         return _from_intpoly(pn, sn - sd, lat), _from_intpoly(pd, 0, 1 if lat == 1 else lat)

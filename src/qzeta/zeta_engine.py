@@ -313,7 +313,8 @@ def _strip_common_t_factor(g: QTPoly, h):
         if len(common) <= 1:
             return g, h
     quot_h, rem = tpoly_divmod([Fraction(x) for x in h], common)
-    assert not rem
+    if rem:
+        raise ExactDivisionError("h is not divisible by the common t-factor")
     # renormalize so h(0) = 1; the same rescaling applies inversely to g
     scale = quot_h[0]
     quot_h = [x / scale for x in quot_h]
@@ -321,7 +322,8 @@ def _strip_common_t_factor(g: QTPoly, h):
     for e in q_exps:
         slice_coeffs = [Fraction(g.coeff(e, b)) for b in range(g.t_degree() + 1)]
         q_slice, rem = tpoly_divmod(slice_coeffs, common)
-        assert not rem
+        if rem:
+            raise ExactDivisionError(f"q^{e} slice of g is not divisible by the common t-factor")
         for b, coeff in enumerate(q_slice):
             if coeff:
                 new_g_terms[(e, b)] = coeff / scale

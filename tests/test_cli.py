@@ -112,6 +112,25 @@ def test_computation_error_exit_1(monkeypatch, capsys):
     assert "synthetic budget failure" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sphere", "--coeff", "5"], "k = 0..3 only"),
+        (["zeta", "cn", "--n", "0", "--order", "3"], "n must be >= 1"),
+        (["zeta", "cn", "--n", "2", "--order", "-1"], "order must be non-negative"),
+        (["cm", "--m", "-1", "--order", "3"], "must be non-negative"),
+        (["nichols", "--sym-group", "1", "--max-degree", "3"], "k must be >= 2"),
+    ],
+)
+def test_invalid_input_exit_1(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_verify_single_suite(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "sphere")
     assert code == 0

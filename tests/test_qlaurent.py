@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from qzeta import DivisionByZero, ExactDivisionError, QLaurent
 from qzeta.qcombinat import q_int_sym
+from qzeta.qlaurent import _exact_div_fraction, _exact_div_int
 
 
 def test_difference_of_squares():
@@ -61,10 +62,13 @@ def test_parts_reconstruct():
 
 def test_exact_div():
     num = QLaurent({2: 1, -2: -1})          # q^2 - q^-2
-    den = QLaurent({1: 1, -1: -1})          # q - q^-1
-    assert num.exact_div(den) == QLaurent({1: 1, -1: 1})
-    with pytest.raises(ExactDivisionError):
-        QLaurent({1: 1, 0: 1}).exact_div(QLaurent({1: 1, -1: -1}))
+    den = QLaurent({1: 1, -1: -1})          # q - q^-1, lowest coefficient -1
+    quot = QLaurent({1: 1, -1: 1})
+    assert _exact_div_int(num._terms, den._terms) == quot._terms
+    assert num.exact_div(den) == quot == _exact_div_fraction(num, den)
+    for route in (QLaurent.exact_div, _exact_div_fraction):
+        with pytest.raises(ExactDivisionError):
+            route(QLaurent({1: 1, 0: 1}), den)
 
 
 def test_half_integer_exponents():
@@ -110,3 +114,59 @@ def test_ring_axioms(a, b, c):
 def test_parts_partition(a):
     parts = [a.parts(w) for w in ("strictly_positive", "zero", "strictly_negative")]
     assert parts[0] + parts[1] + parts[2] == a
+
+
+# -- the two exact-division routes ----------------------------------------------
+
+
+def test_exact_div_dividend_narrower_than_divisor():
+    num = QLaurent({0: 1, 1: 1})
+    den = QLaurent({0: 1, 2: 1})
+    with pytest.raises(ExactDivisionError):
+        _exact_div_int(num._terms, den._terms)
+    for route in (QLaurent.exact_div, _exact_div_fraction):
+        with pytest.raises(ExactDivisionError):
+            route(num, den)
+
+
+def test_exact_div_fraction_fallback():
+    # half-integer exponents and Fraction coefficients take the Fraction route
+    a = QLaurent({F(1, 2): 1, F(-1, 2): F(1, 3), 2: -4})
+    b = QLaurent({F(1, 2): 1, F(-3, 2): 2})
+    assert (a * b).exact_div(b) == a == _exact_div_fraction(a * b, b)
+    # integer operands whose quotient is not integral fall back as well
+    assert _exact_div_int({0: 1, 1: 1}, {0: 2}) is None
+    assert QLaurent({0: 1, 1: 1}).exact_div(QLaurent({0: 2})) == QLaurent({0: F(1, 2), 1: F(1, 2)})
+
+
+nonzero_laurents = st.dictionaries(exps, coeffs.filter(bool), min_size=1).map(QLaurent)
+
+
+@st.composite
+def divisors(draw):
+    """Integer Laurent polynomials of span >= 1 with lowest coefficient in {+-1, +-2, +-3}."""
+    vb = draw(exps)
+    span = draw(st.integers(min_value=1, max_value=5))
+    terms = {vb: draw(st.sampled_from([1, -1, 2, -2, 3, -3])), vb + span: draw(coeffs.filter(bool))}
+    for i in range(1, span):
+        terms[vb + i] = draw(coeffs)
+    return QLaurent(terms)
+
+
+@given(nonzero_laurents, divisors())
+def test_exact_div_routes_agree(a, b):
+    p = a * b
+    assert _exact_div_int(p._terms, b._terms) == a._terms
+    assert p.exact_div(b) == a == _exact_div_fraction(p, b)
+
+
+@given(laurents, divisors(), st.data())
+def test_exact_div_routes_raise_on_remainder(a, b, data):
+    vb, db = b.valuation(), b.degree()
+    r = data.draw(
+        st.dictionaries(st.integers(min_value=vb, max_value=db - 1), coeffs.filter(bool), min_size=1)
+    )
+    p = a * b + QLaurent(r)
+    for route in (QLaurent.exact_div, _exact_div_fraction):
+        with pytest.raises(ExactDivisionError):
+            route(p, b)

@@ -2,7 +2,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from qzeta import DivisionByZero, QLaurent, QRational
+from qzeta import DivisionByZero, ExactDivisionError, QLaurent, QRational
+from qzeta.qrational import _poly_exact_div
 
 
 def test_reduction():
@@ -60,3 +61,10 @@ def test_half_integer_lattice():
     den = QLaurent({F(1, 2): 1, F(-1, 2): -1})
     r = QRational(num, den)
     assert r == QRational.from_laurent(QLaurent({F(1, 2): 1, F(-1, 2): 1}))
+
+
+def test_poly_exact_div_raises_on_remainder():
+    # (u^2 - 1)/(u + 1) = u - 1, but u^2 + 1 leaves remainder 2
+    assert _poly_exact_div([F(-1), F(0), F(1)], [F(1), F(1)]) == [-1, 1]
+    with pytest.raises(ExactDivisionError):
+        _poly_exact_div([F(1), F(0), F(1)], [F(1), F(1)])
