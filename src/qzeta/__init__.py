@@ -7,6 +7,7 @@ linear algebra.  No floating point enters the core.
 
 from .errors import (
     BudgetExceeded,
+    CriterionFailed,
     DivergentSum,
     DivisionByZero,
     ExactDivisionError,

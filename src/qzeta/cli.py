@@ -148,6 +148,10 @@ def _cmd_nichols(args) -> int:
     else:
         print(",".join(str(d) for d in dims)
               + ("" if dims.complete else f"  (partial: reached degree {dims.achieved_degree})"))
+    if not dims.complete:
+        print(f"error: budget exceeded: reached degree {dims.achieved_degree} of {args.max_degree}",
+              file=sys.stderr)
+        return 1
     return 0
 
 

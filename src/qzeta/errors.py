@@ -31,3 +31,7 @@ class FitFailed(QZetaError):
 
 class NoSolution(QZetaError):
     """An exact linear system is inconsistent."""
+
+
+class CriterionFailed(QZetaError):
+    """An acceptance criterion's check did not hold."""

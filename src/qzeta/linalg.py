@@ -8,13 +8,17 @@ trading speed for deterministic reproducibility.
 A streaming sparse kernel handles the large braided-symmetrizer matrices:
 rows enter one at a time as {column: integer} dicts, are reduced against
 the current echelon basis with cross-multiplication and gcd stripping, and
-the indices of rows that extended the rank are reported back.
+the rows that extended the rank are reported back.  solve_linear runs the
+same reduction step, fraction-free over the integers: augmented rows are
+scaled to integers, an inconsistent system is detected at the first row that
+reduces onto the rhs column, and only the final back-substitution (at most
+cols x cols entries) uses Fraction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import NoSolution
 from .qlaurent import QLaurent
@@ -139,39 +143,36 @@ def solve_linear(m: ExactMatrix | list, rhs) -> LinearSolution:
 
     Returns one solution (free variables set to 0) plus the dimension of the
     affine solution set; raises NoSolution if inconsistent.
+
+    The elimination is fraction-free: each augmented row [a_i | b_i] is
+    scaled to integers (by the lcm of its denominators, skipped for all-int
+    rows) and streamed into the sparse echelon shared with sparse_int_rank.
+    The system is inconsistent as soon as a row reduces onto the rhs column
+    alone, and NoSolution is raised there without reading further rows.  The
+    pivot rows are then back-substituted over Fraction.
     """
     if not isinstance(m, ExactMatrix):
         m = ExactMatrix(m)
     rows, cols = m.rows, m.cols
     if len(rhs) != rows:
         raise ValueError("rhs length mismatch")
-    a = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(m.entries)]
-    piv_cols = []
-    rank = 0
-    for c in range(cols):
-        sel = None
-        for r in range(rank, rows):
-            if a[r][c] != 0:
-                sel = r
-                break
-        if sel is None:
-            continue
-        a[rank], a[sel] = a[sel], a[rank]
-        pv = a[rank][c]
-        a[rank] = [x / pv for x in a[rank]]
-        for r in range(rows):
-            if r != rank and a[r][c] != 0:
-                f = a[r][c]
-                a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
-        piv_cols.append(c)
-        rank += 1
-    for r in range(rank, rows):
-        if a[r][cols] != 0:
-            raise NoSolution("inconsistent linear system")
+    echelon: dict[int, dict] = {}
+    for i, row in enumerate(m.entries):
+        out = _reduce(echelon, _int_row(row + [rhs[i]]))
+        if out:
+            p = min(out)
+            if p == cols:
+                raise NoSolution("inconsistent linear system")
+            echelon[p] = _strip_gcd(out)
     values = [Fraction(0)] * cols
-    for i, c in enumerate(piv_cols):
-        values[c] = a[i][cols]
-    return LinearSolution(values, cols - rank)
+    for p in sorted(echelon, reverse=True):
+        piv = echelon[p]
+        acc = Fraction(piv.get(cols, 0))
+        for c, v in piv.items():
+            if p < c < cols:
+                acc -= v * values[c]
+        values[p] = acc / piv[p]
+    return LinearSolution(values, cols - len(echelon))
 
 
 # -- streaming sparse kernels ------------------------------------------------
@@ -186,6 +187,39 @@ def _strip_gcd(row: dict) -> dict:
     return row
 
 
+def _int_row(entries) -> dict:
+    """Sparse integer row proportional to entries: denominators cleared by their lcm."""
+    if all(type(x) is int for x in entries):
+        return {c: x for c, x in enumerate(entries) if x}
+    fracs = [Fraction(x) for x in entries]
+    den = lcm(*(f.denominator for f in fracs))
+    return {c: f.numerator * (den // f.denominator) for c, f in enumerate(fracs) if f}
+
+
+def _reduce(echelon: dict, out: dict) -> dict:
+    """Reduce a sparse integer row against a {pivot column: row} echelon.
+
+    Fraction-free: the row is cross-multiplied with the pivot row at its
+    leading column and gcd-stripped, until its leading column has no pivot
+    (the row is returned, ready to become one) or it vanishes ({} returned).
+    """
+    while out:
+        p = min(out)
+        piv = echelon.get(p)
+        if piv is None:
+            return out
+        a, b = piv[p], out[p]
+        new = {c: a * v for c, v in out.items()}
+        for c, v in piv.items():
+            w = new.get(c, 0) - b * v
+            if w:
+                new[c] = w
+            elif c in new:
+                del new[c]
+        out = _strip_gcd(new) if new else new
+    return out
+
+
 def sparse_int_rank(rows, collect_kept: bool = False):
     """Streaming rank of sparse integer rows ({column: value} dicts).
 
@@ -196,28 +230,13 @@ def sparse_int_rank(rows, collect_kept: bool = False):
     """
     echelon: dict[int, dict] = {}
     kept = []
-    rank = 0
     for row in rows:
-        out = {c: v for c, v in row.items() if v}
-        while out:
-            p = min(out)
-            piv = echelon.get(p)
-            if piv is None:
-                echelon[p] = _strip_gcd(out)
-                rank += 1
-                if collect_kept:
-                    kept.append(row)
-                break
-            a, b = piv[p], out[p]
-            new = {c: a * v for c, v in out.items()}
-            for c, v in piv.items():
-                w = new.get(c, 0) - b * v
-                if w:
-                    new[c] = w
-                elif c in new:
-                    del new[c]
-            out = _strip_gcd(new) if new else new
-    return rank, kept
+        out = _reduce(echelon, {c: v for c, v in row.items() if v})
+        if out:
+            echelon[min(out)] = _strip_gcd(out)
+            if collect_kept:
+                kept.append(row)
+    return len(echelon), kept
 
 
 def sparse_qlaurent_rank(rows) -> int:

@@ -205,11 +205,6 @@ class QRational:
         o = self._coerce(other)
         return o / self
 
-    def invert(self):
-        if self.num.is_zero:
-            raise DivisionByZero("inverse of zero")
-        return QRational(self.den, self.num)
-
     def invert_q(self) -> "QRational":
         """q -> q^-1 on both numerator and denominator."""
         return QRational(self.num.invert_q(), self.den.invert_q())

@@ -36,11 +36,6 @@ class TSeries:
         s._coeffs[0] = QLaurent.one()
         return s
 
-    @classmethod
-    def from_coeffs(cls, coeffs) -> "TSeries":
-        coeffs = list(coeffs)
-        return cls(len(coeffs) - 1, coeffs)
-
     def coeff(self, j: int) -> QLaurent:
         if j < 0:
             return QLaurent()

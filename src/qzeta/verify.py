@@ -1,10 +1,11 @@
 """End-to-end verification suite: every acceptance check as exact symbolic equality.
 
-Each criterion returns quietly on success and raises AssertionError with a
+Each criterion returns quietly on success and raises CriterionFailed with a
 diagnostic on failure; run_suite wraps them with timing and produces one
-pass/fail record per criterion.  This module is the single source of truth
-for CI: the pytest acceptance tests and the CLI `verify` subcommand both
-call into it.
+pass/fail record per criterion.  The conditions go through check(), not
+assert, so they still run under ``python -O``.  This module is the single
+source of truth for CI: the pytest acceptance tests and the CLI `verify`
+subcommand both call into it.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .braided import (
     symmetrizer_matrix_recursive,
     transposition_class,
 )
+from .errors import CriterionFailed
 from .qcombinat import q_binom_sym, q_int_sym
 from .qlaurent import QLaurent
 from .qrational import QRational
@@ -55,13 +57,19 @@ def _scale_t(series: TSeries, qexp: int) -> TSeries:
     return TSeries(series.order, [series.coeff(j) * QLaurent({qexp * j: 1}) for j in range(series.order + 1)])
 
 
+def check(cond, msg: str) -> None:
+    """Raise CriterionFailed(msg) unless cond holds; unlike assert, never stripped."""
+    if not cond:
+        raise CriterionFailed(msg)
+
+
 # -- criteria ------------------------------------------------------------------
 
 
 def crit_01_product_vs_series():
     """Closed product form of zeta(C^n) equals the q-binomial series, n = 1..6, order 30."""
     for n in range(1, 7):
-        assert zeta_cn_closed(n).expand(30) == zeta_cn_series(n, 30), f"n={n}"
+        check(zeta_cn_closed(n).expand(30) == zeta_cn_series(n, 30), f"n={n}")
 
 
 def crit_02_newton_recursion():
@@ -76,7 +84,7 @@ def crit_02_newton_recursion():
             order,
             [(num_plus.coeff(j) - num_minus.coeff(j)).exact_div(divisor) for j in range(order + 1)],
         )
-        assert combined == zeta_cn_series(n, order), f"n={n}"
+        check(combined == zeta_cn_series(n, order), f"n={n}")
 
 
 def crit_03_weyl_formula():
@@ -84,7 +92,7 @@ def crit_03_weyl_formula():
     for n in range(2, 6):
         for j in range(11):
             got = weyl_qdim_prime(DominantWeightA.j_omega1(n, j))
-            assert got == q_binom_sym(n + j - 1, j), f"n={n}, j={j}"
+            check(got == q_binom_sym(n + j - 1, j), f"n={n}, j={j}")
 
 
 def crit_04_rmatrix_oracle():
@@ -93,15 +101,15 @@ def crit_04_rmatrix_oracle():
         r = rhat(n)
         for j in range(6):
             blocks = sym_subspace_dims(n, j, r=r)
-            assert all(k == 1 for _, k in blocks), f"block kernel != 1 at n={n}, j={j}"
-            assert quantum_trace_sym(n, j, r=r) == q_binom_sym(n + j - 1, j), f"n={n}, j={j}"
+            check(all(k == 1 for _, k in blocks), f"block kernel != 1 at n={n}, j={j}")
+            check(quantum_trace_sym(n, j, r=r) == q_binom_sym(n + j - 1, j), f"n={n}, j={j}")
 
 
 def crit_05_theorem42():
     """zeta over the sl2 module V_m equals the same closed form, m = 0..8, order 20."""
     for m in range(9):
         got = zeta_from_cm(cm_series_cs(m, 20))
-        assert got == zeta_vm_closed(m).expand(20), f"m={m}"
+        check(got == zeta_vm_closed(m).expand(20), f"m={m}")
 
 
 def crit_06_triple_route():
@@ -111,13 +119,13 @@ def crit_06_triple_route():
     for m in range(2, 7):
         cs = cm_series_cs(m, order)
         extracted = cm_from_zeta(m, zeta_vm_closed(m).expand(order))
-        assert extracted == cs, f"extraction disagrees at m={m}"
+        check(extracted == cs, f"extraction disagrees at m={m}")
         recursed = cm_recursion_step(m, chains[m - 2], order)
-        assert recursed == cs, f"recursion disagrees at m={m}"
+        check(recursed == cs, f"recursion disagrees at m={m}")
         chains[m] = recursed
         for j in range(order + 1):
             for _, c in cs.coeff(j).items():
-                assert c == int(c) and c > 0, f"bad multiplicity at m={m}, t^{j}"
+                check(c == int(c) and c > 0, f"bad multiplicity at m={m}, t^{j}")
 
 
 def _gh_from_closed(m: int) -> GHPair:
@@ -137,11 +145,11 @@ def crit_07_cor45_closed_forms():
     """Quoted c_3, c_4 match the series to order 20 and satisfy the functional equation."""
     for m in (3, 4):
         closed = reference_cm_closed(m)
-        assert closed.expand(20) == cm_series_cs(m, 20).to_tseries(), f"series mismatch m={m}"
+        check(closed.expand(20) == cm_series_cs(m, 20).to_tseries(), f"series mismatch m={m}")
         gh = _gh_from_closed(m)
-        assert verify_functional_eq(m, gh), f"functional equation fails for quoted m={m}"
+        check(verify_functional_eq(m, gh), f"functional equation fails for quoted m={m}")
         fitted = fit_gh(m)
-        assert fitted.g == gh.g and fitted.h == gh.h, f"fit disagrees with quoted form m={m}"
+        check(fitted.g == gh.g and fitted.h == gh.h, f"fit disagrees with quoted form m={m}")
 
 
 def crit_08_cor47_gh_pairs():
@@ -149,9 +157,9 @@ def crit_08_cor47_gh_pairs():
     for m in (5, 6):
         fitted = fit_gh(m)
         quoted = reference_gh(m)
-        assert fitted.g == quoted.g, f"g_{m} mismatch"
-        assert fitted.h == quoted.h, f"h_{m} mismatch"
-        assert verify_functional_eq(m, fitted), f"functional equation fails at m={m}"
+        check(fitted.g == quoted.g, f"g_{m} mismatch")
+        check(fitted.h == quoted.h, f"h_{m} mismatch")
+        check(verify_functional_eq(m, fitted), f"functional equation fails at m={m}")
 
 
 def crit_09_lemma46_degrees():
@@ -159,9 +167,9 @@ def crit_09_lemma46_degrees():
     for m in range(2, 7):
         gh = fit_gh(m)
         eta = eta_m(m)
-        assert gh.g.q_degree() - eta.q_degree() == -2, f"q-degree claim fails at m={m}"
+        check(gh.g.q_degree() - eta.q_degree() == -2, f"q-degree claim fails at m={m}")
         t_deg = gh.g.t_degree() - gh.h.t_degree() - eta.t_degree()
-        assert t_deg == -(m + 1), f"t-degree claim fails at m={m}: {t_deg}"
+        check(t_deg == -(m + 1), f"t-degree claim fails at m={m}: {t_deg}")
 
 
 def crit_10_sphere_dimensions():
@@ -171,27 +179,27 @@ def crit_10_sphere_dimensions():
         QLaurent({0: 2}),
         QLaurent({0: 1, -2: -1}) * QLaurent({0: 1, 2: -1}),
     )
-    assert dim_prime == expected_prime, "dim' mismatch"
-    assert dim == QRational(QLaurent.one(), QLaurent({0: 1, -2: -1})), "dim closed form mismatch"
+    check(dim_prime == expected_prime, "dim' mismatch")
+    check(dim == QRational(QLaurent.one(), QLaurent({0: 1, -2: -1})), "dim closed form mismatch")
     for qv in (Fraction(3, 2), Fraction(2), Fraction(5, 2)):
         gap, bound = verify_dim_numeric(qv, n_terms=200, tol=Fraction(1, 10**12))
-        assert gap <= bound < Fraction(1, 10**12), f"certificate fails at q={qv}"
+        check(gap <= bound < Fraction(1, 10**12), f"certificate fails at q={qv}")
 
 
 def crit_11_sphere_coefficients():
     """sphere_zeta_coeff(0..3) equal the four displayed rational functions."""
     qm = QLaurent({1: 1, -1: -1})
-    assert sphere_zeta_coeff(0) == QRational.one()
-    assert sphere_zeta_coeff(1) == QRational(QLaurent({0: -2}), qm * qm), "t^1 coefficient"
+    check(sphere_zeta_coeff(0) == QRational.one(), "t^0 coefficient")
+    check(sphere_zeta_coeff(1) == QRational(QLaurent({0: -2}), qm * qm), "t^1 coefficient")
     den2 = (
         QLaurent({0: 1, 2: -1}) * QLaurent({0: 1, -2: -1})
         * QLaurent({0: 1, 4: -1}) * QLaurent({0: 1, -4: -1})
     )
-    assert sphere_zeta_coeff(2) == QRational(QLaurent({0: 4}), den2), "t^2 coefficient"
+    check(sphere_zeta_coeff(2) == QRational(QLaurent({0: 4}), den2), "t^2 coefficient")
     n2, n3, n4 = q_int_sym(2), q_int_sym(3), q_int_sym(4)
     num3 = (n4 * n4 - QLaurent({0: 4})) * 2
     den3 = n2 * n2 * n3 * n3 * qm * qm * qm * qm * qm * qm
-    assert sphere_zeta_coeff(3) == QRational(num3, den3), "t^3 coefficient"
+    check(sphere_zeta_coeff(3) == QRational(num3, den3), "t^3 coefficient")
 
 
 def _pad(dims, length):
@@ -206,16 +214,16 @@ def crit_12_fomin_kirillov():
     """
     ref = {n: [int(c.coeff(0)) for c in fk_reference_series(n).t_coeff_list()] for n in range(2, 6)}
     x2 = transposition_class(2)
-    assert list(hilbert_dims(x2, 4)) == _pad(ref[2], 5), "X_2"
-    assert list(hilbert_dims_quadratic(x2, 4)) == _pad(ref[2], 5), "X_2 quadratic"
+    check(list(hilbert_dims(x2, 4)) == _pad(ref[2], 5), "X_2")
+    check(list(hilbert_dims_quadratic(x2, 4)) == _pad(ref[2], 5), "X_2 quadratic")
     x3 = transposition_class(3)
-    assert list(hilbert_dims(x3, 5)) == _pad(ref[3], 6), "X_3"
-    assert list(hilbert_dims_quadratic(x3, 5)) == _pad(ref[3], 6), "X_3 quadratic"
+    check(list(hilbert_dims(x3, 5)) == _pad(ref[3], 6), "X_3")
+    check(list(hilbert_dims_quadratic(x3, 5)) == _pad(ref[3], 6), "X_3 quadratic")
     x4 = transposition_class(4)
-    assert list(hilbert_dims(x4, 6)) == ref[4][:7], "X_4 through degree 6"
-    assert list(hilbert_dims_quadratic(x4, 6)) == ref[4][:7], "X_4 quadratic through degree 6"
+    check(list(hilbert_dims(x4, 6)) == ref[4][:7], "X_4 through degree 6")
+    check(list(hilbert_dims_quadratic(x4, 6)) == ref[4][:7], "X_4 quadratic through degree 6")
     x5 = transposition_class(5)
-    assert list(hilbert_dims(x5, 3)) == ref[5][:4], "X_5 through degree 3"
+    check(list(hilbert_dims(x5, 3)) == ref[5][:4], "X_5 through degree 3")
 
 
 def crit_13_flip_consistency():
@@ -224,8 +232,8 @@ def crit_13_flip_consistency():
         f = flip_set(n)
         for j in range(6):
             expected = comb(n + j - 1, j)
-            assert invariant_dims(f, j) == expected, f"invariants n={n}, j={j}"
-        assert list(hilbert_dims(f, 5)) == [comb(n + j - 1, j) for j in range(6)], f"hilbert n={n}"
+            check(invariant_dims(f, j) == expected, f"invariants n={n}, j={j}")
+        check(list(hilbert_dims(f, 5)) == [comb(n + j - 1, j) for j in range(6)], f"hilbert n={n}")
 
 
 def _property_pool():
@@ -242,18 +250,19 @@ def crit_14_property_suites():
         for j in range(2, 5):
             if x.size**j > 4096:
                 continue
-            assert symmetrizer_matrix_recursive(x, j) == symmetrizer_matrix_bruteforce(x, j), (
-                f"recursion != brute force for {x.label}, j={j}"
+            check(
+                symmetrizer_matrix_recursive(x, j) == symmetrizer_matrix_bruteforce(x, j),
+                f"recursion != brute force for {x.label}, j={j}",
             )
     # (b) palindromicity under q <-> q^-1
     for n in range(9):
         for k in range(n + 1):
             b = q_binom_sym(n, k)
-            assert b == b.invert_q(), f"binomial ({n},{k}) not palindromic"
+            check(b == b.invert_q(), f"binomial ({n},{k}) not palindromic")
     for n in range(1, 5):
         z = zeta_cn_series(n, 10)
         for j in range(11):
-            assert z.coeff(j) == z.coeff(j).invert_q(), f"zeta C^{n} t^{j} not palindromic"
+            check(z.coeff(j) == z.coeff(j).invert_q(), f"zeta C^{n} t^{j} not palindromic")
     # (c) lambda-ring multiplicativity on random direct sums
     rng = random.Random(20100214)
     for _ in range(6):
@@ -261,7 +270,7 @@ def crit_14_property_suites():
         b = Sl2Decomposition({rng.randrange(4): rng.randrange(1, 3) for _ in range(2)})
         lhs = zeta_direct_sum([a, b], 8)
         rhs = zeta_direct_sum([a], 8) * zeta_direct_sum([b], 8)
-        assert lhs == rhs, f"lambda-ring fails for {a} and {b}"
+        check(lhs == rhs, f"lambda-ring fails for {a} and {b}")
     # (d) extraction round trip on random valid CmSeries
     for _ in range(6):
         m = rng.randrange(0, 7)
@@ -271,7 +280,7 @@ def crit_14_property_suites():
             support = range(j * m % 2, j * m + 1, 2)
             table.append(QLaurent({p: rng.randrange(0, 4) for p in support}) + QLaurent({j * m: 1}))
         c = CmSeries(m, order, table)
-        assert cm_from_zeta(m, zeta_from_cm(c)) == c, f"round trip fails at m={m}"
+        check(cm_from_zeta(m, zeta_from_cm(c)) == c, f"round trip fails at m={m}")
 
 
 @dataclass
@@ -316,7 +325,7 @@ def run_suite(suite: str = "all"):
         try:
             fn()
             passed, detail = True, ""
-        except AssertionError as exc:
+        except CriterionFailed as exc:
             passed, detail = False, str(exc)
         except Exception as exc:  # surface unexpected breakage as a failure, not a crash
             passed, detail = False, f"{type(exc).__name__}: {exc}"

@@ -86,9 +86,6 @@ class GHPair:
         self.g = g
         self.h = h
 
-    def h_coeffs(self):
-        return [Fraction(self.h.coeff(0, b)) for b in range(self.h.t_degree() + 1)]
-
     def __eq__(self, other):
         if not isinstance(other, GHPair):
             return NotImplemented

@@ -112,6 +112,17 @@ def test_computation_error_exit_1(monkeypatch, capsys):
     assert "synthetic budget failure" in captured.err
 
 
+def test_nichols_partial_result_exit_1(monkeypatch, capsys):
+    import qzeta.cli as cli_mod
+    from qzeta.braided import GradedDims
+
+    monkeypatch.setattr(cli_mod, "hilbert_dims", lambda x, degree: GradedDims([1, 6, 19], degree))
+    code, out, err = run(capsys, "nichols", "--sym-group", "4", "--max-degree", "7")
+    assert code == 1
+    assert out.strip() == "1,6,19  (partial: reached degree 2)"
+    assert err.strip() == "error: budget exceeded: reached degree 2 of 7"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

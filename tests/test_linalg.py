@@ -98,6 +98,117 @@ def test_solve_inconsistent():
         solve_linear([[1, 1], [1, 1]], [0, 1])
 
 
+def _solve_linear_gauss_jordan(m, rhs):
+    """Oracle: dense Gauss-Jordan over Fraction, reducing every row for every pivot.
+
+    Returns (values, free_dim) with free variables set to 0, or None if the
+    system is inconsistent.
+    """
+    m = ExactMatrix(m)
+    rows, cols = m.rows, m.cols
+    a = [[F(x) for x in row] + [F(rhs[i])] for i, row in enumerate(m.entries)]
+    piv_cols = []
+    rank = 0
+    for c in range(cols):
+        sel = next((r for r in range(rank, rows) if a[r][c] != 0), None)
+        if sel is None:
+            continue
+        a[rank], a[sel] = a[sel], a[rank]
+        pv = a[rank][c]
+        a[rank] = [x / pv for x in a[rank]]
+        for r in range(rows):
+            if r != rank and a[r][c] != 0:
+                f = a[r][c]
+                a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
+        piv_cols.append(c)
+        rank += 1
+    if any(a[r][cols] != 0 for r in range(rank, rows)):
+        return None
+    values = [F(0)] * cols
+    for i, c in enumerate(piv_cols):
+        values[c] = a[i][cols]
+    return values, cols - rank
+
+
+def _solve_both_routes(m, rhs):
+    expected = _solve_linear_gauss_jordan(m, rhs)
+    if expected is None:
+        with pytest.raises(NoSolution):
+            solve_linear(m, rhs)
+        return None
+    sol = solve_linear(m, rhs)
+    assert (sol.values, sol.free_dim) == expected
+    assert all(type(v) is F for v in sol.values)
+    return sol
+
+
+def _random_system(rng, rows, cols):
+    def entry():
+        x = rng.randrange(-4, 5)
+        return F(x, rng.randrange(1, 6)) if rng.random() < 0.3 else x
+
+    m = [[entry() if rng.random() < 0.7 else 0 for _ in range(cols)] for _ in range(rows)]
+    x = [entry() for _ in range(cols)]
+    rhs = [sum(F(a) * b for a, b in zip(row, x)) for row in m]
+    kind = rng.randrange(4)
+    if kind == 1 and rows > 1:          # duplicated and combined rows
+        i, k = rng.sample(range(rows), 2)
+        m.append(list(m[i]))
+        rhs.append(rhs[i])
+        m.append([2 * a - b for a, b in zip(m[i], m[k])])
+        rhs.append(2 * rhs[i] - rhs[k])
+    elif kind == 2:                     # all-zero row, possibly with a nonzero rhs
+        i = rng.randrange(rows + 1)
+        m.insert(i, [0] * cols)
+        rhs.insert(i, rng.choice([0, 0, 1]))
+    if rng.random() < 0.3:              # perturbed rhs: usually inconsistent
+        i = rng.randrange(len(rhs))
+        rhs[i] += rng.choice([1, F(1, 2)])
+    rhs = [v.numerator if v.denominator == 1 else v for v in rhs]
+    return m, rhs
+
+
+def test_solve_linear_matches_gauss_jordan_random():
+    rng = random.Random(20100728)
+    outcomes = {"unique": 0, "free": 0, "inconsistent": 0}
+    for _ in range(1500):
+        m, rhs = _random_system(rng, rng.randrange(1, 7), rng.randrange(1, 6))
+        sol = _solve_both_routes(m, rhs)
+        key = "inconsistent" if sol is None else ("unique" if sol.unique else "free")
+        outcomes[key] += 1
+    assert min(outcomes.values()) > 100, outcomes
+
+
+def test_solve_linear_matches_gauss_jordan_tall():
+    # _solve_h's shape: many more equations than unknowns
+    rng = random.Random(7)
+    m, rhs = _random_system(rng, 120, 20)
+    assert _solve_both_routes(m, rhs).unique
+    # last column = first + second: one free variable
+    m = [row[:-1] + [F(row[0]) + row[1]] for row in m]
+    rhs = [sum(F(a) * b for a, b in zip(row, range(1, 21))) for row in m]
+    assert _solve_both_routes(m, rhs).free_dim == 1
+    rhs[-1] += 1
+    assert _solve_both_routes(m, rhs) is None
+
+
+def test_solve_linear_matches_gauss_jordan_on_fit_systems(monkeypatch):
+    import qzeta.zeta_engine as ze
+
+    seen = []
+
+    def recording(m, rhs):
+        seen.append((m, rhs))
+        return solve_linear(m, rhs)
+
+    monkeypatch.setattr(ze, "solve_linear", recording)
+    ze.fit_gh(6)
+    assert len(seen) > 5 and max(len(m) for m, _ in seen) >= 100
+    results = [_solve_both_routes(m, rhs) for m, rhs in seen]
+    assert results[-1] is not None and results[-1].unique
+    assert any(r is None for r in results)
+
+
 def test_sparse_int_rank_matches_dense():
     rng = random.Random(5)
     for _ in range(10):

@@ -111,6 +111,19 @@ def test_fit_matches_reference():
     assert gh5.g == ref.g and gh5.h == ref.h
 
 
+@pytest.mark.parametrize("m", [7, 8])
+def test_lemma46_beyond_m6(m):
+    # Lemma 4.6 past the m <= 6 range of crit 09.  fit_gh(7) lands on
+    # deg h = 40, which is exactly the default max_h_degree; fit_gh(9) needs
+    # more and raises FitFailed at the default cap.
+    gh = fit_gh(m)
+    eta = eta_m(m)
+    assert verify_functional_eq(m, gh)
+    assert gh.g.q_degree() - eta.q_degree() == -2
+    assert gh.g.t_degree() - gh.h.t_degree() - eta.t_degree() == -(m + 1)
+    assert gh.h.t_degree() == {7: 40, 8: 25}[m]
+
+
 def test_reference_closed_forms_match_series():
     for m in (3, 4):
         assert reference_cm_closed(m).expand(14) == cm_series_cs(m, 14).to_tseries()
