@@ -11,17 +11,17 @@ The braided symmetrizer S_j on n^j tensor factors is never materialized:
 S_j = (S_{j-1} (x) id) P_j with P_j = id + Psi_{j-1} + Psi_{j-1}Psi_{j-2}
 + ... + Psi_{j-1}...Psi_1, so a full-rank set of rows of S_{j-1} yields the
 candidate rows of S_j directly, and ranks are taken by streaming sparse
-elimination.  Degree-by-degree dimensions of the quadratic variant
-BS^quad(A) = TA / <ker S_2> are computed the same way from the recursion
-I_j = ker(S_2) (x) V^{j-2} + V (x) I_{j-1}.
+elimination.  The words Psi_{j-1}...Psi_k are applied to the support of each
+row only, one positional braiding step (an n^2-entry offset table) at a
+time, so no table over the n^j columns is ever built.  Degree-by-degree
+dimensions of the quadratic variant BS^quad(A) = TA / <ker S_2> are computed
+the same way from the recursion I_j = ker(S_2) (x) V^{j-2} + V (x) I_{j-1}.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from fractions import Fraction
-from math import gcd
 
 from .errors import BudgetExceeded
 from .qcombinat import t_bracket
@@ -176,6 +176,34 @@ def flip_set(n: int) -> BraidedSet:
 # -- symmetrizer machinery ---------------------------------------------------
 
 
+def _pair_map(x: BraidedSet) -> list[int]:
+    """Psi on pair indices a*n + b, as a permutation of range(n^2)."""
+    n = x.size
+    return [x.left[a][b] * n + x.right[a][b] for a in range(n) for b in range(n)]
+
+
+def _positional_steps(x: BraidedSet, j: int, inverse: bool = False):
+    """One braiding step per adjacent position of V^{(x)j}, as column offsets.
+
+    Column c of n^j lists its base-n digits most significant first.  The
+    braiding at 0-based position p rewrites only the digit pair at place
+    value lo = n^(j-2-p), so it sends c to c + delta[c // lo % n^2].
+    Returns [(lo, delta)] for p = 0..j-2; inverse=True gives Psi^-1 steps.
+    """
+    pairs = _pair_map(x)
+    if inverse:
+        inv = [0] * len(pairs)
+        for t, s in enumerate(pairs):
+            inv[s] = t
+        pairs = inv
+    n = x.size
+    steps = []
+    for p in range(j - 1):
+        lo = n ** (j - 2 - p)
+        steps.append((lo, [(s - t) * lo for t, s in enumerate(pairs)]))
+    return steps
+
+
 class GradedDims:
     """Degreewise dimensions d_0, d_1, ..., possibly partial on budget exhaustion."""
 
@@ -215,7 +243,10 @@ class SymmetrizerLadder:
 
     Level j keeps a maximal independent set of rows of S_j (sparse integer
     dicts over n^j columns, entries bounded by j!), obtained by streaming
-    the rows of (A_{j-1} (x) id) P_j through exact elimination.
+    the rows of (A_{j-1} (x) id) P_j through exact elimination.  P_j acts
+    on the support of each row, step by step, with O(j n^2) tables per
+    level.  ``budget`` still bounds the column count n^j, although no
+    array of that size is built.
     """
 
     def __init__(self, x: BraidedSet, budget: int = DEFAULT_BUDGET):
@@ -229,32 +260,34 @@ class SymmetrizerLadder:
         return len(self.dims) - 1
 
     def _word_inverse_perms(self, j: int):
-        """Inverse permutation arrays for the words Psi_{j-1}..Psi_k, k = j-1..1."""
+        """Inverse steps of the words Psi_{j-1}..Psi_k, k = j-1..1, as (lo, delta, sign).
+
+        Entry p of the list undoes one braiding at position j-2-p; a column
+        carried through entries 0..p is its preimage under the word with
+        k = j-1-p, of length p+1, whose sign sign^(p+1) the entry holds.
+        """
+        sign = self.x.sign
+        steps = _positional_steps(self.x, j, inverse=True)
+        return [(lo, delta, sign ** (p + 1)) for p, (lo, delta) in enumerate(reversed(steps))]
+
+    def _candidate_rows(self, steps):
+        """Rows of (A_{j-1} (x) id) P_j, applying the words to each row's support only."""
         n = self.x.size
-        left, right = self.x.left, self.x.right
-        big = n ** j
-        out = []
-        for k in range(j - 1, 0, -1):
-            pi = [0] * big
-            for c in range(big):
-                digits = []
-                cc = c
-                for _ in range(j):
-                    digits.append(cc % n)
-                    cc //= n
-                digits.reverse()
-                for pos in range(k - 1, j - 1):
-                    a, b = digits[pos], digits[pos + 1]
-                    digits[pos], digits[pos + 1] = left[a][b], right[a][b]
-                val = 0
-                for d in digits:
-                    val = val * n + d
-                pi[c] = val
-            inv = [0] * big
-            for c, pc in enumerate(pi):
-                inv[pc] = c
-            out.append((j - k, inv))
-        return out
+        nn = n * n
+        for prev_row in self._basis:
+            for i in range(n):
+                x0 = {u * n + i: v for u, v in prev_row.items()}
+                out = dict(x0)
+                for c, v in x0.items():
+                    y = c
+                    for lo, delta, sgn in steps:
+                        y += delta[y // lo % nn]
+                        w = out.get(y, 0) + sgn * v
+                        if w:
+                            out[y] = w
+                        elif y in out:
+                            del out[y]
+                yield out
 
     def extend(self):
         """Build the next level and record its dimension."""
@@ -262,26 +295,8 @@ class SymmetrizerLadder:
         n = self.x.size
         if n ** j > self.budget:
             raise BudgetExceeded(f"n^j = {n}^{j} = {n ** j} exceeds budget {self.budget}")
-        sign = self.x.sign
-        inv_words = self._word_inverse_perms(j)
-
-        def candidate_rows():
-            for prev_row in self._basis:
-                for i in range(n):
-                    x0 = {u * n + i: v for u, v in prev_row.items()}
-                    out = dict(x0)
-                    for length, inv in inv_words:
-                        sgn = sign ** length
-                        for idx, v in x0.items():
-                            c = inv[idx]
-                            w = out.get(c, 0) + sgn * v
-                            if w:
-                                out[c] = w
-                            elif c in out:
-                                del out[c]
-                    yield out
-
-        rank, kept = sparse_int_rank(candidate_rows(), collect_kept=True)
+        steps = self._word_inverse_perms(j)
+        rank, kept = sparse_int_rank(self._candidate_rows(steps), collect_kept=True)
         self.dims.append(rank)
         self._basis = kept
         return rank
@@ -323,21 +338,17 @@ def invariant_dims(x: BraidedSet, j: int, budget: int = DEFAULT_BUDGET) -> int:
     if j <= 1:
         return 1 if j == 0 else x.size
     n = x.size
+    nn = n * n
     big = n ** j
     if big > budget:
         raise BudgetExceeded(f"n^j = {big} exceeds budget {budget}")
     sign = x.sign
-    left, right = x.left, x.right
 
     def rows():
         # rows of (sign Psi_i - id) for each adjacent position i
-        for pos in range(j - 1):
-            lo = n ** (j - 2 - pos)
+        for lo, delta in _positional_steps(x, j):
             for c in range(big):
-                digits_a = (c // (lo * n)) % n
-                digits_b = (c // lo) % n
-                a, b = left[digits_a][digits_b], right[digits_a][digits_b]
-                image = c + ((a - digits_a) * n + (b - digits_b)) * lo
+                image = c + delta[c // lo % nn]
                 row = {c: -1}
                 row[image] = row.get(image, 0) + sign
                 if any(row.values()):
@@ -392,29 +403,21 @@ def symmetrizer_matrix_bruteforce(x: BraidedSet, j: int):
 def symmetrizer_matrix_recursive(x: BraidedSet, j: int):
     """S_j by the coset recursion S_j = (S_{j-1} (x) id) P_j, dense dict form."""
     n = x.size
+    nn = n * n
     if j == 0:
         return {(0, 0): 1}
     mat = {(i, i): 1 for i in range(n)}
     for level in range(2, j + 1):
         big = n ** level
+        steps = _positional_steps(x, level)
         # P columns: e_c -> sum over words of sign^len e_{pi(c)}
         pcols: list[dict[int, int]] = []
         for c in range(big):
-            digits = []
-            cc = c
-            for _ in range(level):
-                digits.append(cc % n)
-                cc //= n
-            digits.reverse()
             col = {c: 1}
             for k in range(level - 1, 0, -1):
-                d = list(digits)
-                for pos in range(k - 1, level - 1):
-                    a, b = d[pos], d[pos + 1]
-                    d[pos], d[pos + 1] = x.left[a][b], x.right[a][b]
-                val = 0
-                for dd in d:
-                    val = val * n + dd
+                val = c
+                for lo, delta in steps[k - 1:]:
+                    val += delta[val // lo % nn]
                 sgn = x.sign ** (level - k)
                 col[val] = col.get(val, 0) + sgn
             pcols.append({k: v for k, v in col.items() if v})
@@ -435,52 +438,28 @@ def symmetrizer_matrix_recursive(x: BraidedSet, j: int):
 
 
 def _ker_s2_basis(x: BraidedSet):
-    """Integer basis of ker(S_2) = ker(id + sign Psi) over the rationals."""
-    n = x.size
-    big = n * n
-    cols = [[Fraction(0)] * big for _ in range(big)]
-    for c in range(big):
-        a, b = divmod(c, n)
-        img = x.left[a][b] * n + x.right[a][b]
-        cols[c][c] += 1
-        cols[img][c] += x.sign
-    # RREF on the operator matrix, then read off the null space
-    a = [row[:] for row in cols]
-    piv: dict[int, int] = {}
-    r0 = 0
-    for c0 in range(big):
-        sel = None
-        for r in range(r0, big):
-            if a[r][c0] != 0:
-                sel = r
-                break
-        if sel is None:
-            continue
-        a[r0], a[sel] = a[sel], a[r0]
-        pv = a[r0][c0]
-        a[r0] = [v / pv for v in a[r0]]
-        for r in range(big):
-            if r != r0 and a[r][c0] != 0:
-                f = a[r][c0]
-                a[r] = [v - f * w for v, w in zip(a[r], a[r0])]
-        piv[c0] = r0
-        r0 += 1
+    """Integer basis of ker(S_2) = ker(id + sign Psi), one vector per cycle of Psi on pairs.
+
+    A kernel vector v obeys v[Psi(c)] = -sign v[c], so along a cycle of
+    length L it is (-sign)^i times its first entry, which closes up exactly
+    when (-sign)^L = 1.  Cycles have disjoint supports, so these vectors
+    are a basis.
+    """
+    pairs = _pair_map(x)
+    ratio = -x.sign
+    seen = [False] * len(pairs)
     basis = []
-    for free in range(big):
-        if free in piv:
+    for start in range(len(pairs)):
+        if seen[start]:
             continue
-        vec = {free: Fraction(1)}
-        for pc, pr in piv.items():
-            if a[pr][free] != 0:
-                vec[pc] = -a[pr][free]
-        den = 1
-        for v in vec.values():
-            den = den * v.denominator // gcd(den, v.denominator)
-        ivec = {k: int(v * den) for k, v in vec.items()}
-        g = 0
-        for v in ivec.values():
-            g = gcd(g, v)
-        basis.append({k: v // g for k, v in ivec.items() if v})
+        vec = {}
+        c, v = start, 1
+        while not seen[c]:
+            seen[c] = True
+            vec[c] = v
+            c, v = pairs[c], v * ratio
+        if v == 1:
+            basis.append(vec)
     return basis
 
 

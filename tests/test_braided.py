@@ -1,4 +1,5 @@
-from math import comb
+from fractions import Fraction
+from math import comb, gcd
 
 import pytest
 
@@ -16,7 +17,15 @@ from qzeta import (
     symmetrizer_rank,
     transposition_class,
 )
-from qzeta.braided import symmetrizer_matrix_bruteforce, symmetrizer_matrix_recursive
+from qzeta.braided import (
+    SymmetrizerLadder,
+    _apply_word,
+    _ker_s2_basis,
+    _positional_steps,
+    symmetrizer_matrix_bruteforce,
+    symmetrizer_matrix_recursive,
+)
+from qzeta.linalg import sparse_int_rank
 
 
 def test_conjugacy_class_sizes():
@@ -146,3 +155,159 @@ def test_conjugacy_class_input_validation():
         from_conjugacy_class(1, (1,))
     with pytest.raises(ValueError):
         from_conjugacy_class(3, (1, 1, 2))
+
+
+# -- oracles: the routes the ladder and the quadratic variant used before ------
+
+
+def _word_inverse_perms_tables(x, j):
+    """Inverse permutation arrays of n^j entries for the words Psi_{j-1}..Psi_k, k = j-1..1."""
+    n = x.size
+    left, right = x.left, x.right
+    big = n ** j
+    out = []
+    for k in range(j - 1, 0, -1):
+        pi = [0] * big
+        for c in range(big):
+            digits = []
+            cc = c
+            for _ in range(j):
+                digits.append(cc % n)
+                cc //= n
+            digits.reverse()
+            for pos in range(k - 1, j - 1):
+                a, b = digits[pos], digits[pos + 1]
+                digits[pos], digits[pos + 1] = left[a][b], right[a][b]
+            val = 0
+            for d in digits:
+                val = val * n + d
+            pi[c] = val
+        inv = [0] * big
+        for c, pc in enumerate(pi):
+            inv[pc] = c
+        out.append((j - k, inv))
+    return out
+
+
+def _candidate_rows_tables(ladder, j):
+    """Candidate rows of level j through the full n^j inverse tables."""
+    n = ladder.x.size
+    sign = ladder.x.sign
+    inv_words = _word_inverse_perms_tables(ladder.x, j)
+    rows = []
+    for prev_row in ladder._basis:
+        for i in range(n):
+            x0 = {u * n + i: v for u, v in prev_row.items()}
+            out = dict(x0)
+            for length, inv in inv_words:
+                sgn = sign ** length
+                for idx, v in x0.items():
+                    c = inv[idx]
+                    w = out.get(c, 0) + sgn * v
+                    if w:
+                        out[c] = w
+                    elif c in out:
+                        del out[c]
+            rows.append(out)
+    return rows
+
+
+def _ker_s2_basis_rref(x):
+    """Integer basis of ker(id + sign Psi) by Fraction RREF of the n^2 x n^2 operator."""
+    n = x.size
+    big = n * n
+    a = [[Fraction(0)] * big for _ in range(big)]
+    for c in range(big):
+        p, q = divmod(c, n)
+        img = x.left[p][q] * n + x.right[p][q]
+        a[c][c] += 1
+        a[img][c] += x.sign
+    piv = {}
+    r0 = 0
+    for c0 in range(big):
+        sel = next((r for r in range(r0, big) if a[r][c0] != 0), None)
+        if sel is None:
+            continue
+        a[r0], a[sel] = a[sel], a[r0]
+        pv = a[r0][c0]
+        a[r0] = [v / pv for v in a[r0]]
+        for r in range(big):
+            if r != r0 and a[r][c0] != 0:
+                f = a[r][c0]
+                a[r] = [v - f * w for v, w in zip(a[r], a[r0])]
+        piv[c0] = r0
+        r0 += 1
+    basis = []
+    for free in range(big):
+        if free in piv:
+            continue
+        vec = {free: Fraction(1)}
+        for pc, pr in piv.items():
+            if a[pr][free] != 0:
+                vec[pc] = -a[pr][free]
+        den = 1
+        for v in vec.values():
+            den = den * v.denominator // gcd(den, v.denominator)
+        basis.append({k: int(v * den) for k, v in vec.items() if v})
+    return basis
+
+
+def _ladder_pool():
+    return [
+        (flip_set(3), 5),
+        (transposition_class(3), 5),
+        (transposition_class(4), 5),
+        (from_conjugacy_class(3, (2, 3, 1)), 5),      # 3-cycles in S_3
+        (from_conjugacy_class(4, (2, 1, 4, 3)), 5),   # double transpositions in S_4
+    ]
+
+
+def test_ladder_support_route_matches_tables():
+    for x, top in _ladder_pool():
+        ladder = SymmetrizerLadder(x, budget=x.size ** top)
+        for j in range(2, top + 1):
+            rows = list(ladder._candidate_rows(ladder._word_inverse_perms(j)))
+            ref = _candidate_rows_tables(ladder, j)
+            assert rows == ref, (x.label, j)
+            rank, kept = sparse_int_rank(rows, collect_kept=True)
+            ref_rank, ref_kept = sparse_int_rank(ref, collect_kept=True)
+            assert (rank, kept) == (ref_rank, ref_kept), (x.label, j)
+            assert ladder.extend() == rank
+            assert ladder._basis == kept
+
+
+def test_positional_steps_match_tuple_braiding():
+    for x, _ in _ladder_pool():
+        n, nn = x.size, x.size ** 2
+        for j in (2, 3):
+            forward = _positional_steps(x, j)
+            backward = _positional_steps(x, j, inverse=True)
+            for p, ((lo, delta), (lo_inv, delta_inv)) in enumerate(zip(forward, backward)):
+                assert lo == lo_inv == n ** (j - 2 - p)
+                for c in range(n ** j):
+                    digits = tuple(c // n ** (j - 1 - i) % n for i in range(j))
+                    image = sum(d * n ** (j - 1 - i) for i, d in enumerate(_apply_word(x, [p], digits)))
+                    assert c + delta[c // lo % nn] == image
+                    assert image + delta_inv[image // lo % nn] == c
+
+
+def test_ker_s2_cycles_span_rref_kernel():
+    pool = [flip_set(2), flip_set(3), flip_set(4),
+            transposition_class(3), transposition_class(4), transposition_class(5),
+            from_conjugacy_class(3, (2, 3, 1)),        # 3-cycles in S_3
+            from_conjugacy_class(4, (2, 1, 4, 3)),     # double transpositions in S_4
+            from_conjugacy_class(4, (2, 3, 4, 1))]     # 4-cycles in S_4
+    for x in pool:
+        cycles = _ker_s2_basis(x)
+        rref = _ker_s2_basis_rref(x)
+        assert len(cycles) == len(rref), x.label
+        assert sparse_int_rank(cycles)[0] == len(cycles), x.label
+        assert sparse_int_rank(rref)[0] == len(rref), x.label
+        assert sparse_int_rank(cycles + rref)[0] == len(cycles), x.label
+
+
+def test_x4_degree_8_matches_fomin_kirillov():
+    dims = hilbert_dims(transposition_class(4), 8, budget=6 ** 8)
+    assert dims.complete
+    ref = [c.coeff(0) for c in fk_reference_series(4).t_coeff_list()[:9]]
+    assert list(dims) == ref
