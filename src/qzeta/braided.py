@@ -16,6 +16,19 @@ row only, one positional braiding step (an n^2-entry offset table) at a
 time, so no table over the n^j columns is ever built.  Degree-by-degree
 dimensions of the quadratic variant BS^quad(A) = TA / <ker S_2> are computed
 the same way from the recursion I_j = ker(S_2) (x) V^{j-2} + V (x) I_{j-1}.
+
+Both eliminations run block by block.  Column (x_1, ..., x_j) is labelled
+by the map sigma_{x_1} o ... o sigma_{x_j} of X, with sigma_x = left[x];
+the first component of the braid relation, sigma_{L(x,y)} sigma_{R(x,y)} =
+sigma_x sigma_y, says every braiding keeps the label, so S_j and I_j are
+block-diagonal by label.  When every sigma_x is an automorphism of (X, Psi)
+(checked once, in O(n^3); true for every conjugacy class), relabelling all
+tensor factors by one element g of the group they generate commutes with
+S_j and I_j and carries block l to block g l g^-1.  Only the least label of
+each such orbit is eliminated, its rank counted |orbit| times; the rows of
+any other block are its representative's, relabelled.  Otherwise every
+block is its own orbit, through the same code.  Budgets still count the n^j
+columns of a level, not the columns of a block.
 """
 
 from __future__ import annotations
@@ -204,6 +217,103 @@ def _positional_steps(x: BraidedSet, j: int, inverse: bool = False):
     return steps
 
 
+def _is_automorphism(x: BraidedSet, g) -> bool:
+    """True iff the map g of X is a bijection with Psi(g a, g b) = (g L(a, b), g R(a, b))."""
+    n = x.size
+    if sorted(g) != list(range(n)):
+        return False
+    left, right = x.left, x.right
+    return all(
+        left[g[a]][g[b]] == g[left[a][b]] and right[g[a]][g[b]] == g[right[a][b]]
+        for a in range(n)
+        for b in range(n)
+    )
+
+
+class _ProductBlocks:
+    """Product labels of columns and the symmetry orbits of the blocks they cut out.
+
+    A label is the map sigma_{x_1} o ... o sigma_{x_m} of X (a tuple) of a
+    column (x_1, ..., x_m).  ``symmetric`` records whether every sigma_x is
+    an automorphism of (X, Psi); only then is conjugation by the sigma's
+    used to merge blocks into orbits, each represented by its least label.
+    """
+
+    def __init__(self, x: BraidedSet):
+        self.size = x.size
+        self.identity = tuple(range(x.size))
+        self.symmetric = all(_is_automorphism(x, s) for s in set(x.left))
+        gens = sorted(set(x.left)) if self.symmetric else []
+        self._generators = [(s, _inverse(s)) for s in gens]
+        self._orbit = {}    # label -> (representative, g, orbit size), label = g rep g^-1
+        self._members = {}  # representative -> [(label, g)] over its orbit, sorted
+
+    def orbit(self, label):
+        """(rep, g, size): the orbit's least label, a g with label = g rep g^-1, and its size."""
+        hit = self._orbit.get(label)
+        if hit is None:
+            conj = {label: self.identity}  # m -> h with m = h label h^-1
+            frontier = [label]
+            while frontier:
+                m = frontier.pop()
+                h = conj[m]
+                for s, s_inv in self._generators:
+                    image = _compose(_compose(s, m), s_inv)
+                    if image not in conj:
+                        conj[image] = _compose(s, h)
+                        frontier.append(image)
+            rep = min(conj)
+            back = _inverse(conj[rep])
+            members = [(m, _compose(h, back)) for m, h in sorted(conj.items())]
+            self._members[rep] = members
+            for m, g in members:
+                self._orbit[m] = (rep, g, len(members))
+            hit = self._orbit[label]
+        return hit
+
+    def is_rep(self, label) -> bool:
+        return self.orbit(label)[0] == label
+
+    def members(self, rep):
+        """[(label, g)] over the orbit of a representative already passed to orbit()."""
+        return self._members[rep]
+
+    def rows(self, basis, label, m: int, cache: dict):
+        """Rows of the level-m block ``label``: basis[rep] with every tensor factor sent through g.
+
+        basis maps representatives to their rows; results are memoised in cache.
+        """
+        out = cache.get(label)
+        if out is None:
+            rep, g, _ = self.orbit(label)
+            out = basis[rep]
+            if g != self.identity:
+                n = self.size
+                half = m // 2
+                base = n ** half
+                low = [0]
+                for _ in range(half):
+                    low = [c * n + d for c in low for d in g]
+                high = [c * n + d for c in low for d in g] if m % 2 else low
+                high = [c * base for c in high]
+                out = [{high[c // base] + low[c % base]: v for c, v in row.items()} for row in out]
+            cache[label] = out
+        return out
+
+    def eliminate(self, targets, candidates):
+        """Rank each representative block in targets on its own, from candidates(target).
+
+        Returns (sum of |orbit| * rank, {target: kept rows} for the blocks of nonzero rank).
+        """
+        rank, basis = 0, {}
+        for target in sorted(targets):
+            block_rank, kept = sparse_int_rank(candidates(target), collect_kept=True)
+            if block_rank:
+                basis[target] = kept
+                rank += self.orbit(target)[2] * block_rank
+        return rank, basis
+
+
 class GradedDims:
     """Degreewise dimensions d_0, d_1, ..., possibly partial on budget exhaustion."""
 
@@ -241,19 +351,29 @@ class GradedDims:
 class SymmetrizerLadder:
     """Incremental row bases of the braided symmetrizers S_1, S_2, ...
 
-    Level j keeps a maximal independent set of rows of S_j (sparse integer
-    dicts over n^j columns, entries bounded by j!), obtained by streaming
-    the rows of (A_{j-1} (x) id) P_j through exact elimination.  P_j acts
+    Level j keeps, for each representative label of a block orbit (see the
+    module docstring), a maximal independent set of the rows of S_j in that
+    block (sparse integer dicts over n^j columns, entries bounded by j!).
+    A representative block of level j gets its candidate rows from
+    (A (x) e_i) P_j, where A runs over the level-(j-1) blocks l and i over
+    the letters with l o sigma_i equal to its label; a non-representative
+    l contributes its representative's rows relabelled by the conjugating
+    g.  Each block is eliminated on its own, and the level's rank is the
+    sum over representatives of |orbit| times the block's rank.  P_j acts
     on the support of each row, step by step, with O(j n^2) tables per
-    level.  ``budget`` still bounds the column count n^j, although no
-    array of that size is built.
+    level.  ``budget`` still bounds the column count n^j of a level,
+    although no array of that size, or of a block's size, is built.
     """
 
     def __init__(self, x: BraidedSet, budget: int = DEFAULT_BUDGET):
         self.x = x
         self.budget = budget
         self.dims = [1, x.size]
-        self._basis = [{i: 1} for i in range(x.size)]
+        self._blocks = _ProductBlocks(x)
+        self._basis = {}  # representative label -> kept rows of that block
+        for i, s in enumerate(x.left):
+            if self._blocks.is_rep(s):
+                self._basis.setdefault(s, []).append({i: 1})
 
     @property
     def level(self) -> int:
@@ -270,24 +390,28 @@ class SymmetrizerLadder:
         steps = _positional_steps(self.x, j, inverse=True)
         return [(lo, delta, sign ** (p + 1)) for p, (lo, delta) in enumerate(reversed(steps))]
 
-    def _candidate_rows(self, steps):
-        """Rows of (A_{j-1} (x) id) P_j, applying the words to each row's support only."""
+    def _candidate_rows(self, steps, sources):
+        """Rows of (A (x) e_i) P_j for each (A, letters) in sources and i in letters.
+
+        The words are applied to each row's support only.
+        """
         n = self.x.size
         nn = n * n
-        for prev_row in self._basis:
-            for i in range(n):
-                x0 = {u * n + i: v for u, v in prev_row.items()}
-                out = dict(x0)
-                for c, v in x0.items():
-                    y = c
-                    for lo, delta, sgn in steps:
-                        y += delta[y // lo % nn]
-                        w = out.get(y, 0) + sgn * v
-                        if w:
-                            out[y] = w
-                        elif y in out:
-                            del out[y]
-                yield out
+        for rows, letters in sources:
+            for prev_row in rows:
+                for i in letters:
+                    x0 = {u * n + i: v for u, v in prev_row.items()}
+                    out = dict(x0)
+                    for c, v in x0.items():
+                        y = c
+                        for lo, delta, sgn in steps:
+                            y += delta[y // lo % nn]
+                            w = out.get(y, 0) + sgn * v
+                            if w:
+                                out[y] = w
+                            elif y in out:
+                                del out[y]
+                    yield out
 
     def extend(self):
         """Build the next level and record its dimension."""
@@ -296,9 +420,25 @@ class SymmetrizerLadder:
         if n ** j > self.budget:
             raise BudgetExceeded(f"n^j = {n}^{j} = {n ** j} exceeds budget {self.budget}")
         steps = self._word_inverse_perms(j)
-        rank, kept = sparse_int_rank(self._candidate_rows(steps), collect_kept=True)
+        blocks = self._blocks
+        sources = {}  # representative at level j -> {label at level j-1: letters}
+        for rep in self._basis:
+            for label, _ in blocks.members(rep):
+                for i, s in enumerate(self.x.left):
+                    target = _compose(label, s)
+                    if blocks.is_rep(target):
+                        sources.setdefault(target, {}).setdefault(label, []).append(i)
+        cache = {}
+
+        def candidates(target):
+            parts = [
+                (blocks.rows(self._basis, label, j - 1, cache), letters)
+                for label, letters in sources[target].items()
+            ]
+            return self._candidate_rows(steps, parts)
+
+        rank, self._basis = blocks.eliminate(sources, candidates)
         self.dims.append(rank)
-        self._basis = kept
         return rank
 
     def dim(self, j: int) -> int:
@@ -467,8 +607,14 @@ def hilbert_dims_quadratic(x: BraidedSet, max_degree: int, budget: int = DEFAULT
     """Degreewise dimensions of the quadratic algebra TA / <ker S_2>.
 
     The degree-j ideal component obeys I_j = ker(S_2) (x) V^{j-2} +
-    V (x) I_{j-1}; a maximal independent subset of its spanning rows is
-    carried level to level, so dim = n^j - rank(I_j) exactly.
+    V (x) I_{j-1}.  Each cycle vector of ker S_2 lies in one product block,
+    so I_j is block-diagonal, and it is stable under the sigma's when they
+    are automorphisms.  A representative block l gets the spanning rows
+    k (x) e_w with label(k) o label(w) = l and e_i (x) r with
+    sigma_i o label(r) = l, r from a level-(j-1) block (relabelled from its
+    representative); a maximal independent subset is carried level to
+    level, so dim = n^j - sum of |orbit| rank(I_j in the block) exactly.
+    ``budget`` bounds n^j from degree 3 on; degree 2 is always computed.
     """
     n = x.size
     dims = [1]
@@ -476,27 +622,51 @@ def hilbert_dims_quadratic(x: BraidedSet, max_degree: int, budget: int = DEFAULT
         dims.append(n)
     if max_degree < 2:
         return GradedDims(dims, max_degree)
-    kernel = _ker_s2_basis(x)
-    _, ideal = sparse_int_rank(kernel, collect_kept=True)
-    dims.append(n * n - len(ideal))
-    for j in range(3, max_degree + 1):
+    blocks = _ProductBlocks(x)
+    sigma = x.left
+    kernel = []  # (label, vector) per cycle of Psi on pairs
+    for vec in _ker_s2_basis(x):
+        a, b = divmod(next(iter(vec)), n)
+        kernel.append((_compose(sigma[a], sigma[b]), vec))
+    words = {blocks.identity: [0]}  # label -> words of length j-2, as column indices
+    ideal = {}  # representative label -> kept rows of I_{j-1} in that block
+    for j in range(2, max_degree + 1):
         big = n ** j
-        if big > budget:
+        if j > 2 and big > budget:
             break
         rest = n ** (j - 2)
         prev_dim = n ** (j - 1)
+        from_kernel = {}  # representative -> [(kernel vector, words)]
+        for kappa, vec in kernel:
+            for omega, ws in words.items():
+                target = _compose(kappa, omega)
+                if blocks.is_rep(target):
+                    from_kernel.setdefault(target, []).append((vec, ws))
+        from_ideal = {}  # representative -> [(letter, label at level j-1)]
+        for rep in ideal:
+            for label, _ in blocks.members(rep):
+                for i, s in enumerate(sigma):
+                    target = _compose(s, label)
+                    if blocks.is_rep(target):
+                        from_ideal.setdefault(target, []).append((i, label))
+        cache = {}
 
-        def candidates():
-            for vec in kernel:
-                for w in range(rest):
+        def candidates(target):
+            for vec, ws in from_kernel.get(target, ()):
+                for w in ws:
                     yield {c2 * rest + w: v for c2, v in vec.items()}
-            for i in range(n):
+            for i, label in from_ideal.get(target, ()):
                 base = i * prev_dim
-                for row in ideal:
+                for row in blocks.rows(ideal, label, j - 1, cache):
                     yield {base + c: v for c, v in row.items()}
 
-        rank, ideal = sparse_int_rank(candidates(), collect_kept=True)
+        rank, ideal = blocks.eliminate(from_kernel.keys() | from_ideal.keys(), candidates)
         dims.append(big - rank)
+        longer = {}
+        for omega, ws in words.items():
+            for i, s in enumerate(sigma):
+                longer.setdefault(_compose(omega, s), []).extend(w * n + i for w in ws)
+        words = {label: sorted(ws) for label, ws in longer.items()}
     return GradedDims(dims, max_degree)
 
 

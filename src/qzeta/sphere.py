@@ -266,14 +266,26 @@ def verify_dim_numeric(q: Fraction, n_terms: int = 200, tol: Fraction = Fraction
     The summand q^(-2s(s+1)) (2s+1)_q is bounded for s >= S by
     q^(-2s^2)/(1-q^-2), so the tail after S terms is at most
     q^(-2S^2) / ((1-q^-2)(1-q^-4S)).
+
+    With q = a/b the s-th summand is b^(2s^2) Q_s / a^(2s^2+4s), where
+    Q_s = (a^(4s+2) - b^(4s+2)) / (a^2 - b^2) is the integer numerator of
+    (2s+1)_q.  The partial sum is accumulated as one integer numerator over
+    a^(2S^2-2), Horner-style from s = 0 (the running numerator gains a^(4s+2)
+    per step), and reduced to lowest terms once.
     """
     q = Fraction(q)
     if q <= 1:
         raise ValueError("certificate requires q > 1")
-    partial = Fraction(0)
+    if n_terms < 1:
+        raise ValueError("certificate requires n_terms >= 1")
+    a, b = q.numerator, q.denominator
+    a2, b2 = a * a, b * b
+    numer, b_run = 0, 1  # b_run = b^(2s^2)
     for s in range(n_terms):
-        qint = (q ** (2 * s + 1) - q ** (-2 * s - 1)) / (q - 1 / q)
-        partial += q ** (-2 * s * (s + 1)) * qint
+        a_step, b_step = a2 ** (2 * s + 1), b2 ** (2 * s + 1)
+        numer = numer * a_step + b_run * ((a_step - b_step) // (a2 - b2))
+        b_run *= b_step
+    partial = Fraction(numer, a ** (2 * n_terms * n_terms - 2))
     closed = 1 / (1 - q ** (-2))
     s0 = n_terms
     tail_bound = q ** (-2 * s0 * s0) / ((1 - q ** (-2)) * (1 - q ** (-4 * s0)))

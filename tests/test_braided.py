@@ -20,8 +20,10 @@ from qzeta import (
 from qzeta.braided import (
     SymmetrizerLadder,
     _apply_word,
+    _compose,
     _ker_s2_basis,
     _positional_steps,
+    _ProductBlocks,
     symmetrizer_matrix_bruteforce,
     symmetrizer_matrix_recursive,
 )
@@ -252,6 +254,67 @@ def _ker_s2_basis_rref(x):
     return basis
 
 
+class _UngradedLadder(SymmetrizerLadder):
+    """The ladder before product blocks: one elimination over all n^j columns per level."""
+
+    def __init__(self, x, budget):
+        super().__init__(x, budget)
+        self._basis = [{i: 1} for i in range(x.size)]
+
+    def ungraded_candidate_rows(self, j):
+        steps = self._word_inverse_perms(j)
+        return self._candidate_rows(steps, [(self._basis, range(self.x.size))])
+
+    def extend(self):
+        j = self.level + 1
+        n = self.x.size
+        if n ** j > self.budget:
+            raise BudgetExceeded(f"n^j = {n}^{j} = {n ** j} exceeds budget {self.budget}")
+        rank, self._basis = sparse_int_rank(self.ungraded_candidate_rows(j), collect_kept=True)
+        self.dims.append(rank)
+        return rank
+
+
+def _hilbert_dims_quadratic_ungraded(x, max_degree, budget=10**5):
+    """The quadratic variant before product blocks: one elimination of I_j per degree."""
+    n = x.size
+    dims = [1]
+    if max_degree >= 1:
+        dims.append(n)
+    if max_degree < 2:
+        return dims
+    kernel = _ker_s2_basis(x)
+    _, ideal = sparse_int_rank(kernel, collect_kept=True)
+    dims.append(n * n - len(ideal))
+    for j in range(3, max_degree + 1):
+        big = n ** j
+        if big > budget:
+            break
+        rest = n ** (j - 2)
+        prev_dim = n ** (j - 1)
+
+        def candidates():
+            for vec in kernel:
+                for w in range(rest):
+                    yield {c2 * rest + w: v for c2, v in vec.items()}
+            for i in range(n):
+                base = i * prev_dim
+                for row in ideal:
+                    yield {base + c: v for c, v in row.items()}
+
+        rank, ideal = sparse_int_rank(candidates(), collect_kept=True)
+        dims.append(big - rank)
+    return dims
+
+
+def _non_automorphic_set(sign):
+    """On 3 points: sigma_x = left[x] a 3-cycle power, right[x][y] = tau[x] with tau = (0 2 1)."""
+    sigma = ((0, 1, 2), (2, 0, 1), (1, 2, 0))
+    tau = (0, 2, 1)
+    right = [[tau[x] for _ in range(3)] for x in range(3)]
+    return BraidedSet(sigma, right, sign=sign, label=f"non-automorphic sigma's, sign {sign:+d}")
+
+
 def _ladder_pool():
     return [
         (flip_set(3), 5),
@@ -262,11 +325,28 @@ def _ladder_pool():
     ]
 
 
+def _block_pool():
+    """(braided set, top degree of the ladder, top degree of the quadratic variant)."""
+    return [
+        (flip_set(2), 6, 6),
+        (flip_set(3), 6, 6),
+        (flip_set(4), 5, 5),
+        (transposition_class(3), 6, 6),
+        (transposition_class(4), 6, 5),
+        (transposition_class(5), 4, 4),
+        (from_conjugacy_class(3, (2, 3, 1)), 6, 6),      # 3-cycles in S_3
+        (from_conjugacy_class(4, (2, 1, 4, 3)), 6, 6),   # double transpositions in S_4
+        (from_conjugacy_class(4, (2, 3, 4, 1)), 6, 5),   # 4-cycles in S_4
+        (_non_automorphic_set(1), 5, 6),
+        (_non_automorphic_set(-1), 6, 6),
+    ]
+
+
 def test_ladder_support_route_matches_tables():
     for x, top in _ladder_pool():
-        ladder = SymmetrizerLadder(x, budget=x.size ** top)
+        ladder = _UngradedLadder(x, budget=x.size ** top)
         for j in range(2, top + 1):
-            rows = list(ladder._candidate_rows(ladder._word_inverse_perms(j)))
+            rows = list(ladder.ungraded_candidate_rows(j))
             ref = _candidate_rows_tables(ladder, j)
             assert rows == ref, (x.label, j)
             rank, kept = sparse_int_rank(rows, collect_kept=True)
@@ -274,6 +354,66 @@ def test_ladder_support_route_matches_tables():
             assert (rank, kept) == (ref_rank, ref_kept), (x.label, j)
             assert ladder.extend() == rank
             assert ladder._basis == kept
+
+
+def test_block_ladder_matches_ungraded():
+    for x, top, _ in _block_pool():
+        blocks = SymmetrizerLadder(x, budget=x.size ** top)
+        oracle = _UngradedLadder(x, budget=x.size ** top)
+        for j in range(2, top + 1):
+            assert blocks.extend() == oracle.extend(), (x.label, j)
+            if x.label.startswith("flip"):
+                # one block, trivial group: the very same rows are kept
+                assert blocks._basis == {tuple(range(x.size)): oracle._basis}, (x.label, j)
+        assert blocks.dims == oracle.dims, x.label
+
+
+def test_block_quadratic_matches_ungraded():
+    for x, _, top in _block_pool():
+        assert list(hilbert_dims_quadratic(x, top)) == _hilbert_dims_quadratic_ungraded(x, top), x.label
+
+
+def test_product_blocks_and_orbits():
+    """Kept rows lie in the block of their key, the key is its orbit's least label, and label = g rep g^-1."""
+    for x, top, _ in _block_pool():
+        blocks = _ProductBlocks(x)
+        assert blocks.symmetric == (not x.label.startswith("non-automorphic")), x.label
+        n = x.size
+        ladder = SymmetrizerLadder(x, budget=n ** top)
+        for j in range(1, top + 1):
+            ladder.dim(j)
+            for rep, rows in ladder._basis.items():
+                members = ladder._blocks.members(rep)
+                assert rep == min(label for label, _ in members), (x.label, j)
+                for label, g in members:
+                    if blocks.symmetric:
+                        assert label == _compose(_compose(g, rep), tuple(g.index(i) for i in range(n)))
+                    else:
+                        assert (label, g) == (rep, blocks.identity)
+                for row in rows:
+                    for c in row:
+                        label = blocks.identity
+                        for t in range(j):
+                            label = _compose(label, x.left[c // n ** (j - 1 - t) % n])
+                        assert label == rep, (x.label, j)
+
+
+def test_non_automorphic_set_falls_back_to_plain_blocks():
+    plus, minus = _non_automorphic_set(1), _non_automorphic_set(-1)
+    assert not _ProductBlocks(plus).symmetric
+    assert not _ProductBlocks(minus).symmetric
+    assert list(hilbert_dims(plus, 6)) == [1, 3, 9, 27, 79, 225, 641]
+    assert list(hilbert_dims(minus, 6)) == [1, 3, 4, 3, 1, 0, 0]
+
+
+def test_block_ladder_keeps_the_level_budget():
+    x5 = transposition_class(5)
+    ladder = SymmetrizerLadder(x5, budget=10 ** 4)
+    assert ladder.dim(4) == 711
+    with pytest.raises(BudgetExceeded):
+        ladder.extend()
+    assert ladder.level == 4
+    assert list(hilbert_dims_quadratic(x5, 6, budget=10 ** 4)) == [1, 10, 55, 220, 711]
 
 
 def test_positional_steps_match_tuple_braiding():
@@ -310,4 +450,11 @@ def test_x4_degree_8_matches_fomin_kirillov():
     dims = hilbert_dims(transposition_class(4), 8, budget=6 ** 8)
     assert dims.complete
     ref = [c.coeff(0) for c in fk_reference_series(4).t_coeff_list()[:9]]
+    assert list(dims) == ref
+
+
+def test_x5_degree_6_matches_fomin_kirillov():
+    dims = hilbert_dims(transposition_class(5), 6, budget=10 ** 6)
+    assert dims.complete
+    ref = [c.coeff(0) for c in fk_reference_series(5).t_coeff_list()[:7]]
     assert list(dims) == ref

@@ -121,6 +121,37 @@ def test_dim_numeric_certificate():
         verify_dim_numeric(F(1, 2))
 
 
+def _verify_dim_numeric_fractions(q, n_terms, tol):
+    """The certificate summed term by term over Fraction (oracle for the integer-numerator route)."""
+    q = F(q)
+    partial = F(0)
+    for s in range(n_terms):
+        qint = (q ** (2 * s + 1) - q ** (-2 * s - 1)) / (q - 1 / q)
+        partial += q ** (-2 * s * (s + 1)) * qint
+    closed = 1 / (1 - q ** (-2))
+    s0 = n_terms
+    tail_bound = q ** (-2 * s0 * s0) / ((1 - q ** (-2)) * (1 - q ** (-4 * s0)))
+    gap = abs(closed - partial)
+    assert gap <= tail_bound < tol
+    return gap, tail_bound
+
+
+@pytest.mark.parametrize("n_terms", [1, 2, 5, 30, 200])
+@pytest.mark.parametrize("q", [F(3, 2), F(2), F(5, 2), F(7, 3)], ids=str)
+def test_dim_numeric_matches_fraction_sum(q, n_terms):
+    tol = F(1, 10**12) if n_terms >= 30 else F(10)
+    got = verify_dim_numeric(q, n_terms=n_terms, tol=tol)
+    ref = _verify_dim_numeric_fractions(q, n_terms, tol)
+    assert got == ref
+    assert all(type(v) is F for v in got)
+
+
+@pytest.mark.parametrize("n_terms", [0, -3])
+def test_dim_numeric_rejects_no_terms(n_terms):
+    with pytest.raises(ValueError, match="n_terms"):
+        verify_dim_numeric(F(2), n_terms=n_terms)
+
+
 def test_term_numeric_certificate():
     coeff = _qr({1: 1}, {0: 1, 2: -1})
     verify_term_numeric(coeff, 0, -2, F(2), n_terms=60, tol=F(1, 10**6))
