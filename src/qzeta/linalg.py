@@ -1,17 +1,20 @@
 """Exact linear algebra over the rationals and over the rational-function field of q.
 
-Rank of integer/rational matrices uses fraction-free (Bareiss-style)
-elimination; q-generic matrices are eliminated classically with QRational
-pivots.  Pivot choice is always the first nonzero entry in column order,
-trading speed for deterministic reproducibility.
+Every elimination goes through one fraction-free reduction step, ``_reduce``
+(Bareiss-style cross-multiplication of sparse rows), over the integers and
+over Q(q) alike; only the content strip that keeps rows primitive differs
+(``_strip_gcd`` for integer rows, ``_strip_content`` for QLaurent rows).
+Pivot choice is always the first nonzero entry in column order, trading
+speed for deterministic reproducibility.
 
-A streaming sparse kernel handles the large braided-symmetrizer matrices:
-rows enter one at a time as {column: integer} dicts, are reduced against
-the current echelon basis with cross-multiplication and gcd stripping, and
-the rows that extended the rank are reported back.  solve_linear runs the
-same reduction step, fraction-free over the integers: augmented rows are
-scaled to integers, an inconsistent system is detected at the first row that
-reduces onto the rhs column, and only the final back-substitution (at most
+Rows enter one at a time as sparse {column: value} dicts, are reduced against
+the current echelon basis, and the rows that extended the rank are reported
+back.  exact_rank over Q(q) clears each row's QRational denominators by their
+product and streams the rows into sparse_qlaurent_rank; dense rational
+matrices keep their own Bareiss elimination.  solve_linear runs the same
+reduction step, fraction-free over the integers: augmented rows are scaled to
+integers, an inconsistent system is detected at the first row that reduces
+onto the rhs column, and only the final back-substitution (at most
 cols x cols entries) uses Fraction.
 """
 
@@ -52,7 +55,7 @@ def exact_rank(m: ExactMatrix | list) -> int:
     if m.rows == 0 or m.cols == 0:
         return 0
     if m.is_q_generic():
-        return _rank_qgeneric(m)
+        return sparse_qlaurent_rank(_laurent_row(row) for row in m.entries)
     return _rank_bareiss(m)
 
 
@@ -84,40 +87,6 @@ def _rank_bareiss(m: ExactMatrix) -> int:
             for k in range(c, cols):
                 row_r[k] = (piv * row_r[k] - arc * row_p[k]) // prev
         prev = piv
-        rank += 1
-        if rank == rows:
-            break
-    return rank
-
-
-def _rank_qgeneric(m: ExactMatrix) -> int:
-    """Classical elimination with QRational pivots."""
-    def lift(x):
-        if isinstance(x, QRational):
-            return x
-        if isinstance(x, QLaurent):
-            return QRational.from_laurent(x)
-        return QRational.from_scalar(x)
-
-    a = [[lift(x) for x in row] for row in m.entries]
-    rows, cols = m.rows, m.cols
-    rank = 0
-    for c in range(cols):
-        sel = None
-        for r in range(rank, rows):
-            if not a[r][c].is_zero:
-                sel = r
-                break
-        if sel is None:
-            continue
-        a[rank], a[sel] = a[sel], a[rank]
-        piv = a[rank][c]
-        for r in range(rank + 1, rows):
-            if a[r][c].is_zero:
-                continue
-            f = a[r][c] / piv
-            for k in range(c, cols):
-                a[r][k] = a[r][k] - f * a[rank][k]
         rank += 1
         if rank == rows:
             break
@@ -158,7 +127,7 @@ def solve_linear(m: ExactMatrix | list, rhs) -> LinearSolution:
         raise ValueError("rhs length mismatch")
     echelon: dict[int, dict] = {}
     for i, row in enumerate(m.entries):
-        out = _reduce(echelon, _int_row(row + [rhs[i]]))
+        out = _reduce(echelon, _int_row(row + [rhs[i]]), _strip_gcd)
         if out:
             p = min(out)
             if p == cols:
@@ -187,6 +156,29 @@ def _strip_gcd(row: dict) -> dict:
     return row
 
 
+def _strip_content(row: dict) -> dict:
+    """Divide a QLaurent row by its common monomial-and-rational content.
+
+    Full polynomial gcds are not taken: the sizes sparse_qlaurent_rank sees
+    do not need them.
+    """
+    it = iter(row.values())
+    first = next(it)
+    v, g = first.monomial_content()
+    for x in it:
+        v2, g2 = x.monomial_content()
+        v = min(v, v2)
+        ga = Fraction(g)
+        gb = Fraction(g2)
+        num = gcd(abs(ga.numerator), abs(gb.numerator))
+        den = (ga.denominator * gb.denominator) // gcd(ga.denominator, gb.denominator)
+        g = Fraction(num, den)
+    if v == 0 and g == 1:
+        return row
+    mono = QLaurent({-v: Fraction(1) / g})
+    return {c: x * mono for c, x in row.items()}
+
+
 def _int_row(entries) -> dict:
     """Sparse integer row proportional to entries: denominators cleared by their lcm."""
     if all(type(x) is int for x in entries):
@@ -196,12 +188,33 @@ def _int_row(entries) -> dict:
     return {c: f.numerator * (den // f.denominator) for c, f in enumerate(fracs) if f}
 
 
-def _reduce(echelon: dict, out: dict) -> dict:
-    """Reduce a sparse integer row against a {pivot column: row} echelon.
+def _laurent_row(entries) -> dict:
+    """Sparse QLaurent row proportional to entries over Q(q): denominators cleared by their product.
+
+    A QRational entry becomes its numerator times the exact quotient of the
+    product by its own denominator; any other entry is multiplied by it.
+    """
+    den = QLaurent.one()
+    for x in entries:
+        if isinstance(x, QRational):
+            den = den * x.den
+    out = {}
+    for c, x in enumerate(entries):
+        x = x.num * den.exact_div(x.den) if isinstance(x, QRational) else den * x
+        if x:
+            out[c] = x
+    return out
+
+
+def _reduce(echelon: dict, out: dict, strip) -> dict:
+    """Reduce a sparse row against a {pivot column: row} echelon, over Z or Q(q).
 
     Fraction-free: the row is cross-multiplied with the pivot row at its
-    leading column and gcd-stripped, until its leading column has no pivot
-    (the row is returned, ready to become one) or it vanishes ({} returned).
+    leading column and passed through ``strip`` (``_strip_gcd`` for integer
+    rows, ``_strip_content`` for QLaurent rows), until its leading column has
+    no pivot (the row is returned, ready to become one) or it vanishes ({}
+    returned).  The values need only ring operations and truth testing, so
+    ints and QLaurents run the same loop.
     """
     while out:
         p = min(out)
@@ -216,7 +229,7 @@ def _reduce(echelon: dict, out: dict) -> dict:
                 new[c] = w
             elif c in new:
                 del new[c]
-        out = _strip_gcd(new) if new else new
+        out = strip(new) if new else new
     return out
 
 
@@ -228,12 +241,17 @@ def sparse_int_rank(rows, collect_kept: bool = False):
     that survive create a new pivot.  Returns (rank, kept) where kept lists
     the original rows that extended the rank (empty unless collect_kept).
     """
+    return _echelon_rank(rows, _strip_gcd, collect_kept)
+
+
+def _echelon_rank(rows, strip, collect_kept: bool):
+    """The streaming echelon behind both sparse ranks: (rank, kept rows)."""
     echelon: dict[int, dict] = {}
     kept = []
     for row in rows:
-        out = _reduce(echelon, {c: v for c, v in row.items() if v})
+        out = _reduce(echelon, {c: v for c, v in row.items() if v}, strip)
         if out:
-            echelon[min(out)] = _strip_gcd(out)
+            echelon[min(out)] = strip(out)
             if collect_kept:
                 kept.append(row)
     return len(echelon), kept
@@ -242,46 +260,8 @@ def sparse_int_rank(rows, collect_kept: bool = False):
 def sparse_qlaurent_rank(rows) -> int:
     """Streaming rank for sparse rows with QLaurent values, over Q(q).
 
-    Fraction-free cross-multiplication; rows are kept primitive by stripping
-    the common monomial-and-rational content after each combination.
+    The same fraction-free reduction as sparse_int_rank; rows are kept
+    primitive by stripping the common monomial-and-rational content after
+    each combination.
     """
-    def strip(row: dict) -> dict:
-        # common monomial content only; full polynomial gcds are not needed
-        # at the sizes this kernel sees.
-        it = iter(row.values())
-        first = next(it)
-        v, g = first.monomial_content()
-        for x in it:
-            v2, g2 = x.monomial_content()
-            v = min(v, v2)
-            ga = Fraction(g)
-            gb = Fraction(g2)
-            num = gcd(abs(ga.numerator), abs(gb.numerator))
-            den = (ga.denominator * gb.denominator) // gcd(ga.denominator, gb.denominator)
-            g = Fraction(num, den)
-        if v == 0 and g == 1:
-            return row
-        mono = QLaurent({-v: Fraction(1) / g})
-        return {c: x * mono for c, x in row.items()}
-
-    echelon: dict[int, dict] = {}
-    rank = 0
-    for row in rows:
-        out = {c: v for c, v in row.items() if not v.is_zero}
-        while out:
-            p = min(out)
-            piv = echelon.get(p)
-            if piv is None:
-                echelon[p] = strip(out)
-                rank += 1
-                break
-            a, b = piv[p], out[p]
-            new = {c: v * a for c, v in out.items()}
-            for c, v in piv.items():
-                w = new.get(c, QLaurent()) - v * b
-                if w.is_zero:
-                    new.pop(c, None)
-                else:
-                    new[c] = w
-            out = strip(new) if new else new
-    return rank
+    return _echelon_rank(rows, _strip_content, False)[0]

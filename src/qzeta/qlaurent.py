@@ -69,10 +69,6 @@ class QLaurent:
     def constant(cls, c: Coeff) -> "QLaurent":
         return cls({0: c})
 
-    @classmethod
-    def q_power(cls, e: Exp, c: Coeff = 1) -> "QLaurent":
-        return cls({e: c})
-
     # -- inspection ---------------------------------------------------
 
     def items(self):

@@ -14,6 +14,7 @@ from math import gcd as _igcd
 
 from .errors import DivisionByZero, ExactDivisionError, QZetaError
 from .qlaurent import QLaurent
+from .qtpoly import tpoly_divmod, tpoly_gcd
 
 
 def _exp_lattice(*polys):
@@ -49,54 +50,6 @@ def _from_intpoly(coeffs, shift, lattice: int) -> QLaurent:
     return QLaurent(terms)
 
 
-def _poly_gcd(a, b):
-    """Monic gcd of Fraction coefficient lists."""
-    def trim(p):
-        while p and p[-1] == 0:
-            p = p[:-1]
-        return p
-
-    a, b = trim(list(a)), trim(list(b))
-    while b:
-        # remainder of a by b
-        rem = list(a)
-        while len(trim(rem)) >= len(b):
-            rem = trim(rem)
-            f = rem[-1] / b[-1]
-            shift = len(rem) - len(b)
-            for i, c in enumerate(b):
-                rem[shift + i] -= f * c
-        a, b = b, trim(rem)
-    if a:
-        lead = a[-1]
-        a = [x / lead for x in a]
-    return a
-
-
-def _poly_exact_div(a, b):
-    out = []
-    rem = list(a)
-
-    def trim(p):
-        while p and p[-1] == 0:
-            p = p[:-1]
-        return p
-
-    rem = trim(rem)
-    b = trim(list(b))
-    out = [Fraction(0)] * max(len(rem) - len(b) + 1, 0)
-    while len(trim(rem)) >= len(b):
-        rem = trim(rem)
-        f = rem[-1] / b[-1]
-        shift = len(rem) - len(b)
-        out[shift] += f
-        for i, c in enumerate(b):
-            rem[shift + i] -= f * c
-    if trim(rem):
-        raise ExactDivisionError("inexact division after gcd reduction")
-    return out
-
-
 class QRational:
     """Reduced quotient of two QLaurent polynomials."""
 
@@ -119,10 +72,12 @@ class QRational:
         lat = _exp_lattice(num, den)
         sn, pn = _to_intpoly(num, lat)
         sd, pd = _to_intpoly(den, lat)
-        g = _poly_gcd(pn, pd)
+        g = tpoly_gcd(pn, pd)
         if len(g) > 1:
-            pn = _poly_exact_div(pn, g)
-            pd = _poly_exact_div(pd, g)
+            pn, rn = tpoly_divmod(pn, g)
+            pd, rd = tpoly_divmod(pd, g)
+            if rn or rd:
+                raise ExactDivisionError("inexact division after gcd reduction")
         # denominator: valuation 0, lowest coefficient 1; shift goes to num
         lead = pd[0]
         if lead == 0:

@@ -272,25 +272,16 @@ class FactoredRatQT:
 
 
 # -- exact univariate helpers on Fraction coefficient lists ----------------
-# (used for gcd checks on t-polynomials, e.g. the "no common factor"
-# normalization of fitted (g, h) pairs)
+# The library's only univariate polynomial code: gcd checks on t-polynomials
+# (the "no common factor" normalization of fitted (g, h) pairs) and the
+# canonical form of QRational, whose numerator and denominator are read as
+# polynomials on their common exponent lattice.
 
 
 def tpoly_trim(p):
     while p and p[-1] == 0:
         p = p[:-1]
     return p
-
-
-def tpoly_mul(p, r):
-    if not p or not r:
-        return []
-    out = [Fraction(0)] * (len(p) + len(r) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for k, b in enumerate(r):
-                out[i + k] += a * b
-    return tpoly_trim(out)
 
 
 def tpoly_divmod(p, d):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement, permutations
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, QZetaError
 from .linalg import sparse_qlaurent_rank
 from .qlaurent import QLaurent
 
@@ -68,7 +68,7 @@ class RHat:
                 rhs[(i, j)] = rhs.get((i, j), QLaurent()) + QLaurent.one()
                 rhs = {k: v for k, v in rhs.items() if not v.is_zero}
                 if lhs != rhs:
-                    raise AssertionError(f"Hecke relation fails at basis pair {(i, j)}")
+                    raise QZetaError(f"Hecke relation fails at basis pair {(i, j)}")
 
     def _apply_slot(self, vec: dict, slot: int) -> dict:
         """Apply R-hat in tensor slots (slot, slot+1) of sparse tuple-vectors."""
@@ -94,7 +94,7 @@ class RHat:
                     lhs = self._apply_slot(self._apply_slot(self._apply_slot(v, 0), 1), 0)
                     rhs = self._apply_slot(self._apply_slot(self._apply_slot(v, 1), 0), 1)
                     if lhs != rhs:
-                        raise AssertionError(f"braid relation fails at {(i, j, k)}")
+                        raise QZetaError(f"braid relation fails at {(i, j, k)}")
 
 
 def rhat(n: int) -> RHat:
@@ -152,8 +152,13 @@ def quantum_trace_sym(n: int, j: int, budget=(4, 5), r: RHat | None = None) -> Q
     """
     if j == 0:
         return QLaurent.one()
+    return trace_of_blocks(n, sym_subspace_dims(n, j, budget=budget, r=r))
+
+
+def trace_of_blocks(n: int, blocks) -> QLaurent:
+    """Trace of K_2rho over (content, kernel dimension) blocks of sym_subspace_dims(n, j)."""
     acc = QLaurent()
-    for content, kdim in sym_subspace_dims(n, j, budget=budget, r=r):
+    for content, kdim in blocks:
         if kdim:
             weight = sum(n - 1 - 2 * a for a in content)
             acc = acc + QLaurent({weight: kdim})

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, QZetaError
 from .qcombinat import bounded_partitions
 from .qlaurent import QLaurent
 
@@ -96,7 +96,7 @@ def cs_sym_power(m: int, j: int) -> Sl2Decomposition:
     for r in range(j * m // 2 + 1):
         mult = bounded_partitions(r, j, m) - bounded_partitions(r - 1, j, m)
         if mult < 0:
-            raise AssertionError(f"negative CS multiplicity at (m={m}, j={j}, r={r})")
+            raise QZetaError(f"negative CS multiplicity at (m={m}, j={j}, r={r})")
         if mult:
             parts[j * m - 2 * r] = mult
     if not parts and j * m == 0:
@@ -137,7 +137,7 @@ def sym_power_weight_oracle(m: int, j: int, budget: int = DEFAULT_WEIGHT_BUDGET)
             continue
         mult = weight_mult.get(p, 0) - weight_mult.get(p + 2, 0)
         if mult < 0:
-            raise AssertionError(f"negative peel at weight {p}: weight DP is broken")
+            raise QZetaError(f"negative peel at weight {p}: weight DP is broken")
         if mult:
             parts[p] = mult
     return Sl2Decomposition(parts)

@@ -15,6 +15,7 @@ coefficient instead of assigning it a value.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from .errors import DivergentSum, QZetaError
 from .qlaurent import QLaurent
@@ -104,13 +105,6 @@ def _geom_k(r: int, a: int) -> QRational:
     raise QZetaError(f"unsupported s-degree {r}")
 
 
-def _binom(n, k):
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
-
-
 def _sum_inf(expr: SExpr) -> QRational:
     """Formal sum over s >= 0; s-independent terms with nonzero coefficient diverge."""
     total = QRational.zero()
@@ -131,7 +125,7 @@ def _tail_from_splus1(expr: SExpr) -> SExpr:
         if a == 0:
             raise DivergentSum(f"infinite tail of s-independent term ({coeff}) s^{d}")
         for e in range(d + 1):
-            out.append((coeff * _binom(d, e) * _geom_k(d - e, a), e, a))
+            out.append((coeff * comb(d, e) * _geom_k(d - e, a), e, a))
     return SExpr(out)
 
 
@@ -159,7 +153,7 @@ def _finite_0_to_s(expr: SExpr) -> SExpr:
         full = _geom_k(d, a) + (QRational.one() if d == 0 else QRational.zero())
         out.append((coeff * full, 0, 0))
         for e in range(d + 1):
-            out.append((coeff * _binom(d, e) * _geom_k(d - e, a) * Fraction(-1), e, a))
+            out.append((coeff * comb(d, e) * _geom_k(d - e, a) * Fraction(-1), e, a))
     return SExpr(out)
 
 

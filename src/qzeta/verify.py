@@ -32,7 +32,7 @@ from .qcombinat import q_binom_sym, q_int_sym
 from .qlaurent import QLaurent
 from .qrational import QRational
 from .refdata import reference_cm_closed, reference_gh
-from .rmatrix import rhat, quantum_trace_sym, sym_subspace_dims
+from .rmatrix import rhat, sym_subspace_dims, trace_of_blocks
 from .sl2 import Sl2Decomposition
 from .sphere import sphere_dims, sphere_zeta_coeff, verify_dim_numeric
 from .tseries import TSeries
@@ -102,7 +102,7 @@ def crit_04_rmatrix_oracle():
         for j in range(6):
             blocks = sym_subspace_dims(n, j, r=r)
             check(all(k == 1 for _, k in blocks), f"block kernel != 1 at n={n}, j={j}")
-            check(quantum_trace_sym(n, j, r=r) == q_binom_sym(n + j - 1, j), f"n={n}, j={j}")
+            check(trace_of_blocks(n, blocks) == q_binom_sym(n + j - 1, j), f"n={n}, j={j}")
 
 
 def crit_05_theorem42():

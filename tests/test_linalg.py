@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 
+import qzeta.rmatrix as rmatrix
 from qzeta import (
     ExactMatrix,
     NoSolution,
@@ -79,6 +81,103 @@ def test_rank_q_generic():
     assert exact_rank(m) == 1
     m2 = [[one, q], [q, one]]
     assert exact_rank(m2) == 2
+
+
+def _rank_qgeneric(m: ExactMatrix) -> int:
+    """Classical elimination with QRational pivots."""
+    def lift(x):
+        if isinstance(x, QRational):
+            return x
+        if isinstance(x, QLaurent):
+            return QRational.from_laurent(x)
+        return QRational.from_scalar(x)
+
+    a = [[lift(x) for x in row] for row in m.entries]
+    rows, cols = m.rows, m.cols
+    rank = 0
+    for c in range(cols):
+        sel = None
+        for r in range(rank, rows):
+            if not a[r][c].is_zero:
+                sel = r
+                break
+        if sel is None:
+            continue
+        a[rank], a[sel] = a[sel], a[rank]
+        piv = a[rank][c]
+        for r in range(rank + 1, rows):
+            if a[r][c].is_zero:
+                continue
+            f = a[r][c] / piv
+            for k in range(c, cols):
+                a[r][k] = a[r][k] - f * a[rank][k]
+        rank += 1
+        if rank == rows:
+            break
+    return rank
+
+
+def _random_q_entry(rng, lattice):
+    """A nonzero QRational with exponents on q^(1/lattice)."""
+    def laurent():
+        return QLaurent({F(rng.randrange(-2, 3), lattice): rng.choice([-2, -1, 1, 2, F(1, 2)])
+                         for _ in range(rng.randrange(1, 3))})
+
+    return QRational(laurent(), laurent())
+
+
+def _disguise(rng, x: QRational):
+    """x as an int or QLaurent where it is one, half the time."""
+    if rng.random() < 0.5 or x.den != QLaurent.one():
+        return x
+    if not x.num:
+        return 0
+    if set(x.num.support()) == {0} and type(x.num.coeff(0)) is int:
+        return x.num.coeff(0)
+    return x.num
+
+
+def _random_q_matrix(rng):
+    """Rows of QRational, QLaurent and int entries; some rows are Q(q)-combinations of others."""
+    lattice = rng.choice([1, 1, 2])
+    rows, cols = rng.randrange(1, 4), rng.randrange(1, 5)
+    m = [[_random_q_entry(rng, lattice) if rng.random() < 0.6 else QRational.from_scalar(rng.randrange(-2, 3))
+          for _ in range(cols)] for _ in range(rows)]
+    for _ in range(rng.randrange(0, 3)):
+        a, b = _random_q_entry(rng, lattice), _random_q_entry(rng, lattice)
+        i, k = rng.randrange(len(m)), rng.randrange(len(m))
+        m.insert(rng.randrange(len(m) + 1), [a * x + b * y for x, y in zip(m[i], m[k])])
+    return [[_disguise(rng, x) for x in row] for row in m]
+
+
+def test_exact_rank_q_generic_matches_dense_oracle():
+    rng = random.Random(7_5084)
+    deficient = 0
+    for _ in range(160):
+        m = _random_q_matrix(rng)
+        expected = _rank_qgeneric(ExactMatrix(m))
+        assert exact_rank(m) == expected, m
+        deficient += expected < min(len(m), len(m[0]))
+    assert deficient > 40
+
+
+def test_sparse_qlaurent_rank_matches_dense_oracle_on_rmatrix_blocks(monkeypatch):
+    blocks = []
+
+    def recording(rows):
+        blocks.append(rows)
+        return sparse_qlaurent_rank(rows)
+
+    monkeypatch.setattr(rmatrix, "sparse_qlaurent_rank", recording)
+    for n in (2, 3):
+        for j in range(5):
+            rmatrix.sym_subspace_dims(n, j)
+    # one block per content multiset of size j = 1..4 (j = 0 returns before any rank)
+    assert len(blocks) == sum(comb(n + j - 1, j) for n in (2, 3) for j in range(1, 5))
+    for rows in blocks:
+        size = 1 + max((c for row in rows for c in row), default=0)
+        dense = [[row.get(c, 0) for c in range(size)] for row in rows]
+        assert sparse_qlaurent_rank(rows) == _rank_qgeneric(ExactMatrix(dense))
 
 
 def test_solve_identity():

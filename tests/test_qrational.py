@@ -1,9 +1,12 @@
+import random
 from fractions import Fraction as F
 
 import pytest
+import sympy
 
+import qzeta.qrational as qrational
 from qzeta import DivisionByZero, ExactDivisionError, QLaurent, QRational
-from qzeta.qrational import _poly_exact_div
+from qzeta.qtpoly import tpoly_divmod
 
 
 def test_reduction():
@@ -63,8 +66,64 @@ def test_half_integer_lattice():
     assert r == QRational.from_laurent(QLaurent({F(1, 2): 1, F(-1, 2): 1}))
 
 
-def test_poly_exact_div_raises_on_remainder():
+def test_poly_exact_div_raises_on_remainder(monkeypatch):
     # (u^2 - 1)/(u + 1) = u - 1, but u^2 + 1 leaves remainder 2
-    assert _poly_exact_div([F(-1), F(0), F(1)], [F(1), F(1)]) == [-1, 1]
+    assert tpoly_divmod([F(-1), F(0), F(1)], [F(1), F(1)]) == ([-1, 1], [])
+    assert tpoly_divmod([F(1), F(0), F(1)], [F(1), F(1)]) == ([-1, 1], [2])
+    # a gcd that does not divide both sides must not give a canonical form
+    monkeypatch.setattr(qrational, "tpoly_gcd", lambda a, b: [F(1), F(1)])
+    u2_minus_1, u2_plus_1 = QLaurent({2: 1, 0: -1}), QLaurent({2: 1, 0: 1})
     with pytest.raises(ExactDivisionError):
-        _poly_exact_div([F(1), F(0), F(1)], [F(1), F(1)])
+        QRational(u2_plus_1, u2_minus_1)
+    with pytest.raises(ExactDivisionError):
+        QRational(u2_minus_1, u2_plus_1)
+
+
+_Q = sympy.Symbol("q")
+
+
+def _random_laurent(rng):
+    terms = {}
+    while not terms:
+        terms = {e: rng.choice([-3, -2, -1, 1, 2, 3, F(1, 2), F(-2, 3)])
+                 for e in range(-3, 4) if rng.random() < 0.4}
+    return QLaurent(terms)
+
+
+def _to_sympy(p: QLaurent):
+    """(valuation, p / q^valuation as a sympy polynomial expression)."""
+    v = p.valuation()
+    coeffs = {(e - v,): sympy.Rational(F(c).numerator, F(c).denominator) for e, c in p.items()}
+    return v, sympy.Poly.from_dict(coeffs, _Q, domain="QQ").as_expr()
+
+
+def _sympy_canonical(num: QLaurent, den: QLaurent):
+    """sympy.cancel(num/den) as (num terms, den terms), in QRational's convention.
+
+    The convention: the denominator has valuation 0 and lowest coefficient 1.
+    """
+    (vn, top), (vd, bottom) = _to_sympy(num), _to_sympy(den)
+    scale, top, bottom = sympy.cancel((top, bottom))
+    top, bottom = sympy.Poly(scale * top, _Q).terms(), sympy.Poly(bottom, _Q).terms()
+    (v,), lead = min(bottom)
+    lead = F(int(lead.p), int(lead.q))
+
+    def terms(poly, shift):
+        return {e + shift: F(int(c.p), int(c.q)) / lead for (e,), c in poly if c}
+
+    return terms(top, vn - vd - v), terms(bottom, -v)
+
+
+def test_canonical_form_matches_sympy_cancel():
+    rng = random.Random(1007_5084)
+    common_factors = 0
+    for _ in range(240):
+        num, den = _random_laurent(rng), _random_laurent(rng)
+        if rng.random() < 0.6:
+            shared = _random_laurent(rng)
+            num, den = num * shared, den * shared
+            common_factors += len(shared) > 1
+        r = QRational(num, den)
+        got = ({e: F(c) for e, c in r.num.items()}, {e: F(c) for e, c in r.den.items()})
+        assert got == _sympy_canonical(num, den), (num, den)
+    assert common_factors > 80

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from qzeta import BudgetExceeded, QLaurent, q_binom_sym, q_int_sym, quantum_trace_sym, rhat, sym_subspace_dims
+from qzeta import BudgetExceeded, QLaurent, QZetaError, q_binom_sym, q_int_sym, quantum_trace_sym, rhat, sym_subspace_dims
 
 
 def test_diagonal_action():
@@ -31,9 +31,19 @@ def test_classical_limit_is_flip():
 
 
 def test_relations_verified_at_construction():
-    # would raise AssertionError inside the constructor if either relation failed
+    # would raise QZetaError inside the constructor if either relation failed
     for n in (2, 3, 4):
         rhat(n)
+
+
+def test_corrupted_rhat_fails_both_relations():
+    r = rhat(3)
+    # q in place of q - q^-1 on the diagonal of one column with i > j
+    r.columns[(2, 0)] = {(0, 2): QLaurent.one(), (2, 0): QLaurent({1: 1})}
+    with pytest.raises(QZetaError, match="Hecke"):
+        r._verify_hecke()
+    with pytest.raises(QZetaError, match="braid"):
+        r._verify_braid()
 
 
 def test_block_dims_n2():

@@ -4,9 +4,11 @@ from math import comb
 
 import pytest
 
+import qzeta.sl2 as sl2
 from qzeta import (
     BudgetExceeded,
     QLaurent,
+    QZetaError,
     Sl2Decomposition,
     adams_sym_power,
     cs_sym_power,
@@ -23,6 +25,13 @@ def test_cs_low_cases():
         assert cs_sym_power(0, j) == Sl2Decomposition({0: 1})
     assert cs_sym_power(2, 2) == Sl2Decomposition({4: 1, 0: 1})
     assert cs_sym_power(3, 2) == Sl2Decomposition({6: 1, 2: 1})
+
+
+def test_cs_negative_multiplicity_is_a_typed_error(monkeypatch):
+    # a partition count that decreases in r gives p(r) - p(r-1) < 0
+    monkeypatch.setattr(sl2, "bounded_partitions", lambda r, j, m: -r)
+    with pytest.raises(QZetaError, match="negative CS multiplicity"):
+        cs_sym_power(2, 2)
 
 
 def test_weight_oracle_cases():
