@@ -21,7 +21,7 @@ from .tseries import TSeries, geometric_series
 from .qtpoly import FactoredRatQT, QTPoly
 from .qrational import QRational
 from .linalg import ExactMatrix, exact_rank, solve_linear, sparse_int_rank, sparse_qlaurent_rank
-from .qcombinat import PartitionTable, bounded_partitions, q_binom_sym, q_int_sym, t_bracket
+from .qcombinat import bounded_partitions, gaussian_coeffs, q_binom_sym, q_int_sym, t_bracket
 from .sl2 import (
     Sl2Decomposition,
     adams_sym_power,

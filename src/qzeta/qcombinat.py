@@ -2,11 +2,14 @@
 
 Conventions: (n)_q = (q^n - q^-n)/(q - q^-1) = q^(n-1) + q^(n-3) + ... + q^(1-n),
 so everything here is palindromic under q <-> q^-1.
+
+One integer kernel, ``gaussian_coeffs``, lists the coefficients of the
+Gaussian polynomial [n choose k]_q; the symmetric q-binomial, the bounded
+partition counts, and the Cayley-Sylvester multiplicities in ``sl2`` all
+read that list.
 """
 
 from __future__ import annotations
-
-import threading
 
 from .qlaurent import QLaurent
 from .qtpoly import QTPoly
@@ -19,19 +22,36 @@ def q_int_sym(n: int) -> QLaurent:
     return QLaurent({n - 1 - 2 * i: 1 for i in range(n)})
 
 
-def q_binom_sym(n: int, k: int) -> QLaurent:
-    """Symmetric q-binomial (n choose k)_q by exact Laurent division.
+def gaussian_coeffs(n: int, k: int) -> list[int]:
+    """Coefficients of the Gaussian polynomial [n choose k]_q, constant term first.
 
-    Computed as prod_{i=1..k} (n-k+i)_q / (i)_q, dividing after each factor
-    so intermediate results stay polynomial; a nonzero remainder anywhere
-    would raise, catching arithmetic bugs immediately.
+    Entry r is p(r, k, n-k), the number of partitions of r into at most k
+    parts each at most n-k.  Step i multiplies [a+i-1 choose i-1]_q by
+    (1 - q^(a+i)) and divides by (1 - q^i), with a = max(k, n-k); every
+    intermediate is the Gaussian polynomial [a+i choose i]_q, so the
+    division is exact and both passes run in place on integers.
     """
     if not 0 <= k <= n:
-        raise ValueError(f"q_binom_sym requires 0 <= k <= n, got ({n}, {k})")
-    out = QLaurent.one()
-    for i in range(1, k + 1):
-        out = (out * q_int_sym(n - k + i)).exact_div(q_int_sym(i))
-    return out
+        raise ValueError(f"gaussian_coeffs requires 0 <= k <= n, got ({n}, {k})")
+    a, b = max(k, n - k), min(k, n - k)
+    c = [1]
+    for i in range(1, b + 1):
+        c.extend([0] * a)
+        for r in range(a * i, a + i - 1, -1):
+            c[r] -= c[r - a - i]
+        for r in range(i, a * i + 1):
+            c[r] += c[r - i]
+    return c
+
+
+def q_binom_sym(n: int, k: int) -> QLaurent:
+    """Symmetric q-binomial (n choose k)_q = q^(-k(n-k)) [n choose k]_(q^2).
+
+    Entry r of ``gaussian_coeffs(n, k)`` sits at exponent 2r - k(n-k).
+    """
+    coeffs = gaussian_coeffs(n, k)
+    shift = k * (n - k)
+    return QLaurent({2 * r - shift: c for r, c in enumerate(coeffs)})
 
 
 def t_bracket(m: int) -> QTPoly:
@@ -41,75 +61,8 @@ def t_bracket(m: int) -> QTPoly:
     return QTPoly({(0, i): 1 for i in range(m)})
 
 
-class PartitionTable:
-    """Memoized count p(r, j, m) of partitions of r into at most j parts, each <= m.
-
-    Uses the recursion p(r, j, m) = p(r - j, j, m - 1) + p(r, j - 1, m):
-    split by whether all j parts are positive (subtract 1 from each) or at
-    most j - 1 parts are used.
-    """
-
-    def __init__(self):
-        self._memo = {}
-        self._lock = threading.Lock()
-
-    def count(self, r: int, j: int, m: int) -> int:
-        if j < 0 or m < 0:
-            raise ValueError("j and m must be non-negative")
-        return self._count(r, j, m)
-
-    def _count(self, r, j, m):
-        if r < 0:
-            return 0
-        if r == 0:
-            return 1
-        if j == 0 or m == 0:
-            return 0
-        key = (r, j, m)
-        memo = self._memo
-        got = memo.get(key)
-        if got is not None:
-            return got
-        # iterative expansion to keep recursion depth independent of r
-        stack = [key]
-        while stack:
-            kr, kj, km = stack[-1]
-            if (kr, kj, km) in memo:
-                stack.pop()
-                continue
-            deps = []
-            for sub in ((kr - kj, kj, km - 1), (kr, kj - 1, km)):
-                sr, sj, sm = sub
-                if sr < 0 or sr == 0 or sj == 0 or sm == 0:
-                    continue
-                if sub not in memo:
-                    deps.append(sub)
-            if deps:
-                stack.extend(deps)
-                continue
-            stack.pop()
-            total = 0
-            for sub in ((kr - kj, kj, km - 1), (kr, kj - 1, km)):
-                sr, sj, sm = sub
-                if sr < 0:
-                    continue
-                if sr == 0:
-                    total += 1
-                elif sj == 0 or sm == 0:
-                    continue
-                else:
-                    total += memo[sub]
-            memo[(kr, kj, km)] = total
-        return memo[key]
-
-
-_shared_table = PartitionTable()
-
-
-def bounded_partitions(r: int, j: int, m: int, table: PartitionTable | None = None) -> int:
+def bounded_partitions(r: int, j: int, m: int) -> int:
     """p(r, j, m): partitions of r into at most j parts each at most m."""
-    t = table if table is not None else _shared_table
-    if table is None:
-        with _shared_table._lock:
-            return t.count(r, j, m)
-    return t.count(r, j, m)
+    if j < 0 or m < 0:
+        raise ValueError("j and m must be non-negative")
+    return gaussian_coeffs(j + m, m)[r] if 0 <= r <= j * m else 0

@@ -150,8 +150,6 @@ def quantum_trace_sym(n: int, j: int, budget=(4, 5), r: RHat | None = None) -> Q
     K_2rho is diagonal with entry q^(n+1-2i) on the i-th basis vector
     (1-based), hence constant on each block.
     """
-    if j == 0:
-        return QLaurent.one()
     return trace_of_blocks(n, sym_subspace_dims(n, j, budget=budget, r=r))
 
 

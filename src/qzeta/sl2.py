@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import BudgetExceeded, QZetaError
-from .qcombinat import bounded_partitions
+from .qcombinat import gaussian_coeffs
 from .qlaurent import QLaurent
 
 DEFAULT_WEIGHT_BUDGET = 200
@@ -89,18 +89,21 @@ def peel_character(chi: QLaurent) -> Sl2Decomposition:
 
 
 def cs_sym_power(m: int, j: int) -> Sl2Decomposition:
-    """S^j(V_m) via Cayley-Sylvester: V_{jm-2r} with multiplicity p(r,j,m) - p(r-1,j,m)."""
+    """S^j(V_m) via Cayley-Sylvester: V_{jm-2r} with multiplicity p(r,j,m) - p(r-1,j,m).
+
+    p(r, j, m) is entry r of ``gaussian_coeffs(j + m, m)``, the coefficient
+    list of [j+m choose m]_q, read once for all r.
+    """
     if m < 0 or j < 0:
         raise ValueError("m, j must be non-negative")
+    p = gaussian_coeffs(j + m, m)
     parts = {}
     for r in range(j * m // 2 + 1):
-        mult = bounded_partitions(r, j, m) - bounded_partitions(r - 1, j, m)
+        mult = p[r] - (p[r - 1] if r else 0)
         if mult < 0:
             raise QZetaError(f"negative CS multiplicity at (m={m}, j={j}, r={r})")
         if mult:
             parts[j * m - 2 * r] = mult
-    if not parts and j * m == 0:
-        parts[0] = 1
     return Sl2Decomposition(parts)
 
 

@@ -58,11 +58,6 @@ class CmSeries:
     def to_tseries(self) -> TSeries:
         return TSeries(self.order, list(self.table))
 
-    def truncate(self, order: int) -> "CmSeries":
-        if order > self.order:
-            raise IndexError("cannot extend a CmSeries")
-        return CmSeries(self.m, order, self.table[: order + 1])
-
     def __eq__(self, other):
         if not isinstance(other, CmSeries):
             return NotImplemented
@@ -107,11 +102,12 @@ def zeta_vm_closed(m: int) -> FactoredRatQT:
 
 def cm_series_cs(m: int, order: int) -> CmSeries:
     """c_m(t, q) assembled degreewise from the Cayley-Sylvester decomposition."""
-    table = []
-    for j in range(order + 1):
-        dec = cs_sym_power(m, j)
-        table.append(QLaurent({p: mult for p, mult in dec.parts.items()}))
-    return CmSeries(m, order, table)
+    return CmSeries(m, order, [_cm_row(m, j) for j in range(order + 1)])
+
+
+def _cm_row(m: int, j: int) -> QLaurent:
+    """The t^j coefficient of c_m: V_p in S^j(V_m) contributes its multiplicity at q^p."""
+    return QLaurent(cs_sym_power(m, j).parts)
 
 
 def zeta_from_cm(c: CmSeries) -> TSeries:
@@ -229,13 +225,16 @@ def fit_gh(m: int, c: CmSeries | None = None, max_h_degree: int = 40) -> GHPair:
     forced by the rational t-degree -(m+1), h is solved from the linear
     system requiring (c eta h) to vanish beyond deg_t(g), and the candidate
     is accepted only if the q-degree claim, the functional equation, and a
-    round-trip series comparison all hold.
+    round-trip series comparison all hold.  The rows of c_m and c_m eta_m
+    are extended from one candidate's order to the next, never rebuilt.
     """
     if m < 2:
         raise ValueError("fit_gh applies for m >= 2")
     eta = eta_m(m)
     deg_eta_t = eta.t_degree() if not eta.is_zero else 0
     deg_eta_q = eta.q_degree()
+    eta_t = eta.t_coeff_list()
+    rows, ceta_rows = [], []
     attempted = []
     for dh in range(1, max_h_degree + 1):
         dg = dh + deg_eta_t - (m + 1)
@@ -245,8 +244,13 @@ def fit_gh(m: int, c: CmSeries | None = None, max_h_degree: int = 40) -> GHPair:
         if c is not None and c.order < order:
             attempted.append((dh, dg))
             continue
-        cm = c.truncate(order) if c is not None else cm_series_cs(m, order)
-        ceta = cm.to_tseries() * eta.to_tseries(order)
+        for j in range(len(rows), order + 1):
+            rows.append(c.table[j] if c is not None else _cm_row(m, j))
+            acc = QLaurent()
+            for k in range(min(j, deg_eta_t) + 1):
+                acc = acc + rows[j - k] * eta_t[k]
+            ceta_rows.append(acc)
+        ceta = TSeries(order, ceta_rows)
         attempted.append((dh, dg))
         h = _solve_h(ceta, dh, dg, order)
         if h is None:
@@ -274,7 +278,7 @@ def fit_gh(m: int, c: CmSeries | None = None, max_h_degree: int = 40) -> GHPair:
         gh = GHPair(m, g, QTPoly.from_t_coeffs(h))
         if not verify_functional_eq(m, gh):
             continue
-        if not _roundtrip_ok(gh, cm):
+        if not _roundtrip_ok(gh, CmSeries(m, order, rows)):
             continue
         return gh
     raise FitFailed(f"no (g, h) found for m={m}; attempted (deg h, deg g) bounds: {attempted}")

@@ -1,10 +1,35 @@
 from fractions import Fraction as F
+from functools import lru_cache
 from math import comb
 
 import pytest
 
-from qzeta import PartitionTable, QLaurent, bounded_partitions, q_binom_sym, q_int_sym, t_bracket
+from qzeta import QLaurent, bounded_partitions, gaussian_coeffs, q_binom_sym, q_int_sym, t_bracket
 from qzeta.qtpoly import QTPoly
+
+
+def binom_by_division(n, k):
+    """Oracle: (n choose k)_q = prod_{i=1..k} (n-k+i)_q / (i)_q, dividing after each factor."""
+    out = QLaurent.one()
+    for i in range(1, k + 1):
+        out = (out * q_int_sym(n - k + i)).exact_div(q_int_sym(i))
+    return out
+
+
+@lru_cache(maxsize=None)
+def partitions_by_recursion(r, j, m):
+    """Oracle: p(r, j, m) = p(r - j, j, m - 1) + p(r, j - 1, m).
+
+    Split by whether all j parts are positive (subtract 1 from each) or at
+    most j - 1 parts are used.
+    """
+    if r < 0:
+        return 0
+    if r == 0:
+        return 1
+    if j == 0 or m == 0:
+        return 0
+    return partitions_by_recursion(r - j, j, m - 1) + partitions_by_recursion(r, j - 1, m)
 
 
 def test_q_int_values():
@@ -22,6 +47,26 @@ def test_q_binom_values():
     assert q_binom_sym(7, 0) == QLaurent({0: 1})
     with pytest.raises(ValueError):
         q_binom_sym(3, 4)
+
+
+def test_gaussian_coeffs_match_both_oracles():
+    for n in range(17):
+        for k in range(n + 1):
+            coeffs = gaussian_coeffs(n, k)
+            assert len(coeffs) == k * (n - k) + 1, (n, k)
+            assert coeffs == [partitions_by_recursion(r, k, n - k) for r in range(len(coeffs))], (n, k)
+            assert q_binom_sym(n, k) == binom_by_division(n, k), (n, k)
+    with pytest.raises(ValueError):
+        gaussian_coeffs(3, -1)
+
+
+def test_bounded_partitions_match_recursion():
+    for j in range(11):
+        for m in range(11):
+            for r in range(-2, j * m + 3):
+                assert bounded_partitions(r, j, m) == partitions_by_recursion(r, j, m), (r, j, m)
+    with pytest.raises(ValueError):
+        bounded_partitions(0, -1, 2)
 
 
 def test_q_binom_palindromic_and_classical_limit():
@@ -62,7 +107,7 @@ def test_grassmannian_coefficient():
         for m in range(9):
             b = q_binom_sym(j + m, m)
             for r in range(j * m + 1):
-                assert bounded_partitions(r, j, m) == b.coeff(j * m - 2 * r), (r, j, m)
+                assert partitions_by_recursion(r, j, m) == b.coeff(j * m - 2 * r), (r, j, m)
 
 
 def test_multiplicity_monotonicity():
@@ -72,8 +117,3 @@ def test_multiplicity_monotonicity():
                 diff = bounded_partitions(r, j, m) - bounded_partitions(r - 1, j, m)
                 assert diff >= 0, (r, j, m)
 
-
-def test_private_table_reuse():
-    table = PartitionTable()
-    assert table.count(4, 3, 3) == bounded_partitions(4, 3, 3)
-    assert bounded_partitions(4, 3, 3, table=table) == table.count(4, 3, 3)

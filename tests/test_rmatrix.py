@@ -78,3 +78,10 @@ def test_budget():
         sym_subspace_dims(5, 2)
     with pytest.raises(BudgetExceeded):
         quantum_trace_sym(2, 6)
+
+
+def test_trace_at_j0_checks_budget():
+    # j = 0 takes the same budget check as sym_subspace_dims(9, 0)
+    with pytest.raises(BudgetExceeded):
+        quantum_trace_sym(9, 0)
+    assert quantum_trace_sym(3, 0) == 1

@@ -28,8 +28,8 @@ def test_cs_low_cases():
 
 
 def test_cs_negative_multiplicity_is_a_typed_error(monkeypatch):
-    # a partition count that decreases in r gives p(r) - p(r-1) < 0
-    monkeypatch.setattr(sl2, "bounded_partitions", lambda r, j, m: -r)
+    # a coefficient list that decreases in r gives p(r) - p(r-1) < 0
+    monkeypatch.setattr(sl2, "gaussian_coeffs", lambda n, k: [3, 2, 1, 0, 0])
     with pytest.raises(QZetaError, match="negative CS multiplicity"):
         cs_sym_power(2, 2)
 

@@ -4,6 +4,7 @@ import pytest
 
 from qzeta import (
     CmSeries,
+    FitFailed,
     GHPair,
     QLaurent,
     QTPoly,
@@ -109,6 +110,24 @@ def test_fit_matches_reference():
     gh5 = fit_gh(5)
     ref = reference_gh(5)
     assert gh5.g == ref.g and gh5.h == ref.h
+
+
+def test_fit_extends_cm_rows_once(monkeypatch):
+    # each t-degree of c_m is built once across all deg h candidates
+    import qzeta.zeta_engine as ze
+
+    calls = []
+    real = ze.cs_sym_power
+    monkeypatch.setattr(ze, "cs_sym_power", lambda m, j: calls.append(j) or real(m, j))
+    gh5 = fit_gh(5)
+    assert calls == list(range(len(calls)))
+    assert len(calls) == gh5.g.t_degree() + gh5.h.t_degree() + 7
+
+
+def test_fit_from_supplied_series():
+    assert fit_gh(5, c=cm_series_cs(5, 60)) == fit_gh(5)
+    with pytest.raises(FitFailed):
+        fit_gh(5, c=cm_series_cs(5, 10))
 
 
 @pytest.mark.parametrize("m", [7, 8])
