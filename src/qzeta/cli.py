@@ -53,6 +53,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     fit = sub.add_parser("fit", help="fit the (g_m, h_m) functional-equation pair")
     fit.add_argument("--m", type=int, required=True)
+    fit.add_argument("--max-h-degree", type=int, default=40, metavar="N",
+                     help="largest t-degree of h to try (default 40)")
     _add_format(fit)
 
     sphere = sub.add_parser("sphere", help="regularized quantum-sphere zeta coefficient")
@@ -124,9 +126,9 @@ def _cmd_cm(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    gh = fit_gh(args.m)
+    gh = fit_gh(args.m, max_h_degree=args.max_h_degree)
     if args.format == "json":
-        _emit(gh, args, "fit", {"m": args.m})
+        _emit(gh, args, "fit", {"m": args.m, "max_h_degree": args.max_h_degree})
     else:
         print(f"g_{args.m} = {gh.g}")
         print(f"h_{args.m} = {gh.h}")

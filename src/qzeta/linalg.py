@@ -4,8 +4,9 @@ Every elimination goes through one fraction-free reduction step, ``_reduce``
 (Bareiss-style cross-multiplication of sparse rows), over the integers and
 over Q(q) alike; only the content strip that keeps rows primitive differs
 (``_strip_gcd`` for integer rows, ``_strip_content`` for QLaurent rows).
-Pivot choice is always the first nonzero entry in column order, trading
-speed for deterministic reproducibility.
+An integer pivot whose leading entry divides the row's is subtracted in
+place instead.  Pivot choice is always the first nonzero entry in column
+order, trading speed for deterministic reproducibility.
 
 Rows enter one at a time as sparse {column: value} dicts, are reduced against
 the current echelon basis, and the rows that extended the rank are reported
@@ -214,7 +215,11 @@ def _reduce(echelon: dict, out: dict, strip) -> dict:
     rows, ``_strip_content`` for QLaurent rows), until its leading column has
     no pivot (the row is returned, ready to become one) or it vanishes ({}
     returned).  The values need only ring operations and truth testing, so
-    ints and QLaurents run the same loop.
+    ints and QLaurents run the same loop.  An integer pivot whose leading
+    entry a divides the row's entry b (a unit pivot, a = 1 or -1, always
+    does) needs no scaling: that step subtracts (b / a) times the pivot row
+    in place, with no cross-multiplication and no strip.  ``out`` must be a
+    fresh dict owned by the caller; it may be updated in place.
     """
     while out:
         p = min(out)
@@ -222,6 +227,15 @@ def _reduce(echelon: dict, out: dict, strip) -> dict:
         if piv is None:
             return out
         a, b = piv[p], out[p]
+        if type(a) is int and b % a == 0:
+            f = b // a
+            for c, v in piv.items():
+                w = out.get(c, 0) - f * v
+                if w:
+                    out[c] = w
+                else:
+                    del out[c]
+            continue
         new = {c: a * v for c, v in out.items()}
         for c, v in piv.items():
             w = new.get(c, 0) - b * v

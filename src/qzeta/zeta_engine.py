@@ -225,16 +225,20 @@ def fit_gh(m: int, c: CmSeries | None = None, max_h_degree: int = 40) -> GHPair:
     forced by the rational t-degree -(m+1), h is solved from the linear
     system requiring (c eta h) to vanish beyond deg_t(g), and the candidate
     is accepted only if the q-degree claim, the functional equation, and a
-    round-trip series comparison all hold.  The rows of c_m and c_m eta_m
-    are extended from one candidate's order to the next, never rebuilt.
+    round-trip series comparison all hold.  The round trip needs no series
+    inversion: h eta_m has constant term 1, so it is a unit in Q(q)[[t]].
+    The rows of c_m and c_m eta_m are extended from one candidate's order
+    to the next, never rebuilt.
     """
     if m < 2:
         raise ValueError("fit_gh applies for m >= 2")
+    if max_h_degree < 1:
+        raise ValueError("max_h_degree must be >= 1")
     eta = eta_m(m)
     deg_eta_t = eta.t_degree() if not eta.is_zero else 0
     deg_eta_q = eta.q_degree()
     eta_t = eta.t_coeff_list()
-    rows, ceta_rows = [], []
+    rows, ceta_rows, ceta_dicts = [], [], []
     attempted = []
     for dh in range(1, max_h_degree + 1):
         dg = dh + deg_eta_t - (m + 1)
@@ -250,9 +254,9 @@ def fit_gh(m: int, c: CmSeries | None = None, max_h_degree: int = 40) -> GHPair:
             for k in range(min(j, deg_eta_t) + 1):
                 acc = acc + rows[j - k] * eta_t[k]
             ceta_rows.append(acc)
-        ceta = TSeries(order, ceta_rows)
+            ceta_dicts.append(dict(acc.items()))
         attempted.append((dh, dg))
-        h = _solve_h(ceta, dh, dg, order)
+        h = _solve_h(ceta_dicts, dh, dg, order)
         if h is None:
             continue
         # g = (c eta h) truncated at dg; tail vanishing beyond order is
@@ -263,7 +267,7 @@ def fit_gh(m: int, c: CmSeries | None = None, max_h_degree: int = 40) -> GHPair:
             acc = QLaurent()
             for k in range(min(dh, j) + 1):
                 if h[k]:
-                    acc = acc + ceta.coeff(j - k) * h[k]
+                    acc = acc + ceta_rows[j - k] * h[k]
             if j <= dg:
                 g_coeffs.append(acc)
             elif not acc.is_zero:
@@ -284,17 +288,24 @@ def fit_gh(m: int, c: CmSeries | None = None, max_h_degree: int = 40) -> GHPair:
     raise FitFailed(f"no (g, h) found for m={m}; attempted (deg h, deg g) bounds: {attempted}")
 
 
-def _solve_h(ceta: TSeries, dh: int, dg: int, order: int):
-    """Solve sum_k h_k (c eta)_{j-k} = 0 for dg < j <= order, h_0 = 1."""
+def _solve_h(ceta: list, dh: int, dg: int, order: int):
+    """Solve sum_k h_k (c eta)_{j-k} = 0 for dg < j <= order, h_0 = 1.
+
+    ceta lists the t-coefficients of c eta as {q-exponent: value} dicts.  For
+    each j the rows are its q-exponents in increasing order; each reads the
+    dicts of (c eta)_{j-1}, ..., (c eta)_{j-dh}, zero below t^0.
+    """
     rows = []
     rhs = []
     for j in range(dg + 1, order + 1):
+        near = [ceta[j - k] if k <= j else {} for k in range(dh + 1)]
         support = set()
-        for k in range(min(dh, j) + 1):
-            support.update(e for e, _ in ceta.coeff(j - k).items())
+        for d in near:
+            support.update(d)
+        lead, rest = near[0], near[1:]
         for e in sorted(support):
-            rows.append([ceta.coeff(j - k).coeff(e) if j - k >= 0 else 0 for k in range(1, dh + 1)])
-            rhs.append(-ceta.coeff(j).coeff(e))
+            rows.append([d.get(e, 0) for d in rest])
+            rhs.append(-lead.get(e, 0))
     try:
         sol = solve_linear(rows, rhs)
     except NoSolution:
@@ -332,11 +343,36 @@ def _strip_common_t_factor(g: QTPoly, h):
 
 
 def _roundtrip_ok(gh: GHPair, cm: CmSeries) -> bool:
-    """Series check: g/(h eta) reproduces the input c_m expansion."""
+    """Series check: g/(h eta_m) reproduces the input c_m expansion through t^order.
+
+    h eta_m has constant term 1, so it is a unit in Q(q)[[t]] and the check is
+    g = (c_m eta_m) h mod t^(order+1), with nothing inverted.  c_m eta_m is
+    rebuilt here from cm and a fresh eta_m, one t-degree at a time, and h is
+    q-free, so each term of the product is a rational times a q-row.
+    """
     order = cm.order
-    denom = (gh.h * eta_m(gh.m)).to_tseries(order)
-    series = gh.g.to_tseries(order) * denom.invert_unit()
-    return series == cm.to_tseries()
+    eta = [dict(ql.items()) for ql in eta_m(gh.m).t_coeff_list()]
+    h = {b: x for (_a, b), x in gh.h.items()}
+    g = [{} for _ in range(order + 1)]
+    for (a, b), x in gh.g.items():
+        if b <= order:
+            g[b][a] = x
+    ceta = []
+    for j in range(order + 1):
+        row = {}
+        for k in range(min(j, len(eta) - 1) + 1):
+            for e, x in cm.coeff(j - k).items():
+                for a, y in eta[k].items():
+                    row[e + a] = row.get(e + a, 0) + x * y
+        ceta.append(row)
+        acc = {}
+        for k, hk in h.items():
+            if k <= j:
+                for e, x in ceta[j - k].items():
+                    acc[e] = acc.get(e, 0) + hk * x
+        if {e: x for e, x in acc.items() if x} != g[j]:
+            return False
+    return True
 
 
 # -- finite sets and direct sums ----------------------------------------------

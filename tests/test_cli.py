@@ -66,6 +66,29 @@ def test_fit_text(capsys):
     assert "h_2" in out
 
 
+def test_fit_default_cap_fails_for_m9(capsys):
+    code, out, err = run(capsys, "fit", "--m", "9")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "no (g, h) found" in err
+
+
+def test_fit_raised_cap_for_m9(capsys):
+    code, out, _ = run(capsys, "fit", "--m", "9", "--max-h-degree", "80")
+    assert code == 0
+    assert "h_9 = " in out
+    code, out, _ = run(capsys, "fit", "--m", "3", "--max-h-degree", "4", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["metadata"]["parameters"] == {"m": 3, "max_h_degree": 4}
+
+
+def test_fit_zero_cap_exit_1(capsys):
+    code, out, err = run(capsys, "fit", "--m", "5", "--max-h-degree", "0")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "max_h_degree" in err
+
+
 def test_sphere(capsys):
     code, out, _ = run(capsys, "sphere", "--coeff", "0")
     assert code == 0

@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+import qzeta.linalg as linalg
 import qzeta.rmatrix as rmatrix
 from qzeta import (
     ExactMatrix,
@@ -328,3 +329,113 @@ def test_sparse_qlaurent_rank():
     assert sparse_qlaurent_rank(rows) == 1
     rows2 = [{0: one, 1: q}, {0: q, 1: one}]
     assert sparse_qlaurent_rank(rows2) == 2
+
+
+def _reduce_by_cross_multiplication(echelon, out, strip):
+    """Oracle: the reduction step before in-place steps, cross-multiplying at every pivot."""
+    while out:
+        p = min(out)
+        piv = echelon.get(p)
+        if piv is None:
+            return out
+        a, b = piv[p], out[p]
+        new = {c: a * v for c, v in out.items()}
+        for c, v in piv.items():
+            w = new.get(c, 0) - b * v
+            if w:
+                new[c] = w
+            elif c in new:
+                del new[c]
+        out = strip(new) if new else new
+    return out
+
+
+def _both_reductions(rows):
+    """(rank, kept, strip calls) of the streaming echelon, by _reduce and by the oracle."""
+    out = []
+    for reduce in (linalg._reduce, _reduce_by_cross_multiplication):
+        strips = []
+
+        def counting_strip(row):
+            strips.append(len(row))
+            return linalg._strip_gcd(row)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "_reduce", reduce)
+            rank, kept = linalg._echelon_rank(rows, counting_strip, True)
+        out.append((rank, kept, len(strips)))
+    return out
+
+
+def _unit_rich_rows(rng, count, cols):
+    """Sparse integer rows, mostly +-1, with some sums of earlier rows so the rank falls short."""
+    rows = []
+    for _ in range(count):
+        if rows and rng.random() < 0.3:
+            a, b = rng.sample(rows, 2) if len(rows) > 1 else (rows[0], rows[0])
+            f = rng.choice([1, -1, 2])
+            row = dict(a)
+            for c, v in b.items():
+                row[c] = row.get(c, 0) + f * v
+            rows.append({c: v for c, v in row.items() if v})
+        else:
+            cs = rng.sample(range(cols), rng.randrange(1, min(cols, 6) + 1))
+            rows.append({c: rng.choice([1, 1, -1, -1, 2, -3]) for c in cs})
+    return rows
+
+
+def test_in_place_steps_match_cross_multiplication_on_unit_rich_rows():
+    rng = random.Random(1007_5084)
+    saved_strips = 0
+    for _ in range(200):
+        rows = _unit_rich_rows(rng, rng.randrange(2, 30), rng.randrange(2, 16))
+        before = [dict(row) for row in rows]
+        (rank, kept, strips), (ref_rank, ref_kept, ref_strips) = _both_reductions(rows)
+        assert (rank, kept) == (ref_rank, ref_kept), rows
+        assert all(any(k is row for row in rows) for k in kept)
+        assert rows == before                       # the caller's rows are never mutated
+        assert sparse_int_rank(rows) == (rank, [])
+        saved_strips += ref_strips - strips
+    assert saved_strips > 500                       # the in-place branch is taken
+
+
+def test_in_place_steps_match_cross_multiplication_on_ungraded_ladder_blocks():
+    from test_braided import _non_automorphic_set, _UngradedLadder
+
+    from qzeta import transposition_class
+
+    saved_strips = 0
+    for x, top in ((transposition_class(4), 5), (_non_automorphic_set(1), 5), (_non_automorphic_set(-1), 5)):
+        ladder = _UngradedLadder(x, budget=x.size ** top)
+        for j in range(2, top + 1):
+            rows = list(ladder.ungraded_candidate_rows(j))
+            (rank, kept, strips), (ref_rank, ref_kept, ref_strips) = _both_reductions(rows)
+            assert (rank, kept) == (ref_rank, ref_kept), (x.label, j)
+            assert ladder.extend() == rank
+            assert ladder._basis == kept
+            saved_strips += ref_strips - strips
+    assert saved_strips > 1000
+
+
+def test_solve_linear_in_place_steps_match_cross_multiplication(monkeypatch):
+    rng = random.Random(28)
+    systems = [_random_system(rng, rng.randrange(1, 9), rng.randrange(1, 7)) for _ in range(300)]
+    for _ in range(60):
+        rows = _unit_rich_rows(rng, rng.randrange(2, 20), rng.randrange(2, 10))
+        cols = 1 + max(c for row in rows for c in row)
+        m = [[row.get(c, 0) for c in range(cols)] for row in rows]
+        x = [rng.randrange(-3, 4) for _ in range(cols)]
+        systems.append((m, [sum(a * b for a, b in zip(row, x)) for row in m]))
+
+    def solve(m, rhs):
+        try:
+            sol = solve_linear(m, rhs)
+        except NoSolution:
+            return None
+        return sol.values, sol.free_dim
+
+    got = [solve(m, rhs) for m, rhs in systems]
+    monkeypatch.setattr(linalg, "_reduce", _reduce_by_cross_multiplication)
+    expected = [solve(m, rhs) for m, rhs in systems]
+    assert got == expected
+    assert sum(r is None for r in got) > 20 and sum(r is not None and r[1] > 0 for r in got) > 20

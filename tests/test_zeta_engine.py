@@ -134,13 +134,98 @@ def test_fit_from_supplied_series():
 def test_lemma46_beyond_m6(m):
     # Lemma 4.6 past the m <= 6 range of crit 09.  fit_gh(7) lands on
     # deg h = 40, which is exactly the default max_h_degree; fit_gh(9) needs
-    # more and raises FitFailed at the default cap.
+    # deg h = 70 and is checked with a raised cap below.
     gh = fit_gh(m)
     eta = eta_m(m)
     assert verify_functional_eq(m, gh)
     assert gh.g.q_degree() - eta.q_degree() == -2
     assert gh.g.t_degree() - gh.h.t_degree() - eta.t_degree() == -(m + 1)
     assert gh.h.t_degree() == {7: 40, 8: 25}[m]
+
+
+def test_lemma46_m9_past_default_cap():
+    gh = fit_gh(9, max_h_degree=80)
+    eta = eta_m(9)
+    assert verify_functional_eq(9, gh)
+    assert gh.g.q_degree() - eta.q_degree() == -2
+    assert gh.g.t_degree() - gh.h.t_degree() - eta.t_degree() == -(9 + 1)
+    assert (gh.h.t_degree(), gh.g.t_degree()) == (70, 65)
+
+
+def test_fit_rejects_empty_search():
+    with pytest.raises(ValueError):
+        fit_gh(5, max_h_degree=0)
+
+
+def _roundtrip_by_inversion(gh, cm):
+    """Oracle: invert h eta_m as a power series and compare g/(h eta_m) with c_m."""
+    order = cm.order
+    denom = (gh.h * eta_m(gh.m)).to_tseries(order)
+    series = gh.g.to_tseries(order) * denom.invert_unit()
+    return series == cm.to_tseries()
+
+
+@pytest.fixture(scope="module")
+def fitted_roundtrips():
+    """(gh, c_m, verdict) of every round-trip check fit_gh(m) makes for m = 2..8."""
+    import qzeta.zeta_engine as ze
+
+    seen = []
+    real = ze._roundtrip_ok
+
+    def recording(gh, cm):
+        ok = real(gh, cm)
+        seen.append((gh, cm, ok))
+        return ok
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ze, "_roundtrip_ok", recording)
+        fitted = {m: fit_gh(m) for m in range(2, 9)}
+    assert [fitted[gh.m] for gh, _cm, ok in seen if ok] == list(fitted.values())
+    return seen
+
+
+def test_roundtrip_routes_accept_every_fitted_pair(fitted_roundtrips):
+    for gh, cm, ok in fitted_roundtrips:
+        assert ok and _roundtrip_by_inversion(gh, cm), gh.m
+
+
+def _corrupted(gh, cm):
+    """One coefficient of g changed; a term added to h past deg g; the top row of c_m changed."""
+    (a, b), _c = max(gh.g.items(), key=lambda term: (term[0][1], term[0][0]))
+    yield "g", GHPair(gh.m, gh.g + QTPoly({(a, b): 1}), gh.h), cm
+    yield "h", GHPair(gh.m, gh.g, gh.h + QTPoly({(0, gh.g.t_degree() + 1): 1})), cm
+    top = cm.table[-1] + QLaurent({cm.table[-1].degree(): 1})
+    yield "c", gh, CmSeries(cm.m, cm.order, cm.table[:-1] + [top])
+
+
+def test_roundtrip_routes_reject_corrupted_pairs(fitted_roundtrips):
+    from qzeta.zeta_engine import _roundtrip_ok
+
+    checked = 0
+    for gh, cm, _ok in fitted_roundtrips:
+        if gh.m not in (3, 4, 5, 6):
+            continue
+        for label, bad_gh, bad_cm in _corrupted(gh, cm):
+            assert not _roundtrip_ok(bad_gh, bad_cm), (gh.m, label)
+            assert not _roundtrip_by_inversion(bad_gh, bad_cm), (gh.m, label)
+            checked += 1
+    assert checked == 12
+
+
+def test_fit_inverts_and_multiplies_no_series(monkeypatch):
+    from qzeta.tseries import TSeries
+
+    calls = []
+    for name in ("invert_unit", "__mul__", "__rmul__"):
+        real = getattr(TSeries, name)
+        monkeypatch.setattr(TSeries, name,
+                            lambda self, *args, _name=name, _real=real: calls.append(_name) or _real(self, *args))
+    fit_gh(5)
+    assert calls == []
+    one = TSeries.one(2)
+    one.invert_unit() * one
+    assert calls == ["invert_unit", "__mul__"]
 
 
 def test_reference_closed_forms_match_series():
