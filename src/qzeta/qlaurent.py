@@ -69,6 +69,21 @@ class QLaurent:
     def constant(cls, c: Coeff) -> "QLaurent":
         return cls({0: c})
 
+    @classmethod
+    def from_sums(cls, terms: dict) -> "QLaurent":
+        """Canonical QLaurent from accumulated {exponent: coefficient} sums with no zero values.
+
+        Integral Fractions become ints (a key 1/2 + 1/2 becomes 1).  Unlike
+        ``QLaurent(terms)`` it neither merges exponents nor drops zeros, so it
+        only walks the dict once.
+        """
+        res = cls.__new__(cls)
+        res._terms = {
+            e if type(e) is int else _norm_num(e): c if type(c) is int else _norm_num(c)
+            for e, c in terms.items()
+        }
+        return res
+
     # -- inspection ---------------------------------------------------
 
     def items(self):

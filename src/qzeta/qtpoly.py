@@ -4,7 +4,8 @@ QTPoly holds finitely many terms q^a t^b with exact rational coefficients
 (a rational, b a non-negative integer).  FactoredRatQT is the closed-form
 shape that every zeta function in this library takes: a QTPoly numerator
 over a multiset of factors (1 - q^a t^b), which expands exactly to any
-series order via geometric series.
+series order: dividing by each factor is the recurrence
+out[j] = s[j] + q^a out[j - b].
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .qlaurent import QLaurent, _norm_num
-from .tseries import TSeries, geometric_series
+from .tseries import TSeries
 
 
 class QTPoly:
@@ -187,8 +188,8 @@ class QTPoly:
 class FactoredRatQT:
     """Rational function: QTPoly numerator over a product of (1 - q^a t^b) factors.
 
-    Kept factored; expansion to a TSeries of any order is exact because each
-    factor inverts as a geometric series.  Equality is decided by
+    Kept factored; expansion to a TSeries of any order is exact: each factor
+    divides by the recurrence out[j] = s[j] + q^a out[j - b].  Equality is decided by
     cross-multiplying numerators against the factor products, never by
     series comparison.
     """
@@ -237,9 +238,7 @@ class FactoredRatQT:
             raise ValueError("order must be non-negative")
         s = self.numerator.to_tseries(order)
         for (a, b), mult in self.factors:
-            g = geometric_series(a, order, b)
-            for _ in range(mult):
-                s = s * g
+            s = s.over_one_minus(a, b, mult)
         return s
 
     def __eq__(self, other):

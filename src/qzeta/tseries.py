@@ -3,6 +3,10 @@
 A series carries its truncation order explicitly.  Binary operations
 truncate to the minimum order of the operands, and reading a coefficient
 beyond the stored order is an error rather than a silent zero.
+
+Division by a closed-form factor (1 - q^a t^b) is the recurrence
+out[j] = s[j] + q^a out[j - b] (``over_one_minus``), never a product with
+a whole geometric series.
 """
 
 from __future__ import annotations
@@ -87,11 +91,36 @@ class TSeries:
 
     def shift_t(self, k: int, qfactor: QLaurent | None = None) -> "TSeries":
         """Multiply by t^k (and optionally a QLaurent), keeping the same order."""
+        if k < 0:
+            raise ValueError("t-shift must be non-negative")
         out = [QLaurent() for _ in range(self.order + 1)]
         for j, c in enumerate(self._coeffs):
             if j + k <= self.order and not c.is_zero:
                 out[j + k] = c if qfactor is None else c * qfactor
         return TSeries(self.order, out)
+
+    def over_one_minus(self, qexp, texp: int = 1, mult: int = 1) -> "TSeries":
+        """self / (1 - q^qexp t^texp)^mult, by out[j] = s[j] + q^qexp out[j - texp].
+
+        Each power is one pass over {exponent: coefficient} rows, updated in
+        place from low j to high j, so out[j - texp] is final when read.
+        """
+        if texp < 1:
+            raise ValueError("texp must be >= 1")
+        if mult < 0:
+            raise ValueError("mult must be non-negative")
+        rows = [dict(c.items()) for c in self._coeffs]
+        for _ in range(mult):
+            for j in range(texp, self.order + 1):
+                row = rows[j]
+                for e, c in rows[j - texp].items():
+                    e += qexp
+                    v = row.get(e, 0) + c
+                    if v:
+                        row[e] = v
+                    else:
+                        del row[e]
+        return TSeries(self.order, [QLaurent.from_sums(row) for row in rows])
 
     def invert_unit(self) -> "TSeries":
         """Invert a series whose constant term is a QLaurent monomial.
@@ -140,6 +169,8 @@ class TSeries:
 
 def geometric_series(qexp, order: int, texp: int = 1) -> TSeries:
     """Expansion of 1/(1 - q^qexp * t^texp) through t^order."""
+    if texp < 1:
+        raise ValueError("texp must be >= 1")
     out = [QLaurent() for _ in range(order + 1)]
     k = 0
     while k * texp <= order:

@@ -16,7 +16,7 @@ from .linalg import solve_linear
 from .qlaurent import QLaurent
 from .qtpoly import FactoredRatQT, QTPoly, tpoly_divmod, tpoly_gcd, tpoly_trim
 from .sl2 import Sl2Decomposition, cs_sym_power
-from .tseries import TSeries, geometric_series
+from .tseries import TSeries
 from .weyl import zeta_cn_closed
 
 _Q = QLaurent({1: 1})
@@ -35,6 +35,8 @@ class CmSeries:
     __slots__ = ("m", "order", "table")
 
     def __init__(self, m: int, order: int, table):
+        if order < 0:
+            raise ValueError("order must be non-negative")
         self.m = m
         self.order = order
         self.table = list(table)
@@ -145,10 +147,12 @@ def cm_from_zeta(m: int, z: TSeries) -> CmSeries:
 def cm_recursion_step(m: int, prev: CmSeries, order: int) -> CmSeries:
     """One step of the two-step recursion: c_m from c_{m-2}.
 
-    All rational functions in t are expanded as truncated power series:
       c_m = c_{m-2}/((1-q^m t)(1-q^-m t))
             - 1/(1-t^2) [ q^-m t/(1-q^-m t) sum_p c_{m-2}(t)_p q^p (q^-m t)^floor(p/m)
                         + q^-2/(1-q^m t)   sum_p c_{m-2}(t)_p q^-p (q^m t)^ceil((p+2)/m) ].
+
+    Each division by (1 - q^a t^b) is the recurrence out[j] = s[j] + q^a out[j - b]
+    (``TSeries.over_one_minus``) through t^order.
     """
     if m < 2:
         raise ValueError("recursion needs m >= 2")
@@ -157,31 +161,26 @@ def cm_recursion_step(m: int, prev: CmSeries, order: int) -> CmSeries:
     if prev.order < order:
         raise QZetaError(f"prev order {prev.order} insufficient for requested order {order}")
 
-    geom_plus = geometric_series(m, order)
-    geom_minus = geometric_series(-m, order)
-    prev_s = TSeries(order, prev.table[: order + 1])
-    t1 = prev_s * geom_plus * geom_minus
+    table = prev.table[: order + 1]
+    t1 = TSeries(order, table).over_one_minus(m).over_one_minus(-m)
 
-    # transpose prev into per-exponent t-series
-    by_p: dict[int, list] = {}
-    for j, ql in enumerate(prev.table[: order + 1]):
+    # the two bracketed sums, already times q^-m t and q^-2, one dict per t-degree
+    s2 = [{} for _ in range(order + 1)]
+    s3 = [{} for _ in range(order + 1)]
+    for j, ql in enumerate(table):
         for p, coeff in ql.items():
-            by_p.setdefault(p, [0] * (order + 1))[j] = coeff
+            fl = p // m
+            if j + fl + 1 <= order:
+                row, e = s2[j + fl + 1], p - m * fl - m
+                row[e] = row.get(e, 0) + coeff
+            ce = -((-(p + 2)) // m)
+            if j + ce <= order:
+                row, e = s3[j + ce], -p + m * ce - 2
+                row[e] = row.get(e, 0) + coeff
+    t2 = TSeries(order, [QLaurent.from_sums(row) for row in s2]).over_one_minus(-m)
+    t3 = TSeries(order, [QLaurent.from_sums(row) for row in s3]).over_one_minus(m)
 
-    s2 = TSeries(order)
-    s3 = TSeries(order)
-    for p, coeffs in by_p.items():
-        ser = TSeries(order, [QLaurent({0: c}) if c else QLaurent() for c in coeffs])
-        fl = p // m
-        s2 = s2 + ser.shift_t(fl, QLaurent({p - m * fl: 1}))
-        ce = -((-(p + 2)) // m)
-        s3 = s3 + ser.shift_t(ce, QLaurent({-p + m * ce: 1}))
-
-    inv_1mt2 = TSeries(order, [QLaurent.one() if j % 2 == 0 else QLaurent() for j in range(order + 1)])
-    t2 = (s2 * geom_minus).shift_t(1, _QINV.q_power_substitute(m)) * inv_1mt2
-    t3 = (s3 * geom_plus) * QLaurent({-2: 1}) * inv_1mt2
-
-    result = t1 - t2 - t3
+    result = t1 - (t2 + t3).over_one_minus(0, 2)
     return CmSeries(m, order, result.coeffs())
 
 
@@ -393,13 +392,17 @@ def zeta_finite_set(n: int, regular: bool = False):
 
 
 def zeta_direct_sum(parts, order: int) -> TSeries:
-    """Zeta of a direct sum is the product of the summands' zetas."""
-    acc = TSeries.one(order)
+    """Zeta of a direct sum is the product of the summands' zetas.
+
+    The summands' closed forms multiply as one FactoredRatQT, expanded once
+    by the division recurrence; crit 14(c) checks the result against the
+    summands' expansions multiplied by ``TSeries.__mul__``.
+    """
+    closed = FactoredRatQT.one()
     for part in parts:
         if isinstance(part, int):
             part = Sl2Decomposition.irreducible(part)
         for m, mult in part.parts.items():
-            factor = zeta_vm_closed(m).expand(order)
             for _ in range(mult):
-                acc = acc * factor
-    return acc
+                closed = closed * zeta_vm_closed(m)
+    return closed.expand(order)

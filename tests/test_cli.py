@@ -1,7 +1,13 @@
+import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qzeta
 from qzeta.cli import main
 from qzeta.errors import BudgetExceeded
 
@@ -16,6 +22,23 @@ def test_zeta_cn_text(capsys):
     code, out, _ = run(capsys, "zeta", "cn", "--n", "2", "--order", "2", "--format", "text")
     assert code == 0
     assert out.strip() == "1 + (q + q^-1) t + (q^2 + 1 + q^-2) t^2"
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ)
+    src = str(Path(qzeta.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    done = subprocess.run(
+        [sys.executable, "-m", "qzeta", "zeta", "cn", "--n", "2", "--order", "2", "--format", "text"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "1 + (q + q^-1) t + (q^2 + 1 + q^-2) t^2"
+
+
+def test_importing_main_module_runs_nothing():
+    # tools that import every submodule (the benchmark tracer does) must not start the CLI
+    importlib.import_module("qzeta.__main__")
 
 
 def test_zeta_cn_closed_default(capsys):

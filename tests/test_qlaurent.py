@@ -170,3 +170,10 @@ def test_exact_div_routes_raise_on_remainder(a, b, data):
     for route in (QLaurent.exact_div, _exact_div_fraction):
         with pytest.raises(ExactDivisionError):
             route(p, b)
+
+
+def test_from_sums_collapses_integral_fractions():
+    ql = QLaurent.from_sums({F(2, 2): F(4, 2), F(1, 2): 3})
+    assert ql == QLaurent({1: 2, F(1, 2): 3})
+    assert {type(e) for e in ql.support()} == {int, F}
+    assert type(ql.coeff(1)) is int

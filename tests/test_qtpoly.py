@@ -3,9 +3,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from qzeta import FactoredRatQT, QLaurent, QTPoly
+from qzeta import FactoredRatQT, QLaurent, QTPoly, geometric_series
 from qzeta.qcombinat import q_int_sym
 from qzeta.qtpoly import tpoly_divmod, tpoly_gcd
+from qzeta.refdata import reference_cm_closed
+from qzeta.weyl import zeta_cn_closed
 
 
 def test_expand_cn2():
@@ -41,10 +43,48 @@ def test_expand_matches_factorwise_product():
         direct = f.expand(order)
         stepwise = num.to_tseries(order)
         for (a, b), mult in f.factors:
-            single = FactoredRatQT(QTPoly.one(), [((a, b), 1)]).expand(order)
+            single = geometric_series(a, order, b)
             for _ in range(mult):
                 stepwise = stepwise * single
         assert direct == stepwise
+
+
+def _expand_by_products(f, order):
+    """Oracle: the numerator times each factor's whole geometric series, by TSeries.__mul__."""
+    s = f.numerator.to_tseries(order)
+    for (a, b), mult in f.factors:
+        g = geometric_series(a, order, b)
+        for _ in range(mult):
+            s = s * g
+    return s
+
+
+def _canon(s):
+    """Coefficients with their exact number types: int 2 and Fraction(2) differ here."""
+    return s.order, [sorted(c.items()) for c in s.coeffs()]
+
+
+def test_expand_recurrence_matches_products_on_closed_forms():
+    for n in range(1, 9):
+        for order in (0, 1, 2, 7, 40):
+            f = zeta_cn_closed(n)
+            assert _canon(f.expand(order)) == _canon(_expand_by_products(f, order)), (n, order)
+    for m in (3, 4):
+        f = reference_cm_closed(m)
+        assert _canon(f.expand(25)) == _canon(_expand_by_products(f, 25)), m
+
+
+def test_expand_recurrence_matches_products_on_random_fraction_forms():
+    rng = random.Random(60)
+    for _ in range(60):
+        factors = [((F(rng.randrange(-6, 7), rng.choice((1, 2, 3))), rng.randrange(1, 4)), rng.randrange(1, 4))
+                   for _ in range(rng.randrange(1, 4))]
+        num = QTPoly({(F(rng.randrange(-4, 5), rng.choice((1, 2))), rng.randrange(0, 3)):
+                      F(rng.randrange(-5, 6), rng.randrange(1, 4)) for _ in range(3)})
+        f = FactoredRatQT(num, factors)
+        # order 0 and orders below a factor's t-exponent included
+        for order in (0, 1, 2, rng.randrange(3, 12)):
+            assert _canon(f.expand(order)) == _canon(_expand_by_products(f, order)), (f, order)
 
 
 def test_factored_equality_cross_multiplication():

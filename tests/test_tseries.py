@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction as F
 
 import pytest
 
@@ -69,3 +70,58 @@ def test_shift_t():
     s = TSeries(2, [1, 2, 3])
     assert s.shift_t(1) == TSeries(2, [QLaurent(), QLaurent({0: 1}), QLaurent({0: 2})])
     assert s.shift_t(1, QLaurent({1: 1})).coeff(1) == QLaurent({1: 1})
+
+
+def test_shift_t_rejects_negative_shift():
+    # t^-1 would move the constant term to index -1, the top of the list
+    with pytest.raises(ValueError):
+        TSeries(3, [1, 2, 3, 4]).shift_t(-1)
+
+
+def test_geometric_series_rejects_nonpositive_texp():
+    for texp in (0, -1):
+        with pytest.raises(ValueError):
+            geometric_series(1, 4, texp)
+
+
+def test_over_one_minus_rejects_bad_arguments():
+    s = TSeries(3, [1, 2, 3, 4])
+    for texp in (0, -2):
+        with pytest.raises(ValueError):
+            s.over_one_minus(1, texp)
+    with pytest.raises(ValueError):
+        s.over_one_minus(1, 1, -1)
+
+
+def _canon(s):
+    """Coefficients with their exact number types: int 2 and Fraction(2) differ here."""
+    return s.order, [sorted(c.items()) for c in s.coeffs()]
+
+
+def _random_series(rng, order):
+    coeffs = []
+    for _ in range(order + 1):
+        coeffs.append(QLaurent({F(rng.randrange(-6, 7), rng.choice((1, 2, 3))): F(rng.randrange(-4, 5), rng.randrange(1, 3))
+                                for _ in range(rng.randrange(0, 4))}))
+    return TSeries(order, coeffs)
+
+
+def test_over_one_minus_matches_geometric_products():
+    rng = random.Random(29)
+    for _ in range(80):
+        order = rng.randrange(0, 12)
+        s = _random_series(rng, order)
+        qexp = F(rng.randrange(-5, 6), rng.choice((1, 2)))
+        texp, mult = rng.randrange(1, 4), rng.randrange(0, 4)
+        expected = s
+        for _ in range(mult):
+            expected = expected * geometric_series(qexp, order, texp)
+        assert _canon(s.over_one_minus(qexp, texp, mult)) == _canon(expected)
+
+
+def test_over_one_minus_cancels_fraction_exponents_to_int():
+    # q^(1/2) t / (1 - q^(1/2) t) has q^1 at t^2: the exponent must be the int 1
+    s = TSeries(2, [QLaurent(), QLaurent({F(1, 2): 1}), QLaurent()])
+    out = s.over_one_minus(F(1, 2))
+    assert [type(e) for e in out.coeff(2).support()] == [int]
+    assert out.coeff(2) == QLaurent({1: 1})

@@ -10,11 +10,13 @@ from qzeta import (
     QTPoly,
     QZetaError,
     Sl2Decomposition,
+    TSeries,
     cm_from_zeta,
     cm_recursion_step,
     cm_series_cs,
     eta_m,
     fit_gh,
+    geometric_series,
     q_int_sym,
     verify_functional_eq,
     zeta_direct_sum,
@@ -76,6 +78,57 @@ def test_recursion_steps():
         cm_recursion_step(4, cm_series_cs(2, 5), 10)
     with pytest.raises(ValueError):
         cm_recursion_step(4, cm_series_cs(1, 10), 10)
+
+
+def test_cm_series_rejects_negative_order():
+    with pytest.raises(ValueError, match="order must be non-negative"):
+        cm_series_cs(3, -1)
+    with pytest.raises(ValueError, match="order must be non-negative"):
+        CmSeries(3, -1, [])
+
+
+def _cm_recursion_step_by_products(m, prev, order):
+    """Oracle: the recursion with every 1/(1 - q^a t^b) a whole geometric series, by TSeries.__mul__."""
+    geom_plus = geometric_series(m, order)
+    geom_minus = geometric_series(-m, order)
+    prev_s = TSeries(order, prev.table[: order + 1])
+    t1 = prev_s * geom_plus * geom_minus
+    by_p = {}
+    for j, ql in enumerate(prev.table[: order + 1]):
+        for p, coeff in ql.items():
+            by_p.setdefault(p, [0] * (order + 1))[j] = coeff
+    s2 = TSeries(order)
+    s3 = TSeries(order)
+    for p, coeffs in by_p.items():
+        ser = TSeries(order, [QLaurent({0: c}) if c else QLaurent() for c in coeffs])
+        fl = p // m
+        s2 = s2 + ser.shift_t(fl, QLaurent({p - m * fl: 1}))
+        ce = -((-(p + 2)) // m)
+        s3 = s3 + ser.shift_t(ce, QLaurent({-p + m * ce: 1}))
+    inv_1mt2 = geometric_series(0, order, 2)
+    t2 = (s2 * geom_minus).shift_t(1, QLaurent({-m: 1})) * inv_1mt2
+    t3 = (s3 * geom_plus) * QLaurent({-2: 1}) * inv_1mt2
+    return CmSeries(m, order, (t1 - t2 - t3).coeffs())
+
+
+def _canon(c):
+    """The table with its exact number types: int 2 and Fraction(2) differ here."""
+    return c.m, c.order, [sorted(ql.items()) for ql in c.table]
+
+
+def test_recursion_step_matches_products():
+    for m in range(2, 11):
+        for order in (0, 1, 5, 30):
+            prev = cm_series_cs(m - 2, order)
+            got = cm_recursion_step(m, prev, order)
+            assert _canon(got) == _canon(_cm_recursion_step_by_products(m, prev, order)), (m, order)
+
+
+def test_recursion_chains_match_cayley_sylvester():
+    chain = {0: cm_series_cs(0, 30), 1: cm_series_cs(1, 30)}
+    for m in range(2, 11):
+        chain[m] = cm_recursion_step(m, chain[m - 2], 30)
+        assert chain[m] == cm_series_cs(m, 30), m
 
 
 def test_eta_m():
@@ -251,6 +304,18 @@ def test_direct_sum():
     assert v1v1 == single * single
     mixed = zeta_direct_sum([Sl2Decomposition({0: 1}), Sl2Decomposition({2: 1})], 1)
     assert mixed.coeff(1) == QLaurent({0: 1}) + q_int_sym(3)
+
+
+def test_direct_sum_matches_product_of_summand_expansions():
+    for parts in ([2, 3], [Sl2Decomposition({0: 2, 3: 1}), 1],
+                  [Sl2Decomposition({1: 2, 2: 2}), Sl2Decomposition({0: 1, 3: 2})]):
+        product = TSeries.one(9)
+        for part in parts:
+            decomposition = Sl2Decomposition.irreducible(part) if isinstance(part, int) else part
+            for m, mult in decomposition.parts.items():
+                for _ in range(mult):
+                    product = product * zeta_vm_closed(m).expand(9)
+        assert zeta_direct_sum(parts, 9) == product, parts
 
 
 def test_lambda_ring_spot():
