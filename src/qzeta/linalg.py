@@ -4,9 +4,10 @@ Every elimination goes through one fraction-free reduction step, ``_reduce``
 (Bareiss-style cross-multiplication of sparse rows), over the integers and
 over Q(q) alike; only the content strip that keeps rows primitive differs
 (``_strip_gcd`` for integer rows, ``_strip_content`` for QLaurent rows).
-An integer pivot whose leading entry divides the row's is subtracted in
-place instead.  Pivot choice is always the first nonzero entry in column
-order, trading speed for deterministic reproducibility.
+A pivot whose leading entry divides the row's is subtracted in place
+instead: an integer that divides it, or a Laurent unit +-q^e over Q(q).
+Pivot choice is always the first nonzero entry in column order, trading
+speed for deterministic reproducibility.
 
 Rows enter one at a time as sparse {column: value} dicts, are reduced against
 the current echelon basis, and the rows that extended the rank are reported
@@ -215,10 +216,12 @@ def _reduce(echelon: dict, out: dict, strip) -> dict:
     rows, ``_strip_content`` for QLaurent rows), until its leading column has
     no pivot (the row is returned, ready to become one) or it vanishes ({}
     returned).  The values need only ring operations and truth testing, so
-    ints and QLaurents run the same loop.  An integer pivot whose leading
-    entry a divides the row's entry b (a unit pivot, a = 1 or -1, always
-    does) needs no scaling: that step subtracts (b / a) times the pivot row
-    in place, with no cross-multiplication and no strip.  ``out`` must be a
+    ints and QLaurents run the same loop.  A pivot whose leading entry a
+    divides the row's entry b in the ring needs no scaling: that step
+    subtracts (b / a) times the pivot row in place, with no
+    cross-multiplication and no strip.  Over Z that is an int a dividing b
+    (every unit pivot, a = 1 or -1, does); over Q(q) it is a unit of the
+    Laurent ring, a = +-q^e, whose inverse is +-q^-e.  ``out`` must be a
     fresh dict owned by the caller; it may be updated in place.
     """
     while out:
@@ -227,8 +230,11 @@ def _reduce(echelon: dict, out: dict, strip) -> dict:
         if piv is None:
             return out
         a, b = piv[p], out[p]
-        if type(a) is int and b % a == 0:
-            f = b // a
+        if type(a) is int:
+            f = b // a if b % a == 0 else None
+        else:
+            f = _unit_quotient(b, a)
+        if f is not None:
             for c, v in piv.items():
                 w = out.get(c, 0) - f * v
                 if w:
@@ -245,6 +251,16 @@ def _reduce(echelon: dict, out: dict, strip) -> dict:
                 del new[c]
         out = strip(new) if new else new
     return out
+
+
+def _unit_quotient(b: QLaurent, a: QLaurent):
+    """b / a when a is a unit +-q^e of the Laurent ring, else None."""
+    if len(a) != 1:
+        return None
+    (e, c), = a.items()
+    if c != 1 and c != -1:
+        return None
+    return b * QLaurent.from_sums({-e: c})
 
 
 def sparse_int_rank(rows, collect_kept: bool = False):

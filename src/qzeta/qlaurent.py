@@ -122,19 +122,21 @@ class QLaurent:
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not QLaurent:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            if not other:
+                return self
             other = QLaurent({0: other})
-        if not isinstance(other, QLaurent):
-            return NotImplemented
         out = dict(self._terms)
         for e, c in other._terms.items():
             v = out.get(e, 0) + c
             if v:
-                out[e] = v
-            elif e in out:
+                out[e] = v if type(v) is int else _norm_num(v)
+            else:
                 del out[e]
         res = QLaurent.__new__(QLaurent)
-        res._terms = {e: _norm_num(c) for e, c in out.items()}
+        res._terms = out
         return res
 
     __radd__ = __add__
@@ -145,39 +147,46 @@ class QLaurent:
         return res
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not QLaurent:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            if not other:
+                return self
             other = QLaurent({0: other})
-        if not isinstance(other, QLaurent):
-            return NotImplemented
-        return self + (-other)
+        out = dict(self._terms)
+        for e, c in other._terms.items():
+            v = out.get(e, 0) - c
+            if v:
+                out[e] = v if type(v) is int else _norm_num(v)
+            else:
+                del out[e]
+        res = QLaurent.__new__(QLaurent)
+        res._terms = out
+        return res
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return QLaurent()
-            res = QLaurent.__new__(QLaurent)
-            res._terms = {e: _norm_num(c * other) for e, c in self._terms.items()}
-            return res
-        if not isinstance(other, QLaurent):
+        if type(other) is QLaurent:
+            a, b = self._terms, other._terms
+            if len(a) > len(b):
+                a, b = b, a
+            out = {}
+            for e1, c1 in a.items():
+                for e2, c2 in b.items():
+                    e = e1 + e2
+                    v = out.get(e, 0) + c1 * c2
+                    if v:
+                        out[e] = v
+                    elif e in out:
+                        del out[e]
+            return QLaurent.from_sums(out)
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        a, b = self._terms, other._terms
-        if len(a) > len(b):
-            a, b = b, a
-        out = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = e1 + e2
-                v = out.get(e, 0) + c1 * c2
-                if v:
-                    out[e] = v
-                elif e in out:
-                    del out[e]
-        res = QLaurent.__new__(QLaurent)
-        res._terms = {_norm_num(e): _norm_num(c) for e, c in out.items() if c}
-        return res
+        if not other:
+            return QLaurent()
+        return QLaurent.from_sums({e: c * other for e, c in self._terms.items()})
 
     __rmul__ = __mul__
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .qlaurent import QLaurent, _norm_num
-from .tseries import TSeries
+from .tseries import TSeries, _over_one_minus_rows
 
 
 class QTPoly:
@@ -189,7 +189,8 @@ class FactoredRatQT:
     """Rational function: QTPoly numerator over a product of (1 - q^a t^b) factors.
 
     Kept factored; expansion to a TSeries of any order is exact: each factor
-    divides by the recurrence out[j] = s[j] + q^a out[j - b].  Equality is decided by
+    divides by the recurrence out[j] = s[j] + q^a out[j - b], all of them on
+    one set of rows.  Equality is decided by
     cross-multiplying numerators against the factor products, never by
     series comparison.
     """
@@ -236,10 +237,10 @@ class FactoredRatQT:
         """Exact series expansion through t^order."""
         if order < 0:
             raise ValueError("order must be non-negative")
-        s = self.numerator.to_tseries(order)
+        rows = [dict(c.items()) for c in self.numerator.to_tseries(order).coeffs()]
         for (a, b), mult in self.factors:
-            s = s.over_one_minus(a, b, mult)
-        return s
+            _over_one_minus_rows(rows, a, b, mult)
+        return TSeries(order, [QLaurent.from_sums(row) for row in rows])
 
     def __eq__(self, other):
         if not isinstance(other, FactoredRatQT):

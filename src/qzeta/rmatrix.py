@@ -114,12 +114,25 @@ def sym_subspace_dims(n: int, j: int, budget=(4, 5), r: RHat | None = None):
     preserved by every adjacent braiding; the symmetric subspace is the
     intersection of ker(R_i - q id) over i, computed as block dimension
     minus the rank of the stacked constraint rows.
+
+    The column of R-hat - q id at each basis pair is formed once per call,
+    with its zero entries dropped; a block's constraint rows for slot i are
+    the transpose of those columns spliced into tensor slots (i, i+1) of
+    every tuple of the block.  Every block is eliminated over Q(q) by
+    ``sparse_qlaurent_rank``.
     """
+    if j < 0:
+        raise ValueError("j must be non-negative")
     _check_budget(n, j, budget)
     if r is None:
         r = RHat(n)
     if j == 0:
         return [((), 1)]
+    shifted = {}
+    for pair, col in r.columns.items():
+        col = dict(col)
+        col[pair] = col.get(pair, QLaurent()) - _Q
+        shifted[pair] = [(target, c) for target, c in col.items() if c]
     out = []
     for content in combinations_with_replacement(range(n), j):
         block = sorted(set(permutations(content)))
@@ -128,16 +141,10 @@ def sym_subspace_dims(n: int, j: int, budget=(4, 5), r: RHat | None = None):
         for slot in range(j - 1):
             # transpose the column action of (R_slot - q id) restricted to the block
             transposed: dict[int, dict] = {}
-            for tup in block:
-                col = {}
-                pair = (tup[slot], tup[slot + 1])
-                for (a, b), c in r.columns[pair].items():
-                    target = tup[:slot] + (a, b) + tup[slot + 2:]
-                    col[target] = col.get(target, QLaurent()) + c
-                col[tup] = col.get(tup, QLaurent()) - _Q
-                for target, c in col.items():
-                    if not c.is_zero:
-                        transposed.setdefault(index[target], {})[index[tup]] = c
+            for k, tup in enumerate(block):
+                head, tail = tup[:slot], tup[slot + 2:]
+                for target, c in shifted[tup[slot:slot + 2]]:
+                    transposed.setdefault(index[head + target + tail], {})[k] = c
             rows.extend(transposed.values())
         rank = sparse_qlaurent_rank(rows)
         out.append((content, len(block) - rank))

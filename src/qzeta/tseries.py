@@ -110,16 +110,7 @@ class TSeries:
         if mult < 0:
             raise ValueError("mult must be non-negative")
         rows = [dict(c.items()) for c in self._coeffs]
-        for _ in range(mult):
-            for j in range(texp, self.order + 1):
-                row = rows[j]
-                for e, c in rows[j - texp].items():
-                    e += qexp
-                    v = row.get(e, 0) + c
-                    if v:
-                        row[e] = v
-                    else:
-                        del row[e]
+        _over_one_minus_rows(rows, qexp, texp, mult)
         return TSeries(self.order, [QLaurent.from_sums(row) for row in rows])
 
     def invert_unit(self) -> "TSeries":
@@ -165,6 +156,26 @@ class TSeries:
 
     def __repr__(self):
         return f"TSeries(order={self.order}, {self})"
+
+
+def _over_one_minus_rows(rows: list, qexp, texp: int, mult: int) -> None:
+    """Divide {exponent: coefficient} rows t^0..t^order by (1 - q^qexp t^texp)^mult in place.
+
+    The recurrence behind ``TSeries.over_one_minus``; callers that divide by
+    several factors run it on one set of rows and wrap them into QLaurents
+    once.  Values are left as summed (integral Fractions are not collapsed),
+    which ``QLaurent.from_sums`` does when wrapping.
+    """
+    for _ in range(mult):
+        for j in range(texp, len(rows)):
+            row = rows[j]
+            for e, c in rows[j - texp].items():
+                e += qexp
+                v = row.get(e, 0) + c
+                if v:
+                    row[e] = v
+                else:
+                    del row[e]
 
 
 def geometric_series(qexp, order: int, texp: int = 1) -> TSeries:

@@ -1,4 +1,6 @@
 import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction as F
 from math import comb
 
@@ -350,7 +352,7 @@ def _reduce_by_cross_multiplication(echelon, out, strip):
     return out
 
 
-def _both_reductions(rows):
+def _both_reductions(rows, strip=linalg._strip_gcd):
     """(rank, kept, strip calls) of the streaming echelon, by _reduce and by the oracle."""
     out = []
     for reduce in (linalg._reduce, _reduce_by_cross_multiplication):
@@ -358,7 +360,7 @@ def _both_reductions(rows):
 
         def counting_strip(row):
             strips.append(len(row))
-            return linalg._strip_gcd(row)
+            return strip(row)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(linalg, "_reduce", reduce)
@@ -439,3 +441,68 @@ def test_solve_linear_in_place_steps_match_cross_multiplication(monkeypatch):
     expected = [solve(m, rhs) for m, rhs in systems]
     assert got == expected
     assert sum(r is None for r in got) > 20 and sum(r is not None and r[1] > 0 for r in got) > 20
+
+
+@contextmanager
+def _deadline(seconds):
+    """Fail instead of hanging: a wrong in-place step never clears the leading entry."""
+    def expire(signum, frame):
+        raise TimeoutError(f"reduction ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _random_laurent(rng):
+    """A nonzero QLaurent: a unit +-q^e, a non-unit monomial (2q, 1/2 q^(1/2), ...) or a polynomial."""
+    e = F(rng.randrange(-4, 5), rng.choice([1, 1, 2]))
+    kind = rng.random()
+    if kind < 0.45:
+        return QLaurent({e: rng.choice([1, -1])})
+    if kind < 0.65:
+        return QLaurent({e: rng.choice([2, -2, 3, F(1, 2), F(-1, 2)])})
+    return QLaurent({e: rng.choice([1, -1, 2]), e + rng.randrange(1, 3): rng.choice([1, -1, F(1, 2), 3])})
+
+
+def _mixed_laurent_rows(rng, count, cols):
+    """Sparse QLaurent rows; some are Q(q)-combinations of earlier rows so the rank falls short."""
+    rows = []
+    for _ in range(count):
+        if len(rows) > 1 and rng.random() < 0.35:
+            a, b = rng.sample(rows, 2)
+            fa, fb = _random_laurent(rng), _random_laurent(rng)
+            row = {c: fa * v for c, v in a.items()}
+            for c, v in b.items():
+                row[c] = row.get(c, 0) + fb * v
+            rows.append({c: v for c, v in row.items() if v})
+        else:
+            cs = rng.sample(range(cols), rng.randrange(1, min(cols, 4) + 1))
+            rows.append({c: _random_laurent(rng) for c in cs})
+    return [row for row in rows if row]
+
+
+def test_laurent_unit_steps_match_cross_multiplication_and_dense_oracle():
+    rng = random.Random(2916_5084)
+    saved_strips = deficient = dense_checked = 0
+    with _deadline(60):
+        for _ in range(150):
+            cols = rng.randrange(2, 8)
+            rows = _mixed_laurent_rows(rng, rng.randrange(2, 12), cols)
+            before = [dict(row) for row in rows]
+            (rank, _, strips), (ref_rank, _, ref_strips) = _both_reductions(rows, linalg._strip_content)
+            assert rank == ref_rank, rows
+            assert rows == before                   # the caller's rows are never mutated
+            assert sparse_qlaurent_rank(rows) == rank
+            if len(rows) * cols <= 20:              # the dense QRational oracle is slow beyond that
+                dense = [[row.get(c, 0) for c in range(cols)] for row in rows]
+                assert rank == _rank_qgeneric(ExactMatrix(dense)), rows
+                dense_checked += 1
+            saved_strips += ref_strips - strips
+            deficient += rank < min(len(rows), cols)
+    assert deficient > 30 and dense_checked > 40
+    assert saved_strips > 100                       # the unit pivot branch is taken

@@ -177,3 +177,21 @@ def test_from_sums_collapses_integral_fractions():
     assert ql == QLaurent({1: 2, F(1, 2): 3})
     assert {type(e) for e in ql.support()} == {int, F}
     assert type(ql.coeff(1)) is int
+
+
+def test_ring_ops_keep_canonical_forms():
+    half = QLaurent({F(1, 2): F(1, 2)})             # 1/2 q^(1/2)
+    total = half + half
+    assert total == QLaurent({F(1, 2): 1}) and type(total.coeff(F(1, 2))) is int
+    assert type((QLaurent({F(1, 2): F(3, 2)}) - half).coeff(F(1, 2))) is int
+    x = QLaurent({2: 3, F(1, 2): F(-1, 2), -1: 1})
+    assert (x - x).is_zero and x - x == QLaurent()
+    for zero in (0, F(0)):
+        assert zero - x == -x and x - zero == x and x + zero == x and zero + x == x
+        assert (x * zero).is_zero
+    assert 2 - x == -x + 2 == QLaurent({0: 2, 2: -3, F(1, 2): F(1, 2), -1: -1})
+    assert F(3, 2) * half == QLaurent({F(1, 2): F(3, 4)})
+    assert type((half * 2).coeff(F(1, 2))) is int
+    for bad in (lambda: x + "a", lambda: "a" + x, lambda: x - "a", lambda: "a" - x, lambda: x * "a"):
+        with pytest.raises(TypeError):
+            bad()

@@ -1,8 +1,10 @@
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 
 from qzeta import BudgetExceeded, QLaurent, QZetaError, q_binom_sym, q_int_sym, quantum_trace_sym, rhat, sym_subspace_dims
+from qzeta.rmatrix import trace_of_blocks
 
 
 def test_diagonal_action():
@@ -85,3 +87,20 @@ def test_trace_at_j0_checks_budget():
     with pytest.raises(BudgetExceeded):
         quantum_trace_sym(9, 0)
     assert quantum_trace_sym(3, 0) == 1
+
+
+def test_negative_j_is_a_value_error_before_the_budget_check():
+    for call in (sym_subspace_dims, quantum_trace_sym):
+        with pytest.raises(ValueError, match="j must be non-negative"):
+            call(3, -1)
+        with pytest.raises(ValueError, match="j must be non-negative"):
+            call(9, -1)              # out of budget in n, still the j error
+
+
+@pytest.mark.parametrize("n, j", [(5, 5), (4, 6), (3, 7)])
+def test_sym_power_theorem_beyond_criterion_range(n, j):
+    # crit 04 checks n <= 4, j <= 5; the same generic route with the budget raised
+    blocks = sym_subspace_dims(n, j, budget=(n, j))
+    assert len(blocks) == comb(n + j - 1, j)
+    assert all(k == 1 for _, k in blocks)
+    assert trace_of_blocks(n, blocks) == q_binom_sym(n + j - 1, j)
