@@ -456,6 +456,8 @@ def symmetrizer_rank(x: BraidedSet, j: int, budget: int = DEFAULT_BUDGET) -> int
 
 def hilbert_dims(x: BraidedSet, max_degree: int, budget: int = DEFAULT_BUDGET) -> GradedDims:
     """[dim BS(A)^j for j = 0..max_degree]; partial result if the budget runs out."""
+    if max_degree < 0:
+        raise ValueError("max_degree must be non-negative")
     ladder = SymmetrizerLadder(x, budget)
     dims = [1]
     for j in range(1, max_degree + 1):
@@ -616,6 +618,8 @@ def hilbert_dims_quadratic(x: BraidedSet, max_degree: int, budget: int = DEFAULT
     level, so dim = n^j - sum of |orbit| rank(I_j in the block) exactly.
     ``budget`` bounds n^j from degree 3 on; degree 2 is always computed.
     """
+    if max_degree < 0:
+        raise ValueError("max_degree must be non-negative")
     n = x.size
     dims = [1]
     if max_degree >= 1:

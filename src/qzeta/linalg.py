@@ -11,12 +11,13 @@ speed for deterministic reproducibility.
 
 Rows enter one at a time as sparse {column: value} dicts, are reduced against
 the current echelon basis, and the rows that extended the rank are reported
-back.  exact_rank over Q(q) clears each row's QRational denominators by their
-product and streams the rows into sparse_qlaurent_rank; dense rational
-matrices keep their own Bareiss elimination.  solve_linear runs the same
-reduction step, fraction-free over the integers: augmented rows are scaled to
-integers, an inconsistent system is detected at the first row that reduces
-onto the rhs column, and only the final back-substitution (at most
+back.  exact_rank streams a dense matrix into the same kernels: over Q each
+row's denominators are cleared by their lcm and the rows go to
+sparse_int_rank, over Q(q) each row's QRational denominators are cleared by
+their product and the rows go to sparse_qlaurent_rank.  solve_linear runs
+the same reduction step, fraction-free over the integers: augmented rows are
+scaled to integers, an inconsistent system is detected at the first row that
+reduces onto the rhs column, and only the final back-substitution (at most
 cols x cols entries) uses Fraction.
 """
 
@@ -25,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import NoSolution
+from .errors import NoSolution, QZetaError
 from .qlaurent import QLaurent
 from .qrational import QRational
 
@@ -54,45 +55,9 @@ def exact_rank(m: ExactMatrix | list) -> int:
     """Rank over the rationals (or over Q(q) for QRational/QLaurent entries)."""
     if not isinstance(m, ExactMatrix):
         m = ExactMatrix(m)
-    if m.rows == 0 or m.cols == 0:
-        return 0
     if m.is_q_generic():
         return sparse_qlaurent_rank(_laurent_row(row) for row in m.entries)
-    return _rank_bareiss(m)
-
-
-def _rank_bareiss(m: ExactMatrix) -> int:
-    """Fraction-free elimination; denominators cleared up front."""
-    a = []
-    for row in m.entries:
-        den = 1
-        for x in row:
-            f = Fraction(x)
-            den = den * f.denominator // gcd(den, f.denominator)
-        a.append([int(Fraction(x) * den) for x in row])
-    rows, cols = m.rows, m.cols
-    rank = 0
-    prev = 1
-    for c in range(cols):
-        sel = None
-        for r in range(rank, rows):
-            if a[r][c] != 0:
-                sel = r
-                break
-        if sel is None:
-            continue
-        a[rank], a[sel] = a[sel], a[rank]
-        piv = a[rank][c]
-        for r in range(rank + 1, rows):
-            arc = a[r][c]
-            row_r, row_p = a[r], a[rank]
-            for k in range(c, cols):
-                row_r[k] = (piv * row_r[k] - arc * row_p[k]) // prev
-        prev = piv
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+    return sparse_int_rank(_int_row(row) for row in m.entries)[0]
 
 
 class LinearSolution:
@@ -221,8 +186,10 @@ def _reduce(echelon: dict, out: dict, strip) -> dict:
     subtracts (b / a) times the pivot row in place, with no
     cross-multiplication and no strip.  Over Z that is an int a dividing b
     (every unit pivot, a = 1 or -1, does); over Q(q) it is a unit of the
-    Laurent ring, a = +-q^e, whose inverse is +-q^-e.  ``out`` must be a
-    fresh dict owned by the caller; it may be updated in place.
+    Laurent ring, a = +-q^e, whose inverse is +-q^-e.  An in-place step that
+    leaves the pivot column in the row (a wrong quotient) raises QZetaError,
+    since the loop would never end.  ``out`` must be a fresh dict owned by
+    the caller; it may be updated in place.
     """
     while out:
         p = min(out)
@@ -241,6 +208,8 @@ def _reduce(echelon: dict, out: dict, strip) -> dict:
                     out[c] = w
                 else:
                     del out[c]
+            if p in out:
+                raise QZetaError(f"in-place step left pivot column {p} in the row")
             continue
         new = {c: a * v for c, v in out.items()}
         for c, v in piv.items():
@@ -254,13 +223,17 @@ def _reduce(echelon: dict, out: dict, strip) -> dict:
 
 
 def _unit_quotient(b: QLaurent, a: QLaurent):
-    """b / a when a is a unit +-q^e of the Laurent ring, else None."""
+    """b / a when a is a unit +-q^e of the Laurent ring, else None.
+
+    Dividing by +-q^e shifts every exponent of b down by e and multiplies
+    by the sign; ``from_sums`` collapses integral Fraction exponents.
+    """
     if len(a) != 1:
         return None
     (e, c), = a.items()
     if c != 1 and c != -1:
         return None
-    return b * QLaurent.from_sums({-e: c})
+    return QLaurent.from_sums({k - e: v * c for k, v in b.items()})
 
 
 def sparse_int_rank(rows, collect_kept: bool = False):

@@ -66,10 +66,6 @@ class QLaurent:
         return cls({0: 1})
 
     @classmethod
-    def constant(cls, c: Coeff) -> "QLaurent":
-        return cls({0: c})
-
-    @classmethod
     def from_sums(cls, terms: dict) -> "QLaurent":
         """Canonical QLaurent from accumulated {exponent: coefficient} sums with no zero values.
 

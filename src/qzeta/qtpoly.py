@@ -200,11 +200,7 @@ class FactoredRatQT:
     def __init__(self, numerator: QTPoly, factors=()):
         self.numerator = numerator
         canon = {}
-        for item in factors:
-            if len(item) == 3:
-                a, b, mult = item
-            else:
-                (a, b), mult = item
+        for (a, b), mult in factors:
             if b <= 0 or mult <= 0:
                 raise ValueError("factor t-exponent and multiplicity must be positive")
             key = (_norm_num(a), int(b))

@@ -48,15 +48,7 @@ class RHat:
 
     def apply_pair(self, vec: dict) -> dict:
         """Apply to a sparse vector {(i, j): QLaurent}."""
-        out = {}
-        for pair, coeff in vec.items():
-            for target, c in self.columns[pair].items():
-                acc = out.get(target, QLaurent()) + coeff * c
-                if acc.is_zero:
-                    out.pop(target, None)
-                else:
-                    out[target] = acc
-        return out
+        return self._apply_slot(vec, 0)
 
     def _verify_hecke(self):
         """(R - q)(R + q^-1) = 0, i.e. R^2 = (q - q^-1) R + id."""

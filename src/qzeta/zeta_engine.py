@@ -233,6 +233,8 @@ def fit_gh(m: int, c: CmSeries | None = None, max_h_degree: int = 40) -> GHPair:
         raise ValueError("fit_gh applies for m >= 2")
     if max_h_degree < 1:
         raise ValueError("max_h_degree must be >= 1")
+    if c is not None and c.m != m:
+        raise ValueError(f"c is the series of c_{c.m}, not c_{m}")
     eta = eta_m(m)
     deg_eta_t = eta.t_degree() if not eta.is_zero else 0
     deg_eta_q = eta.q_degree()

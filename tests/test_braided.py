@@ -133,6 +133,14 @@ def test_quadratic_variant_agreement():
     assert list(hilbert_dims_quadratic(f3, 4)) == [comb(3 + j - 1, j) for j in range(5)]
 
 
+@pytest.mark.parametrize("fn", [hilbert_dims, hilbert_dims_quadratic])
+def test_hilbert_dims_reject_negative_degree(fn):
+    # a GradedDims([1], -1) would report itself complete for a degree never asked for
+    with pytest.raises(ValueError, match="max_degree must be non-negative"):
+        fn(transposition_class(3), -1)
+    assert list(fn(transposition_class(3), 0)) == [1]
+
+
 def test_fk_reference_series():
     r3 = fk_reference_series(3)
     assert r3.t_coeff_list() == [QLaurent({0: c}) for c in (1, 3, 4, 3, 1)]

@@ -177,6 +177,9 @@ def test_nichols_partial_result_exit_1(monkeypatch, capsys):
         (["zeta", "cn", "--n", "2", "--order", "-1"], "order must be non-negative"),
         (["cm", "--m", "-1", "--order", "3"], "must be non-negative"),
         (["nichols", "--sym-group", "1", "--max-degree", "3"], "k must be >= 2"),
+        (["nichols", "--sym-group", "3", "--max-degree", "-1"], "max_degree must be non-negative"),
+        (["nichols", "--sym-group", "3", "--max-degree", "-1", "--quadratic"],
+         "max_degree must be non-negative"),
     ],
 )
 def test_invalid_input_exit_1(capsys, argv, message):

@@ -2,7 +2,7 @@ import random
 import signal
 from contextlib import contextmanager
 from fractions import Fraction as F
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -13,6 +13,7 @@ from qzeta import (
     NoSolution,
     QLaurent,
     QRational,
+    QZetaError,
     exact_rank,
     solve_linear,
     sparse_int_rank,
@@ -46,6 +47,80 @@ def _fraction_row_reduce_rank(rows):
                 m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
         rank += 1
     return rank
+
+
+def _rank_bareiss(m: ExactMatrix) -> int:
+    """Fraction-free elimination; denominators cleared up front."""
+    a = []
+    for row in m.entries:
+        den = 1
+        for x in row:
+            f = F(x)
+            den = den * f.denominator // gcd(den, f.denominator)
+        a.append([int(F(x) * den) for x in row])
+    rows, cols = m.rows, m.cols
+    rank = 0
+    prev = 1
+    for c in range(cols):
+        sel = None
+        for r in range(rank, rows):
+            if a[r][c] != 0:
+                sel = r
+                break
+        if sel is None:
+            continue
+        a[rank], a[sel] = a[sel], a[rank]
+        piv = a[rank][c]
+        for r in range(rank + 1, rows):
+            arc = a[r][c]
+            row_r, row_p = a[r], a[rank]
+            for k in range(c, cols):
+                row_r[k] = (piv * row_r[k] - arc * row_p[k]) // prev
+        prev = piv
+        rank += 1
+        if rank == rows:
+            break
+    return rank
+
+
+def _random_rational_matrix(rng, kind):
+    """An int or Fraction matrix up to 12 x 12 of the given kind, some rows repeated or combined."""
+    if kind == "empty":
+        return [[] for _ in range(rng.randrange(3))]
+    rows, cols = rng.randrange(1, 13), rng.randrange(1, 13)
+    if kind == "zero":
+        return [[0] * cols for _ in range(rows)]
+    if kind == "tall":
+        rows, cols = max(rows, cols), min(rows, cols)
+    elif kind == "wide":
+        rows, cols = min(rows, cols), max(rows, cols)
+    fractions = rng.random() < 0.5
+    density = rng.choice([0.3, 0.6, 1.0])
+
+    def scalar():
+        return F(rng.randrange(-9, 10), rng.randrange(1, 7)) if fractions else rng.randrange(-9, 10)
+
+    m = [[scalar() if rng.random() < density else 0 for _ in range(cols)] for _ in range(rows)]
+    for r in range(1, rows):
+        if rng.random() < 0.3:
+            a, b = rng.randrange(r), rng.randrange(r)
+            fa, fb = scalar(), scalar()
+            m[r] = [fa * x + fb * y for x, y in zip(m[a], m[b])]
+    return m
+
+
+def test_exact_rank_matches_bareiss_and_fraction_oracles():
+    rng = random.Random(5084_11)
+    deficient = full = 0
+    kinds = ("empty", "zero", "square", "tall", "wide", "square")
+    for i in range(360):
+        m = _random_rational_matrix(rng, kinds[i % len(kinds)])
+        rank = exact_rank(m)
+        assert rank == _rank_bareiss(ExactMatrix(m)) == _fraction_row_reduce_rank(m), m
+        if m and m[0]:
+            deficient += 0 < rank < min(len(m), len(m[0]))
+            full += rank == min(len(m), len(m[0]))
+    assert deficient > 60 and full > 60
 
 
 def test_flip_symmetrizer_rank():
@@ -319,7 +394,7 @@ def test_sparse_int_rank_matches_dense():
                  for _ in range(rows)]
         sparse = [{c: v for c, v in enumerate(row) if v} for row in dense]
         rank, kept = sparse_int_rank(sparse, collect_kept=True)
-        assert rank == exact_rank(dense)
+        assert rank == _rank_bareiss(ExactMatrix(dense))
         assert len(kept) == rank
 
 
@@ -506,3 +581,45 @@ def test_laurent_unit_steps_match_cross_multiplication_and_dense_oracle():
             deficient += rank < min(len(rows), cols)
     assert deficient > 30 and dense_checked > 40
     assert saved_strips > 100                       # the unit pivot branch is taken
+
+
+def test_unit_quotient_is_an_exponent_shift():
+    rng = random.Random(6_5084)
+    b_values = [QLaurent({F(1, 2): 1}), QLaurent({F(1, 2): F(1, 2), F(-3, 2): -2}), QLaurent({0: 3, 2: F(-1, 3)})]
+    b_values += [_random_laurent(rng) for _ in range(40)]
+    for e in (0, 3, -2, F(1, 2), F(-1, 2), F(5, 2)):
+        for c in (1, -1):
+            a = QLaurent({e: c})
+            for b in b_values:
+                got = linalg._unit_quotient(b, a)
+                expected = b * QLaurent({-e: c})
+                assert [(k, type(k), v, type(v)) for k, v in got.items()] == \
+                    [(k, type(k), v, type(v)) for k, v in expected.items()], (b, a)
+    # q^(1/2) / q^(-1/2) = q: the exponent is the int 1
+    (k, v), = linalg._unit_quotient(QLaurent({F(1, 2): 1}), QLaurent({F(-1, 2): 1})).items()
+    assert (type(k), k, type(v), v) == (int, 1, int, 1)
+    for a in (QLaurent({1: 2}), QLaurent({0: F(1, 2)}), QLaurent({0: 1, 1: 1})):
+        assert linalg._unit_quotient(QLaurent({0: 1}), a) is None
+
+
+def test_wrong_unit_quotient_raises_instead_of_hanging(monkeypatch):
+    right = linalg._unit_quotient
+
+    def negated(b, a):
+        f = right(b, a)
+        return None if f is None else -f
+
+    monkeypatch.setattr(linalg, "_unit_quotient", negated)
+    q = QLaurent({1: 1})
+    rng = random.Random(2916_5084)
+    raised = 0
+    with _deadline(60):
+        with pytest.raises(QZetaError, match="pivot column 0"):
+            sparse_qlaurent_rank([{0: q, 1: QLaurent.one()}, {0: q * q, 1: q}])
+        for _ in range(100):
+            rows = _mixed_laurent_rows(rng, rng.randrange(2, 12), rng.randrange(2, 8))
+            try:
+                sparse_qlaurent_rank(rows)
+            except QZetaError:
+                raised += 1
+    assert raised > 30

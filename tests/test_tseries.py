@@ -66,18 +66,6 @@ def test_geometric_series_helper():
     assert [str(c) for c in g2.coeffs()] == ["1", "0", "1", "0", "1"]
 
 
-def test_shift_t():
-    s = TSeries(2, [1, 2, 3])
-    assert s.shift_t(1) == TSeries(2, [QLaurent(), QLaurent({0: 1}), QLaurent({0: 2})])
-    assert s.shift_t(1, QLaurent({1: 1})).coeff(1) == QLaurent({1: 1})
-
-
-def test_shift_t_rejects_negative_shift():
-    # t^-1 would move the constant term to index -1, the top of the list
-    with pytest.raises(ValueError):
-        TSeries(3, [1, 2, 3, 4]).shift_t(-1)
-
-
 def test_geometric_series_rejects_nonpositive_texp():
     for texp in (0, -1):
         with pytest.raises(ValueError):

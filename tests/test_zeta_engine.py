@@ -87,6 +87,14 @@ def test_cm_series_rejects_negative_order():
         CmSeries(3, -1, [])
 
 
+def _shift_t(s, k, qfactor):
+    """s * t^k * qfactor for k >= 0, keeping the order of s."""
+    out = [QLaurent() for _ in range(s.order + 1)]
+    for j in range(s.order + 1 - k):
+        out[j + k] = s.coeff(j) * qfactor
+    return TSeries(s.order, out)
+
+
 def _cm_recursion_step_by_products(m, prev, order):
     """Oracle: the recursion with every 1/(1 - q^a t^b) a whole geometric series, by TSeries.__mul__."""
     geom_plus = geometric_series(m, order)
@@ -102,11 +110,11 @@ def _cm_recursion_step_by_products(m, prev, order):
     for p, coeffs in by_p.items():
         ser = TSeries(order, [QLaurent({0: c}) if c else QLaurent() for c in coeffs])
         fl = p // m
-        s2 = s2 + ser.shift_t(fl, QLaurent({p - m * fl: 1}))
+        s2 = s2 + _shift_t(ser, fl, QLaurent({p - m * fl: 1}))
         ce = -((-(p + 2)) // m)
-        s3 = s3 + ser.shift_t(ce, QLaurent({-p + m * ce: 1}))
+        s3 = s3 + _shift_t(ser, ce, QLaurent({-p + m * ce: 1}))
     inv_1mt2 = geometric_series(0, order, 2)
-    t2 = (s2 * geom_minus).shift_t(1, QLaurent({-m: 1})) * inv_1mt2
+    t2 = _shift_t(s2 * geom_minus, 1, QLaurent({-m: 1})) * inv_1mt2
     t3 = (s3 * geom_plus) * QLaurent({-2: 1}) * inv_1mt2
     return CmSeries(m, order, (t1 - t2 - t3).coeffs())
 
@@ -181,6 +189,9 @@ def test_fit_from_supplied_series():
     assert fit_gh(5, c=cm_series_cs(5, 60)) == fit_gh(5)
     with pytest.raises(FitFailed):
         fit_gh(5, c=cm_series_cs(5, 10))
+    # a series of another c_m is refused before any deg-h search
+    with pytest.raises(ValueError, match="c_6, not c_5"):
+        fit_gh(5, c=cm_series_cs(6, 60))
 
 
 @pytest.mark.parametrize("m", [7, 8])
