@@ -54,7 +54,8 @@ def build_parser() -> argparse.ArgumentParser:
     fit = sub.add_parser("fit", help="fit the (g_m, h_m) functional-equation pair")
     fit.add_argument("--m", type=int, required=True)
     fit.add_argument("--max-h-degree", type=int, default=40, metavar="N",
-                     help="largest t-degree of h to try (default 40)")
+                     help="largest t-degree of h; the fit fails once its recurrence "
+                          "for h is longer (default 40)")
     _add_format(fit)
 
     sphere = sub.add_parser("sphere", help="regularized quantum-sphere zeta coefficient")

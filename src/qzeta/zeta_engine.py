@@ -4,17 +4,20 @@ c_m(t, q) collects the multiplicities of V_p inside S^j(V_m) as the
 coefficient of t^j q^p.  Three independent routes produce it (the
 Cayley-Sylvester formula, positive-part extraction from the zeta closed
 form, and the two-step recursion in m), and the (g, h) functional-equation
-form is fitted from the series by exact linear algebra.
+form is fitted from the series by Berlekamp-Massey at a rational point q0,
+then certified exactly over Q(q).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ExactDivisionError, FitFailed, NoSolution, QZetaError
-from .linalg import solve_linear
+from .errors import ExactDivisionError, FitFailed, QZetaError
+# fit_gh solves no linear system; the binding stays because the benchmark's
+# tracer self-test patches zeta_engine.solve_linear by name.
+from .linalg import solve_linear  # noqa: F401
 from .qlaurent import QLaurent
-from .qtpoly import FactoredRatQT, QTPoly, tpoly_divmod, tpoly_gcd, tpoly_trim
+from .qtpoly import FactoredRatQT, QTPoly
 from .sl2 import Sl2Decomposition, cs_sym_power
 from .tseries import TSeries
 from .weyl import zeta_cn_closed
@@ -217,17 +220,28 @@ def verify_functional_eq(m: int, gh: GHPair) -> bool:
     return lhs == rhs
 
 
+# Rational points q0 at which c_m eta_m is specialised for Berlekamp-Massey, in
+# the order they are tried.  Specialising can only lose factors of h, so a
+# point whose candidate fails certification is left for the next one.
+_BM_POINTS = (2, 3, 5)
+
+
 def fit_gh(m: int, c: CmSeries | None = None, max_h_degree: int = 40) -> GHPair:
     """Fit the (g_m, h_m) pair of Lemma-form c_m = g/(h eta_m) from the series.
 
-    deg_t(h) is searched upward; for each candidate the t-degree of g is
-    forced by the rational t-degree -(m+1), h is solved from the linear
-    system requiring (c eta h) to vanish beyond deg_t(g), and the candidate
-    is accepted only if the q-degree claim, the functional equation, and a
-    round-trip series comparison all hold.  The round trip needs no series
-    inversion: h eta_m has constant term 1, so it is a unit in Q(q)[[t]].
-    The rows of c_m and c_m eta_m are extended from one candidate's order
-    to the next, never rebuilt.
+    h does not involve q, so at any rational q0 the sequence
+    s_j = (c_m eta_m)_j(q0) obeys the recurrence with characteristic
+    polynomial h beyond t^deg(g).  The rows of c_m and c_m eta_m are extended
+    one t-degree at a time and s_j is fed to an incremental Berlekamp-Massey
+    over Q, whose length L never decreases; L > max_h_degree raises
+    FitFailed.  Once 2L + 2 terms are in, its connection polynomial is the
+    candidate h; deg g is forced by the rational t-degree -(m+1).  The
+    candidate is accepted only if (c eta h) vanishes past deg g through the
+    order of the terms fed (and at least deg g + deg h + 6), the q-degree
+    claim and the functional equation hold, and a round-trip series
+    comparison holds.  A failed candidate waits for L to change; if L stays
+    put for L more terms, the point lost a factor of h and Berlekamp-Massey
+    restarts on the stored rows at the next point of _BM_POINTS.
     """
     if m < 2:
         raise ValueError("fit_gh applies for m >= 2")
@@ -236,111 +250,132 @@ def fit_gh(m: int, c: CmSeries | None = None, max_h_degree: int = 40) -> GHPair:
     if c is not None and c.m != m:
         raise ValueError(f"c is the series of c_{c.m}, not c_{m}")
     eta = eta_m(m)
-    deg_eta_t = eta.t_degree() if not eta.is_zero else 0
-    deg_eta_q = eta.q_degree()
+    deg_eta_t = eta.t_degree()
     eta_t = eta.t_coeff_list()
-    rows, ceta_rows, ceta_dicts = [], [], []
-    attempted = []
-    for dh in range(1, max_h_degree + 1):
-        dg = dh + deg_eta_t - (m + 1)
-        if dg < 0:
-            continue
-        order = dg + dh + 6
-        if c is not None and c.order < order:
-            attempted.append((dh, dg))
-            continue
+    rows, ceta = [], []
+
+    def extend(order):
         for j in range(len(rows), order + 1):
+            if c is not None and j > c.order:
+                raise FitFailed(
+                    f"no (g, h) found for m={m}; the supplied series stops at t^{c.order}"
+                )
             rows.append(c.table[j] if c is not None else _cm_row(m, j))
             acc = QLaurent()
             for k in range(min(j, deg_eta_t) + 1):
                 acc = acc + rows[j - k] * eta_t[k]
-            ceta_rows.append(acc)
-            ceta_dicts.append(dict(acc.items()))
-        attempted.append((dh, dg))
-        h = _solve_h(ceta_dicts, dh, dg, order)
-        if h is None:
-            continue
-        # g = (c eta h) truncated at dg; tail vanishing beyond order is
-        # implied by the equations, re-checked here.
-        g_coeffs = []
-        ok = True
-        for j in range(order + 1):
-            acc = QLaurent()
-            for k in range(min(dh, j) + 1):
-                if h[k]:
-                    acc = acc + ceta_rows[j - k] * h[k]
-            if j <= dg:
-                g_coeffs.append(acc)
-            elif not acc.is_zero:
-                ok = False
-                break
-        if not ok:
-            continue
-        g = QTPoly.from_qlaurent_t_coeffs(g_coeffs)
-        if g.is_zero or g.q_degree() != deg_eta_q - 2:
-            continue
-        g, h = _strip_common_t_factor(g, h)
-        gh = GHPair(m, g, QTPoly.from_t_coeffs(h))
-        if not verify_functional_eq(m, gh):
-            continue
-        if not _roundtrip_ok(gh, CmSeries(m, order, rows)):
-            continue
-        return gh
-    raise FitFailed(f"no (g, h) found for m={m}; attempted (deg h, deg g) bounds: {attempted}")
+            ceta.append(dict(acc.items()))
+
+    for q0 in _BM_POINTS:
+        bm = _BerlekampMassey()
+        failed = None  # (L, terms fed) at the last failed certification
+        while True:
+            n = len(bm.terms)
+            extend(n)
+            bm.feed(sum(x * q0**e for e, x in ceta[n].items()))
+            n, L = n + 1, bm.length
+            if L > max_h_degree:
+                raise FitFailed(
+                    f"no (g, h) found for m={m}; the recurrence at q0={q0} has length "
+                    f"{L} > max_h_degree={max_h_degree}"
+                )
+            if failed is not None and failed[0] == L:
+                if n >= failed[1] + L:
+                    break
+                continue
+            if n < 2 * L + 2:
+                continue
+            gh = _certify(m, bm.c, n, eta, ceta, rows, extend)
+            if gh is not None:
+                return gh
+            failed = (L, n)
+    raise FitFailed(f"no (g, h) found for m={m}; no candidate certified at q0 in {_BM_POINTS}")
 
 
-def _solve_h(ceta: list, dh: int, dg: int, order: int):
-    """Solve sum_k h_k (c eta)_{j-k} = 0 for dg < j <= order, h_0 = 1.
+def _certify(m: int, conn: list, n: int, eta: QTPoly, ceta: list, rows: list, extend):
+    """The GHPair with h = conn if it passes every acceptance check, else None.
 
-    ceta lists the t-coefficients of c eta as {q-exponent: value} dicts.  For
-    each j the rows are its q-exponents in increasing order; each reads the
-    dicts of (c eta)_{j-1}, ..., (c eta)_{j-dh}, zero below t^0.
+    conn is a Berlekamp-Massey connection polynomial over Q with conn[0] = 1.
+    The specialised terms are integers, so by Fatou's lemma the true
+    denominator lies in Z[t]; a conn with a non-integer entry is rejected
+    before any Q(q) arithmetic.
     """
-    rows = []
-    rhs = []
-    for j in range(dg + 1, order + 1):
-        near = [ceta[j - k] if k <= j else {} for k in range(dh + 1)]
-        support = set()
-        for d in near:
-            support.update(d)
-        lead, rest = near[0], near[1:]
-        for e in sorted(support):
-            rows.append([d.get(e, 0) for d in rest])
-            rhs.append(-lead.get(e, 0))
-    try:
-        sol = solve_linear(rows, rhs)
-    except NoSolution:
+    if any(x.denominator != 1 for x in conn):
         return None
-    if not sol.unique:
+    h = [int(x) for x in conn]
+    while not h[-1]:
+        h.pop()
+    dh = len(h) - 1
+    dg = dh + eta.t_degree() - (m + 1)
+    if dg < 0:
         return None
-    return [Fraction(1)] + list(sol.values)
+    order = max(dg + dh + 6, n - 1)
+    extend(order)
+    # g = (c eta h) through t^dg; the tail through t^order must vanish
+    terms = {}
+    for j in range(order + 1):
+        acc = {}
+        for k in range(min(dh, j) + 1):
+            hk = h[k]
+            if hk:
+                for e, x in ceta[j - k].items():
+                    acc[e] = acc.get(e, 0) + hk * x
+        if j > dg:
+            if any(acc.values()):
+                return None
+            continue
+        for e, x in acc.items():
+            if x:
+                terms[(e, j)] = x
+    g = QTPoly(terms)
+    if g.is_zero or g.q_degree() != eta.q_degree() - 2:
+        return None
+    gh = GHPair(m, g, QTPoly.from_t_coeffs(h))
+    if not verify_functional_eq(m, gh):
+        return None
+    if not _roundtrip_ok(gh, CmSeries(m, order, rows[: order + 1])):
+        return None
+    return gh
 
 
-def _strip_common_t_factor(g: QTPoly, h):
-    """Divide out any common t-polynomial factor of h and all q-slices of g."""
-    q_exps = sorted({a for (a, _b), _c in g.items()})
-    common = tpoly_trim([Fraction(x) for x in h])
-    for e in q_exps:
-        slice_coeffs = [Fraction(g.coeff(e, b)) for b in range(g.t_degree() + 1)]
-        common = tpoly_gcd(common, slice_coeffs)
-        if len(common) <= 1:
-            return g, h
-    quot_h, rem = tpoly_divmod([Fraction(x) for x in h], common)
-    if rem:
-        raise ExactDivisionError("h is not divisible by the common t-factor")
-    # renormalize so h(0) = 1; the same rescaling applies inversely to g
-    scale = quot_h[0]
-    quot_h = [x / scale for x in quot_h]
-    new_g_terms = {}
-    for e in q_exps:
-        slice_coeffs = [Fraction(g.coeff(e, b)) for b in range(g.t_degree() + 1)]
-        q_slice, rem = tpoly_divmod(slice_coeffs, common)
-        if rem:
-            raise ExactDivisionError(f"q^{e} slice of g is not divisible by the common t-factor")
-        for b, coeff in enumerate(q_slice):
-            if coeff:
-                new_g_terms[(e, b)] = coeff / scale
-    return QTPoly(new_g_terms), quot_h
+class _BerlekampMassey:
+    """Incremental Berlekamp-Massey over Q (Massey 1969).
+
+    After each ``feed``, ``length`` is the length L of the shortest linear
+    recurrence sum_{i<=L} C_i s_{n-i} = 0 (n >= L) of the terms fed so far,
+    and ``c`` lists its connection polynomial C, with C_0 = 1.
+    """
+
+    __slots__ = ("terms", "c", "b", "length", "shift", "last")
+
+    def __init__(self):
+        self.terms = []
+        self.c = [Fraction(1)]
+        self.b = [Fraction(1)]
+        self.length = 0
+        self.shift = 1
+        self.last = Fraction(1)
+
+    def feed(self, s) -> None:
+        terms, c = self.terms, self.c
+        terms.append(s)
+        n = len(terms) - 1
+        d = sum(ci * terms[n - i] for i, ci in enumerate(c) if ci)
+        if d == 0:
+            self.shift += 1
+            return
+        coef = d / self.last
+        new = c + [0] * (self.shift + len(self.b) - len(c))
+        for i, bi in enumerate(self.b):
+            if bi:
+                new[i + self.shift] -= coef * bi
+        if 2 * self.length <= n:
+            self.b, self.last = c, d
+            self.length = n + 1 - self.length
+            self.shift = 1
+        else:
+            self.shift += 1
+        self.c = new
 
 
 def _roundtrip_ok(gh: GHPair, cm: CmSeries) -> bool:

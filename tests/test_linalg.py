@@ -370,7 +370,8 @@ def test_solve_linear_matches_gauss_jordan_tall():
 
 
 def test_solve_linear_matches_gauss_jordan_on_fit_systems(monkeypatch):
-    import qzeta.zeta_engine as ze
+    # the systems of the deg-h search that fit_gh ran before Berlekamp-Massey
+    import test_zeta_engine
 
     seen = []
 
@@ -378,8 +379,8 @@ def test_solve_linear_matches_gauss_jordan_on_fit_systems(monkeypatch):
         seen.append((m, rhs))
         return solve_linear(m, rhs)
 
-    monkeypatch.setattr(ze, "solve_linear", recording)
-    ze.fit_gh(6)
+    monkeypatch.setattr(test_zeta_engine, "solve_linear", recording)
+    test_zeta_engine._fit_gh_by_search(6)
     assert len(seen) > 5 and max(len(m) for m, _ in seen) >= 100
     results = [_solve_both_routes(m, rhs) for m, rhs in seen]
     assert results[-1] is not None and results[-1].unique

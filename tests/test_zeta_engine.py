@@ -24,8 +24,11 @@ from qzeta import (
     zeta_from_cm,
     zeta_vm_closed,
 )
-from qzeta.qtpoly import FactoredRatQT
+from qzeta.errors import ExactDivisionError, NoSolution
+from qzeta.linalg import solve_linear
+from qzeta.qtpoly import FactoredRatQT, tpoly_divmod, tpoly_gcd, tpoly_trim
 from qzeta.refdata import reference_cm_closed, reference_gh
+from qzeta.zeta_engine import _cm_row, _roundtrip_ok
 
 
 def test_zeta_vm_closed_structure():
@@ -194,17 +197,174 @@ def test_fit_from_supplied_series():
         fit_gh(5, c=cm_series_cs(6, 60))
 
 
-@pytest.mark.parametrize("m", [7, 8])
+def _fit_gh_by_search(m: int, c: CmSeries | None = None, max_h_degree: int = 40) -> GHPair:
+    """Oracle: fit_gh's route before Berlekamp-Massey, a search over deg h.
+
+    deg_t(h) is searched upward; for each candidate the t-degree of g is
+    forced by the rational t-degree -(m+1), h is solved from the linear
+    system requiring (c eta h) to vanish beyond deg_t(g), and the candidate
+    is accepted only if the q-degree claim, the functional equation, and a
+    round-trip series comparison all hold.  The round trip needs no series
+    inversion: h eta_m has constant term 1, so it is a unit in Q(q)[[t]].
+    The rows of c_m and c_m eta_m are extended from one candidate's order
+    to the next, never rebuilt.
+    """
+    if m < 2:
+        raise ValueError("fit_gh applies for m >= 2")
+    if max_h_degree < 1:
+        raise ValueError("max_h_degree must be >= 1")
+    if c is not None and c.m != m:
+        raise ValueError(f"c is the series of c_{c.m}, not c_{m}")
+    eta = eta_m(m)
+    deg_eta_t = eta.t_degree() if not eta.is_zero else 0
+    deg_eta_q = eta.q_degree()
+    eta_t = eta.t_coeff_list()
+    rows, ceta_rows, ceta_dicts = [], [], []
+    attempted = []
+    for dh in range(1, max_h_degree + 1):
+        dg = dh + deg_eta_t - (m + 1)
+        if dg < 0:
+            continue
+        order = dg + dh + 6
+        if c is not None and c.order < order:
+            attempted.append((dh, dg))
+            continue
+        for j in range(len(rows), order + 1):
+            rows.append(c.table[j] if c is not None else _cm_row(m, j))
+            acc = QLaurent()
+            for k in range(min(j, deg_eta_t) + 1):
+                acc = acc + rows[j - k] * eta_t[k]
+            ceta_rows.append(acc)
+            ceta_dicts.append(dict(acc.items()))
+        attempted.append((dh, dg))
+        h = _solve_h(ceta_dicts, dh, dg, order)
+        if h is None:
+            continue
+        # g = (c eta h) truncated at dg; tail vanishing beyond order is
+        # implied by the equations, re-checked here.
+        g_coeffs = []
+        ok = True
+        for j in range(order + 1):
+            acc = QLaurent()
+            for k in range(min(dh, j) + 1):
+                if h[k]:
+                    acc = acc + ceta_rows[j - k] * h[k]
+            if j <= dg:
+                g_coeffs.append(acc)
+            elif not acc.is_zero:
+                ok = False
+                break
+        if not ok:
+            continue
+        g = QTPoly.from_qlaurent_t_coeffs(g_coeffs)
+        if g.is_zero or g.q_degree() != deg_eta_q - 2:
+            continue
+        g, h = _strip_common_t_factor(g, h)
+        gh = GHPair(m, g, QTPoly.from_t_coeffs(h))
+        if not verify_functional_eq(m, gh):
+            continue
+        if not _roundtrip_ok(gh, CmSeries(m, order, rows)):
+            continue
+        return gh
+    raise FitFailed(f"no (g, h) found for m={m}; attempted (deg h, deg g) bounds: {attempted}")
+
+
+def _solve_h(ceta: list, dh: int, dg: int, order: int):
+    """Solve sum_k h_k (c eta)_{j-k} = 0 for dg < j <= order, h_0 = 1.
+
+    ceta lists the t-coefficients of c eta as {q-exponent: value} dicts.  For
+    each j the rows are its q-exponents in increasing order; each reads the
+    dicts of (c eta)_{j-1}, ..., (c eta)_{j-dh}, zero below t^0.
+    """
+    rows = []
+    rhs = []
+    for j in range(dg + 1, order + 1):
+        near = [ceta[j - k] if k <= j else {} for k in range(dh + 1)]
+        support = set()
+        for d in near:
+            support.update(d)
+        lead, rest = near[0], near[1:]
+        for e in sorted(support):
+            rows.append([d.get(e, 0) for d in rest])
+            rhs.append(-lead.get(e, 0))
+    try:
+        sol = solve_linear(rows, rhs)
+    except NoSolution:
+        return None
+    if not sol.unique:
+        return None
+    return [F(1)] + list(sol.values)
+
+
+def _strip_common_t_factor(g: QTPoly, h):
+    """Divide out any common t-polynomial factor of h and all q-slices of g."""
+    q_exps = sorted({a for (a, _b), _c in g.items()})
+    common = tpoly_trim([F(x) for x in h])
+    for e in q_exps:
+        slice_coeffs = [F(g.coeff(e, b)) for b in range(g.t_degree() + 1)]
+        common = tpoly_gcd(common, slice_coeffs)
+        if len(common) <= 1:
+            return g, h
+    quot_h, rem = tpoly_divmod([F(x) for x in h], common)
+    if rem:
+        raise ExactDivisionError("h is not divisible by the common t-factor")
+    # renormalize so h(0) = 1; the same rescaling applies inversely to g
+    scale = quot_h[0]
+    quot_h = [x / scale for x in quot_h]
+    new_g_terms = {}
+    for e in q_exps:
+        slice_coeffs = [F(g.coeff(e, b)) for b in range(g.t_degree() + 1)]
+        q_slice, rem = tpoly_divmod(slice_coeffs, common)
+        if rem:
+            raise ExactDivisionError(f"q^{e} slice of g is not divisible by the common t-factor")
+        for b, coeff in enumerate(q_slice):
+            if coeff:
+                new_g_terms[(e, b)] = coeff / scale
+    return QTPoly(new_g_terms), quot_h
+
+
+def test_fit_matches_deg_h_search():
+    for m in range(2, 9):
+        assert fit_gh(m) == _fit_gh_by_search(m), m
+
+
+def test_fit_restarts_at_next_point_when_a_factor_is_lost(monkeypatch):
+    # At q0 = 1 the specialised sequence has a shorter recurrence than h (a
+    # factor of h cancels against g there); that candidate must fail
+    # certification and the fit must go on at q0 = 2.
+    import qzeta.zeta_engine as ze
+
+    defaults = {m: fit_gh(m) for m in (5, 6, 8)}
+    certified = []
+    real = ze._certify
+
+    def recording(m, conn, *args):
+        gh = real(m, conn, *args)
+        certified.append((len(conn) - 1, gh))
+        return gh
+
+    monkeypatch.setattr(ze, "_certify", recording)
+    monkeypatch.setattr(ze, "_BM_POINTS", (1, 2))
+    for m, lost_deg in ((5, 17), (6, 14), (8, 23)):
+        certified.clear()
+        assert fit_gh(m) == defaults[m]
+        assert certified[0] == (lost_deg, None), m
+        assert certified[-1][1] == defaults[m]
+        assert lost_deg < defaults[m].h.t_degree()
+
+
+@pytest.mark.parametrize("m", [7, 8, 10, 12])
 def test_lemma46_beyond_m6(m):
     # Lemma 4.6 past the m <= 6 range of crit 09.  fit_gh(7) lands on
-    # deg h = 40, which is exactly the default max_h_degree; fit_gh(9) needs
-    # deg h = 70 and is checked with a raised cap below.
-    gh = fit_gh(m)
+    # deg h = 40, which is exactly the default max_h_degree; m = 10, 12 run
+    # with a cap raised to their deg h, and fit_gh(9) is checked below.
+    dh, dg = {7: (40, 36), 8: (25, 20), 10: (45, 39), 12: (61, 54)}[m]
+    gh = fit_gh(m, max_h_degree=max(dh, 40))
     eta = eta_m(m)
     assert verify_functional_eq(m, gh)
     assert gh.g.q_degree() - eta.q_degree() == -2
     assert gh.g.t_degree() - gh.h.t_degree() - eta.t_degree() == -(m + 1)
-    assert gh.h.t_degree() == {7: 40, 8: 25}[m]
+    assert (gh.h.t_degree(), gh.g.t_degree()) == (dh, dg)
 
 
 def test_lemma46_m9_past_default_cap():
@@ -264,8 +424,6 @@ def _corrupted(gh, cm):
 
 
 def test_roundtrip_routes_reject_corrupted_pairs(fitted_roundtrips):
-    from qzeta.zeta_engine import _roundtrip_ok
-
     checked = 0
     for gh, cm, _ok in fitted_roundtrips:
         if gh.m not in (3, 4, 5, 6):
