@@ -13,9 +13,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ExactDivisionError, FitFailed, QZetaError
-# fit_gh solves no linear system; the binding stays because the benchmark's
-# tracer self-test patches zeta_engine.solve_linear by name.
-from .linalg import solve_linear  # noqa: F401
 from .qlaurent import QLaurent
 from .qtpoly import FactoredRatQT, QTPoly
 from .sl2 import Sl2Decomposition, cs_sym_power
