@@ -268,9 +268,8 @@ class FactoredRatQT:
 
 
 # -- exact univariate helpers on Fraction coefficient lists ----------------
-# The library's only univariate polynomial code: gcd checks on t-polynomials
-# (the "no common factor" normalization of fitted (g, h) pairs) and the
-# canonical form of QRational, whose numerator and denominator are read as
+# The library's only univariate polynomial code.  In the library they serve
+# the canonical form of QRational, whose numerator and denominator are read as
 # polynomials on their common exponent lattice.
 
 

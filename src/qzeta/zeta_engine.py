@@ -223,45 +223,41 @@ def verify_functional_eq(m: int, gh: GHPair) -> bool:
 _BM_POINTS = (2, 3, 5)
 
 
-def fit_gh(m: int, c: CmSeries | None = None, max_h_degree: int = 40) -> GHPair:
+def fit_gh(m: int, max_h_degree: int = 40) -> GHPair:
     """Fit the (g_m, h_m) pair of Lemma-form c_m = g/(h eta_m) from the series.
 
     h does not involve q, so at any rational q0 the sequence
     s_j = (c_m eta_m)_j(q0) obeys the recurrence with characteristic
-    polynomial h beyond t^deg(g).  The rows of c_m and c_m eta_m are extended
-    one t-degree at a time and s_j is fed to an incremental Berlekamp-Massey
-    over Q, whose length L never decreases; L > max_h_degree raises
-    FitFailed.  Once 2L + 2 terms are in, its connection polynomial is the
-    candidate h; deg g is forced by the rational t-degree -(m+1).  The
-    candidate is accepted only if (c eta h) vanishes past deg g through the
-    order of the terms fed (and at least deg g + deg h + 6), the q-degree
-    claim and the functional equation hold, and a round-trip series
-    comparison holds.  A failed candidate waits for L to change; if L stays
-    put for L more terms, the point lost a factor of h and Berlekamp-Massey
-    restarts on the stored rows at the next point of _BM_POINTS.
+    polynomial h beyond t^deg(g).  The rows of c_m and c_m eta_m are built
+    once, as {q-exponent: int} dicts, one t-degree at a time, and s_j is fed
+    to an incremental Berlekamp-Massey over Q, whose length L never
+    decreases; L > max_h_degree raises FitFailed.  Once 2L + 2 terms are in,
+    its connection polynomial is the candidate h; deg g is forced by the
+    rational t-degree -(m+1).  The candidate is accepted only if (c eta h)
+    vanishes past deg g through the order of the terms fed (and at least
+    deg g + deg h + 6), which is the round trip g/(h eta_m) = c_m through
+    that order, and the q-degree claim and the functional equation hold.  A
+    failed candidate waits for L to change; if L stays put for L more terms,
+    the point lost a factor of h and Berlekamp-Massey restarts on the stored
+    rows at the next point of _BM_POINTS.
     """
     if m < 2:
         raise ValueError("fit_gh applies for m >= 2")
     if max_h_degree < 1:
         raise ValueError("max_h_degree must be >= 1")
-    if c is not None and c.m != m:
-        raise ValueError(f"c is the series of c_{c.m}, not c_{m}")
     eta = eta_m(m)
-    deg_eta_t = eta.t_degree()
-    eta_t = eta.t_coeff_list()
+    eta_t = [dict(ql.items()) for ql in eta.t_coeff_list()]
     rows, ceta = [], []
 
     def extend(order):
         for j in range(len(rows), order + 1):
-            if c is not None and j > c.order:
-                raise FitFailed(
-                    f"no (g, h) found for m={m}; the supplied series stops at t^{c.order}"
-                )
-            rows.append(c.table[j] if c is not None else _cm_row(m, j))
-            acc = QLaurent()
-            for k in range(min(j, deg_eta_t) + 1):
-                acc = acc + rows[j - k] * eta_t[k]
-            ceta.append(dict(acc.items()))
+            rows.append(cs_sym_power(m, j).parts)
+            row = {}
+            for k in range(min(j, len(eta_t) - 1) + 1):
+                for e, x in rows[j - k].items():
+                    for a, y in eta_t[k].items():
+                        row[e + a] = row.get(e + a, 0) + x * y
+            ceta.append(row)
 
     for q0 in _BM_POINTS:
         bm = _BerlekampMassey()
@@ -282,20 +278,24 @@ def fit_gh(m: int, c: CmSeries | None = None, max_h_degree: int = 40) -> GHPair:
                 continue
             if n < 2 * L + 2:
                 continue
-            gh = _certify(m, bm.c, n, eta, ceta, rows, extend)
+            gh = _certify(m, bm.c, n, eta, ceta, extend)
             if gh is not None:
                 return gh
             failed = (L, n)
     raise FitFailed(f"no (g, h) found for m={m}; no candidate certified at q0 in {_BM_POINTS}")
 
 
-def _certify(m: int, conn: list, n: int, eta: QTPoly, ceta: list, rows: list, extend):
+def _certify(m: int, conn: list, n: int, eta: QTPoly, ceta: list, extend):
     """The GHPair with h = conn if it passes every acceptance check, else None.
 
     conn is a Berlekamp-Massey connection polynomial over Q with conn[0] = 1.
     The specialised terms are integers, so by Fatou's lemma the true
     denominator lies in Z[t]; a conn with a non-integer entry is rejected
-    before any Q(q) arithmetic.
+    before any Q(q) arithmetic.  ceta lists the rows of c_m eta_m as
+    {q-exponent: int} dicts.  g is (c_m eta_m) h through t^dg, and the tail
+    of that product must vanish through t^order: h eta_m has constant term 1,
+    so it is a unit in Q(q)[[t]], and the tail check proves that g/(h eta_m)
+    reproduces c_m through t^order.
     """
     if any(x.denominator != 1 for x in conn):
         return None
@@ -329,8 +329,6 @@ def _certify(m: int, conn: list, n: int, eta: QTPoly, ceta: list, rows: list, ex
         return None
     gh = GHPair(m, g, QTPoly.from_t_coeffs(h))
     if not verify_functional_eq(m, gh):
-        return None
-    if not _roundtrip_ok(gh, CmSeries(m, order, rows[: order + 1])):
         return None
     return gh
 
@@ -373,39 +371,6 @@ class _BerlekampMassey:
         else:
             self.shift += 1
         self.c = new
-
-
-def _roundtrip_ok(gh: GHPair, cm: CmSeries) -> bool:
-    """Series check: g/(h eta_m) reproduces the input c_m expansion through t^order.
-
-    h eta_m has constant term 1, so it is a unit in Q(q)[[t]] and the check is
-    g = (c_m eta_m) h mod t^(order+1), with nothing inverted.  c_m eta_m is
-    rebuilt here from cm and a fresh eta_m, one t-degree at a time, and h is
-    q-free, so each term of the product is a rational times a q-row.
-    """
-    order = cm.order
-    eta = [dict(ql.items()) for ql in eta_m(gh.m).t_coeff_list()]
-    h = {b: x for (_a, b), x in gh.h.items()}
-    g = [{} for _ in range(order + 1)]
-    for (a, b), x in gh.g.items():
-        if b <= order:
-            g[b][a] = x
-    ceta = []
-    for j in range(order + 1):
-        row = {}
-        for k in range(min(j, len(eta) - 1) + 1):
-            for e, x in cm.coeff(j - k).items():
-                for a, y in eta[k].items():
-                    row[e + a] = row.get(e + a, 0) + x * y
-        ceta.append(row)
-        acc = {}
-        for k, hk in h.items():
-            if k <= j:
-                for e, x in ceta[j - k].items():
-                    acc[e] = acc.get(e, 0) + hk * x
-        if {e: x for e, x in acc.items() if x} != g[j]:
-            return False
-    return True
 
 
 # -- finite sets and direct sums ----------------------------------------------

@@ -28,7 +28,7 @@ from qzeta.errors import ExactDivisionError, NoSolution
 from qzeta.linalg import solve_linear
 from qzeta.qtpoly import FactoredRatQT, tpoly_divmod, tpoly_gcd, tpoly_trim
 from qzeta.refdata import reference_cm_closed, reference_gh
-from qzeta.zeta_engine import _cm_row, _roundtrip_ok
+from qzeta.zeta_engine import _certify, _cm_row
 
 
 def test_zeta_vm_closed_structure():
@@ -177,7 +177,7 @@ def test_fit_matches_reference():
 
 
 def test_fit_extends_cm_rows_once(monkeypatch):
-    # each t-degree of c_m is built once across all deg h candidates
+    # each t-degree of c_m is built once, however many candidates are certified
     import qzeta.zeta_engine as ze
 
     calls = []
@@ -188,16 +188,7 @@ def test_fit_extends_cm_rows_once(monkeypatch):
     assert len(calls) == gh5.g.t_degree() + gh5.h.t_degree() + 7
 
 
-def test_fit_from_supplied_series():
-    assert fit_gh(5, c=cm_series_cs(5, 60)) == fit_gh(5)
-    with pytest.raises(FitFailed):
-        fit_gh(5, c=cm_series_cs(5, 10))
-    # a series of another c_m is refused before any deg-h search
-    with pytest.raises(ValueError, match="c_6, not c_5"):
-        fit_gh(5, c=cm_series_cs(6, 60))
-
-
-def _fit_gh_by_search(m: int, c: CmSeries | None = None, max_h_degree: int = 40) -> GHPair:
+def _fit_gh_by_search(m: int, max_h_degree: int = 40) -> GHPair:
     """Oracle: fit_gh's route before Berlekamp-Massey, a search over deg h.
 
     deg_t(h) is searched upward; for each candidate the t-degree of g is
@@ -213,8 +204,6 @@ def _fit_gh_by_search(m: int, c: CmSeries | None = None, max_h_degree: int = 40)
         raise ValueError("fit_gh applies for m >= 2")
     if max_h_degree < 1:
         raise ValueError("max_h_degree must be >= 1")
-    if c is not None and c.m != m:
-        raise ValueError(f"c is the series of c_{c.m}, not c_{m}")
     eta = eta_m(m)
     deg_eta_t = eta.t_degree() if not eta.is_zero else 0
     deg_eta_q = eta.q_degree()
@@ -226,11 +215,8 @@ def _fit_gh_by_search(m: int, c: CmSeries | None = None, max_h_degree: int = 40)
         if dg < 0:
             continue
         order = dg + dh + 6
-        if c is not None and c.order < order:
-            attempted.append((dh, dg))
-            continue
         for j in range(len(rows), order + 1):
-            rows.append(c.table[j] if c is not None else _cm_row(m, j))
+            rows.append(_cm_row(m, j))
             acc = QLaurent()
             for k in range(min(j, deg_eta_t) + 1):
                 acc = acc + rows[j - k] * eta_t[k]
@@ -331,12 +317,15 @@ def test_fit_matches_deg_h_search():
 def test_fit_restarts_at_next_point_when_a_factor_is_lost(monkeypatch):
     # At q0 = 1 the specialised sequence has a shorter recurrence than h (a
     # factor of h cancels against g there); that candidate must fail
-    # certification and the fit must go on at q0 = 2.
+    # certification and the fit must go on at q0 = 2, on the rows already
+    # built: no t-degree of c_m is built twice across the restart.
     import qzeta.zeta_engine as ze
 
     defaults = {m: fit_gh(m) for m in (5, 6, 8)}
     certified = []
+    built = []
     real = ze._certify
+    real_cs = ze.cs_sym_power
 
     def recording(m, conn, *args):
         gh = real(m, conn, *args)
@@ -344,13 +333,16 @@ def test_fit_restarts_at_next_point_when_a_factor_is_lost(monkeypatch):
         return gh
 
     monkeypatch.setattr(ze, "_certify", recording)
+    monkeypatch.setattr(ze, "cs_sym_power", lambda m, j: built.append(j) or real_cs(m, j))
     monkeypatch.setattr(ze, "_BM_POINTS", (1, 2))
     for m, lost_deg in ((5, 17), (6, 14), (8, 23)):
         certified.clear()
+        built.clear()
         assert fit_gh(m) == defaults[m]
         assert certified[0] == (lost_deg, None), m
         assert certified[-1][1] == defaults[m]
         assert lost_deg < defaults[m].h.t_degree()
+        assert built == list(range(len(built))), m
 
 
 @pytest.mark.parametrize("m", [7, 8, 10, 12])
@@ -381,6 +373,39 @@ def test_fit_rejects_empty_search():
         fit_gh(5, max_h_degree=0)
 
 
+def _roundtrip_ok(gh: GHPair, cm: CmSeries) -> bool:
+    """Series check: g/(h eta_m) reproduces the input c_m expansion through t^order.
+
+    h eta_m has constant term 1, so it is a unit in Q(q)[[t]] and the check is
+    g = (c_m eta_m) h mod t^(order+1), with nothing inverted.  c_m eta_m is
+    rebuilt here from cm and a fresh eta_m, one t-degree at a time, and h is
+    q-free, so each term of the product is a rational times a q-row.
+    """
+    order = cm.order
+    eta = [dict(ql.items()) for ql in eta_m(gh.m).t_coeff_list()]
+    h = {b: x for (_a, b), x in gh.h.items()}
+    g = [{} for _ in range(order + 1)]
+    for (a, b), x in gh.g.items():
+        if b <= order:
+            g[b][a] = x
+    ceta = []
+    for j in range(order + 1):
+        row = {}
+        for k in range(min(j, len(eta) - 1) + 1):
+            for e, x in cm.coeff(j - k).items():
+                for a, y in eta[k].items():
+                    row[e + a] = row.get(e + a, 0) + x * y
+        ceta.append(row)
+        acc = {}
+        for k, hk in h.items():
+            if k <= j:
+                for e, x in ceta[j - k].items():
+                    acc[e] = acc.get(e, 0) + hk * x
+        if {e: x for e, x in acc.items() if x} != g[j]:
+            return False
+    return True
+
+
 def _roundtrip_by_inversion(gh, cm):
     """Oracle: invert h eta_m as a power series and compare g/(h eta_m) with c_m."""
     order = cm.order
@@ -391,27 +416,30 @@ def _roundtrip_by_inversion(gh, cm):
 
 @pytest.fixture(scope="module")
 def fitted_roundtrips():
-    """(gh, c_m, verdict) of every round-trip check fit_gh(m) makes for m = 2..8."""
+    """(gh, order) of every pair fit_gh(m) accepts for m = 2..8, with the order it certified."""
     import qzeta.zeta_engine as ze
 
     seen = []
-    real = ze._roundtrip_ok
+    real = ze._certify
 
-    def recording(gh, cm):
-        ok = real(gh, cm)
-        seen.append((gh, cm, ok))
-        return ok
+    def recording(m, conn, n, *args):
+        gh = real(m, conn, n, *args)
+        if gh is not None:
+            # the order _certify extends the rows to and checks the tail through
+            seen.append((gh, max(gh.g.t_degree() + gh.h.t_degree() + 6, n - 1)))
+        return gh
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ze, "_roundtrip_ok", recording)
+        mp.setattr(ze, "_certify", recording)
         fitted = {m: fit_gh(m) for m in range(2, 9)}
-    assert [fitted[gh.m] for gh, _cm, ok in seen if ok] == list(fitted.values())
+    assert [gh for gh, _order in seen] == list(fitted.values())
     return seen
 
 
 def test_roundtrip_routes_accept_every_fitted_pair(fitted_roundtrips):
-    for gh, cm, ok in fitted_roundtrips:
-        assert ok and _roundtrip_by_inversion(gh, cm), gh.m
+    for gh, order in fitted_roundtrips:
+        cm = cm_series_cs(gh.m, order)
+        assert _roundtrip_ok(gh, cm) and _roundtrip_by_inversion(gh, cm), gh.m
 
 
 def _corrupted(gh, cm):
@@ -425,14 +453,43 @@ def _corrupted(gh, cm):
 
 def test_roundtrip_routes_reject_corrupted_pairs(fitted_roundtrips):
     checked = 0
-    for gh, cm, _ok in fitted_roundtrips:
+    for gh, order in fitted_roundtrips:
         if gh.m not in (3, 4, 5, 6):
             continue
-        for label, bad_gh, bad_cm in _corrupted(gh, cm):
+        for label, bad_gh, bad_cm in _corrupted(gh, cm_series_cs(gh.m, order)):
             assert not _roundtrip_ok(bad_gh, bad_cm), (gh.m, label)
             assert not _roundtrip_by_inversion(bad_gh, bad_cm), (gh.m, label)
             checked += 1
     assert checked == 12
+
+
+def test_certify_enforces_the_round_trip(fitted_roundtrips):
+    # _certify's tail check is the only round trip in src/: a wrong h or a
+    # wrong c_m eta_m row must be refused, not pass on the other checks.
+    checked = 0
+    for gh, order in fitted_roundtrips:
+        m = gh.m
+        if m not in (3, 4, 5, 6):
+            continue
+        eta = eta_m(m)
+        # c_m eta_m built by the TSeries product, not by fit_gh's dict loop
+        product = cm_series_cs(m, order).to_tseries() * eta.to_tseries(order)
+        ceta = [dict(ql.items()) for ql in product.coeffs()]
+        h = [int(gh.h.coeff(0, b)) for b in range(gh.h.t_degree() + 1)]
+
+        def certify(conn, rows):
+            return _certify(m, conn, order + 1, eta, rows, lambda _order: None)
+
+        assert certify(h, ceta) == gh, m
+        bad_h = list(h)
+        bad_h[gh.g.t_degree() + 1] += 1
+        assert certify(bad_h, ceta) is None, m
+        top = dict(ceta[-1])
+        e = max(top)
+        top[e] += 1
+        assert certify(h, ceta[:-1] + [top]) is None, m
+        checked += 1
+    assert checked == 4
 
 
 def test_fit_inverts_and_multiplies_no_series(monkeypatch):
