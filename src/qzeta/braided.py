@@ -56,11 +56,17 @@ class BraidedSet:
     def __init__(self, left, right, sign: int = 1, label: str = ""):
         self.left = tuple(tuple(row) for row in left)
         self.right = tuple(tuple(row) for row in right)
-        self.size = len(self.left)
-        if sign not in (1, -1):
+        self.size = n = len(self.left)
+        if not isinstance(sign, int) or sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         self.sign = sign
-        self.label = label or f"braided set on {self.size} elements"
+        self.label = label or f"braided set on {n} elements"
+        for table in (self.left, self.right):
+            if len(table) != n or any(
+                len(row) != n or not all(isinstance(v, int) and 0 <= v < n for v in row)
+                for row in table
+            ):
+                raise ValueError(f"left and right must be {n} x {n} tables of indices 0..{n - 1}")
         if not check_braid_relation((self.left, self.right)):
             raise ValueError("table is not a bijective solution of the braid relation")
 
@@ -195,25 +201,22 @@ def _pair_map(x: BraidedSet) -> list[int]:
     return [x.left[a][b] * n + x.right[a][b] for a in range(n) for b in range(n)]
 
 
-def _positional_steps(x: BraidedSet, j: int, inverse: bool = False):
-    """One braiding step per adjacent position of V^{(x)j}, as column offsets.
+def _positional_steps(x: BraidedSet, j: int):
+    """One inverse braiding step per adjacent position of V^{(x)j}, as column offsets.
 
     Column c of n^j lists its base-n digits most significant first.  The
-    braiding at 0-based position p rewrites only the digit pair at place
-    value lo = n^(j-2-p), so it sends c to c + delta[c // lo % n^2].
-    Returns [(lo, delta)] for p = 0..j-2; inverse=True gives Psi^-1 steps.
+    inverse braiding Psi^-1 at 0-based position p rewrites only the digit
+    pair at place value lo = n^(j-2-p), so it sends c to c + delta[c // lo % n^2].
+    Returns [(lo, delta)] for p = 0..j-2.
     """
-    pairs = _pair_map(x)
-    if inverse:
-        inv = [0] * len(pairs)
-        for t, s in enumerate(pairs):
-            inv[s] = t
-        pairs = inv
     n = x.size
+    inv = [0] * (n * n)
+    for t, s in enumerate(_pair_map(x)):
+        inv[s] = t
     steps = []
     for p in range(j - 1):
         lo = n ** (j - 2 - p)
-        steps.append((lo, [(s - t) * lo for t, s in enumerate(pairs)]))
+        steps.append((lo, [(s - t) * lo for t, s in enumerate(inv)]))
     return steps
 
 
@@ -387,7 +390,7 @@ class SymmetrizerLadder:
         k = j-1-p, of length p+1, whose sign sign^(p+1) the entry holds.
         """
         sign = self.x.sign
-        steps = _positional_steps(self.x, j, inverse=True)
+        steps = _positional_steps(self.x, j)
         return [(lo, delta, sign ** (p + 1)) for p, (lo, delta) in enumerate(reversed(steps))]
 
     def _candidate_rows(self, steps, sources):
@@ -473,7 +476,8 @@ def invariant_dims(x: BraidedSet, j: int, budget: int = DEFAULT_BUDGET) -> int:
 
     For involutive braidings this agrees with symmetrizer_rank; in the
     strictly braided case the two are reported side by side and no equality
-    is asserted.
+    is asserted.  The rows are those of sign Psi_i^-1 - id: Psi_i permutes
+    the columns and sign = +-1, so they have the rank of sign Psi_i - id.
     """
     if j < 0:
         raise ValueError("j must be non-negative")
@@ -487,7 +491,7 @@ def invariant_dims(x: BraidedSet, j: int, budget: int = DEFAULT_BUDGET) -> int:
     sign = x.sign
 
     def rows():
-        # rows of (sign Psi_i - id) for each adjacent position i
+        # rows of (sign Psi_i^-1 - id) for each adjacent position i
         for lo, delta in _positional_steps(x, j):
             for c in range(big):
                 image = c + delta[c // lo % nn]
@@ -500,7 +504,7 @@ def invariant_dims(x: BraidedSet, j: int, budget: int = DEFAULT_BUDGET) -> int:
     return big - rank
 
 
-# -- dense small-scale symmetrizers (oracle for the recursion) ----------------
+# -- dense small-scale symmetrizers (oracle for the ladder's recursion) --------
 
 
 def _reduced_word(perm) -> list[int]:
@@ -529,6 +533,8 @@ def _apply_word(x: BraidedSet, word, tup):
 
 def symmetrizer_matrix_bruteforce(x: BraidedSet, j: int):
     """S_j as a dense dict {(row, col): int} from the literal sum over all j! reduced words."""
+    if j < 0:
+        raise ValueError("j must be non-negative")
     n = x.size
     out: dict[tuple[int, int], int] = {}
     tuples = list(itertools.product(range(n), repeat=j))
@@ -543,37 +549,21 @@ def symmetrizer_matrix_bruteforce(x: BraidedSet, j: int):
 
 
 def symmetrizer_matrix_recursive(x: BraidedSet, j: int):
-    """S_j by the coset recursion S_j = (S_{j-1} (x) id) P_j, dense dict form."""
-    n = x.size
-    nn = n * n
-    if j == 0:
-        return {(0, 0): 1}
-    mat = {(i, i): 1 for i in range(n)}
-    for level in range(2, j + 1):
-        big = n ** level
-        steps = _positional_steps(x, level)
-        # P columns: e_c -> sum over words of sign^len e_{pi(c)}
-        pcols: list[dict[int, int]] = []
-        for c in range(big):
-            col = {c: 1}
-            for k in range(level - 1, 0, -1):
-                val = c
-                for lo, delta in steps[k - 1:]:
-                    val += delta[val // lo % nn]
-                sgn = x.sign ** (level - k)
-                col[val] = col.get(val, 0) + sgn
-            pcols.append({k: v for k, v in col.items() if v})
-        new: dict[tuple[int, int], int] = {}
-        for c, col in enumerate(pcols):
-            for mid, v in col.items():
-                u, i = divmod(mid, n)
-                # (S_{level-1} (x) id)[r', u] placed at row r'*n + i
-                for (r, cc), w in mat.items():
-                    if cc == u:
-                        key = (r * n + i, c)
-                        new[key] = new.get(key, 0) + w * v
-        mat = {k: v for k, v in new.items() if v}
-    return mat
+    """S_j by the coset recursion S_j = (S_{j-1} (x) id) P_j, dense dict form.
+
+    Every row of S_{j-1}, not only a kept basis, goes through the ladder's
+    own kernel (SymmetrizerLadder._word_inverse_perms and _candidate_rows),
+    so comparing this with symmetrizer_matrix_bruteforce checks the code
+    behind every Hilbert dimension.  Row r n + i of S_j is (row r (x) e_i) P_j.
+    """
+    if j < 0:
+        raise ValueError("j must be non-negative")
+    ladder = SymmetrizerLadder(x)
+    rows = [{0: 1}]
+    for level in range(1, j + 1):
+        steps = ladder._word_inverse_perms(level)
+        rows = list(ladder._candidate_rows(steps, [(rows, range(x.size))]))
+    return {(r, c): v for r, row in enumerate(rows) for c, v in row.items()}
 
 
 # -- quadratic variant ---------------------------------------------------------

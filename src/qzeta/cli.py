@@ -168,8 +168,6 @@ def _cmd_verify(args) -> int:
     results = run_suite(args.suite)
     all_passed = all(r.passed for r in results)
     if args.format == "json":
-        import json
-
         doc = {
             "kind": "verdict",
             "payload": {
@@ -189,7 +187,7 @@ def _cmd_verify(args) -> int:
             },
             "metadata": {"command": "verify", "parameters": {"suite": args.suite}, "version": __version__},
         }
-        print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+        print(dumps(doc))
     else:
         for r in results:
             status = "PASS" if r.passed else "FAIL"

@@ -168,18 +168,7 @@ class QTPoly:
     def __str__(self):
         if not self._terms:
             return "0"
-        bits = []
-        for b in range(self.t_degree() + 1):
-            ql = self.t_coeff(b)
-            if ql.is_zero:
-                continue
-            cs = str(ql)
-            if b == 0:
-                bits.append(cs)
-            else:
-                ts = "t" if b == 1 else f"t^{b}"
-                bits.append(ts if cs == "1" else f"({cs}) {ts}")
-        return " + ".join(bits)
+        return str(TSeries(self.t_degree(), self.t_coeff_list()))
 
     def __repr__(self):
         return f"QTPoly({self})"

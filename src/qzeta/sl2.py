@@ -27,10 +27,12 @@ class Sl2Decomposition:
         if parts:
             items = parts.items() if isinstance(parts, dict) else parts
             for m, mult in items:
-                if mult < 0:
-                    raise ValueError(f"negative multiplicity for V_{m}")
+                if not isinstance(m, int) or m < 0:
+                    raise ValueError(f"highest weight must be a non-negative integer, got {m!r}")
+                if not isinstance(mult, int) or mult < 0:
+                    raise ValueError(f"multiplicity of V_{m} must be a non-negative integer, got {mult!r}")
                 if mult:
-                    clean[int(m)] = clean.get(int(m), 0) + mult
+                    clean[m] = clean.get(m, 0) + mult
         self.parts = dict(sorted(clean.items()))
 
     @classmethod

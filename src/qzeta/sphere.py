@@ -141,7 +141,7 @@ def _faulhaber(d: int):
 
 
 def _finite_0_to_s(expr: SExpr) -> SExpr:
-    """sum_{i=0}^{s}: algebraic identity full - tail for a != 0; Faulhaber for a = 0."""
+    """sum_{i=0}^{s}: Faulhaber for a = 0; full sum minus the tail from s + 1 for a != 0."""
     out = []
     for coeff, d, a in expr.terms:
         if a == 0:
@@ -149,12 +149,9 @@ def _finite_0_to_s(expr: SExpr) -> SExpr:
                 if e > MAX_S_DEGREE:
                     raise QZetaError(f"s-degree {e} exceeds cap {MAX_S_DEGREE}")
                 out.append((coeff * frac, e, 0))
-            continue
-        full = _geom_k(d, a) + (QRational.one() if d == 0 else QRational.zero())
-        out.append((coeff * full, 0, 0))
-        for e in range(d + 1):
-            out.append((coeff * comb(d, e) * _geom_k(d - e, a) * Fraction(-1), e, a))
-    return SExpr(out)
+    geometric = SExpr([term for term in expr.terms if term[2] != 0])
+    out.append((_sum_inf(geometric), 0, 0))
+    return SExpr(out) + _tail_from_splus1(geometric) * Fraction(-1)
 
 
 def _finite_0_to_sminus1(expr: SExpr) -> SExpr:
@@ -312,8 +309,7 @@ def verify_term_numeric(coeff: QRational, d: int, a: int, q: Fraction,
     ratio = q**a
     cval = coeff.eval_at(q)
     partial = sum(cval * Fraction(s) ** d * ratio**s for s in range(n_terms))
-    symbolic = coeff * (_geom_k(d, a) + (QRational.one() if d == 0 else QRational.zero()))
-    closed = symbolic.eval_at(q)
+    closed = _sum_inf(SExpr([(coeff, d, a)])).eval_at(q)
     s0 = Fraction(n_terms)
     k_factor = [1 / (1 - ratio),
                 1 / (1 - ratio) ** 2,

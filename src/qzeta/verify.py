@@ -244,8 +244,9 @@ def _property_pool():
 
 
 def crit_14_property_suites():
-    """Recursion = brute force; palindromicity; lambda-ring; extraction round trip."""
-    # (a) symmetrizer recursion equals the literal sum over reduced words
+    """Ladder kernel = brute force; palindromicity; lambda-ring; extraction round trip."""
+    # (a) the recursion through the ladder's own kernel (the code behind every
+    # Hilbert dimension) equals the literal sum over reduced words
     for x in _property_pool():
         for j in range(2, 5):
             if x.size**j > 4096:

@@ -59,8 +59,19 @@ def test_check_braid_relation():
     left = [[0, 1], [1, 1]]
     right = [[0, 1], [1, 1]]
     assert not check_braid_relation((left, right))
+    malformed = [
+        (left, right),
+        ([[0, 1]], [[0, 0]]),            # ragged: one row of length 2
+        ([[1]], [[0]]),                  # entry outside range(1)
+        ([[-2, -1], [-2, -1]], [[-2, -2], [-1, -1]]),  # flip on 2 points, indexes -2 and -1
+        ([[0.0]], [[0]]),                # not an integer index
+        ([[0], [0]], [[0], [0]]),        # two rows of length 1
+    ]
+    for bad_left, bad_right in malformed:
+        with pytest.raises(ValueError):
+            BraidedSet(bad_left, bad_right)
     with pytest.raises(ValueError):
-        BraidedSet(left, right)
+        BraidedSet(f.left, f.right, sign=1.0)   # passed at == 1, then broke repr
 
 
 def test_symmetrizer_rank_examples():
@@ -108,8 +119,25 @@ def test_recursion_equals_bruteforce():
     pool = [flip_set(2), flip_set(3), transposition_class(3),
             from_conjugacy_class(3, (2, 3, 1)), from_conjugacy_class(4, (2, 1, 4, 3))]
     for x in pool:
-        for j in (2, 3):
+        for j in (0, 1, 2, 3):
             assert symmetrizer_matrix_recursive(x, j) == symmetrizer_matrix_bruteforce(x, j)
+    for fn in (symmetrizer_matrix_recursive, symmetrizer_matrix_bruteforce):
+        with pytest.raises(ValueError):
+            fn(flip_set(2), -1)
+
+
+def test_recursion_runs_the_ladder_kernel(monkeypatch):
+    """A wrong sign in the ladder's word steps must break the recursion-vs-brute-force check."""
+
+    def wrong_sign(self, j):
+        sign = self.x.sign
+        steps = _positional_steps(self.x, j)
+        return [(lo, delta, sign ** p) for p, (lo, delta) in enumerate(reversed(steps))]
+
+    x = transposition_class(3)
+    assert symmetrizer_matrix_recursive(x, 2) == symmetrizer_matrix_bruteforce(x, 2)
+    monkeypatch.setattr(SymmetrizerLadder, "_word_inverse_perms", wrong_sign)
+    assert symmetrizer_matrix_recursive(x, 2) != symmetrizer_matrix_bruteforce(x, 2)
 
 
 def test_degree_one_generation_bound():
@@ -428,14 +456,11 @@ def test_positional_steps_match_tuple_braiding():
     for x, _ in _ladder_pool():
         n, nn = x.size, x.size ** 2
         for j in (2, 3):
-            forward = _positional_steps(x, j)
-            backward = _positional_steps(x, j, inverse=True)
-            for p, ((lo, delta), (lo_inv, delta_inv)) in enumerate(zip(forward, backward)):
-                assert lo == lo_inv == n ** (j - 2 - p)
+            for p, (lo, delta_inv) in enumerate(_positional_steps(x, j)):
+                assert lo == n ** (j - 2 - p)
                 for c in range(n ** j):
                     digits = tuple(c // n ** (j - 1 - i) % n for i in range(j))
                     image = sum(d * n ** (j - 1 - i) for i, d in enumerate(_apply_word(x, [p], digits)))
-                    assert c + delta[c // lo % nn] == image
                     assert image + delta_inv[image // lo % nn] == c
 
 

@@ -101,3 +101,6 @@ def test_dimq_prime_classical_limit():
 def test_negative_multiplicity_rejected():
     with pytest.raises(ValueError):
         Sl2Decomposition({2: -1})
+    for parts in ({-3: 1}, {2.5: 1}, {F(2): 1}, {2: 1.5}, {2: F(1)}):
+        with pytest.raises(ValueError):
+            Sl2Decomposition(parts)
