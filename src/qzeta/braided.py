@@ -98,6 +98,8 @@ class BraidedSet:
     @classmethod
     def from_json(cls, text: str) -> "BraidedSet":
         data = json.loads(text)
+        if not isinstance(data, dict) or "left" not in data or "right" not in data:
+            raise ValueError("a braided set document is a JSON object with 'left' and 'right' tables")
         return cls(data["left"], data["right"], data.get("sign", 1), data.get("label", ""))
 
     def __repr__(self):

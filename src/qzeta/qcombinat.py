@@ -3,13 +3,17 @@
 Conventions: (n)_q = (q^n - q^-n)/(q - q^-1) = q^(n-1) + q^(n-3) + ... + q^(1-n),
 so everything here is palindromic under q <-> q^-1.
 
-One integer kernel, ``gaussian_coeffs``, lists the coefficients of the
-Gaussian polynomial [n choose k]_q; the symmetric q-binomial, the bounded
-partition counts, and the Cayley-Sylvester multiplicities in ``sl2`` all
-read that list.
+One integer kernel, ``gaussian_steps``, steps the coefficient list of the
+Gaussian polynomial [a+i choose i]_q from i - 1 to i in place.
+``gaussian_coeffs`` runs it min(k, n-k) steps to list [n choose k]_q, which
+the symmetric q-binomial and the bounded partition counts read; the
+Cayley-Sylvester row stream in ``sl2`` reads every step with a = m, since
+[j+m choose m]_q is step j.
 """
 
 from __future__ import annotations
+
+from itertools import islice
 
 from .qlaurent import QLaurent
 from .qtpoly import QTPoly
@@ -22,26 +26,38 @@ def q_int_sym(n: int) -> QLaurent:
     return QLaurent({n - 1 - 2 * i: 1 for i in range(n)})
 
 
-def gaussian_coeffs(n: int, k: int) -> list[int]:
-    """Coefficients of the Gaussian polynomial [n choose k]_q, constant term first.
+def gaussian_steps(a: int):
+    """Yield the coefficients of [a+i choose i]_q, constant term first, for i = 0, 1, 2, ...
 
-    Entry r is p(r, k, n-k), the number of partitions of r into at most k
-    parts each at most n-k.  Step i multiplies [a+i-1 choose i-1]_q by
-    (1 - q^(a+i)) and divides by (1 - q^i), with a = max(k, n-k); every
-    intermediate is the Gaussian polynomial [a+i choose i]_q, so the
-    division is exact and both passes run in place on integers.
+    Entry r of step i is p(r, i, a), the number of partitions of r into at
+    most i parts each at most a.  Step i multiplies step i-1 by
+    (1 - q^(a+i)) and divides it by (1 - q^i); the quotient is a Gaussian
+    polynomial, so the division is exact and both passes run in place on
+    integers.  Every step yields the same list: read it before the next.
     """
-    if not 0 <= k <= n:
-        raise ValueError(f"gaussian_coeffs requires 0 <= k <= n, got ({n}, {k})")
-    a, b = max(k, n - k), min(k, n - k)
+    if a < 0:
+        raise ValueError(f"gaussian_steps requires a >= 0, got {a}")
     c = [1]
-    for i in range(1, b + 1):
+    i = 0
+    while True:
+        yield c
+        i += 1
         c.extend([0] * a)
         for r in range(a * i, a + i - 1, -1):
             c[r] -= c[r - a - i]
         for r in range(i, a * i + 1):
             c[r] += c[r - i]
-    return c
+
+
+def gaussian_coeffs(n: int, k: int) -> list[int]:
+    """Coefficients of the Gaussian polynomial [n choose k]_q, constant term first.
+
+    Entry r is p(r, k, n-k), the number of partitions of r into at most k
+    parts each at most n-k: step min(k, n-k) of ``gaussian_steps(max(k, n-k))``.
+    """
+    if not 0 <= k <= n:
+        raise ValueError(f"gaussian_coeffs requires 0 <= k <= n, got ({n}, {k})")
+    return next(islice(gaussian_steps(max(k, n - k)), min(k, n - k), None))
 
 
 def q_binom_sym(n: int, k: int) -> QLaurent:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import BudgetExceeded, QZetaError
-from .qcombinat import gaussian_coeffs
+from .qcombinat import gaussian_coeffs, gaussian_steps
 from .qlaurent import QLaurent
 
 DEFAULT_WEIGHT_BUDGET = 200
@@ -98,15 +98,34 @@ def cs_sym_power(m: int, j: int) -> Sl2Decomposition:
     """
     if m < 0 or j < 0:
         raise ValueError("m, j must be non-negative")
-    p = gaussian_coeffs(j + m, m)
-    parts = {}
-    for r in range(j * m // 2 + 1):
+    return Sl2Decomposition(_cs_parts(m, j, gaussian_coeffs(j + m, m)))
+
+
+def cs_rows(m: int):
+    """Yield {p: multiplicity of V_p in S^j(V_m)} for j = 0, 1, 2, ..., p increasing.
+
+    Row j is ``cs_sym_power(m, j).parts``: [j+m choose m]_q is step j of
+    ``gaussian_steps(m)``, so each row costs one step of the kernel, not a
+    Gaussian polynomial built from scratch.
+    """
+    if m < 0:
+        raise ValueError("m must be non-negative")
+    for j, p in enumerate(gaussian_steps(m)):
+        yield _cs_parts(m, j, p)
+
+
+def _cs_parts(m: int, j: int, p: list) -> dict:
+    """{jm - 2r: p[r] - p[r-1]} over 0 <= r <= jm/2, zero multiplicities left out, jm - 2r increasing."""
+    parts, bad = {}, None
+    for r in range(j * m // 2, -1, -1):
         mult = p[r] - (p[r - 1] if r else 0)
         if mult < 0:
-            raise QZetaError(f"negative CS multiplicity at (m={m}, j={j}, r={r})")
-        if mult:
+            bad = r
+        elif mult:
             parts[j * m - 2 * r] = mult
-    return Sl2Decomposition(parts)
+    if bad is not None:
+        raise QZetaError(f"negative CS multiplicity at (m={m}, j={j}, r={bad})")
+    return parts
 
 
 def sym_power_weight_oracle(m: int, j: int, budget: int = DEFAULT_WEIGHT_BUDGET) -> Sl2Decomposition:

@@ -41,6 +41,8 @@ class SExpr:
         for coeff, d, a in terms:
             if not isinstance(coeff, QRational):
                 coeff = QRational.from_laurent(coeff) if isinstance(coeff, QLaurent) else QRational.from_scalar(coeff)
+            if d != int(d) or a != int(a):
+                raise QZetaError(f"s-degree {d} and slope {a} of a term s^d q^(a s) must be integers")
             if d < 0 or d > MAX_S_DEGREE:
                 raise QZetaError(f"s-degree {d} outside the supported range 0..{MAX_S_DEGREE}")
             key = (int(d), int(a))

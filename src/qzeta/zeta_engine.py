@@ -10,12 +10,12 @@ then certified exactly over Q(q).
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 
 from .errors import ExactDivisionError, FitFailed, QZetaError
 from .qlaurent import QLaurent
 from .qtpoly import FactoredRatQT, QTPoly
-from .sl2 import Sl2Decomposition, cs_sym_power
+from .sl2 import Sl2Decomposition, cs_rows
 from .tseries import TSeries
 from .weyl import zeta_cn_closed
 
@@ -103,13 +103,11 @@ def zeta_vm_closed(m: int) -> FactoredRatQT:
 
 
 def cm_series_cs(m: int, order: int) -> CmSeries:
-    """c_m(t, q) assembled degreewise from the Cayley-Sylvester decomposition."""
-    return CmSeries(m, order, [_cm_row(m, j) for j in range(order + 1)])
+    """c_m(t, q) assembled degreewise from the Cayley-Sylvester decomposition.
 
-
-def _cm_row(m: int, j: int) -> QLaurent:
-    """The t^j coefficient of c_m: V_p in S^j(V_m) contributes its multiplicity at q^p."""
-    return QLaurent(cs_sym_power(m, j).parts)
+    Row j of ``cs_rows(m)`` puts the multiplicity of V_p in S^j(V_m) at q^p.
+    """
+    return CmSeries(m, order, [QLaurent(row) for _j, row in zip(range(order + 1), cs_rows(m))])
 
 
 def zeta_from_cm(c: CmSeries) -> TSeries:
@@ -191,14 +189,35 @@ def eta_m(m: int) -> QTPoly:
     """prod (1 - q^{2i} t) over i = 1..m/2 (even m) or (1 - q^{2i+1} t) over i = 0..(m-1)/2 (odd)."""
     if m < 0:
         raise ValueError("m must be non-negative")
-    if m % 2 == 0:
-        exps = [2 * i for i in range(1, m // 2 + 1)]
-    else:
-        exps = [2 * i + 1 for i in range((m - 1) // 2 + 1)]
     acc = QTPoly.one()
-    for e in exps:
+    for e in _eta_exponents(m):
         acc = acc * QTPoly({(0, 0): 1, (e, 1): -1})
     return acc
+
+
+def _eta_exponents(m: int) -> range:
+    """The q-exponents e of the linear factors (1 - q^e t) of eta_m: 2, 4, ..., m or 1, 3, ..., m."""
+    return range(2 - m % 2, m + 1, 2)
+
+
+def _cm_eta_rows(m: int):
+    """Yield the t^j coefficient of c_m eta_m as a {q-exponent: int} dict, for j = 0, 1, 2, ...
+
+    The c_m rows come from ``cs_rows(m)`` and eta_m is applied one linear
+    factor (1 - q^e t) at a time: row j of the product is
+    row_j - q^e row_{j-1}, so each factor keeps only its previous input row.
+    Most terms cancel at the last factor (c_m eta_m = g/h has a narrow
+    q-support), so the yielded row leaves out its zeros.
+    """
+    exps = _eta_exponents(m)
+    before = [{} for _ in exps]
+    for row in cs_rows(m):
+        for k, e in enumerate(exps):
+            out = dict(row)
+            for p, x in before[k].items():
+                out[p + e] = out.get(p + e, 0) - x
+            before[k], row = row, out
+        yield {p: x for p, x in row.items() if x}
 
 
 def verify_functional_eq(m: int, gh: GHPair) -> bool:
@@ -228,36 +247,31 @@ def fit_gh(m: int, max_h_degree: int = 40) -> GHPair:
 
     h does not involve q, so at any rational q0 the sequence
     s_j = (c_m eta_m)_j(q0) obeys the recurrence with characteristic
-    polynomial h beyond t^deg(g).  The rows of c_m and c_m eta_m are built
-    once, as {q-exponent: int} dicts, one t-degree at a time, and s_j is fed
-    to an incremental Berlekamp-Massey over Q, whose length L never
-    decreases; L > max_h_degree raises FitFailed.  Once 2L + 2 terms are in,
-    its connection polynomial is the candidate h; deg g is forced by the
-    rational t-degree -(m+1).  The candidate is accepted only if (c eta h)
-    vanishes past deg g through the order of the terms fed (and at least
-    deg g + deg h + 6), which is the round trip g/(h eta_m) = c_m through
-    that order, and the q-degree claim and the functional equation hold.  A
-    failed candidate waits for L to change; if L stays put for L more terms,
-    the point lost a factor of h and Berlekamp-Massey restarts on the stored
-    rows at the next point of _BM_POINTS.
+    polynomial h beyond t^deg(g).  The rows of c_m eta_m are read once, as
+    {q-exponent: int} dicts, one t-degree at a time from ``_cm_eta_rows``,
+    and s_j is fed to an incremental fraction-free Berlekamp-Massey over Z,
+    whose length L never decreases; L > max_h_degree raises FitFailed.  Once
+    2L + 2 terms are in, its connection polynomial is the candidate h; deg g
+    is forced by the rational t-degree -(m+1).  The candidate is accepted
+    only if it is integral, (c eta h) vanishes past deg g through the order
+    of the terms fed (and at least deg g + deg h + 6), which is the round
+    trip g/(h eta_m) = c_m through that order, and the q-degree claim and the
+    functional equation hold.  A failed candidate waits for L to change; if
+    L stays put for L more terms, the point lost a factor of h and
+    Berlekamp-Massey restarts on the stored rows at the next point of
+    _BM_POINTS.
     """
     if m < 2:
         raise ValueError("fit_gh applies for m >= 2")
     if max_h_degree < 1:
         raise ValueError("max_h_degree must be >= 1")
     eta = eta_m(m)
-    eta_t = [dict(ql.items()) for ql in eta.t_coeff_list()]
-    rows, ceta = [], []
+    stream = _cm_eta_rows(m)
+    ceta = []
 
     def extend(order):
-        for j in range(len(rows), order + 1):
-            rows.append(cs_sym_power(m, j).parts)
-            row = {}
-            for k in range(min(j, len(eta_t) - 1) + 1):
-                for e, x in rows[j - k].items():
-                    for a, y in eta_t[k].items():
-                        row[e + a] = row.get(e + a, 0) + x * y
-            ceta.append(row)
+        while len(ceta) <= order:
+            ceta.append(next(stream))
 
     for q0 in _BM_POINTS:
         bm = _BerlekampMassey()
@@ -286,20 +300,21 @@ def fit_gh(m: int, max_h_degree: int = 40) -> GHPair:
 
 
 def _certify(m: int, conn: list, n: int, eta: QTPoly, ceta: list, extend):
-    """The GHPair with h = conn if it passes every acceptance check, else None.
+    """The GHPair with h = conn / conn[0] if it passes every acceptance check, else None.
 
-    conn is a Berlekamp-Massey connection polynomial over Q with conn[0] = 1.
-    The specialised terms are integers, so by Fatou's lemma the true
-    denominator lies in Z[t]; a conn with a non-integer entry is rejected
-    before any Q(q) arithmetic.  ceta lists the rows of c_m eta_m as
-    {q-exponent: int} dicts.  g is (c_m eta_m) h through t^dg, and the tail
-    of that product must vanish through t^order: h eta_m has constant term 1,
-    so it is a unit in Q(q)[[t]], and the tail check proves that g/(h eta_m)
-    reproduces c_m through t^order.
+    conn is an integer connection polynomial with conn[0] != 0.  The
+    specialised terms are integers, so by Fatou's lemma the true denominator
+    lies in Z[t] with constant term 1; a conn whose constant term does not
+    divide every entry is rejected before any Q(q) arithmetic.  ceta lists
+    the rows of c_m eta_m as {q-exponent: int} dicts.  g is (c_m eta_m) h
+    through t^dg, and the tail of that product must vanish through t^order:
+    h eta_m has constant term 1, so it is a unit in Q(q)[[t]], and the tail
+    check proves that g/(h eta_m) reproduces c_m through t^order.
     """
-    if any(x.denominator != 1 for x in conn):
+    c0 = conn[0]
+    if any(x % c0 for x in conn):
         return None
-    h = [int(x) for x in conn]
+    h = [x // c0 for x in conn]
     while not h[-1]:
         h.pop()
     dh = len(h) - 1
@@ -334,24 +349,28 @@ def _certify(m: int, conn: list, n: int, eta: QTPoly, ceta: list, extend):
 
 
 class _BerlekampMassey:
-    """Incremental Berlekamp-Massey over Q (Massey 1969).
+    """Incremental fraction-free Berlekamp-Massey over Z (Massey 1969).
 
     After each ``feed``, ``length`` is the length L of the shortest linear
-    recurrence sum_{i<=L} C_i s_{n-i} = 0 (n >= L) of the terms fed so far,
-    and ``c`` lists its connection polynomial C, with C_0 = 1.
+    recurrence sum_{i<=L} C_i s_{n-i} = 0 (n >= L) of the integer terms fed
+    so far, and ``c`` lists its connection polynomial C as integers with no
+    common factor; C_0 != 0, and C/C_0 is the connection polynomial of
+    Berlekamp-Massey over Q.  A discrepancy d updates C to
+    last*C - d*x^shift*B, where B is an earlier C and last is the
+    discrepancy it had then, and divides out the content of the result.
     """
 
     __slots__ = ("terms", "c", "b", "length", "shift", "last")
 
     def __init__(self):
         self.terms = []
-        self.c = [Fraction(1)]
-        self.b = [Fraction(1)]
+        self.c = [1]
+        self.b = [1]
         self.length = 0
         self.shift = 1
-        self.last = Fraction(1)
+        self.last = 1
 
-    def feed(self, s) -> None:
+    def feed(self, s: int) -> None:
         terms, c = self.terms, self.c
         terms.append(s)
         n = len(terms) - 1
@@ -359,11 +378,14 @@ class _BerlekampMassey:
         if d == 0:
             self.shift += 1
             return
-        coef = d / self.last
-        new = c + [0] * (self.shift + len(self.b) - len(c))
+        last, shift = self.last, self.shift
+        new = [last * ci for ci in c] + [0] * (shift + len(self.b) - len(c))
         for i, bi in enumerate(self.b):
             if bi:
-                new[i + self.shift] -= coef * bi
+                new[i + shift] -= d * bi
+        content = math.gcd(*new)
+        if content != 1:
+            new = [x // content for x in new]
         if 2 * self.length <= n:
             self.b, self.last = c, d
             self.length = n + 1 - self.length

@@ -188,6 +188,12 @@ def test_json_round_trip():
     assert again.size == 3
 
 
+def test_from_json_rejects_malformed_documents():
+    for text in ('[]', '3', '{"left": [[0]]}'):
+        with pytest.raises(ValueError, match="JSON object with 'left' and 'right'"):
+            BraidedSet.from_json(text)
+
+
 def test_conjugacy_class_input_validation():
     with pytest.raises(ValueError):
         from_conjugacy_class(1, (1,))

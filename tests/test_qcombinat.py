@@ -5,6 +5,7 @@ from math import comb
 import pytest
 
 from qzeta import QLaurent, bounded_partitions, gaussian_coeffs, q_binom_sym, q_int_sym, t_bracket
+from qzeta.qcombinat import gaussian_steps
 from qzeta.qtpoly import QTPoly
 
 
@@ -58,6 +59,16 @@ def test_gaussian_coeffs_match_both_oracles():
             assert q_binom_sym(n, k) == binom_by_division(n, k), (n, k)
     with pytest.raises(ValueError):
         gaussian_coeffs(3, -1)
+
+
+def test_gaussian_steps_list_every_step():
+    # step i of gaussian_steps(a) is [a+i choose i]_q, the list gaussian_coeffs builds
+    for a in range(9):
+        for i, coeffs in zip(range(13), gaussian_steps(a)):
+            assert coeffs == [partitions_by_recursion(r, i, a) for r in range(a * i + 1)], (a, i)
+            assert coeffs == gaussian_coeffs(a + i, i), (a, i)
+    with pytest.raises(ValueError):
+        next(gaussian_steps(-1))
 
 
 def test_bounded_partitions_match_recursion():

@@ -25,6 +25,8 @@ def test_cs_low_cases():
         assert cs_sym_power(0, j) == Sl2Decomposition({0: 1})
     assert cs_sym_power(2, 2) == Sl2Decomposition({4: 1, 0: 1})
     assert cs_sym_power(3, 2) == Sl2Decomposition({6: 1, 2: 1})
+    with pytest.raises(ValueError):
+        next(sl2.cs_rows(-1))
 
 
 def test_cs_negative_multiplicity_is_a_typed_error(monkeypatch):
@@ -50,8 +52,10 @@ def test_adams_cases():
 
 def test_triple_agreement():
     for m in range(9):
-        for j in range(11):
+        for j, row in zip(range(11), sl2.cs_rows(m)):
             cs = cs_sym_power(m, j)
+            # the row stream gives the same dict, in the same (increasing p) order
+            assert list(row.items()) == list(cs.parts.items()), (m, j)
             assert cs == sym_power_weight_oracle(m, j), (m, j)
             assert cs == adams_sym_power(m, j), (m, j)
 

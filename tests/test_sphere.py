@@ -35,6 +35,16 @@ def test_degree_cap():
         SExpr([(QRational.one(), 3, 0)])
 
 
+def test_sexpr_rejects_non_integral_degree_or_slope():
+    for d, a in ((1.5, 2), (0, 2.7), (F(1, 2), 0), (0, F(3, 2))):
+        with pytest.raises(QZetaError, match="must be integers"):
+            SExpr([(QRational.one(), d, a)])
+    # integral values of other types are kept, as ints
+    e = SExpr([(QRational.one(), F(2), 2.0)])
+    assert [(d, a) for _c, d, a in e.terms] == [(2, 2)]
+    assert all(type(x) is int for _c, d, a in e.terms for x in (d, a))
+
+
 def test_geometric_tail():
     # sum_{s>=0} q^{2s+1} = q/(1-q^2)
     e = SExpr([(_qr({1: 1}), 0, 2)])

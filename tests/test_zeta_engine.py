@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -14,6 +15,7 @@ from qzeta import (
     cm_from_zeta,
     cm_recursion_step,
     cm_series_cs,
+    cs_sym_power,
     eta_m,
     fit_gh,
     geometric_series,
@@ -24,11 +26,12 @@ from qzeta import (
     zeta_from_cm,
     zeta_vm_closed,
 )
+import qzeta.sl2 as sl2
 from qzeta.errors import ExactDivisionError, NoSolution
 from qzeta.linalg import solve_linear
 from qzeta.qtpoly import FactoredRatQT, tpoly_divmod, tpoly_gcd, tpoly_trim
 from qzeta.refdata import reference_cm_closed, reference_gh
-from qzeta.zeta_engine import _certify, _cm_row
+from qzeta.zeta_engine import _BerlekampMassey, _certify, _cm_eta_rows
 
 
 def test_zeta_vm_closed_structure():
@@ -176,13 +179,23 @@ def test_fit_matches_reference():
     assert gh5.g == ref.g and gh5.h == ref.h
 
 
+def _counting_rows(real, seen):
+    """cs_rows that appends j to seen as row j is pulled."""
+
+    def rows(m):
+        for j, row in enumerate(real(m)):
+            seen.append(j)
+            yield row
+
+    return rows
+
+
 def test_fit_extends_cm_rows_once(monkeypatch):
     # each t-degree of c_m is built once, however many candidates are certified
     import qzeta.zeta_engine as ze
 
     calls = []
-    real = ze.cs_sym_power
-    monkeypatch.setattr(ze, "cs_sym_power", lambda m, j: calls.append(j) or real(m, j))
+    monkeypatch.setattr(ze, "cs_rows", _counting_rows(ze.cs_rows, calls))
     gh5 = fit_gh(5)
     assert calls == list(range(len(calls)))
     assert len(calls) == gh5.g.t_degree() + gh5.h.t_degree() + 7
@@ -216,7 +229,7 @@ def _fit_gh_by_search(m: int, max_h_degree: int = 40) -> GHPair:
             continue
         order = dg + dh + 6
         for j in range(len(rows), order + 1):
-            rows.append(_cm_row(m, j))
+            rows.append(QLaurent(cs_sym_power(m, j).parts))
             acc = QLaurent()
             for k in range(min(j, deg_eta_t) + 1):
                 acc = acc + rows[j - k] * eta_t[k]
@@ -325,7 +338,6 @@ def test_fit_restarts_at_next_point_when_a_factor_is_lost(monkeypatch):
     certified = []
     built = []
     real = ze._certify
-    real_cs = ze.cs_sym_power
 
     def recording(m, conn, *args):
         gh = real(m, conn, *args)
@@ -333,7 +345,7 @@ def test_fit_restarts_at_next_point_when_a_factor_is_lost(monkeypatch):
         return gh
 
     monkeypatch.setattr(ze, "_certify", recording)
-    monkeypatch.setattr(ze, "cs_sym_power", lambda m, j: built.append(j) or real_cs(m, j))
+    monkeypatch.setattr(ze, "cs_rows", _counting_rows(ze.cs_rows, built))
     monkeypatch.setattr(ze, "_BM_POINTS", (1, 2))
     for m, lost_deg in ((5, 17), (6, 14), (8, 23)):
         certified.clear()
@@ -366,6 +378,18 @@ def test_lemma46_m9_past_default_cap():
     assert gh.g.q_degree() - eta.q_degree() == -2
     assert gh.g.t_degree() - gh.h.t_degree() - eta.t_degree() == -(9 + 1)
     assert (gh.h.t_degree(), gh.g.t_degree()) == (70, 65)
+
+
+@pytest.mark.parametrize("m, cap, dh, dg", [(11, 120, 108, 102), (14, 91, 91, 83)])
+def test_lemma46_m11_m14_with_raised_caps(m, cap, dh, dg):
+    # each cap is explicit: the default of 40 stops both fits, and m = 14 lands
+    # exactly on its cap
+    gh = fit_gh(m, max_h_degree=cap)
+    eta = eta_m(m)
+    assert verify_functional_eq(m, gh)
+    assert gh.g.q_degree() - eta.q_degree() == -2
+    assert gh.g.t_degree() - gh.h.t_degree() - eta.t_degree() == -(m + 1)
+    assert (gh.h.t_degree(), gh.g.t_degree()) == (dh, dg)
 
 
 def test_fit_rejects_empty_search():
@@ -505,6 +529,120 @@ def test_fit_inverts_and_multiplies_no_series(monkeypatch):
     one = TSeries.one(2)
     one.invert_unit() * one
     assert calls == ["invert_unit", "__mul__"]
+
+
+def _cm_eta_rows_by_convolution(m: int, order: int) -> list:
+    """Oracle: the rows of c_m eta_m through t^order, each c_m row convolved with the expanded eta_m."""
+    eta_t = [dict(ql.items()) for ql in eta_m(m).t_coeff_list()]
+    rows, ceta = [], []
+    for j in range(order + 1):
+        rows.append(cs_sym_power(m, j).parts)
+        row = {}
+        for k in range(min(j, len(eta_t) - 1) + 1):
+            for e, x in rows[j - k].items():
+                for a, y in eta_t[k].items():
+                    row[e + a] = row.get(e + a, 0) + x * y
+        ceta.append({e: x for e, x in row.items() if x})
+    return ceta
+
+
+def test_factor_recurrence_rows_match_eta_convolution():
+    for m in range(13):
+        order = 40 if m <= 8 else 25
+        got = [row for _j, row in zip(range(order + 1), _cm_eta_rows(m))]
+        assert got == _cm_eta_rows_by_convolution(m, order), m
+
+
+def test_bad_kernel_raises_through_the_row_stream(monkeypatch):
+    # every step of the patched kernel decreases in r, so row 1 has
+    # p(1) - p(0) < 0; cm_series_cs and fit_gh read that row
+    import itertools
+
+    monkeypatch.setattr(sl2, "gaussian_steps", lambda a: itertools.repeat([3, 2, 1, 0, 0]))
+    with pytest.raises(QZetaError, match="negative CS multiplicity"):
+        cm_series_cs(2, 3)
+    with pytest.raises(QZetaError, match="negative CS multiplicity"):
+        fit_gh(3)
+
+
+class _FractionBerlekampMassey:
+    """Oracle: Berlekamp-Massey over Q (Massey 1969), C normalised to C_0 = 1.
+
+    The route fit_gh took before the fraction-free update: the same
+    recurrence, with every coefficient a Fraction.
+    """
+
+    def __init__(self):
+        self.terms = []
+        self.c = [F(1)]
+        self.b = [F(1)]
+        self.length = 0
+        self.shift = 1
+        self.last = F(1)
+
+    def feed(self, s) -> None:
+        terms, c = self.terms, self.c
+        terms.append(s)
+        n = len(terms) - 1
+        d = sum(ci * terms[n - i] for i, ci in enumerate(c) if ci)
+        if d == 0:
+            self.shift += 1
+            return
+        coef = d / self.last
+        new = c + [0] * (self.shift + len(self.b) - len(c))
+        for i, bi in enumerate(self.b):
+            if bi:
+                new[i + self.shift] -= coef * bi
+        if 2 * self.length <= n:
+            self.b, self.last = c, d
+            self.length = n + 1 - self.length
+            self.shift = 1
+        else:
+            self.shift += 1
+        self.c = new
+
+
+def _assert_bm_routes_agree(seq, label) -> int:
+    """Feed both routes; after every term, equal L and C/C_0.  Returns how often |C_0| > 1."""
+    exact, integer = _FractionBerlekampMassey(), _BerlekampMassey()
+    scaled = 0
+    for n, s in enumerate(seq):
+        exact.feed(s)
+        integer.feed(s)
+        c0 = integer.c[0]
+        assert integer.length == exact.length, (label, n)
+        assert [F(x, c0) for x in integer.c] == exact.c, (label, n)
+        scaled += abs(c0) > 1
+    return scaled
+
+
+def test_integer_bm_matches_fraction_bm_on_cm_eta_sequences():
+    scaled = 0
+    for m in range(2, 11):
+        rows = [row for _j, row in zip(range(60), _cm_eta_rows(m))]
+        for q0 in (1, 2, 3, 5):
+            seq = [sum(x * q0**e for e, x in row.items()) for row in rows]
+            scaled += _assert_bm_routes_agree(seq, (m, q0))
+    assert scaled > 0
+
+
+def test_integer_bm_matches_fraction_bm_on_random_sequences():
+    rng = random.Random(20100729)
+    scaled = 0
+    for trial in range(60):
+        n = rng.randrange(1, 40)
+        if trial % 2:
+            seq = [rng.randint(-9, 9) for _ in range(n)]
+        else:
+            # a random short recurrence, with a nonunit leading coefficient
+            rec = [rng.randint(-4, 4) for _ in range(rng.randrange(1, 6))]
+            lead = rng.choice([1, 2, 3, -5])
+            seq = [rng.randint(-3, 3) for _ in rec]
+            while len(seq) < n:
+                nxt = sum(r * seq[-1 - i] for i, r in enumerate(rec))
+                seq.append(nxt * lead)
+        scaled += _assert_bm_routes_agree(seq, trial)
+    assert scaled > 0
 
 
 def test_reference_closed_forms_match_series():
