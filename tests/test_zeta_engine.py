@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import qzeta.sl2 as sl2
 from qzeta import (
     CmSeries,
     FitFailed,
@@ -26,7 +27,6 @@ from qzeta import (
     zeta_from_cm,
     zeta_vm_closed,
 )
-import qzeta.sl2 as sl2
 from qzeta.errors import ExactDivisionError, NoSolution
 from qzeta.linalg import solve_linear
 from qzeta.qtpoly import FactoredRatQT, tpoly_divmod, tpoly_gcd, tpoly_trim
