@@ -20,7 +20,7 @@ from .qlaurent import QLaurent
 from .tseries import TSeries, geometric_series
 from .qtpoly import FactoredRatQT, QTPoly
 from .qrational import QRational
-from .linalg import ExactMatrix, exact_rank, solve_linear, sparse_int_rank, sparse_qlaurent_rank
+from .linalg import solve_linear, sparse_int_rank, sparse_qlaurent_rank
 from .qcombinat import bounded_partitions, gaussian_coeffs, q_binom_sym, q_int_sym, t_bracket
 from .sl2 import (
     Sl2Decomposition,
@@ -33,7 +33,7 @@ from .sl2 import (
     tensor_decompose,
 )
 from .weyl import DominantWeightA, weyl_qdim_prime, zeta_cn_closed, zeta_cn_series
-from .rmatrix import RHat, quantum_trace_sym, rhat, sym_subspace_dims
+from .rmatrix import RHat, quantum_trace_sym, sym_subspace_dims
 from .zeta_engine import (
     CmSeries,
     GHPair,

@@ -1,24 +1,26 @@
-"""Exact linear algebra over the rationals and over the rational-function field of q.
+"""Exact rank over the rationals and over the rational-function field of q.
 
-Every elimination goes through one fraction-free reduction step, ``_reduce``
-(Bareiss-style cross-multiplication of sparse rows), over the integers and
-over Q(q) alike; only the content strip that keeps rows primitive differs
-(``_strip_gcd`` for integer rows, ``_strip_content`` for QLaurent rows).
-A pivot whose leading entry divides the row's is subtracted in place
-instead: an integer that divides it, or a Laurent unit +-q^e over Q(q).
-Pivot choice is always the first nonzero entry in column order, trading
-speed for deterministic reproducibility.
+Two streaming kernels compute every rank in the library: sparse_int_rank for
+integer rows (the Nichols ladders in ``braided``) and sparse_qlaurent_rank
+for rows of Laurent polynomials in q, which it ranks over Q(q) (the R-matrix
+blocks in ``rmatrix``).  Rows enter one at a time as sparse {column: value}
+dicts, are reduced against the current echelon basis, and the rows that
+extended the rank are reported back.
 
-Rows enter one at a time as sparse {column: value} dicts, are reduced against
-the current echelon basis, and the rows that extended the rank are reported
-back.  exact_rank streams a dense matrix into the same kernels: over Q each
-row's denominators are cleared by their lcm and the rows go to
-sparse_int_rank, over Q(q) each row's QRational denominators are cleared by
-their product and the rows go to sparse_qlaurent_rank.  solve_linear runs
-the same reduction step, fraction-free over the integers: augmented rows are
-scaled to integers, an inconsistent system is detected at the first row that
-reduces onto the rhs column, and only the final back-substitution (at most
-cols x cols entries) uses Fraction.
+Both go through one fraction-free reduction step, ``_reduce``
+(Bareiss-style cross-multiplication of sparse rows); only the content strip
+that keeps rows primitive differs (``_strip_gcd`` for integer rows,
+``_strip_content`` for QLaurent rows).  A pivot whose leading entry divides
+the row's is subtracted in place instead: an integer that divides it, or a
+Laurent unit +-q^e over Q(q).  Pivot choice is always the first nonzero
+entry in column order, trading speed for deterministic reproducibility.
+
+solve_linear has no caller in the library.  It stays for the benchmark
+tracer, which binds it by name, and for the deg-h search that the tests keep
+as an oracle of fit_gh.  It runs the same reduction step on integer rows
+(``_int_row`` clears each augmented row's denominators), detects an
+inconsistent system at the first row that reduces onto the rhs column, and
+uses Fraction only in the final back-substitution.
 """
 
 from __future__ import annotations
@@ -28,90 +30,6 @@ from math import gcd, lcm
 
 from .errors import NoSolution, QZetaError
 from .qlaurent import QLaurent
-from .qrational import QRational
-
-
-class ExactMatrix:
-    """Dense matrix with exact entries (int/Fraction, or QRational for q-generic)."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, entries):
-        self.entries = [list(row) for row in entries]
-        self.rows = len(self.entries)
-        self.cols = len(self.entries[0]) if self.rows else 0
-        if any(len(row) != self.cols for row in self.entries):
-            raise ValueError("ragged rows")
-
-    @classmethod
-    def identity(cls, n):
-        return cls([[1 if i == k else 0 for k in range(n)] for i in range(n)])
-
-    def is_q_generic(self) -> bool:
-        return any(isinstance(x, (QRational, QLaurent)) for row in self.entries for x in row)
-
-
-def exact_rank(m: ExactMatrix | list) -> int:
-    """Rank over the rationals (or over Q(q) for QRational/QLaurent entries)."""
-    if not isinstance(m, ExactMatrix):
-        m = ExactMatrix(m)
-    if m.is_q_generic():
-        return sparse_qlaurent_rank(_laurent_row(row) for row in m.entries)
-    return sparse_int_rank(_int_row(row) for row in m.entries)[0]
-
-
-class LinearSolution:
-    """Solution of an exact linear system, with the affine solution-set dimension."""
-
-    __slots__ = ("values", "free_dim")
-
-    def __init__(self, values, free_dim):
-        self.values = values
-        self.free_dim = free_dim
-
-    @property
-    def unique(self):
-        return self.free_dim == 0
-
-
-def solve_linear(m: ExactMatrix | list, rhs) -> LinearSolution:
-    """Solve m x = rhs exactly over the rationals.
-
-    Returns one solution (free variables set to 0) plus the dimension of the
-    affine solution set; raises NoSolution if inconsistent.
-
-    The elimination is fraction-free: each augmented row [a_i | b_i] is
-    scaled to integers (by the lcm of its denominators, skipped for all-int
-    rows) and streamed into the sparse echelon shared with sparse_int_rank.
-    The system is inconsistent as soon as a row reduces onto the rhs column
-    alone, and NoSolution is raised there without reading further rows.  The
-    pivot rows are then back-substituted over Fraction.
-    """
-    if not isinstance(m, ExactMatrix):
-        m = ExactMatrix(m)
-    rows, cols = m.rows, m.cols
-    if len(rhs) != rows:
-        raise ValueError("rhs length mismatch")
-    echelon: dict[int, dict] = {}
-    for i, row in enumerate(m.entries):
-        out = _reduce(echelon, _int_row(row + [rhs[i]]), _strip_gcd)
-        if out:
-            p = min(out)
-            if p == cols:
-                raise NoSolution("inconsistent linear system")
-            echelon[p] = _strip_gcd(out)
-    values = [Fraction(0)] * cols
-    for p in sorted(echelon, reverse=True):
-        piv = echelon[p]
-        acc = Fraction(piv.get(cols, 0))
-        for c, v in piv.items():
-            if p < c < cols:
-                acc -= v * values[c]
-        values[p] = acc / piv[p]
-    return LinearSolution(values, cols - len(echelon))
-
-
-# -- streaming sparse kernels ------------------------------------------------
 
 
 def _strip_gcd(row: dict) -> dict:
@@ -153,24 +71,6 @@ def _int_row(entries) -> dict:
     fracs = [Fraction(x) for x in entries]
     den = lcm(*(f.denominator for f in fracs))
     return {c: f.numerator * (den // f.denominator) for c, f in enumerate(fracs) if f}
-
-
-def _laurent_row(entries) -> dict:
-    """Sparse QLaurent row proportional to entries over Q(q): denominators cleared by their product.
-
-    A QRational entry becomes its numerator times the exact quotient of the
-    product by its own denominator; any other entry is multiplied by it.
-    """
-    den = QLaurent.one()
-    for x in entries:
-        if isinstance(x, QRational):
-            den = den * x.den
-    out = {}
-    for c, x in enumerate(entries):
-        x = x.num * den.exact_div(x.den) if isinstance(x, QRational) else den * x
-        if x:
-            out[c] = x
-    return out
 
 
 def _reduce(echelon: dict, out: dict, strip) -> dict:
@@ -268,3 +168,42 @@ def sparse_qlaurent_rank(rows) -> int:
     each combination.
     """
     return _echelon_rank(rows, _strip_content, False)[0]
+
+
+def solve_linear(rows: list, rhs) -> tuple[list, int]:
+    """Solve rows x = rhs exactly over the rationals.
+
+    ``rows`` is a list of equal-length rows of ints or Fractions; ragged rows
+    raise ValueError.  Returns (values, free_dim): one solution with the free
+    variables set to 0, and the dimension of the affine solution set.
+    Raises NoSolution if the system is inconsistent.
+
+    The elimination is fraction-free: each augmented row [a_i | b_i] is
+    scaled to integers (by the lcm of its denominators, skipped for all-int
+    rows) and streamed into the sparse echelon shared with sparse_int_rank.
+    The system is inconsistent as soon as a row reduces onto the rhs column
+    alone, and NoSolution is raised there without reading further rows.  The
+    pivot rows are then back-substituted over Fraction.
+    """
+    cols = len(rows[0]) if rows else 0
+    if any(len(row) != cols for row in rows):
+        raise ValueError("ragged rows")
+    if len(rhs) != len(rows):
+        raise ValueError("rhs length mismatch")
+    echelon: dict[int, dict] = {}
+    for row, b in zip(rows, rhs):
+        out = _reduce(echelon, _int_row([*row, b]), _strip_gcd)
+        if out:
+            p = min(out)
+            if p == cols:
+                raise NoSolution("inconsistent linear system")
+            echelon[p] = _strip_gcd(out)
+    values = [Fraction(0)] * cols
+    for p in sorted(echelon, reverse=True):
+        piv = echelon[p]
+        acc = Fraction(piv.get(cols, 0))
+        for c, v in piv.items():
+            if p < c < cols:
+                acc -= v * values[c]
+        values[p] = acc / piv[p]
+    return values, cols - len(echelon)

@@ -295,13 +295,6 @@ class QLaurent:
             g = -g
         return v, g
 
-    def primitive(self) -> "QLaurent":
-        """Divide out the monomial content: lowest term becomes positive, exponent 0."""
-        v, g = self.monomial_content()
-        res = QLaurent.__new__(QLaurent)
-        res._terms = {_norm_num(e - v): _norm_num(Fraction(c) / g) for e, c in self._terms.items()}
-        return res
-
     # -- rendering ------------------------------------------------------
 
     def __str__(self):

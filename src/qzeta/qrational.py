@@ -158,6 +158,8 @@ class QRational:
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
+        if o is None:
+            return NotImplemented
         return o / self
 
     def invert_q(self) -> "QRational":

@@ -89,10 +89,6 @@ class RHat:
                         raise QZetaError(f"braid relation fails at {(i, j, k)}")
 
 
-def rhat(n: int) -> RHat:
-    return RHat(n)
-
-
 def _check_budget(n: int, j: int, budget):
     max_n, max_j = budget
     if n > max_n or j > max_j:

@@ -32,7 +32,7 @@ from .qcombinat import q_binom_sym, q_int_sym
 from .qlaurent import QLaurent
 from .qrational import QRational
 from .refdata import reference_cm_closed, reference_gh
-from .rmatrix import rhat, sym_subspace_dims, trace_of_blocks
+from .rmatrix import RHat, sym_subspace_dims, trace_of_blocks
 from .sl2 import Sl2Decomposition
 from .sphere import sphere_dims, sphere_zeta_coeff, verify_dim_numeric
 from .tseries import TSeries
@@ -98,7 +98,7 @@ def crit_03_weyl_formula():
 def crit_04_rmatrix_oracle():
     """Quantum trace of the R-matrix symmetric subspace = q-binomial, blocks all 1-dim."""
     for n in range(2, 5):
-        r = rhat(n)
+        r = RHat(n)
         for j in range(6):
             blocks = sym_subspace_dims(n, j, r=r)
             check(all(k == 1 for _, k in blocks), f"block kernel != 1 at n={n}, j={j}")

@@ -9,24 +9,50 @@ import pytest
 import qzeta.linalg as linalg
 import qzeta.rmatrix as rmatrix
 from qzeta import (
-    ExactMatrix,
     NoSolution,
     QLaurent,
     QRational,
     QZetaError,
-    exact_rank,
     solve_linear,
     sparse_int_rank,
     sparse_qlaurent_rank,
 )
 
 
+def _int_rank(m) -> int:
+    """Rank over Q of a dense int/Fraction matrix, by sparse_int_rank on rows cleared of denominators."""
+    return sparse_int_rank(linalg._int_row(row) for row in m)[0]
+
+
+def _laurent_row(entries) -> dict:
+    """Sparse QLaurent row proportional to entries over Q(q): denominators cleared by their product.
+
+    A QRational entry becomes its numerator times the exact quotient of the
+    product by its own denominator; any other entry is multiplied by it.
+    """
+    den = QLaurent.one()
+    for x in entries:
+        if isinstance(x, QRational):
+            den = den * x.den
+    out = {}
+    for c, x in enumerate(entries):
+        x = x.num * den.exact_div(x.den) if isinstance(x, QRational) else den * x
+        if x:
+            out[c] = x
+    return out
+
+
+def _qlaurent_rank(m) -> int:
+    """Rank over Q(q) of a dense matrix of QRational, QLaurent and int entries, by sparse_qlaurent_rank."""
+    return sparse_qlaurent_rank(_laurent_row(row) for row in m)
+
+
 def test_rank_identity():
-    assert exact_rank(ExactMatrix.identity(2)) == 2
+    assert _int_rank([[1, 0], [0, 1]]) == 2
 
 
 def test_rank_proportional_rows():
-    assert exact_rank([[1, 2], [2, 4]]) == 1
+    assert _int_rank([[1, 2], [2, 4]]) == 1
 
 
 def _fraction_row_reduce_rank(rows):
@@ -49,16 +75,16 @@ def _fraction_row_reduce_rank(rows):
     return rank
 
 
-def _rank_bareiss(m: ExactMatrix) -> int:
+def _rank_bareiss(m: list) -> int:
     """Fraction-free elimination; denominators cleared up front."""
     a = []
-    for row in m.entries:
+    for row in m:
         den = 1
         for x in row:
             f = F(x)
             den = den * f.denominator // gcd(den, f.denominator)
         a.append([int(F(x) * den) for x in row])
-    rows, cols = m.rows, m.cols
+    rows, cols = len(m), len(m[0]) if m else 0
     rank = 0
     prev = 1
     for c in range(cols):
@@ -109,14 +135,14 @@ def _random_rational_matrix(rng, kind):
     return m
 
 
-def test_exact_rank_matches_bareiss_and_fraction_oracles():
+def test_int_rank_matches_bareiss_and_fraction_oracles():
     rng = random.Random(5084_11)
     deficient = full = 0
     kinds = ("empty", "zero", "square", "tall", "wide", "square")
     for i in range(360):
         m = _random_rational_matrix(rng, kinds[i % len(kinds)])
-        rank = exact_rank(m)
-        assert rank == _rank_bareiss(ExactMatrix(m)) == _fraction_row_reduce_rank(m), m
+        rank = _int_rank(m)
+        assert rank == _rank_bareiss(m) == _fraction_row_reduce_rank(m), m
         if m and m[0]:
             deficient += 0 < rank < min(len(m), len(m[0]))
             full += rank == min(len(m), len(m[0]))
@@ -128,7 +154,7 @@ def test_flip_symmetrizer_rank():
     flip = [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]
     s2 = [[flip[r][c] + (1 if r == c else 0) for c in range(4)] for r in range(4)]
     assert _fraction_row_reduce_rank(s2) == 3
-    assert exact_rank(s2) == 3
+    assert _int_rank(s2) == 3
 
 
 def test_rank_permutation_invariance():
@@ -136,19 +162,19 @@ def test_rank_permutation_invariance():
     for _ in range(10):
         rows, cols = rng.randrange(2, 6), rng.randrange(2, 6)
         m = [[rng.randrange(-4, 5) for _ in range(cols)] for _ in range(rows)]
-        r = exact_rank(m)
+        r = _int_rank(m)
         rp = list(range(rows))
         cp = list(range(cols))
         rng.shuffle(rp)
         rng.shuffle(cp)
         permuted = [[m[rp[i]][cp[j]] for j in range(cols)] for i in range(rows)]
-        assert exact_rank(permuted) == r
+        assert _int_rank(permuted) == r
         assert r == _fraction_row_reduce_rank(m)
 
 
 def test_rank_fraction_entries():
-    assert exact_rank([[F(1, 2), F(1, 3)], [F(3, 2), F(1, 1)]]) == 1   # det = 0
-    assert exact_rank([[F(1, 2), F(1, 3)], [F(1, 5), F(1, 1)]]) == 2
+    assert _int_rank([[F(1, 2), F(1, 3)], [F(3, 2), F(1, 1)]]) == 1   # det = 0
+    assert _int_rank([[F(1, 2), F(1, 3)], [F(1, 5), F(1, 1)]]) == 2
 
 
 def test_rank_q_generic():
@@ -156,12 +182,12 @@ def test_rank_q_generic():
     one = QRational.one()
     # rows proportional over Q(q)
     m = [[one, q], [q, q * q]]
-    assert exact_rank(m) == 1
+    assert _qlaurent_rank(m) == 1
     m2 = [[one, q], [q, one]]
-    assert exact_rank(m2) == 2
+    assert _qlaurent_rank(m2) == 2
 
 
-def _rank_qgeneric(m: ExactMatrix) -> int:
+def _rank_qgeneric(m: list) -> int:
     """Classical elimination with QRational pivots."""
     def lift(x):
         if isinstance(x, QRational):
@@ -170,8 +196,8 @@ def _rank_qgeneric(m: ExactMatrix) -> int:
             return QRational.from_laurent(x)
         return QRational.from_scalar(x)
 
-    a = [[lift(x) for x in row] for row in m.entries]
-    rows, cols = m.rows, m.cols
+    a = [[lift(x) for x in row] for row in m]
+    rows, cols = len(m), len(m[0]) if m else 0
     rank = 0
     for c in range(cols):
         sel = None
@@ -228,13 +254,13 @@ def _random_q_matrix(rng):
     return [[_disguise(rng, x) for x in row] for row in m]
 
 
-def test_exact_rank_q_generic_matches_dense_oracle():
+def test_qlaurent_rank_matches_dense_oracle_on_q_matrices():
     rng = random.Random(7_5084)
     deficient = 0
     for _ in range(160):
         m = _random_q_matrix(rng)
-        expected = _rank_qgeneric(ExactMatrix(m))
-        assert exact_rank(m) == expected, m
+        expected = _rank_qgeneric(m)
+        assert _qlaurent_rank(m) == expected, m
         deficient += expected < min(len(m), len(m[0]))
     assert deficient > 40
 
@@ -255,24 +281,32 @@ def test_sparse_qlaurent_rank_matches_dense_oracle_on_rmatrix_blocks(monkeypatch
     for rows in blocks:
         size = 1 + max((c for row in rows for c in row), default=0)
         dense = [[row.get(c, 0) for c in range(size)] for row in rows]
-        assert sparse_qlaurent_rank(rows) == _rank_qgeneric(ExactMatrix(dense))
+        assert sparse_qlaurent_rank(rows) == _rank_qgeneric(dense)
 
 
 def test_solve_identity():
-    sol = solve_linear(ExactMatrix.identity(3), [1, 0, 0])
-    assert sol.values == [1, 0, 0]
-    assert sol.unique
+    values, free_dim = solve_linear([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [1, 0, 0])
+    assert values == [1, 0, 0]
+    assert free_dim == 0
 
 
 def test_solve_underdetermined():
-    sol = solve_linear([[1, 1]], [2])
-    assert sol.free_dim == 1
-    assert sol.values[0] + sol.values[1] == 2
+    values, free_dim = solve_linear([[1, 1]], [2])
+    assert free_dim == 1
+    assert values[0] + values[1] == 2
 
 
 def test_solve_inconsistent():
     with pytest.raises(NoSolution):
         solve_linear([[1, 1], [1, 1]], [0, 1])
+
+
+def test_solve_linear_rejects_ragged_rows():
+    for rows, rhs in (([[1, 2], [3]], [0, 0]), ([[1], [2, 3]], [0, 0]), ([[1, 0], [0, 1], []], [1, 1, 1])):
+        with pytest.raises(ValueError, match="ragged"):
+            solve_linear(rows, rhs)
+    with pytest.raises(ValueError, match="rhs"):
+        solve_linear([[1, 0], [0, 1]], [1])
 
 
 def _solve_linear_gauss_jordan(m, rhs):
@@ -281,9 +315,8 @@ def _solve_linear_gauss_jordan(m, rhs):
     Returns (values, free_dim) with free variables set to 0, or None if the
     system is inconsistent.
     """
-    m = ExactMatrix(m)
-    rows, cols = m.rows, m.cols
-    a = [[F(x) for x in row] + [F(rhs[i])] for i, row in enumerate(m.entries)]
+    rows, cols = len(m), len(m[0]) if m else 0
+    a = [[F(x) for x in row] + [F(rhs[i])] for i, row in enumerate(m)]
     piv_cols = []
     rank = 0
     for c in range(cols):
@@ -313,10 +346,10 @@ def _solve_both_routes(m, rhs):
         with pytest.raises(NoSolution):
             solve_linear(m, rhs)
         return None
-    sol = solve_linear(m, rhs)
-    assert (sol.values, sol.free_dim) == expected
-    assert all(type(v) is F for v in sol.values)
-    return sol
+    values, free_dim = solve_linear(m, rhs)
+    assert (values, free_dim) == expected
+    assert all(type(v) is F for v in values)
+    return values, free_dim
 
 
 def _random_system(rng, rows, cols):
@@ -351,7 +384,7 @@ def test_solve_linear_matches_gauss_jordan_random():
     for _ in range(1500):
         m, rhs = _random_system(rng, rng.randrange(1, 7), rng.randrange(1, 6))
         sol = _solve_both_routes(m, rhs)
-        key = "inconsistent" if sol is None else ("unique" if sol.unique else "free")
+        key = "inconsistent" if sol is None else ("unique" if sol[1] == 0 else "free")
         outcomes[key] += 1
     assert min(outcomes.values()) > 100, outcomes
 
@@ -360,11 +393,11 @@ def test_solve_linear_matches_gauss_jordan_tall():
     # _solve_h's shape: many more equations than unknowns
     rng = random.Random(7)
     m, rhs = _random_system(rng, 120, 20)
-    assert _solve_both_routes(m, rhs).unique
+    assert _solve_both_routes(m, rhs)[1] == 0
     # last column = first + second: one free variable
     m = [row[:-1] + [F(row[0]) + row[1]] for row in m]
     rhs = [sum(F(a) * b for a, b in zip(row, range(1, 21))) for row in m]
-    assert _solve_both_routes(m, rhs).free_dim == 1
+    assert _solve_both_routes(m, rhs)[1] == 1
     rhs[-1] += 1
     assert _solve_both_routes(m, rhs) is None
 
@@ -383,7 +416,7 @@ def test_solve_linear_matches_gauss_jordan_on_fit_systems(monkeypatch):
     test_zeta_engine._fit_gh_by_search(6)
     assert len(seen) > 5 and max(len(m) for m, _ in seen) >= 100
     results = [_solve_both_routes(m, rhs) for m, rhs in seen]
-    assert results[-1] is not None and results[-1].unique
+    assert results[-1] is not None and results[-1][1] == 0
     assert any(r is None for r in results)
 
 
@@ -395,7 +428,7 @@ def test_sparse_int_rank_matches_dense():
                  for _ in range(rows)]
         sparse = [{c: v for c, v in enumerate(row) if v} for row in dense]
         rank, kept = sparse_int_rank(sparse, collect_kept=True)
-        assert rank == _rank_bareiss(ExactMatrix(dense))
+        assert rank == _rank_bareiss(dense)
         assert len(kept) == rank
 
 
@@ -507,10 +540,9 @@ def test_solve_linear_in_place_steps_match_cross_multiplication(monkeypatch):
 
     def solve(m, rhs):
         try:
-            sol = solve_linear(m, rhs)
+            return solve_linear(m, rhs)
         except NoSolution:
             return None
-        return sol.values, sol.free_dim
 
     got = [solve(m, rhs) for m, rhs in systems]
     monkeypatch.setattr(linalg, "_reduce", _reduce_by_cross_multiplication)
@@ -576,7 +608,7 @@ def test_laurent_unit_steps_match_cross_multiplication_and_dense_oracle():
             assert sparse_qlaurent_rank(rows) == rank
             if len(rows) * cols <= 20:              # the dense QRational oracle is slow beyond that
                 dense = [[row.get(c, 0) for c in range(cols)] for row in rows]
-                assert rank == _rank_qgeneric(ExactMatrix(dense)), rows
+                assert rank == _rank_qgeneric(dense), rows
                 dense_checked += 1
             saved_strips += ref_strips - strips
             deficient += rank < min(len(rows), cols)

@@ -42,6 +42,15 @@ def test_arithmetic():
         QRational(QLaurent.one(), QLaurent())
 
 
+def test_reflected_division_by_an_unsupported_type_is_a_type_error():
+    one = QRational.one()
+    for other in (1.5, "a", None):
+        with pytest.raises(TypeError):
+            other / one
+    assert 2 / QRational.from_laurent(QLaurent({1: 1})) == QRational(QLaurent({0: 2}), QLaurent({1: 1}))
+    assert F(1, 2) / one == QRational.from_scalar(F(1, 2))
+
+
 def test_invert_q_and_symmetry():
     qm = QLaurent({1: 1, -1: -1})
     sym = QRational(QLaurent({0: -2}), qm * qm)      # -2/(q-q^-1)^2

@@ -3,19 +3,19 @@ from math import comb
 
 import pytest
 
-from qzeta import BudgetExceeded, QLaurent, QZetaError, q_binom_sym, q_int_sym, quantum_trace_sym, rhat, sym_subspace_dims
+from qzeta import BudgetExceeded, QLaurent, QZetaError, RHat, q_binom_sym, q_int_sym, quantum_trace_sym, sym_subspace_dims
 from qzeta.rmatrix import trace_of_blocks
 
 
 def test_diagonal_action():
-    r = rhat(2)
+    r = RHat(2)
     assert r.columns[(0, 0)] == {(0, 0): QLaurent({1: 1})}
     assert r.columns[(1, 1)] == {(1, 1): QLaurent({1: 1})}
 
 
 def test_eigenvectors_n2():
     # symmetric: e12 + q e21 (eigenvalue q); antisymmetric: e12 - q^-1 e21 (eigenvalue -q^-1)
-    r = rhat(2)
+    r = RHat(2)
     sym = {(0, 1): QLaurent({0: 1}), (1, 0): QLaurent({1: 1})}
     got = r.apply_pair(sym)
     assert got == {k: v * QLaurent({1: 1}) for k, v in sym.items()}
@@ -25,7 +25,7 @@ def test_eigenvectors_n2():
 
 
 def test_classical_limit_is_flip():
-    r = rhat(3)
+    r = RHat(3)
     for pair, col in r.columns.items():
         classical = {target: c.eval_at(F(1)) for target, c in col.items()}
         classical = {t: c for t, c in classical.items() if c}
@@ -35,11 +35,11 @@ def test_classical_limit_is_flip():
 def test_relations_verified_at_construction():
     # would raise QZetaError inside the constructor if either relation failed
     for n in (2, 3, 4):
-        rhat(n)
+        RHat(n)
 
 
 def test_corrupted_rhat_fails_both_relations():
-    r = rhat(3)
+    r = RHat(3)
     # q in place of q - q^-1 on the diagonal of one column with i > j
     r.columns[(2, 0)] = {(0, 2): QLaurent.one(), (2, 0): QLaurent({1: 1})}
     with pytest.raises(QZetaError, match="Hecke"):
@@ -70,7 +70,7 @@ def test_quantum_trace_small():
 def test_trace_classical_specialization():
     from math import comb
 
-    r = rhat(3)
+    r = RHat(3)
     for j in range(5):
         assert quantum_trace_sym(3, j, r=r).eval_at(F(1)) == comb(3 + j - 1, j)
 

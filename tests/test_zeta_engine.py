@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+import sympy
 
 import qzeta.sl2 as sl2
 from qzeta import (
@@ -287,12 +288,12 @@ def _solve_h(ceta: list, dh: int, dg: int, order: int):
             rows.append([d.get(e, 0) for d in rest])
             rhs.append(-lead.get(e, 0))
     try:
-        sol = solve_linear(rows, rhs)
+        values, free_dim = solve_linear(rows, rhs)
     except NoSolution:
         return None
-    if not sol.unique:
+    if free_dim:
         return None
-    return [F(1)] + list(sol.values)
+    return [F(1)] + values
 
 
 def _strip_common_t_factor(g: QTPoly, h):
@@ -357,6 +358,48 @@ def test_fit_restarts_at_next_point_when_a_factor_is_lost(monkeypatch):
         assert built == list(range(len(built))), m
 
 
+_T = sympy.Symbol("t")
+
+
+def _cyclotomic_indices(h: QTPoly) -> list:
+    """Sorted k of the Phi_k dividing h, with multiplicity, by sympy's factorisation.
+
+    Asserts that h is +-1 times a product of cyclotomic polynomials.
+    """
+    coeffs = {(b,): F(c) for (_a, b), c in h.items()}
+    assert all(c.denominator == 1 for c in coeffs.values()), h
+    poly = sympy.Poly.from_dict({e: int(c) for e, c in coeffs.items()}, _T, domain="ZZ")
+    unit, factors = poly.factor_list()
+    assert unit in (1, -1), h
+    ks = []
+    for f, mult in factors:
+        d = f.degree()
+        # phi(k) >= sqrt(k / 2), so phi(k) = d bounds k by 2 d^2
+        k = next((k for k in range(1, 2 * d * d + 1) if sympy.totient(k) == d
+                  and f == sympy.Poly(sympy.cyclotomic_poly(k, _T), _T, domain="ZZ")), None)
+        assert k is not None, (h, f)
+        ks += [k] * mult
+    return sorted(ks)
+
+
+def _assert_cyclotomic_h(gh: GHPair):
+    """h_m is +-1 times a product of Phi_k, with the largest k and deg h observed for m = 2..14.
+
+    Measured structure, not a proven one: fit_gh assumes neither claim.  The
+    largest k is 2m - 2 for odd m and m - 1 for even m >= 4; deg h is
+    (m - 2)(m + 1) for odd m >= 3, m(m - 1)/2 for m = 2 (mod 4), m >= 6, and
+    m^2/2 - m + 1 for m = 0 (mod 4).
+    """
+    m = gh.m
+    ks = _cyclotomic_indices(gh.h)
+    dh = gh.h.t_degree()
+    if m % 2:
+        assert (ks[-1], dh) == (2 * m - 2, (m - 2) * (m + 1)), m
+    elif m >= 4:
+        assert ks[-1] == m - 1, m
+        assert dh == (m * (m - 1) // 2 if m % 4 == 2 else m * m // 2 - m + 1), m
+
+
 @pytest.mark.parametrize("m", [7, 8, 10, 12])
 def test_lemma46_beyond_m6(m):
     # Lemma 4.6 past the m <= 6 range of crit 09.  fit_gh(7) lands on
@@ -369,6 +412,7 @@ def test_lemma46_beyond_m6(m):
     assert gh.g.q_degree() - eta.q_degree() == -2
     assert gh.g.t_degree() - gh.h.t_degree() - eta.t_degree() == -(m + 1)
     assert (gh.h.t_degree(), gh.g.t_degree()) == (dh, dg)
+    _assert_cyclotomic_h(gh)
 
 
 def test_lemma46_m9_past_default_cap():
@@ -378,6 +422,7 @@ def test_lemma46_m9_past_default_cap():
     assert gh.g.q_degree() - eta.q_degree() == -2
     assert gh.g.t_degree() - gh.h.t_degree() - eta.t_degree() == -(9 + 1)
     assert (gh.h.t_degree(), gh.g.t_degree()) == (70, 65)
+    _assert_cyclotomic_h(gh)
 
 
 @pytest.mark.parametrize("m, cap, dh, dg", [(11, 120, 108, 102), (14, 91, 91, 83)])
@@ -390,6 +435,7 @@ def test_lemma46_m11_m14_with_raised_caps(m, cap, dh, dg):
     assert gh.g.q_degree() - eta.q_degree() == -2
     assert gh.g.t_degree() - gh.h.t_degree() - eta.t_degree() == -(m + 1)
     assert (gh.h.t_degree(), gh.g.t_degree()) == (dh, dg)
+    _assert_cyclotomic_h(gh)
 
 
 def test_fit_rejects_empty_search():
@@ -457,6 +503,8 @@ def fitted_roundtrips():
         mp.setattr(ze, "_certify", recording)
         fitted = {m: fit_gh(m) for m in range(2, 9)}
     assert [gh for gh, _order in seen] == list(fitted.values())
+    for gh in fitted.values():
+        _assert_cyclotomic_h(gh)
     return seen
 
 
