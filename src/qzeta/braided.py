@@ -38,6 +38,7 @@ import json
 
 from .errors import BudgetExceeded
 from .qcombinat import t_bracket
+from .qlaurent import _as_int
 from .qtpoly import QTPoly
 from .linalg import sparse_int_rank
 
@@ -152,9 +153,10 @@ def from_conjugacy_class(k: int, representative) -> BraidedSet:
     lexicographically by image tuples; the braiding is conjugation,
     Psi(x, y) = (x y x^-1, x), and the linearization sign is -1.
     """
+    k = _as_int(k, "k")
     if k < 2:
         raise ValueError("k must be >= 2")
-    rep = tuple(int(i) - 1 for i in representative)
+    rep = tuple(_as_int(i, "representative entry") - 1 for i in representative)
     if sorted(rep) != list(range(k)):
         raise ValueError("representative must be a permutation of 1..k")
     cls = {rep}

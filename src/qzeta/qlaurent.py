@@ -5,14 +5,13 @@ exact rationals, not just integers: braided dimensions of odd-weight sl2
 modules involve q^(-j(j+2)/2), which is half-integral.  Values are stored
 as a finitely supported map exponent -> coefficient with no zero entries.
 
-Exact division has two routes behind the one entry point ``exact_div``.
-When both operands have only ``int`` exponents and ``int`` coefficients --
-nearly every division the library does, such as the q-binomial chain and the
-division by q - q^-1 -- it is a dense integer long division.  Any
-``Fraction`` exponent or coefficient, or a step whose coefficient the
-divisor's lowest coefficient does not divide, sends the whole division to
-the ``Fraction`` loop ``_exact_div_fraction``.  Both routes give the same
-quotient and both raise ``ExactDivisionError`` on a nonzero remainder.
+This module also owns the dense form of a Laurent polynomial: its
+coefficient list in u = q^(1/L) on the common exponent lattice of the
+operands (``_exp_lattice``, ``_to_intpoly``, ``_from_intpoly``).  The one
+exact division, ``QLaurent.exact_div``, is a long division on that form,
+lowest exponent first; ``QRational`` divides out its gcd with it.
+Euclid's helpers ``tpoly_*`` divide the same lists from the highest
+exponent down and serve only the gcd of ``QRational``'s canonical form.
 """
 
 from __future__ import annotations
@@ -35,6 +34,13 @@ def _norm_num(x):
     if type(x) is Fraction and x.denominator == 1:
         return int(x)
     return x
+
+
+def _as_int(x, what: str) -> int:
+    """An integral value (2, 2.0, Fraction(2)) as an int; ValueError for any other value."""
+    if x != int(x):
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return int(x)
 
 
 class QLaurent:
@@ -257,23 +263,49 @@ class QLaurent:
     # -- exact division -------------------------------------------------
 
     def exact_div(self, other: "QLaurent") -> "QLaurent":
-        """Exact Laurent division; raises ExactDivisionError on nonzero remainder.
+        """Exact Laurent division; raises ExactDivisionError on a nonzero remainder.
 
-        Integer operands (``int`` exponents and coefficients on both sides)
-        take a dense integer long division.  Anything else, or a quotient
-        coefficient that is not an integer, takes the ``Fraction`` loop.
+        One dense long division, lowest exponent first, on the common
+        exponent lattice of the two operands.  Each quotient coefficient
+        stays an ``int`` while the divisor's lowest coefficient divides it;
+        from the first step where it does not, steps use ``Fraction``.
         """
         if other.is_zero:
             raise DivisionByZero("division by zero QLaurent")
         if self.is_zero:
             return QLaurent()
-        if _int_terms(self._terms) and _int_terms(other._terms):
-            quot = _exact_div_int(self._terms, other._terms)
-            if quot is not None:
-                res = QLaurent.__new__(QLaurent)
-                res._terms = quot
-                return res
-        return _exact_div_fraction(self, other)
+        lattice = _exp_lattice(self, other)
+        shift, rem = _to_intpoly(self, lattice)
+        shift_b, div = _to_intpoly(other, lattice)
+        shift -= shift_b
+        steps = len(rem) - len(div) + 1
+        if steps < 1:
+            raise ExactDivisionError("nonzero remainder in exact_div")
+        lead = div[0]
+        # rem[i] is not read again once step i is done, so the divisor's
+        # lowest term is left out of the update.
+        tail = [(j, d) for j, d in enumerate(div) if j and d]
+        integral = type(lead) is int
+        quot = {}
+        for i in range(steps):
+            c = rem[i]
+            if not c:
+                continue
+            if integral:
+                qc, r = divmod(c, lead)
+                integral = not r
+            if not integral:
+                qc = _norm_num(Fraction(c) / lead)
+            quot[shift + i] = qc
+            for j, d in tail:
+                rem[i + j] -= qc * d
+        if any(rem[steps:]):
+            raise ExactDivisionError("nonzero remainder in exact_div")
+        if lattice != 1:
+            quot = {_norm_num(Fraction(k, lattice)): c for k, c in quot.items()}
+        res = QLaurent.__new__(QLaurent)
+        res._terms = quot
+        return res
 
     def monomial_content(self):
         """(exponent, coefficient) of the common monomial factor, for a != 0.
@@ -323,76 +355,82 @@ class QLaurent:
         return f"QLaurent({self._terms!r})"
 
 
-def _int_terms(terms) -> bool:
-    """True when every exponent and coefficient is exactly an ``int``."""
-    return all(type(e) is int and type(c) is int for e, c in terms.items())
+# -- the dense form on the exponent lattice ------------------------------------
 
 
-def _exact_div_int(a: dict, b: dict):
-    """Dense integer long division of term maps a / b, lowest exponent first.
+def _exp_lattice(*polys) -> int:
+    """Common denominator of all exponents across the given QLaurents."""
+    d = 1
+    for p in polys:
+        for e in p._terms:
+            if type(e) is not int:
+                d = math.lcm(d, e.denominator)
+    return d
 
-    Returns the quotient's term map, or None when some step's coefficient is
-    not divisible by b's lowest coefficient (the quotient is not integral,
-    so the caller falls back to ``_exact_div_fraction``).  Raises
-    ExactDivisionError on a nonzero remainder, including a dividend whose
-    span is narrower than the divisor's.
+
+def _to_intpoly(p: QLaurent, lattice: int):
+    """Nonzero QLaurent -> (shift, coeffs) with p = u^shift * sum_i coeffs[i] u^i, u = q^(1/lattice).
+
+    ``coeffs[0]`` is nonzero; the entries are p's own coefficients, with int
+    0 in the gaps.  ``lattice`` must be a multiple of every exponent's
+    denominator.
     """
-    va, vb = min(a), min(b)
-    span_a, span_b = max(a) - va, max(b) - vb
-    if span_a < span_b:
-        raise ExactDivisionError("nonzero remainder in exact_div")
-    rem = [0] * (span_a + 1)
-    for e, c in a.items():
-        rem[e - va] = c
-    blow = b[vb]
-    # rem[i] is not read again once step i is done, so the divisor's lowest
-    # term is left out of the update.
-    divisor = [(e - vb, c) for e, c in b.items() if e != vb]
-    qv = va - vb
-    quot = {}
-    for i in range(span_a - span_b + 1):
-        c = rem[i]
-        if not c:
-            continue
-        qc, r = divmod(c, blow)
-        if r:
-            return None
-        quot[qv + i] = qc
-        for j, d in divisor:
-            rem[i + j] -= qc * d
-    if any(rem[span_a - span_b + 1:]):
-        raise ExactDivisionError("nonzero remainder in exact_div")
-    return quot
+    terms = p._terms
+    v = min(terms)
+    if lattice == 1:
+        coeffs = [0] * (max(terms) - v + 1)
+        for e, c in terms.items():
+            coeffs[e - v] = c
+        return v, coeffs
+    coeffs = [0] * (int((max(terms) - v) * lattice) + 1)
+    for e, c in terms.items():
+        k = (e - v) * lattice
+        if k.denominator != 1:
+            raise ValueError("exponent not on the common lattice")
+        coeffs[k.numerator] = c
+    return int(v * lattice), coeffs
 
 
-def _exact_div_fraction(a: QLaurent, b: QLaurent) -> QLaurent:
-    """Exact division of nonzero a by nonzero b over the rationals.
+def _from_intpoly(coeffs, shift, lattice: int) -> QLaurent:
+    terms = {}
+    for i, c in enumerate(coeffs):
+        if c:
+            terms[Fraction(i + shift, lattice)] = c
+    return QLaurent(terms)
 
-    The general route, for ``Fraction`` exponents or coefficients; it also
-    serves as the oracle for the integer route.  Raises ExactDivisionError
-    on a nonzero remainder.
-    """
-    vb, db = b.valuation(), b.degree()
-    blow = b._terms[vb]
-    rem = dict(a._terms)
-    quot = {}
-    # divide from the lowest exponent upwards; quotient exponents are
-    # bounded by deg(a) - deg(b), which bounds the loop.
-    max_qexp = a.degree() - db
-    while rem:
-        e_low = min(rem)
-        qe = e_low - vb
-        if qe > max_qexp:
-            raise ExactDivisionError("nonzero remainder in exact_div")
-        qc = Fraction(rem[e_low]) / blow
-        quot[qe] = _norm_num(qc)
-        for e2, c2 in b._terms.items():
-            e = qe + e2
-            v = rem.get(e, 0) - qc * c2
-            if v:
-                rem[e] = v
-            elif e in rem:
-                del rem[e]
-    res = QLaurent.__new__(QLaurent)
-    res._terms = {_norm_num(e): c for e, c in quot.items() if c}
-    return res
+
+# -- Euclid on dense Fraction coefficient lists, for QRational's gcd -----------
+
+
+def tpoly_trim(p):
+    while p and p[-1] == 0:
+        p = p[:-1]
+    return p
+
+
+def tpoly_divmod(p, d):
+    d = tpoly_trim(list(d))
+    if not d:
+        raise ZeroDivisionError("t-polynomial division by zero")
+    rem = [Fraction(x) for x in p]
+    quot = [Fraction(0)] * max(len(rem) - len(d) + 1, 0)
+    while len(tpoly_trim(rem)) >= len(d):
+        rem = tpoly_trim(rem)
+        shift = len(rem) - len(d)
+        f = rem[-1] / d[-1]
+        quot[shift] += f
+        for i, c in enumerate(d):
+            rem[shift + i] -= f * c
+    return tpoly_trim(quot), tpoly_trim(rem)
+
+
+def tpoly_gcd(p, r):
+    """Monic gcd over the rationals."""
+    a, b = tpoly_trim([Fraction(x) for x in p]), tpoly_trim([Fraction(x) for x in r])
+    while b:
+        _, rem = tpoly_divmod(a, b)
+        a, b = b, rem
+    if a:
+        lead = a[-1]
+        a = [x / lead for x in a]
+    return a

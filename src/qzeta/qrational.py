@@ -1,53 +1,20 @@
 """Exact rational functions of q: quotients of QLaurent polynomials.
 
-Canonical form: the fraction is reduced by a polynomial gcd (computed on an
-integer exponent lattice, so half-integer exponents are supported), the
+Canonical form: the fraction is reduced by a polynomial gcd, the
 denominator carries no monomial content, and its lowest-exponent
 coefficient is normalized to 1.  Structural equality on canonical forms is
-then genuine equality of rational functions.
+then genuine equality of rational functions.  The gcd is taken on the dense
+form that ``qlaurent`` owns (coefficient lists on the common exponent
+lattice, so half-integer exponents are supported) and divided out with
+``QLaurent.exact_div``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _igcd
 
-from .errors import DivisionByZero, ExactDivisionError, QZetaError
-from .qlaurent import QLaurent
-from .qtpoly import tpoly_divmod, tpoly_gcd
-
-
-def _exp_lattice(*polys):
-    """Common denominator of all exponents across the given QLaurents."""
-    d = 1
-    for p in polys:
-        for e, _ in p.items():
-            if isinstance(e, Fraction):
-                d = d * e.denominator // _igcd(d, e.denominator)
-    return d
-
-
-def _to_intpoly(p: QLaurent, lattice: int):
-    """QLaurent -> (shift, coeff list) with u = q^(1/lattice) and val 0."""
-    v = p.valuation()
-    shift = v * lattice
-    terms = {}
-    for e, c in p.items():
-        k = (e - v) * lattice
-        ik = int(k)
-        if ik != k:
-            raise ValueError("exponent not on the common lattice")
-        terms[ik] = Fraction(c)
-    deg = max(terms)
-    return shift, [terms.get(i, Fraction(0)) for i in range(deg + 1)]
-
-
-def _from_intpoly(coeffs, shift, lattice: int) -> QLaurent:
-    terms = {}
-    for i, c in enumerate(coeffs):
-        if c:
-            terms[Fraction(i + shift, lattice)] = c
-    return QLaurent(terms)
+from .errors import DivisionByZero
+from .qlaurent import QLaurent, _exp_lattice, _from_intpoly, _to_intpoly, tpoly_gcd
 
 
 class QRational:
@@ -70,21 +37,14 @@ class QRational:
         if num.is_zero:
             return QLaurent(), QLaurent.one()
         lat = _exp_lattice(num, den)
-        sn, pn = _to_intpoly(num, lat)
-        sd, pd = _to_intpoly(den, lat)
-        g = tpoly_gcd(pn, pd)
+        g = tpoly_gcd(_to_intpoly(num, lat)[1], _to_intpoly(den, lat)[1])
         if len(g) > 1:
-            pn, rn = tpoly_divmod(pn, g)
-            pd, rd = tpoly_divmod(pd, g)
-            if rn or rd:
-                raise ExactDivisionError("inexact division after gcd reduction")
-        # denominator: valuation 0, lowest coefficient 1; shift goes to num
-        lead = pd[0]
-        if lead == 0:
-            raise QZetaError("reduced denominator has no constant term")
-        pd = [c / lead for c in pd]
-        pn = [c / lead for c in pn]
-        return _from_intpoly(pn, sn - sd, lat), _from_intpoly(pd, 0, 1 if lat == 1 else lat)
+            g = _from_intpoly(g, 0, lat)
+            num, den = num.exact_div(g), den.exact_div(g)
+        # denominator: valuation 0, lowest coefficient 1; the shift goes to num
+        vd = den.valuation()
+        unit = QLaurent({-vd: Fraction(1) / den.coeff(vd)})
+        return num * unit, den * unit
 
     # -- constructors ---------------------------------------------------
 

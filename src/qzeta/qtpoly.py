@@ -5,14 +5,15 @@ QTPoly holds finitely many terms q^a t^b with exact rational coefficients
 shape that every zeta function in this library takes: a QTPoly numerator
 over a multiset of factors (1 - q^a t^b), which expands exactly to any
 series order: dividing by each factor is the recurrence
-out[j] = s[j] + q^a out[j - b].
+out[j] = s[j] + q^a out[j - b].  Univariate dense polynomials (the gcd that
+``QRational`` needs) live in ``qlaurent``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .qlaurent import QLaurent, _norm_num
+from .qlaurent import QLaurent, _as_int, _norm_num
 from .tseries import TSeries, _over_one_minus_rows
 
 
@@ -28,7 +29,7 @@ class QTPoly:
             for (a, b), c in items:
                 if c == 0:
                     continue
-                b = int(b)
+                b = _as_int(b, "t-exponent")
                 if b < 0:
                     raise ValueError("t-exponents must be non-negative")
                 key = (_norm_num(a), b)
@@ -63,7 +64,7 @@ class QTPoly:
         return not self._terms
 
     def coeff(self, a, b) -> Fraction | int:
-        return self._terms.get((_norm_num(a), int(b)), 0)
+        return self._terms.get((_norm_num(a), _as_int(b, "t-exponent")), 0)
 
     def t_coeff(self, b: int) -> QLaurent:
         return QLaurent({a: c for (a, bb), c in self._terms.items() if bb == b})
@@ -190,10 +191,11 @@ class FactoredRatQT:
         self.numerator = numerator
         canon = {}
         for (a, b), mult in factors:
+            b, mult = _as_int(b, "factor t-exponent"), _as_int(mult, "factor multiplicity")
             if b <= 0 or mult <= 0:
                 raise ValueError("factor t-exponent and multiplicity must be positive")
-            key = (_norm_num(a), int(b))
-            canon[key] = canon.get(key, 0) + int(mult)
+            key = (_norm_num(a), b)
+            canon[key] = canon.get(key, 0) + mult
         self.factors = tuple(sorted(canon.items()))
 
     @classmethod
@@ -255,42 +257,3 @@ class FactoredRatQT:
     def __repr__(self):
         return f"FactoredRatQT({self})"
 
-
-# -- exact univariate helpers on Fraction coefficient lists ----------------
-# The library's only univariate polynomial code.  In the library they serve
-# the canonical form of QRational, whose numerator and denominator are read as
-# polynomials on their common exponent lattice.
-
-
-def tpoly_trim(p):
-    while p and p[-1] == 0:
-        p = p[:-1]
-    return p
-
-
-def tpoly_divmod(p, d):
-    d = tpoly_trim(list(d))
-    if not d:
-        raise ZeroDivisionError("t-polynomial division by zero")
-    rem = [Fraction(x) for x in p]
-    quot = [Fraction(0)] * max(len(rem) - len(d) + 1, 0)
-    while len(tpoly_trim(rem)) >= len(d):
-        rem = tpoly_trim(rem)
-        shift = len(rem) - len(d)
-        f = rem[-1] / d[-1]
-        quot[shift] += f
-        for i, c in enumerate(d):
-            rem[shift + i] -= f * c
-    return tpoly_trim(quot), tpoly_trim(rem)
-
-
-def tpoly_gcd(p, r):
-    """Monic gcd over the rationals."""
-    a, b = tpoly_trim([Fraction(x) for x in p]), tpoly_trim([Fraction(x) for x in r])
-    while b:
-        _, rem = tpoly_divmod(a, b)
-        a, b = b, rem
-    if a:
-        lead = a[-1]
-        a = [x / lead for x in a]
-    return a

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import BudgetExceeded, QZetaError
-from .qcombinat import gaussian_coeffs, gaussian_steps
+from .qcombinat import gaussian_coeffs, gaussian_steps, q_int_sym
 from .qlaurent import QLaurent
 
 DEFAULT_WEIGHT_BUDGET = 200
@@ -71,7 +71,7 @@ def character(d: Sl2Decomposition) -> QLaurent:
     """Formal character: V_m contributes q^m + q^(m-2) + ... + q^-m = (m+1)_q."""
     acc = QLaurent()
     for m, mult in d.parts.items():
-        acc = acc + QLaurent({m - 2 * i: mult for i in range(m + 1)})
+        acc = acc + q_int_sym(m + 1) * mult
     return acc
 
 
@@ -86,7 +86,7 @@ def peel_character(chi: QLaurent) -> Sl2Decomposition:
             raise ValueError(f"not a genuine sl2 character: top term {mult} q^{top}")
         mult = int(mult)
         parts[top] = mult
-        rem = rem - QLaurent({top - 2 * i: mult for i in range(top + 1)})
+        rem = rem - q_int_sym(top + 1) * mult
     return Sl2Decomposition(parts)
 
 
@@ -207,5 +207,5 @@ def dimq(d: Sl2Decomposition) -> QLaurent:
     acc = QLaurent()
     for m, mult in d.parts.items():
         twist = Fraction(-m * (m + 2), 2)
-        acc = acc + QLaurent({twist + (m - 2 * i): mult for i in range(m + 1)})
+        acc = acc + QLaurent({twist: mult}) * q_int_sym(m + 1)
     return acc

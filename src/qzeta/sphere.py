@@ -20,7 +20,6 @@ from math import comb
 from .errors import DivergentSum, QZetaError
 from .qlaurent import QLaurent
 from .qrational import QRational
-from .qtpoly import FactoredRatQT
 from .zeta_engine import zeta_vm_closed
 
 MAX_S_DEGREE = 2
@@ -207,17 +206,13 @@ def even_part_zeta_at_pm1(m: int) -> QRational:
     if m % 2 == 0:
         raise ValueError("even-part evaluation applies to odd m only")
     closed = zeta_vm_closed(m)
+    den = closed.denominator_poly()
     total = QRational.zero()
     for tval in (Fraction(1), Fraction(-1)):
-        num = QRational.from_laurent(closed.numerator.eval_t(tval))
-        den = QRational.one()
-        for (a, b), mult in closed.factors:
-            factor = QLaurent({0: 1}) - QLaurent({a: tval**b})
-            if factor.is_zero:
-                raise QZetaError(f"pole of zeta(V_{m}) at t = {tval}")
-            for _ in range(mult):
-                den = den * QRational.from_laurent(factor)
-        total = total + num / den
+        den_t = den.eval_t(tval)
+        if den_t.is_zero:
+            raise QZetaError(f"pole of zeta(V_{m}) at t = {tval}")
+        total = total + QRational(closed.numerator.eval_t(tval), den_t)
     return total * Fraction(1, 2)
 
 

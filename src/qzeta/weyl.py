@@ -9,7 +9,7 @@ inner products against a dominant weight need no Killing-form matrix:
 from __future__ import annotations
 
 from .qcombinat import q_binom_sym, q_int_sym
-from .qlaurent import QLaurent
+from .qlaurent import QLaurent, _as_int
 from .qtpoly import FactoredRatQT, QTPoly
 from .tseries import TSeries
 
@@ -20,9 +20,10 @@ class DominantWeightA:
     __slots__ = ("n", "coeffs")
 
     def __init__(self, n: int, coeffs):
+        n = _as_int(n, "rank parameter n")
         if n < 2:
             raise ValueError("rank parameter n must be >= 2")
-        coeffs = tuple(int(c) for c in coeffs)
+        coeffs = tuple(_as_int(c, "weight coefficient") for c in coeffs)
         if len(coeffs) != n - 1:
             raise ValueError(f"expected {n - 1} coefficients for sl_{n}")
         if any(c < 0 for c in coeffs):

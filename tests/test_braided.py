@@ -199,6 +199,11 @@ def test_conjugacy_class_input_validation():
         from_conjugacy_class(1, (1,))
     with pytest.raises(ValueError):
         from_conjugacy_class(3, (1, 1, 2))
+    # (2.7, 1, 3) would truncate to the transposition (2, 1, 3)
+    for k, rep in ((3, (2.7, 1, 3)), (3.5, (2, 1, 3))):
+        with pytest.raises(ValueError, match="must be an integer"):
+            from_conjugacy_class(k, rep)
+    assert from_conjugacy_class(3.0, (2.0, Fraction(1), 3)).size == 3
 
 
 # -- oracles: the routes the ladder and the quadratic variant used before ------

@@ -5,7 +5,25 @@ from hypothesis import given, strategies as st
 
 from qzeta import DivisionByZero, ExactDivisionError, QLaurent
 from qzeta.qcombinat import q_int_sym
-from qzeta.qlaurent import _exact_div_fraction, _exact_div_int
+from qzeta.qlaurent import _exp_lattice, _from_intpoly, _to_intpoly, tpoly_divmod
+
+
+def _euclid_div(a, b):
+    """Oracle for exact_div: Euclid's highest-first division on the dense lists of the common lattice."""
+    if a.is_zero:
+        return QLaurent()
+    lattice = _exp_lattice(a, b)
+    shift_a, pa = _to_intpoly(a, lattice)
+    shift_b, pb = _to_intpoly(b, lattice)
+    quot, rem = tpoly_divmod(pa, pb)
+    if rem:
+        raise ExactDivisionError("nonzero remainder")
+    return _from_intpoly(quot, shift_a - shift_b, lattice)
+
+
+def _typed(p):
+    """Terms of p with the type of every exponent and coefficient."""
+    return {(e, type(e)): (c, type(c)) for e, c in p.items()}
 
 
 def test_difference_of_squares():
@@ -64,9 +82,9 @@ def test_exact_div():
     num = QLaurent({2: 1, -2: -1})          # q^2 - q^-2
     den = QLaurent({1: 1, -1: -1})          # q - q^-1, lowest coefficient -1
     quot = QLaurent({1: 1, -1: 1})
-    assert _exact_div_int(num._terms, den._terms) == quot._terms
-    assert num.exact_div(den) == quot == _exact_div_fraction(num, den)
-    for route in (QLaurent.exact_div, _exact_div_fraction):
+    assert _typed(num.exact_div(den)) == _typed(quot)
+    assert num.exact_div(den) == quot == _euclid_div(num, den)
+    for route in (QLaurent.exact_div, _euclid_div):
         with pytest.raises(ExactDivisionError):
             route(QLaurent({1: 1, 0: 1}), den)
 
@@ -115,27 +133,28 @@ def test_parts_partition(a):
     assert parts[0] + parts[1] + parts[2] == a
 
 
-# -- the two exact-division routes ----------------------------------------------
+# -- exact division against Euclid's route ----------------------------------
 
 
 def test_exact_div_dividend_narrower_than_divisor():
     num = QLaurent({0: 1, 1: 1})
     den = QLaurent({0: 1, 2: 1})
-    with pytest.raises(ExactDivisionError):
-        _exact_div_int(num._terms, den._terms)
-    for route in (QLaurent.exact_div, _exact_div_fraction):
+    for route in (QLaurent.exact_div, _euclid_div):
         with pytest.raises(ExactDivisionError):
             route(num, den)
 
 
 def test_exact_div_fraction_fallback():
-    # half-integer exponents and Fraction coefficients take the Fraction route
+    # half-integer exponents and Fraction coefficients
     a = QLaurent({F(1, 2): 1, F(-1, 2): F(1, 3), 2: -4})
     b = QLaurent({F(1, 2): 1, F(-3, 2): 2})
-    assert (a * b).exact_div(b) == a == _exact_div_fraction(a * b, b)
-    # integer operands whose quotient is not integral fall back as well
-    assert _exact_div_int({0: 1, 1: 1}, {0: 2}) is None
+    assert (a * b).exact_div(b) == a == _euclid_div(a * b, b)
+    # integer operands whose quotient is not integral switch to Fraction steps
     assert QLaurent({0: 1, 1: 1}).exact_div(QLaurent({0: 2})) == QLaurent({0: F(1, 2), 1: F(1, 2)})
+    # steps stay int until the lowest coefficient fails to divide; integral
+    # Fraction steps after the switch come out as int
+    quot = QLaurent({0: 2, 1: 1, 2: 2}).exact_div(QLaurent({0: 2}))
+    assert _typed(quot) == {(0, int): (1, int), (1, int): (F(1, 2), F), (2, int): (1, int)}
 
 
 nonzero_laurents = st.dictionaries(exps, coeffs.filter(bool), min_size=1).map(QLaurent)
@@ -155,8 +174,8 @@ def divisors(draw):
 @given(nonzero_laurents, divisors())
 def test_exact_div_routes_agree(a, b):
     p = a * b
-    assert _exact_div_int(p._terms, b._terms) == a._terms
-    assert p.exact_div(b) == a == _exact_div_fraction(p, b)
+    assert _typed(p.exact_div(b)) == _typed(a)
+    assert p.exact_div(b) == a == _euclid_div(p, b)
 
 
 @given(laurents, divisors(), st.data())
@@ -166,9 +185,39 @@ def test_exact_div_routes_raise_on_remainder(a, b, data):
         st.dictionaries(st.integers(min_value=vb, max_value=db - 1), coeffs.filter(bool), min_size=1)
     )
     p = a * b + QLaurent(r)
-    for route in (QLaurent.exact_div, _exact_div_fraction):
+    for route in (QLaurent.exact_div, _euclid_div):
         with pytest.raises(ExactDivisionError):
             route(p, b)
+
+
+half_exps = st.integers(min_value=-8, max_value=8).map(lambda k: F(k, 2))
+rat_coeffs = st.one_of(coeffs, st.fractions(min_value=-4, max_value=4, max_denominator=6))
+half_laurents = st.dictionaries(half_exps, rat_coeffs, max_size=4).map(QLaurent)
+half_divisors = st.dictionaries(half_exps, rat_coeffs.filter(bool), min_size=2, max_size=4).map(QLaurent)
+
+
+def _canonical_types(p):
+    """Exponents and coefficients are int when integral and Fraction otherwise, never float."""
+    return all(
+        type(x) is int or (type(x) is F and x.denominator != 1) for e, c in p.items() for x in (e, c)
+    )
+
+
+@given(half_laurents, half_divisors, st.data())
+def test_exact_div_half_integer_exponents_and_fraction_coefficients(a, b, data):
+    p = a * b
+    quot = p.exact_div(b)
+    assert quot == a == _euclid_div(p, b)
+    assert _typed(quot) == _typed(a) and _canonical_types(quot)
+    # a nonzero r supported strictly inside b's span is never a multiple of b
+    vb, db = b.valuation(), b.degree()
+    r = data.draw(st.dictionaries(
+        st.integers(min_value=0, max_value=int(2 * (db - vb)) - 1).map(lambda k: vb + F(k, 2)),
+        rat_coeffs.filter(bool), min_size=1,
+    ))
+    for route in (QLaurent.exact_div, _euclid_div):
+        with pytest.raises(ExactDivisionError):
+            route(p + QLaurent(r), b)
 
 
 def test_from_sums_collapses_integral_fractions():

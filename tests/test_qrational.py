@@ -6,7 +6,7 @@ import sympy
 
 import qzeta.qrational as qrational
 from qzeta import DivisionByZero, ExactDivisionError, QLaurent, QRational
-from qzeta.qtpoly import tpoly_divmod
+from qzeta.qlaurent import tpoly_divmod
 
 
 def test_reduction():

@@ -5,7 +5,7 @@ import pytest
 
 from qzeta import FactoredRatQT, QLaurent, QTPoly, geometric_series
 from qzeta.qcombinat import q_int_sym
-from qzeta.qtpoly import tpoly_divmod, tpoly_gcd
+from qzeta.qlaurent import tpoly_divmod, tpoly_gcd
 from qzeta.refdata import reference_cm_closed
 from qzeta.weyl import zeta_cn_closed
 
@@ -104,6 +104,21 @@ def test_qtpoly_invert_q_and_eval():
 def test_qtpoly_negative_t_rejected():
     with pytest.raises(ValueError):
         QTPoly({(0, -1): 1})
+
+
+def test_non_integral_t_exponents_and_multiplicities_rejected():
+    # int() used to truncate: QTPoly({(0, 1.5): 1}) printed t, and the factor
+    # ((0, 1), 2.7) printed 1/(1 - t)^2
+    for bad in (lambda: QTPoly({(0, 1.5): 1}), lambda: QTPoly.one().coeff(0, F(1, 2)),
+                lambda: FactoredRatQT(QTPoly.one(), [((0, 1), 2.7)]),
+                lambda: FactoredRatQT(QTPoly.one(), [((0, 1.5), 1)])):
+        with pytest.raises(ValueError, match="must be an integer"):
+            bad()
+    assert QTPoly({(0, 2.0): 1}) == QTPoly({(0, F(2)): 1}) == QTPoly({(0, 2): 1})
+    assert QTPoly({(0, 2): 3}).coeff(0, 2.0) == 3
+    f = FactoredRatQT(QTPoly.one(), [((0, 1.0), F(2))])
+    assert f.factors == (((0, 1), 2),) and str(f) == "1/(1 - t)^2"
+    assert all(type(x) is int for (_a, b), mult in f.factors for x in (b, mult))
 
 
 def test_t_coeff_list():

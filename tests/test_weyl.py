@@ -35,6 +35,13 @@ def test_weyl_validates_input():
         DominantWeightA(3, [-1, 0])
     with pytest.raises(ValueError):
         DominantWeightA(1, [])
+    # non-integral values are rejected, not truncated; integral ones are ints
+    for n, coeffs in ((3, [1.9, 0]), (2.5, [1]), (3, [F(1, 2), 0])):
+        with pytest.raises(ValueError, match="must be an integer"):
+            DominantWeightA(n, coeffs)
+    w = DominantWeightA(3.0, [2.0, F(1)])
+    assert (w.n, w.coeffs) == (3, (2, 1)) and type(w.n) is int
+    assert all(type(c) is int for c in w.coeffs)
 
 
 def test_zeta_closed_structure():

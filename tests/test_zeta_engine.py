@@ -30,7 +30,8 @@ from qzeta import (
 )
 from qzeta.errors import ExactDivisionError, NoSolution
 from qzeta.linalg import solve_linear
-from qzeta.qtpoly import FactoredRatQT, tpoly_divmod, tpoly_gcd, tpoly_trim
+from qzeta.qlaurent import tpoly_divmod, tpoly_gcd, tpoly_trim
+from qzeta.qtpoly import FactoredRatQT
 from qzeta.refdata import reference_cm_closed, reference_gh
 from qzeta.zeta_engine import _BerlekampMassey, _certify, _cm_eta_rows
 
