@@ -43,6 +43,23 @@ def _as_int(x, what: str) -> int:
     return int(x)
 
 
+def _exact(x, what: str) -> Coeff:
+    """x as a canonical exact number: an int, or a Fraction that is not integral.
+
+    Integral values of other types (2.0, Fraction(2), True) become int; any
+    other value (1.5, 0.1, "1/2") raises ValueError, so no float enters a
+    polynomial.  Constructors call it only for values that are not ints.
+    """
+    if type(x) is Fraction:
+        return int(x) if x.denominator == 1 else x
+    try:
+        if x == int(x):
+            return int(x)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{what} must be an int or a Fraction, got {x!r}")
+
+
 class QLaurent:
     """Immutable Laurent polynomial in q over the rationals."""
 
@@ -55,7 +72,10 @@ class QLaurent:
             for e, c in items:
                 if c == 0:
                     continue
-                e = _norm_num(e if isinstance(e, (int, Fraction)) else Fraction(e))
+                if type(e) is not int:
+                    e = _exact(e, "exponent")
+                if type(c) is not int:
+                    c = _exact(c, "coefficient")
                 clean[e] = clean.get(e, 0) + c
                 if clean[e] == 0:
                     del clean[e]

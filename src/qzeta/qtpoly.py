@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .qlaurent import QLaurent, _as_int, _norm_num
+from .qlaurent import QLaurent, _as_int, _exact, _norm_num
 from .tseries import TSeries, _over_one_minus_rows
 
 
@@ -32,7 +32,11 @@ class QTPoly:
                 b = _as_int(b, "t-exponent")
                 if b < 0:
                     raise ValueError("t-exponents must be non-negative")
-                key = (_norm_num(a), b)
+                if type(a) is not int:
+                    a = _exact(a, "q-exponent")
+                if type(c) is not int:
+                    c = _exact(c, "coefficient")
+                key = (a, b)
                 clean[key] = clean.get(key, 0) + c
                 if clean[key] == 0:
                     del clean[key]
@@ -194,7 +198,7 @@ class FactoredRatQT:
             b, mult = _as_int(b, "factor t-exponent"), _as_int(mult, "factor multiplicity")
             if b <= 0 or mult <= 0:
                 raise ValueError("factor t-exponent and multiplicity must be positive")
-            key = (_norm_num(a), b)
+            key = (a if type(a) is int else _exact(a, "factor q-exponent"), b)
             canon[key] = canon.get(key, 0) + mult
         self.factors = tuple(sorted(canon.items()))
 

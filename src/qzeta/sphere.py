@@ -7,22 +7,20 @@ formally.  This module hard-codes exactly that grouping (the proof's
 "minimal prescription") and exposes no general re-grouping API: combining
 divergent series differently gives different answers.
 
-Summands live in SExpr: finite combinations coeff(q) * s^d * q^(a s) with
-d <= 2.  Infinite sums reject any s-independent term with a nonzero
-coefficient instead of assigning it a value.
+Summands live in SExpr: finite combinations of geometric terms
+coeff(q) * q^(a s) with integer slope a.  Every sum, finite or infinite,
+rejects an s-independent term (a = 0) with a nonzero coefficient instead of
+assigning it a value.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 
 from .errors import DivergentSum, QZetaError
 from .qlaurent import QLaurent
 from .qrational import QRational
 from .zeta_engine import zeta_vm_closed
-
-MAX_S_DEGREE = 2
 
 
 def _qr(num_terms, den_terms=None) -> QRational:
@@ -31,28 +29,20 @@ def _qr(num_terms, den_terms=None) -> QRational:
 
 
 class SExpr:
-    """Merged summand: finite sum of coeff * s^d * q^(a s) terms, d in 0..2."""
+    """Merged summand: finite sum of terms coeff * q^(a s), held as (coeff, a) pairs."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=()):
-        merged: dict[tuple[int, int], QRational] = {}
-        for coeff, d, a in terms:
+        merged: dict[int, QRational] = {}
+        for coeff, a in terms:
             if not isinstance(coeff, QRational):
                 coeff = QRational.from_laurent(coeff) if isinstance(coeff, QLaurent) else QRational.from_scalar(coeff)
-            if d != int(d) or a != int(a):
-                raise QZetaError(f"s-degree {d} and slope {a} of a term s^d q^(a s) must be integers")
-            if d < 0 or d > MAX_S_DEGREE:
-                raise QZetaError(f"s-degree {d} outside the supported range 0..{MAX_S_DEGREE}")
-            key = (int(d), int(a))
-            merged[key] = merged.get(key, QRational.zero()) + coeff
-        self.terms = tuple(
-            (coeff, d, a) for (d, a), coeff in sorted(merged.items()) if not coeff.is_zero
-        )
-
-    @classmethod
-    def zero(cls):
-        return cls()
+            if a != int(a):
+                raise QZetaError(f"slope {a} of a term q^(a s) must be an integer")
+            a = int(a)
+            merged[a] = merged.get(a, QRational.zero()) + coeff
+        self.terms = tuple((coeff, a) for a, coeff in sorted(merged.items()) if not coeff.is_zero)
 
     def __add__(self, other):
         if not isinstance(other, SExpr):
@@ -61,16 +51,10 @@ class SExpr:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, QLaurent, QRational)):
-            return SExpr([(c * other, d, a) for c, d, a in self.terms])
+            return SExpr([(c * other, a) for c, a in self.terms])
         if not isinstance(other, SExpr):
             return NotImplemented
-        out = []
-        for c1, d1, a1 in self.terms:
-            for c2, d2, a2 in other.terms:
-                if d1 + d2 > MAX_S_DEGREE:
-                    raise QZetaError(f"s-degree {d1 + d2} exceeds cap {MAX_S_DEGREE}")
-                out.append((c1 * c2, d1 + d2, a1 + a2))
-        return SExpr(out)
+        return SExpr([(c1 * c2, a1 + a2) for c1, a1 in self.terms for c2, a2 in other.terms])
 
     __rmul__ = __mul__
 
@@ -80,7 +64,7 @@ class SExpr:
         return self.terms == other.terms
 
     def __repr__(self):
-        bits = [f"({c}) s^{d} q^({a}s)" for c, d, a in self.terms]
+        bits = [f"({c}) q^({a}s)" for c, a in self.terms]
         return "SExpr[" + " + ".join(bits) + "]" if bits else "SExpr[0]"
 
 
@@ -88,85 +72,56 @@ def q_int_sym_sexpr(slope: int, shift: int) -> SExpr:
     """(slope*s + shift)_q as an SExpr in s: (q^(slope s + shift) - q^-(...))/(q - q^-1)."""
     inv_qmq = _qr({0: 1}, {1: 1, -1: -1})
     return SExpr([
-        (inv_qmq * QLaurent({shift: 1}), 0, slope),
-        (inv_qmq * QLaurent({-shift: -1}), 0, -slope),
+        (inv_qmq * QLaurent({shift: 1}), slope),
+        (inv_qmq * QLaurent({-shift: -1}), -slope),
     ])
 
 
-# geometric sums G_r(x) = sum_{k>=1} k^r x^k
-def _geom_k(r: int, a: int) -> QRational:
+def _geom(a: int) -> QRational:
+    """The geometric sum G(x) = sum_{k>=1} x^k = x/(1 - x) at x = q^a."""
     x = QRational.from_laurent(QLaurent({a: 1}))
-    one = QRational.one()
-    if r == 0:
-        return x / (one - x)
-    if r == 1:
-        return x / ((one - x) * (one - x))
-    if r == 2:
-        return x * (one + x) / ((one - x) * (one - x) * (one - x))
-    raise QZetaError(f"unsupported s-degree {r}")
+    return x / (QRational.one() - x)
 
 
 def _sum_inf(expr: SExpr) -> QRational:
-    """Formal sum over s >= 0; s-independent terms with nonzero coefficient diverge."""
+    """Formal sum over s >= 0: coeff * (1 + G(q^a)) per term; s-independent terms diverge."""
     total = QRational.zero()
-    for coeff, d, a in expr.terms:
+    for coeff, a in expr.terms:
         if a == 0:
-            raise DivergentSum(f"s-independent term survives the merge: ({coeff}) s^{d}")
-        total = total + coeff * (_geom_k(d, a) + (QRational.one() if d == 0 else QRational.zero()))
+            raise DivergentSum(f"s-independent term survives the merge: {coeff}")
+        total = total + coeff * (_geom(a) + QRational.one())
     return total
 
 
 def _tail_from_splus1(expr: SExpr) -> SExpr:
-    """sum_{i=s+1}^inf of each term, as an SExpr in the outer s.
-
-    sum_{i>s} i^d x^i = x^s * sum_e C(d,e) s^e G_{d-e}(x).
-    """
+    """sum_{i=s+1}^inf of each term, as an SExpr in the outer s: coeff * G(q^a) at slope a."""
     out = []
-    for coeff, d, a in expr.terms:
+    for coeff, a in expr.terms:
         if a == 0:
-            raise DivergentSum(f"infinite tail of s-independent term ({coeff}) s^{d}")
-        for e in range(d + 1):
-            out.append((coeff * comb(d, e) * _geom_k(d - e, a), e, a))
+            raise DivergentSum(f"infinite tail of s-independent term {coeff}")
+        out.append((coeff * _geom(a), a))
     return SExpr(out)
 
 
-def _faulhaber(d: int):
-    """sum_{i=0}^{s} i^d as polynomial coefficients in s (degree d+1)."""
-    if d == 0:
-        return {0: Fraction(1), 1: Fraction(1)}                       # s + 1
-    if d == 1:
-        return {1: Fraction(1, 2), 2: Fraction(1, 2)}                  # s(s+1)/2
-    if d == 2:
-        return {1: Fraction(1, 6), 2: Fraction(1, 2), 3: Fraction(1, 3)}
-    raise QZetaError(f"unsupported s-degree {d}")
-
-
 def _finite_0_to_s(expr: SExpr) -> SExpr:
-    """sum_{i=0}^{s}: Faulhaber for a = 0; full sum minus the tail from s + 1 for a != 0."""
-    out = []
-    for coeff, d, a in expr.terms:
-        if a == 0:
-            for e, frac in _faulhaber(d).items():
-                if e > MAX_S_DEGREE:
-                    raise QZetaError(f"s-degree {e} exceeds cap {MAX_S_DEGREE}")
-                out.append((coeff * frac, e, 0))
-    geometric = SExpr([term for term in expr.terms if term[2] != 0])
-    out.append((_sum_inf(geometric), 0, 0))
-    return SExpr(out) + _tail_from_splus1(geometric) * Fraction(-1)
+    """sum_{i=0}^{s}: the full formal sum minus the tail from s + 1."""
+    if any(a == 0 for _coeff, a in expr.terms):
+        raise QZetaError("an s-independent term c sums to (s + 1) c, which is not a geometric term")
+    return SExpr([(_sum_inf(expr), 0)]) + _tail_from_splus1(expr) * Fraction(-1)
 
 
 def _finite_0_to_sminus1(expr: SExpr) -> SExpr:
     """sum_{i=0}^{s-1} = sum_{i=0}^{s} minus the i = s term; empty at s = 0."""
-    upper = _finite_0_to_s(expr)
-    minus_at_s = SExpr([(c * Fraction(-1), d, a) for c, d, a in expr.terms])
-    return upper + minus_at_s
+    return _finite_0_to_s(expr) + expr * Fraction(-1)
 
 
 def partial_sum(expr: SExpr, summation_range: str):
     """Closed-form summation of an SExpr over the stated range.
 
-    Finite ranges return an SExpr in the outer variable; all_s_from_0
-    returns the QRational value of the formal sum.
+    Each term coeff * q^(a s) sums as a geometric series in q^a.  Finite
+    ranges return an SExpr in the outer variable; all_s_from_0 returns the
+    QRational value of the formal sum.  An s-independent term raises
+    DivergentSum in the infinite ranges and QZetaError in the finite ones.
     """
     ranges = {
         "from_0_to_s": _finite_0_to_s,
@@ -285,14 +240,15 @@ def verify_dim_numeric(q: Fraction, n_terms: int = 200, tol: Fraction = Fraction
     return gap, tail_bound
 
 
-def verify_term_numeric(coeff: QRational, d: int, a: int, q: Fraction,
+def verify_term_numeric(coeff: QRational, a: int, q: Fraction,
                         n_terms: int = 200, tol: Fraction = Fraction(1, 10**12)):
-    """Certify the formal geometric sum of one SExpr term at a rational q.
+    """Certify the formal geometric sum of one SExpr term coeff * q^(a s) at a rational q.
 
     Terms whose ratio |q^a| exceeds 1 at the chosen q are checked at q^-1
     instead (the engine's formulas are exactly equivariant under q -> q^-1),
     which is the only sense in which a formally summed divergent tail admits
-    a numeric certificate.  Returns (gap, tail_bound).
+    a numeric certificate.  With r = q^a < 1 and c the value of coeff, the
+    tail after N terms is at most |c| r^N / (1 - r).  Returns (gap, tail_bound).
     """
     q = Fraction(q)
     if q <= 0 or q == 1:
@@ -305,13 +261,9 @@ def verify_term_numeric(coeff: QRational, d: int, a: int, q: Fraction,
         # same slope at the inverted point: ratio becomes q^-|a| < 1
     ratio = q**a
     cval = coeff.eval_at(q)
-    partial = sum(cval * Fraction(s) ** d * ratio**s for s in range(n_terms))
-    closed = _sum_inf(SExpr([(coeff, d, a)])).eval_at(q)
-    s0 = Fraction(n_terms)
-    k_factor = [1 / (1 - ratio),
-                1 / (1 - ratio) ** 2,
-                (1 + ratio) / (1 - ratio) ** 3][d]
-    tail_bound = abs(cval) * s0**d * ratio**n_terms * k_factor
+    partial = sum(cval * ratio**s for s in range(n_terms))
+    closed = _sum_inf(SExpr([(coeff, a)])).eval_at(q)
+    tail_bound = abs(cval) * ratio**n_terms / (1 - ratio)
     gap = abs(closed - partial)
     if gap > tail_bound:
         raise QZetaError(f"geometric certificate failed: gap {float(gap)} > bound {float(tail_bound)}")
@@ -323,8 +275,8 @@ def verify_term_numeric(coeff: QRational, d: int, a: int, q: Fraction,
 def verify_sexpr_numeric(expr: SExpr, q: Fraction, n_terms: int = 200,
                          tol: Fraction = Fraction(1, 10**12)) -> bool:
     """Run the per-term geometric certificate over a whole merged summand."""
-    for coeff, d, a in expr.terms:
+    for coeff, a in expr.terms:
         if a == 0:
             continue
-        verify_term_numeric(coeff, d, a, q, n_terms=n_terms, tol=tol)
+        verify_term_numeric(coeff, a, q, n_terms=n_terms, tol=tol)
     return True

@@ -59,6 +59,11 @@ def test_check_braid_relation():
     left = [[0, 1], [1, 1]]
     right = [[0, 1], [1, 1]]
     assert not check_braid_relation((left, right))
+    # bijective but not braided: Psi(x, y) = (x, x xor y) on two points
+    xor_left, xor_right = [[0, 0], [1, 1]], [[0, 1], [1, 0]]
+    assert not check_braid_relation((xor_left, xor_right))
+    with pytest.raises(ValueError, match="braid relation"):
+        BraidedSet(xor_left, xor_right)
     malformed = [
         (left, right),
         ([[0, 1]], [[0, 0]]),            # ragged: one row of length 2

@@ -8,8 +8,12 @@ from pathlib import Path
 import pytest
 
 import qzeta
+from qzeta.braided import hilbert_dims, transposition_class
 from qzeta.cli import main
 from qzeta.errors import BudgetExceeded
+from qzeta.serialize import encode_payload
+from qzeta.verify import run_suite
+from qzeta.zeta_engine import cm_from_zeta, cm_series_cs, zeta_vm_closed
 
 
 def run(capsys, *argv):
@@ -195,3 +199,39 @@ def test_verify_single_suite(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "sphere")
     assert code == 0
     assert out.count("[PASS]") == 2
+
+
+@pytest.mark.parametrize(
+    "argv, compute",
+    [
+        (["cm", "--m", "3", "--order", "5"], lambda: cm_series_cs(3, 5)),
+        # m < 2 has no recursion step; the route must still give c_1
+        (["cm", "--m", "1", "--order", "4", "--route", "recursion"],
+         lambda: cm_from_zeta(1, zeta_vm_closed(1).expand(4))),
+        (["zeta", "vm", "--m", "2", "--order", "3"], lambda: zeta_vm_closed(2).expand(3)),
+        (["nichols", "--sym-group", "3", "--max-degree", "4"],
+         lambda: hilbert_dims(transposition_class(3), 4)),
+    ],
+    ids=["cm", "cm-recursion-m1", "zeta-vm-order", "nichols"],
+)
+def test_json_payload_matches_library_call(capsys, argv, compute):
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    kind, payload = encode_payload(compute())
+    assert (doc["kind"], doc["payload"]) == (kind, payload)
+
+
+def test_verify_json(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "sphere", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["kind"] == "verdict"
+    assert doc["metadata"] == {"command": "verify", "parameters": {"suite": "sphere"},
+                               "version": qzeta.__version__}
+    payload = doc["payload"]
+    assert payload["suite"] == "sphere" and payload["passed"] is True
+    expected = [(r.number, r.name, r.suite, r.passed, r.detail) for r in run_suite("sphere")]
+    got = [(c["number"], c["name"], c["suite"], c["passed"], c["detail"]) for c in payload["criteria"]]
+    assert got == expected and [c[0] for c in got] == [10, 11]
+    assert all(isinstance(c["seconds"], (int, float)) for c in payload["criteria"])

@@ -243,3 +243,16 @@ def test_ring_ops_keep_canonical_forms():
     for bad in (lambda: x + "a", lambda: "a" + x, lambda: x - "a", lambda: "a" - x, lambda: x * "a"):
         with pytest.raises(TypeError):
             bad()
+
+
+def test_constructor_admits_only_exact_numbers():
+    # a float used to be kept (1.5, 2.0) or read as its binary fraction (0.1)
+    for bad in ({0: 1.5}, {0.1: 1}, {F(1, 2): 0.25}, {"1/2": 1}, {0: "3"}, {0: float("nan")},
+                {float("inf"): 1}, {None: 1}):
+        with pytest.raises(ValueError, match="must be an int or a Fraction"):
+            QLaurent(bad)
+    p = QLaurent([(2.0, 3.0), (F(4, 2), F(2, 2)), (True, True), (F(1, 2), F(3, 6))])
+    assert p == QLaurent({2: 4, 1: 1, F(1, 2): F(1, 2)})
+    assert _typed(p) == {(2, int): (4, int), (1, int): (1, int), (F(1, 2), F): (F(1, 2), F)}
+    # zero coefficients are dropped before any check, as before
+    assert QLaurent({0.5: 0, 1: 0.0}).is_zero

@@ -121,6 +121,20 @@ def test_non_integral_t_exponents_and_multiplicities_rejected():
     assert all(type(x) is int for (_a, b), mult in f.factors for x in (b, mult))
 
 
+def test_non_exact_q_exponents_and_coefficients_rejected():
+    for bad in (lambda: QTPoly({(0.5, 1): 1}), lambda: QTPoly({(0, 1): 0.25}),
+                lambda: FactoredRatQT(QTPoly.one(), [((0.5, 1), 1)]),
+                lambda: FactoredRatQT(QTPoly.one(), [(("1/2", 1), 1)])):
+        with pytest.raises(ValueError, match="must be an int or a Fraction"):
+            bad()
+    p = QTPoly({(2.0, 1): 3.0, (F(1, 2), 0): F(4, 2)})
+    assert p == QTPoly({(2, 1): 3, (F(1, 2), 0): 2})
+    assert {(type(a), type(c)) for (a, _b), c in p.items()} == {(int, int), (F, int)}
+    f = FactoredRatQT(QTPoly.one(), [((2.0, 1), 1), ((F(2, 2), 1), 1)])
+    assert f.factors == (((1, 1), 1), ((2, 1), 1))
+    assert all(type(a) is int for (a, _b), _mult in f.factors)
+
+
 def test_t_coeff_list():
     p = QTPoly({(1, 0): 2, (0, 2): 1})
     lst = p.t_coeff_list()

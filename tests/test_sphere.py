@@ -23,41 +23,36 @@ def _qr(num, den=None):
 
 
 def test_sexpr_merging():
-    e = SExpr([(QRational.one(), 0, 2), (QRational.one(), 0, 2), (QRational.from_scalar(-2), 0, 2)])
+    e = SExpr([(QRational.one(), 2), (QRational.one(), 2), (QRational.from_scalar(-2), 2)])
     assert e.terms == ()
 
 
-def test_degree_cap():
-    lin = SExpr([(QRational.one(), 2, 1)])
-    with pytest.raises(QZetaError):
-        lin * lin
-    with pytest.raises(QZetaError):
-        SExpr([(QRational.one(), 3, 0)])
-
-
-def test_sexpr_rejects_non_integral_degree_or_slope():
-    for d, a in ((1.5, 2), (0, 2.7), (F(1, 2), 0), (0, F(3, 2))):
-        with pytest.raises(QZetaError, match="must be integers"):
-            SExpr([(QRational.one(), d, a)])
+def test_sexpr_rejects_non_integral_slope():
+    for a in (2.7, F(3, 2), F(1, 2)):
+        with pytest.raises(QZetaError, match="must be an integer"):
+            SExpr([(QRational.one(), a)])
     # integral values of other types are kept, as ints
-    e = SExpr([(QRational.one(), F(2), 2.0)])
-    assert [(d, a) for _c, d, a in e.terms] == [(2, 2)]
-    assert all(type(x) is int for _c, d, a in e.terms for x in (d, a))
+    e = SExpr([(QRational.one(), F(2)), (QRational.one(), 3.0)])
+    assert [a for _c, a in e.terms] == [2, 3]
+    assert all(type(a) is int for _c, a in e.terms)
+    # a float coefficient is refused too, by the QLaurent it becomes
+    with pytest.raises(ValueError, match="must be an int or a Fraction"):
+        SExpr([(1.5, 2)])
 
 
 def test_geometric_tail():
     # sum_{s>=0} q^{2s+1} = q/(1-q^2)
-    e = SExpr([(_qr({1: 1}), 0, 2)])
+    e = SExpr([(_qr({1: 1}), 2)])
     assert partial_sum(e, "all_s_from_0") == _qr({1: 1}, {0: 1, 2: -1})
 
 
 def test_finite_sum_formula():
     # sum_{i=0}^{s} q^{4i+1} = (q - q^{4s+5})/(1 - q^4): constant and q^{4s} pieces
-    e = SExpr([(_qr({1: 1}), 0, 4)])
+    e = SExpr([(_qr({1: 1}), 4)])
     got = partial_sum(e, "from_0_to_s")
     expected = SExpr([
-        (_qr({1: 1}, {0: 1, 4: -1}), 0, 0),
-        (_qr({5: -1}, {0: 1, 4: -1}), 0, 4),
+        (_qr({1: 1}, {0: 1, 4: -1}), 0),
+        (_qr({5: -1}, {0: 1, 4: -1}), 4),
     ])
     assert got == expected
 
@@ -69,19 +64,27 @@ def test_merged_dim_prime():
 
 def test_divergent_sum_detected():
     with pytest.raises(DivergentSum):
-        partial_sum(SExpr([(QRational.one(), 0, 0)]), "all_s_from_0")
+        partial_sum(SExpr([(QRational.one(), 0)]), "all_s_from_0")
     with pytest.raises(DivergentSum):
-        partial_sum(SExpr([(QRational.one(), 0, 0)]), "from_splus1_to_inf")
+        partial_sum(SExpr([(QRational.one(), 0)]), "from_splus1_to_inf")
+
+
+@pytest.mark.parametrize("summation_range", ["from_0_to_s", "from_0_to_sminus1"])
+def test_finite_sum_rejects_s_independent_term(summation_range):
+    # sum_{i<=s} c = (s + 1) c is not a geometric term: refused, not summed
+    expr = SExpr([(QRational.one(), 0), (_qr({1: 1}), 2)])
+    with pytest.raises(QZetaError, match="s-independent") as exc:
+        partial_sum(expr, summation_range)
+    assert not isinstance(exc.value, DivergentSum)
 
 
 def test_finite_sum_empty_at_zero():
     # sum_{i=0}^{s-1} vanishes at s = 0: all terms must cancel there
     fin = partial_sum(q_int_sym_sexpr(2, 1), "from_0_to_sminus1")
     at_zero = QRational.zero()
-    for coeff, d, _a in fin.terms:
-        if d == 0:
-            at_zero = at_zero + coeff
-    assert at_zero.is_zero
+    for coeff, _a in fin.terms:
+        at_zero = at_zero + coeff
+    assert fin.terms and at_zero.is_zero
 
 
 def test_sphere_dims():
@@ -164,9 +167,13 @@ def test_dim_numeric_rejects_no_terms(n_terms):
 
 def test_term_numeric_certificate():
     coeff = _qr({1: 1}, {0: 1, 2: -1})
-    verify_term_numeric(coeff, 0, -2, F(2), n_terms=60, tol=F(1, 10**6))
+    # coeff(2) = -2/3 and r = 2^-2: the tail c r^N/(1 - r) is the exact gap
+    tail = F(2, 3) * F(1, 4) ** 60 / F(3, 4)
+    assert verify_term_numeric(coeff, -2, F(2), n_terms=60, tol=F(1, 10**6)) == (tail, tail)
     # slope +2 gets checked at the inverted point
-    verify_term_numeric(coeff, 0, 2, F(2), n_terms=60, tol=F(1, 10**6))
+    assert verify_term_numeric(coeff, 2, F(2), n_terms=60, tol=F(1, 10**6)) == (tail, tail)
+    with pytest.raises(ValueError, match="s-independent"):
+        verify_term_numeric(coeff, 0, F(2))
 
 
 def test_merged_summand_certificate():

@@ -48,6 +48,12 @@ def test_coefficient_guard():
     assert s.coeff(-1) == QLaurent()
 
 
+def test_float_coefficients_rejected():
+    with pytest.raises(ValueError, match="must be an int or a Fraction"):
+        TSeries(1, [1.5, 2])
+    assert TSeries(1, [2.0, 1]) == TSeries(1, [2, 1])
+
+
 def test_invert_roundtrip_random():
     rng = random.Random(7)
     for _ in range(10):

@@ -565,6 +565,47 @@ def test_certify_enforces_the_round_trip(fitted_roundtrips):
     assert checked == 4
 
 
+def test_certify_rejects_each_failed_check(monkeypatch):
+    import qzeta.zeta_engine as ze
+
+    m, gh = 5, reference_gh(5)
+    eta = eta_m(m)
+    h = [int(gh.h.coeff(0, b)) for b in range(gh.h.t_degree() + 1)]
+    order = gh.g.t_degree() + gh.h.t_degree() + 6
+    rows = [row for _j, row in zip(range(order + 1), _cm_eta_rows(m))]
+    fe_calls = []
+
+    def recording_fe(m, gh):
+        fe_calls.append(gh)
+        return True
+
+    monkeypatch.setattr(ze, "verify_functional_eq", recording_fe)
+
+    def certify(conn, ceta=rows):
+        return _certify(m, conn, order + 1, eta, ceta, lambda _order: None)
+
+    assert certify(h) == gh
+    assert certify(h + [0]) == gh                  # trailing zeros of conn are dropped
+    assert len(fe_calls) == 2
+    assert certify([2, 1]) is None                 # constant term 2 does not divide 1
+    assert certify([1]) is None                    # deg g = 0 + 3 - 6 < 0
+    # c_m eta_m times q^2: g passes the tail check but has the wrong q-degree
+    assert certify(h, [{e + 2: x for e, x in row.items()} for row in rows]) is None
+    assert len(fe_calls) == 2
+    monkeypatch.setattr(ze, "verify_functional_eq", lambda m, gh: False)
+    assert certify(h) is None
+
+
+def test_fit_fails_when_no_candidate_certifies(monkeypatch):
+    import qzeta.zeta_engine as ze
+
+    calls = []
+    monkeypatch.setattr(ze, "_certify", lambda *args: calls.append(args[2]))
+    with pytest.raises(FitFailed, match="no candidate certified"):
+        fit_gh(3)
+    assert calls
+
+
 def test_fit_inverts_and_multiplies_no_series(monkeypatch):
     from qzeta.tseries import TSeries
 
