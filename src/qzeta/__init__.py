@@ -20,7 +20,7 @@ from .qlaurent import QLaurent
 from .tseries import TSeries, geometric_series
 from .qtpoly import FactoredRatQT, QTPoly
 from .qrational import QRational
-from .linalg import solve_linear, sparse_int_rank, sparse_qlaurent_rank
+from .linalg import solve_linear, sparse_int_rank, sparse_kernel, sparse_qlaurent_rank
 from .qcombinat import bounded_partitions, gaussian_coeffs, q_binom_sym, q_int_sym, t_bracket
 from .sl2 import (
     Sl2Decomposition,

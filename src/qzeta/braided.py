@@ -14,19 +14,20 @@ candidate rows of S_j directly, and ranks are taken by streaming sparse
 elimination.  The words Psi_{j-1}...Psi_k are applied to the support of each
 row only, one positional braiding step (an n^2-entry offset table) at a
 time, so no table over the n^j columns is ever built.  Degree-by-degree
-dimensions of the quadratic variant BS^quad(A) = TA / <ker S_2> are computed
-the same way from the recursion I_j = ker(S_2) (x) V^{j-2} + V (x) I_{j-1}.
+dimensions of the quadratic variant BS^quad(A) = TA / <ker S_2> are those of
+the complements W_j = (W_{j-1} (x) V) cap (V^{j-2} (x) ker(S_2)^perp) of its
+ideal: a kernel on n dim W_{j-1} candidates per level, not n^j columns.
 
-Both eliminations run block by block.  Column (x_1, ..., x_j) is labelled
+Both ladders run block by block.  Column (x_1, ..., x_j) is labelled
 by the map sigma_{x_1} o ... o sigma_{x_j} of X, with sigma_x = left[x];
 the first component of the braid relation, sigma_{L(x,y)} sigma_{R(x,y)} =
-sigma_x sigma_y, says every braiding keeps the label, so S_j and I_j are
+sigma_x sigma_y, says every braiding keeps the label, so S_j and W_j are
 block-diagonal by label.  When every sigma_x is an automorphism of (X, Psi)
 (checked once, in O(n^3); true for every conjugacy class), relabelling all
 tensor factors by one element g of the group they generate commutes with
-S_j and I_j and carries block l to block g l g^-1.  Only the least label of
-each such orbit is eliminated, its rank counted |orbit| times; the rows of
-any other block are its representative's, relabelled.  Otherwise every
+S_j and W_j and carries block l to block g l g^-1.  Only the least label of
+each such orbit is computed, its dimension counted |orbit| times; the rows
+of any other block are its representative's, relabelled.  Otherwise every
 block is its own orbit, through the same code.  Budgets still count the n^j
 columns of a level, not the columns of a block.
 """
@@ -40,7 +41,7 @@ from .errors import BudgetExceeded
 from .qcombinat import t_bracket
 from .qlaurent import _as_int
 from .qtpoly import QTPoly
-from .linalg import sparse_int_rank
+from .linalg import _combine, sparse_int_rank, sparse_kernel
 
 DEFAULT_BUDGET = 100_000
 
@@ -307,6 +308,17 @@ class _ProductBlocks:
             cache[label] = out
         return out
 
+    def sources(self, basis, sigma):
+        """{rep at level m+1: {label l at level m: [i]}} over l o sigma_i = rep, l in the orbits of basis."""
+        out = {}
+        for rep in basis:
+            for label, _ in self.members(rep):
+                for i, s in enumerate(sigma):
+                    target = _compose(label, s)
+                    if self.is_rep(target):
+                        out.setdefault(target, {}).setdefault(label, []).append(i)
+        return out
+
     def eliminate(self, targets, candidates):
         """Rank each representative block in targets on its own, from candidates(target).
 
@@ -428,13 +440,7 @@ class SymmetrizerLadder:
             raise BudgetExceeded(f"n^j = {n}^{j} = {n ** j} exceeds budget {self.budget}")
         steps = self._word_inverse_perms(j)
         blocks = self._blocks
-        sources = {}  # representative at level j -> {label at level j-1: letters}
-        for rep in self._basis:
-            for label, _ in blocks.members(rep):
-                for i, s in enumerate(self.x.left):
-                    target = _compose(label, s)
-                    if blocks.is_rep(target):
-                        sources.setdefault(target, {}).setdefault(label, []).append(i)
+        sources = blocks.sources(self._basis, self.x.left)
         cache = {}
 
         def candidates(target):
@@ -602,69 +608,50 @@ def _ker_s2_basis(x: BraidedSet):
 def hilbert_dims_quadratic(x: BraidedSet, max_degree: int, budget: int = DEFAULT_BUDGET) -> GradedDims:
     """Degreewise dimensions of the quadratic algebra TA / <ker S_2>.
 
-    The degree-j ideal component obeys I_j = ker(S_2) (x) V^{j-2} +
-    V (x) I_{j-1}.  Each cycle vector of ker S_2 lies in one product block,
-    so I_j is block-diagonal, and it is stable under the sigma's when they
-    are automorphisms.  A representative block l gets the spanning rows
-    k (x) e_w with label(k) o label(w) = l and e_i (x) r with
-    sigma_i o label(r) = l, r from a level-(j-1) block (relabelled from its
-    representative); a maximal independent subset is carried level to
-    level, so dim = n^j - sum of |orbit| rank(I_j in the block) exactly.
+    Its degree-j ideal is the sum of the V^(x i) (x) K (x) V^(x j-2-i),
+    K = ker S_2, so the orthogonal complement W_j, of dimension n^j minus
+    the ideal's, is (W_(j-1) (x) V) intersected with V^(x j-2) (x) K^perp:
+    the part of W_(j-1) (x) V whose last two slots contract to 0 against
+    every cycle vector of K.  W_j is block-diagonal and orbit-stable like
+    S_j, so a representative block takes its candidates b (x) e_i from the
+    symmetrizer ladder's sources; each dependency c among their contractions
+    (``sparse_kernel``) is one basis vector sum c_k (b_k (x) e_i_k), and
+    dim W_j is the sum over representatives of |orbit| times their count.
     ``budget`` bounds n^j from degree 3 on; degree 2 is always computed.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
     n = x.size
-    dims = [1]
-    if max_degree >= 1:
-        dims.append(n)
-    if max_degree < 2:
-        return GradedDims(dims, max_degree)
+    dims = [1, n][:max_degree + 1]
     blocks = _ProductBlocks(x)
-    sigma = x.left
-    kernel = []  # (label, vector) per cycle of Psi on pairs
-    for vec in _ker_s2_basis(x):
-        a, b = divmod(next(iter(vec)), n)
-        kernel.append((_compose(sigma[a], sigma[b]), vec))
-    words = {blocks.identity: [0]}  # label -> words of length j-2, as column indices
-    ideal = {}  # representative label -> kept rows of I_{j-1} in that block
+    kernel = _ker_s2_basis(x)
+    contract = [[[] for _ in range(n)] for _ in range(n)]  # [b][a] -> [(t, entry (a, b) of kernel[t])]
+    for t, vec in enumerate(kernel):
+        for c, v in vec.items():
+            contract[c % n][c // n].append((t, v))
+    basis = {}  # representative label -> basis of W_(j-1) in that block
+    for i, s in enumerate(x.left):
+        if blocks.is_rep(s):
+            basis.setdefault(s, []).append({i: 1})
     for j in range(2, max_degree + 1):
-        big = n ** j
-        if j > 2 and big > budget:
+        if j > 2 and n ** j > budget:
             break
-        rest = n ** (j - 2)
-        prev_dim = n ** (j - 1)
-        from_kernel = {}  # representative -> [(kernel vector, words)]
-        for kappa, vec in kernel:
-            for omega, ws in words.items():
-                target = _compose(kappa, omega)
-                if blocks.is_rep(target):
-                    from_kernel.setdefault(target, []).append((vec, ws))
-        from_ideal = {}  # representative -> [(letter, label at level j-1)]
-        for rep in ideal:
-            for label, _ in blocks.members(rep):
-                for i, s in enumerate(sigma):
-                    target = _compose(s, label)
-                    if blocks.is_rep(target):
-                        from_ideal.setdefault(target, []).append((i, label))
-        cache = {}
-
-        def candidates(target):
-            for vec, ws in from_kernel.get(target, ()):
-                for w in ws:
-                    yield {c2 * rest + w: v for c2, v in vec.items()}
-            for i, label in from_ideal.get(target, ()):
-                base = i * prev_dim
-                for row in blocks.rows(ideal, label, j - 1, cache):
-                    yield {base + c: v for c, v in row.items()}
-
-        rank, ideal = blocks.eliminate(from_kernel.keys() | from_ideal.keys(), candidates)
-        dims.append(big - rank)
-        longer = {}
-        for omega, ws in words.items():
-            for i, s in enumerate(sigma):
-                longer.setdefault(_compose(omega, s), []).extend(w * n + i for w in ws)
-        words = {label: sorted(ws) for label, ws in longer.items()}
+        rest, below, basis, cache = n ** (j - 2), basis, {}, {}
+        sources = blocks.sources(below, x.left)
+        for target in sorted(sources):
+            candidates, images = [], []
+            for label, letters in sources[target].items():
+                for row in blocks.rows(below, label, j - 1, cache):
+                    for b in letters:
+                        image = {}  # column t rest + u: kernel[t] contracted with row (x) e_b at u
+                        for c, v in row.items():
+                            for t, k in contract[b][c % n]:
+                                image[t * rest + c // n] = image.get(t * rest + c // n, 0) + k * v
+                        candidates.append({c * n + b: v for c, v in row.items()})
+                        images.append(image)
+            for dep in sparse_kernel(images, len(kernel) * rest):
+                basis.setdefault(target, []).append(_combine(dep, candidates))
+        dims.append(sum(blocks.orbit(rep)[2] * len(vectors) for rep, vectors in basis.items()))
     return GradedDims(dims, max_degree)
 
 

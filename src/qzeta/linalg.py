@@ -1,13 +1,13 @@
-"""Exact rank over the rationals and over the rational-function field of q.
+"""Exact rank and kernels over the rationals and over the rational-function field of q.
 
-Two streaming kernels compute every rank in the library: sparse_int_rank for
-integer rows (the Nichols ladders in ``braided``) and sparse_qlaurent_rank
-for rows of Laurent polynomials in q, which it ranks over Q(q) (the R-matrix
-blocks in ``rmatrix``).  Rows enter one at a time as sparse {column: value}
-dicts, are reduced against the current echelon basis, and the rows that
-extended the rank are reported back.
+sparse_int_rank ranks integer rows (the Nichols ladders in ``braided``) and
+sparse_kernel finds the dependencies among integer rows or QLaurent rows
+over Q(q) (the quadratic Hilbert series in ``braided``, the R-matrix blocks
+in ``rmatrix``).  sparse_qlaurent_rank, with no caller in the library, ranks
+QLaurent rows for the tests' R-matrix oracle.  Rows enter one at a time as
+sparse {column: value} dicts and are reduced against the current echelon.
 
-Both go through one fraction-free reduction step, ``_reduce``
+All three go through one fraction-free reduction step, ``_reduce``
 (Bareiss-style cross-multiplication of sparse rows); only the content strip
 that keeps rows primitive differs (``_strip_gcd`` for integer rows,
 ``_strip_content`` for QLaurent rows).  A pivot whose leading entry divides
@@ -44,7 +44,7 @@ def _strip_gcd(row: dict) -> dict:
 def _strip_content(row: dict) -> dict:
     """Divide a QLaurent row by its common monomial-and-rational content.
 
-    Full polynomial gcds are not taken: the sizes sparse_qlaurent_rank sees
+    Full polynomial gcds are not taken: the rows the library reduces
     do not need them.
     """
     it = iter(row.values())
@@ -168,6 +168,39 @@ def sparse_qlaurent_rank(rows) -> int:
     each combination.
     """
     return _echelon_rank(rows, _strip_content, False)[0]
+
+
+def sparse_kernel(rows, width: int, one=1) -> list[dict]:
+    """Independent {row index: coefficient} dicts c with sum_i c_i rows[i] = 0, len(rows) - rank of them.
+
+    Row columns lie below ``width``; ``one`` is the ring's unit, 1 over Z or
+    ``QLaurent.one()`` over Q(q).  Row i goes through ``_reduce`` with the
+    tag column width + i (entry ``one``) appended.  It becomes a pivot if it
+    comes back leading below ``width``; otherwise it vanishes there and its
+    tag part is a dependency.  So no tag column is ever a pivot, and the tag
+    of row i, which no pivot row carries, keeps the row from vanishing.
+    """
+    strip = _strip_gcd if type(one) is int else _strip_content
+    echelon: dict[int, dict] = {}
+    kernel = []
+    for i, row in enumerate(rows):
+        out = {c: v for c, v in row.items() if v}
+        out[width + i] = one
+        out = _reduce(echelon, out, strip)
+        if min(out) < width:
+            echelon[min(out)] = strip(out)
+        else:
+            kernel.append({c - width: v for c, v in strip(out).items()})
+    return kernel
+
+
+def _combine(coeffs: dict, vectors) -> dict:
+    """sum_i coeffs[i] vectors[i] for sparse {column: value} vectors, zeros dropped."""
+    out = {}
+    for i, c in coeffs.items():
+        for col, v in vectors[i].items():
+            out[col] = out.get(col, 0) + c * v
+    return {col: v for col, v in out.items() if v}
 
 
 def solve_linear(rows: list, rhs) -> tuple[list, int]:

@@ -8,15 +8,16 @@ K_2rho = diag(q^(n-1), q^(n-3), ..., q^(1-n)).
 
 R-hat preserves the multiset of tensor indices, so everything is done
 blockwise by content, which also makes the quantum trace a weighted count
-of block kernel dimensions.
+of block kernel dimensions.  The eigenspace grows one tensor factor at a
+time: block mu of level j is a kernel on candidates from the blocks mu - e_x.
 """
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement
 
 from .errors import BudgetExceeded, QZetaError
-from .linalg import sparse_qlaurent_rank
+from .linalg import _combine, sparse_kernel
 from .qlaurent import QLaurent
 
 _Q = QLaurent({1: 1})
@@ -98,16 +99,13 @@ def _check_budget(n: int, j: int, budget):
 def sym_subspace_dims(n: int, j: int, budget=(4, 5), r: RHat | None = None):
     """Per content block, the dimension over Q(q) of the joint q-eigenspace.
 
-    For each multiset of indices, the block spanned by its permutations is
-    preserved by every adjacent braiding; the symmetric subspace is the
-    intersection of ker(R_i - q id) over i, computed as block dimension
-    minus the rank of the stacked constraint rows.
-
-    The column of R-hat - q id at each basis pair is formed once per call,
-    with its zero entries dropped; a block's constraint rows for slot i are
-    the transpose of those columns spliced into tensor slots (i, i+1) of
-    every tuple of the block.  Every block is eliminated over Q(q) by
-    ``sparse_qlaurent_rank``.
+    Sym_j, the intersection of the ker(R_i - q id), is (Sym_(j-1) (x) V)
+    intersected with V^(x j-2) (x) ker(R - q id), and R-hat keeps content:
+    block mu of Sym_j is the part of the sum of Sym_(j-1)[mu - e_x] (x) e_x
+    that R-hat - q id in the last two slots sends to 0.  Block bases are
+    sparse {base-n column: QLaurent} vectors; each dependency c among the
+    candidates' images (``sparse_kernel`` over Q(q)) is one basis vector
+    sum c_i (b_i (x) e_x_i), so the dimension is counted, never assumed.
     """
     if j < 0:
         raise ValueError("j must be non-negative")
@@ -116,27 +114,30 @@ def sym_subspace_dims(n: int, j: int, budget=(4, 5), r: RHat | None = None):
         r = RHat(n)
     if j == 0:
         return [((), 1)]
-    shifted = {}
-    for pair, col in r.columns.items():
-        col = dict(col)
-        col[pair] = col.get(pair, QLaurent()) - _Q
-        shifted[pair] = [(target, c) for target, c in col.items() if c]
-    out = []
-    for content in combinations_with_replacement(range(n), j):
-        block = sorted(set(permutations(content)))
-        index = {tup: k for k, tup in enumerate(block)}
-        rows = []
-        for slot in range(j - 1):
-            # transpose the column action of (R_slot - q id) restricted to the block
-            transposed: dict[int, dict] = {}
-            for k, tup in enumerate(block):
-                head, tail = tup[:slot], tup[slot + 2:]
-                for target, c in shifted[tup[slot:slot + 2]]:
-                    transposed.setdefault(index[head + target + tail], {})[k] = c
-            rows.extend(transposed.values())
-        rank = sparse_qlaurent_rank(rows)
-        out.append((content, len(block) - rank))
-    return out
+    nn, one = n * n, QLaurent.one()
+    shifted = []  # pair a n + b -> [(pair, entry)] of the column of R-hat - q id
+    for a in range(n):
+        for b in range(n):
+            col = dict(r.columns[(a, b)])
+            col[(a, b)] = col.get((a, b), QLaurent()) - _Q
+            shifted.append([(a2 * n + b2, c) for (a2, b2), c in col.items() if c])
+    basis = {(x,): [{x: one}] for x in range(n)}
+    for level in range(2, j + 1):
+        below, basis = basis, {}
+        for content in combinations_with_replacement(range(n), level):
+            candidates, images = [], []
+            for x in sorted(set(content)):
+                k = content.index(x)
+                for vec in below[content[:k] + content[k + 1:]]:
+                    cand = {c * n + x: v for c, v in vec.items()}
+                    image = {}
+                    for c, v in cand.items():
+                        for pair, e in shifted[c % nn]:
+                            image[c - c % nn + pair] = image.get(c - c % nn + pair, 0) + v * e
+                    candidates.append(cand)
+                    images.append(image)
+            basis[content] = [_combine(dep, candidates) for dep in sparse_kernel(images, n ** level, one)]
+    return [(content, len(vectors)) for content, vectors in basis.items()]
 
 
 def quantum_trace_sym(n: int, j: int, budget=(4, 5), r: RHat | None = None) -> QLaurent:

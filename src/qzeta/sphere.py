@@ -274,9 +274,11 @@ def verify_term_numeric(coeff: QRational, a: int, q: Fraction,
 
 def verify_sexpr_numeric(expr: SExpr, q: Fraction, n_terms: int = 200,
                          tol: Fraction = Fraction(1, 10**12)) -> bool:
-    """Run the per-term geometric certificate over a whole merged summand."""
+    """Run the per-term geometric certificate over a whole merged summand.
+
+    An s-independent term diverges when summed over s, so it raises
+    verify_term_numeric's ValueError instead of being passed over.
+    """
     for coeff, a in expr.terms:
-        if a == 0:
-            continue
         verify_term_numeric(coeff, a, q, n_terms=n_terms, tol=tol)
     return True

@@ -502,6 +502,13 @@ def test_x4_degree_8_matches_fomin_kirillov():
     assert list(dims) == ref
 
 
+def test_x4_quadratic_degree_7_matches_fomin_kirillov():
+    dims = hilbert_dims_quadratic(transposition_class(4), 7, budget=6 ** 7)
+    assert dims.complete
+    ref = [c.coeff(0) for c in fk_reference_series(4).t_coeff_list()[:8]]
+    assert list(dims) == ref
+
+
 def test_x5_degree_6_matches_fomin_kirillov():
     dims = hilbert_dims(transposition_class(5), 6, budget=10 ** 6)
     assert dims.complete

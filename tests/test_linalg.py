@@ -7,7 +7,6 @@ from math import comb, gcd
 import pytest
 
 import qzeta.linalg as linalg
-import qzeta.rmatrix as rmatrix
 from qzeta import (
     NoSolution,
     QLaurent,
@@ -15,6 +14,7 @@ from qzeta import (
     QZetaError,
     solve_linear,
     sparse_int_rank,
+    sparse_kernel,
     sparse_qlaurent_rank,
 )
 
@@ -266,22 +266,71 @@ def test_qlaurent_rank_matches_dense_oracle_on_q_matrices():
 
 
 def test_sparse_qlaurent_rank_matches_dense_oracle_on_rmatrix_blocks(monkeypatch):
+    # the R-matrix blocks of the stacked-constraint oracle, which ranks with sparse_qlaurent_rank
+    import test_rmatrix
+
     blocks = []
 
     def recording(rows):
         blocks.append(rows)
         return sparse_qlaurent_rank(rows)
 
-    monkeypatch.setattr(rmatrix, "sparse_qlaurent_rank", recording)
+    monkeypatch.setattr(test_rmatrix, "sparse_qlaurent_rank", recording)
     for n in (2, 3):
         for j in range(5):
-            rmatrix.sym_subspace_dims(n, j)
+            test_rmatrix._sym_subspace_dims_stacked(n, j)
     # one block per content multiset of size j = 1..4 (j = 0 returns before any rank)
     assert len(blocks) == sum(comb(n + j - 1, j) for n in (2, 3) for j in range(1, 5))
     for rows in blocks:
         size = 1 + max((c for row in rows for c in row), default=0)
         dense = [[row.get(c, 0) for c in range(size)] for row in rows]
         assert sparse_qlaurent_rank(rows) == _rank_qgeneric(dense)
+
+
+def _check_kernel(m, rank, one=1):
+    """sparse_kernel on the rows of dense m: len(m) - rank vectors that annihilate m and are independent."""
+    rows = [{c: x for c, x in enumerate(row) if x} for row in m]
+    kernel = sparse_kernel(rows, len(m[0]) if m else 0, one)
+    assert len(kernel) == len(rows) - rank, m
+    assert all(vec and linalg._combine(vec, rows) == {} for vec in kernel), m
+    if kernel:
+        independent = sparse_int_rank(kernel)[0] if type(one) is int else sparse_qlaurent_rank(kernel)
+        assert independent == len(kernel), m
+
+
+def test_sparse_kernel_on_random_int_matrices():
+    rng = random.Random(19_5084)
+    kinds = ("empty", "zero", "square", "tall", "wide", "square")
+    nontrivial = 0
+    for i in range(300):
+        m = _random_rational_matrix(rng, kinds[i % len(kinds)])
+        m = [[row.get(c, 0) for c in range(len(m[0]))] for row in map(linalg._int_row, m)]
+        rank = _rank_bareiss(m)
+        _check_kernel(m, rank)
+        nontrivial += 0 < rank < len(m)
+    assert nontrivial > 60
+
+
+def test_sparse_kernel_on_random_q_matrices():
+    rng = random.Random(19_7_5084)
+    nontrivial = 0
+    for _ in range(120):
+        rows = [_laurent_row(row) for row in _random_q_matrix(rng)]
+        width = 1 + max((c for row in rows for c in row), default=0)
+        m = [[row.get(c, 0) for c in range(width)] for row in rows]
+        rank = _rank_qgeneric(m)
+        _check_kernel(m, rank, QLaurent.one())
+        nontrivial += 0 < rank < len(m)
+    assert nontrivial > 40
+
+
+def test_sparse_kernel_keeps_tags_off_the_pivots():
+    # a zero row is its own dependency; a repeated row depends on its first copy
+    q = QLaurent({1: 1})
+    rows = [{0: 1, 1: 2}, {}, {0: 1, 1: 2}, {1: 3}]
+    assert sparse_kernel(rows, 2) == [{1: 1}, {0: -1, 2: 1}]
+    assert sparse_kernel([{0: q}, {0: q * q}], 1, QLaurent.one()) == [{0: -q, 1: QLaurent.one()}]
+    assert sparse_kernel([], 3) == []
 
 
 def test_solve_identity():

@@ -1,10 +1,12 @@
 from fractions import Fraction as F
+from itertools import combinations_with_replacement, permutations
 from math import comb
 
 import pytest
 
 from qzeta import BudgetExceeded, QLaurent, QZetaError, RHat, q_binom_sym, q_int_sym, quantum_trace_sym, sym_subspace_dims
-from qzeta.rmatrix import trace_of_blocks
+from qzeta.linalg import sparse_qlaurent_rank
+from qzeta.rmatrix import _check_budget, trace_of_blocks
 
 
 def test_diagonal_action():
@@ -97,10 +99,73 @@ def test_negative_j_is_a_value_error_before_the_budget_check():
             call(9, -1)              # out of budget in n, still the j error
 
 
-@pytest.mark.parametrize("n, j", [(5, 5), (4, 6), (3, 7)])
+@pytest.mark.parametrize("n, j", [(5, 5), (4, 6), (3, 7), (5, 6)])
 def test_sym_power_theorem_beyond_criterion_range(n, j):
     # crit 04 checks n <= 4, j <= 5; the same generic route with the budget raised
     blocks = sym_subspace_dims(n, j, budget=(n, j))
     assert len(blocks) == comb(n + j - 1, j)
     assert all(k == 1 for _, k in blocks)
     assert trace_of_blocks(n, blocks) == q_binom_sym(n + j - 1, j)
+
+
+# -- oracle: the stacked-constraint route the recursion replaced ----------------
+
+
+def _sym_subspace_dims_stacked(n, j, budget=(4, 5), r=None):
+    """Per content block, block dimension minus the rank of all j-1 slots' constraint rows.
+
+    A block's constraint rows for slot i are the transpose of the columns of
+    R-hat - q id spliced into tensor slots (i, i+1) of every tuple of the
+    block, all ranked at once over Q(q) by sparse_qlaurent_rank.
+    """
+    _check_budget(n, j, budget)
+    if r is None:
+        r = RHat(n)
+    if j == 0:
+        return [((), 1)]
+    shifted = {}
+    for pair, col in r.columns.items():
+        col = dict(col)
+        col[pair] = col.get(pair, QLaurent()) - QLaurent({1: 1})
+        shifted[pair] = [(target, c) for target, c in col.items() if c]
+    out = []
+    for content in combinations_with_replacement(range(n), j):
+        block = sorted(set(permutations(content)))
+        index = {tup: k for k, tup in enumerate(block)}
+        rows = []
+        for slot in range(j - 1):
+            transposed: dict[int, dict] = {}
+            for k, tup in enumerate(block):
+                head, tail = tup[:slot], tup[slot + 2:]
+                for target, c in shifted[tup[slot:slot + 2]]:
+                    transposed.setdefault(index[head + target + tail], {})[k] = c
+            rows.extend(transposed.values())
+        out.append((content, len(block) - sparse_qlaurent_rank(rows)))
+    return out
+
+
+def test_recursion_matches_stacked_constraints_block_by_block():
+    for n in range(2, 5):
+        r = RHat(n)
+        for j in range(6):
+            assert sym_subspace_dims(n, j, r=r) == _sym_subspace_dims_stacked(n, j, r=r), (n, j)
+
+
+def test_recursion_computes_blocks_of_any_dimension():
+    # crit 04's "every block is 1-dim" must be found, not assumed: with q id in
+    # place of R-hat every block is all of its kernel, and with R-hat + q^-1 + q
+    # the kernel is the antisymmetric eigenspace, whose repeated-index blocks are 0
+    q, qinv = QLaurent({1: 1}), QLaurent({-1: 1})
+    scalar, antisym = RHat(3), RHat(3)
+    for pair, col in antisym.columns.items():
+        scalar.columns[pair] = {pair: q}
+        col = dict(col)
+        col[pair] = col.get(pair, QLaurent()) + q + qinv
+        antisym.columns[pair] = {t: c for t, c in col.items() if c}
+    for j in range(5):
+        blocks = sym_subspace_dims(3, j, r=scalar)
+        assert blocks == _sym_subspace_dims_stacked(3, j, r=scalar), j
+        assert [k for _, k in blocks] == [len(set(permutations(content))) for content, _ in blocks]
+        blocks = sym_subspace_dims(3, j, r=antisym)
+        assert blocks == _sym_subspace_dims_stacked(3, j, r=antisym), j
+        assert [k for _, k in blocks] == [int(len(set(content)) == j) for content, _ in blocks]

@@ -182,3 +182,31 @@ def test_merged_summand_certificate():
     two_s = q_int_sym_sexpr(2, 1)
     merged = _finite_0_to_s(q_int_sym_sexpr(4, 1)) + two_s * _tail_from_splus1(two_s)
     assert verify_sexpr_numeric(merged, F(2), n_terms=80, tol=F(1, 10**6))
+
+
+def test_merged_summand_with_s_independent_term_is_refused():
+    # a constant summand diverges over s >= 0; it used to be skipped and certified
+    with pytest.raises(ValueError, match="s-independent"):
+        verify_sexpr_numeric(SExpr([(QRational.one(), 0)]), F(2))
+    mixed = SExpr([(QRational.one(), 0)]) + q_int_sym_sexpr(2, 1)
+    with pytest.raises(ValueError, match="s-independent"):
+        verify_sexpr_numeric(mixed, F(2), n_terms=80, tol=F(1, 10**6))
+
+
+def test_certificates_refuse_a_tail_above_tolerance():
+    # q = 3/2 with two terms: the dimension's tail bound is about 0.073
+    with pytest.raises(QZetaError, match="not below tolerance"):
+        verify_dim_numeric(F(3, 2), n_terms=2)
+    coeff = _qr({1: 1}, {0: 1, 2: -1})
+    with pytest.raises(QZetaError, match="not below tolerance"):
+        verify_term_numeric(coeff, -2, F(3, 2), n_terms=2)
+
+
+def test_term_certificate_refuses_a_wrong_closed_form(monkeypatch):
+    import qzeta.sphere as sphere
+
+    right = sphere._sum_inf
+    monkeypatch.setattr(sphere, "_sum_inf", lambda expr: right(expr) + QRational.one())
+    coeff = _qr({1: 1}, {0: 1, 2: -1})
+    with pytest.raises(QZetaError, match="certificate failed"):
+        verify_term_numeric(coeff, -2, F(2), n_terms=60, tol=F(1, 10**6))
