@@ -13,23 +13,25 @@ S_j = (S_{j-1} (x) id) P_j with P_j = id + Psi_{j-1} + Psi_{j-1}Psi_{j-2}
 candidate rows of S_j directly, and ranks are taken by streaming sparse
 elimination.  The words Psi_{j-1}...Psi_k are applied to the support of each
 row only, one positional braiding step (an n^2-entry offset table) at a
-time, so no table over the n^j columns is ever built.  Degree-by-degree
-dimensions of the quadratic variant BS^quad(A) = TA / <ker S_2> are those of
-the complements W_j = (W_{j-1} (x) V) cap (V^{j-2} (x) ker(S_2)^perp) of its
-ideal: a kernel on n dim W_{j-1} candidates per level, not n^j columns.
+time, so no table over the n^j columns is ever built.  The quadratic
+variant BS^quad(A) = TA / <ker S_2> and the braided invariants are joint
+kernels W_j = (W_{j-1} (x) V) cap (V^{j-2} (x) ker M), M the contraction
+against ker S_2 or sign Psi - id: each level is a kernel on n dim W_{j-1}
+candidates (``linalg._intersect_step``), not on n^j columns.
 
-Both ladders run block by block.  Column (x_1, ..., x_j) is labelled
-by the map sigma_{x_1} o ... o sigma_{x_j} of X, with sigma_x = left[x];
-the first component of the braid relation, sigma_{L(x,y)} sigma_{R(x,y)} =
-sigma_x sigma_y, says every braiding keeps the label, so S_j and W_j are
+The ladder and the joint kernels run block by block through one level
+driver, ``_ProductBlocks.level``.  Column (x_1, ..., x_j) is labelled by the
+map sigma_{x_1} o ... o sigma_{x_j} of X, with sigma_x = left[x]; the first
+component of the braid relation, sigma_{L(x,y)} sigma_{R(x,y)} = sigma_x
+sigma_y, says every braiding keeps the label, so S_j and W_j are
 block-diagonal by label.  When every sigma_x is an automorphism of (X, Psi)
 (checked once, in O(n^3); true for every conjugacy class), relabelling all
-tensor factors by one element g of the group they generate commutes with
-S_j and W_j and carries block l to block g l g^-1.  Only the least label of
-each such orbit is computed, its dimension counted |orbit| times; the rows
-of any other block are its representative's, relabelled.  Otherwise every
-block is its own orbit, through the same code.  Budgets still count the n^j
-columns of a level, not the columns of a block.
+tensor factors by one element g of the group they generate commutes with S_j
+and W_j and carries block l to block g l g^-1.  Only the least label of each
+such orbit is computed, its dimension counted |orbit| times; the rows of any
+other block are its representative's, relabelled.  Otherwise every block is
+its own orbit, through the same code.  Budgets still count the n^j columns
+of a level, not the columns of a block.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .errors import BudgetExceeded
 from .qcombinat import t_bracket
 from .qlaurent import _as_int
 from .qtpoly import QTPoly
-from .linalg import _combine, sparse_int_rank, sparse_kernel
+from .linalg import _intersect_step, sparse_int_rank
 
 DEFAULT_BUDGET = 100_000
 
@@ -206,25 +208,6 @@ def _pair_map(x: BraidedSet) -> list[int]:
     return [x.left[a][b] * n + x.right[a][b] for a in range(n) for b in range(n)]
 
 
-def _positional_steps(x: BraidedSet, j: int):
-    """One inverse braiding step per adjacent position of V^{(x)j}, as column offsets.
-
-    Column c of n^j lists its base-n digits most significant first.  The
-    inverse braiding Psi^-1 at 0-based position p rewrites only the digit
-    pair at place value lo = n^(j-2-p), so it sends c to c + delta[c // lo % n^2].
-    Returns [(lo, delta)] for p = 0..j-2.
-    """
-    n = x.size
-    inv = [0] * (n * n)
-    for t, s in enumerate(_pair_map(x)):
-        inv[s] = t
-    steps = []
-    for p in range(j - 1):
-        lo = n ** (j - 2 - p)
-        steps.append((lo, [(s - t) * lo for t, s in enumerate(inv)]))
-    return steps
-
-
 def _is_automorphism(x: BraidedSet, g) -> bool:
     """True iff the map g of X is a bijection with Psi(g a, g b) = (g L(a, b), g R(a, b))."""
     n = x.size
@@ -249,6 +232,7 @@ class _ProductBlocks:
 
     def __init__(self, x: BraidedSet):
         self.size = x.size
+        self._sigma = x.left
         self.identity = tuple(range(x.size))
         self.symmetric = all(_is_automorphism(x, s) for s in set(x.left))
         gens = sorted(set(x.left)) if self.symmetric else []
@@ -308,29 +292,36 @@ class _ProductBlocks:
             cache[label] = out
         return out
 
-    def sources(self, basis, sigma):
-        """{rep at level m+1: {label l at level m: [i]}} over l o sigma_i = rep, l in the orbits of basis."""
-        out = {}
+    def first(self):
+        """The level-1 basis: {rep: [e_i for the letters i with sigma_i = rep]}."""
+        basis = {}
+        for i, s in enumerate(self._sigma):
+            if self.is_rep(s):
+                basis.setdefault(s, []).append({i: 1})
+        return basis
+
+    def level(self, basis, m: int, block):
+        """The level-(m+1) blocks grown from the level-m basis: (sum of |orbit| * rows, {rep: rows}).
+
+        Each representative rep of level m+1, in sorted order, gets its rows
+        from block(parts), parts = [(rows of block l, [i])] over the labels l
+        in the orbits of basis and the letters i with l o sigma_i = rep.
+        Blocks given no rows are left out.
+        """
+        sources = {}  # rep -> {label l: [i]}
         for rep in basis:
             for label, _ in self.members(rep):
-                for i, s in enumerate(sigma):
+                for i, s in enumerate(self._sigma):
                     target = _compose(label, s)
                     if self.is_rep(target):
-                        out.setdefault(target, {}).setdefault(label, []).append(i)
-        return out
-
-    def eliminate(self, targets, candidates):
-        """Rank each representative block in targets on its own, from candidates(target).
-
-        Returns (sum of |orbit| * rank, {target: kept rows} for the blocks of nonzero rank).
-        """
-        rank, basis = 0, {}
-        for target in sorted(targets):
-            block_rank, kept = sparse_int_rank(candidates(target), collect_kept=True)
-            if block_rank:
-                basis[target] = kept
-                rank += self.orbit(target)[2] * block_rank
-        return rank, basis
+                        sources.setdefault(target, {}).setdefault(label, []).append(i)
+        dim, out, cache = 0, {}, {}
+        for target in sorted(sources):
+            rows = block([(self.rows(basis, label, m, cache), letters) for label, letters in sources[target].items()])
+            if rows:
+                out[target] = rows
+                dim += self.orbit(target)[2] * len(rows)
+        return dim, out
 
 
 class GradedDims:
@@ -377,8 +368,9 @@ class SymmetrizerLadder:
     (A (x) e_i) P_j, where A runs over the level-(j-1) blocks l and i over
     the letters with l o sigma_i equal to its label; a non-representative
     l contributes its representative's rows relabelled by the conjugating
-    g.  Each block is eliminated on its own, and the level's rank is the
-    sum over representatives of |orbit| times the block's rank.  P_j acts
+    g.  Each block is eliminated on its own (``_ProductBlocks.level``), and
+    the level's rank is the sum over representatives of |orbit| times the
+    block's rank.  P_j acts
     on the support of each row, step by step, with O(j n^2) tables per
     level.  ``budget`` still bounds the column count n^j of a level,
     although no array of that size, or of a block's size, is built.
@@ -389,10 +381,7 @@ class SymmetrizerLadder:
         self.budget = budget
         self.dims = [1, x.size]
         self._blocks = _ProductBlocks(x)
-        self._basis = {}  # representative label -> kept rows of that block
-        for i, s in enumerate(x.left):
-            if self._blocks.is_rep(s):
-                self._basis.setdefault(s, []).append({i: 1})
+        self._basis = self._blocks.first()  # representative label -> kept rows of that block
 
     @property
     def level(self) -> int:
@@ -401,13 +390,18 @@ class SymmetrizerLadder:
     def _word_inverse_perms(self, j: int):
         """Inverse steps of the words Psi_{j-1}..Psi_k, k = j-1..1, as (lo, delta, sign).
 
-        Entry p of the list undoes one braiding at position j-2-p; a column
-        carried through entries 0..p is its preimage under the word with
-        k = j-1-p, of length p+1, whose sign sign^(p+1) the entry holds.
+        Column c of n^j lists its base-n digits most significant first.
+        Entry p of the list undoes one braiding at 0-based position j-2-p,
+        which rewrites only the digit pair at place value lo = n^p: it sends
+        c to c + delta[c // lo % n^2].  A column carried through entries
+        0..p is its preimage under the word with k = j-1-p, of length p+1,
+        whose sign sign^(p+1) the entry holds.
         """
-        sign = self.x.sign
-        steps = _positional_steps(self.x, j)
-        return [(lo, delta, sign ** (p + 1)) for p, (lo, delta) in enumerate(reversed(steps))]
+        n, sign = self.x.size, self.x.sign
+        inv = [0] * (n * n)
+        for t, s in enumerate(_pair_map(self.x)):
+            inv[s] = t
+        return [(n ** p, [(s - t) * n ** p for t, s in enumerate(inv)], sign ** (p + 1)) for p in range(j - 1)]
 
     def _candidate_rows(self, steps, sources):
         """Rows of (A (x) e_i) P_j for each (A, letters) in sources and i in letters.
@@ -439,18 +433,11 @@ class SymmetrizerLadder:
         if n ** j > self.budget:
             raise BudgetExceeded(f"n^j = {n}^{j} = {n ** j} exceeds budget {self.budget}")
         steps = self._word_inverse_perms(j)
-        blocks = self._blocks
-        sources = blocks.sources(self._basis, self.x.left)
-        cache = {}
 
-        def candidates(target):
-            parts = [
-                (blocks.rows(self._basis, label, j - 1, cache), letters)
-                for label, letters in sources[target].items()
-            ]
-            return self._candidate_rows(steps, parts)
+        def kept(parts):
+            return sparse_int_rank(self._candidate_rows(steps, parts), collect_kept=True)[1]
 
-        rank, self._basis = blocks.eliminate(sources, candidates)
+        rank, self._basis = self._blocks.level(self._basis, j - 1, kept)
         self.dims.append(rank)
         return rank
 
@@ -484,34 +471,25 @@ def hilbert_dims(x: BraidedSet, max_degree: int, budget: int = DEFAULT_BUDGET) -
 def invariant_dims(x: BraidedSet, j: int, budget: int = DEFAULT_BUDGET) -> int:
     """Dimension of the joint eigenvalue-1 invariants of the (signed) braidings.
 
-    For involutive braidings this agrees with symmetrizer_rank; in the
-    strictly braided case the two are reported side by side and no equality
-    is asserted.  The rows are those of sign Psi_i^-1 - id: Psi_i permutes
-    the columns and sign = +-1, so they have the rank of sign Psi_i - id.
+    The intersection over the adjacent slot pairs i of ker(sign Psi_i - id),
+    grown one tensor factor at a time like the quadratic variant's W_j.  For
+    involutive braidings this agrees with symmetrizer_rank.  In the strictly
+    braided case no relation between the two is claimed, and no caller
+    compares them.  ``budget`` bounds n^j.
     """
     if j < 0:
         raise ValueError("j must be non-negative")
     if j <= 1:
         return 1 if j == 0 else x.size
     n = x.size
-    nn = n * n
-    big = n ** j
-    if big > budget:
-        raise BudgetExceeded(f"n^j = {big} exceeds budget {budget}")
-    sign = x.sign
-
-    def rows():
-        # rows of (sign Psi_i^-1 - id) for each adjacent position i
-        for lo, delta in _positional_steps(x, j):
-            for c in range(big):
-                image = c + delta[c // lo % nn]
-                row = {c: -1}
-                row[image] = row.get(image, 0) + sign
-                if any(row.values()):
-                    yield {k: v for k, v in row.items() if v}
-
-    rank, _ = sparse_int_rank(rows())
-    return big - rank
+    if n ** j > budget:
+        raise BudgetExceeded(f"n^j = {n ** j} exceeds budget {budget}")
+    pair_map = []  # pair a n + b -> its image under sign Psi - id
+    for c, image in enumerate(_pair_map(x)):
+        col = {image: x.sign}
+        col[c] = col.get(c, 0) - 1
+        pair_map.append([(k, v) for k, v in col.items() if v])
+    return next(itertools.islice(_joint_kernel_dims(x, pair_map, n * n), j - 2, None))
 
 
 # -- dense small-scale symmetrizers (oracle for the ladder's recursion) --------
@@ -605,6 +583,23 @@ def _ker_s2_basis(x: BraidedSet):
     return basis
 
 
+def _joint_kernel_dims(x: BraidedSet, pair_map, width: int):
+    """Yield dim W_j for j = 2, 3, ..., one level per next().
+
+    W_1 = V and W_j = (W_(j-1) (x) V) cap (V^(x j-2) (x) ker M), the joint
+    kernel of the 2-slot map M (``linalg._intersect_step``'s ``pair_map``
+    and ``width``) at every adjacent slot pair.  When ker M is spanned by
+    vectors within the label blocks of V (x) V and is stable under every
+    relabelling, W_j is block-diagonal and orbit-stable like S_j, so each
+    representative block is one intersection step.
+    """
+    blocks = _ProductBlocks(x)
+    n, basis = x.size, blocks.first()
+    for m in itertools.count(1):
+        dim, basis = blocks.level(basis, m, lambda parts: _intersect_step(parts, n, pair_map, width))
+        yield dim
+
+
 def hilbert_dims_quadratic(x: BraidedSet, max_degree: int, budget: int = DEFAULT_BUDGET) -> GradedDims:
     """Degreewise dimensions of the quadratic algebra TA / <ker S_2>.
 
@@ -612,46 +607,23 @@ def hilbert_dims_quadratic(x: BraidedSet, max_degree: int, budget: int = DEFAULT
     K = ker S_2, so the orthogonal complement W_j, of dimension n^j minus
     the ideal's, is (W_(j-1) (x) V) intersected with V^(x j-2) (x) K^perp:
     the part of W_(j-1) (x) V whose last two slots contract to 0 against
-    every cycle vector of K.  W_j is block-diagonal and orbit-stable like
-    S_j, so a representative block takes its candidates b (x) e_i from the
-    symmetrizer ladder's sources; each dependency c among their contractions
-    (``sparse_kernel``) is one basis vector sum c_k (b_k (x) e_i_k), and
-    dim W_j is the sum over representatives of |orbit| times their count.
-    ``budget`` bounds n^j from degree 3 on; degree 2 is always computed.
+    every cycle vector of K (``_joint_kernel_dims``).  ``budget`` bounds n^j
+    from degree 3 on; degree 2 is always computed.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
     n = x.size
     dims = [1, n][:max_degree + 1]
-    blocks = _ProductBlocks(x)
     kernel = _ker_s2_basis(x)
-    contract = [[[] for _ in range(n)] for _ in range(n)]  # [b][a] -> [(t, entry (a, b) of kernel[t])]
+    contract = [[] for _ in range(n * n)]  # pair a n + b -> [(t, entry (a, b) of kernel[t])]
     for t, vec in enumerate(kernel):
         for c, v in vec.items():
-            contract[c % n][c // n].append((t, v))
-    basis = {}  # representative label -> basis of W_(j-1) in that block
-    for i, s in enumerate(x.left):
-        if blocks.is_rep(s):
-            basis.setdefault(s, []).append({i: 1})
+            contract[c].append((t, v))
+    levels = _joint_kernel_dims(x, contract, len(kernel))
     for j in range(2, max_degree + 1):
         if j > 2 and n ** j > budget:
             break
-        rest, below, basis, cache = n ** (j - 2), basis, {}, {}
-        sources = blocks.sources(below, x.left)
-        for target in sorted(sources):
-            candidates, images = [], []
-            for label, letters in sources[target].items():
-                for row in blocks.rows(below, label, j - 1, cache):
-                    for b in letters:
-                        image = {}  # column t rest + u: kernel[t] contracted with row (x) e_b at u
-                        for c, v in row.items():
-                            for t, k in contract[b][c % n]:
-                                image[t * rest + c // n] = image.get(t * rest + c // n, 0) + k * v
-                        candidates.append({c * n + b: v for c, v in row.items()})
-                        images.append(image)
-            for dep in sparse_kernel(images, len(kernel) * rest):
-                basis.setdefault(target, []).append(_combine(dep, candidates))
-        dims.append(sum(blocks.orbit(rep)[2] * len(vectors) for rep, vectors in basis.items()))
+        dims.append(next(levels))
     return GradedDims(dims, max_degree)
 
 

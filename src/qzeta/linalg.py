@@ -1,11 +1,14 @@
 """Exact rank and kernels over the rationals and over the rational-function field of q.
 
-sparse_int_rank ranks integer rows (the Nichols ladders in ``braided``) and
-sparse_kernel finds the dependencies among integer rows or QLaurent rows
-over Q(q) (the quadratic Hilbert series in ``braided``, the R-matrix blocks
-in ``rmatrix``).  sparse_qlaurent_rank, with no caller in the library, ranks
-QLaurent rows for the tests' R-matrix oracle.  Rows enter one at a time as
-sparse {column: value} dicts and are reduced against the current echelon.
+sparse_int_rank ranks integer rows (the symmetrizer ladder in ``braided``)
+and sparse_kernel finds the dependencies among integer rows or QLaurent rows
+over Q(q).  Its one caller in the library is ``_intersect_step``, which
+grows a joint kernel by one tensor factor: the quadratic Hilbert series and
+the braided invariants in ``braided`` over Z, the R-matrix blocks in
+``rmatrix`` over Q(q).  sparse_qlaurent_rank, with no caller in the
+library, ranks QLaurent rows for the tests' R-matrix oracle.  Rows enter one
+at a time as sparse {column: value} dicts and are reduced against the
+current echelon.
 
 All three go through one fraction-free reduction step, ``_reduce``
 (Bareiss-style cross-multiplication of sparse rows); only the content strip
@@ -201,6 +204,37 @@ def _combine(coeffs: dict, vectors) -> dict:
         for col, v in vectors[i].items():
             out[col] = out.get(col, 0) + c * v
     return {col: v for col, v in out.items() if v}
+
+
+def _intersect_step(parts, n: int, pair_map, width: int, one=1) -> list[dict]:
+    """A basis of (W (x) V) cap (V^(x m-1) (x) ker M), one tensor factor above W in V^(x m).
+
+    ``parts`` is [(rows, letters)]: the candidates are b (x) e_x for every b
+    in rows (sparse {base-n column: value} vectors, together spanning W) and
+    x in letters.  M is given by columns: ``pair_map[a n + b]`` is
+    [(k, entry)], k < width, the image of e_a (x) e_b.  M in the last two
+    slots sends column p n^2 + a n + b to p width + k; each dependency c
+    among the images (``sparse_kernel``, over Z or over Q(q) with ``one`` =
+    ``QLaurent.one()``) is one basis vector sum c_i (b_i (x) e_x_i).  When W
+    is the joint kernel of M at every adjacent slot pair, so is the result.
+    """
+    nn = n * n
+    candidates, images, top = [], [], 0
+    for rows, letters in parts:
+        for row in rows:
+            top = max(top, max(row))
+            for x in letters:
+                cand = {c * n + x: v for c, v in row.items()}
+                image = {}
+                for c, v in cand.items():
+                    base = c // nn * width
+                    for k, e in pair_map[c % nn]:
+                        image[base + k] = image.get(base + k, 0) + v * e
+                candidates.append(cand)
+                images.append(image)
+    # a candidate column u n + x, u <= top, maps below (top // n + 1) width
+    span = (top // n + 1) * width
+    return [_combine(dep, candidates) for dep in sparse_kernel(images, span, one)]
 
 
 def solve_linear(rows: list, rhs) -> tuple[list, int]:

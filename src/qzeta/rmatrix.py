@@ -17,7 +17,7 @@ from __future__ import annotations
 from itertools import combinations_with_replacement
 
 from .errors import BudgetExceeded, QZetaError
-from .linalg import _combine, sparse_kernel
+from .linalg import _intersect_step
 from .qlaurent import QLaurent
 
 _Q = QLaurent({1: 1})
@@ -102,41 +102,34 @@ def sym_subspace_dims(n: int, j: int, budget=(4, 5), r: RHat | None = None):
     Sym_j, the intersection of the ker(R_i - q id), is (Sym_(j-1) (x) V)
     intersected with V^(x j-2) (x) ker(R - q id), and R-hat keeps content:
     block mu of Sym_j is the part of the sum of Sym_(j-1)[mu - e_x] (x) e_x
-    that R-hat - q id in the last two slots sends to 0.  Block bases are
-    sparse {base-n column: QLaurent} vectors; each dependency c among the
-    candidates' images (``sparse_kernel`` over Q(q)) is one basis vector
-    sum c_i (b_i (x) e_x_i), so the dimension is counted, never assumed.
+    that R-hat - q id in the last two slots sends to 0 (``_intersect_step``
+    over Q(q)).  Block bases are sparse {base-n column: QLaurent} vectors and
+    every dimension is counted, never assumed.  ``r`` must be an RHat on C^n.
     """
     if j < 0:
         raise ValueError("j must be non-negative")
     _check_budget(n, j, budget)
     if r is None:
         r = RHat(n)
+    elif r.n != n:
+        raise ValueError(f"r is the R-matrix of C^{r.n}, not of C^{n}")
     if j == 0:
         return [((), 1)]
-    nn, one = n * n, QLaurent.one()
     shifted = []  # pair a n + b -> [(pair, entry)] of the column of R-hat - q id
     for a in range(n):
         for b in range(n):
             col = dict(r.columns[(a, b)])
             col[(a, b)] = col.get((a, b), QLaurent()) - _Q
             shifted.append([(a2 * n + b2, c) for (a2, b2), c in col.items() if c])
-    basis = {(x,): [{x: one}] for x in range(n)}
+    basis = {(x,): [{x: QLaurent.one()}] for x in range(n)}
     for level in range(2, j + 1):
         below, basis = basis, {}
         for content in combinations_with_replacement(range(n), level):
-            candidates, images = [], []
+            parts = []
             for x in sorted(set(content)):
                 k = content.index(x)
-                for vec in below[content[:k] + content[k + 1:]]:
-                    cand = {c * n + x: v for c, v in vec.items()}
-                    image = {}
-                    for c, v in cand.items():
-                        for pair, e in shifted[c % nn]:
-                            image[c - c % nn + pair] = image.get(c - c % nn + pair, 0) + v * e
-                    candidates.append(cand)
-                    images.append(image)
-            basis[content] = [_combine(dep, candidates) for dep in sparse_kernel(images, n ** level, one)]
+                parts.append((below[content[:k] + content[k + 1:]], (x,)))
+            basis[content] = _intersect_step(parts, n, shifted, n * n, QLaurent.one())
     return [(content, len(vectors)) for content, vectors in basis.items()]
 
 

@@ -22,7 +22,7 @@ from qzeta.braided import (
     _apply_word,
     _compose,
     _ker_s2_basis,
-    _positional_steps,
+    _pair_map,
     _ProductBlocks,
     symmetrizer_matrix_bruteforce,
     symmetrizer_matrix_recursive,
@@ -134,10 +134,11 @@ def test_recursion_equals_bruteforce():
 def test_recursion_runs_the_ladder_kernel(monkeypatch):
     """A wrong sign in the ladder's word steps must break the recursion-vs-brute-force check."""
 
+    right_sign = SymmetrizerLadder._word_inverse_perms
+
     def wrong_sign(self, j):
-        sign = self.x.sign
-        steps = _positional_steps(self.x, j)
-        return [(lo, delta, sign ** p) for p, (lo, delta) in enumerate(reversed(steps))]
+        # sign^p in place of sign^(p+1) on the word of length p + 1
+        return [(lo, delta, sgn * self.x.sign) for lo, delta, sgn in right_sign(self, j)]
 
     x = transposition_class(3)
     assert symmetrizer_matrix_recursive(x, 2) == symmetrizer_matrix_bruteforce(x, 2)
@@ -359,6 +360,32 @@ def _hilbert_dims_quadratic_ungraded(x, max_degree, budget=10**5):
     return dims
 
 
+def _invariant_dims_stacked(x, j):
+    """n^j minus the rank of the stacked rows of sign Psi_i^-1 - id over every adjacent position i.
+
+    Psi_i permutes the columns and sign = +-1, so these rows have the rank of
+    sign Psi_i - id; each is built on all n^j columns at once.
+    """
+    if j <= 1:
+        return 1 if j == 0 else x.size
+    n, nn, big = x.size, x.size ** 2, x.size ** j
+    inv = [0] * nn
+    for t, s in enumerate(_pair_map(x)):
+        inv[s] = t
+
+    def rows():
+        for p in range(j - 1):
+            lo = n ** (j - 2 - p)
+            for c in range(big):
+                image = c + (inv[c // lo % nn] - c // lo % nn) * lo
+                row = {c: -1}
+                row[image] = row.get(image, 0) + x.sign
+                if any(row.values()):
+                    yield {k: v for k, v in row.items() if v}
+
+    return big - sparse_int_rank(rows())[0]
+
+
 def _non_automorphic_set(sign):
     """On 3 points: sigma_x = left[x] a 3-cycle power, right[x][y] = tau[x] with tau = (0 2 1)."""
     sigma = ((0, 1, 2), (2, 0, 1), (1, 2, 0))
@@ -425,6 +452,12 @@ def test_block_quadratic_matches_ungraded():
         assert list(hilbert_dims_quadratic(x, top)) == _hilbert_dims_quadratic_ungraded(x, top), x.label
 
 
+def test_invariant_dims_match_stacked_rows():
+    for x, top, _ in _block_pool():
+        for j in range(min(top, 5) + 1):
+            assert invariant_dims(x, j) == _invariant_dims_stacked(x, j), (x.label, j)
+
+
 def test_product_blocks_and_orbits():
     """Kept rows lie in the block of their key, the key is its orbit's least label, and label = g rep g^-1."""
     for x, top, _ in _block_pool():
@@ -469,14 +502,17 @@ def test_block_ladder_keeps_the_level_budget():
 
 
 def test_positional_steps_match_tuple_braiding():
+    # entry p of _word_inverse_perms(j) undoes one braiding at position j-2-p
     for x, _ in _ladder_pool():
         n, nn = x.size, x.size ** 2
+        ladder = SymmetrizerLadder(x)
         for j in (2, 3):
-            for p, (lo, delta_inv) in enumerate(_positional_steps(x, j)):
-                assert lo == n ** (j - 2 - p)
+            for p, (lo, delta_inv, sgn) in enumerate(ladder._word_inverse_perms(j)):
+                assert lo == n ** p
+                assert sgn == x.sign ** (p + 1)
                 for c in range(n ** j):
                     digits = tuple(c // n ** (j - 1 - i) % n for i in range(j))
-                    image = sum(d * n ** (j - 1 - i) for i, d in enumerate(_apply_word(x, [p], digits)))
+                    image = sum(d * n ** (j - 1 - i) for i, d in enumerate(_apply_word(x, [j - 2 - p], digits)))
                     assert image + delta_inv[image // lo % nn] == c
 
 

@@ -324,6 +324,67 @@ def test_sparse_kernel_on_random_q_matrices():
     assert nontrivial > 40
 
 
+def _check_intersect_levels(rows, n, one, rank, top):
+    """Grow W_1 = V to W_top by _intersect_step with the map M on V (x) V whose rows are ``rows``.
+
+    Returns how many steps kept some but not all candidates.  At each level:
+    the step's count is the candidates minus the dense ``rank`` of their
+    images under M in the last two slots, the vectors are independent and
+    lie in the candidates' span, and M at every adjacent slot pair kills
+    each of them.
+    """
+    nn, width = n * n, len(rows)
+    sparse_rank = (lambda vecs: sparse_int_rank(vecs)[0]) if type(one) is int else sparse_qlaurent_rank
+    pair_map = [[(k, row[p]) for k, row in enumerate(rows) if p in row] for p in range(nn)]
+
+    def apply(vec, p, size):
+        lo = n ** (size - 2 - p)
+        out = {}
+        for c, v in vec.items():
+            for k, e in pair_map[c // lo % nn]:
+                col = (c // (lo * nn) * width + k) * lo + c % lo
+                out[col] = out.get(col, 0) + v * e
+        return {col: v for col, v in out.items() if v}
+
+    def dense(vectors):
+        size = 1 + max((c for vec in vectors for c in vec), default=-1)
+        return [[vec.get(c, 0) for c in range(size)] for vec in vectors]
+
+    basis, nontrivial = [{x: one} for x in range(n)], 0
+    for size in range(2, top + 1):
+        candidates = [{c * n + x: v for c, v in b.items()} for b in basis for x in range(n)]
+        new = linalg._intersect_step([(basis, range(n))], n, pair_map, width, one)
+        images = [apply(cand, size - 2, size) for cand in candidates]
+        assert len(new) == len(candidates) - rank(dense(images)), (rows, size)
+        assert sparse_rank(candidates + new) == len(candidates), (rows, size)
+        assert sparse_rank(new) == len(new), (rows, size)
+        assert all(apply(vec, p, size) == {} for vec in new for p in range(size - 1)), (rows, size)
+        nontrivial += 0 < len(new) < len(candidates)
+        basis = new
+    return nontrivial
+
+
+def test_intersect_step_on_random_int_maps():
+    rng = random.Random(20_5084)
+    kinds = ("empty", "zero", "square", "tall", "wide", "square")
+    nontrivial = 0
+    for i in range(60):
+        m = _random_rational_matrix(rng, kinds[i % len(kinds)])
+        rows = [linalg._int_row(row) for row in m]
+        nontrivial += _check_intersect_levels(rows, 3, 1, _rank_bareiss, 4)
+    assert nontrivial > 80
+
+
+def test_intersect_step_on_random_q_maps():
+    rng = random.Random(20_7_5084)
+    nontrivial = 0
+    for _ in range(7):
+        # a few maps only: the dense QRational oracle is slow past them
+        rows = [_laurent_row(row) for row in _random_q_matrix(rng)]
+        nontrivial += _check_intersect_levels(rows, 2, QLaurent.one(), _rank_qgeneric, 3)
+    assert nontrivial > 10
+
+
 def test_sparse_kernel_keeps_tags_off_the_pivots():
     # a zero row is its own dependency; a repeated row depends on its first copy
     q = QLaurent({1: 1})

@@ -99,6 +99,15 @@ def test_negative_j_is_a_value_error_before_the_budget_check():
             call(9, -1)              # out of budget in n, still the j error
 
 
+def test_r_matrix_of_another_dimension_is_a_value_error():
+    # an RHat(2) has no columns for the letter 2 of C^3: it used to raise a bare KeyError
+    for call in (sym_subspace_dims, quantum_trace_sym):
+        for j in (0, 2):
+            with pytest.raises(ValueError, match="R-matrix of C\\^2, not of C\\^3"):
+                call(3, j, r=RHat(2))
+    assert sym_subspace_dims(3, 2, r=RHat(3)) == sym_subspace_dims(3, 2)
+
+
 @pytest.mark.parametrize("n, j", [(5, 5), (4, 6), (3, 7), (5, 6)])
 def test_sym_power_theorem_beyond_criterion_range(n, j):
     # crit 04 checks n <= 4, j <= 5; the same generic route with the budget raised
