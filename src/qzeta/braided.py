@@ -435,7 +435,7 @@ class SymmetrizerLadder:
         steps = self._word_inverse_perms(j)
 
         def kept(parts):
-            return sparse_int_rank(self._candidate_rows(steps, parts), collect_kept=True)[1]
+            return sparse_int_rank(self._candidate_rows(steps, parts))[1]
 
         rank, self._basis = self._blocks.level(self._basis, j - 1, kept)
         self.dims.append(rank)

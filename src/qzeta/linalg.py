@@ -1,22 +1,24 @@
 """Exact rank and kernels over the rationals and over the rational-function field of q.
 
-sparse_int_rank ranks integer rows (the symmetrizer ladder in ``braided``)
-and sparse_kernel finds the dependencies among integer rows or QLaurent rows
-over Q(q).  Its one caller in the library is ``_intersect_step``, which
-grows a joint kernel by one tensor factor: the quadratic Hilbert series and
-the braided invariants in ``braided`` over Z, the R-matrix blocks in
-``rmatrix`` over Q(q).  sparse_qlaurent_rank, with no caller in the
-library, ranks QLaurent rows for the tests' R-matrix oracle.  Rows enter one
-at a time as sparse {column: value} dicts and are reduced against the
-current echelon.
+Rows are sparse {column: value} dicts whose values are all ints (over Z,
+hence Q) or all QLaurents (over Q(q)).  No function takes the ring as an
+argument: each reads it off the row values.  sparse_int_rank ranks rows and
+keeps the ones that extend the rank (the symmetrizer ladder in ``braided``;
+the tests' R-matrix oracle ranks QLaurent rows with it).  sparse_kernel finds
+the dependencies among rows.  Its one caller in the library is
+``_intersect_step``, which grows a joint kernel by one tensor factor: the
+quadratic Hilbert series and the braided invariants in ``braided`` over Z,
+the R-matrix blocks in ``rmatrix`` over Q(q).  Rows enter one at a time and
+are reduced against the current echelon.
 
-All three go through one fraction-free reduction step, ``_reduce``
-(Bareiss-style cross-multiplication of sparse rows); only the content strip
-that keeps rows primitive differs (``_strip_gcd`` for integer rows,
-``_strip_content`` for QLaurent rows).  A pivot whose leading entry divides
-the row's is subtracted in place instead: an integer that divides it, or a
-Laurent unit +-q^e over Q(q).  Pivot choice is always the first nonzero
-entry in column order, trading speed for deterministic reproducibility.
+Every elimination goes through one fraction-free reduction step, ``_reduce``
+(Bareiss-style cross-multiplication of sparse rows), and one content strip,
+``_strip``, that keeps rows primitive: the gcd of an integer row, the least
+exponent and rational content of a QLaurent row.  A pivot whose leading
+entry divides the row's is subtracted in place instead: an integer that
+divides it, or a Laurent unit +-q^e over Q(q).  Pivot choice is always the
+first nonzero entry in column order, trading speed for deterministic
+reproducibility.
 
 solve_linear has no caller in the library.  It stays for the benchmark
 tracer, which binds it by name, and for the deg-h search that the tests keep
@@ -35,35 +37,34 @@ from .errors import NoSolution, QZetaError
 from .qlaurent import QLaurent
 
 
-def _strip_gcd(row: dict) -> dict:
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-    if g > 1:
-        return {c: v // g for c, v in row.items()}
-    return row
+def _strip(row: dict) -> dict:
+    """Divide a nonzero row by its content, read off the ring of its values.
 
-
-def _strip_content(row: dict) -> dict:
-    """Divide a QLaurent row by its common monomial-and-rational content.
-
-    Full polynomial gcds are not taken: the rows the library reduces
-    do not need them.
+    Integer rows lose the gcd of their entries.  QLaurent rows lose their
+    least exponent and their rational content (the gcd of every coefficient's
+    numerator over the lcm of every denominator), gathered in one pass that
+    reads an int coefficient as it is.  Full polynomial gcds are not taken:
+    the rows the library reduces do not need them.
     """
-    it = iter(row.values())
-    first = next(it)
-    v, g = first.monomial_content()
-    for x in it:
-        v2, g2 = x.monomial_content()
-        v = min(v, v2)
-        ga = Fraction(g)
-        gb = Fraction(g2)
-        num = gcd(abs(ga.numerator), abs(gb.numerator))
-        den = (ga.denominator * gb.denominator) // gcd(ga.denominator, gb.denominator)
-        g = Fraction(num, den)
-    if v == 0 and g == 1:
+    values = row.values()
+    if type(next(iter(values))) is int:
+        g = gcd(*values)
+        if g > 1:
+            return {c: v // g for c, v in row.items()}
         return row
-    mono = QLaurent({-v: Fraction(1) / g})
+    low, num, den = None, 0, 1
+    for x in values:
+        for e, k in x.items():
+            if low is None or e < low:
+                low = e
+            if type(k) is int:
+                num = gcd(num, k)
+            else:
+                num = gcd(num, k.numerator)
+                den = lcm(den, k.denominator)
+    if low == 0 and num == 1 and den == 1:
+        return row
+    mono = QLaurent({-low: Fraction(den, num)})
     return {c: x * mono for c, x in row.items()}
 
 
@@ -76,15 +77,14 @@ def _int_row(entries) -> dict:
     return {c: f.numerator * (den // f.denominator) for c, f in enumerate(fracs) if f}
 
 
-def _reduce(echelon: dict, out: dict, strip) -> dict:
+def _reduce(echelon: dict, out: dict) -> dict:
     """Reduce a sparse row against a {pivot column: row} echelon, over Z or Q(q).
 
     Fraction-free: the row is cross-multiplied with the pivot row at its
-    leading column and passed through ``strip`` (``_strip_gcd`` for integer
-    rows, ``_strip_content`` for QLaurent rows), until its leading column has
-    no pivot (the row is returned, ready to become one) or it vanishes ({}
-    returned).  The values need only ring operations and truth testing, so
-    ints and QLaurents run the same loop.  A pivot whose leading entry a
+    leading column and passed through ``_strip``, until its leading column
+    has no pivot (the row is returned, ready to become one) or it vanishes
+    ({} returned).  The values need only ring operations and truth testing,
+    so ints and QLaurents run the same loop.  A pivot whose leading entry a
     divides the row's entry b in the ring needs no scaling: that step
     subtracts (b / a) times the pivot row in place, with no
     cross-multiplication and no strip.  Over Z that is an int a dividing b
@@ -121,7 +121,7 @@ def _reduce(echelon: dict, out: dict, strip) -> dict:
                 new[c] = w
             elif c in new:
                 del new[c]
-        out = strip(new) if new else new
+        out = _strip(new) if new else new
     return out
 
 
@@ -139,61 +139,46 @@ def _unit_quotient(b: QLaurent, a: QLaurent):
     return QLaurent.from_sums({k - e: v * c for k, v in b.items()})
 
 
-def sparse_int_rank(rows, collect_kept: bool = False):
-    """Streaming rank of sparse integer rows ({column: value} dicts).
+def sparse_int_rank(rows):
+    """Streaming rank of sparse rows ({column: value} dicts) over Z or over Q(q).
 
-    Each incoming row is reduced against the echelon basis by fraction-free
-    cross-multiplication (with gcd stripping to control entry growth); rows
-    that survive create a new pivot.  Returns (rank, kept) where kept lists
-    the original rows that extended the rank (empty unless collect_kept).
+    The values are all ints or all QLaurents.  Each incoming row is reduced
+    against the echelon basis (``_reduce``); rows that survive are stripped
+    of their content and create a new pivot.  Returns (rank, kept), where
+    kept lists the original rows that extended the rank.  The name predates
+    QLaurent rows; the benchmark tracer binds it.
     """
-    return _echelon_rank(rows, _strip_gcd, collect_kept)
-
-
-def _echelon_rank(rows, strip, collect_kept: bool):
-    """The streaming echelon behind both sparse ranks: (rank, kept rows)."""
     echelon: dict[int, dict] = {}
     kept = []
     for row in rows:
-        out = _reduce(echelon, {c: v for c, v in row.items() if v}, strip)
+        out = _reduce(echelon, {c: v for c, v in row.items() if v})
         if out:
-            echelon[min(out)] = strip(out)
-            if collect_kept:
-                kept.append(row)
+            echelon[min(out)] = _strip(out)
+            kept.append(row)
     return len(echelon), kept
 
 
-def sparse_qlaurent_rank(rows) -> int:
-    """Streaming rank for sparse rows with QLaurent values, over Q(q).
-
-    The same fraction-free reduction as sparse_int_rank; rows are kept
-    primitive by stripping the common monomial-and-rational content after
-    each combination.
-    """
-    return _echelon_rank(rows, _strip_content, False)[0]
-
-
-def sparse_kernel(rows, width: int, one=1) -> list[dict]:
+def sparse_kernel(rows, width: int) -> list[dict]:
     """Independent {row index: coefficient} dicts c with sum_i c_i rows[i] = 0, len(rows) - rank of them.
 
-    Row columns lie below ``width``; ``one`` is the ring's unit, 1 over Z or
-    ``QLaurent.one()`` over Q(q).  Row i goes through ``_reduce`` with the
-    tag column width + i (entry ``one``) appended.  It becomes a pivot if it
-    comes back leading below ``width``; otherwise it vanishes there and its
-    tag part is a dependency.  So no tag column is ever a pivot, and the tag
-    of row i, which no pivot row carries, keeps the row from vanishing.
+    Row columns lie below ``width``; the values are all ints or all
+    QLaurents.  Row i goes through ``_reduce`` with the tag column width + i
+    appended, whose entry is the ring's one: v ** 0 for an entry v of the
+    row (1 for a zero row).  It becomes a pivot if it comes back leading
+    below ``width``; otherwise it vanishes there and its tag part is a
+    dependency.  So no tag column is ever a pivot, and the tag of row i,
+    which no pivot row carries, keeps the row from vanishing.
     """
-    strip = _strip_gcd if type(one) is int else _strip_content
     echelon: dict[int, dict] = {}
     kernel = []
     for i, row in enumerate(rows):
         out = {c: v for c, v in row.items() if v}
-        out[width + i] = one
-        out = _reduce(echelon, out, strip)
+        out[width + i] = next(iter(out.values()), 1) ** 0
+        out = _reduce(echelon, out)
         if min(out) < width:
-            echelon[min(out)] = strip(out)
+            echelon[min(out)] = _strip(out)
         else:
-            kernel.append({c - width: v for c, v in strip(out).items()})
+            kernel.append({c - width: v for c, v in _strip(out).items()})
     return kernel
 
 
@@ -206,7 +191,7 @@ def _combine(coeffs: dict, vectors) -> dict:
     return {col: v for col, v in out.items() if v}
 
 
-def _intersect_step(parts, n: int, pair_map, width: int, one=1) -> list[dict]:
+def _intersect_step(parts, n: int, pair_map, width: int) -> list[dict]:
     """A basis of (W (x) V) cap (V^(x m-1) (x) ker M), one tensor factor above W in V^(x m).
 
     ``parts`` is [(rows, letters)]: the candidates are b (x) e_x for every b
@@ -214,8 +199,8 @@ def _intersect_step(parts, n: int, pair_map, width: int, one=1) -> list[dict]:
     x in letters.  M is given by columns: ``pair_map[a n + b]`` is
     [(k, entry)], k < width, the image of e_a (x) e_b.  M in the last two
     slots sends column p n^2 + a n + b to p width + k; each dependency c
-    among the images (``sparse_kernel``, over Z or over Q(q) with ``one`` =
-    ``QLaurent.one()``) is one basis vector sum c_i (b_i (x) e_x_i).  When W
+    among the images (``sparse_kernel``, over Z for int entries, over Q(q)
+    for QLaurent ones) is one basis vector sum c_i (b_i (x) e_x_i).  When W
     is the joint kernel of M at every adjacent slot pair, so is the result.
     """
     nn = n * n
@@ -234,7 +219,7 @@ def _intersect_step(parts, n: int, pair_map, width: int, one=1) -> list[dict]:
                 images.append(image)
     # a candidate column u n + x, u <= top, maps below (top // n + 1) width
     span = (top // n + 1) * width
-    return [_combine(dep, candidates) for dep in sparse_kernel(images, span, one)]
+    return [_combine(dep, candidates) for dep in sparse_kernel(images, span)]
 
 
 def solve_linear(rows: list, rhs) -> tuple[list, int]:
@@ -259,12 +244,12 @@ def solve_linear(rows: list, rhs) -> tuple[list, int]:
         raise ValueError("rhs length mismatch")
     echelon: dict[int, dict] = {}
     for row, b in zip(rows, rhs):
-        out = _reduce(echelon, _int_row([*row, b]), _strip_gcd)
+        out = _reduce(echelon, _int_row([*row, b]))
         if out:
             p = min(out)
             if p == cols:
                 raise NoSolution("inconsistent linear system")
-            echelon[p] = _strip_gcd(out)
+            echelon[p] = _strip(out)
     values = [Fraction(0)] * cols
     for p in sorted(echelon, reverse=True):
         piv = echelon[p]

@@ -38,9 +38,12 @@ def _norm_num(x):
 
 def _as_int(x, what: str) -> int:
     """An integral value (2, 2.0, Fraction(2)) as an int; ValueError for any other value."""
-    if x != int(x):
-        raise ValueError(f"{what} must be an integer, got {x!r}")
-    return int(x)
+    try:
+        if x == int(x):
+            return int(x)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{what} must be an integer, got {x!r}")
 
 
 def _exact(x, what: str) -> Coeff:
@@ -232,6 +235,9 @@ class QLaurent:
         return self._terms == other._terms
 
     def __hash__(self):
+        # a constant equals its coefficient, so it hashes as that number
+        if not self._terms.keys() - {0}:
+            return hash(self._terms.get(0, 0))
         return hash(frozenset(self._terms.items()))
 
     # -- substitutions ------------------------------------------------
@@ -326,26 +332,6 @@ class QLaurent:
         res = QLaurent.__new__(QLaurent)
         res._terms = quot
         return res
-
-    def monomial_content(self):
-        """(exponent, coefficient) of the common monomial factor, for a != 0.
-
-        The coefficient is the positive gcd of all coefficients (as a
-        Fraction), signed by the lowest term; the exponent is the valuation.
-        """
-        if self.is_zero:
-            raise ValueError("content of zero")
-        v = self.valuation()
-        num_gcd = 0
-        den_lcm = 1
-        for c in self._terms.values():
-            f = Fraction(c)
-            num_gcd = math.gcd(num_gcd, f.numerator)
-            den_lcm = math.lcm(den_lcm, f.denominator)
-        g = Fraction(num_gcd, den_lcm)
-        if self._terms[v] < 0:
-            g = -g
-        return v, g
 
     # -- rendering ------------------------------------------------------
 

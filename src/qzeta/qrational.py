@@ -146,6 +146,9 @@ class QRational:
         return self.num * o.den == o.num * self.den
 
     def __hash__(self):
+        # a Laurent polynomial (denominator 1) equals its numerator, so it hashes as that
+        if self.den == 1:
+            return hash(self.num)
         return hash((self.num, self.den))
 
     def __str__(self):

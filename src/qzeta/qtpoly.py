@@ -168,6 +168,9 @@ class QTPoly:
         return self._terms == other._terms
 
     def __hash__(self):
+        # a constant equals its coefficient, so it hashes as that number
+        if not self._terms.keys() - {(0, 0)}:
+            return hash(self._terms.get((0, 0), 0))
         return hash(frozenset(self._terms.items()))
 
     def __str__(self):

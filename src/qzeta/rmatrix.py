@@ -129,7 +129,7 @@ def sym_subspace_dims(n: int, j: int, budget=(4, 5), r: RHat | None = None):
             for x in sorted(set(content)):
                 k = content.index(x)
                 parts.append((below[content[:k] + content[k + 1:]], (x,)))
-            basis[content] = _intersect_step(parts, n, shifted, n * n, QLaurent.one())
+            basis[content] = _intersect_step(parts, n, shifted, n * n)
     return [(content, len(vectors)) for content, vectors in basis.items()]
 
 

@@ -323,7 +323,7 @@ class _UngradedLadder(SymmetrizerLadder):
         n = self.x.size
         if n ** j > self.budget:
             raise BudgetExceeded(f"n^j = {n}^{j} = {n ** j} exceeds budget {self.budget}")
-        rank, self._basis = sparse_int_rank(self.ungraded_candidate_rows(j), collect_kept=True)
+        rank, self._basis = sparse_int_rank(self.ungraded_candidate_rows(j))
         self.dims.append(rank)
         return rank
 
@@ -337,7 +337,7 @@ def _hilbert_dims_quadratic_ungraded(x, max_degree, budget=10**5):
     if max_degree < 2:
         return dims
     kernel = _ker_s2_basis(x)
-    _, ideal = sparse_int_rank(kernel, collect_kept=True)
+    _, ideal = sparse_int_rank(kernel)
     dims.append(n * n - len(ideal))
     for j in range(3, max_degree + 1):
         big = n ** j
@@ -355,7 +355,7 @@ def _hilbert_dims_quadratic_ungraded(x, max_degree, budget=10**5):
                 for row in ideal:
                     yield {base + c: v for c, v in row.items()}
 
-        rank, ideal = sparse_int_rank(candidates(), collect_kept=True)
+        rank, ideal = sparse_int_rank(candidates())
         dims.append(big - rank)
     return dims
 
@@ -428,8 +428,8 @@ def test_ladder_support_route_matches_tables():
             rows = list(ladder.ungraded_candidate_rows(j))
             ref = _candidate_rows_tables(ladder, j)
             assert rows == ref, (x.label, j)
-            rank, kept = sparse_int_rank(rows, collect_kept=True)
-            ref_rank, ref_kept = sparse_int_rank(ref, collect_kept=True)
+            rank, kept = sparse_int_rank(rows)
+            ref_rank, ref_kept = sparse_int_rank(ref)
             assert (rank, kept) == (ref_rank, ref_kept), (x.label, j)
             assert ladder.extend() == rank
             assert ladder._basis == kept

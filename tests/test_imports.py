@@ -1,6 +1,7 @@
-"""Every name a module in src/qzeta imports is used in that module, and
-every private function, class or method it defines is used somewhere in
-src/qzeta.
+"""Every name a module in src/qzeta imports is used in that module, every
+private function, class or method it defines is used somewhere in
+src/qzeta, and every name the package exports is imported by another module
+or listed in ``EXPORT_REASONS`` with the reason it is public.
 
 ``__init__.py`` is left out of the import check: its imports are the
 package's re-exports.  References from tests do not count as uses.
@@ -91,4 +92,72 @@ def test_unreferenced_definition_check_flags_a_dead_helper():
         "a.py line 3: _dead",
         "a.py line 5: _recursive",
         "a.py line 8: _method",
+    ]
+
+
+# Every name qzeta/__init__ exports is imported by another module of
+# src/qzeta, or has its reason for being public here, one line each.
+EXPORT_REASONS = (
+    ("geometric_series", "oracle: 1/(1 - q^a t^b) expanded term by term, against TSeries inversion"),
+    ("adams_sym_power", "oracle: S^j(V_m) by Newton's identity on characters, against cs_sym_power"),
+    ("sym_power_weight_oracle", "oracle: S^j(V_m) by counting weight multisets, against cs_sym_power"),
+    ("verify_sexpr_numeric", "oracle: the numeric certificate of a merged summand's closed-form sum"),
+    ("sparse_kernel", "documented entry point: the exact kernel of integer or QLaurent rows"),
+    ("bounded_partitions", "documented entry point: p(r, j, m) of the Cayley-Sylvester formula"),
+    ("character", "documented entry point: the formal character of an sl2 module"),
+    ("dimq", "documented entry point: the braided dimension dim_q"),
+    ("dimq_prime", "documented entry point: the multiplicative braided dimension dim'_q"),
+    ("tensor_decompose", "documented entry point: the Clebsch-Gordan rule for sl2 modules"),
+    ("SExpr", "documented entry point: the merged summand that partial_sum sums"),
+    ("partial_sum", "documented entry point: closed-form sums of a merged summand over s"),
+    ("even_part_zeta_at_pm1", "documented entry point: (zeta_1 + zeta_-1)/2 of V_m for odd m"),
+    ("check_braid_relation", "documented entry point: the braid-relation check of a pair of tables"),
+    ("symmetrizer_rank", "documented entry point: rank of the braided symmetrizer S_j"),
+    ("solve_linear", "bound by bench/tracer.py"),
+    ("cs_sym_power", "bound by bench/tracer.py"),
+    ("quantum_trace_sym", "bound by bench/tracer.py"),
+)
+
+
+def _export_problems(sources: dict[str, str], reasons) -> list[str]:
+    """Exports of __init__.py that no other module imports and no reason covers, and reasons covering none."""
+    exported = {
+        alias.asname or alias.name
+        for node in ast.parse(sources["__init__.py"]).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    imported = {
+        alias.name
+        for module, source in sources.items()
+        if module != "__init__.py"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    listed = [name for name, _reason in reasons]
+    problems = [f"no reason: {name}" for name in sorted(exported - imported - set(listed))]
+    problems += [f"needs no reason: {name}" for name in listed if name not in exported - imported]
+    problems += [f"listed twice: {name}" for name in sorted(set(listed)) if listed.count(name) > 1]
+    return problems
+
+
+def test_every_export_is_imported_or_has_a_reason():
+    sources = {p.name: p.read_text() for p in ALL_MODULES}
+    assert _export_problems(sources, EXPORT_REASONS) == []
+
+
+def test_export_check_flags_a_dead_export():
+    sources = {
+        "__init__.py": "from .a import used, dead, kept\nfrom .b import helper\n",
+        "a.py": "def used():\n    return 1\ndef dead():\n    return 2\ndef kept():\n    return 3\n",
+        "b.py": "from .a import used\ndef helper():\n    return used()\n",
+    }
+    reasons = (("kept", "oracle"), ("used", "oracle"), ("gone", "oracle"), ("kept", "oracle"))
+    assert _export_problems(sources, reasons) == [
+        "no reason: dead",
+        "no reason: helper",
+        "needs no reason: used",
+        "needs no reason: gone",
+        "listed twice: kept",
     ]

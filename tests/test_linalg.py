@@ -15,7 +15,6 @@ from qzeta import (
     solve_linear,
     sparse_int_rank,
     sparse_kernel,
-    sparse_qlaurent_rank,
 )
 
 
@@ -43,8 +42,8 @@ def _laurent_row(entries) -> dict:
 
 
 def _qlaurent_rank(m) -> int:
-    """Rank over Q(q) of a dense matrix of QRational, QLaurent and int entries, by sparse_qlaurent_rank."""
-    return sparse_qlaurent_rank(_laurent_row(row) for row in m)
+    """Rank over Q(q) of a dense matrix of QRational, QLaurent and int entries, by sparse_int_rank."""
+    return sparse_int_rank(_laurent_row(row) for row in m)[0]
 
 
 def test_rank_identity():
@@ -265,17 +264,17 @@ def test_qlaurent_rank_matches_dense_oracle_on_q_matrices():
     assert deficient > 40
 
 
-def test_sparse_qlaurent_rank_matches_dense_oracle_on_rmatrix_blocks(monkeypatch):
-    # the R-matrix blocks of the stacked-constraint oracle, which ranks with sparse_qlaurent_rank
+def test_sparse_int_rank_matches_dense_oracle_on_rmatrix_blocks(monkeypatch):
+    # the R-matrix blocks of the stacked-constraint oracle, which ranks QLaurent rows with sparse_int_rank
     import test_rmatrix
 
     blocks = []
 
     def recording(rows):
         blocks.append(rows)
-        return sparse_qlaurent_rank(rows)
+        return sparse_int_rank(rows)
 
-    monkeypatch.setattr(test_rmatrix, "sparse_qlaurent_rank", recording)
+    monkeypatch.setattr(test_rmatrix, "sparse_int_rank", recording)
     for n in (2, 3):
         for j in range(5):
             test_rmatrix._sym_subspace_dims_stacked(n, j)
@@ -284,18 +283,17 @@ def test_sparse_qlaurent_rank_matches_dense_oracle_on_rmatrix_blocks(monkeypatch
     for rows in blocks:
         size = 1 + max((c for row in rows for c in row), default=0)
         dense = [[row.get(c, 0) for c in range(size)] for row in rows]
-        assert sparse_qlaurent_rank(rows) == _rank_qgeneric(dense)
+        assert sparse_int_rank(rows)[0] == _rank_qgeneric(dense)
 
 
-def _check_kernel(m, rank, one=1):
+def _check_kernel(m, rank):
     """sparse_kernel on the rows of dense m: len(m) - rank vectors that annihilate m and are independent."""
     rows = [{c: x for c, x in enumerate(row) if x} for row in m]
-    kernel = sparse_kernel(rows, len(m[0]) if m else 0, one)
+    kernel = sparse_kernel(rows, len(m[0]) if m else 0)
     assert len(kernel) == len(rows) - rank, m
     assert all(vec and linalg._combine(vec, rows) == {} for vec in kernel), m
     if kernel:
-        independent = sparse_int_rank(kernel)[0] if type(one) is int else sparse_qlaurent_rank(kernel)
-        assert independent == len(kernel), m
+        assert sparse_int_rank(kernel)[0] == len(kernel), m
 
 
 def test_sparse_kernel_on_random_int_matrices():
@@ -319,7 +317,7 @@ def test_sparse_kernel_on_random_q_matrices():
         width = 1 + max((c for row in rows for c in row), default=0)
         m = [[row.get(c, 0) for c in range(width)] for row in rows]
         rank = _rank_qgeneric(m)
-        _check_kernel(m, rank, QLaurent.one())
+        _check_kernel(m, rank)
         nontrivial += 0 < rank < len(m)
     assert nontrivial > 40
 
@@ -334,7 +332,6 @@ def _check_intersect_levels(rows, n, one, rank, top):
     each of them.
     """
     nn, width = n * n, len(rows)
-    sparse_rank = (lambda vecs: sparse_int_rank(vecs)[0]) if type(one) is int else sparse_qlaurent_rank
     pair_map = [[(k, row[p]) for k, row in enumerate(rows) if p in row] for p in range(nn)]
 
     def apply(vec, p, size):
@@ -353,11 +350,11 @@ def _check_intersect_levels(rows, n, one, rank, top):
     basis, nontrivial = [{x: one} for x in range(n)], 0
     for size in range(2, top + 1):
         candidates = [{c * n + x: v for c, v in b.items()} for b in basis for x in range(n)]
-        new = linalg._intersect_step([(basis, range(n))], n, pair_map, width, one)
+        new = linalg._intersect_step([(basis, range(n))], n, pair_map, width)
         images = [apply(cand, size - 2, size) for cand in candidates]
         assert len(new) == len(candidates) - rank(dense(images)), (rows, size)
-        assert sparse_rank(candidates + new) == len(candidates), (rows, size)
-        assert sparse_rank(new) == len(new), (rows, size)
+        assert sparse_int_rank(candidates + new)[0] == len(candidates), (rows, size)
+        assert sparse_int_rank(new)[0] == len(new), (rows, size)
         assert all(apply(vec, p, size) == {} for vec in new for p in range(size - 1)), (rows, size)
         nontrivial += 0 < len(new) < len(candidates)
         basis = new
@@ -390,7 +387,11 @@ def test_sparse_kernel_keeps_tags_off_the_pivots():
     q = QLaurent({1: 1})
     rows = [{0: 1, 1: 2}, {}, {0: 1, 1: 2}, {1: 3}]
     assert sparse_kernel(rows, 2) == [{1: 1}, {0: -1, 2: 1}]
-    assert sparse_kernel([{0: q}, {0: q * q}], 1, QLaurent.one()) == [{0: -q, 1: QLaurent.one()}]
+    # the tag is the ring's one, read off the row: an int over Z, a QLaurent over Q(q)
+    assert [type(v) for v in sparse_kernel(rows, 2)[1].values()] == [int, int]
+    kernel = sparse_kernel([{0: q}, {0: q * q}], 1)
+    assert kernel == [{0: -q, 1: QLaurent.one()}]
+    assert [type(v) for v in kernel[0].values()] == [QLaurent, QLaurent]
     assert sparse_kernel([], 3) == []
 
 
@@ -537,22 +538,41 @@ def test_sparse_int_rank_matches_dense():
         dense = [[rng.randrange(-3, 4) if rng.random() < 0.5 else 0 for _ in range(cols)]
                  for _ in range(rows)]
         sparse = [{c: v for c, v in enumerate(row) if v} for row in dense]
-        rank, kept = sparse_int_rank(sparse, collect_kept=True)
+        rank, kept = sparse_int_rank(sparse)
         assert rank == _rank_bareiss(dense)
         assert len(kept) == rank
 
 
-def test_sparse_qlaurent_rank():
+def test_sparse_int_rank_on_qlaurent_rows():
     q = QLaurent({1: 1})
     one = QLaurent({0: 1})
     # [[1, q], [q^-1, 1]] has rank 1 over Q(q)
     rows = [{0: one, 1: q}, {0: QLaurent({-1: 1}), 1: one}]
-    assert sparse_qlaurent_rank(rows) == 1
+    assert sparse_int_rank(rows) == (1, rows[:1])
     rows2 = [{0: one, 1: q}, {0: q, 1: one}]
-    assert sparse_qlaurent_rank(rows2) == 2
+    assert sparse_int_rank(rows2) == (2, rows2)
 
 
-def _reduce_by_cross_multiplication(echelon, out, strip):
+def test_strip_divides_out_the_content():
+    q = QLaurent({1: 1})
+    # integer rows: the gcd, sign kept; a primitive row is returned as it is
+    assert linalg._strip({0: 6, 3: -4, 5: 10}) == {0: 3, 3: -2, 5: 5}
+    row = {1: -3, 2: 5}
+    assert linalg._strip(row) is row
+    # QLaurent rows with Fraction coefficients: least exponent and rational content
+    stripped = linalg._strip({0: QLaurent({3: F(-4, 3), 1: F(-2, 9)}), 2: QLaurent({2: 6})})
+    assert stripped == {0: QLaurent({2: -6, 0: -1}), 2: QLaurent({1: 27})}
+    assert all(type(k) is int for x in stripped.values() for _, k in x.items())
+    # half-integer exponents: the least exponent -1/2 is shifted to 0
+    stripped = linalg._strip({4: QLaurent({F(1, 2): 2}), 7: QLaurent({F(-1, 2): -4, F(3, 2): 2})})
+    assert stripped == {4: q, 7: QLaurent({0: -2, 2: 1})}
+    assert all(type(k) is int for x in stripped.values() for k, _ in x.items())
+    # a primitive QLaurent row (exponent 0 present, content 1) is returned as it is
+    row = {0: QLaurent({0: 2, 1: 3}), 1: q}
+    assert linalg._strip(row) is row
+
+
+def _reduce_by_cross_multiplication(echelon, out):
     """Oracle: the reduction step before in-place steps, cross-multiplying at every pivot."""
     while out:
         p = min(out)
@@ -567,13 +587,14 @@ def _reduce_by_cross_multiplication(echelon, out, strip):
                 new[c] = w
             elif c in new:
                 del new[c]
-        out = strip(new) if new else new
+        out = linalg._strip(new) if new else new
     return out
 
 
-def _both_reductions(rows, strip=linalg._strip_gcd):
+def _both_reductions(rows):
     """(rank, kept, strip calls) of the streaming echelon, by _reduce and by the oracle."""
     out = []
+    strip = linalg._strip
     for reduce in (linalg._reduce, _reduce_by_cross_multiplication):
         strips = []
 
@@ -583,7 +604,8 @@ def _both_reductions(rows, strip=linalg._strip_gcd):
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(linalg, "_reduce", reduce)
-            rank, kept = linalg._echelon_rank(rows, counting_strip, True)
+            mp.setattr(linalg, "_strip", counting_strip)
+            rank, kept = sparse_int_rank(rows)
         out.append((rank, kept, len(strips)))
     return out
 
@@ -615,7 +637,7 @@ def test_in_place_steps_match_cross_multiplication_on_unit_rich_rows():
         assert (rank, kept) == (ref_rank, ref_kept), rows
         assert all(any(k is row for row in rows) for k in kept)
         assert rows == before                       # the caller's rows are never mutated
-        assert sparse_int_rank(rows) == (rank, [])
+        assert sparse_int_rank(rows) == (rank, kept)
         saved_strips += ref_strips - strips
     assert saved_strips > 500                       # the in-place branch is taken
 
@@ -712,10 +734,10 @@ def test_laurent_unit_steps_match_cross_multiplication_and_dense_oracle():
             cols = rng.randrange(2, 8)
             rows = _mixed_laurent_rows(rng, rng.randrange(2, 12), cols)
             before = [dict(row) for row in rows]
-            (rank, _, strips), (ref_rank, _, ref_strips) = _both_reductions(rows, linalg._strip_content)
+            (rank, _, strips), (ref_rank, _, ref_strips) = _both_reductions(rows)
             assert rank == ref_rank, rows
             assert rows == before                   # the caller's rows are never mutated
-            assert sparse_qlaurent_rank(rows) == rank
+            assert sparse_int_rank(rows)[0] == rank
             if len(rows) * cols <= 20:              # the dense QRational oracle is slow beyond that
                 dense = [[row.get(c, 0) for c in range(cols)] for row in rows]
                 assert rank == _rank_qgeneric(dense), rows
@@ -758,11 +780,11 @@ def test_wrong_unit_quotient_raises_instead_of_hanging(monkeypatch):
     raised = 0
     with _deadline(60):
         with pytest.raises(QZetaError, match="pivot column 0"):
-            sparse_qlaurent_rank([{0: q, 1: QLaurent.one()}, {0: q * q, 1: q}])
+            sparse_int_rank([{0: q, 1: QLaurent.one()}, {0: q * q, 1: q}])
         for _ in range(100):
             rows = _mixed_laurent_rows(rng, rng.randrange(2, 12), rng.randrange(2, 8))
             try:
-                sparse_qlaurent_rank(rows)
+                sparse_int_rank(rows)
             except QZetaError:
                 raised += 1
     assert raised > 30

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from qzeta import DivisionByZero, ExactDivisionError, QLaurent
+from qzeta import DivisionByZero, ExactDivisionError, QLaurent, QRational, QTPoly
 from qzeta.qcombinat import q_int_sym
 from qzeta.qlaurent import _exp_lattice, _from_intpoly, _to_intpoly, tpoly_divmod
 
@@ -93,12 +93,6 @@ def test_half_integer_exponents():
     x = QLaurent({F(1, 2): 1, F(-1, 2): 1})
     assert (x * x) == QLaurent({1: 1, 0: 2, -1: 1})
     assert x.invert_q() == x
-
-
-def test_primitive_content():
-    x = QLaurent({3: -4, 1: -6})
-    v, g = x.monomial_content()
-    assert (v, g) == (1, -2)
 
 
 def test_pow_and_str():
@@ -256,3 +250,16 @@ def test_constructor_admits_only_exact_numbers():
     assert _typed(p) == {(2, int): (4, int), (1, int): (1, int), (F(1, 2), F): (F(1, 2), F)}
     # zero coefficients are dropped before any check, as before
     assert QLaurent({0.5: 0, 1: 0.0}).is_zero
+
+
+def test_constants_hash_as_the_numbers_they_equal():
+    # QLaurent.one() == 1 held while their hashes differed, so {QLaurent.one(), 1} had two elements
+    for c in (0, 1, -3, F(1, 2), F(-7, 3)):
+        for x in (QLaurent({0: c}), QTPoly({(0, 0): c}), QRational.from_scalar(c)):
+            assert x == c and hash(x) == hash(c), (x, c)
+            assert len({x, c}) == 1 and len({x, F(c), c}) == 1, (x, c)
+    # a QRational with denominator 1 equals its numerator, constant or not
+    for p in (QLaurent({F(1, 2): 3, -1: 1}), QLaurent({0: 2, 1: 1})):
+        assert QRational.from_laurent(p) == p and hash(QRational.from_laurent(p)) == hash(p)
+    ratio = QRational(QLaurent({0: 1}), QLaurent({0: 1, 1: -1}))
+    assert hash(ratio) == hash(QRational(QLaurent({0: 1, 1: 1}), QLaurent({0: 1, 2: -1})))

@@ -108,10 +108,14 @@ def test_qtpoly_negative_t_rejected():
 
 def test_non_integral_t_exponents_and_multiplicities_rejected():
     # int() used to truncate: QTPoly({(0, 1.5): 1}) printed t, and the factor
-    # ((0, 1), 2.7) printed 1/(1 - t)^2
+    # ((0, 1), 2.7) printed 1/(1 - t)^2; an infinite one escaped as OverflowError
+    inf = float("inf")
     for bad in (lambda: QTPoly({(0, 1.5): 1}), lambda: QTPoly.one().coeff(0, F(1, 2)),
                 lambda: FactoredRatQT(QTPoly.one(), [((0, 1), 2.7)]),
-                lambda: FactoredRatQT(QTPoly.one(), [((0, 1.5), 1)])):
+                lambda: FactoredRatQT(QTPoly.one(), [((0, 1.5), 1)]),
+                lambda: QTPoly({(0, inf): 1}), lambda: QTPoly.one().coeff(0, -inf),
+                lambda: FactoredRatQT(QTPoly.one(), [((0, inf), 1)]),
+                lambda: FactoredRatQT(QTPoly.one(), [((0, 1), inf)])):
         with pytest.raises(ValueError, match="must be an integer"):
             bad()
     assert QTPoly({(0, 2.0): 1}) == QTPoly({(0, F(2)): 1}) == QTPoly({(0, 2): 1})

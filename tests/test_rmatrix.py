@@ -5,7 +5,7 @@ from math import comb
 import pytest
 
 from qzeta import BudgetExceeded, QLaurent, QZetaError, RHat, q_binom_sym, q_int_sym, quantum_trace_sym, sym_subspace_dims
-from qzeta.linalg import sparse_qlaurent_rank
+from qzeta.linalg import sparse_int_rank
 from qzeta.rmatrix import _check_budget, trace_of_blocks
 
 
@@ -108,9 +108,10 @@ def test_r_matrix_of_another_dimension_is_a_value_error():
     assert sym_subspace_dims(3, 2, r=RHat(3)) == sym_subspace_dims(3, 2)
 
 
-@pytest.mark.parametrize("n, j", [(5, 5), (4, 6), (3, 7), (5, 6)])
+@pytest.mark.parametrize("n, j", [(5, 5), (4, 6), (3, 7), (5, 6), (6, 5), (7, 5)])
 def test_sym_power_theorem_beyond_criterion_range(n, j):
-    # crit 04 checks n <= 4, j <= 5; the same generic route with the budget raised
+    # crit 04 checks n <= 4, j <= 5 under the default cap (4, 5); the same
+    # generic route with the budget raised, up to C^7
     blocks = sym_subspace_dims(n, j, budget=(n, j))
     assert len(blocks) == comb(n + j - 1, j)
     assert all(k == 1 for _, k in blocks)
@@ -125,7 +126,7 @@ def _sym_subspace_dims_stacked(n, j, budget=(4, 5), r=None):
 
     A block's constraint rows for slot i are the transpose of the columns of
     R-hat - q id spliced into tensor slots (i, i+1) of every tuple of the
-    block, all ranked at once over Q(q) by sparse_qlaurent_rank.
+    block, all ranked at once over Q(q) by sparse_int_rank.
     """
     _check_budget(n, j, budget)
     if r is None:
@@ -149,7 +150,7 @@ def _sym_subspace_dims_stacked(n, j, budget=(4, 5), r=None):
                 for target, c in shifted[tup[slot:slot + 2]]:
                     transposed.setdefault(index[head + target + tail], {})[k] = c
             rows.extend(transposed.values())
-        out.append((content, len(block) - sparse_qlaurent_rank(rows)))
+        out.append((content, len(block) - sparse_int_rank(rows)[0]))
     return out
 
 

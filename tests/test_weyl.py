@@ -35,8 +35,11 @@ def test_weyl_validates_input():
         DominantWeightA(3, [-1, 0])
     with pytest.raises(ValueError):
         DominantWeightA(1, [])
-    # non-integral values are rejected, not truncated; integral ones are ints
-    for n, coeffs in ((3, [1.9, 0]), (2.5, [1]), (3, [F(1, 2), 0])):
+    # non-integral values are rejected, not truncated; integral ones are ints.
+    # inf used to escape as int()'s OverflowError
+    inf = float("inf")
+    for n, coeffs in ((3, [1.9, 0]), (2.5, [1]), (3, [F(1, 2), 0]), (inf, []), (-inf, [1]), (3, [inf, 0]),
+                      (3, [float("nan"), 0])):
         with pytest.raises(ValueError, match="must be an integer"):
             DominantWeightA(n, coeffs)
     w = DominantWeightA(3.0, [2.0, F(1)])
