@@ -104,6 +104,9 @@ class BraidedSet:
         data = json.loads(text)
         if not isinstance(data, dict) or "left" not in data or "right" not in data:
             raise ValueError("a braided set document is a JSON object with 'left' and 'right' tables")
+        if not all(isinstance(t, list) and all(isinstance(row, list) for row in t)
+                   for t in (data["left"], data["right"])):
+            raise ValueError("'left' and 'right' must be lists of index rows")
         return cls(data["left"], data["right"], data.get("sign", 1), data.get("label", ""))
 
     def __repr__(self):
@@ -332,7 +335,7 @@ class GradedDims:
     def __init__(self, dims, requested_degree):
         self.dims = list(dims)
         self.requested_degree = requested_degree
-        if self.dims[0] != 1:
+        if not self.dims or self.dims[0] != 1:
             raise ValueError("d_0 must be 1")
 
     @property

@@ -139,11 +139,8 @@ class QRational:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        # canonical forms make structural equality sound; cross-multiply as
-        # a safety net against any non-canonical construction path.
-        if self.num == o.num and self.den == o.den:
-            return True
-        return self.num * o.den == o.num * self.den
+        # every construction path is canonical, so equal values are equal structurally
+        return self.num == o.num and self.den == o.den
 
     def __hash__(self):
         # a Laurent polynomial (denominator 1) equals its numerator, so it hashes as that

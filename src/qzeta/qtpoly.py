@@ -1,182 +1,164 @@
 """Bivariate polynomials in (q, t) and factored rational closed forms.
 
-QTPoly holds finitely many terms q^a t^b with exact rational coefficients
-(a rational, b a non-negative integer).  FactoredRatQT is the closed-form
-shape that every zeta function in this library takes: a QTPoly numerator
-over a multiset of factors (1 - q^a t^b), which expands exactly to any
-series order: dividing by each factor is the recurrence
-out[j] = s[j] + q^a out[j - b].  Univariate dense polynomials (the gcd that
-``QRational`` needs) live in ``qlaurent``.
+QTPoly is held t-major, like every (q, t) kernel here: a list of QLaurent
+rows, row b the coefficient of t^b, with no trailing zero row.  QLaurent
+validates and canonicalizes each row; sums, q -> 1/q and t -> rational act
+row by row, and products are ``tseries._mul_rows``, the one row product
+that ``TSeries`` uses too.  FactoredRatQT is the closed-form shape that
+every zeta function in this library takes: a QTPoly numerator over a
+multiset of factors (1 - q^a t^b), which expands exactly to any series
+order by dividing the numerator's rows by each factor with the recurrence
+out[j] = s[j] + q^a out[j - b].
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .qlaurent import QLaurent, _as_int, _exact, _norm_num
-from .tseries import TSeries, _over_one_minus_rows
+from .qlaurent import QLaurent, _as_int, _exact
+from .tseries import TSeries, _mul_rows, _over_one_minus_rows
 
 
 class QTPoly:
-    """Polynomial in q and t; map (q-exponent, t-exponent) -> coefficient."""
+    """Polynomial in q and t, held as its QLaurent t-coefficients."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_rows",)
 
     def __init__(self, terms=None):
-        clean = {}
+        """Sum of the terms c q^a t^b, given as a dict or iterable of ((a, b), c)."""
+        by_t = {}
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
             for (a, b), c in items:
                 if c == 0:
                     continue
-                b = _as_int(b, "t-exponent")
+                if type(b) is not int:
+                    b = _as_int(b, "t-exponent")
                 if b < 0:
                     raise ValueError("t-exponents must be non-negative")
-                if type(a) is not int:
-                    a = _exact(a, "q-exponent")
-                if type(c) is not int:
-                    c = _exact(c, "coefficient")
-                key = (a, b)
-                clean[key] = clean.get(key, 0) + c
-                if clean[key] == 0:
-                    del clean[key]
-        self._terms = {k: _norm_num(c) for k, c in clean.items() if c != 0}
+                by_t.setdefault(b, []).append((a, c))
+        rows = [QLaurent()] * (max(by_t, default=-1) + 1)
+        for b, row in by_t.items():
+            rows[b] = QLaurent(row)
+        while rows and not rows[-1]:  # the terms of a top row may cancel
+            rows.pop()
+        self._rows = rows
 
     @classmethod
     def one(cls):
-        return cls({(0, 0): 1})
+        return cls.from_qlaurent_t_coeffs([QLaurent.one()])
 
     @classmethod
     def from_t_coeffs(cls, coeffs) -> "QTPoly":
         """Build a q-free polynomial in t from a coefficient list."""
-        return cls({(0, b): c for b, c in enumerate(coeffs)})
+        return cls.from_qlaurent_t_coeffs([QLaurent({0: c}) for c in coeffs])
 
     @classmethod
     def from_qlaurent_t_coeffs(cls, coeffs) -> "QTPoly":
-        """Build from a list of QLaurent t-coefficients."""
-        terms = {}
-        for b, ql in enumerate(coeffs):
-            for a, c in ql.items():
-                terms[(a, b)] = c
-        return cls(terms)
+        """Build from a list of QLaurent t-coefficients, index = t-degree."""
+        res = cls.__new__(cls)
+        res._rows = rows = list(coeffs)
+        while rows and not rows[-1]:
+            rows.pop()
+        return res
 
     def items(self):
-        return self._terms.items()
+        """The terms as ((q-exponent, t-exponent), coefficient) pairs."""
+        return [((a, b), c) for b, row in enumerate(self._rows) for a, c in row.items()]
 
     @property
     def is_zero(self):
-        return not self._terms
+        return not self._rows
 
     def coeff(self, a, b) -> Fraction | int:
-        return self._terms.get((_norm_num(a), _as_int(b, "t-exponent")), 0)
+        return self.t_coeff(_as_int(b, "t-exponent")).coeff(a)
 
     def t_coeff(self, b: int) -> QLaurent:
-        return QLaurent({a: c for (a, bb), c in self._terms.items() if bb == b})
+        return self._rows[b] if 0 <= b < len(self._rows) else QLaurent()
 
     def t_degree(self) -> int:
-        if not self._terms:
+        if not self._rows:
             raise ValueError("degree of zero polynomial")
-        return max(b for (_, b) in self._terms)
+        return len(self._rows) - 1
 
     def q_degree(self):
-        if not self._terms:
+        if not self._rows:
             raise ValueError("degree of zero polynomial")
-        return max(a for (a, _) in self._terms)
+        return max(row.degree() for row in self._rows if row)
 
     def t_coeff_list(self):
         """List of QLaurent coefficients, index = t-degree."""
-        if not self._terms:
-            return [QLaurent()]
-        return [self.t_coeff(b) for b in range(self.t_degree() + 1)]
+        return list(self._rows) or [QLaurent()]
+
+    @staticmethod
+    def _coerce(other):
+        if isinstance(other, (int, Fraction)):
+            return QTPoly({(0, 0): other})
+        return other if isinstance(other, QTPoly) else None
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QTPoly({(0, 0): other})
-        if not isinstance(other, QTPoly):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            v = out.get(k, 0) + c
-            if v:
-                out[k] = v
-            elif k in out:
-                del out[k]
-        res = QTPoly.__new__(QTPoly)
-        res._terms = {k: _norm_num(c) for k, c in out.items()}
-        return res
+        a, b = self._rows, other._rows
+        if len(a) < len(b):
+            a, b = b, a
+        return QTPoly.from_qlaurent_t_coeffs([x + y for x, y in zip(a, b)] + a[len(b):])
 
     __radd__ = __add__
 
     def __neg__(self):
-        res = QTPoly.__new__(QTPoly)
-        res._terms = {k: -c for k, c in self._terms.items()}
-        return res
+        return QTPoly.from_qlaurent_t_coeffs([-x for x in self._rows])
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QTPoly({(0, 0): other})
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return QTPoly()
-            res = QTPoly.__new__(QTPoly)
-            res._terms = {k: _norm_num(c * other) for k, c in self._terms.items()}
-            return res
+            return QTPoly.from_qlaurent_t_coeffs([x * other for x in self._rows])
         if not isinstance(other, QTPoly):
             return NotImplemented
-        out = {}
-        for (a1, b1), c1 in self._terms.items():
-            for (a2, b2), c2 in other._terms.items():
-                k = (a1 + a2, b1 + b2)
-                v = out.get(k, 0) + c1 * c2
-                if v:
-                    out[k] = v
-                elif k in out:
-                    del out[k]
-        res = QTPoly.__new__(QTPoly)
-        res._terms = {(_norm_num(a), b): _norm_num(c) for (a, b), c in out.items() if c}
-        return res
+        if not self._rows or not other._rows:
+            return QTPoly()
+        top = len(self._rows) + len(other._rows) - 2
+        return QTPoly.from_qlaurent_t_coeffs(_mul_rows(self._rows, other._rows, top))
 
     __rmul__ = __mul__
 
     def invert_q(self) -> "QTPoly":
-        res = QTPoly.__new__(QTPoly)
-        res._terms = {(_norm_num(-a), b): c for (a, b), c in self._terms.items()}
-        return res
+        return QTPoly.from_qlaurent_t_coeffs([x.invert_q() for x in self._rows])
 
     def to_tseries(self, order: int) -> TSeries:
-        out = [QLaurent() for _ in range(order + 1)]
-        for (a, b), c in self._terms.items():
-            if b <= order:
-                out[b] = out[b] + QLaurent({a: c})
-        return TSeries(order, out)
+        rows = self._rows[: order + 1]
+        return TSeries(order, rows + [QLaurent()] * (order + 1 - len(rows)))
 
     def eval_t(self, t_value: Fraction) -> QLaurent:
         """Substitute an exact rational for t."""
+        t_value = Fraction(t_value)
         acc = QLaurent()
-        for (a, b), c in self._terms.items():
-            acc = acc + QLaurent({a: c * Fraction(t_value) ** b})
+        for b, row in enumerate(self._rows):
+            acc = acc + row * t_value**b
         return acc
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QTPoly({(0, 0): other})
-        if not isinstance(other, QTPoly):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
-        return self._terms == other._terms
+        return self._rows == other._rows
 
     def __hash__(self):
         # a constant equals its coefficient, so it hashes as that number
-        if not self._terms.keys() - {(0, 0)}:
-            return hash(self._terms.get((0, 0), 0))
-        return hash(frozenset(self._terms.items()))
+        if len(self._rows) > 1:
+            return hash(tuple(self._rows))
+        return hash(self._rows[0]) if self._rows else hash(0)
 
     def __str__(self):
-        if not self._terms:
+        if not self._rows:
             return "0"
-        return str(TSeries(self.t_degree(), self.t_coeff_list()))
+        return str(TSeries(len(self._rows) - 1, self._rows))
 
     def __repr__(self):
         return f"QTPoly({self})"
@@ -231,7 +213,8 @@ class FactoredRatQT:
         """Exact series expansion through t^order."""
         if order < 0:
             raise ValueError("order must be non-negative")
-        rows = [dict(c.items()) for c in self.numerator.to_tseries(order).coeffs()]
+        num = self.numerator._rows[: order + 1]
+        rows = [dict(c.items()) for c in num] + [{} for _ in range(order + 1 - len(num))]
         for (a, b), mult in self.factors:
             _over_one_minus_rows(rows, a, b, mult)
         return TSeries(order, [QLaurent.from_sums(row) for row in rows])

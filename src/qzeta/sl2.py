@@ -43,6 +43,8 @@ class Sl2Decomposition:
         return sum(mult * (m + 1) for m, mult in self.parts.items())
 
     def __add__(self, other):
+        if not isinstance(other, Sl2Decomposition):
+            return NotImplemented
         out = dict(self.parts)
         for m, mult in other.parts.items():
             out[m] = out.get(m, 0) + mult

@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DivergentSum, QZetaError
-from .qlaurent import QLaurent
+from .qlaurent import QLaurent, _as_int
 from .qrational import QRational
 from .zeta_engine import zeta_vm_closed
 
@@ -178,6 +178,7 @@ def sphere_zeta_coeff(k: int) -> QRational:
     summands over the middle Peter-Weyl index s are combined into one SExpr
     before the infinite sum is taken.
     """
+    k = _as_int(k, "k")
     if not 0 <= k <= 3:
         raise ValueError("coefficients are computed for k = 0..3 only")
     if k == 0:

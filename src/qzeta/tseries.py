@@ -1,8 +1,10 @@
 """Truncated power series in t with QLaurent coefficients.
 
-A series carries its truncation order explicitly.  Binary operations
-truncate to the minimum order of the operands, and reading a coefficient
-beyond the stored order is an error rather than a silent zero.
+A series is a list of QLaurent rows t^0..t^order, the layout that
+``QTPoly`` and every (q, t) kernel share; ``_mul_rows`` is the one row
+product of both.  Binary operations truncate to the minimum order of the
+operands, and reading a coefficient beyond the stored order is an error
+rather than a silent zero.
 
 Division by a closed-form factor (1 - q^a t^b) is the recurrence
 out[j] = s[j] + q^a out[j - b] (``over_one_minus``), never a product with
@@ -72,16 +74,7 @@ class TSeries:
         if not isinstance(other, TSeries):
             return NotImplemented
         n = min(self.order, other.order)
-        out = [QLaurent() for _ in range(n + 1)]
-        for i in range(min(self.order, n) + 1):
-            a = self._coeffs[i]
-            if a.is_zero:
-                continue
-            for k in range(min(other.order, n - i) + 1):
-                b = other._coeffs[k]
-                if not b.is_zero:
-                    out[i + k] = out[i + k] + a * b
-        return TSeries(n, out)
+        return TSeries(n, _mul_rows(self._coeffs, other._coeffs, n))
 
     __rmul__ = __mul__
 
@@ -142,6 +135,29 @@ class TSeries:
 
     def __repr__(self):
         return f"TSeries(order={self.order}, {self})"
+
+
+def _mul_rows(a: list, b: list, top: int) -> list:
+    """Rows t^0..t^top of the product of two lists of QLaurent t-coefficients.
+
+    Every pair of terms adds into one {exponent: coefficient} dict per output
+    row, and each row becomes a QLaurent once.
+    """
+    b_terms = [(k, e, c) for k, y in enumerate(b[: top + 1]) for e, c in y.items()]
+    sums = [{} for _ in range(top + 1)]
+    for i, x in enumerate(a[: top + 1]):
+        for e1, c1 in x.items():
+            for k, e2, c2 in b_terms:
+                if i + k > top:
+                    break
+                out = sums[i + k]
+                e = e1 + e2
+                v = out.get(e, 0) + c1 * c2
+                if v:
+                    out[e] = v
+                else:
+                    del out[e]
+    return [QLaurent.from_sums(row) for row in sums]
 
 
 def _over_one_minus_rows(rows: list, qexp, texp: int, mult: int) -> None:

@@ -31,6 +31,7 @@ from .errors import CriterionFailed
 from .qcombinat import q_binom_sym, q_int_sym
 from .qlaurent import QLaurent
 from .qrational import QRational
+from .qtpoly import FactoredRatQT, QTPoly
 from .refdata import reference_cm_closed, reference_gh
 from .rmatrix import RHat, sym_subspace_dims, trace_of_blocks
 from .sl2 import Sl2Decomposition
@@ -131,14 +132,8 @@ def crit_06_triple_route():
 def _gh_from_closed(m: int) -> GHPair:
     """Split a quoted closed form of c_m into its (g, h) pair."""
     closed = reference_cm_closed(m)
-    from .qtpoly import QTPoly
-
-    h = QTPoly.one()
-    for (a, b), mult in closed.factors:
-        if a == 0:
-            for _ in range(mult):
-                h = h * QTPoly({(0, 0): 1, (0, b): -1})
-    return GHPair(m, closed.numerator, h)
+    q_free = [((a, b), mult) for (a, b), mult in closed.factors if a == 0]
+    return GHPair(m, closed.numerator, FactoredRatQT(QTPoly.one(), q_free).denominator_poly())
 
 
 def crit_07_cor45_closed_forms():

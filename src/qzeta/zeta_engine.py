@@ -191,7 +191,7 @@ def eta_m(m: int) -> QTPoly:
         raise ValueError("m must be non-negative")
     acc = QTPoly.one()
     for e in _eta_exponents(m):
-        acc = acc * QTPoly({(0, 0): 1, (e, 1): -1})
+        acc = acc * QTPoly.from_qlaurent_t_coeffs([QLaurent.one(), QLaurent.from_sums({e: -1})])
     return acc
 
 
@@ -324,7 +324,7 @@ def _certify(m: int, conn: list, n: int, eta: QTPoly, ceta: list, extend):
     order = max(dg + dh + 6, n - 1)
     extend(order)
     # g = (c eta h) through t^dg; the tail through t^order must vanish
-    terms = {}
+    rows = []
     for j in range(order + 1):
         acc = {}
         for k in range(min(dh, j) + 1):
@@ -336,10 +336,8 @@ def _certify(m: int, conn: list, n: int, eta: QTPoly, ceta: list, extend):
             if any(acc.values()):
                 return None
             continue
-        for e, x in acc.items():
-            if x:
-                terms[(e, j)] = x
-    g = QTPoly(terms)
+        rows.append(QLaurent.from_sums({e: x for e, x in acc.items() if x}))
+    g = QTPoly.from_qlaurent_t_coeffs(rows)
     if g.is_zero or g.q_degree() != eta.q_degree() - 2:
         return None
     gh = GHPair(m, g, QTPoly.from_t_coeffs(h))
@@ -403,10 +401,7 @@ def zeta_finite_set(n: int, regular: bool = False):
     if n < 0:
         raise ValueError("n must be non-negative")
     if regular:
-        acc = QTPoly.one()
-        for _ in range(n):
-            acc = acc * QTPoly({(0, 0): 1, (0, 1): 1})
-        return acc
+        return QTPoly.from_t_coeffs([math.comb(n, k) for k in range(n + 1)])
     if n == 0:
         return FactoredRatQT(QTPoly.one())
     return FactoredRatQT(QTPoly.one(), [((0, 1), n)])

@@ -18,6 +18,7 @@ from qzeta import (
     transposition_class,
 )
 from qzeta.braided import (
+    GradedDims,
     SymmetrizerLadder,
     _apply_word,
     _compose,
@@ -198,6 +199,19 @@ def test_from_json_rejects_malformed_documents():
     for text in ('[]', '3', '{"left": [[0]]}'):
         with pytest.raises(ValueError, match="JSON object with 'left' and 'right'"):
             BraidedSet.from_json(text)
+    # tables that are not lists of rows used to escape as TypeError
+    for text in ('{"left": 5, "right": 5}', '{"left": [1], "right": [1]}', '{"left": "ab", "right": "ab"}'):
+        with pytest.raises(ValueError, match="lists of index rows"):
+            BraidedSet.from_json(text)
+    with pytest.raises(ValueError, match="tables of indices"):
+        BraidedSet.from_json('{"left": [[0, 1]], "right": [[0]]}')
+
+
+def test_graded_dims_needs_d0_equal_to_one():
+    for dims in ([], [2, 1]):
+        with pytest.raises(ValueError, match="d_0 must be 1"):
+            GradedDims(dims, 2)
+    assert GradedDims([1, 3], 1).complete
 
 
 def test_conjugacy_class_input_validation():

@@ -30,6 +30,38 @@ def test_canonical_equality_of_different_builds():
     assert hash(a) == hash(b)
 
 
+def test_values_built_by_different_routes_are_equal_and_hash_equal():
+    """Equality is structural on the canonical form, so every route must land on it.
+
+    The routes: the constructor, a sum, a product, invert_q twice, and
+    coercion from QLaurent and from int; each group is one value.
+    """
+    q, half = QLaurent({1: 1}), QLaurent({F(1, 2): 1})
+    one_minus_q = QLaurent({0: 1, 1: -1})
+    ratio = QRational(QLaurent({0: 1, 1: 1}), one_minus_q)                  # (1+q)/(1-q)
+    laurent = QLaurent({1: 1, F(-1, 2): F(3, 2)})                           # q + 3/2 q^(-1/2)
+    groups = [
+        [ratio,
+         QRational(QLaurent.one(), one_minus_q) + QRational(q, one_minus_q),
+         QRational.from_laurent(QLaurent({0: 1, 1: 1})) * QRational(QLaurent({0: 2}), one_minus_q * 2),
+         QRational(QLaurent({0: 1, 1: 1}) * half, one_minus_q * half),
+         ratio.invert_q().invert_q()],
+        [QRational.from_laurent(laurent), laurent,
+         QRational(laurent * one_minus_q, one_minus_q),
+         QRational.from_laurent(q) + QRational(QLaurent({F(-1, 2): 3}), QLaurent({0: 2})),
+         QRational(laurent * half, half).invert_q().invert_q()],
+        [QRational.from_scalar(3), 3, QRational(QLaurent({0: 1})) + 2,
+         QRational.one() * 3, QRational(QLaurent({1: 6}), QLaurent({1: 2})),
+         QRational.from_scalar(F(6, 2)).invert_q().invert_q()],
+    ]
+    for values in groups:
+        for x in values:
+            assert values[0] == x and x == values[0], x
+            assert hash(x) == hash(values[0]), x
+        rationals = [x for x in values if isinstance(x, QRational)]
+        assert len({(x.num, x.den) for x in rationals}) == 1
+
+
 def test_arithmetic():
     q = QRational.from_laurent(QLaurent({1: 1}))
     one = QRational.one()

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+import sympy
 
 from qzeta import FactoredRatQT, QLaurent, QTPoly, geometric_series
 from qzeta.qcombinat import q_int_sym
@@ -152,3 +153,100 @@ def test_tpoly_helpers():
     assert q == [F(1), F(-1)] and r == []
     assert tpoly_gcd([F(1), F(0), F(-1)], [F(1), F(1)]) == [F(1), F(1)]
     assert tpoly_gcd([F(1), F(1)], [F(1), F(-1)]) == [F(1)]
+
+
+# -- QTPoly arithmetic against sympy --------------------------------------------
+
+_Q, _T = sympy.symbols("q t", positive=True)
+
+
+def _sym(x):
+    x = F(x)
+    return sympy.Rational(x.numerator, x.denominator)
+
+
+def _to_sympy(p: QTPoly):
+    return sum((_sym(c) * _Q ** _sym(a) * _T ** b for (a, b), c in p.items()), sympy.Integer(0))
+
+
+def _sympy_terms(expr) -> dict:
+    """{(q-exponent, t-exponent): coefficient} of an expanded sympy expression, as Fractions."""
+    out = {}
+    for mono, c in sympy.expand(expr).as_coefficients_dict().items():
+        if c == 0:
+            continue
+        powers = mono.as_powers_dict()
+        a, b = sympy.Rational(powers.get(_Q, 0)), powers.get(_T, 0)
+        assert set(powers) <= {_Q, _T, 1} and b == int(b) >= 0, mono
+        out[(F(int(a.p), int(a.q)), int(b))] = F(int(c.p), int(c.q))
+    return out
+
+
+def _terms(p) -> dict:
+    """The terms of a QTPoly (or a QLaurent at t^0), checked canonical: ints or non-integral Fractions."""
+    items = p.items() if isinstance(p, QTPoly) else [((a, 0), c) for a, c in p.items()]
+    for (a, b), c in items:
+        assert type(b) is int and c != 0
+        assert all(type(x) is int or (type(x) is F and x.denominator != 1) for x in (a, c)), (a, c)
+    return {(F(a), b): F(c) for (a, b), c in items}
+
+
+def _random_qtpoly(rng) -> QTPoly:
+    """Terms with int, third- and half-integer q-exponents, int and Fraction coefficients.
+
+    t-exponents are drawn from a random subset of 0..4, so zero rows in the
+    middle are common.
+    """
+    rows = rng.sample(range(5), rng.randrange(1, 4))
+    exps = (-2, -1, 0, 1, 3, F(1, 2), F(-3, 2), F(2, 3), F(4, 2))
+    coeffs = (-3, -1, 1, 2, 5, F(1, 2), F(-4, 3), F(6, 3))
+    return QTPoly([((rng.choice(exps), rng.choice(rows)), rng.choice(coeffs))
+                   for _ in range(rng.randrange(1, 6))])
+
+
+def test_qtpoly_arithmetic_matches_sympy():
+    rng = random.Random(1007_5084)
+    cancelled_tops = 0
+    for _ in range(60):
+        p, r = _random_qtpoly(rng), _random_qtpoly(rng)
+        # s shares r's top row, so p*r - p*s loses its top row
+        s = r + QTPoly({(rng.choice((0, 1, F(1, 2))), 0): rng.choice((1, -2, F(1, 3)))})
+        sp, sr, ss = _to_sympy(p), _to_sympy(r), _to_sympy(s)
+        k = rng.choice((2, -3, F(3, 4), F(-5, 2)))
+        cases = [
+            (p + r, sp + sr), (p - r, sp - sr), (p - p, 0), (p * r, sp * sr),
+            (p * r - p * s, sp * (sr - ss)), (p * k, sp * _sym(k)), (k * p, sp * _sym(k)),
+            (p * 0, 0), (p + k, sp + _sym(k)), (p - k, sp - _sym(k)),
+            (p.invert_q(), sp.subs(_Q, 1 / _Q)), (QTPoly(dict(p.items())), sp),
+            # terms cancelling inside a product row, and in the constructor
+            ((p + r) * (p - r), sp**2 - sr**2),
+            (QTPoly([*p.items(), *[((a, b), -c) for (a, b), c in p.items()], *r.items()]), sr),
+        ]
+        for got, expected in cases:
+            terms = _sympy_terms(expected)
+            assert _terms(got) == terms, (p, r, got)
+            assert got.is_zero == (not terms)
+            if terms:
+                assert got.t_degree() == max(b for _a, b in terms)
+                assert got.q_degree() == max(a for a, _b in terms)
+        diff = p * r - p * s
+        if not diff.is_zero and diff.t_degree() < (p * r).t_degree():
+            cancelled_tops += 1
+        assert QTPoly(dict(p.items())) == p and hash(QTPoly(dict(p.items()))) == hash(p)
+        for t0 in (F(0), F(1), F(-2, 3)):
+            assert _terms(p.eval_t(t0)) == _sympy_terms(sp.subs(_T, _sym(t0)))
+        for poly in (p, r, p * r, diff):
+            terms = _sympy_terms(_to_sympy(poly))
+            if not terms:
+                assert poly.t_coeff_list() == [QLaurent()]
+                continue
+            rows = poly.t_coeff_list()
+            assert len(rows) == poly.t_degree() + 1
+            for order in (0, 1, poly.t_degree() + 2):
+                series = poly.to_tseries(order)
+                for j in range(order + 1):
+                    row = {(a, b): c for (a, b), c in terms.items() if b == j}
+                    assert _terms(series.coeff(j)) == {(a, 0): c for (a, _b), c in row.items()}
+                    if j < len(rows):
+                        assert rows[j] == series.coeff(j) == poly.t_coeff(j)
+    assert cancelled_tops > 20

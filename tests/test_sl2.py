@@ -102,6 +102,13 @@ def test_dimq_prime_classical_limit():
             assert dimq_prime(cs_sym_power(m, j)).eval_at(F(1)) == comb(m + j, j)
 
 
+def test_adding_a_non_decomposition_is_a_type_error():
+    # used to raise AttributeError: 'int' object has no attribute 'parts'
+    with pytest.raises(TypeError):
+        Sl2Decomposition({1: 1}) + 3
+    assert Sl2Decomposition({1: 1}) + Sl2Decomposition({1: 1, 0: 2}) == Sl2Decomposition({1: 2, 0: 2})
+
+
 def test_negative_multiplicity_rejected():
     with pytest.raises(ValueError):
         Sl2Decomposition({2: -1})

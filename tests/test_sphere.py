@@ -122,6 +122,14 @@ def test_coefficients_symmetric():
         sphere_zeta_coeff(4)
 
 
+def test_coefficient_index_must_be_integral():
+    # a non-integral k in [0, 3] used to fall through to the t^3 coefficient
+    for bad in (1.5, F(1, 2), 2.5):
+        with pytest.raises(ValueError, match="must be an integer"):
+            sphere_zeta_coeff(bad)
+    assert sphere_zeta_coeff(2.0) == sphere_zeta_coeff(F(2)) == sphere_zeta_coeff(2)
+
+
 def test_coefficient_t1():
     qm = QLaurent({1: 1, -1: -1})
     assert sphere_zeta_coeff(1) == QRational(QLaurent({0: -2}), qm * qm)

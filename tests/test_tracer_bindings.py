@@ -6,7 +6,9 @@ show there as a ``KeyError``.  These tests make it a test failure instead,
 and run the Nichols ladder and the R-matrix criterion under the tracer: the
 results must not change, ``sparse_int_rank`` must see rows and rank, the
 ladder's row pulls must be timed inside ``braided.extend``, and every binding
-must be put back.
+must be put back.  The (q, t) layers get the same check on a fit, a closed
+form expansion and the property criterion, which reach ``QTPoly.__mul__``,
+``FactoredRatQT.expand`` and ``TSeries.__mul__``.
 """
 
 import sys
@@ -72,3 +74,27 @@ def test_tracing_the_ladder_and_rmatrix_keeps_results_and_restores_every_binding
     pulls = [i for i, span in enumerate(tracer.spans) if span[0] == CANDIDATE_ROWS]
     assert pulls and all(tracer.inside(i, "braided.extend") for i in pulls)
     assert metrics["braided.candidate_rows.self_s"] > 0
+
+
+def _qt_layers():
+    import qzeta
+    import qzeta.verify
+
+    return qzeta.fit_gh(5), qzeta.zeta_cn_closed(4).expand(10), qzeta.verify.crit_14_property_suites()
+
+
+def test_tracing_the_qt_layers_keeps_results_and_restores_every_binding():
+    plain = _qt_layers()
+    before = _traced_bindings()
+    tracer = Tracer()
+    with traced(tracer) as patched:
+        assert {(holder, attr) for holder, attr, _original in patched} == set(before)
+        got = _qt_layers()
+    assert got == plain
+    after = _traced_bindings()
+    assert after.keys() == before.keys()
+    assert all(after[key] is fn for key, fn in before.items())
+
+    metrics = layer_metrics(tracer)
+    for layer in ("qtpoly.mul", "qtpoly.expand", "tseries.mul"):
+        assert metrics[f"{layer}.calls"] > 0, layer
