@@ -9,15 +9,26 @@ and recover classical symmetric algebras.
 
 The braided symmetrizer S_j on n^j tensor factors is never materialized:
 S_j = (S_{j-1} (x) id) P_j with P_j = id + Psi_{j-1} + Psi_{j-1}Psi_{j-2}
-+ ... + Psi_{j-1}...Psi_1, so a full-rank set of rows of S_{j-1} yields the
-candidate rows of S_j directly, and ranks are taken by streaming sparse
-elimination.  The words Psi_{j-1}...Psi_k are applied to the support of each
-row only, one positional braiding step (an n^2-entry offset table) at a
-time, so no table over the n^j columns is ever built.  The quadratic
-variant BS^quad(A) = TA / <ker S_2> and the braided invariants are joint
-kernels W_j = (W_{j-1} (x) V) cap (V^{j-2} (x) ker M), M the contraction
-against ker S_2 or sign Psi - id: each level is a kernel on n dim W_{j-1}
-candidates (``linalg._intersect_step``), not on n^j columns.
++ ... + Psi_{j-1}...Psi_1, so row w n + i of S_j is (row w of S_{j-1}
+(x) e_i) P_j, and the rows w n + i over a maximal independent set K_{j-1}
+of rows of S_{j-1} span the rows of S_j.  The ladder also keeps a set
+L_{j-1} of d_{j-1} independent columns of S_{j-1}.  S_j(Psi) transposed is
+S_j(Psi^-1), so the same recursion, run for Psi^-1, says the columns
+L_{j-1} x X span the columns of S_j; hence every set P of rows of S_j has
+rank S_j[P, L_{j-1} x X] = rank S_j[P, :].  Level j therefore ranks the
+square restriction M = S_j[K_{j-1} x X, L_{j-1} x X], of size n d_{j-1},
+instead of n d_{j-1} full rows over n^j columns: streaming elimination
+keeps a row exactly when it raises the rank of the rows before it, so the
+kept rows K_j are the ones the full rows would keep.  Only those d_j rows
+are built in full, and a second elimination, over the columns of
+M[K_j, :], picks L_j.  The words Psi_{j-1}...Psi_k are applied to the
+support of each kept row, and to each column word of M, one positional
+braiding step (an n^2-entry offset table) at a time, so no table over the
+n^j columns is ever built.  The quadratic variant BS^quad(A) = TA / <ker
+S_2> and the braided invariants are joint kernels W_j = (W_{j-1} (x) V) cap
+(V^{j-2} (x) ker M), M the contraction against ker S_2 or sign Psi - id:
+each level is a kernel on n dim W_{j-1} candidates
+(``linalg._intersect_step``), not on n^j columns.
 
 The ladder and the joint kernels run block by block through one level
 driver, ``_ProductBlocks.level``.  Column (x_1, ..., x_j) is labelled by the
@@ -28,10 +39,11 @@ block-diagonal by label.  When every sigma_x is an automorphism of (X, Psi)
 (checked once, in O(n^3); true for every conjugacy class), relabelling all
 tensor factors by one element g of the group they generate commutes with S_j
 and W_j and carries block l to block g l g^-1.  Only the least label of each
-such orbit is computed, its dimension counted |orbit| times; the rows of any
-other block are its representative's, relabelled.  Otherwise every block is
-its own orbit, through the same code.  Budgets still count the n^j columns
-of a level, not the columns of a block.
+such orbit is computed, its dimension counted |orbit| times; the rows and
+column words of any other block are its representative's, relabelled.
+Otherwise every block is its own orbit, through the same code.  Budgets
+still count the n^j columns of a level, not the columns of a block or the
+n d_{j-1} of the ladder's restriction.
 """
 
 from __future__ import annotations
@@ -274,9 +286,11 @@ class _ProductBlocks:
         return self._members[rep]
 
     def rows(self, basis, label, m: int, cache: dict):
-        """Rows of the level-m block ``label``: basis[rep] with every tensor factor sent through g.
+        """Entry of the level-m block ``label``: basis[rep] with every tensor factor sent through g.
 
-        basis maps representatives to their rows; results are memoised in cache.
+        basis maps representatives to their entries: a list of sparse rows,
+        or the ladder's (rows, column words) pair, whose column words go
+        through the same digit map.  Results are memoised in cache.
         """
         out = cache.get(label)
         if out is None:
@@ -291,7 +305,15 @@ class _ProductBlocks:
                     low = [c * n + d for c in low for d in g]
                 high = [c * n + d for c in low for d in g] if m % 2 else low
                 high = [c * base for c in high]
-                out = [{high[c // base] + low[c % base]: v for c, v in row.items()} for row in out]
+
+                def relabel(rows):
+                    return [{high[c // base] + low[c % base]: v for c, v in row.items()} for row in rows]
+
+                if isinstance(out, tuple):
+                    rows, cols = out
+                    out = relabel(rows), [high[c // base] + low[c % base] for c in cols]
+                else:
+                    out = relabel(out)
             cache[label] = out
         return out
 
@@ -304,12 +326,13 @@ class _ProductBlocks:
         return basis
 
     def level(self, basis, m: int, block):
-        """The level-(m+1) blocks grown from the level-m basis: (sum of |orbit| * rows, {rep: rows}).
+        """The level-(m+1) blocks grown from the level-m basis: (sum of |orbit| * rows, {rep: entry}).
 
-        Each representative rep of level m+1, in sorted order, gets its rows
-        from block(parts), parts = [(rows of block l, [i])] over the labels l
-        in the orbits of basis and the letters i with l o sigma_i = rep.
-        Blocks given no rows are left out.
+        Each representative rep of level m+1, in sorted order, gets its entry
+        from block(parts), parts = [(entry of block l, [i])] over the labels l
+        in the orbits of basis and the letters i with l o sigma_i = rep.  An
+        entry is a list of rows or a (rows, column words) pair (``rows``);
+        blocks given no rows are left out.
         """
         sources = {}  # rep -> {label l: [i]}
         for rep in basis:
@@ -320,10 +343,11 @@ class _ProductBlocks:
                         sources.setdefault(target, {}).setdefault(label, []).append(i)
         dim, out, cache = 0, {}, {}
         for target in sorted(sources):
-            rows = block([(self.rows(basis, label, m, cache), letters) for label, letters in sources[target].items()])
-            if rows:
-                out[target] = rows
-                dim += self.orbit(target)[2] * len(rows)
+            entry = block([(self.rows(basis, label, m, cache), letters) for label, letters in sources[target].items()])
+            rank = len(entry[0] if isinstance(entry, tuple) else entry)
+            if rank:
+                out[target] = entry
+                dim += self.orbit(target)[2] * rank
         return dim, out
 
 
@@ -362,21 +386,25 @@ class GradedDims:
 
 
 class SymmetrizerLadder:
-    """Incremental row bases of the braided symmetrizers S_1, S_2, ...
+    """Incremental row and column bases of the braided symmetrizers S_1, S_2, ...
 
     Level j keeps, for each representative label of a block orbit (see the
-    module docstring), a maximal independent set of the rows of S_j in that
-    block (sparse integer dicts over n^j columns, entries bounded by j!).
-    A representative block of level j gets its candidate rows from
-    (A (x) e_i) P_j, where A runs over the level-(j-1) blocks l and i over
-    the letters with l o sigma_i equal to its label; a non-representative
-    l contributes its representative's rows relabelled by the conjugating
-    g.  Each block is eliminated on its own (``_ProductBlocks.level``), and
-    the level's rank is the sum over representatives of |orbit| times the
-    block's rank.  P_j acts
-    on the support of each row, step by step, with O(j n^2) tables per
-    level.  ``budget`` still bounds the column count n^j of a level,
-    although no array of that size, or of a block's size, is built.
+    module docstring), a pair: a maximal independent set K of the rows of
+    S_j in that block (sparse integer dicts over n^j columns, entries bounded
+    by j!), and a list L of as many independent column words of the block.
+    A representative block of level j takes as candidates the rows w n + i
+    of S_j, where w runs over the kept rows of the level-(j-1) blocks l and
+    i over the letters with l o sigma_i equal to its label; a
+    non-representative l contributes its representative's rows and column
+    words relabelled by the conjugating g.  The candidates are ranked on the
+    columns u n + i, u in the kept column words of l, only
+    (``_block_bases``): the transpose S_j(Psi)^T = S_j(Psi^-1) makes that
+    restriction keep the same rows as the full candidates would, and only
+    the kept rows are built in full, through ``_candidate_rows``.  The
+    level's rank is the sum over representatives of |orbit| times the
+    block's rank.  Words act step by step, with O(j n^2) tables per level.
+    ``budget`` still bounds the column count n^j of a level, although no
+    array of that size, or of a block's size, is built.
     """
 
     def __init__(self, x: BraidedSet, budget: int = DEFAULT_BUDGET):
@@ -384,7 +412,8 @@ class SymmetrizerLadder:
         self.budget = budget
         self.dims = [1, x.size]
         self._blocks = _ProductBlocks(x)
-        self._basis = self._blocks.first()  # representative label -> kept rows of that block
+        # representative label -> (kept rows, kept column words) of that block; S_1 = id
+        self._basis = {rep: (rows, [c for row in rows for c in row]) for rep, rows in self._blocks.first().items()}
 
     @property
     def level(self) -> int:
@@ -429,6 +458,66 @@ class SymmetrizerLadder:
                                 del out[y]
                     yield out
 
+    def _block_bases(self, steps, forward, parts):
+        """(kept rows, column words) of one block of S_j from parts [((rows, column words), letters)].
+
+        Candidate r = (w, i) is row w n + i of S_j, for each kept row w of
+        S_(j-1) in parts and i in its letters, in the order of
+        ``_candidate_rows``; the columns are u n + i for each kept column
+        word u and i in its letters.  Entry (r, v) of M, the restriction of
+        S_j to these rows and columns, is sum_p sign^p row_w[c div n] over
+        the images c = W_p(v) with c mod n = i, W_p = Psi_(j-1)..Psi_(j-p)
+        (W_0 = id): one lookup per image in an index of the kept rows'
+        entries, which holds only the columns c div n that some image
+        reaches.  ``steps`` are ``_word_inverse_perms(j)`` and ``forward`` the same
+        steps braiding forward, entry q at place value n^q; W_p runs
+        forward[p-1], ..., forward[0].
+        The rows of M kept by ``sparse_int_rank`` name the rows of S_j that
+        the full candidates would keep, and only those are built in full;
+        a second pass over the columns of M on the kept rows picks d_j
+        independent column words.
+        """
+        n = self.x.size
+        nn = n * n
+        columns = [u * n + i for (_, cols), letters in parts for u in cols for i in letters]
+        images = []  # column of M -> [(W_p(v), sign^p)]
+        for v in columns:
+            out = [(v, 1)]
+            for p in range(1, len(forward) + 1):
+                c = v
+                for lo, delta, _ in reversed(forward[:p]):  # place values n^(p-1), ..., n^0
+                    c += delta[c // lo % nn]
+                out.append((c, forward[p - 1][2]))
+            images.append(out)
+        looked_up = {c // n for out in images for c, _ in out}
+        index = {}  # column u of S_(j-1) -> [(first candidate of the row, letter -> offset, entry)]
+        sources = []  # candidate -> (row of S_(j-1), letter)
+        for (rows, _), letters in parts:
+            offset = {i: k for k, i in enumerate(letters)}
+            for row in rows:
+                first = len(sources)
+                for u, e in row.items():
+                    if u in looked_up:
+                        index.setdefault(u, []).append((first, offset, e))
+                sources.extend((row, i) for i in letters)
+        m = [{} for _ in sources]
+        for k, out in enumerate(images):
+            for c, sgn in out:
+                for first, offset, e in index.get(c // n, ()):
+                    row = m[first + offset[c % n]]
+                    row[k] = row.get(k, 0) + sgn * e
+        kept_ids = {id(row) for row in sparse_int_rank(m)[1]}  # the very row objects it kept
+        kept = [r for r, row in enumerate(m) if id(row) in kept_ids]
+        transposed = [{} for _ in columns]
+        for t, r in enumerate(kept):
+            for k, e in m[r].items():
+                if e:
+                    transposed[k][t] = e
+        picked = {id(col) for col in sparse_int_rank(transposed)[1]}
+        cols = [v for v, col in zip(columns, transposed) if id(col) in picked]
+        rows = list(self._candidate_rows(steps, [([sources[r][0]], [sources[r][1]]) for r in kept]))
+        return rows, cols
+
     def extend(self):
         """Build the next level and record its dimension."""
         j = self.level + 1
@@ -436,11 +525,10 @@ class SymmetrizerLadder:
         if n ** j > self.budget:
             raise BudgetExceeded(f"n^j = {n}^{j} = {n ** j} exceeds budget {self.budget}")
         steps = self._word_inverse_perms(j)
-
-        def kept(parts):
-            return sparse_int_rank(self._candidate_rows(steps, parts))[1]
-
-        rank, self._basis = self._blocks.level(self._basis, j - 1, kept)
+        pairs = _pair_map(self.x)
+        forward = [(lo, [(s - t) * lo for t, s in enumerate(pairs)], sgn) for lo, _, sgn in steps]
+        rank, self._basis = self._blocks.level(
+            self._basis, j - 1, lambda parts: self._block_bases(steps, forward, parts))
         self.dims.append(rank)
         return rank
 

@@ -41,10 +41,13 @@ def _strip(row: dict) -> dict:
     """Divide a nonzero row by its content, read off the ring of its values.
 
     Integer rows lose the gcd of their entries.  QLaurent rows lose their
-    least exponent and their rational content (the gcd of every coefficient's
-    numerator over the lcm of every denominator), gathered in one pass that
-    reads an int coefficient as it is.  Full polynomial gcds are not taken:
-    the rows the library reduces do not need them.
+    least exponent and their rational content num / den (the gcd of every
+    coefficient's numerator over the lcm of every denominator), gathered in
+    one pass that reads an int coefficient as it is.  Each entry is then
+    rebuilt by one ``QLaurent.from_sums``: every exponent shifted down by the
+    least one, every coefficient a / b sent to (a // num) (den // b), an int
+    since num divides a and b divides den.  Full polynomial gcds are not
+    taken: the rows the library reduces do not need them.
     """
     values = row.values()
     if type(next(iter(values))) is int:
@@ -64,8 +67,13 @@ def _strip(row: dict) -> dict:
                 den = lcm(den, k.denominator)
     if low == 0 and num == 1 and den == 1:
         return row
-    mono = QLaurent({-low: Fraction(den, num)})
-    return {c: x * mono for c, x in row.items()}
+    return {
+        c: QLaurent.from_sums({
+            e - low: k // num * den if type(k) is int else k.numerator // num * (den // k.denominator)
+            for e, k in x.items()
+        })
+        for c, x in row.items()
+    }
 
 
 def _int_row(entries) -> dict:

@@ -186,13 +186,22 @@ def cm_recursion_step(m: int, prev: CmSeries, order: int) -> CmSeries:
 
 
 def eta_m(m: int) -> QTPoly:
-    """prod (1 - q^{2i} t) over i = 1..m/2 (even m) or (1 - q^{2i+1} t) over i = 0..(m-1)/2 (odd)."""
+    """prod (1 - q^{2i} t) over i = 1..m/2 (even m) or (1 - q^{2i+1} t) over i = 0..(m-1)/2 (odd).
+
+    Each factor (1 - q^e t) is one shift-and-subtract of the {q-exponent:
+    int} rows, row_j - q^e row_(j-1), as in ``_cm_eta_rows``; the top row
+    is updated first, so row_(j-1) is still the factor's input.
+    """
     if m < 0:
         raise ValueError("m must be non-negative")
-    acc = QTPoly.one()
+    rows = [{0: 1}]
     for e in _eta_exponents(m):
-        acc = acc * QTPoly.from_qlaurent_t_coeffs([QLaurent.one(), QLaurent.from_sums({e: -1})])
-    return acc
+        rows.append({})
+        for j in range(len(rows) - 1, 0, -1):
+            row = rows[j]
+            for p, x in rows[j - 1].items():
+                row[p + e] = row.get(p + e, 0) - x
+    return QTPoly.from_qlaurent_t_coeffs([QLaurent.from_sums({p: x for p, x in row.items() if x}) for row in rows])
 
 
 def _eta_exponents(m: int) -> range:

@@ -22,6 +22,7 @@ from qzeta.braided import (
     SymmetrizerLadder,
     _apply_word,
     _compose,
+    _inverse,
     _ker_s2_basis,
     _pair_map,
     _ProductBlocks,
@@ -29,6 +30,9 @@ from qzeta.braided import (
     symmetrizer_matrix_recursive,
 )
 from qzeta.linalg import sparse_int_rank
+from qzeta.qcombinat import t_bracket
+from qzeta.verify import _property_pool
+from test_linalg import _rank_bareiss
 
 
 def test_conjugacy_class_sizes():
@@ -342,6 +346,44 @@ class _UngradedLadder(SymmetrizerLadder):
         return rank
 
 
+class _FullRowLadder(SymmetrizerLadder):
+    """The block ladder before the restriction: every candidate row of S_j built in full and eliminated."""
+
+    def __init__(self, x, budget):
+        super().__init__(x, budget)
+        self._basis = self._blocks.first()
+
+    def extend(self):
+        j = self.level + 1
+        n = self.x.size
+        if n ** j > self.budget:
+            raise BudgetExceeded(f"n^j = {n}^{j} = {n ** j} exceeds budget {self.budget}")
+        steps = self._word_inverse_perms(j)
+
+        def kept(parts):
+            return sparse_int_rank(self._candidate_rows(steps, parts))[1]
+
+        rank, self._basis = self._blocks.level(self._basis, j - 1, kept)
+        self.dims.append(rank)
+        return rank
+
+
+def _kept_rows(ladder):
+    """{representative: kept rows} of a restricted ladder, its column words left out."""
+    return {rep: rows for rep, (rows, _) in ladder._basis.items()}
+
+
+def _column_words(ladder):
+    """Every kept column word of the current level, over every block of every orbit."""
+    blocks, cache = ladder._blocks, {}
+    return [
+        v
+        for rep in ladder._basis
+        for label, _ in blocks.members(rep)
+        for v in blocks.rows(ladder._basis, label, ladder.level, cache)[1]
+    ]
+
+
 def _hilbert_dims_quadratic_ungraded(x, max_degree, budget=10**5):
     """The quadratic variant before product blocks: one elimination of I_j per degree."""
     n = x.size
@@ -408,6 +450,34 @@ def _non_automorphic_set(sign):
     return BraidedSet(sigma, right, sign=sign, label=f"non-automorphic sigma's, sign {sign:+d}")
 
 
+def _rack(n, op, label):
+    """The rack x |> y = op(x, y) on range(n) as a braided set: Psi(x, y) = (x |> y, x), sign -1."""
+    left = [[op(x, y) for y in range(n)] for x in range(n)]
+    return BraidedSet(left, [[x] * n for x in range(n)], sign=-1, label=label)
+
+
+def _affine_rack(p, a):
+    """Aff(p, a): Z/p with x |> y = a y + (1 - a) x."""
+    return _rack(p, lambda x, y: (a * y + (1 - a) * x) % p, f"Aff({p},{a})")
+
+
+def _tetrahedron_rack():
+    """The four 3-cycles of A_4 conjugate to (1 2 3), x |> y = x y x^-1."""
+    gens = [(1, 2, 0, 3), (1, 0, 3, 2)]  # (1 2 3) and (1 2)(3 4) generate A_4
+    found, frontier = {gens[0]}, [gens[0]]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = _compose(_compose(g, x), _inverse(g))
+            if y not in found:
+                found.add(y)
+                frontier.append(y)
+    elems = sorted(found)
+    index = {e: i for i, e in enumerate(elems)}
+    conj = lambda x, y: index[_compose(_compose(elems[x], elems[y]), _inverse(elems[x]))]  # noqa: E731
+    return _rack(len(elems), conj, "tetrahedron rack")
+
+
 def _ladder_pool():
     return [
         (flip_set(3), 5),
@@ -432,6 +502,8 @@ def _block_pool():
         (from_conjugacy_class(4, (2, 3, 4, 1)), 6, 5),   # 4-cycles in S_4
         (_non_automorphic_set(1), 5, 6),
         (_non_automorphic_set(-1), 6, 6),
+        (_tetrahedron_rack(), 7, 7),
+        (_affine_rack(5, 2), 5, 4),
     ]
 
 
@@ -457,7 +529,7 @@ def test_block_ladder_matches_ungraded():
             assert blocks.extend() == oracle.extend(), (x.label, j)
             if x.label.startswith("flip"):
                 # one block, trivial group: the very same rows are kept
-                assert blocks._basis == {tuple(range(x.size)): oracle._basis}, (x.label, j)
+                assert _kept_rows(blocks) == {tuple(range(x.size)): oracle._basis}, (x.label, j)
         assert blocks.dims == oracle.dims, x.label
 
 
@@ -481,7 +553,8 @@ def test_product_blocks_and_orbits():
         ladder = SymmetrizerLadder(x, budget=n ** top)
         for j in range(1, top + 1):
             ladder.dim(j)
-            for rep, rows in ladder._basis.items():
+            for rep, (rows, cols) in ladder._basis.items():
+                assert len(cols) == len(rows), (x.label, j)
                 members = ladder._blocks.members(rep)
                 assert rep == min(label for label, _ in members), (x.label, j)
                 for label, g in members:
@@ -489,12 +562,11 @@ def test_product_blocks_and_orbits():
                         assert label == _compose(_compose(g, rep), tuple(g.index(i) for i in range(n)))
                     else:
                         assert (label, g) == (rep, blocks.identity)
-                for row in rows:
-                    for c in row:
-                        label = blocks.identity
-                        for t in range(j):
-                            label = _compose(label, x.left[c // n ** (j - 1 - t) % n])
-                        assert label == rep, (x.label, j)
+                for c in [c for row in rows for c in row] + cols:
+                    label = blocks.identity
+                    for t in range(j):
+                        label = _compose(label, x.left[c // n ** (j - 1 - t) % n])
+                    assert label == rep, (x.label, j)
 
 
 def test_non_automorphic_set_falls_back_to_plain_blocks():
@@ -564,3 +636,103 @@ def test_x5_degree_6_matches_fomin_kirillov():
     assert dims.complete
     ref = [c.coeff(0) for c in fk_reference_series(5).t_coeff_list()[:7]]
     assert list(dims) == ref
+
+
+# -- the restricted ladder: kept rows, column words, the transpose lemma --------
+
+
+def test_restricted_ladder_keeps_the_full_row_basis():
+    """Eliminating S_j on K x X by L x X keeps the very rows the full candidates keep, at every level."""
+    for x, top, _ in _block_pool():
+        ladder = SymmetrizerLadder(x, budget=x.size ** top)
+        oracle = _FullRowLadder(x, budget=x.size ** top)
+        for j in range(2, top + 1):
+            assert ladder.extend() == oracle.extend(), (x.label, j)
+            assert _kept_rows(ladder) == oracle._basis, (x.label, j)
+
+
+def test_column_words_are_independent_columns_of_the_bruteforce_symmetrizer():
+    """Each level's column words are d_j columns of S_j of rank d_j, ranked block by block.
+
+    Levels stop at n^j <= 4096 and j <= 5: the brute force sums j! words over n^j columns.
+    """
+    for x, top, _ in _block_pool():
+        n = x.size
+        ladder = SymmetrizerLadder(x, budget=n ** top)
+        for j in range(1, min(top, 5) + 1):
+            if n ** j > 4096:
+                break
+            ladder.dim(j)
+            words = _column_words(ladder)
+            assert len(words) == len(set(words)) == ladder.dims[j], (x.label, j)
+            columns = {}  # column -> {row: entry}
+            for (r, c), v in symmetrizer_matrix_bruteforce(x, j).items():
+                columns.setdefault(c, {})[r] = v
+            blocks = {}  # S_j is block-diagonal by label: rank each block's columns on their rows
+            for v in words:
+                label = ladder._blocks.identity
+                for t in range(j):
+                    label = _compose(label, x.left[v // n ** (j - 1 - t) % n])
+                blocks.setdefault(label, []).append(columns.get(v, {}))
+            rank = 0
+            for cols in blocks.values():
+                rows = sorted({r for col in cols for r in col})
+                rank += _rank_bareiss([[col.get(r, 0) for r in rows] for col in cols])
+            assert rank == ladder.dims[j], (x.label, j)
+
+
+def _inverse_braided_set(x):
+    """The braided set of Psi^-1, same sign."""
+    n = x.size
+    left, right = [[0] * n for _ in range(n)], [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            c, d = x.apply(a, b)
+            left[c][d], right[c][d] = a, b
+    return BraidedSet(left, right, sign=x.sign, label=f"inverse of {x.label}")
+
+
+def test_symmetrizer_transpose_is_the_symmetrizer_of_the_inverse():
+    """S_j(Psi)^T = S_j(Psi^-1): why the columns L x X span the column space of S_j."""
+    asymmetric = 0
+    for x in _property_pool():
+        inv = _inverse_braided_set(x)
+        for j in range(1, 6):
+            if x.size ** j > 4096:
+                break
+            s_j = symmetrizer_matrix_bruteforce(x, j)
+            transposed = {(c, r): v for (r, c), v in s_j.items()}
+            assert transposed == symmetrizer_matrix_bruteforce(inv, j), (x.label, j)
+            asymmetric += transposed != s_j
+    assert asymmetric  # S_2 of the 2-cycles in S_3 is not symmetric
+
+
+# -- racks whose Nichols algebra is not quadratic -------------------------------
+
+
+def _series_dims(series, top):
+    coeffs = [int(c.coeff(0)) for c in series.t_coeff_list()]
+    return (coeffs + [0] * (top + 1))[: top + 1]
+
+
+def _brackets(*ms):
+    acc = t_bracket(1)
+    for m in ms:
+        acc = acc * t_bracket(m)
+    return acc
+
+
+@pytest.mark.parametrize("x,series,top,differs", [
+    # (1+t)^2 (1+t+t^2)^2 (1+t^3) = [2]^2 [3] [6], 72 in total: complete, so top = 10 reads a 0
+    (_tetrahedron_rack(), _brackets(2, 2, 3, 6), 10, 6),
+    (_affine_rack(5, 2), _brackets(4, 4, 4, 4, 5), 8, 4),
+    (_affine_rack(5, 3), _brackets(4, 4, 4, 4, 5), 8, 4),
+    (_affine_rack(7, 3), _brackets(6, 6, 6, 6, 6, 6, 7), 6, 6),
+], ids=["tetrahedron", "Aff(5,2)", "Aff(5,3)", "Aff(7,3)"])
+def test_rack_nichols_algebras_match_their_products_and_differ_from_the_quadratic_cover(x, series, top, differs):
+    dims = hilbert_dims(x, top, budget=x.size ** top)
+    assert dims.complete
+    assert list(dims) == _series_dims(series, top), x.label
+    quadratic = list(hilbert_dims_quadratic(x, differs, budget=x.size ** differs))
+    assert quadratic[:differs] == list(dims)[:differs], x.label
+    assert quadratic[differs] != list(dims)[differs], x.label

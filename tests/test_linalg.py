@@ -15,6 +15,7 @@ from qzeta import (
     solve_linear,
     sparse_int_rank,
     sparse_kernel,
+    sym_subspace_dims,
 )
 
 
@@ -570,6 +571,46 @@ def test_strip_divides_out_the_content():
     # a primitive QLaurent row (exponent 0 present, content 1) is returned as it is
     row = {0: QLaurent({0: 2, 1: 3}), 1: q}
     assert linalg._strip(row) is row
+
+
+def _strip_by_monomial(row):
+    """Oracle: a QLaurent row times the one monomial q^-low den / num, entry by entry."""
+    low = min(e for x in row.values() for e, _ in x.items())
+    coeffs = [F(k) for x in row.values() for _, k in x.items()]
+    num = gcd(*(k.numerator for k in coeffs))
+    den = 1
+    for k in coeffs:
+        den = den * k.denominator // gcd(den, k.denominator)
+    mono = QLaurent({-low: F(den, num)})
+    return {c: x * mono for c, x in row.items()}
+
+
+def test_strip_matches_the_monomial_product():
+    rng = random.Random(20260)
+    for _ in range(300):
+        half = rng.random() < 0.3
+        row = {}
+        for c in rng.sample(range(12), rng.randrange(1, 5)):
+            terms = {}
+            for _ in range(rng.randrange(1, 4)):
+                e = F(rng.randrange(-6, 7), 2 if half else 1)
+                k = F(rng.choice([-1, 1]) * rng.randrange(1, 40), rng.choice([1, 1, 2, 3, 9]))
+                terms[e] = k * rng.choice([1, 6, 10])
+            row[c] = QLaurent(terms)
+        got, ref = linalg._strip(row), _strip_by_monomial(row)
+        assert repr(got) == repr(ref), row
+        assert all(type(k) is int for x in got.values() for _, k in x.items()), row
+
+
+def test_sym_subspace_dims_unchanged_under_the_monomial_strip(monkeypatch):
+    strip = linalg._strip
+    ours = [sym_subspace_dims(n, j) for n in range(2, 5) for j in range(6)]
+
+    def monomial_strip(row):
+        return strip(row) if type(next(iter(row.values()))) is int else _strip_by_monomial(row)
+
+    monkeypatch.setattr(linalg, "_strip", monomial_strip)
+    assert [sym_subspace_dims(n, j) for n in range(2, 5) for j in range(6)] == ours
 
 
 def _reduce_by_cross_multiplication(echelon, out):

@@ -156,6 +156,16 @@ def test_eta_m():
     assert eta_m(0) == QTPoly.one()
 
 
+def test_eta_m_rows_match_the_factor_products():
+    """The shift-and-subtract rows give the very QTPoly that one product per factor gives."""
+    for m in range(13):
+        acc = QTPoly.one()
+        for e in range(2 - m % 2, m + 1, 2):
+            acc = acc * QTPoly({(0, 0): 1, (e, 1): -1})
+        assert repr(eta_m(m)) == repr(acc), m
+        assert eta_m(m) == acc, m
+
+
 def test_functional_equation_cases():
     one = QTPoly.one()
     assert verify_functional_eq(1, GHPair(1, one, one))
