@@ -20,9 +20,10 @@ square restriction M = S_j[K_{j-1} x X, L_{j-1} x X], of size n d_{j-1},
 instead of n d_{j-1} full rows over n^j columns: streaming elimination
 keeps a row exactly when it raises the rank of the rows before it, so the
 kept rows K_j are the ones the full rows would keep.  Only those d_j rows
-are built in full, and a second elimination, over the columns of
-M[K_j, :], picks L_j.  The words Psi_{j-1}...Psi_k are applied to the
-support of each kept row, and to each column word of M, one positional
+are built in full.  The same elimination gives L_j: its echelon is
+T M[K_j, :], T invertible, triangular on its d_j pivot columns, so those
+columns of M are independent.  The words Psi_{j-1}...Psi_k are applied to
+the support of each kept row, and to each column word of M, one positional
 braiding step (an n^2-entry offset table) at a time, so no table over the
 n^j columns is ever built.  The quadratic variant BS^quad(A) = TA / <ker
 S_2> and the braided invariants are joint kernels W_j = (W_{j-1} (x) V) cap
@@ -217,6 +218,14 @@ def flip_set(n: int) -> BraidedSet:
 # -- symmetrizer machinery ---------------------------------------------------
 
 
+def _degree(j, what: str = "j") -> int:
+    """A tensor degree as a non-negative int; ValueError for a negative or non-integral one."""
+    j = _as_int(j, what)
+    if j < 0:
+        raise ValueError(f"{what} must be non-negative")
+    return j
+
+
 def _pair_map(x: BraidedSet) -> list[int]:
     """Psi on pair indices a*n + b, as a permutation of range(n^2)."""
     n = x.size
@@ -401,6 +410,7 @@ class SymmetrizerLadder:
     (``_block_bases``): the transpose S_j(Psi)^T = S_j(Psi^-1) makes that
     restriction keep the same rows as the full candidates would, and only
     the kept rows are built in full, through ``_candidate_rows``.  The
+    elimination's pivot columns give the block's next column words.  The
     level's rank is the sum over representatives of |orbit| times the
     block's rank.  Words act step by step, with O(j n^2) tables per level.
     ``budget`` still bounds the column count n^j of a level, although no
@@ -473,9 +483,9 @@ class SymmetrizerLadder:
         steps braiding forward, entry q at place value n^q; W_p runs
         forward[p-1], ..., forward[0].
         The rows of M kept by ``sparse_int_rank`` name the rows of S_j that
-        the full candidates would keep, and only those are built in full;
-        a second pass over the columns of M on the kept rows picks d_j
-        independent column words.
+        the full candidates would keep, and only those are built in full.
+        Its pivots are d_j independent columns of M: the echelon is T times
+        M on the kept rows, T invertible, and triangular on the pivots.
         """
         n = self.x.size
         nn = n * n
@@ -506,17 +516,10 @@ class SymmetrizerLadder:
                 for first, offset, e in index.get(c // n, ()):
                     row = m[first + offset[c % n]]
                     row[k] = row.get(k, 0) + sgn * e
-        kept_ids = {id(row) for row in sparse_int_rank(m)[1]}  # the very row objects it kept
-        kept = [r for r, row in enumerate(m) if id(row) in kept_ids]
-        transposed = [{} for _ in columns]
-        for t, r in enumerate(kept):
-            for k, e in m[r].items():
-                if e:
-                    transposed[k][t] = e
-        picked = {id(col) for col in sparse_int_rank(transposed)[1]}
-        cols = [v for v, col in zip(columns, transposed) if id(col) in picked]
-        rows = list(self._candidate_rows(steps, [([sources[r][0]], [sources[r][1]]) for r in kept]))
-        return rows, cols
+        _, kept, pivots = sparse_int_rank(m)
+        source = {id(row): ([w], [i]) for row, (w, i) in zip(m, sources)}  # kept holds these very rows
+        rows = list(self._candidate_rows(steps, [source[id(row)] for row in kept]))
+        return rows, [columns[k] for k in pivots]
 
     def extend(self):
         """Build the next level and record its dimension."""
@@ -533,6 +536,7 @@ class SymmetrizerLadder:
         return rank
 
     def dim(self, j: int) -> int:
+        j = _degree(j)
         while self.level < j:
             self.extend()
         return self.dims[j]
@@ -540,23 +544,18 @@ class SymmetrizerLadder:
 
 def symmetrizer_rank(x: BraidedSet, j: int, budget: int = DEFAULT_BUDGET) -> int:
     """Rank over Q of the braided symmetrizer S_j; equals dim BS(A)^j."""
-    if j < 0:
-        raise ValueError("j must be non-negative")
     return SymmetrizerLadder(x, budget).dim(j)
 
 
 def hilbert_dims(x: BraidedSet, max_degree: int, budget: int = DEFAULT_BUDGET) -> GradedDims:
     """[dim BS(A)^j for j = 0..max_degree]; partial result if the budget runs out."""
-    if max_degree < 0:
-        raise ValueError("max_degree must be non-negative")
+    max_degree = _degree(max_degree, "max_degree")
     ladder = SymmetrizerLadder(x, budget)
-    dims = [1]
-    for j in range(1, max_degree + 1):
-        try:
-            dims.append(ladder.dim(j))
-        except BudgetExceeded:
-            break
-    return GradedDims(dims, max_degree)
+    try:
+        ladder.dim(max_degree)
+    except BudgetExceeded:
+        pass
+    return GradedDims(ladder.dims[:max_degree + 1], max_degree)
 
 
 def invariant_dims(x: BraidedSet, j: int, budget: int = DEFAULT_BUDGET) -> int:
@@ -568,8 +567,7 @@ def invariant_dims(x: BraidedSet, j: int, budget: int = DEFAULT_BUDGET) -> int:
     braided case no relation between the two is claimed, and no caller
     compares them.  ``budget`` bounds n^j.
     """
-    if j < 0:
-        raise ValueError("j must be non-negative")
+    j = _degree(j)
     if j <= 1:
         return 1 if j == 0 else x.size
     n = x.size
@@ -612,8 +610,7 @@ def _apply_word(x: BraidedSet, word, tup):
 
 def symmetrizer_matrix_bruteforce(x: BraidedSet, j: int):
     """S_j as a dense dict {(row, col): int} from the literal sum over all j! reduced words."""
-    if j < 0:
-        raise ValueError("j must be non-negative")
+    j = _degree(j)
     n = x.size
     out: dict[tuple[int, int], int] = {}
     tuples = list(itertools.product(range(n), repeat=j))
@@ -635,8 +632,7 @@ def symmetrizer_matrix_recursive(x: BraidedSet, j: int):
     so comparing this with symmetrizer_matrix_bruteforce checks the code
     behind every Hilbert dimension.  Row r n + i of S_j is (row r (x) e_i) P_j.
     """
-    if j < 0:
-        raise ValueError("j must be non-negative")
+    j = _degree(j)
     ladder = SymmetrizerLadder(x)
     rows = [{0: 1}]
     for level in range(1, j + 1):
@@ -701,8 +697,7 @@ def hilbert_dims_quadratic(x: BraidedSet, max_degree: int, budget: int = DEFAULT
     every cycle vector of K (``_joint_kernel_dims``).  ``budget`` bounds n^j
     from degree 3 on; degree 2 is always computed.
     """
-    if max_degree < 0:
-        raise ValueError("max_degree must be non-negative")
+    max_degree = _degree(max_degree, "max_degree")
     n = x.size
     dims = [1, n][:max_degree + 1]
     kernel = _ker_s2_basis(x)

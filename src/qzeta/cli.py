@@ -6,8 +6,8 @@ import argparse
 import sys
 
 from . import __version__
-from .errors import QZetaError
-from .braided import hilbert_dims, hilbert_dims_quadratic, transposition_class
+from .errors import BudgetExceeded, QZetaError
+from .braided import DEFAULT_BUDGET, hilbert_dims, hilbert_dims_quadratic, transposition_class
 from .serialize import dumps, output_document
 from .sphere import sphere_zeta_coeff
 from .verify import SUITES, run_suite
@@ -142,6 +142,9 @@ def _cmd_sphere(args) -> int:
 
 
 def _cmd_nichols(args) -> int:
+    n = args.sym_group * (args.sym_group - 1) // 2
+    if args.sym_group >= 2 and n * n > DEFAULT_BUDGET:  # building X_K alone checks n^3 triples
+        raise BudgetExceeded(f"n^2 = {n}^2 = {n * n} exceeds budget {DEFAULT_BUDGET}")
     x = transposition_class(args.sym_group)
     fn = hilbert_dims_quadratic if args.quadratic else hilbert_dims
     dims = fn(x, args.max_degree)

@@ -152,9 +152,10 @@ def sparse_int_rank(rows):
 
     The values are all ints or all QLaurents.  Each incoming row is reduced
     against the echelon basis (``_reduce``); rows that survive are stripped
-    of their content and create a new pivot.  Returns (rank, kept), where
-    kept lists the original rows that extended the rank.  The name predates
-    QLaurent rows; the benchmark tracer binds it.
+    of their content and create a new pivot.  Returns (rank, kept, pivots):
+    the original rows that extended the rank, and the echelon's pivot
+    columns in ascending order, each one raising the rank of the columns
+    before it.  The name predates QLaurent rows; the benchmark tracer binds it.
     """
     echelon: dict[int, dict] = {}
     kept = []
@@ -163,7 +164,7 @@ def sparse_int_rank(rows):
         if out:
             echelon[min(out)] = _strip(out)
             kept.append(row)
-    return len(echelon), kept
+    return len(echelon), kept, sorted(echelon)
 
 
 def sparse_kernel(rows, width: int) -> list[dict]:

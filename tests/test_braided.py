@@ -17,6 +17,7 @@ from qzeta import (
     symmetrizer_rank,
     transposition_class,
 )
+from qzeta import braided
 from qzeta.braided import (
     GradedDims,
     SymmetrizerLadder,
@@ -172,12 +173,23 @@ def test_quadratic_variant_agreement():
     assert list(hilbert_dims_quadratic(f3, 4)) == [comb(3 + j - 1, j) for j in range(5)]
 
 
-@pytest.mark.parametrize("fn", [hilbert_dims, hilbert_dims_quadratic])
+@pytest.mark.parametrize(
+    "fn",
+    [hilbert_dims, hilbert_dims_quadratic, symmetrizer_rank, invariant_dims,
+     lambda x, j: SymmetrizerLadder(x).dim(j), symmetrizer_matrix_bruteforce, symmetrizer_matrix_recursive],
+    ids=["hilbert_dims", "hilbert_dims_quadratic", "symmetrizer_rank", "invariant_dims", "ladder_dim",
+         "bruteforce", "recursive"],
+)
 def test_hilbert_dims_reject_negative_degree(fn):
-    # a GradedDims([1], -1) would report itself complete for a degree never asked for
-    with pytest.raises(ValueError, match="max_degree must be non-negative"):
-        fn(transposition_class(3), -1)
-    assert list(fn(transposition_class(3), 0)) == [1]
+    # a GradedDims([1], -1) would report itself complete for a degree never asked for,
+    # and the ladder's dims[-1] is a dimension of another degree
+    x3 = transposition_class(3)
+    with pytest.raises(ValueError, match="must be non-negative"):
+        fn(x3, -1)
+    with pytest.raises(ValueError, match="must be an integer, got 2.5"):
+        fn(x3, 2.5)
+    assert fn(x3, 2.0) == fn(x3, 2)
+    assert fn(x3, 0) in ([1], 1, {(0, 0): 1})
 
 
 def test_fk_reference_series():
@@ -341,7 +353,7 @@ class _UngradedLadder(SymmetrizerLadder):
         n = self.x.size
         if n ** j > self.budget:
             raise BudgetExceeded(f"n^j = {n}^{j} = {n ** j} exceeds budget {self.budget}")
-        rank, self._basis = sparse_int_rank(self.ungraded_candidate_rows(j))
+        rank, self._basis, _ = sparse_int_rank(self.ungraded_candidate_rows(j))
         self.dims.append(rank)
         return rank
 
@@ -366,6 +378,52 @@ class _FullRowLadder(SymmetrizerLadder):
         rank, self._basis = self._blocks.level(self._basis, j - 1, kept)
         self.dims.append(rank)
         return rank
+
+
+class _TwoPassLadder(SymmetrizerLadder):
+    """The restricted ladder with its column words picked by a second elimination, over the columns of M[K_j, :]."""
+
+    def _block_bases(self, steps, forward, parts):
+        n = self.x.size
+        nn = n * n
+        columns = [u * n + i for (_, cols), letters in parts for u in cols for i in letters]
+        images = []  # column of M -> [(W_p(v), sign^p)]
+        for v in columns:
+            out = [(v, 1)]
+            for p in range(1, len(forward) + 1):
+                c = v
+                for lo, delta, _ in reversed(forward[:p]):
+                    c += delta[c // lo % nn]
+                out.append((c, forward[p - 1][2]))
+            images.append(out)
+        looked_up = {c // n for out in images for c, _ in out}
+        index = {}  # column u of S_(j-1) -> [(first candidate of the row, letter -> offset, entry)]
+        sources = []  # candidate -> (row of S_(j-1), letter)
+        for (rows, _), letters in parts:
+            offset = {i: k for k, i in enumerate(letters)}
+            for row in rows:
+                first = len(sources)
+                for u, e in row.items():
+                    if u in looked_up:
+                        index.setdefault(u, []).append((first, offset, e))
+                sources.extend((row, i) for i in letters)
+        m = [{} for _ in sources]
+        for k, out in enumerate(images):
+            for c, sgn in out:
+                for first, offset, e in index.get(c // n, ()):
+                    row = m[first + offset[c % n]]
+                    row[k] = row.get(k, 0) + sgn * e
+        kept_ids = {id(row) for row in sparse_int_rank(m)[1]}
+        kept = [r for r, row in enumerate(m) if id(row) in kept_ids]
+        transposed = [{} for _ in columns]
+        for t, r in enumerate(kept):
+            for k, e in m[r].items():
+                if e:
+                    transposed[k][t] = e
+        picked = {id(col) for col in sparse_int_rank(transposed)[1]}
+        cols = [v for v, col in zip(columns, transposed) if id(col) in picked]
+        rows = list(self._candidate_rows(steps, [([sources[r][0]], [sources[r][1]]) for r in kept]))
+        return rows, cols
 
 
 def _kept_rows(ladder):
@@ -393,7 +451,7 @@ def _hilbert_dims_quadratic_ungraded(x, max_degree, budget=10**5):
     if max_degree < 2:
         return dims
     kernel = _ker_s2_basis(x)
-    _, ideal = sparse_int_rank(kernel)
+    _, ideal, _ = sparse_int_rank(kernel)
     dims.append(n * n - len(ideal))
     for j in range(3, max_degree + 1):
         big = n ** j
@@ -411,7 +469,7 @@ def _hilbert_dims_quadratic_ungraded(x, max_degree, budget=10**5):
                 for row in ideal:
                     yield {base + c: v for c, v in row.items()}
 
-        rank, ideal = sparse_int_rank(candidates())
+        rank, ideal, _ = sparse_int_rank(candidates())
         dims.append(big - rank)
     return dims
 
@@ -514,9 +572,8 @@ def test_ladder_support_route_matches_tables():
             rows = list(ladder.ungraded_candidate_rows(j))
             ref = _candidate_rows_tables(ladder, j)
             assert rows == ref, (x.label, j)
-            rank, kept = sparse_int_rank(rows)
-            ref_rank, ref_kept = sparse_int_rank(ref)
-            assert (rank, kept) == (ref_rank, ref_kept), (x.label, j)
+            rank, kept, pivots = sparse_int_rank(rows)
+            assert (rank, kept, pivots) == sparse_int_rank(ref), (x.label, j)
             assert ladder.extend() == rank
             assert ladder._basis == kept
 
@@ -649,6 +706,27 @@ def test_restricted_ladder_keeps_the_full_row_basis():
         for j in range(2, top + 1):
             assert ladder.extend() == oracle.extend(), (x.label, j)
             assert _kept_rows(ladder) == oracle._basis, (x.label, j)
+
+
+def test_pivot_columns_match_the_two_pass_ladder(monkeypatch):
+    """The row pass's pivots are the column words a second pass over M[K_j, :] picks; one rank call per block."""
+    ranks, blocks = [], []
+    rank = braided.sparse_int_rank
+    block_bases = SymmetrizerLadder._block_bases
+    monkeypatch.setattr(braided, "sparse_int_rank", lambda rows: ranks.append(1) or rank(rows))
+    monkeypatch.setattr(SymmetrizerLadder, "_block_bases",
+                        lambda self, *args: blocks.append(1) or block_bases(self, *args))
+    pool = [(x, top) for x, top, _ in _block_pool()] + [
+        (transposition_class(4), 10), (transposition_class(5), 5),
+        (_tetrahedron_rack(), 10), (_affine_rack(5, 2), 8), (_affine_rack(5, 3), 8), (_affine_rack(7, 3), 6)]
+    for x, top in pool:
+        ladder = SymmetrizerLadder(x, budget=x.size ** top)
+        oracle = _TwoPassLadder(x, budget=x.size ** top)
+        for j in range(2, top + 1):
+            assert ladder.extend() == oracle.extend(), (x.label, j)
+            assert ladder._basis == oracle._basis, (x.label, j)
+            assert len(ranks) == len(blocks) >= (ladder.dims[j - 1] > 0), (x.label, j)
+            del ranks[:], blocks[:]
 
 
 def test_column_words_are_independent_columns_of_the_bruteforce_symmetrizer():

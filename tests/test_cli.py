@@ -184,6 +184,10 @@ def test_nichols_partial_result_exit_1(monkeypatch, capsys):
         (["nichols", "--sym-group", "3", "--max-degree", "-1"], "max_degree must be non-negative"),
         (["nichols", "--sym-group", "3", "--max-degree", "-1", "--quadratic"],
          "max_degree must be non-negative"),
+        # X_K is not built: its braid check alone is O(C(K,2)^3)
+        (["nichols", "--sym-group", "100", "--max-degree", "3"], "exceeds budget"),
+        (["nichols", "--sym-group", "26", "--max-degree", "1", "--quadratic"],
+         "n^2 = 325^2 = 105625 exceeds budget 100000"),
     ],
 )
 def test_invalid_input_exit_1(capsys, argv, message):

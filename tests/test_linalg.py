@@ -265,6 +265,34 @@ def test_qlaurent_rank_matches_dense_oracle_on_q_matrices():
     assert deficient > 40
 
 
+def _greedy_columns(m, rank) -> list:
+    """The columns k of a dense matrix at which the rank of columns 0..k rises, by a dense rank oracle."""
+    cols = len(m[0]) if m else 0
+    ranks = [rank([row[:k] for row in m]) for k in range(cols + 1)]
+    return [k for k in range(cols) if ranks[k + 1] > ranks[k]]
+
+
+def test_sparse_int_rank_pivots_are_the_greedy_independent_columns():
+    rng = random.Random(24_5084)
+    kinds = ("empty", "zero", "square", "tall", "wide", "square")
+    gaps = 0  # matrices whose pivots are not simply the first rank columns
+    for i in range(240):
+        m = _random_rational_matrix(rng, kinds[i % len(kinds)])
+        rank, _, pivots = sparse_int_rank(linalg._int_row(row) for row in m)
+        assert pivots == _greedy_columns(m, _rank_bareiss), m
+        gaps += pivots != list(range(rank))
+    q = QLaurent({1: 1})
+    for _ in range(80):
+        m = _random_q_matrix(rng)
+        i = rng.randrange(len(m[0]))
+        for row in m:  # column i + 1 becomes q times column i: never a pivot
+            row.insert(i + 1, q * row[i])
+        rank, _, pivots = sparse_int_rank(_laurent_row(row) for row in m)
+        assert pivots == _greedy_columns(m, _rank_qgeneric), m
+        gaps += pivots != list(range(rank))
+    assert gaps > 20
+
+
 def test_sparse_int_rank_matches_dense_oracle_on_rmatrix_blocks(monkeypatch):
     # the R-matrix blocks of the stacked-constraint oracle, which ranks QLaurent rows with sparse_int_rank
     import test_rmatrix
@@ -539,7 +567,7 @@ def test_sparse_int_rank_matches_dense():
         dense = [[rng.randrange(-3, 4) if rng.random() < 0.5 else 0 for _ in range(cols)]
                  for _ in range(rows)]
         sparse = [{c: v for c, v in enumerate(row) if v} for row in dense]
-        rank, kept = sparse_int_rank(sparse)
+        rank, kept, _ = sparse_int_rank(sparse)
         assert rank == _rank_bareiss(dense)
         assert len(kept) == rank
 
@@ -549,9 +577,9 @@ def test_sparse_int_rank_on_qlaurent_rows():
     one = QLaurent({0: 1})
     # [[1, q], [q^-1, 1]] has rank 1 over Q(q)
     rows = [{0: one, 1: q}, {0: QLaurent({-1: 1}), 1: one}]
-    assert sparse_int_rank(rows) == (1, rows[:1])
+    assert sparse_int_rank(rows) == (1, rows[:1], [0])
     rows2 = [{0: one, 1: q}, {0: q, 1: one}]
-    assert sparse_int_rank(rows2) == (2, rows2)
+    assert sparse_int_rank(rows2) == (2, rows2, [0, 1])
 
 
 def test_strip_divides_out_the_content():
@@ -646,7 +674,7 @@ def _both_reductions(rows):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(linalg, "_reduce", reduce)
             mp.setattr(linalg, "_strip", counting_strip)
-            rank, kept = sparse_int_rank(rows)
+            rank, kept, _ = sparse_int_rank(rows)
         out.append((rank, kept, len(strips)))
     return out
 
@@ -678,7 +706,7 @@ def test_in_place_steps_match_cross_multiplication_on_unit_rich_rows():
         assert (rank, kept) == (ref_rank, ref_kept), rows
         assert all(any(k is row for row in rows) for k in kept)
         assert rows == before                       # the caller's rows are never mutated
-        assert sparse_int_rank(rows) == (rank, kept)
+        assert sparse_int_rank(rows)[:2] == (rank, kept)
         saved_strips += ref_strips - strips
     assert saved_strips > 500                       # the in-place branch is taken
 
