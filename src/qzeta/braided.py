@@ -54,7 +54,7 @@ import json
 
 from .errors import BudgetExceeded
 from .qcombinat import t_bracket
-from .qlaurent import _as_int
+from .qlaurent import _as_int, _degree
 from .qtpoly import QTPoly
 from .linalg import _intersect_step, sparse_int_rank
 
@@ -216,14 +216,6 @@ def flip_set(n: int) -> BraidedSet:
 
 
 # -- symmetrizer machinery ---------------------------------------------------
-
-
-def _degree(j, what: str = "j") -> int:
-    """A tensor degree as a non-negative int; ValueError for a negative or non-integral one."""
-    j = _as_int(j, what)
-    if j < 0:
-        raise ValueError(f"{what} must be non-negative")
-    return j
 
 
 def _pair_map(x: BraidedSet) -> list[int]:
@@ -627,10 +619,11 @@ def symmetrizer_matrix_bruteforce(x: BraidedSet, j: int):
 def symmetrizer_matrix_recursive(x: BraidedSet, j: int):
     """S_j by the coset recursion S_j = (S_{j-1} (x) id) P_j, dense dict form.
 
-    Every row of S_{j-1}, not only a kept basis, goes through the ladder's
-    own kernel (SymmetrizerLadder._word_inverse_perms and _candidate_rows),
-    so comparing this with symmetrizer_matrix_bruteforce checks the code
-    behind every Hilbert dimension.  Row r n + i of S_j is (row r (x) e_i) P_j.
+    Every row of S_{j-1}, not only a kept basis, goes through the code that
+    builds the ladder's kept rows (_word_inverse_perms and _candidate_rows),
+    so comparing this with symmetrizer_matrix_bruteforce checks those rows.
+    The ranks come from _block_bases; crit 14(a) checks them against the
+    rank of the brute-force S_j.  Row r n + i of S_j is (row r (x) e_i) P_j.
     """
     j = _degree(j)
     ladder = SymmetrizerLadder(x)

@@ -7,11 +7,11 @@ as a finitely supported map exponent -> coefficient with no zero entries.
 
 This module also owns the dense form of a Laurent polynomial: its
 coefficient list in u = q^(1/L) on the common exponent lattice of the
-operands (``_exp_lattice``, ``_to_intpoly``, ``_from_intpoly``).  The one
-exact division, ``QLaurent.exact_div``, is a long division on that form,
-lowest exponent first; ``QRational`` divides out its gcd with it.
-Euclid's helpers ``tpoly_*`` divide the same lists from the highest
-exponent down and serve only the gcd of ``QRational``'s canonical form.
+operands (``_exp_lattice``, ``_to_intpoly``).  Its one long division,
+``_divide_low``, works lowest exponent first.  ``QLaurent.exact_div`` is
+that division plus a remainder check, and ``_gcd_low``, the gcd of
+``QRational``'s canonical form, is Euclid's algorithm on the same division:
+Euclid on the reversed polynomials.
 """
 
 from __future__ import annotations
@@ -44,6 +44,14 @@ def _as_int(x, what: str) -> int:
     except (TypeError, ValueError, OverflowError):
         pass
     raise ValueError(f"{what} must be an integer, got {x!r}")
+
+
+def _degree(j, what: str = "j") -> int:
+    """A degree as a non-negative int; ValueError for a negative or non-integral one."""
+    j = _as_int(j, what)
+    if j < 0:
+        raise ValueError(f"{what} must be non-negative")
+    return j
 
 
 def _exact(x, what: str) -> Coeff:
@@ -291,10 +299,8 @@ class QLaurent:
     def exact_div(self, other: "QLaurent") -> "QLaurent":
         """Exact Laurent division; raises ExactDivisionError on a nonzero remainder.
 
-        One dense long division, lowest exponent first, on the common
-        exponent lattice of the two operands.  Each quotient coefficient
-        stays an ``int`` while the divisor's lowest coefficient divides it;
-        from the first step where it does not, steps use ``Fraction``.
+        One dense long division, lowest exponent first (``_divide_low``),
+        on the common exponent lattice of the two operands.
         """
         if other.is_zero:
             raise DivisionByZero("division by zero QLaurent")
@@ -307,24 +313,7 @@ class QLaurent:
         steps = len(rem) - len(div) + 1
         if steps < 1:
             raise ExactDivisionError("nonzero remainder in exact_div")
-        lead = div[0]
-        # rem[i] is not read again once step i is done, so the divisor's
-        # lowest term is left out of the update.
-        tail = [(j, d) for j, d in enumerate(div) if j and d]
-        integral = type(lead) is int
-        quot = {}
-        for i in range(steps):
-            c = rem[i]
-            if not c:
-                continue
-            if integral:
-                qc, r = divmod(c, lead)
-                integral = not r
-            if not integral:
-                qc = _norm_num(Fraction(c) / lead)
-            quot[shift + i] = qc
-            for j, d in tail:
-                rem[i + j] -= qc * d
+        quot = _divide_low(rem, div, shift)
         if any(rem[steps:]):
             raise ExactDivisionError("nonzero remainder in exact_div")
         if lattice != 1:
@@ -397,46 +386,49 @@ def _to_intpoly(p: QLaurent, lattice: int):
     return int(v * lattice), coeffs
 
 
-def _from_intpoly(coeffs, shift, lattice: int) -> QLaurent:
-    terms = {}
-    for i, c in enumerate(coeffs):
-        if c:
-            terms[Fraction(i + shift, lattice)] = c
-    return QLaurent(terms)
+def _divide_low(rem, div, shift: int = 0) -> dict:
+    """Divide the dense list rem by div (``div[0] != 0``) lowest term first, in place.
+
+    Returns the quotient {shift + i: coefficient of u^i} without zeros; the
+    remainder, times u^steps, is left in ``rem[len(rem) - len(div) + 1:]``.
+    Quotient coefficients stay ``int`` while ``div[0]`` divides them; from the
+    first step where it does not, steps use ``Fraction``.
+    """
+    lead = div[0]
+    # rem[i] is not read again once step i is done, so the divisor's
+    # lowest term is left out of the update.
+    tail = [(j, d) for j, d in enumerate(div) if j and d]
+    integral = type(lead) is int
+    quot = {}
+    for i in range(len(rem) - len(div) + 1):
+        c = rem[i]
+        if not c:
+            continue
+        if integral:
+            qc, r = divmod(c, lead)
+            integral = not r
+        if not integral:
+            qc = _norm_num(Fraction(c) / lead)
+        quot[shift + i] = qc
+        for j, d in tail:
+            rem[i + j] -= qc * d
+    return quot
 
 
-# -- Euclid on dense Fraction coefficient lists, for QRational's gcd -----------
+def _gcd_low(a, b) -> list:
+    """A gcd, up to a scalar, of dense lists with nonzero first and last entries; [1] if constant.
 
-
-def tpoly_trim(p):
-    while p and p[-1] == 0:
-        p = p[:-1]
-    return p
-
-
-def tpoly_divmod(p, d):
-    d = tpoly_trim(list(d))
-    if not d:
-        raise ZeroDivisionError("t-polynomial division by zero")
-    rem = [Fraction(x) for x in p]
-    quot = [Fraction(0)] * max(len(rem) - len(d) + 1, 0)
-    while len(tpoly_trim(rem)) >= len(d):
-        rem = tpoly_trim(rem)
-        shift = len(rem) - len(d)
-        f = rem[-1] / d[-1]
-        quot[shift] += f
-        for i, c in enumerate(d):
-            rem[shift + i] -= f * c
-    return tpoly_trim(quot), tpoly_trim(rem)
-
-
-def tpoly_gcd(p, r):
-    """Monic gcd over the rationals."""
-    a, b = tpoly_trim([Fraction(x) for x in p]), tpoly_trim([Fraction(x) for x in r])
-    while b:
-        _, rem = tpoly_divmod(a, b)
-        a, b = b, rem
-    if a:
-        lead = a[-1]
-        a = [x / lead for x in a]
-    return a
+    Euclid on the reversed polynomials, dividing with ``_divide_low``.  A
+    remainder's leading zeros are a power of u, coprime to the divisor, so
+    they are dropped with its trailing zeros.  The arguments are not changed.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    a, b = list(a), list(b)
+    while len(b) > 1:
+        _divide_low(a, b)
+        nonzero = [k for k in range(len(a) - len(b) + 1, len(a)) if a[k]]
+        if not nonzero:
+            return b
+        a, b = b, a[nonzero[0]:nonzero[-1] + 1]
+    return [1]

@@ -3,18 +3,18 @@
 Canonical form: the fraction is reduced by a polynomial gcd, the
 denominator carries no monomial content, and its lowest-exponent
 coefficient is normalized to 1.  Structural equality on canonical forms is
-then genuine equality of rational functions.  The gcd is taken on the dense
-form that ``qlaurent`` owns (coefficient lists on the common exponent
-lattice, so half-integer exponents are supported) and divided out with
-``QLaurent.exact_div``.
+then genuine equality of rational functions.  The reduction runs on the
+dense form that ``qlaurent`` owns (lists on the common exponent lattice, so
+half-integer exponents are supported): ``_gcd_low``, then ``_divide_low``,
+the long division behind ``QLaurent.exact_div``, on num and den.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DivisionByZero
-from .qlaurent import QLaurent, _exp_lattice, _from_intpoly, _to_intpoly, tpoly_gcd
+from .errors import DivisionByZero, ExactDivisionError
+from .qlaurent import QLaurent, _divide_low, _exp_lattice, _gcd_low, _to_intpoly
 
 
 class QRational:
@@ -37,14 +37,16 @@ class QRational:
         if num.is_zero:
             return QLaurent(), QLaurent.one()
         lat = _exp_lattice(num, den)
-        g = tpoly_gcd(_to_intpoly(num, lat)[1], _to_intpoly(den, lat)[1])
-        if len(g) > 1:
-            g = _from_intpoly(g, 0, lat)
-            num, den = num.exact_div(g), den.exact_div(g)
+        shift, top = _to_intpoly(num, lat)
+        shift_d, bottom = _to_intpoly(den, lat)
+        g = _gcd_low(top, bottom)
         # denominator: valuation 0, lowest coefficient 1; the shift goes to num
-        vd = den.valuation()
-        unit = QLaurent({-vd: Fraction(1) / den.coeff(vd)})
-        return num * unit, den * unit
+        quot_n, quot_d = _divide_low(top, g, shift - shift_d), _divide_low(bottom, g)
+        if any(top[len(top) - len(g) + 1:]) or any(bottom[len(bottom) - len(g) + 1:]):
+            raise ExactDivisionError("the gcd leaves a remainder")
+        scale = Fraction(1) / quot_d[0]
+        return (QLaurent.from_sums({Fraction(k, lat): c * scale for k, c in quot_n.items()}),
+                QLaurent.from_sums({Fraction(k, lat): c * scale for k, c in quot_d.items()}))
 
     # -- constructors ---------------------------------------------------
 

@@ -18,7 +18,7 @@ from itertools import combinations_with_replacement
 
 from .errors import BudgetExceeded, QZetaError
 from .linalg import _intersect_step
-from .qlaurent import QLaurent
+from .qlaurent import QLaurent, _as_int, _degree
 
 _Q = QLaurent({1: 1})
 _QINV = QLaurent({-1: 1})
@@ -31,6 +31,7 @@ class RHat:
     __slots__ = ("n", "columns")
 
     def __init__(self, n: int):
+        n = _as_int(n, "n")
         if n < 2:
             raise ValueError("n must be >= 2")
         self.n = n
@@ -106,8 +107,7 @@ def sym_subspace_dims(n: int, j: int, budget=(4, 5), r: RHat | None = None):
     over Q(q)).  Block bases are sparse {base-n column: QLaurent} vectors and
     every dimension is counted, never assumed.  ``r`` must be an RHat on C^n.
     """
-    if j < 0:
-        raise ValueError("j must be non-negative")
+    n, j = _as_int(n, "n"), _degree(j)
     _check_budget(n, j, budget)
     if r is None:
         r = RHat(n)

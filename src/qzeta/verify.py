@@ -28,6 +28,7 @@ from .braided import (
     transposition_class,
 )
 from .errors import CriterionFailed
+from .linalg import sparse_int_rank
 from .qcombinat import q_binom_sym, q_int_sym
 from .qlaurent import QLaurent
 from .qrational import QRational
@@ -240,16 +241,21 @@ def _property_pool():
 
 def crit_14_property_suites():
     """Ladder kernel = brute force; palindromicity; lambda-ring; extraction round trip."""
-    # (a) the recursion through the ladder's own kernel (the code behind every
-    # Hilbert dimension) equals the literal sum over reduced words
+    # (a) S_j as the literal sum over reduced words checks both halves of the
+    # ladder: the kept rows' code (the recursion equals it) and the ranks of
+    # _block_bases' restriction M (the Hilbert dimension is its rank)
     for x in _property_pool():
+        dims = hilbert_dims(x, 4).dims
         for j in range(2, 5):
             if x.size**j > 4096:
                 continue
-            check(
-                symmetrizer_matrix_recursive(x, j) == symmetrizer_matrix_bruteforce(x, j),
-                f"recursion != brute force for {x.label}, j={j}",
-            )
+            brute = symmetrizer_matrix_bruteforce(x, j)
+            check(symmetrizer_matrix_recursive(x, j) == brute, f"recursion != brute force for {x.label}, j={j}")
+            rows = {}
+            for (r, c), v in brute.items():
+                rows.setdefault(r, {})[c] = v
+            rank = sparse_int_rank(list(rows.values()))[0]
+            check(dims[j] == rank, f"Hilbert dimension {dims[j]} != rank {rank} of brute force for {x.label}, j={j}")
     # (b) palindromicity under q <-> q^-1
     for n in range(9):
         for k in range(n + 1):

@@ -10,6 +10,7 @@ then certified exactly over Q(q).
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from .errors import ExactDivisionError, FitFailed, QZetaError
@@ -188,20 +189,13 @@ def cm_recursion_step(m: int, prev: CmSeries, order: int) -> CmSeries:
 def eta_m(m: int) -> QTPoly:
     """prod (1 - q^{2i} t) over i = 1..m/2 (even m) or (1 - q^{2i+1} t) over i = 0..(m-1)/2 (odd).
 
-    Each factor (1 - q^e t) is one shift-and-subtract of the {q-exponent:
-    int} rows, row_j - q^e row_(j-1), as in ``_cm_eta_rows``; the top row
-    is updated first, so row_(j-1) is still the factor's input.
+    ``_eta_rows`` applied to the series 1, up to t^(number of factors).
     """
     if m < 0:
         raise ValueError("m must be non-negative")
-    rows = [{0: 1}]
-    for e in _eta_exponents(m):
-        rows.append({})
-        for j in range(len(rows) - 1, 0, -1):
-            row = rows[j]
-            for p, x in rows[j - 1].items():
-                row[p + e] = row.get(p + e, 0) - x
-    return QTPoly.from_qlaurent_t_coeffs([QLaurent.from_sums({p: x for p, x in row.items() if x}) for row in rows])
+    one = itertools.chain([{0: 1}], itertools.repeat({}))
+    rows = itertools.islice(_eta_rows(m, one), len(_eta_exponents(m)) + 1)
+    return QTPoly.from_qlaurent_t_coeffs([QLaurent.from_sums(row) for row in rows])
 
 
 def _eta_exponents(m: int) -> range:
@@ -209,24 +203,32 @@ def _eta_exponents(m: int) -> range:
     return range(2 - m % 2, m + 1, 2)
 
 
-def _cm_eta_rows(m: int):
-    """Yield the t^j coefficient of c_m eta_m as a {q-exponent: int} dict, for j = 0, 1, 2, ...
+def _eta_rows(m: int, rows):
+    """Yield the t^j coefficient of eta_m times a series, for j = 0, 1, 2, ...
 
-    The c_m rows come from ``cs_rows(m)`` and eta_m is applied one linear
-    factor (1 - q^e t) at a time: row j of the product is
-    row_j - q^e row_{j-1}, so each factor keeps only its previous input row.
-    Most terms cancel at the last factor (c_m eta_m = g/h has a narrow
-    q-support), so the yielded row leaves out its zeros.
+    Rows in and out are {q-exponent: int} dicts; the yielded ones leave out
+    zeros.  eta_m is applied one linear factor (1 - q^e t) at a time: row j
+    of the product is row_j - q^e row_{j-1}, so each factor keeps only its
+    previous input row.
     """
     exps = _eta_exponents(m)
     before = [{} for _ in exps]
-    for row in cs_rows(m):
+    for row in rows:
         for k, e in enumerate(exps):
             out = dict(row)
             for p, x in before[k].items():
                 out[p + e] = out.get(p + e, 0) - x
             before[k], row = row, out
         yield {p: x for p, x in row.items() if x}
+
+
+def _cm_eta_rows(m: int):
+    """Yield the t^j coefficient of c_m eta_m as a {q-exponent: int} dict, for j = 0, 1, 2, ...
+
+    The c_m rows come from ``cs_rows(m)``.  Most terms cancel at the last
+    factor of eta_m (c_m eta_m = g/h has a narrow q-support).
+    """
+    return _eta_rows(m, cs_rows(m))
 
 
 def verify_functional_eq(m: int, gh: GHPair) -> bool:

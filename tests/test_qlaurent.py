@@ -1,11 +1,60 @@
+import random
 from fractions import Fraction as F
 
 import pytest
+import sympy
 from hypothesis import given, strategies as st
 
 from qzeta import DivisionByZero, ExactDivisionError, QLaurent, QRational, QTPoly
 from qzeta.qcombinat import q_int_sym
-from qzeta.qlaurent import _exp_lattice, _from_intpoly, _to_intpoly, tpoly_divmod
+from qzeta.qlaurent import _divide_low, _exp_lattice, _gcd_low, _to_intpoly
+
+
+# -- the oracle: Euclid on dense Fraction lists, highest coefficient first ------
+
+
+def tpoly_trim(p):
+    while p and p[-1] == 0:
+        p = p[:-1]
+    return p
+
+
+def tpoly_divmod(p, d):
+    d = tpoly_trim(list(d))
+    if not d:
+        raise ZeroDivisionError("t-polynomial division by zero")
+    rem = [F(x) for x in p]
+    quot = [F(0)] * max(len(rem) - len(d) + 1, 0)
+    while len(tpoly_trim(rem)) >= len(d):
+        rem = tpoly_trim(rem)
+        shift = len(rem) - len(d)
+        f = rem[-1] / d[-1]
+        quot[shift] += f
+        for i, c in enumerate(d):
+            rem[shift + i] -= f * c
+    return tpoly_trim(quot), tpoly_trim(rem)
+
+
+def tpoly_gcd(p, r):
+    """Monic gcd over the rationals."""
+    a, b = tpoly_trim([F(x) for x in p]), tpoly_trim([F(x) for x in r])
+    while b:
+        _, rem = tpoly_divmod(a, b)
+        a, b = b, rem
+    if a:
+        lead = a[-1]
+        a = [x / lead for x in a]
+    return a
+
+
+def test_euclid_oracle_divmod():
+    # (u^2 - 1)/(u + 1) = u - 1, but u^2 + 1 leaves remainder 2
+    assert tpoly_divmod([F(-1), F(0), F(1)], [F(1), F(1)]) == ([-1, 1], [])
+    assert tpoly_divmod([F(1), F(0), F(1)], [F(1), F(1)]) == ([-1, 1], [2])
+
+
+def _from_intpoly(coeffs, shift, lattice: int) -> QLaurent:
+    return QLaurent({F(i + shift, lattice): c for i, c in enumerate(coeffs) if c})
 
 
 def _euclid_div(a, b):
@@ -263,3 +312,94 @@ def test_constants_hash_as_the_numbers_they_equal():
         assert QRational.from_laurent(p) == p and hash(QRational.from_laurent(p)) == hash(p)
     ratio = QRational(QLaurent({0: 1}), QLaurent({0: 1, 1: -1}))
     assert hash(ratio) == hash(QRational(QLaurent({0: 1, 1: 1}), QLaurent({0: 1, 2: -1})))
+
+
+# -- the lowest-first gcd against Euclid's oracle and sympy ----------------------
+
+
+def _dense_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _up_to_scalar(p):
+    """p divided by its last entry, as Fractions: equal for gcds that differ by a scalar."""
+    return [F(x) / p[-1] for x in p]
+
+
+def _random_dense(rng, length, fractions=False, sparse=False):
+    """A dense list with nonzero first and last entries, as _to_intpoly gives."""
+    pool = [-3, -2, -1, 1, 2, 3] + ([F(1, 2), F(-2, 3), F(5, 4)] if fractions else [])
+    out = [rng.choice(pool) for _ in range(length)]
+    for i in range(1, length - 1):
+        if rng.random() < (0.6 if sparse else 0.15):
+            out[i] = 0
+    return out
+
+
+def _gcd_pairs():
+    """(a, b, kind) for seeded pairs of every kind the gcd has to handle."""
+    rng = random.Random(1007_5084)
+    kinds = ["int", "fraction", "sparse", "equal", "constant", "divides", "coprime"]
+    for k in range(280):
+        kind = kinds[k % len(kinds)]
+        fractions = kind == "fraction" or rng.random() < 0.3
+        sparse = kind == "sparse"
+        shared = _random_dense(rng, rng.randrange(1, 4), fractions, sparse)
+        a = _random_dense(rng, rng.randrange(1, 6), fractions, sparse)
+        b = _random_dense(rng, rng.randrange(1, 6), fractions, sparse)
+        if kind == "equal":
+            b = _random_dense(rng, len(a), fractions, sparse)
+        elif kind == "constant":
+            a = [rng.choice([2, -1, F(3, 2)])]
+        elif kind == "divides":
+            b = a
+        elif kind == "coprime":
+            # (1 + u)^i and (1 - u)^j share no factor
+            a, b, shared = [1], [1], [1]
+            for _ in range(rng.randrange(1, 4)):
+                a = _dense_mul(a, [1, 1])
+            for _ in range(rng.randrange(1, 4)):
+                b = _dense_mul(b, [1, -1])
+        if rng.random() < 0.5:
+            a, b = b, a
+        yield _dense_mul(a, shared), _dense_mul(b, shared), kind
+
+
+def test_gcd_low_matches_euclid_and_sympy():
+    u = sympy.Symbol("u")
+    seen = set()
+    for a, b, kind in _gcd_pairs():
+        a0, b0 = list(a), list(b)
+        g = _gcd_low(a, b)
+        assert (a, b) == (a0, b0), "the arguments must be left unchanged"
+        assert g[0] and g[-1]
+        assert _up_to_scalar(g) == _up_to_scalar(tpoly_gcd(a, b)), (a, b)
+        g_sympy = sympy.gcd(sympy.Poly(list(reversed(a)), u, domain="QQ"),
+                            sympy.Poly(list(reversed(b)), u, domain="QQ"))
+        assert _up_to_scalar(g) == _up_to_scalar([F(int(c.p), int(c.q)) for c in reversed(g_sympy.all_coeffs())])
+        for p in (a, b):
+            rem = list(p)
+            _divide_low(rem, g)
+            assert not any(rem[len(p) - len(g) + 1:])
+        if kind == "coprime":
+            assert g == [1]
+        if kind == "divides":
+            assert len(g) == min(len(a), len(b))
+        seen.add(kind)
+    assert len(seen) == 7
+
+
+def test_gcd_low_strips_the_remainders_power_of_u():
+    # 1 + u + u^3 + 2u^4 + u^5 = (1 + u)(1 + u^3 + u^4) over 1 + u + u^3 + u^4 =
+    # (1 + u)(1 + u^3) leaves u^2 (u^2 + u^3): its leading zeros are a power of u
+    a, b = [1, 1, 0, 1, 2, 1], [1, 1, 0, 1, 1]
+    rem = list(a)
+    _divide_low(rem, b)
+    assert rem[len(a) - len(b) + 1:] == [0, 0, 1, 1]
+    assert _gcd_low(a, b) == [1, 1]
+    # 1 + u^4 over 1 + u^2 leaves u^3 (2u): a constant gcd once u is dropped
+    assert _gcd_low([1, 0, 0, 0, 1], [1, 0, 1]) == [1]

@@ -6,7 +6,9 @@ import sympy
 
 import qzeta.qrational as qrational
 from qzeta import DivisionByZero, ExactDivisionError, QLaurent, QRational
-from qzeta.qlaurent import tpoly_divmod
+from qzeta.qlaurent import _exp_lattice, _to_intpoly
+from qzeta.sphere import even_part_zeta_at_pm1, sphere_dims, sphere_zeta_coeff
+from test_qlaurent import _from_intpoly, tpoly_gcd
 
 
 def test_reduction():
@@ -108,16 +110,47 @@ def test_half_integer_lattice():
 
 
 def test_poly_exact_div_raises_on_remainder(monkeypatch):
+    # a gcd that does not divide both sides must not give a canonical form:
     # (u^2 - 1)/(u + 1) = u - 1, but u^2 + 1 leaves remainder 2
-    assert tpoly_divmod([F(-1), F(0), F(1)], [F(1), F(1)]) == ([-1, 1], [])
-    assert tpoly_divmod([F(1), F(0), F(1)], [F(1), F(1)]) == ([-1, 1], [2])
-    # a gcd that does not divide both sides must not give a canonical form
-    monkeypatch.setattr(qrational, "tpoly_gcd", lambda a, b: [F(1), F(1)])
+    monkeypatch.setattr(qrational, "_gcd_low", lambda a, b: [1, 1])
     u2_minus_1, u2_plus_1 = QLaurent({2: 1, 0: -1}), QLaurent({2: 1, 0: 1})
     with pytest.raises(ExactDivisionError):
         QRational(u2_plus_1, u2_minus_1)
     with pytest.raises(ExactDivisionError):
         QRational(u2_minus_1, u2_plus_1)
+
+
+def _reduce_by_euclid(num: QLaurent, den: QLaurent):
+    """The old canonical form: Euclid's highest-first gcd, exact_div, then a unit."""
+    if num.is_zero:
+        return QLaurent(), QLaurent.one()
+    lat = _exp_lattice(num, den)
+    g = tpoly_gcd(_to_intpoly(num, lat)[1], _to_intpoly(den, lat)[1])
+    if len(g) > 1:
+        g = _from_intpoly(g, 0, lat)
+        num, den = num.exact_div(g), den.exact_div(g)
+    vd = den.valuation()
+    unit = QLaurent({-vd: F(1) / den.coeff(vd)})
+    return num * unit, den * unit
+
+
+def _sphere_values():
+    half = QRational(QLaurent({1: 1, -1: -1, F(3, 2): 2}), QLaurent({F(1, 2): 1, F(-1, 2): -1}))
+    return [*sphere_dims(), *(sphere_zeta_coeff(k) for k in range(4)),
+            *(even_part_zeta_at_pm1(m) for m in range(1, 10, 2)), half]
+
+
+def _typed_terms(r: QRational):
+    return [sorted((e, type(e), c, type(c)) for e, c in p.items()) for p in (r.num, r.den)]
+
+
+def test_sphere_values_match_the_euclid_route(monkeypatch):
+    new = _sphere_values()
+    monkeypatch.setattr(QRational, "_reduce", staticmethod(_reduce_by_euclid))
+    old = _sphere_values()
+    assert [repr(r) for r in new] == [repr(r) for r in old]
+    assert [_typed_terms(r) for r in new] == [_typed_terms(r) for r in old]
+    assert any(len(r.den) > 1 for r in new) and any(type(e) is F for r in new for e in r.num.support())
 
 
 _Q = sympy.Symbol("q")

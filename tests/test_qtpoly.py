@@ -6,9 +6,9 @@ import sympy
 
 from qzeta import FactoredRatQT, QLaurent, QTPoly, geometric_series
 from qzeta.qcombinat import q_int_sym
-from qzeta.qlaurent import tpoly_divmod, tpoly_gcd
 from qzeta.refdata import reference_cm_closed
 from qzeta.weyl import zeta_cn_closed
+from test_qlaurent import tpoly_divmod, tpoly_gcd
 
 
 def test_expand_cn2():

@@ -99,6 +99,21 @@ def test_negative_j_is_a_value_error_before_the_budget_check():
             call(9, -1)              # out of budget in n, still the j error
 
 
+def test_integral_floats_count_and_other_values_are_value_errors():
+    # 2.0 and 3.0 raised TypeError from range(); 2.5 and -1 must be ValueErrors
+    for call in (sym_subspace_dims, quantum_trace_sym):
+        assert call(3, 2.0) == call(3.0, 2) == call(3, 2)
+        for bad in (2.5, -1):
+            with pytest.raises(ValueError, match="j must be"):
+                call(3, bad)
+            with pytest.raises(ValueError, match="n must be"):
+                call(bad, 2)
+    assert RHat(2.0).columns == RHat(2).columns and type(RHat(2.0).n) is int
+    for bad in (2.5, -1):
+        with pytest.raises(ValueError, match="n must be"):
+            RHat(bad)
+
+
 def test_r_matrix_of_another_dimension_is_a_value_error():
     # an RHat(2) has no columns for the letter 2 of C^3: it used to raise a bare KeyError
     for call in (sym_subspace_dims, quantum_trace_sym):

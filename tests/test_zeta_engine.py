@@ -30,10 +30,10 @@ from qzeta import (
 )
 from qzeta.errors import ExactDivisionError, NoSolution
 from qzeta.linalg import solve_linear
-from qzeta.qlaurent import tpoly_divmod, tpoly_gcd, tpoly_trim
 from qzeta.qtpoly import FactoredRatQT
 from qzeta.refdata import reference_cm_closed, reference_gh
 from qzeta.zeta_engine import _BerlekampMassey, _certify, _cm_eta_rows
+from test_qlaurent import tpoly_divmod, tpoly_gcd, tpoly_trim
 
 
 def test_zeta_vm_closed_structure():
