@@ -172,9 +172,7 @@ def from_conjugacy_class(k: int, representative) -> BraidedSet:
     lexicographically by image tuples; the braiding is conjugation,
     Psi(x, y) = (x y x^-1, x), and the linearization sign is -1.
     """
-    k = _as_int(k, "k")
-    if k < 2:
-        raise ValueError("k must be >= 2")
+    k = _degree(k, "k", 2)
     rep = tuple(_as_int(i, "representative entry") - 1 for i in representative)
     if sorted(rep) != list(range(k)):
         raise ValueError("representative must be a permutation of 1..k")
@@ -203,13 +201,13 @@ def from_conjugacy_class(k: int, representative) -> BraidedSet:
 
 def transposition_class(k: int) -> BraidedSet:
     """The class of 2-cycles in S_k (the Fomin-Kirillov braided set X_k)."""
+    k = _degree(k, "k", 2)
     return from_conjugacy_class(k, (2, 1) + tuple(range(3, k + 1)))
 
 
 def flip_set(n: int) -> BraidedSet:
     """The trivial braiding Psi(x, y) = (y, x) on n points."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _degree(n, "n", 1)
     left = [[y for y in range(n)] for _ in range(n)]
     right = [[x for _ in range(n)] for x in range(n)]
     return BraidedSet(left, right, sign=1, label=f"flip on {n} points")
@@ -359,7 +357,7 @@ class GradedDims:
 
     def __init__(self, dims, requested_degree):
         self.dims = list(dims)
-        self.requested_degree = requested_degree
+        self.requested_degree = _degree(requested_degree, "requested_degree")
         if not self.dims or self.dims[0] != 1:
             raise ValueError("d_0 must be 1")
 
@@ -688,7 +686,7 @@ def hilbert_dims_quadratic(x: BraidedSet, max_degree: int, budget: int = DEFAULT
     the ideal's, is (W_(j-1) (x) V) intersected with V^(x j-2) (x) K^perp:
     the part of W_(j-1) (x) V whose last two slots contract to 0 against
     every cycle vector of K (``_joint_kernel_dims``).  ``budget`` bounds n^j
-    from degree 3 on; degree 2 is always computed.
+    from degree 2 on, as in ``hilbert_dims``.
     """
     max_degree = _degree(max_degree, "max_degree")
     n = x.size
@@ -700,7 +698,7 @@ def hilbert_dims_quadratic(x: BraidedSet, max_degree: int, budget: int = DEFAULT
             contract[c].append((t, v))
     levels = _joint_kernel_dims(x, contract, len(kernel))
     for j in range(2, max_degree + 1):
-        if j > 2 and n ** j > budget:
+        if n ** j > budget:
             break
         dims.append(next(levels))
     return GradedDims(dims, max_degree)

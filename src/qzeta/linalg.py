@@ -34,7 +34,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import NoSolution, QZetaError
-from .qlaurent import QLaurent
+from .qlaurent import QLaurent, _degree
 
 
 def _strip(row: dict) -> dict:
@@ -178,6 +178,7 @@ def sparse_kernel(rows, width: int) -> list[dict]:
     dependency.  So no tag column is ever a pivot, and the tag of row i,
     which no pivot row carries, keeps the row from vanishing.
     """
+    width = _degree(width, "width")
     echelon: dict[int, dict] = {}
     kernel = []
     for i, row in enumerate(rows):

@@ -15,14 +15,13 @@ from __future__ import annotations
 
 from itertools import islice
 
-from .qlaurent import QLaurent
+from .qlaurent import QLaurent, _as_int, _degree
 from .qtpoly import QTPoly
 
 
 def q_int_sym(n: int) -> QLaurent:
     """Symmetric q-integer (n)_q; (0)_q = 0."""
-    if n < 0:
-        raise ValueError("q_int_sym requires n >= 0")
+    n = _degree(n, "n")
     return QLaurent({n - 1 - 2 * i: 1 for i in range(n)})
 
 
@@ -35,8 +34,7 @@ def gaussian_steps(a: int):
     polynomial, so the division is exact and both passes run in place on
     integers.  Every step yields the same list: read it before the next.
     """
-    if a < 0:
-        raise ValueError(f"gaussian_steps requires a >= 0, got {a}")
+    a = _degree(a, "a")
     c = [1]
     i = 0
     while True:
@@ -55,7 +53,8 @@ def gaussian_coeffs(n: int, k: int) -> list[int]:
     Entry r is p(r, k, n-k), the number of partitions of r into at most k
     parts each at most n-k: step min(k, n-k) of ``gaussian_steps(max(k, n-k))``.
     """
-    if not 0 <= k <= n:
+    n, k = _degree(n, "n"), _degree(k, "k")
+    if k > n:
         raise ValueError(f"gaussian_coeffs requires 0 <= k <= n, got ({n}, {k})")
     return next(islice(gaussian_steps(max(k, n - k)), min(k, n - k), None))
 
@@ -63,22 +62,20 @@ def gaussian_coeffs(n: int, k: int) -> list[int]:
 def q_binom_sym(n: int, k: int) -> QLaurent:
     """Symmetric q-binomial (n choose k)_q = q^(-k(n-k)) [n choose k]_(q^2).
 
-    Entry r of ``gaussian_coeffs(n, k)`` sits at exponent 2r - k(n-k).
+    Entry r of ``gaussian_coeffs(n, k)`` sits at exponent 2r - k(n-k), and
+    k(n-k) is that polynomial's degree.
     """
     coeffs = gaussian_coeffs(n, k)
-    shift = k * (n - k)
+    shift = len(coeffs) - 1
     return QLaurent({2 * r - shift: c for r, c in enumerate(coeffs)})
 
 
 def t_bracket(m: int) -> QTPoly:
     """[m]_t = (1 - t^m)/(1 - t) = 1 + t + ... + t^(m-1)."""
-    if m < 1:
-        raise ValueError("t_bracket requires m >= 1")
-    return QTPoly({(0, i): 1 for i in range(m)})
+    return QTPoly({(0, i): 1 for i in range(_degree(m, "m", 1))})
 
 
 def bounded_partitions(r: int, j: int, m: int) -> int:
     """p(r, j, m): partitions of r into at most j parts each at most m."""
-    if j < 0 or m < 0:
-        raise ValueError("j and m must be non-negative")
+    r, j, m = _as_int(r, "r"), _degree(j, "j"), _degree(m, "m")
     return gaussian_coeffs(j + m, m)[r] if 0 <= r <= j * m else 0

@@ -12,6 +12,13 @@ operands (``_exp_lattice``, ``_to_intpoly``).  Its one long division,
 that division plus a remainder check, and ``_gcd_low``, the gcd of
 ``QRational``'s canonical form, is Euclid's algorithm on the same division:
 Euclid on the reversed polynomials.
+
+``_degree`` is the one reader of integer arguments: every count, degree,
+order, size and exponent bound that a public function or constructor
+takes goes through it once, at entry.  It returns an int, so 2.0 and
+Fraction(4, 2) count as 2, and raises ValueError for a non-integral value
+or one below the argument's least value.  ``_as_int`` is its integrality
+half, read alone only where any integer is valid.
 """
 
 from __future__ import annotations
@@ -46,11 +53,12 @@ def _as_int(x, what: str) -> int:
     raise ValueError(f"{what} must be an integer, got {x!r}")
 
 
-def _degree(j, what: str = "j") -> int:
-    """A degree as a non-negative int; ValueError for a negative or non-integral one."""
-    j = _as_int(j, what)
-    if j < 0:
-        raise ValueError(f"{what} must be non-negative")
+def _degree(j, what: str = "j", least: int = 0) -> int:
+    """An integer argument as an int; ValueError if it is not integral or is below ``least``."""
+    if type(j) is not int:
+        j = _as_int(j, what)
+    if j < least:
+        raise ValueError(f"{what} must be non-negative" if least == 0 else f"{what} must be >= {least}")
     return j
 
 
@@ -224,8 +232,7 @@ class QLaurent:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers: use exact_div against one()")
+        n = _degree(n, "power")  # a negative power is exact_div against one()
         out = QLaurent.one()
         base = self
         while n:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .qlaurent import QLaurent, _as_int, _exact
+from .qlaurent import QLaurent, _as_int, _degree, _exact
 from .tseries import TSeries, _mul_rows, _over_one_minus_rows
 
 
@@ -32,10 +32,8 @@ class QTPoly:
             for (a, b), c in items:
                 if c == 0:
                     continue
-                if type(b) is not int:
-                    b = _as_int(b, "t-exponent")
-                if b < 0:
-                    raise ValueError("t-exponents must be non-negative")
+                if type(b) is not int or b < 0:
+                    b = _degree(b, "t-exponent")
                 by_t.setdefault(b, []).append((a, c))
         rows = [QLaurent()] * (max(by_t, default=-1) + 1)
         for b, row in by_t.items():
@@ -132,6 +130,7 @@ class QTPoly:
         return QTPoly.from_qlaurent_t_coeffs([x.invert_q() for x in self._rows])
 
     def to_tseries(self, order: int) -> TSeries:
+        order = _degree(order, "order")
         rows = self._rows[: order + 1]
         return TSeries(order, rows + [QLaurent()] * (order + 1 - len(rows)))
 
@@ -180,9 +179,7 @@ class FactoredRatQT:
         self.numerator = numerator
         canon = {}
         for (a, b), mult in factors:
-            b, mult = _as_int(b, "factor t-exponent"), _as_int(mult, "factor multiplicity")
-            if b <= 0 or mult <= 0:
-                raise ValueError("factor t-exponent and multiplicity must be positive")
+            b, mult = _degree(b, "factor t-exponent", 1), _degree(mult, "factor multiplicity", 1)
             key = (a if type(a) is int else _exact(a, "factor q-exponent"), b)
             canon[key] = canon.get(key, 0) + mult
         self.factors = tuple(sorted(canon.items()))
@@ -211,8 +208,7 @@ class FactoredRatQT:
 
     def expand(self, order: int) -> TSeries:
         """Exact series expansion through t^order."""
-        if order < 0:
-            raise ValueError("order must be non-negative")
+        order = _degree(order, "order")
         num = self.numerator._rows[: order + 1]
         rows = [dict(c.items()) for c in num] + [{} for _ in range(order + 1 - len(num))]
         for (a, b), mult in self.factors:

@@ -18,10 +18,9 @@ from itertools import combinations_with_replacement
 
 from .errors import BudgetExceeded, QZetaError
 from .linalg import _intersect_step
-from .qlaurent import QLaurent, _as_int, _degree
+from .qlaurent import QLaurent, _degree
 
 _Q = QLaurent({1: 1})
-_QINV = QLaurent({-1: 1})
 _Q_MINUS_QINV = QLaurent({1: 1, -1: -1})
 
 
@@ -31,10 +30,7 @@ class RHat:
     __slots__ = ("n", "columns")
 
     def __init__(self, n: int):
-        n = _as_int(n, "n")
-        if n < 2:
-            raise ValueError("n must be >= 2")
-        self.n = n
+        self.n = n = _degree(n, "n", 2)
         cols = {}
         for i in range(n):
             for j in range(n):
@@ -107,7 +103,7 @@ def sym_subspace_dims(n: int, j: int, budget=(4, 5), r: RHat | None = None):
     over Q(q)).  Block bases are sparse {base-n column: QLaurent} vectors and
     every dimension is counted, never assumed.  ``r`` must be an RHat on C^n.
     """
-    n, j = _as_int(n, "n"), _degree(j)
+    n, j = _degree(n, "n", 2), _degree(j)
     _check_budget(n, j, budget)
     if r is None:
         r = RHat(n)
@@ -144,6 +140,7 @@ def quantum_trace_sym(n: int, j: int, budget=(4, 5), r: RHat | None = None) -> Q
 
 def trace_of_blocks(n: int, blocks) -> QLaurent:
     """Trace of K_2rho over (content, kernel dimension) blocks of sym_subspace_dims(n, j)."""
+    n = _degree(n, "n", 2)
     acc = QLaurent()
     for content, kdim in blocks:
         if kdim:

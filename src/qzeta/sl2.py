@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .errors import BudgetExceeded, QZetaError
 from .qcombinat import gaussian_coeffs, gaussian_steps, q_int_sym
-from .qlaurent import QLaurent
+from .qlaurent import QLaurent, _degree
 
 DEFAULT_WEIGHT_BUDGET = 200
 
@@ -37,7 +37,7 @@ class Sl2Decomposition:
 
     @classmethod
     def irreducible(cls, m: int, mult: int = 1):
-        return cls({m: mult})
+        return cls({_degree(m, "m"): _degree(mult, "mult")})
 
     def total_dimension(self) -> int:
         return sum(mult * (m + 1) for m, mult in self.parts.items())
@@ -98,22 +98,19 @@ def cs_sym_power(m: int, j: int) -> Sl2Decomposition:
     p(r, j, m) is entry r of ``gaussian_coeffs(j + m, m)``, the coefficient
     list of [j+m choose m]_q, read once for all r.
     """
-    if m < 0 or j < 0:
-        raise ValueError("m, j must be non-negative")
+    m, j = _degree(m, "m"), _degree(j, "j")
     return Sl2Decomposition(_cs_parts(m, j, gaussian_coeffs(j + m, m)))
 
 
 def cs_rows(m: int):
-    """Yield {p: multiplicity of V_p in S^j(V_m)} for j = 0, 1, 2, ..., p increasing.
+    """An iterator of {p: multiplicity of V_p in S^j(V_m)} for j = 0, 1, 2, ..., p increasing.
 
     Row j is ``cs_sym_power(m, j).parts``: [j+m choose m]_q is step j of
     ``gaussian_steps(m)``, so each row costs one step of the kernel, not a
     Gaussian polynomial built from scratch.
     """
-    if m < 0:
-        raise ValueError("m must be non-negative")
-    for j, p in enumerate(gaussian_steps(m)):
-        yield _cs_parts(m, j, p)
+    m = _degree(m, "m")
+    return (_cs_parts(m, j, p) for j, p in enumerate(gaussian_steps(m)))
 
 
 def _cs_parts(m: int, j: int, p: list) -> dict:
@@ -136,8 +133,7 @@ def sym_power_weight_oracle(m: int, j: int, budget: int = DEFAULT_WEIGHT_BUDGET)
     N(w) = number of size-j multisets of the weights {m, m-2, ..., -m}
     summing to w; mult(V_p) = N(p) - N(p+2).
     """
-    if m < 0 or j < 0:
-        raise ValueError("m, j must be non-negative")
+    m, j = _degree(m, "m"), _degree(j, "j")
     if m * j > budget:
         raise BudgetExceeded(f"weight oracle budget: jm = {m * j} > {budget}")
     # DP over the m+1 weights, choosing a non-increasing count profile is
@@ -176,8 +172,7 @@ def adams_sym_power(m: int, j: int) -> Sl2Decomposition:
     j*h_j = sum_{i=1..j} psi^i(chi) h_{j-i}; h_j is then peeled into
     highest weights.
     """
-    if m < 0 or j < 0:
-        raise ValueError("m, j must be non-negative")
+    m, j = _degree(m, "m"), _degree(j, "j")
     chi = character(Sl2Decomposition.irreducible(m))
     psi = [None] + [chi.q_power_substitute(i) if i > 1 else chi for i in range(1, j + 1)]
     h = [QLaurent.one()]

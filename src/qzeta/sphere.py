@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DivergentSum, QZetaError
-from .qlaurent import QLaurent, _as_int
+from .qlaurent import QLaurent, _degree
 from .qrational import QRational
 from .zeta_engine import zeta_vm_closed
 
@@ -158,7 +158,7 @@ def even_part_zeta_at_pm1(m: int) -> QRational:
     Odd m keeps t = +-1 off every pole: all closed-form factors are
     1 - q^(odd) t.
     """
-    if m % 2 == 0:
+    if _degree(m, "m") % 2 == 0:
         raise ValueError("even-part evaluation applies to odd m only")
     closed = zeta_vm_closed(m)
     den = closed.denominator_poly()
@@ -178,8 +178,8 @@ def sphere_zeta_coeff(k: int) -> QRational:
     summands over the middle Peter-Weyl index s are combined into one SExpr
     before the infinite sum is taken.
     """
-    k = _as_int(k, "k")
-    if not 0 <= k <= 3:
+    k = _degree(k, "k")
+    if k > 3:
         raise ValueError("coefficients are computed for k = 0..3 only")
     if k == 0:
         return QRational.one()
@@ -220,8 +220,7 @@ def verify_dim_numeric(q: Fraction, n_terms: int = 200, tol: Fraction = Fraction
     q = Fraction(q)
     if q <= 1:
         raise ValueError("certificate requires q > 1")
-    if n_terms < 1:
-        raise ValueError("certificate requires n_terms >= 1")
+    n_terms = _degree(n_terms, "n_terms", 1)
     a, b = q.numerator, q.denominator
     a2, b2 = a * a, b * b
     numer, b_run = 0, 1  # b_run = b^(2s^2)
@@ -254,6 +253,7 @@ def verify_term_numeric(coeff: QRational, a: int, q: Fraction,
     q = Fraction(q)
     if q <= 0 or q == 1:
         raise ValueError("need a positive rational q != 1")
+    n_terms = _degree(n_terms, "n_terms", 1)
     if a == 0:
         raise ValueError("s-independent terms have no geometric certificate")
     if q**a > 1:
@@ -280,6 +280,7 @@ def verify_sexpr_numeric(expr: SExpr, q: Fraction, n_terms: int = 200,
     An s-independent term diverges when summed over s, so it raises
     verify_term_numeric's ValueError instead of being passed over.
     """
+    n_terms = _degree(n_terms, "n_terms", 1)
     for coeff, a in expr.terms:
         verify_term_numeric(coeff, a, q, n_terms=n_terms, tol=tol)
     return True

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import NotAUnit
-from .qlaurent import QLaurent
+from .qlaurent import QLaurent, _degree
 
 
 class TSeries:
@@ -26,9 +26,7 @@ class TSeries:
     __slots__ = ("order", "_coeffs")
 
     def __init__(self, order: int, coeffs=None):
-        if order < 0:
-            raise ValueError("order must be non-negative")
-        self.order = order
+        self.order = order = _degree(order, "order")
         if coeffs is None:
             self._coeffs = [QLaurent() for _ in range(order + 1)]
         else:
@@ -84,10 +82,7 @@ class TSeries:
         Each power is one pass over {exponent: coefficient} rows, updated in
         place from low j to high j, so out[j - texp] is final when read.
         """
-        if texp < 1:
-            raise ValueError("texp must be >= 1")
-        if mult < 0:
-            raise ValueError("mult must be non-negative")
+        texp, mult = _degree(texp, "texp", 1), _degree(mult, "mult")
         rows = [dict(c.items()) for c in self._coeffs]
         _over_one_minus_rows(rows, qexp, texp, mult)
         return TSeries(self.order, [QLaurent.from_sums(row) for row in rows])
@@ -182,8 +177,7 @@ def _over_one_minus_rows(rows: list, qexp, texp: int, mult: int) -> None:
 
 def geometric_series(qexp, order: int, texp: int = 1) -> TSeries:
     """Expansion of 1/(1 - q^qexp * t^texp) through t^order."""
-    if texp < 1:
-        raise ValueError("texp must be >= 1")
+    order, texp = _degree(order, "order"), _degree(texp, "texp", 1)
     out = [QLaurent() for _ in range(order + 1)]
     k = 0
     while k * texp <= order:

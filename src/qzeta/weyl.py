@@ -9,7 +9,7 @@ inner products against a dominant weight need no Killing-form matrix:
 from __future__ import annotations
 
 from .qcombinat import q_binom_sym, q_int_sym
-from .qlaurent import QLaurent, _as_int
+from .qlaurent import QLaurent, _degree
 from .qtpoly import FactoredRatQT, QTPoly
 from .tseries import TSeries
 
@@ -20,19 +20,16 @@ class DominantWeightA:
     __slots__ = ("n", "coeffs")
 
     def __init__(self, n: int, coeffs):
-        n = _as_int(n, "rank parameter n")
-        if n < 2:
-            raise ValueError("rank parameter n must be >= 2")
-        coeffs = tuple(_as_int(c, "weight coefficient") for c in coeffs)
+        n = _degree(n, "rank parameter n", 2)
+        coeffs = tuple(_degree(c, "weight coefficient") for c in coeffs)
         if len(coeffs) != n - 1:
             raise ValueError(f"expected {n - 1} coefficients for sl_{n}")
-        if any(c < 0 for c in coeffs):
-            raise ValueError("dominant weight needs non-negative coefficients")
         self.n = n
         self.coeffs = coeffs
 
     @classmethod
     def j_omega1(cls, n: int, j: int):
+        n = _degree(n, "rank parameter n", 2)
         return cls(n, [j] + [0] * (n - 2))
 
     def __repr__(self):
@@ -58,15 +55,11 @@ def weyl_qdim_prime(w: DominantWeightA) -> QLaurent:
 
 def zeta_cn_closed(n: int) -> FactoredRatQT:
     """Closed form of the braided zeta of n points: prod 1/(1 - q^j t), j = -(n-1)..(n-1) step 2."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _degree(n, "n", 1)
     return FactoredRatQT(QTPoly.one(), [((j, 1), 1) for j in range(-(n - 1), n, 2)])
 
 
 def zeta_cn_series(n: int, order: int) -> TSeries:
     """Series route: coefficient of t^j is the symmetric q-binomial (n+j-1 choose j)_q."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if order < 0:
-        raise ValueError("order must be non-negative")
+    n, order = _degree(n, "n", 1), _degree(order, "order")
     return TSeries(order, [q_binom_sym(n + j - 1, j) for j in range(order + 1)])

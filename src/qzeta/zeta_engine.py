@@ -14,7 +14,7 @@ import itertools
 import math
 
 from .errors import ExactDivisionError, FitFailed, QZetaError
-from .qlaurent import QLaurent
+from .qlaurent import QLaurent, _degree
 from .qtpoly import FactoredRatQT, QTPoly
 from .sl2 import Sl2Decomposition, cs_rows
 from .tseries import TSeries
@@ -36,10 +36,8 @@ class CmSeries:
     __slots__ = ("m", "order", "table")
 
     def __init__(self, m: int, order: int, table):
-        if order < 0:
-            raise ValueError("order must be non-negative")
-        self.m = m
-        self.order = order
+        self.m = m = _degree(m, "m")
+        self.order = order = _degree(order, "order")
         self.table = list(table)
         if len(self.table) != order + 1:
             raise ValueError("table length must be order + 1")
@@ -80,7 +78,7 @@ class GHPair:
             raise ValueError("g must have value 1 at t = 0")
         if h.t_coeff(0) != QLaurent.one() or any(a != 0 for (a, _b), _c in h.items()):
             raise ValueError("h must be a polynomial in t alone with h(0) = 1")
-        self.m = m
+        self.m = _degree(m, "m")
         self.g = g
         self.h = h
 
@@ -98,9 +96,7 @@ class GHPair:
 
 def zeta_vm_closed(m: int) -> FactoredRatQT:
     """Zeta of the m+1 dimensional irreducible: same product as for m+1 braided points."""
-    if m < 0:
-        raise ValueError("m must be non-negative")
-    return zeta_cn_closed(m + 1)
+    return zeta_cn_closed(_degree(m, "m") + 1)
 
 
 def cm_series_cs(m: int, order: int) -> CmSeries:
@@ -108,6 +104,7 @@ def cm_series_cs(m: int, order: int) -> CmSeries:
 
     Row j of ``cs_rows(m)`` puts the multiplicity of V_p in S^j(V_m) at q^p.
     """
+    order = _degree(order, "order")
     return CmSeries(m, order, [QLaurent(row) for _j, row in zip(range(order + 1), cs_rows(m))])
 
 
@@ -153,8 +150,7 @@ def cm_recursion_step(m: int, prev: CmSeries, order: int) -> CmSeries:
     Each division by (1 - q^a t^b) is the recurrence out[j] = s[j] + q^a out[j - b]
     (``TSeries.over_one_minus``) through t^order.
     """
-    if m < 2:
-        raise ValueError("recursion needs m >= 2")
+    m, order = _degree(m, "m", 2), _degree(order, "order")
     if prev.m != m - 2:
         raise ValueError(f"prev must be a CmSeries for m-2 = {m - 2}")
     if prev.order < order:
@@ -191,8 +187,7 @@ def eta_m(m: int) -> QTPoly:
 
     ``_eta_rows`` applied to the series 1, up to t^(number of factors).
     """
-    if m < 0:
-        raise ValueError("m must be non-negative")
+    m = _degree(m, "m")
     one = itertools.chain([{0: 1}], itertools.repeat({}))
     rows = itertools.islice(_eta_rows(m, one), len(_eta_exponents(m)) + 1)
     return QTPoly.from_qlaurent_t_coeffs([QLaurent.from_sums(row) for row in rows])
@@ -272,10 +267,7 @@ def fit_gh(m: int, max_h_degree: int = 40) -> GHPair:
     Berlekamp-Massey restarts on the stored rows at the next point of
     _BM_POINTS.
     """
-    if m < 2:
-        raise ValueError("fit_gh applies for m >= 2")
-    if max_h_degree < 1:
-        raise ValueError("max_h_degree must be >= 1")
+    m, max_h_degree = _degree(m, "m", 2), _degree(max_h_degree, "max_h_degree", 1)
     eta = eta_m(m)
     stream = _cm_eta_rows(m)
     ceta = []
@@ -409,8 +401,7 @@ class _BerlekampMassey:
 
 def zeta_finite_set(n: int, regular: bool = False):
     """Zeta of n classical points: (1/(1-t))^n, or the regular-orbit variant (1+t)^n."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    n = _degree(n, "n")
     if regular:
         return QTPoly.from_t_coeffs([math.comb(n, k) for k in range(n + 1)])
     if n == 0:
@@ -427,7 +418,7 @@ def zeta_direct_sum(parts, order: int) -> TSeries:
     """
     closed = FactoredRatQT.one()
     for part in parts:
-        if isinstance(part, int):
+        if not isinstance(part, Sl2Decomposition):
             part = Sl2Decomposition.irreducible(part)
         for m, mult in part.parts.items():
             for _ in range(mult):

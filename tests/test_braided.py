@@ -126,6 +126,16 @@ def test_budget_and_partial_results():
         invariant_dims(x5, 3, budget=50)
 
 
+def test_quadratic_variant_refuses_degree_2_over_budget():
+    # degree 2 used to be computed whatever the budget, giving [1, 6, 19]
+    x4 = transposition_class(4)
+    partial = hilbert_dims_quadratic(x4, 3, budget=1)
+    assert list(partial) == list(hilbert_dims(x4, 3, budget=1)) == [1, 6]
+    assert not partial.complete
+    with pytest.raises(BudgetExceeded):
+        invariant_dims(x4, 2, budget=1)
+
+
 def test_recursion_equals_bruteforce():
     pool = [flip_set(2), flip_set(3), transposition_class(3),
             from_conjugacy_class(3, (2, 3, 1)), from_conjugacy_class(4, (2, 1, 4, 3))]

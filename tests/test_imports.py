@@ -1,7 +1,8 @@
 """Every name a module in src/qzeta imports is used in that module, every
 private function, class or method it defines is used somewhere in
-src/qzeta, and every name the package exports is imported by another module
-or listed in ``EXPORT_REASONS`` with the reason it is public.
+src/qzeta, every private module-level name it assigns is read by it or
+imported from it, and every name the package exports is imported by
+another module or listed in ``EXPORT_REASONS`` with the reason it is public.
 
 ``__init__.py`` is left out of the import check: its imports are the
 package's re-exports.  References from tests do not count as uses.
@@ -95,6 +96,46 @@ def test_unreferenced_definition_check_flags_a_dead_helper():
     ]
 
 
+def _unread_private_names(sources: dict[str, str]) -> list[str]:
+    """Private module-level names that their own module never reads and no other module imports.
+
+    A name counts as used only when its own module reads it or another
+    module imports it from that module by name: a module reading a name of
+    the same spelling that it defines itself does not count.
+    """
+    assigned, used = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            assigned.extend((module, node.lineno, t.id) for t in targets
+                            if isinstance(t, ast.Name) and _is_private(t.id))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add((module, node.id))
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                used.update((node.module.split(".")[-1] + ".py", alias.name) for alias in node.names)
+    return [f"{module} line {line}: {name}" for module, line, name in sorted(assigned)
+            if (module, name) not in used]
+
+
+def test_every_private_module_name_is_read():
+    sources = {p.name: p.read_text() for p in ALL_MODULES}
+    assert _unread_private_names(sources) == []
+
+
+def test_unread_name_check_flags_a_dead_constant():
+    sources = {
+        "a.py": "_READ = 1\n_DEAD = 2\n_IMPORTED = 3\n_SHADOWED: int = 4\nprint(_READ)\n",
+        "b.py": "from .a import _IMPORTED\n_SHADOWED = 5\n_DEAD = _SHADOWED\n",
+    }
+    assert _unread_private_names(sources) == [
+        "a.py line 2: _DEAD",
+        "a.py line 4: _SHADOWED",
+        "b.py line 3: _DEAD",
+    ]
+
+
 # Every name qzeta/__init__ exports is imported by another module of
 # src/qzeta, or has its reason for being public here, one line each.
 EXPORT_REASONS = (
@@ -113,9 +154,9 @@ EXPORT_REASONS = (
     ("even_part_zeta_at_pm1", "documented entry point: (zeta_1 + zeta_-1)/2 of V_m for odd m"),
     ("check_braid_relation", "documented entry point: the braid-relation check of a pair of tables"),
     ("symmetrizer_rank", "documented entry point: rank of the braided symmetrizer S_j"),
-    ("solve_linear", "bound by bench/tracer.py"),
-    ("cs_sym_power", "bound by bench/tracer.py"),
-    ("quantum_trace_sym", "bound by bench/tracer.py"),
+    ("solve_linear", "oracle for the tests' deg-h search of fit_gh; tests/test_linalg.py imports it from qzeta"),
+    ("cs_sym_power", "documented entry point: S^j(V_m) by the Cayley-Sylvester formula"),
+    ("quantum_trace_sym", "documented entry point: the quantum trace of the R-matrix symmetric subspace"),
 )
 
 
