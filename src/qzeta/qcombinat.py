@@ -33,18 +33,23 @@ def gaussian_steps(a: int):
     (1 - q^(a+i)) and divides it by (1 - q^i); the quotient is a Gaussian
     polynomial, so the division is exact and both passes run in place on
     integers.  Every step yields the same list: read it before the next.
+    a is read at the call, before the first step is asked for.
     """
     a = _degree(a, "a")
-    c = [1]
-    i = 0
-    while True:
-        yield c
-        i += 1
-        c.extend([0] * a)
-        for r in range(a * i, a + i - 1, -1):
-            c[r] -= c[r - a - i]
-        for r in range(i, a * i + 1):
-            c[r] += c[r - i]
+
+    def steps():
+        c = [1]
+        i = 0
+        while True:
+            yield c
+            i += 1
+            c.extend([0] * a)
+            for r in range(a * i, a + i - 1, -1):
+                c[r] -= c[r - a - i]
+            for r in range(i, a * i + 1):
+                c[r] += c[r - i]
+
+    return steps()
 
 
 def gaussian_coeffs(n: int, k: int) -> list[int]:

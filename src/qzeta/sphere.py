@@ -11,21 +11,26 @@ Summands live in SExpr: finite combinations of geometric terms
 coeff(q) * q^(a s) with integer slope a.  Every sum, finite or infinite,
 rejects an s-independent term (a = 0) with a nonzero coefficient instead of
 assigning it a value.
+
+The numeric certificates compare a closed form with exact partial sums at
+a rational q.  Each stops at the least number of terms whose exact tail
+bound is below tol, at most _MAX_TERMS = 200, and refuses a tolerance that
+200 terms cannot reach before summing anything.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 
 from .errors import DivergentSum, QZetaError
-from .qlaurent import QLaurent, _degree
+from .qlaurent import QLaurent, _as_int, _degree, _exact
 from .qrational import QRational
 from .zeta_engine import zeta_vm_closed
 
 
-def _qr(num_terms, den_terms=None) -> QRational:
-    den = QLaurent(den_terms) if den_terms else QLaurent.one()
-    return QRational(QLaurent(num_terms), den)
+def _qr(num, den=None) -> QRational:
+    return QRational(QLaurent(num), QLaurent(den) if den else QLaurent.one())
 
 
 class SExpr:
@@ -202,85 +207,110 @@ def sphere_zeta_coeff(k: int) -> QRational:
 
 # -- numeric certificates -------------------------------------------------------
 
+_MAX_TERMS = 200  # the most terms a certificate sums
 
-def verify_dim_numeric(q: Fraction, n_terms: int = 200, tol: Fraction = Fraction(1, 10**12)):
+
+def _certify(q, tol, tail, sums):
+    """(gap, tail bound) after the least N in 1.._MAX_TERMS whose tail bound is below tol.
+
+    tail(N) is the bound after N terms as an unreduced (numerator,
+    denominator) pair, decreasing in N; sums(N) is (closed form, partial sum
+    of N terms).  The cap is tried first, so a tolerance out of reach is
+    refused before anything is summed, and the least N is found by
+    bisection.  QZetaError if the bound at the cap is not below tol, or if
+    the gap |closed - partial| exceeds the bound.
+    """
+    tol = Fraction(tol)
+
+    def below(n):
+        num, den = tail(n)
+        return num * tol.denominator < tol.numerator * den
+
+    if not below(_MAX_TERMS):
+        raise QZetaError(f"tail bound after {_MAX_TERMS} terms not below tolerance at q={q}")
+    n = bisect_left(range(1, _MAX_TERMS), True, key=below) + 1
+    closed, partial = sums(n)
+    gap, bound = abs(closed - partial), Fraction(*tail(n))
+    if gap > bound:
+        raise QZetaError(f"numeric certificate failed at q={q}: gap {float(gap)} > bound {float(bound)}")
+    return gap, bound
+
+
+def verify_dim_numeric(q: Fraction, tol: Fraction = Fraction(1, 10**12)):
     """Certify dim(C_q[S^2]) = 1/(1-q^-2) at a rational q > 1 by exact partial sums.
 
-    Returns (gap, tail_bound); the check passes when gap <= tail_bound < tol.
+    Sums the least number of terms S <= 200 whose tail bound is below tol
+    and returns (gap, tail_bound) there, with gap <= tail_bound < tol;
+    raises QZetaError if the bound after 200 terms is not below tol.  q is
+    read as an exact rational, so a float or a string raises ValueError.
+
     The summand q^(-2s(s+1)) (2s+1)_q is bounded for s >= S by
     q^(-2s^2)/(1-q^-2), so the tail after S terms is at most
-    q^(-2S^2) / ((1-q^-2)(1-q^-4S)).
+    q^(-2S^2) / ((1-q^-2)(1-q^-4S)), decreasing in S.  With q = a/b and
+    tol = u/v, "tail < tol" is decided on unreduced integers:
+    b^(2S^2) a^(4S+2) v < u a^(2S^2) (a^2-b^2)(a^(4S)-b^(4S)).
 
-    With q = a/b the s-th summand is b^(2s^2) Q_s / a^(2s^2+4s), where
+    The s-th summand is b^(2s^2) Q_s / a^(2s^2+4s), where
     Q_s = (a^(4s+2) - b^(4s+2)) / (a^2 - b^2) is the integer numerator of
     (2s+1)_q.  The partial sum is accumulated as one integer numerator over
     a^(2S^2-2), Horner-style from s = 0 (the running numerator gains a^(4s+2)
     per step), and reduced to lowest terms once.
     """
-    q = Fraction(q)
+    q = Fraction(_exact(q, "q"))
     if q <= 1:
         raise ValueError("certificate requires q > 1")
-    n_terms = _degree(n_terms, "n_terms", 1)
     a, b = q.numerator, q.denominator
     a2, b2 = a * a, b * b
-    numer, b_run = 0, 1  # b_run = b^(2s^2)
-    for s in range(n_terms):
-        a_step, b_step = a2 ** (2 * s + 1), b2 ** (2 * s + 1)
-        numer = numer * a_step + b_run * ((a_step - b_step) // (a2 - b2))
-        b_run *= b_step
-    partial = Fraction(numer, a ** (2 * n_terms * n_terms - 2))
-    closed = 1 / (1 - q ** (-2))
-    s0 = n_terms
-    tail_bound = q ** (-2 * s0 * s0) / ((1 - q ** (-2)) * (1 - q ** (-4 * s0)))
-    gap = abs(closed - partial)
-    if gap > tail_bound:
-        raise QZetaError(f"numeric certificate failed at q={q}: gap {float(gap)} > bound")
-    if tail_bound >= tol:
-        raise QZetaError(f"tail bound {float(tail_bound)} not below tolerance at q={q}")
-    return gap, tail_bound
+
+    def tail(n):
+        return b2 ** (n * n) * a2 ** (2 * n + 1), a2 ** (n * n) * (a2 - b2) * (a2 ** (2 * n) - b2 ** (2 * n))
+
+    def sums(n):
+        numer, b_run = 0, 1  # b_run = b^(2s^2)
+        for s in range(n):
+            a_step, b_step = a2 ** (2 * s + 1), b2 ** (2 * s + 1)
+            numer = numer * a_step + b_run * ((a_step - b_step) // (a2 - b2))
+            b_run *= b_step
+        return Fraction(a2, a2 - b2), Fraction(numer, a ** (2 * n * n - 2))
+
+    return _certify(q, tol, tail, sums)
 
 
-def verify_term_numeric(coeff: QRational, a: int, q: Fraction,
-                        n_terms: int = 200, tol: Fraction = Fraction(1, 10**12)):
+def verify_term_numeric(coeff: QRational, a: int, q: Fraction, tol: Fraction = Fraction(1, 10**12)):
     """Certify the formal geometric sum of one SExpr term coeff * q^(a s) at a rational q.
 
     Terms whose ratio |q^a| exceeds 1 at the chosen q are checked at q^-1
     instead (the engine's formulas are exactly equivariant under q -> q^-1),
     which is the only sense in which a formally summed divergent tail admits
     a numeric certificate.  With r = q^a < 1 and c the value of coeff, the
-    tail after N terms is at most |c| r^N / (1 - r).  Returns (gap, tail_bound).
+    tail after N terms is at most |c| r^N / (1 - r), decreasing in N.
+    Returns (gap, tail_bound) at the least N <= 200 whose bound is below
+    tol, and raises QZetaError if there is none.  q is read as an exact
+    rational and the slope a as an integer, both before any arithmetic.
     """
-    q = Fraction(q)
+    q, a = Fraction(_exact(q, "q")), _as_int(a, "slope")
     if q <= 0 or q == 1:
         raise ValueError("need a positive rational q != 1")
-    n_terms = _degree(n_terms, "n_terms", 1)
     if a == 0:
         raise ValueError("s-independent terms have no geometric certificate")
     if q**a > 1:
-        q = 1 / q
-        coeff = coeff.invert_q()
-        # same slope at the inverted point: ratio becomes q^-|a| < 1
+        # same slope at the inverted point: the ratio becomes q^-|a| < 1
+        q, coeff = 1 / q, coeff.invert_q()
     ratio = q**a
     cval = coeff.eval_at(q)
-    partial = sum(cval * ratio**s for s in range(n_terms))
     closed = _sum_inf(SExpr([(coeff, a)])).eval_at(q)
-    tail_bound = abs(cval) * ratio**n_terms / (1 - ratio)
-    gap = abs(closed - partial)
-    if gap > tail_bound:
-        raise QZetaError(f"geometric certificate failed: gap {float(gap)} > bound {float(tail_bound)}")
-    if tail_bound >= tol:
-        raise QZetaError(f"tail bound {float(tail_bound)} not below tolerance")
-    return gap, tail_bound
+    return _certify(q, tol, lambda n: (abs(cval) * ratio**n, 1 - ratio),
+                    lambda n: (closed, sum(cval * ratio**s for s in range(n))))
 
 
-def verify_sexpr_numeric(expr: SExpr, q: Fraction, n_terms: int = 200,
-                         tol: Fraction = Fraction(1, 10**12)) -> bool:
+def verify_sexpr_numeric(expr: SExpr, q: Fraction, tol: Fraction = Fraction(1, 10**12)) -> bool:
     """Run the per-term geometric certificate over a whole merged summand.
 
-    An s-independent term diverges when summed over s, so it raises
-    verify_term_numeric's ValueError instead of being passed over.
+    Each term sums its own least number of terms for tol.  An s-independent
+    term diverges when summed over s, so it raises verify_term_numeric's
+    ValueError instead of being passed over.
     """
-    n_terms = _degree(n_terms, "n_terms", 1)
+    q = Fraction(_exact(q, "q"))
     for coeff, a in expr.terms:
-        verify_term_numeric(coeff, a, q, n_terms=n_terms, tol=tol)
+        verify_term_numeric(coeff, a, q, tol=tol)
     return True

@@ -178,7 +178,7 @@ def crit_10_sphere_dimensions():
     check(dim_prime == expected_prime, "dim' mismatch")
     check(dim == QRational(QLaurent.one(), QLaurent({0: 1, -2: -1})), "dim closed form mismatch")
     for qv in (Fraction(3, 2), Fraction(2), Fraction(5, 2)):
-        gap, bound = verify_dim_numeric(qv, n_terms=200, tol=Fraction(1, 10**12))
+        gap, bound = verify_dim_numeric(qv, tol=Fraction(1, 10**12))
         check(gap <= bound < Fraction(1, 10**12), f"certificate fails at q={qv}")
 
 

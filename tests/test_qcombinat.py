@@ -67,8 +67,11 @@ def test_gaussian_steps_list_every_step():
         for i, coeffs in zip(range(13), gaussian_steps(a)):
             assert coeffs == [partitions_by_recursion(r, i, a) for r in range(a * i + 1)], (a, i)
             assert coeffs == gaussian_coeffs(a + i, i), (a, i)
-    with pytest.raises(ValueError):
-        next(gaussian_steps(-1))
+    # a is read at the call, not at the first step
+    with pytest.raises(ValueError, match="a must be non-negative"):
+        gaussian_steps(-1)
+    with pytest.raises(ValueError, match="a must be an integer, got 2.5"):
+        gaussian_steps(2.5)
 
 
 def test_bounded_partitions_match_recursion():

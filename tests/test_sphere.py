@@ -136,10 +136,16 @@ def test_coefficient_t1():
 
 
 def test_dim_numeric_certificate():
-    gap, bound = verify_dim_numeric(F(2), n_terms=40, tol=F(1, 10**6))
+    gap, bound = verify_dim_numeric(F(2), tol=F(1, 10**6))
     assert gap <= bound < F(1, 10**6)
     with pytest.raises(ValueError):
         verify_dim_numeric(F(1, 2))
+
+
+def _dim_tail(q, n_terms):
+    """The dimension's tail bound after n_terms terms, over Fraction."""
+    q = F(q)
+    return q ** (-2 * n_terms * n_terms) / ((1 - q ** (-2)) * (1 - q ** (-4 * n_terms)))
 
 
 def _verify_dim_numeric_fractions(q, n_terms, tol):
@@ -150,38 +156,73 @@ def _verify_dim_numeric_fractions(q, n_terms, tol):
         qint = (q ** (2 * s + 1) - q ** (-2 * s - 1)) / (q - 1 / q)
         partial += q ** (-2 * s * (s + 1)) * qint
     closed = 1 / (1 - q ** (-2))
-    s0 = n_terms
-    tail_bound = q ** (-2 * s0 * s0) / ((1 - q ** (-2)) * (1 - q ** (-4 * s0)))
+    tail_bound = _dim_tail(q, n_terms)
     gap = abs(closed - partial)
     assert gap <= tail_bound < tol
     return gap, tail_bound
 
 
-@pytest.mark.parametrize("n_terms", [1, 2, 5, 30, 200])
+@pytest.mark.parametrize("digits", [-1, 1, 2, 5, 12, 30, 200, 300])
 @pytest.mark.parametrize("q", [F(3, 2), F(2), F(5, 2), F(7, 3)], ids=str)
-def test_dim_numeric_matches_fraction_sum(q, n_terms):
-    tol = F(1, 10**12) if n_terms >= 30 else F(10)
-    got = verify_dim_numeric(q, n_terms=n_terms, tol=tol)
-    ref = _verify_dim_numeric_fractions(q, n_terms, tol)
-    assert got == ref
+def test_dim_numeric_matches_fraction_sum(q, digits):
+    # tol = 10^-digits; the certificate stops at the least count whose tail bound is below it
+    tol = F(10) ** -digits
+    got = verify_dim_numeric(q, tol=tol)
+    n_terms = next(n for n in range(1, 201) if _dim_tail(q, n) == got[1])
+    assert got == _verify_dim_numeric_fractions(q, n_terms, tol)
+    assert n_terms == 1 or _dim_tail(q, n_terms - 1) >= tol
     assert all(type(v) is F for v in got)
 
 
-@pytest.mark.parametrize("n_terms", [0, -3])
-def test_dim_numeric_rejects_no_terms(n_terms):
-    with pytest.raises(ValueError, match="n_terms"):
-        verify_dim_numeric(F(2), n_terms=n_terms)
+def test_dim_numeric_counts_of_criterion_10():
+    for q, n_terms in ((F(3, 2), 6), (F(2), 5), (F(5, 2), 4)):
+        assert verify_dim_numeric(q) == _verify_dim_numeric_fractions(q, n_terms, F(1, 10**12))
+        assert _dim_tail(q, n_terms - 1) >= F(1, 10**12)
+
+
+@pytest.mark.parametrize("q", [F(3, 2), F(7, 3), F(9, 2)], ids=str)
+def test_dim_numeric_certifies_exactly_below_the_cap(q):
+    # 200 terms is the cap: a pair is certified exactly when the bound after 200 terms is below tol
+    cap = _dim_tail(q, 200)
+    nudge = F(1, 10**9)
+    for tol in (cap * (1 - nudge), cap, cap * (1 + nudge), cap * cap, _dim_tail(q, 100), F(1, 10**12)):
+        if cap < tol:
+            gap, bound = verify_dim_numeric(q, tol=tol)
+            assert gap <= bound < tol
+        else:
+            with pytest.raises(QZetaError, match="tail bound after 200 terms not below tolerance"):
+                verify_dim_numeric(q, tol=tol)
+
+
+def test_certificates_read_q_as_an_exact_rational():
+    coeff = _qr({1: 1}, {0: 1, 2: -1})
+    # a float used to be summed as its binary fraction, a string parsed by Fraction
+    for bad in (2.1, "3/2", "2"):
+        with pytest.raises(ValueError, match="q must be an int or a Fraction"):
+            verify_dim_numeric(bad)
+        with pytest.raises(ValueError, match="q must be an int or a Fraction"):
+            verify_term_numeric(coeff, -2, bad)
+        with pytest.raises(ValueError, match="q must be an int or a Fraction"):
+            verify_sexpr_numeric(SExpr(), bad)
+    for two in (2.0, F(4, 2)):
+        assert verify_dim_numeric(two) == verify_dim_numeric(2)
+        assert verify_term_numeric(coeff, -2, two) == verify_term_numeric(coeff, -2, 2)
 
 
 def test_term_numeric_certificate():
     coeff = _qr({1: 1}, {0: 1, 2: -1})
-    # coeff(2) = -2/3 and r = 2^-2: the tail c r^N/(1 - r) is the exact gap
-    tail = F(2, 3) * F(1, 4) ** 60 / F(3, 4)
-    assert verify_term_numeric(coeff, -2, F(2), n_terms=60, tol=F(1, 10**6)) == (tail, tail)
+    # coeff(2) = -2/3 and r = 2^-2: the tail (8/9) 4^-N is the exact gap, below 10^-6 first at N = 10
+    tail = F(8, 9) * F(1, 4) ** 10
+    assert tail < F(1, 10**6) <= 4 * tail
+    assert verify_term_numeric(coeff, -2, F(2), tol=F(1, 10**6)) == (tail, tail)
     # slope +2 gets checked at the inverted point
-    assert verify_term_numeric(coeff, 2, F(2), n_terms=60, tol=F(1, 10**6)) == (tail, tail)
+    assert verify_term_numeric(coeff, 2, F(2), tol=F(1, 10**6)) == (tail, tail)
     with pytest.raises(ValueError, match="s-independent"):
         verify_term_numeric(coeff, 0, F(2))
+    # the slope is read before any arithmetic
+    with pytest.raises(ValueError, match="slope must be an integer, got 2.5"):
+        verify_term_numeric(coeff, 2.5, F(2))
+    assert verify_term_numeric(coeff, 2.0, F(2)) == verify_term_numeric(coeff, 2, F(2))
 
 
 def test_merged_summand_certificate():
@@ -189,7 +230,7 @@ def test_merged_summand_certificate():
 
     two_s = q_int_sym_sexpr(2, 1)
     merged = _finite_0_to_s(q_int_sym_sexpr(4, 1)) + two_s * _tail_from_splus1(two_s)
-    assert verify_sexpr_numeric(merged, F(2), n_terms=80, tol=F(1, 10**6))
+    assert verify_sexpr_numeric(merged, F(2), tol=F(1, 10**6))
 
 
 def test_merged_summand_with_s_independent_term_is_refused():
@@ -198,16 +239,17 @@ def test_merged_summand_with_s_independent_term_is_refused():
         verify_sexpr_numeric(SExpr([(QRational.one(), 0)]), F(2))
     mixed = SExpr([(QRational.one(), 0)]) + q_int_sym_sexpr(2, 1)
     with pytest.raises(ValueError, match="s-independent"):
-        verify_sexpr_numeric(mixed, F(2), n_terms=80, tol=F(1, 10**6))
+        verify_sexpr_numeric(mixed, F(2), tol=F(1, 10**6))
 
 
 def test_certificates_refuse_a_tail_above_tolerance():
-    # q = 3/2 with two terms: the dimension's tail bound is about 0.073
+    # 200 terms at q = 3/2 leave the dimension's bound near 10^-28000
     with pytest.raises(QZetaError, match="not below tolerance"):
-        verify_dim_numeric(F(3, 2), n_terms=2)
+        verify_dim_numeric(F(3, 2), tol=F(1, 10**100000))
+    # ratio (100/101)^2 near 1: 200 terms leave a bound near 50
     coeff = _qr({1: 1}, {0: 1, 2: -1})
     with pytest.raises(QZetaError, match="not below tolerance"):
-        verify_term_numeric(coeff, -2, F(3, 2), n_terms=2)
+        verify_term_numeric(coeff, -2, F(101, 100))
 
 
 def test_term_certificate_refuses_a_wrong_closed_form(monkeypatch):
@@ -217,4 +259,4 @@ def test_term_certificate_refuses_a_wrong_closed_form(monkeypatch):
     monkeypatch.setattr(sphere, "_sum_inf", lambda expr: right(expr) + QRational.one())
     coeff = _qr({1: 1}, {0: 1, 2: -1})
     with pytest.raises(QZetaError, match="certificate failed"):
-        verify_term_numeric(coeff, -2, F(2), n_terms=60, tol=F(1, 10**6))
+        verify_term_numeric(coeff, -2, F(2), tol=F(1, 10**6))
