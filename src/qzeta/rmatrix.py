@@ -14,7 +14,7 @@ time: block mu of level j is a kernel on candidates from the blocks mu - e_x.
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, count, islice
 
 from .errors import BudgetExceeded, QZetaError
 from .linalg import _intersect_step
@@ -102,6 +102,7 @@ def sym_subspace_dims(n: int, j: int, budget=(4, 5), r: RHat | None = None):
     that R-hat - q id in the last two slots sends to 0 (``_intersect_step``
     over Q(q)).  Block bases are sparse {base-n column: QLaurent} vectors and
     every dimension is counted, never assumed.  ``r`` must be an RHat on C^n.
+    Level j is taken from ``_sym_levels``.
     """
     n, j = _degree(n, "n", 2), _degree(j)
     _check_budget(n, j, budget)
@@ -109,16 +110,27 @@ def sym_subspace_dims(n: int, j: int, budget=(4, 5), r: RHat | None = None):
         r = RHat(n)
     elif r.n != n:
         raise ValueError(f"r is the R-matrix of C^{r.n}, not of C^{n}")
-    if j == 0:
-        return [((), 1)]
+    return next(islice(_sym_levels(r), j, None))
+
+
+def _sym_levels(r: RHat):
+    """Yield the (content, kernel dimension) blocks of Sym_j for j = 0, 1, 2, ...
+
+    Each level's block bases are built once, from the level before, so a
+    caller that needs every j up to some bound walks this generator instead
+    of calling ``sym_subspace_dims`` once per j.
+    """
+    n = r.n
     shifted = []  # pair a n + b -> [(pair, entry)] of the column of R-hat - q id
     for a in range(n):
         for b in range(n):
             col = dict(r.columns[(a, b)])
             col[(a, b)] = col.get((a, b), QLaurent()) - _Q
             shifted.append([(a2 * n + b2, c) for (a2, b2), c in col.items() if c])
+    yield [((), 1)]
     basis = {(x,): [{x: QLaurent.one()}] for x in range(n)}
-    for level in range(2, j + 1):
+    for level in count(2):
+        yield [(content, len(vectors)) for content, vectors in basis.items()]
         below, basis = basis, {}
         for content in combinations_with_replacement(range(n), level):
             parts = []
@@ -126,7 +138,6 @@ def sym_subspace_dims(n: int, j: int, budget=(4, 5), r: RHat | None = None):
                 k = content.index(x)
                 parts.append((below[content[:k] + content[k + 1:]], (x,)))
             basis[content] = _intersect_step(parts, n, shifted, n * n)
-    return [(content, len(vectors)) for content, vectors in basis.items()]
 
 
 def quantum_trace_sym(n: int, j: int, budget=(4, 5), r: RHat | None = None) -> QLaurent:

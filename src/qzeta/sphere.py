@@ -220,8 +220,6 @@ def _certify(q, tol, tail, sums):
     bisection.  QZetaError if the bound at the cap is not below tol, or if
     the gap |closed - partial| exceeds the bound.
     """
-    tol = Fraction(tol)
-
     def below(n):
         num, den = tail(n)
         return num * tol.denominator < tol.numerator * den
@@ -241,8 +239,8 @@ def verify_dim_numeric(q: Fraction, tol: Fraction = Fraction(1, 10**12)):
 
     Sums the least number of terms S <= 200 whose tail bound is below tol
     and returns (gap, tail_bound) there, with gap <= tail_bound < tol;
-    raises QZetaError if the bound after 200 terms is not below tol.  q is
-    read as an exact rational, so a float or a string raises ValueError.
+    raises QZetaError if the bound after 200 terms is not below tol.  q and
+    tol are read as exact rationals, so a float or a string raises ValueError.
 
     The summand q^(-2s(s+1)) (2s+1)_q is bounded for s >= S by
     q^(-2s^2)/(1-q^-2), so the tail after S terms is at most
@@ -256,7 +254,7 @@ def verify_dim_numeric(q: Fraction, tol: Fraction = Fraction(1, 10**12)):
     a^(2S^2-2), Horner-style from s = 0 (the running numerator gains a^(4s+2)
     per step), and reduced to lowest terms once.
     """
-    q = Fraction(_exact(q, "q"))
+    q, tol = Fraction(_exact(q, "q")), _exact(tol, "tol")
     if q <= 1:
         raise ValueError("certificate requires q > 1")
     a, b = q.numerator, q.denominator
@@ -285,10 +283,10 @@ def verify_term_numeric(coeff: QRational, a: int, q: Fraction, tol: Fraction = F
     a numeric certificate.  With r = q^a < 1 and c the value of coeff, the
     tail after N terms is at most |c| r^N / (1 - r), decreasing in N.
     Returns (gap, tail_bound) at the least N <= 200 whose bound is below
-    tol, and raises QZetaError if there is none.  q is read as an exact
-    rational and the slope a as an integer, both before any arithmetic.
+    tol, and raises QZetaError if there is none.  q and tol are read as
+    exact rationals and the slope a as an integer, all before any arithmetic.
     """
-    q, a = Fraction(_exact(q, "q")), _as_int(a, "slope")
+    q, a, tol = Fraction(_exact(q, "q")), _as_int(a, "slope"), _exact(tol, "tol")
     if q <= 0 or q == 1:
         raise ValueError("need a positive rational q != 1")
     if a == 0:
@@ -308,9 +306,10 @@ def verify_sexpr_numeric(expr: SExpr, q: Fraction, tol: Fraction = Fraction(1, 1
 
     Each term sums its own least number of terms for tol.  An s-independent
     term diverges when summed over s, so it raises verify_term_numeric's
-    ValueError instead of being passed over.
+    ValueError instead of being passed over.  q and tol are read as exact
+    rationals before any term is checked.
     """
-    q = Fraction(_exact(q, "q"))
+    q, tol = Fraction(_exact(q, "q")), _exact(tol, "tol")
     for coeff, a in expr.terms:
         verify_term_numeric(coeff, a, q, tol=tol)
     return True

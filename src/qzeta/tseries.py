@@ -8,8 +8,13 @@ rather than a silent zero.
 
 Division by a closed-form factor (1 - q^a t^b) is the recurrence
 out[j] = s[j] + q^a out[j - b] (``over_one_minus``), never a product with
-a whole geometric series.  Series products serve crit 14(c) (the direct
-sum); ``invert_unit`` and ``geometric_series`` serve the tests as oracles.
+a whole geometric series.  Its kernel ``_over_one_minus_rows`` runs on
+{exponent: coefficient} rows and has three callers: ``over_one_minus``,
+``FactoredRatQT.expand`` (every closed form's expansion) and
+``zeta_engine.cm_recursion_step`` (its five divisions), the last two
+dividing one set of rows by several factors before wrapping them once.
+Series products serve crit 14(c) (the direct sum); ``invert_unit`` and
+``geometric_series`` serve the tests as oracles.
 """
 
 from __future__ import annotations

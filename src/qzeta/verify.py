@@ -34,7 +34,7 @@ from .qlaurent import QLaurent
 from .qrational import QRational
 from .qtpoly import FactoredRatQT, QTPoly
 from .refdata import reference_cm_closed, reference_gh
-from .rmatrix import RHat, sym_subspace_dims, trace_of_blocks
+from .rmatrix import RHat, _sym_levels, trace_of_blocks
 from .sl2 import Sl2Decomposition
 from .sphere import sphere_dims, sphere_zeta_coeff, verify_dim_numeric
 from .tseries import TSeries
@@ -98,11 +98,13 @@ def crit_03_weyl_formula():
 
 
 def crit_04_rmatrix_oracle():
-    """Quantum trace of the R-matrix symmetric subspace = q-binomial, blocks all 1-dim."""
+    """Quantum trace of the R-matrix symmetric subspace = q-binomial, blocks all 1-dim.
+
+    Each n walks the levels j = 0..5 of one ``_sym_levels`` generator, so
+    every level is built once.
+    """
     for n in range(2, 5):
-        r = RHat(n)
-        for j in range(6):
-            blocks = sym_subspace_dims(n, j, r=r)
+        for j, blocks in zip(range(6), _sym_levels(RHat(n))):
             check(all(k == 1 for _, k in blocks), f"block kernel != 1 at n={n}, j={j}")
             check(trace_of_blocks(n, blocks) == q_binom_sym(n + j - 1, j), f"n={n}, j={j}")
 

@@ -6,6 +6,20 @@ Cayley-Sylvester formula, positive-part extraction from the zeta closed
 form, and the two-step recursion in m), and the (g, h) functional-equation
 form is fitted from the series by Berlekamp-Massey at a rational point q0,
 then certified exactly over Q(q).
+
+c_m and zeta(V_m) are linked by the sl2 character, one t-degree at a time:
+V_p contributes [p+1]_q = q^p + q^(p-2) + ... + q^-p, so
+
+    zeta_j[e] = sum of c_{j,p} over p >= |e| with p = e (mod 2)
+    c_{j,p}   = zeta_j[p] - zeta_j[p+2]   (p >= 0).
+
+``_character_row`` (a suffix sum) and ``_multiplicity_row`` (a difference)
+are these two maps as integer kernels on {q-exponent: int} rows; no Laurent
+polynomial is multiplied or divided on the way.  The inverse keeps the
+checks that make it an extraction: the q^0 part of (q - q^-1) zeta_j,
+zeta_j[-1] - zeta_j[1], must vanish, the result must be a valid CmSeries
+(integer exponents in the CS support, positive integer multiplicities), and
+its character must reproduce the input.
 """
 
 from __future__ import annotations
@@ -13,17 +27,12 @@ from __future__ import annotations
 import itertools
 import math
 
-from .errors import ExactDivisionError, FitFailed, QZetaError
+from .errors import FitFailed, QZetaError
 from .qlaurent import QLaurent, _degree
 from .qtpoly import FactoredRatQT, QTPoly
 from .sl2 import Sl2Decomposition, cs_rows
-from .tseries import TSeries
+from .tseries import TSeries, _over_one_minus_rows
 from .weyl import zeta_cn_closed
-
-_Q = QLaurent({1: 1})
-_QINV = QLaurent({-1: 1})
-_Q_MINUS_QINV = QLaurent({1: 1, -1: -1})
-
 
 class CmSeries:
     """Truncated expansion of c_m(t, q); t^j coefficient is sum_p c_m^j_p q^p.
@@ -43,11 +52,11 @@ class CmSeries:
             raise ValueError("table length must be order + 1")
         for j, ql in enumerate(self.table):
             for e, c in ql.items():
-                if not isinstance(e, int) or e < 0 or e > j * m or (j * m - e) % 2:
+                if type(e) is not int or e < 0 or e > j * m or (j * m - e) % 2:
                     raise QZetaError(
                         f"invalid CmSeries: t^{j} has q-exponent {e} outside the CS support"
                     )
-                if c != int(c) or c <= 0:
+                if type(c) is not int or c <= 0:
                     raise QZetaError(f"invalid CmSeries: t^{j} q^{e} multiplicity {c}")
 
     def coeff(self, j: int) -> QLaurent:
@@ -105,39 +114,68 @@ def cm_series_cs(m: int, order: int) -> CmSeries:
     Row j of ``cs_rows(m)`` puts the multiplicity of V_p in S^j(V_m) at q^p.
     """
     order = _degree(order, "order")
-    return CmSeries(m, order, [QLaurent(row) for _j, row in zip(range(order + 1), cs_rows(m))])
+    return CmSeries(m, order, [QLaurent.from_sums(row) for _j, row in zip(range(order + 1), cs_rows(m))])
 
 
 def zeta_from_cm(c: CmSeries) -> TSeries:
-    """(q c_m(t,q) - q^-1 c_m(t,q^-1)) / (q - q^-1), coefficientwise in t."""
-    out = []
-    for ql in c.table:
-        num = _Q * ql - _QINV * ql.invert_q()
-        try:
-            out.append(num.exact_div(_Q_MINUS_QINV))
-        except ExactDivisionError as exc:
-            raise QZetaError("invalid CmSeries: coefficient not divisible by q - q^-1") from exc
-    return TSeries(c.order, out)
+    """zeta_j[e] = sum of c_{j,p} over p >= |e|, p = e (mod 2): the sl2 character, per t-degree.
+
+    Equal to (q c_m(t,q) - q^-1 c_m(t,q^-1)) / (q - q^-1) coefficientwise,
+    computed as one suffix sum per row (``_character_row``).
+    """
+    return TSeries(c.order, [QLaurent.from_sums(_character_row(dict(ql.items()))) for ql in c.table])
+
+
+def _character_row(row: dict) -> dict:
+    """{e: sum of c_p over p >= |e|, p = e (mod 2)} for one row {p: c_p} of a CmSeries.
+
+    The row's exponents share one parity, so one running sum from the top
+    exponent down in steps of 2 gives zeta[p] = zeta[-p].  The c_p are
+    positive, so the sums leave out no zero.
+    """
+    out = {}
+    if row:
+        acc = 0
+        for p in range(max(row), -1, -2):
+            acc += row.get(p, 0)
+            out[p] = out[-p] = acc
+    return out
 
 
 def cm_from_zeta(m: int, z: TSeries) -> CmSeries:
-    """Recover c_m from a zeta expansion by positive-part extraction.
+    """Recover c_m from a zeta expansion: c_{j,p} = zeta_j[p] - zeta_j[p+2], the inverse character.
 
-    Per t-degree: multiply by (q - q^-1); the q^0 part must cancel exactly
-    (the two numerator terms have disjoint strictly-positive/negative
-    support); the strictly positive part divided by q is the coefficient.
+    Per t-degree: the q^0 part of (q - q^-1) zeta_j, zeta_j[-1] - zeta_j[1],
+    must vanish; the differences (``_multiplicity_row``) must form a valid
+    CmSeries, so a negative or fractional multiplicity or an exponent off
+    the CS support is refused; and the character of the result
+    (``_character_row``) must give back zeta_j.
     """
-    table = []
-    for j in range(z.order + 1):
-        w = _Q_MINUS_QINV * z.coeff(j)
-        if not w.parts("zero").is_zero:
+    zrows = [dict(ql.items()) for ql in z.coeffs()]
+    rows = []
+    for j, zrow in enumerate(zrows):
+        if zrow.get(-1, 0) != zrow.get(1, 0):
             raise QZetaError(f"q^0 part of (q - q^-1) zeta_{j} does not vanish")
-        pos = w.parts("strictly_positive")
-        table.append(pos * _QINV)
-    c = CmSeries(m, z.order, table)
-    if zeta_from_cm(c) != z:
+        rows.append(_multiplicity_row(zrow))
+    c = CmSeries(m, z.order, [QLaurent.from_sums(row) for row in rows])
+    if any(_character_row(row) != zrow for row, zrow in zip(rows, zrows)):
         raise QZetaError("round-trip mismatch: extracted c_m does not reproduce the zeta series")
     return c
+
+
+def _multiplicity_row(zrow: dict) -> dict:
+    """{p: zeta[p] - zeta[p+2]} at every p >= 0 where zeta[p] or zeta[p+2] is nonzero, p increasing.
+
+    The positive part, divided by q, of (q - q^-1) zeta.  Zero differences
+    are left out; any other is kept whatever its sign, so a bad input leaves
+    the negative multiplicity that CmSeries refuses.
+    """
+    out = {}
+    for p in sorted({e for e in zrow if e >= 0} | {e - 2 for e in zrow if e >= 2}):
+        d = zrow.get(p, 0) - zrow.get(p + 2, 0)
+        if d:
+            out[p] = d
+    return out
 
 
 def cm_recursion_step(m: int, prev: CmSeries, order: int) -> CmSeries:
@@ -147,8 +185,10 @@ def cm_recursion_step(m: int, prev: CmSeries, order: int) -> CmSeries:
             - 1/(1-t^2) [ q^-m t/(1-q^-m t) sum_p c_{m-2}(t)_p q^p (q^-m t)^floor(p/m)
                         + q^-2/(1-q^m t)   sum_p c_{m-2}(t)_p q^-p (q^m t)^ceil((p+2)/m) ].
 
-    Each division by (1 - q^a t^b) is the recurrence out[j] = s[j] + q^a out[j - b]
-    (``TSeries.over_one_minus``) through t^order.
+    Everything runs on {q-exponent: int} rows.  Each division by
+    (1 - q^a t^b) is the recurrence out[j] = s[j] + q^a out[j - b]
+    (``tseries._over_one_minus_rows``) through t^order, the two sums are
+    added row by row, and each output row becomes a QLaurent once.
     """
     m, order = _degree(m, "m", 2), _degree(order, "order")
     if prev.m != m - 2:
@@ -157,7 +197,9 @@ def cm_recursion_step(m: int, prev: CmSeries, order: int) -> CmSeries:
         raise QZetaError(f"prev order {prev.order} insufficient for requested order {order}")
 
     table = prev.table[: order + 1]
-    t1 = TSeries(order, table).over_one_minus(m).over_one_minus(-m)
+    rows = [dict(ql.items()) for ql in table]
+    _over_one_minus_rows(rows, m, 1, 1)
+    _over_one_minus_rows(rows, -m, 1, 1)
 
     # the two bracketed sums, already times q^-m t and q^-2, one dict per t-degree
     s2 = [{} for _ in range(order + 1)]
@@ -172,11 +214,23 @@ def cm_recursion_step(m: int, prev: CmSeries, order: int) -> CmSeries:
             if j + ce <= order:
                 row, e = s3[j + ce], -p + m * ce - 2
                 row[e] = row.get(e, 0) + coeff
-    t2 = TSeries(order, [QLaurent.from_sums(row) for row in s2]).over_one_minus(-m)
-    t3 = TSeries(order, [QLaurent.from_sums(row) for row in s3]).over_one_minus(m)
+    _over_one_minus_rows(s2, -m, 1, 1)
+    _over_one_minus_rows(s3, m, 1, 1)
+    _add_rows(s2, s3, 1)
+    _over_one_minus_rows(s2, 0, 2, 1)
+    _add_rows(rows, s2, -1)
+    return CmSeries(m, order, [QLaurent.from_sums(row) for row in rows])
 
-    result = t1 - (t2 + t3).over_one_minus(0, 2)
-    return CmSeries(m, order, result.coeffs())
+
+def _add_rows(rows: list, other: list, sign: int) -> None:
+    """rows[j] += sign * other[j] for {q-exponent: int} rows, in place, zeros removed."""
+    for row, add in zip(rows, other):
+        for e, c in add.items():
+            v = row.get(e, 0) + sign * c
+            if v:
+                row[e] = v
+            else:
+                del row[e]
 
 
 # -- functional equation form -------------------------------------------------

@@ -40,6 +40,24 @@ def test_python_dash_m_runs_the_cli():
     assert done.stdout.strip() == "1 + (q + q^-1) t + (q^2 + 1 + q^-2) t^2"
 
 
+def test_closed_stdout_exits_1_quietly():
+    # the reader of stdout is gone before anything is written, as in `qzeta ... | head -c 10`
+    env = dict(os.environ)
+    src = str(Path(qzeta.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qzeta", "zeta", "cn", "--n", "3", "--order", "20", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    try:
+        _out, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert err == b""
+    assert proc.returncode == 1
+
+
 def test_importing_main_module_runs_nothing():
     # tools that import every submodule (the benchmark tracer does) must not start the CLI
     importlib.import_module("qzeta.__main__")

@@ -157,6 +157,7 @@ EXPORT_REASONS = (
     ("solve_linear", "oracle for the tests' deg-h search of fit_gh; tests/test_linalg.py imports it from qzeta"),
     ("cs_sym_power", "documented entry point: S^j(V_m) by the Cayley-Sylvester formula"),
     ("quantum_trace_sym", "documented entry point: the quantum trace of the R-matrix symmetric subspace"),
+    ("sym_subspace_dims", "documented entry point: the content blocks of the R-matrix symmetric subspace at one j"),
 )
 
 

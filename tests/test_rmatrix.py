@@ -133,6 +133,18 @@ def test_sym_power_theorem_beyond_criterion_range(n, j):
     assert trace_of_blocks(n, blocks) == q_binom_sym(n + j - 1, j)
 
 
+def test_criterion_04_builds_each_level_once(monkeypatch):
+    # one _intersect_step per content block of levels 2..5 for each n = 2..4;
+    # calling sym_subspace_dims(n, j) for every j rebuilt levels 2..j each time
+    import qzeta.rmatrix as rmatrix
+    from qzeta.verify import crit_04_rmatrix_oracle
+
+    real, built = rmatrix._intersect_step, []
+    monkeypatch.setattr(rmatrix, "_intersect_step", lambda *args: built.append(1) or real(*args))
+    crit_04_rmatrix_oracle()
+    assert len(built) == sum(comb(n + j - 1, j) for n in range(2, 5) for j in range(2, 6))
+
+
 # -- oracle: the stacked-constraint route the recursion replaced ----------------
 
 

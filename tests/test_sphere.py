@@ -209,6 +209,22 @@ def test_certificates_read_q_as_an_exact_rational():
         assert verify_term_numeric(coeff, -2, two) == verify_term_numeric(coeff, -2, 2)
 
 
+def test_certificates_read_tol_as_an_exact_rational():
+    coeff = _qr({1: 1}, {0: 1, 2: -1})
+    # a float used to be taken as its binary fraction, a string parsed by Fraction
+    for bad in (1e-6, "1/1000000"):
+        with pytest.raises(ValueError, match="tol must be an int or a Fraction"):
+            verify_dim_numeric(2, tol=bad)
+        with pytest.raises(ValueError, match="tol must be an int or a Fraction"):
+            verify_term_numeric(coeff, -2, 2, tol=bad)
+        with pytest.raises(ValueError, match="tol must be an int or a Fraction"):
+            verify_sexpr_numeric(SExpr(), 2, tol=bad)
+    for tol, same in ((1, F(1)), (F(4, 2), F(2)), (F(1, 10**6), F(2, 2 * 10**6))):
+        assert verify_dim_numeric(2, tol=tol) == verify_dim_numeric(2, tol=same)
+        assert verify_term_numeric(coeff, -2, 2, tol=tol) == verify_term_numeric(coeff, -2, 2, tol=same)
+        assert verify_sexpr_numeric(q_int_sym_sexpr(-2, 1), 2, tol=tol)
+
+
 def test_term_numeric_certificate():
     coeff = _qr({1: 1}, {0: 1, 2: -1})
     # coeff(2) = -2/3 and r = 2^-2: the tail (8/9) 4^-N is the exact gap, below 10^-6 first at N = 10

@@ -3,10 +3,10 @@
 The tracer (``bench/tracer.py``) resolves each ``LAYERS`` entry by name when
 ``bench/run.py --trace 1`` starts; a renamed or removed function would only
 show there as a ``KeyError``.  These tests make it a test failure instead,
-and run the Nichols ladder and the R-matrix criterion under the tracer: the
-results must not change, ``sparse_int_rank`` must see rows and rank, the
-ladder's row pulls must be timed inside ``braided.extend``, and every binding
-must be put back.  The (q, t) layers get the same check on a fit, a closed
+and run the Nichols ladder, ``sym_subspace_dims`` and the R-matrix criterion
+under the tracer: the results must not change, ``sparse_int_rank`` must see
+rows and rank, the ladder's row pulls must be timed inside
+``braided.extend``, and every binding must be put back.  The (q, t) layers get the same check on a fit, a closed
 form expansion and the property criterion, which reach ``QTPoly.__mul__``,
 ``FactoredRatQT.expand`` and ``TSeries.__mul__``.
 """
@@ -52,7 +52,9 @@ def _ladder_and_rmatrix():
     import qzeta
     import qzeta.verify
 
-    return list(qzeta.hilbert_dims(qzeta.transposition_class(4), 4)), qzeta.verify.crit_04_rmatrix_oracle()
+    return (list(qzeta.hilbert_dims(qzeta.transposition_class(4), 4)),
+            [qzeta.sym_subspace_dims(n, j) for n in range(2, 5) for j in range(6)],
+            qzeta.verify.crit_04_rmatrix_oracle())
 
 
 def test_tracing_the_ladder_and_rmatrix_keeps_results_and_restores_every_binding():
@@ -70,7 +72,8 @@ def test_tracing_the_ladder_and_rmatrix_keeps_results_and_restores_every_binding
 
     metrics = layer_metrics(tracer)
     assert metrics["linalg.sparse_int_rank.rows_in"] >= metrics["linalg.sparse_int_rank.rank"] > 0
-    assert metrics["rmatrix.sym_subspace_dims.calls"] == 18  # n = 2..4, j = 0..5
+    # n = 2..4, j = 0..5 called directly; crit 04 walks rmatrix._sym_levels instead
+    assert metrics["rmatrix.sym_subspace_dims.calls"] == 18
     pulls = [i for i, span in enumerate(tracer.spans) if span[0] == CANDIDATE_ROWS]
     assert pulls and all(tracer.inside(i, "braided.extend") for i in pulls)
     assert metrics["braided.candidate_rows.self_s"] > 0

@@ -88,6 +88,94 @@ def test_recursion_steps():
         cm_recursion_step(4, cm_series_cs(1, 10), 10)
 
 
+def _zeta_from_cm_by_division(c):
+    """Oracle: (q c_m(t,q) - q^-1 c_m(t,q^-1)) / (q - q^-1) by QLaurent.exact_div, per t-degree."""
+    q, q_inv, q_minus_q_inv = QLaurent({1: 1}), QLaurent({-1: 1}), QLaurent({1: 1, -1: -1})
+    out = []
+    for ql in c.table:
+        num = q * ql - q_inv * ql.invert_q()
+        try:
+            out.append(num.exact_div(q_minus_q_inv))
+        except ExactDivisionError as exc:
+            raise QZetaError("invalid CmSeries: coefficient not divisible by q - q^-1") from exc
+    return TSeries(c.order, out)
+
+
+def _cm_from_zeta_by_parts(m, z):
+    """Oracle: multiply each zeta_j by q - q^-1, check its q^0 part is 0, keep the positive part over q."""
+    q_inv, q_minus_q_inv = QLaurent({-1: 1}), QLaurent({1: 1, -1: -1})
+    table = []
+    for j in range(z.order + 1):
+        w = q_minus_q_inv * z.coeff(j)
+        if not w.parts("zero").is_zero:
+            raise QZetaError(f"q^0 part of (q - q^-1) zeta_{j} does not vanish")
+        table.append(w.parts("strictly_positive") * q_inv)
+    c = CmSeries(m, z.order, table)
+    if _zeta_from_cm_by_division(c) != z:
+        raise QZetaError("round-trip mismatch: extracted c_m does not reproduce the zeta series")
+    return c
+
+
+def _cm_recursion_step_by_series(m, prev, order):
+    """Oracle: the recursion with each 1/(1 - q^a t^b) a TSeries.over_one_minus and TSeries sums."""
+    table = prev.table[: order + 1]
+    t1 = TSeries(order, table).over_one_minus(m).over_one_minus(-m)
+    s2 = [{} for _ in range(order + 1)]
+    s3 = [{} for _ in range(order + 1)]
+    for j, ql in enumerate(table):
+        for p, coeff in ql.items():
+            fl = p // m
+            if j + fl + 1 <= order:
+                row, e = s2[j + fl + 1], p - m * fl - m
+                row[e] = row.get(e, 0) + coeff
+            ce = -((-(p + 2)) // m)
+            if j + ce <= order:
+                row, e = s3[j + ce], -p + m * ce - 2
+                row[e] = row.get(e, 0) + coeff
+    t2 = TSeries(order, [QLaurent.from_sums(row) for row in s2]).over_one_minus(-m)
+    t3 = TSeries(order, [QLaurent.from_sums(row) for row in s3]).over_one_minus(m)
+    return CmSeries(m, order, (t1 - (t2 + t3).over_one_minus(0, 2)).coeffs())
+
+
+def _typed_rows(rows):
+    """Sorted terms of each row, each checked to have int exponents and coefficients."""
+    out = [sorted(ql.items()) for ql in rows]
+    assert all(type(e) is int and type(c) is int for row in out for e, c in row)
+    return out
+
+
+def test_character_kernels_match_laurent_division():
+    for m in range(11):
+        c = cm_series_cs(m, 30)
+        z = zeta_from_cm(c)
+        assert _typed_rows(z.coeffs()) == _typed_rows(_zeta_from_cm_by_division(c).coeffs()), m
+        closed = zeta_vm_closed(m).expand(30)
+        got = cm_from_zeta(m, closed)
+        assert _typed_rows(got.table) == _typed_rows(_cm_from_zeta_by_parts(m, closed).table), m
+        assert _typed_rows(got.table) == _typed_rows(c.table), m
+
+
+def test_recursion_on_rows_matches_series_recursion():
+    for m in range(2, 11):
+        prev = cm_series_cs(m - 2, 30)
+        got = cm_recursion_step(m, prev, 30)
+        assert _typed_rows(got.table) == _typed_rows(_cm_recursion_step_by_series(m, prev, 30).table), m
+
+
+@pytest.mark.parametrize("m, row, message", [
+    (1, {1: 1}, "q\\^0 part"),                      # zeta_1[-1] = 0 != zeta_1[1]
+    (2, {2: 1, -2: 1}, "multiplicity -1"),          # c_{1,0} = zeta_1[0] - zeta_1[2] = -1
+    (1, {F(1, 2): 1, F(-1, 2): 1}, "q-exponent 1/2"),
+    (1, {1: 1, -1: 1, -3: 1}, "round-trip mismatch"),  # not symmetric under q -> q^-1
+])
+def test_cm_from_zeta_refuses_bad_series(m, row, message):
+    z = TSeries(1, [QLaurent.one(), QLaurent(row)])
+    with pytest.raises(QZetaError, match=message):
+        cm_from_zeta(m, z)
+    with pytest.raises(QZetaError):
+        _cm_from_zeta_by_parts(m, z)
+
+
 def test_cm_series_rejects_negative_order():
     with pytest.raises(ValueError, match="order must be non-negative"):
         cm_series_cs(3, -1)
