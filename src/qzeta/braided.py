@@ -74,13 +74,13 @@ class BraidedSet:
         self.left = tuple(tuple(row) for row in left)
         self.right = tuple(tuple(row) for row in right)
         self.size = n = len(self.left)
-        if not isinstance(sign, int) or sign not in (1, -1):
+        if type(sign) is not int or sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         self.sign = sign
         self.label = label or f"braided set on {n} elements"
         for table in (self.left, self.right):
             if len(table) != n or any(
-                len(row) != n or not all(isinstance(v, int) and 0 <= v < n for v in row)
+                len(row) != n or not all(type(v) is int and 0 <= v < n for v in row)
                 for row in table
             ):
                 raise ValueError(f"left and right must be {n} x {n} tables of indices 0..{n - 1}")

@@ -283,24 +283,6 @@ class QLaurent:
             total += c * r**e
         return total
 
-    # -- support restriction -------------------------------------------
-
-    def parts(self, which: str) -> "QLaurent":
-        """Restrict support: strictly_positive | non_negative | zero | strictly_negative."""
-        preds = {
-            "strictly_positive": lambda e: e > 0,
-            "non_negative": lambda e: e >= 0,
-            "zero": lambda e: e == 0,
-            "strictly_negative": lambda e: e < 0,
-        }
-        try:
-            pred = preds[which]
-        except KeyError:
-            raise ValueError(f"unknown part {which!r}") from None
-        res = QLaurent.__new__(QLaurent)
-        res._terms = {e: c for e, c in self._terms.items() if pred(e)}
-        return res
-
     # -- exact division -------------------------------------------------
 
     def exact_div(self, other: "QLaurent") -> "QLaurent":

@@ -93,7 +93,7 @@ def _check_budget(n: int, j: int, budget):
         raise BudgetExceeded(f"R-matrix budget is n <= {max_n}, j <= {max_j}; got ({n}, {j})")
 
 
-def sym_subspace_dims(n: int, j: int, budget=(4, 5), r: RHat | None = None):
+def sym_subspace_dims(n: int, j: int, budget=(4, 5)):
     """Per content block, the dimension over Q(q) of the joint q-eigenspace.
 
     Sym_j, the intersection of the ker(R_i - q id), is (Sym_(j-1) (x) V)
@@ -101,16 +101,12 @@ def sym_subspace_dims(n: int, j: int, budget=(4, 5), r: RHat | None = None):
     block mu of Sym_j is the part of the sum of Sym_(j-1)[mu - e_x] (x) e_x
     that R-hat - q id in the last two slots sends to 0 (``_intersect_step``
     over Q(q)).  Block bases are sparse {base-n column: QLaurent} vectors and
-    every dimension is counted, never assumed.  ``r`` must be an RHat on C^n.
-    Level j is taken from ``_sym_levels``.
+    every dimension is counted, never assumed.  Level j is taken from
+    ``_sym_levels(RHat(n))``.
     """
     n, j = _degree(n, "n", 2), _degree(j)
     _check_budget(n, j, budget)
-    if r is None:
-        r = RHat(n)
-    elif r.n != n:
-        raise ValueError(f"r is the R-matrix of C^{r.n}, not of C^{n}")
-    return next(islice(_sym_levels(r), j, None))
+    return next(islice(_sym_levels(RHat(n)), j, None))
 
 
 def _sym_levels(r: RHat):
@@ -140,13 +136,13 @@ def _sym_levels(r: RHat):
             basis[content] = _intersect_step(parts, n, shifted, n * n)
 
 
-def quantum_trace_sym(n: int, j: int, budget=(4, 5), r: RHat | None = None) -> QLaurent:
+def quantum_trace_sym(n: int, j: int, budget=(4, 5)) -> QLaurent:
     """Trace of K_2rho^(x j) on the symmetric subspace, summed over content blocks.
 
     K_2rho is diagonal with entry q^(n+1-2i) on the i-th basis vector
     (1-based), hence constant on each block.
     """
-    return trace_of_blocks(n, sym_subspace_dims(n, j, budget=budget, r=r))
+    return trace_of_blocks(n, sym_subspace_dims(n, j, budget=budget))
 
 
 def trace_of_blocks(n: int, blocks) -> QLaurent:

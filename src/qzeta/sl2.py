@@ -1,9 +1,23 @@
-"""sl2 module combinatorics: symmetric powers three independent ways.
+"""sl2 module combinatorics: the character, its inverse, and symmetric powers three ways.
+
+This module is the one home of the sl2 character and its inverse.  V_p has
+character [p+1]_q = q^p + q^(p-2) + ... + q^-p, so a module with
+multiplicities c_p has character
+
+    chi[e] = sum of c_p over p >= |e| with p = e (mod 2)
+    c_p    = chi[p] - chi[p+2]   (p >= 0).
+
+``_character_row`` (a suffix sum per parity) and ``_multiplicity_row`` (a
+difference) are these two maps as integer kernels on {exponent: int} rows.
+``character``, ``peel_character`` and the weight oracle call them here;
+``zeta_engine`` calls them once per t-degree to pass between c_m and
+zeta(V_m).
 
 S^j(V_m) decomposes with multiplicities given by the Cayley-Sylvester
-partition-count differences; a weight-counting oracle and a Newton-identity
-route on characters provide two independent cross-checks.  Only
-multiplicities are tracked, never explicit module maps.
+partition-count differences (``_cs_parts``, which shares no code with the
+kernels, so that comparing the routes checks them); a weight-counting oracle
+and a Newton-identity route on characters provide two independent
+cross-checks.  Only multiplicities are tracked, never explicit module maps.
 """
 
 from __future__ import annotations
@@ -27,9 +41,9 @@ class Sl2Decomposition:
         if parts:
             items = parts.items() if isinstance(parts, dict) else parts
             for m, mult in items:
-                if not isinstance(m, int) or m < 0:
+                if type(m) is not int or m < 0:
                     raise ValueError(f"highest weight must be a non-negative integer, got {m!r}")
-                if not isinstance(mult, int) or mult < 0:
+                if type(mult) is not int or mult < 0:
                     raise ValueError(f"multiplicity of V_{m} must be a non-negative integer, got {mult!r}")
                 if mult:
                     clean[m] = clean.get(m, 0) + mult
@@ -71,25 +85,60 @@ class Sl2Decomposition:
 
 def character(d: Sl2Decomposition) -> QLaurent:
     """Formal character: V_m contributes q^m + q^(m-2) + ... + q^-m = (m+1)_q."""
-    acc = QLaurent()
-    for m, mult in d.parts.items():
-        acc = acc + q_int_sym(m + 1) * mult
-    return acc
+    return QLaurent.from_sums(_character_row(d.parts))
 
 
 def peel_character(chi: QLaurent) -> Sl2Decomposition:
-    """Decompose a character into highest weights, asserting non-negativity."""
-    parts = {}
-    rem = chi
-    while not rem.is_zero:
-        top = rem.degree()
-        mult = rem.coeff(top)
-        if not isinstance(top, int) or top < 0 or mult < 0 or mult != int(mult):
-            raise ValueError(f"not a genuine sl2 character: top term {mult} q^{top}")
-        mult = int(mult)
-        parts[top] = mult
-        rem = rem - q_int_sym(top + 1) * mult
-    return Sl2Decomposition(parts)
+    """Decompose a character into highest weights: V_p has multiplicity chi[p] - chi[p+2].
+
+    ValueError("not a genuine sl2 character ...") unless every multiplicity
+    is a non-negative integer at an integer weight and the character of the
+    result gives back chi, which fails exactly when chi is not symmetric
+    under q -> q^-1.
+    """
+    try:
+        d = Sl2Decomposition(_multiplicity_row(dict(chi.items())))
+    except ValueError as exc:
+        raise ValueError(f"not a genuine sl2 character: {exc}") from None
+    if character(d) != chi:
+        raise ValueError(f"not a genuine sl2 character: {chi} is not symmetric under q -> q^-1")
+    return d
+
+
+def _character_row(row: dict) -> dict:
+    """{e: sum of c_p over p >= |e|, p = e (mod 2)} for a row {p: c_p} of positive multiplicities.
+
+    One running sum per parity, from that parity's top weight down in steps
+    of 2, gives chi[p] = chi[-p].  The c_p are positive, so the first sum
+    covers the whole row exactly when its total is the row's total, and no
+    sum is zero.
+    """
+    out = {}
+    top, rest = max(row, default=-1), sum(row.values())
+    while rest:
+        acc = 0
+        for p in range(top, -1, -2):
+            acc += row.get(p, 0)
+            out[p] = out[-p] = acc
+        rest -= acc
+        if rest:
+            top = max(p for p in row if p not in out)
+    return out
+
+
+def _multiplicity_row(chi: dict) -> dict:
+    """{p: chi[p] - chi[p+2]} at every p >= 0 where chi[p] or chi[p+2] is nonzero, p increasing.
+
+    The positive part, divided by q, of (q - q^-1) chi.  Zero differences
+    are left out; any other is kept whatever its sign or type, so a caller
+    that validates the result sees a negative or fractional multiplicity.
+    """
+    out = {}
+    for p in sorted({e for e in chi if e >= 0} | {e - 2 for e in chi if e >= 2}):
+        d = chi.get(p, 0) - chi.get(p + 2, 0)
+        if d:
+            out[p] = d
+    return out
 
 
 def cs_sym_power(m: int, j: int) -> Sl2Decomposition:
@@ -131,7 +180,7 @@ def sym_power_weight_oracle(m: int, j: int, budget: int = DEFAULT_WEIGHT_BUDGET)
     """Independent oracle: count weight multiplicities of S^j(V_m), then peel.
 
     N(w) = number of size-j multisets of the weights {m, m-2, ..., -m}
-    summing to w; mult(V_p) = N(p) - N(p+2).
+    summing to w; mult(V_p) = N(p) - N(p+2), by ``_multiplicity_row``.
     """
     m, j = _degree(m, "m"), _degree(j, "j")
     if m * j > budget:
@@ -153,15 +202,10 @@ def sym_power_weight_oracle(m: int, j: int, budget: int = DEFAULT_WEIGHT_BUDGET)
     for (cnt, tot), ways in counts.items():
         if cnt == j:
             weight_mult[tot] = weight_mult.get(tot, 0) + ways
-    parts = {}
-    for p in sorted(weight_mult, reverse=True):
-        if p < 0:
-            continue
-        mult = weight_mult.get(p, 0) - weight_mult.get(p + 2, 0)
-        if mult < 0:
-            raise QZetaError(f"negative peel at weight {p}: weight DP is broken")
-        if mult:
-            parts[p] = mult
+    parts = _multiplicity_row(weight_mult)
+    bad = [p for p, mult in parts.items() if mult < 0]
+    if bad:
+        raise QZetaError(f"negative peel at weight {bad[-1]}: weight DP is broken")
     return Sl2Decomposition(parts)
 
 

@@ -7,14 +7,13 @@ operands, and reading a coefficient beyond the stored order is an error
 rather than a silent zero.
 
 Division by a closed-form factor (1 - q^a t^b) is the recurrence
-out[j] = s[j] + q^a out[j - b] (``over_one_minus``), never a product with
-a whole geometric series.  Its kernel ``_over_one_minus_rows`` runs on
-{exponent: coefficient} rows and has three callers: ``over_one_minus``,
-``FactoredRatQT.expand`` (every closed form's expansion) and
-``zeta_engine.cm_recursion_step`` (its five divisions), the last two
-dividing one set of rows by several factors before wrapping them once.
-Series products serve crit 14(c) (the direct sum); ``invert_unit`` and
-``geometric_series`` serve the tests as oracles.
+out[j] = s[j] + q^a out[j - b], never a product with a whole geometric
+series.  Its kernel ``_over_one_minus_rows`` runs on {exponent:
+coefficient} rows and has two callers, ``FactoredRatQT.expand`` (every
+closed form's expansion) and ``zeta_engine.cm_recursion_step`` (its five
+divisions); both divide one set of rows by several factors and wrap them
+into QLaurents once.  Series products serve crit 14(c) (the direct sum);
+``invert_unit`` and ``geometric_series`` serve the tests as oracles.
 """
 
 from __future__ import annotations
@@ -80,17 +79,6 @@ class TSeries:
         return TSeries(n, _mul_rows(self._coeffs, other._coeffs, n))
 
     __rmul__ = __mul__
-
-    def over_one_minus(self, qexp, texp: int = 1, mult: int = 1) -> "TSeries":
-        """self / (1 - q^qexp t^texp)^mult, by out[j] = s[j] + q^qexp out[j - texp].
-
-        Each power is one pass over {exponent: coefficient} rows, updated in
-        place from low j to high j, so out[j - texp] is final when read.
-        """
-        texp, mult = _degree(texp, "texp", 1), _degree(mult, "mult")
-        rows = [dict(c.items()) for c in self._coeffs]
-        _over_one_minus_rows(rows, qexp, texp, mult)
-        return TSeries(self.order, [QLaurent.from_sums(row) for row in rows])
 
     def invert_unit(self) -> "TSeries":
         """Invert a series whose constant term is a QLaurent monomial.
@@ -163,10 +151,10 @@ def _mul_rows(a: list, b: list, top: int) -> list:
 def _over_one_minus_rows(rows: list, qexp, texp: int, mult: int) -> None:
     """Divide {exponent: coefficient} rows t^0..t^order by (1 - q^qexp t^texp)^mult in place.
 
-    The recurrence behind ``TSeries.over_one_minus``; callers that divide by
-    several factors run it on one set of rows and wrap them into QLaurents
-    once.  Values are left as summed (integral Fractions are not collapsed),
-    which ``QLaurent.from_sums`` does when wrapping.
+    out[j] = s[j] + q^qexp out[j - texp], one pass per power, updated in
+    place from low j to high j, so out[j - texp] is final when read.
+    Values are left as summed (integral Fractions are not collapsed), which
+    ``QLaurent.from_sums`` does when wrapping.
     """
     for _ in range(mult):
         for j in range(texp, len(rows)):

@@ -13,13 +13,15 @@ V_p contributes [p+1]_q = q^p + q^(p-2) + ... + q^-p, so
     zeta_j[e] = sum of c_{j,p} over p >= |e| with p = e (mod 2)
     c_{j,p}   = zeta_j[p] - zeta_j[p+2]   (p >= 0).
 
-``_character_row`` (a suffix sum) and ``_multiplicity_row`` (a difference)
-are these two maps as integer kernels on {q-exponent: int} rows; no Laurent
-polynomial is multiplied or divided on the way.  The inverse keeps the
-checks that make it an extraction: the q^0 part of (q - q^-1) zeta_j,
+``sl2._character_row`` (a suffix sum) and ``sl2._multiplicity_row`` (a
+difference) are these two maps as integer kernels on {q-exponent: int}
+rows, the same ones ``sl2.character`` and ``sl2.peel_character`` run on; no
+Laurent polynomial is multiplied or divided on the way.  The inverse keeps
+the checks that make it an extraction: the q^0 part of (q - q^-1) zeta_j,
 zeta_j[-1] - zeta_j[1], must vanish, the result must be a valid CmSeries
 (integer exponents in the CS support, positive integer multiplicities), and
-its character must reproduce the input.
+its character must reproduce the input.  The Cayley-Sylvester route and the
+recursion share neither kernel, so the three routes check them.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import math
 from .errors import FitFailed, QZetaError
 from .qlaurent import QLaurent, _degree
 from .qtpoly import FactoredRatQT, QTPoly
-from .sl2 import Sl2Decomposition, cs_rows
+from .sl2 import Sl2Decomposition, _character_row, _multiplicity_row, cs_rows
 from .tseries import TSeries, _over_one_minus_rows
 from .weyl import zeta_cn_closed
 
@@ -126,22 +128,6 @@ def zeta_from_cm(c: CmSeries) -> TSeries:
     return TSeries(c.order, [QLaurent.from_sums(_character_row(dict(ql.items()))) for ql in c.table])
 
 
-def _character_row(row: dict) -> dict:
-    """{e: sum of c_p over p >= |e|, p = e (mod 2)} for one row {p: c_p} of a CmSeries.
-
-    The row's exponents share one parity, so one running sum from the top
-    exponent down in steps of 2 gives zeta[p] = zeta[-p].  The c_p are
-    positive, so the sums leave out no zero.
-    """
-    out = {}
-    if row:
-        acc = 0
-        for p in range(max(row), -1, -2):
-            acc += row.get(p, 0)
-            out[p] = out[-p] = acc
-    return out
-
-
 def cm_from_zeta(m: int, z: TSeries) -> CmSeries:
     """Recover c_m from a zeta expansion: c_{j,p} = zeta_j[p] - zeta_j[p+2], the inverse character.
 
@@ -161,21 +147,6 @@ def cm_from_zeta(m: int, z: TSeries) -> CmSeries:
     if any(_character_row(row) != zrow for row, zrow in zip(rows, zrows)):
         raise QZetaError("round-trip mismatch: extracted c_m does not reproduce the zeta series")
     return c
-
-
-def _multiplicity_row(zrow: dict) -> dict:
-    """{p: zeta[p] - zeta[p+2]} at every p >= 0 where zeta[p] or zeta[p+2] is nonzero, p increasing.
-
-    The positive part, divided by q, of (q - q^-1) zeta.  Zero differences
-    are left out; any other is kept whatever its sign, so a bad input leaves
-    the negative multiplicity that CmSeries refuses.
-    """
-    out = {}
-    for p in sorted({e for e in zrow if e >= 0} | {e - 2 for e in zrow if e >= 2}):
-        d = zrow.get(p, 0) - zrow.get(p + 2, 0)
-        if d:
-            out[p] = d
-    return out
 
 
 def cm_recursion_step(m: int, prev: CmSeries, order: int) -> CmSeries:

@@ -231,6 +231,11 @@ def test_from_json_rejects_malformed_documents():
             BraidedSet.from_json(text)
     with pytest.raises(ValueError, match="tables of indices"):
         BraidedSet.from_json('{"left": [[0, 1]], "right": [[0]]}')
+    # JSON true used to pass as index 1 and as sign +1, and to_json wrote it back
+    with pytest.raises(ValueError, match="tables of indices"):
+        BraidedSet.from_json('{"left": [[0, true], [0, 1]], "right": [[0, 0], [true, 1]]}')
+    with pytest.raises(ValueError, match="sign must be"):
+        BraidedSet.from_json('{"left": [[0, 1], [0, 1]], "right": [[0, 0], [1, 1]], "sign": true}')
 
 
 def test_graded_dims_needs_d0_equal_to_one():

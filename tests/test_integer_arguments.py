@@ -104,8 +104,6 @@ TABLE = [
     # tseries
     ("TSeries(order)", lambda v: TSeries(v), 0),
     ("TSeries.one(order)", lambda v: TSeries.one(v), 0),
-    ("TSeries.over_one_minus(texp)", lambda v: TSeries.one(4).over_one_minus(1, v), 1),
-    ("TSeries.over_one_minus(mult)", lambda v: TSeries.one(4).over_one_minus(1, 1, v), 0),
     ("geometric_series(order)", lambda v: geometric_series(1, v), 0),
     ("geometric_series(texp)", lambda v: geometric_series(1, 4, v), 1),
     # qtpoly and qlaurent

@@ -109,24 +109,6 @@ def test_eval_at():
         QLaurent({-1: 1}).eval_at(F(0))
 
 
-def test_parts():
-    x = QLaurent({2: 1, 0: -3, -1: 1})
-    assert x.parts("strictly_positive") == QLaurent({2: 1})
-    assert x.parts("zero") == QLaurent({0: -3})
-    assert x.parts("strictly_negative") == QLaurent({-1: 1})
-    assert q_int_sym(3).parts("non_negative") == QLaurent({2: 1, 0: 1})
-    with pytest.raises(ValueError):
-        x.parts("bogus")
-
-
-def test_parts_reconstruct():
-    x = QLaurent({5: 2, 1: -1, 0: 7, -2: F(3, 4), F(-7, 2): 1})
-    total = (
-        x.parts("strictly_positive") + x.parts("zero") + x.parts("strictly_negative")
-    )
-    assert total == x
-
-
 def test_exact_div():
     num = QLaurent({2: 1, -2: -1})          # q^2 - q^-2
     den = QLaurent({1: 1, -1: -1})          # q - q^-1, lowest coefficient -1
@@ -168,12 +150,6 @@ def test_ring_axioms(a, b, c):
     assert a * (b + c) == a * b + a * c
     assert (a * b) * c == a * (b * c)
     assert a + b == b + a
-
-
-@given(laurents)
-def test_parts_partition(a):
-    parts = [a.parts(w) for w in ("strictly_positive", "zero", "strictly_negative")]
-    assert parts[0] + parts[1] + parts[2] == a
 
 
 # -- exact division against Euclid's route ----------------------------------

@@ -1,19 +1,25 @@
 import random
 from fractions import Fraction as F
+from itertools import islice
 from math import comb
 
 import pytest
 
 import qzeta.sl2 as sl2
+import qzeta.zeta_engine as zeta_engine
 from qzeta import (
     BudgetExceeded,
     QLaurent,
     QZetaError,
     Sl2Decomposition,
     adams_sym_power,
+    character,
+    cm_recursion_step,
+    cm_series_cs,
     cs_sym_power,
     dimq,
     dimq_prime,
+    q_int_sym,
     sym_power_weight_oracle,
     tensor_decompose,
 )
@@ -112,6 +118,62 @@ def test_adding_a_non_decomposition_is_a_type_error():
 def test_negative_multiplicity_rejected():
     with pytest.raises(ValueError):
         Sl2Decomposition({2: -1})
-    for parts in ({-3: 1}, {2.5: 1}, {F(2): 1}, {2: 1.5}, {2: F(1)}):
+    # True is an int subclass: it used to print as V_True and serialize as true
+    for parts in ({-3: 1}, {2.5: 1}, {F(2): 1}, {2: 1.5}, {2: F(1)}, {True: 1}, {2: True}):
         with pytest.raises(ValueError):
             Sl2Decomposition(parts)
+
+
+# -- the character and its inverse ---------------------------------------------
+
+
+def _character_by_sums(d):
+    """Oracle: the character as a sum of (m+1)_q, by QLaurent addition."""
+    acc = QLaurent()
+    for m, mult in d.parts.items():
+        acc = acc + q_int_sym(m + 1) * mult
+    return acc
+
+
+def test_character_and_peel_on_mixed_parities():
+    # V_0 + V_1 = 1 + (q + q^-1): one running sum per parity
+    d = Sl2Decomposition({0: 1, 1: 1})
+    assert character(d) == QLaurent({1: 1, 0: 1, -1: 1})
+    assert sl2.peel_character(character(d)) == d
+    rng = random.Random(29)
+    for _ in range(200):
+        d = Sl2Decomposition({rng.randrange(9): rng.randrange(1, 4) for _ in range(rng.randrange(4))})
+        chi = character(d)
+        assert chi == _character_by_sums(d), d
+        assert all(type(e) is int and type(c) is int for e, c in chi.items()), d
+        assert sl2.peel_character(chi) == d
+
+
+@pytest.mark.parametrize("chi", [
+    QLaurent({1: 1}),                         # asymmetric: V_1 would give q + q^-1
+    QLaurent({1: 1, -1: 1, -3: 1}),           # asymmetric below q^0 only
+    QLaurent({2: 1, -2: 1}),                  # V_0 would have multiplicity 0 - 1
+    QLaurent({F(1, 2): 1, F(-1, 2): 1}),      # half-integer highest weight
+    QLaurent({1: F(1, 2), -1: F(1, 2)}),      # non-integral multiplicity
+], ids=["asymmetric", "asymmetric-below", "negative", "half-integer", "non-integral"])
+def test_peel_character_refuses_what_is_no_character(chi):
+    with pytest.raises(ValueError, match="not a genuine sl2 character"):
+        sl2.peel_character(chi)
+
+
+def test_cayley_sylvester_and_recursion_share_no_character_kernel(monkeypatch):
+    # crit 06 and test_triple_agreement check the character kernels against
+    # _cs_parts and the recursion, so neither route may call them
+    cs = [[cs_sym_power(m, j) for j in range(9)] for m in range(7)]
+    series = [cm_series_cs(m, 12) for m in range(7)]
+
+    def refuse(_row):
+        raise AssertionError("a character kernel was called")
+
+    for module in (sl2, zeta_engine):
+        monkeypatch.setattr(module, "_character_row", refuse)
+        monkeypatch.setattr(module, "_multiplicity_row", refuse)
+    assert [[cs_sym_power(m, j) for j in range(9)] for m in range(7)] == cs
+    assert [[Sl2Decomposition(row) for row in islice(sl2.cs_rows(m), 9)] for m in range(7)] == cs
+    assert [cm_series_cs(m, 12) for m in range(7)] == series
+    assert [cm_recursion_step(m, series[m - 2], 12) for m in range(2, 7)] == series[2:]

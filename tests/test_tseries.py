@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from qzeta import NotAUnit, QLaurent, TSeries, geometric_series
+from qzeta import FactoredRatQT, NotAUnit, QLaurent, QTPoly, TSeries, geometric_series
 
 
 def test_invert_geometric():
@@ -79,12 +79,12 @@ def test_geometric_series_rejects_nonpositive_texp():
 
 
 def test_over_one_minus_rejects_bad_arguments():
-    s = TSeries(3, [1, 2, 3, 4])
+    # the kernel's public caller reads a factor's t-exponent and multiplicity at entry
     for texp in (0, -2):
         with pytest.raises(ValueError):
-            s.over_one_minus(1, texp)
+            FactoredRatQT(QTPoly.one(), [((1, texp), 1)])
     with pytest.raises(ValueError):
-        s.over_one_minus(1, 1, -1)
+        FactoredRatQT(QTPoly.one(), [((1, 1), -1)])
 
 
 def _canon(s):
@@ -110,12 +110,13 @@ def test_over_one_minus_matches_geometric_products():
         expected = s
         for _ in range(mult):
             expected = expected * geometric_series(qexp, order, texp)
-        assert _canon(s.over_one_minus(qexp, texp, mult)) == _canon(expected)
+        # _over_one_minus_rows through its public caller: s / (1 - q^qexp t^texp)^mult
+        f = FactoredRatQT(QTPoly.from_qlaurent_t_coeffs(s.coeffs()), [((qexp, texp), mult)] if mult else [])
+        assert _canon(f.expand(order)) == _canon(expected)
 
 
 def test_over_one_minus_cancels_fraction_exponents_to_int():
     # q^(1/2) t / (1 - q^(1/2) t) has q^1 at t^2: the exponent must be the int 1
-    s = TSeries(2, [QLaurent(), QLaurent({F(1, 2): 1}), QLaurent()])
-    out = s.over_one_minus(F(1, 2))
+    out = FactoredRatQT(QTPoly({(F(1, 2), 1): 1}), [((F(1, 2), 1), 1)]).expand(2)
     assert [type(e) for e in out.coeff(2).support()] == [int]
     assert out.coeff(2) == QLaurent({1: 1})

@@ -107,34 +107,13 @@ def _cm_from_zeta_by_parts(m, z):
     table = []
     for j in range(z.order + 1):
         w = q_minus_q_inv * z.coeff(j)
-        if not w.parts("zero").is_zero:
+        if w.coeff(0):
             raise QZetaError(f"q^0 part of (q - q^-1) zeta_{j} does not vanish")
-        table.append(w.parts("strictly_positive") * q_inv)
+        table.append(QLaurent({e: c for e, c in w.items() if e > 0}) * q_inv)
     c = CmSeries(m, z.order, table)
     if _zeta_from_cm_by_division(c) != z:
         raise QZetaError("round-trip mismatch: extracted c_m does not reproduce the zeta series")
     return c
-
-
-def _cm_recursion_step_by_series(m, prev, order):
-    """Oracle: the recursion with each 1/(1 - q^a t^b) a TSeries.over_one_minus and TSeries sums."""
-    table = prev.table[: order + 1]
-    t1 = TSeries(order, table).over_one_minus(m).over_one_minus(-m)
-    s2 = [{} for _ in range(order + 1)]
-    s3 = [{} for _ in range(order + 1)]
-    for j, ql in enumerate(table):
-        for p, coeff in ql.items():
-            fl = p // m
-            if j + fl + 1 <= order:
-                row, e = s2[j + fl + 1], p - m * fl - m
-                row[e] = row.get(e, 0) + coeff
-            ce = -((-(p + 2)) // m)
-            if j + ce <= order:
-                row, e = s3[j + ce], -p + m * ce - 2
-                row[e] = row.get(e, 0) + coeff
-    t2 = TSeries(order, [QLaurent.from_sums(row) for row in s2]).over_one_minus(-m)
-    t3 = TSeries(order, [QLaurent.from_sums(row) for row in s3]).over_one_minus(m)
-    return CmSeries(m, order, (t1 - (t2 + t3).over_one_minus(0, 2)).coeffs())
 
 
 def _typed_rows(rows):
@@ -153,13 +132,6 @@ def test_character_kernels_match_laurent_division():
         got = cm_from_zeta(m, closed)
         assert _typed_rows(got.table) == _typed_rows(_cm_from_zeta_by_parts(m, closed).table), m
         assert _typed_rows(got.table) == _typed_rows(c.table), m
-
-
-def test_recursion_on_rows_matches_series_recursion():
-    for m in range(2, 11):
-        prev = cm_series_cs(m - 2, 30)
-        got = cm_recursion_step(m, prev, 30)
-        assert _typed_rows(got.table) == _typed_rows(_cm_recursion_step_by_series(m, prev, 30).table), m
 
 
 @pytest.mark.parametrize("m, row, message", [
