@@ -9,9 +9,10 @@ This module also owns the dense form of a Laurent polynomial: its
 coefficient list in u = q^(1/L) on the common exponent lattice of the
 operands (``_exp_lattice``, ``_to_intpoly``).  Its one long division,
 ``_divide_low``, works lowest exponent first.  ``QLaurent.exact_div`` is
-that division plus a remainder check, and ``_gcd_low``, the gcd of
-``QRational``'s canonical form, is Euclid's algorithm on the same division:
-Euclid on the reversed polynomials.
+that division plus a remainder check.  ``_gcd_low``, the gcd of
+``QRational``'s canonical form, is Euclid's algorithm on the reversed
+polynomials over Z, lowest term first like the division, on primitive
+remainders so that no coefficient grows with the degree.
 
 ``_degree`` is the one reader of integer arguments: every count, degree,
 order, size and exponent bound that a public function or constructor
@@ -405,19 +406,40 @@ def _divide_low(rem, div, shift: int = 0) -> dict:
 
 
 def _gcd_low(a, b) -> list:
-    """A gcd, up to a scalar, of dense lists with nonzero first and last entries; [1] if constant.
+    """A gcd of dense lists with nonzero first and last entries: primitive, first entry > 0; [1] if constant.
 
-    Euclid on the reversed polynomials, dividing with ``_divide_low``.  A
+    Euclid on the reversed polynomials over Z.  The denominators are cleared
+    once (``_primitive``); then each remainder is a pseudo-remainder taken
+    lowest term first, each step cross-multiplying by the divisor's first
+    entry over its gcd with the entry it clears, and its content is stripped
+    before the next step, so no coefficient grows with the degree.  A
     remainder's leading zeros are a power of u, coprime to the divisor, so
     they are dropped with its trailing zeros.  The arguments are not changed.
     """
+    a, b = _primitive(a), _primitive(b)
     if len(a) < len(b):
         a, b = b, a
-    a, b = list(a), list(b)
     while len(b) > 1:
-        _divide_low(a, b)
-        nonzero = [k for k in range(len(a) - len(b) + 1, len(a)) if a[k]]
+        lead, steps = b[0], len(a) - len(b) + 1
+        for i in range(steps):
+            x = a[i]
+            if x:
+                g = math.gcd(lead, x)
+                scale, x = lead // g, x // g
+                if scale != 1:
+                    a[i:] = [scale * y for y in a[i:]]
+                for j, y in enumerate(b, i):
+                    a[j] -= x * y
+        nonzero = [k for k in range(steps, len(a)) if a[k]]
         if not nonzero:
-            return b
-        a, b = b, a[nonzero[0]:nonzero[-1] + 1]
+            return b if b[0] > 0 else [-y for y in b]
+        a, b = b, _primitive(a[nonzero[0]:nonzero[-1] + 1])
     return [1]
+
+
+def _primitive(p) -> list:
+    """The int or Fraction list p times the one rational that makes it a primitive integer list."""
+    den = math.lcm(*(x.denominator for x in p))
+    p = [int(x * den) for x in p]
+    content = math.gcd(*p)
+    return [x // content for x in p]

@@ -18,6 +18,8 @@ partition-count differences (``_cs_parts``, which shares no code with the
 kernels, so that comparing the routes checks them); a weight-counting oracle
 and a Newton-identity route on characters provide two independent
 cross-checks.  Only multiplicities are tracked, never explicit module maps.
+``cs_rows_packed`` is the Cayley-Sylvester row stream on Kronecker-packed
+rows, one integer per t-degree, for ``zeta_engine.fit_gh``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import BudgetExceeded, QZetaError
-from .qcombinat import gaussian_coeffs, gaussian_steps, q_int_sym
+from .qcombinat import gaussian_coeffs, gaussian_steps, gaussian_steps_packed, q_int_sym
 from .qlaurent import QLaurent, _degree
 
 DEFAULT_WEIGHT_BUDGET = 200
@@ -160,6 +162,47 @@ def cs_rows(m: int):
     """
     m = _degree(m, "m")
     return (_cs_parts(m, j, p) for j, p in enumerate(gaussian_steps(m)))
+
+
+def cs_rows_packed(m: int, width: int):
+    """An iterator of row j of c_m packed at X = 2^width: sum of mult(V_p in S^j(V_m)) X^((p - jm % 2)/2).
+
+    Row j in q^2 digits from G = [j+m choose m]_q at q = X, step j of
+    ``gaussian_steps_packed(m, width)``.  G is palindromic, G[r] = G[jm - r],
+    so the multiplicity p(r) - p(r-1) of V_(jm-2r) is G[c+d] - G[c+d+1] at
+    digit d = floor(jm/2) - r, with c = ceil(jm/2): the row is
+    (G >> width c) - (G >> width (c+1)).  A guard bit 2^(width-1) in each
+    digit d <= floor(jm/2), H, is added before the subtraction; no digit
+    borrows while G's digits are below 2^(width-1), so every multiplicity is
+    non-negative exactly when (A + H - B) & H == H.  A negative one raises
+    QZetaError("negative CS multiplicity ..."), as ``cs_rows`` does.
+
+    The digits of G are at most binomial(j + m, m), so the stream ends before
+    the first row j with binomial(j + m, m) >= 2^(width-1): every row it
+    yields is exact.
+    """
+    m, width = _degree(m, "m"), _degree(width, "width", 2)
+    half = 1 << width - 1
+
+    def rows():
+        guard, total = half, 1  # total = binomial(j + m, m)
+        for j, g in enumerate(gaussian_steps_packed(m, width)):
+            if j:
+                total = total * (j + m) // j
+            if total >= half:
+                return
+            c, top = -(-j * m // 2), j * m // 2
+            bits = width * (top + 1)
+            while guard.bit_length() < bits:
+                guard |= guard << guard.bit_length()
+            h = guard & (1 << bits) - 1
+            d = (g >> width * c) + h - (g >> width * (c + 1))
+            if d & h != h:
+                bad = max(k for k in range(top + 1) if not d >> (width * (k + 1) - 1) & 1)
+                raise QZetaError(f"negative CS multiplicity at (m={m}, j={j}, r={top - bad})")
+            yield d - h
+
+    return rows()
 
 
 def _cs_parts(m: int, j: int, p: list) -> dict:

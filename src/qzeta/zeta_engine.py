@@ -4,8 +4,8 @@ c_m(t, q) collects the multiplicities of V_p inside S^j(V_m) as the
 coefficient of t^j q^p.  Three independent routes produce it (the
 Cayley-Sylvester formula, positive-part extraction from the zeta closed
 form, and the two-step recursion in m), and the (g, h) functional-equation
-form is fitted from the series by Berlekamp-Massey at a rational point q0,
-then certified exactly over Q(q).
+form is fitted from the series by Berlekamp-Massey modulo a prime, then
+certified exactly over Q(q).
 
 c_m and zeta(V_m) are linked by the sl2 character, one t-degree at a time:
 V_p contributes [p+1]_q = q^p + q^(p-2) + ... + q^-p, so
@@ -22,17 +22,36 @@ zeta_j[-1] - zeta_j[1], must vanish, the result must be a valid CmSeries
 (integer exponents in the CS support, positive integer multiplicities), and
 its character must reproduce the input.  The Cayley-Sylvester route and the
 recursion share neither kernel, so the three routes check them.
+
+The fit runs on Kronecker-packed rows.  Row j of c_m eta_m is one integer
+V_j, its value at q^2 = X = 2^width: digit d is the coefficient of
+q^(2d + jm % 2), the one parity that row has.  The Gaussian step
+(``qcombinat.gaussian_steps_packed``), the Cayley-Sylvester row
+(``sl2.cs_rows_packed``), each factor of eta_m (``_eta_rows``) and the tail
+of (c_m eta_m) h in ``_certify`` are then a few big-integer operations per
+t-degree.  An integer is the exact value of its row at X, so a nonzero one
+proves a nonzero row at any width; a zero, or a decoded digit, is exact only
+while every coefficient is below 2^(width-1) in size.  ``_certify``
+evaluates that bound, sum|h_k| 2^r binomial(m + order, m), for each
+candidate before it accepts one, and the width starts from
+``_fit_width(m, max_h_degree)``, which covers every row the fit can read;
+a check that needs more restarts the fit at a larger width.  Berlekamp-
+Massey runs over GF(p) for the primes of ``_BM_POINTS``, tried in order, on
+V_j mod p.  The fraction-free integer and the ``Fraction`` Berlekamp-Massey,
+the dict-row certification and the ``QTPoly`` functional equation are the
+oracles in ``tests/test_zeta_engine.py``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 from .errors import FitFailed, QZetaError
-from .qlaurent import QLaurent, _degree
+from .qlaurent import QLaurent, _degree, _exp_lattice
 from .qtpoly import FactoredRatQT, QTPoly
-from .sl2 import Sl2Decomposition, _character_row, _multiplicity_row, cs_rows
+from .sl2 import Sl2Decomposition, _character_row, _multiplicity_row, cs_rows, cs_rows_packed
 from .tseries import TSeries, _over_one_minus_rows
 from .weyl import zeta_cn_closed
 
@@ -205,17 +224,31 @@ def _add_rows(rows: list, other: list, sign: int) -> None:
 
 
 # -- functional equation form -------------------------------------------------
+#
+# Every kernel from here to the end of the fit works on Kronecker-packed rows:
+# the t^j coefficient of a (q, t) object is held as one integer, its value at
+# q^2 = X = 2^width (or at q^(1/L) = X for the functional equation), so that a
+# product by q^e t is a shift and a sum of rows is one integer addition.  A
+# packed row is read back by ``_digits``, in balanced digits, which is exact
+# while every coefficient lies in (-2^(width-1), 2^(width-1)).  A packed
+# integer is the row's exact value at X, so a nonzero integer always proves a
+# nonzero row; only a zero, or a decode, rests on that bound.
 
 
 def eta_m(m: int) -> QTPoly:
     """prod (1 - q^{2i} t) over i = 1..m/2 (even m) or (1 - q^{2i+1} t) over i = 0..(m-1)/2 (odd).
 
-    ``_eta_rows`` applied to the series 1, up to t^(number of factors).
+    ``_eta_rows`` applied to the series 1, up to t^r, r the number of
+    factors, and decoded: the coefficients are at most 2^r in size.
     """
     m = _degree(m, "m")
-    one = itertools.chain([{0: 1}], itertools.repeat({}))
-    rows = itertools.islice(_eta_rows(m, one), len(_eta_exponents(m)) + 1)
-    return QTPoly.from_qlaurent_t_coeffs([QLaurent.from_sums(row) for row in rows])
+    r = len(_eta_exponents(m))
+    width = r + 2
+    rows = itertools.islice(_eta_rows(m, itertools.chain([1], itertools.repeat(0)), width), r + 1)
+    return QTPoly.from_qlaurent_t_coeffs([
+        QLaurent.from_sums({2 * d + j * m % 2: x for d, x in enumerate(_digits(v, width)) if x})
+        for j, v in enumerate(rows)
+    ])
 
 
 def _eta_exponents(m: int) -> range:
@@ -223,96 +256,207 @@ def _eta_exponents(m: int) -> range:
     return range(2 - m % 2, m + 1, 2)
 
 
-def _eta_rows(m: int, rows):
-    """Yield the t^j coefficient of eta_m times a series, for j = 0, 1, 2, ...
+def _eta_rows(m: int, rows, width: int, lattice: int = 0):
+    """Yield the t^j coefficient of eta_m times a series, packed, for j = 0, 1, 2, ...
 
-    Rows in and out are {q-exponent: int} dicts; the yielded ones leave out
-    zeros.  eta_m is applied one linear factor (1 - q^e t) at a time: row j
-    of the product is row_j - q^e row_{j-1}, so each factor keeps only its
-    previous input row.
+    Rows in and out are packed at X = 2^width.  With ``lattice`` 0 they have
+    the layout of ``sl2.cs_rows_packed``: digit d of row j is the coefficient
+    of q^(2d + jm % 2), the one parity row j of c_m or c_m eta_m has.  With
+    ``lattice`` L > 0, digit d of every row is the coefficient of
+    q^(d/L + o), for one offset o.  eta_m is applied one linear factor
+    (1 - q^e t) at a time: row j of the product is row_j - q^e row_(j-1),
+    one shift and one subtract, and each factor keeps only its previous
+    input row.  In the c_m layout q^e moves row j-1 to row j's digits by
+    (e + (j-1)m % 2 - jm % 2)/2 places, which depends on the parity of j.
     """
     exps = _eta_exponents(m)
-    before = [{} for _ in exps]
-    for row in rows:
-        for k, e in enumerate(exps):
-            out = dict(row)
-            for p, x in before[k].items():
-                out[p + e] = out.get(p + e, 0) - x
-            before[k], row = row, out
-        yield {p: x for p, x in row.items() if x}
+    if lattice:
+        shifts = [[width * lattice * e for e in exps]] * 2
+    else:
+        shifts = [[width * ((e + sign * (m % 2)) // 2) for e in exps] for sign in (1, -1)]
+    before = [0] * len(exps)
+    for j, v in enumerate(rows):
+        for k, shift in enumerate(shifts[j % 2]):
+            before[k], v = v, v - (before[k] << shift)
+        yield v
 
 
-def _cm_eta_rows(m: int):
-    """Yield the t^j coefficient of c_m eta_m as a {q-exponent: int} dict, for j = 0, 1, 2, ...
+def _cm_eta_rows(m: int, width: int):
+    """Yield the t^j coefficient of c_m eta_m packed at X = 2^width, for j = 0, 1, 2, ...
 
-    The c_m rows come from ``cs_rows(m)``.  Most terms cancel at the last
-    factor of eta_m (c_m eta_m = g/h has a narrow q-support).
+    The c_m rows come from ``sl2.cs_rows_packed(m, width)``, which ends at the
+    first row that width cannot hold exactly, and so does this stream.  Most
+    terms cancel at the last factor of eta_m (c_m eta_m = g/h has a narrow
+    q-support), so the rows it yields are short integers.
     """
-    return _eta_rows(m, cs_rows(m))
+    return _eta_rows(m, cs_rows_packed(m, width), width)
+
+
+def _digits(v: int, width: int) -> list:
+    """The balanced base-2^width digits of v, lowest first, with no trailing zero.
+
+    The coefficients of the packed row v, exact while each lies in
+    (-2^(width-1), 2^(width-1)); any integer has exactly one such expansion.
+    """
+    full = 1 << width
+    half, mask = full >> 1, full - 1
+    out = []
+    while v:
+        d = v & mask
+        if d >= half:
+            d -= full
+        out.append(d)
+        v = (v - d) >> width
+    return out
 
 
 def verify_functional_eq(m: int, gh: GHPair) -> bool:
     """Check q g(t,q) eta(t,q^-1) - q^-1 g(t,q^-1) eta(t,q) = (q - q^-1) h(t) [1/(1-t) if m even].
 
-    Verified as an exact polynomial identity, multiplying through by (1 - t)
-    in the even case.
+    With B(t, q) = q^-1 g(t, q^-1) eta_m(t, q) the left side is
+    B(t, q^-1) - B(t, q).  B is computed through ``_eta_rows``, one linear
+    factor at a time, on packed rows: g's coefficients times their common
+    denominator D, one digit per step q^(1/L) of g's exponent lattice, with
+    width bits for each, where 2^(width-1) exceeds 2^(r+1) times the sum of
+    the |D g| coefficients, so every coefficient of B and of (1 - t) B
+    decodes exactly.  In the even case B is first multiplied by (1 - t), so
+    the identity is checked as a polynomial one, as (1 - t) times the left
+    side against (q - q^-1) h(t).  Row by row, B(q^-1) - B(q) is read off
+    the decoded row and its mirror image about q^0: it must vanish off
+    q^(+-1), and at q^-1 it must be -D h_j.  The ``QTPoly`` product is the
+    oracle in the tests.
     """
-    eta = eta_m(m)
-    qq = QTPoly({(1, 0): 1})
-    qq_inv = QTPoly({(-1, 0): 1})
-    lhs = qq * gh.g * eta.invert_q() - qq_inv * gh.g.invert_q() * eta
-    rhs = (qq - qq_inv) * gh.h
-    if m % 2 == 0:
-        lhs = lhs * QTPoly({(0, 0): 1, (0, 1): -1})
-    return lhs == rhs
+    m = _degree(m, "m")
+    exps = _eta_exponents(m)
+    g = gh.g.t_coeff_list()
+    h = [gh.h.coeff(0, b) for b in range(gh.h.t_degree() + 1)]
+    den = math.lcm(*(c.denominator for row in g for _e, c in row.items()), *(c.denominator for c in h))
+    lattice = _exp_lattice(*g)
+    top = max(row.degree() for row in g if row)
+    zero = int(lattice * (top + 1))  # the digit of q^0
+    # digit k of a row of q^-1 g(t, q^-1) times D is the coefficient of q^(k/L - top - 1)
+    digits = [{int(lattice * (top - e)): int(c * den) for e, c in row.items()} for row in g]
+    size = sum(abs(x) for row in digits for x in row.values())
+    width = (size << len(exps) + 1).bit_length() + 1
+    packed = [sum(x << width * k for k, x in row.items()) for row in digits]
+    rows = _eta_rows(m, itertools.chain(packed, itertools.repeat(0)), width, lattice)
+    prev = 0
+    for j in range(max(len(g) + len(exps) + 1, len(h))):
+        b = next(rows)
+        if m % 2 == 0:
+            prev, b = b, b - prev
+        d = _digits(b, width)
+        if len(d) > 2 * zero + 1:
+            return False
+        d += [0] * (2 * zero + 1 - len(d))
+        want = -h[j] * den if j < len(h) else 0
+        if d[zero + lattice] - d[zero - lattice] != want:
+            return False
+        if any(d[2 * zero - k] != d[k] for k in range(zero) if k != zero - lattice):
+            return False
+    return True
 
 
-# Rational points q0 at which c_m eta_m is specialised for Berlekamp-Massey, in
-# the order they are tried.  Specialising can only lose factors of h, so a
-# point whose candidate fails certification is left for the next one.
-_BM_POINTS = (2, 3, 5)
+# The points of Berlekamp-Massey, in the order they are tried: primes p, the
+# sequence being c_m eta_m at q0 in GF(p), q0 = 2^(width/2), whose square is
+# the packing base X.  A point can lose a factor of h (it cancels against g
+# there), and a prime can be too small for h's coefficients or divide a
+# discrepancy; either only yields a candidate that fails certification, and
+# the fit goes on at the next point.
+_BM_POINTS = (2**61 - 1, 2**89 - 1, 2**127 - 1)
+
+
+class _Repack(Exception):
+    """The packing width cannot decide a check exactly; the fit restarts at ``width``, a larger one."""
+
+    def __init__(self, width: int):
+        super().__init__(width)
+        self.width = width
+
+
+def _width_for(bound: int) -> int:
+    """The least multiple of 8 with 2^(width-1) > bound."""
+    return -(-(bound.bit_length() + 1) // 8) * 8
+
+
+def _fit_width(m: int, max_h_degree: int) -> int:
+    """The packing width fit_gh starts from: 2^(width-1) above 64 (cap + 1) 2^r binomial(m + N, m).
+
+    N is the largest t-degree the fit can read with cap = max_h_degree: at
+    each point Berlekamp-Massey certifies at n = 2L + 2 terms, gives up at
+    n = 3L + 2 if L has not moved, and raises once L > cap, so its terms
+    reach t^(3 cap + 1); ``_certify`` reads through t^(deg g + deg h + 6)
+    <= t^(2 cap + r - m + 5), r the number of eta_m factors.  The rows of c_m
+    through t^N then decode exactly, and so does every certification whose
+    sum of |h_k| is at most 64 (cap + 1).  A candidate with a larger sum
+    makes ``_certify`` ask for a repack; for m <= 20 the sum for h_m is at
+    most 2996 (m = 20, deg h = 181), so a fit with cap >= deg h_m never does.
+    """
+    r = len(_eta_exponents(m))
+    top = max(3 * max_h_degree + 1, 2 * max_h_degree + r - m + 5)
+    return _width_for((64 * (max_h_degree + 1) << r) * math.comb(m + top, m))
 
 
 def fit_gh(m: int, max_h_degree: int = 40) -> GHPair:
     """Fit the (g_m, h_m) pair of Lemma-form c_m = g/(h eta_m) from the series.
 
-    h does not involve q, so at any rational q0 the sequence
+    h does not involve q, so at any point q0 the sequence
     s_j = (c_m eta_m)_j(q0) obeys the recurrence with characteristic
-    polynomial h beyond t^deg(g).  The rows of c_m eta_m are read once, as
-    {q-exponent: int} dicts, one t-degree at a time from ``_cm_eta_rows``,
-    and s_j is fed to an incremental fraction-free Berlekamp-Massey over Z,
-    whose length L never decreases; L > max_h_degree raises FitFailed.  Once
-    2L + 2 terms are in, its connection polynomial is the candidate h; deg g
-    is forced by the rational t-degree -(m+1).  The candidate is accepted
-    only if it is integral, (c eta h) vanishes past deg g through the order
-    of the terms fed (and at least deg g + deg h + 6), which is the round
-    trip g/(h eta_m) = c_m through that order, and the q-degree claim and the
-    functional equation hold.  A failed candidate waits for L to change; if
-    L stays put for L more terms, the point lost a factor of h and
-    Berlekamp-Massey restarts on the stored rows at the next point of
-    _BM_POINTS.
+    polynomial h beyond t^deg(g).  The rows of c_m eta_m are read once, one
+    t-degree at a time, each as one integer: its value at q^2 = X = 2^width
+    in the layout of ``sl2.cs_rows_packed`` (digit d of row j is the
+    coefficient of q^(2d + jm % 2)), from ``_cm_eta_rows``.  At a prime p of
+    _BM_POINTS, q0 = 2^(width/2) squares to X in GF(p), so s_j is the row
+    mod p, times q0 for a row of odd parity.  The s_j are fed to an
+    incremental Berlekamp-Massey over GF(p), whose length L never decreases;
+    L > max_h_degree raises FitFailed.  Once 2L + 2 terms are in, its
+    connection polynomial, lifted to (-p/2, p/2) with h(0) = 1, is the
+    candidate h, and ``_certify`` decides it exactly.  A failed candidate
+    waits for L to change; if L stays put for L more terms, the point lost a
+    factor of h or p was a bad prime, and Berlekamp-Massey restarts on the
+    stored rows at the next point.
+
+    The width comes from ``_fit_width(m, max_h_degree)``.  If a check needs
+    more (``_Repack``: the row stream ended, or a candidate's bound failed),
+    the fit starts again at the larger width; no check is ever decided on
+    digits the width cannot hold.  The integer (fraction-free) and
+    ``Fraction`` Berlekamp-Massey, the dict-row certification and the
+    ``QTPoly`` functional equation are oracles in the tests.
     """
     m, max_h_degree = _degree(m, "m", 2), _degree(max_h_degree, "max_h_degree", 1)
-    eta = eta_m(m)
-    stream = _cm_eta_rows(m)
-    ceta = []
+    width = _fit_width(m, max_h_degree)
+    while True:
+        try:
+            return _fit_at(m, max_h_degree, width)
+        except _Repack as repack:
+            width = repack.width
+
+
+def _fit_at(m: int, max_h_degree: int, width: int) -> GHPair:
+    """fit_gh on rows packed at X = 2^width; raises _Repack where width is too small to decide."""
+    stream = _cm_eta_rows(m, width)
+    rows = []
 
     def extend(order):
-        while len(ceta) <= order:
-            ceta.append(next(stream))
+        while len(rows) <= order:
+            v = next(stream, None)
+            if v is None:
+                raise _Repack(2 * width)
+            rows.append(v)
 
-    for q0 in _BM_POINTS:
-        bm = _BerlekampMassey()
+    for p in _BM_POINTS:
+        q0 = pow(2, width // 2, p)
+        bm = _BerlekampMassey(p)
         failed = None  # (L, terms fed) at the last failed certification
         while True:
             n = len(bm.terms)
             extend(n)
-            bm.feed(sum(x * q0**e for e, x in ceta[n].items()))
+            s = rows[n] % p
+            bm.feed(s * q0 % p if n * m % 2 else s)
             n, L = n + 1, bm.length
             if L > max_h_degree:
                 raise FitFailed(
-                    f"no (g, h) found for m={m}; the recurrence at q0={q0} has length "
-                    f"{L} > max_h_degree={max_h_degree}"
+                    f"no (g, h) found for m={m}; the recurrence has length {L} > max_h_degree={max_h_degree}"
                 )
             if failed is not None and failed[0] == L:
                 if n >= failed[1] + L:
@@ -320,53 +464,75 @@ def fit_gh(m: int, max_h_degree: int = 40) -> GHPair:
                 continue
             if n < 2 * L + 2:
                 continue
-            gh = _certify(m, bm.c, n, eta, ceta, extend)
+            h = [x - p if 2 * x > p else x for x in bm.c]
+            gh = _certify(m, h, n, rows, extend, width)
             if gh is not None:
                 return gh
             failed = (L, n)
-    raise FitFailed(f"no (g, h) found for m={m}; no candidate certified at q0 in {_BM_POINTS}")
+    raise FitFailed(f"no (g, h) found for m={m}; no candidate certified at the {len(_BM_POINTS)} points")
 
 
-def _certify(m: int, conn: list, n: int, eta: QTPoly, ceta: list, extend):
-    """The GHPair with h = conn / conn[0] if it passes every acceptance check, else None.
+def _certify(m: int, h: list, n: int, rows: list, extend, width: int):
+    """The GHPair with this h if it passes every acceptance check, else None.
 
-    conn is an integer connection polynomial with conn[0] != 0.  The
-    specialised terms are integers, so by Fatou's lemma the true denominator
-    lies in Z[t] with constant term 1; a conn whose constant term does not
-    divide every entry is rejected before any Q(q) arithmetic.  ceta lists
-    the rows of c_m eta_m as {q-exponent: int} dicts.  g is (c_m eta_m) h
-    through t^dg, and the tail of that product must vanish through t^order:
-    h eta_m has constant term 1, so it is a unit in Q(q)[[t]], and the tail
-    check proves that g/(h eta_m) reproduces c_m through t^order.
+    h is an integer list with h[0] = 1; trailing zeros are dropped.  rows
+    lists the rows of c_m eta_m packed at X = 2^width in the layout of
+    ``sl2.cs_rows_packed``, and ``extend(order)`` makes it reach t^order.
+    g is (c_m eta_m) h through t^dg, and the tail of that product must
+    vanish through t^order = max(dg + dh + 6, n - 1): h eta_m has constant
+    term 1, so it is a unit in Q(q)[[t]], and the tail check proves that
+    g/(h eta_m) reproduces c_m through t^order.
+
+    Row j of the product is T_j = sum_k h_k V_(j-k).  For odd m the terms of
+    odd k have the other parity, so they form a second sum, and each sum
+    must vanish.  Every V_i is the exact value of its row at X, so a nonzero
+    T_j refuses soundly at any width.  A zero T_j, and the digits of the g
+    rows, are exact only while every coefficient they stand for is below
+    2^(width-1) in size.  Those coefficients are at most
+    sum|h_k| * 2^r * binomial(m + order, m): a c_m coefficient through t^order
+    is at most the value binomial(m + order, m) of its Gaussian polynomial at
+    q = 1, and eta_m's r factors at most multiply the largest one by 2^r.
+    The bound is evaluated once the tail vanishes, before any row is
+    accepted or decoded, and a candidate that breaks it raises _Repack
+    rather than be accepted or refused.  Then the q-degree claim and
+    ``verify_functional_eq`` must hold.
     """
-    c0 = conn[0]
-    if any(x % c0 for x in conn):
-        return None
-    h = [x // c0 for x in conn]
     while not h[-1]:
         h.pop()
     dh = len(h) - 1
-    dg = dh + eta.t_degree() - (m + 1)
+    exps = _eta_exponents(m)
+    dg = dh + len(exps) - (m + 1)
     if dg < 0:
         return None
     order = max(dg + dh + 6, n - 1)
     extend(order)
-    # g = (c eta h) through t^dg; the tail through t^order must vanish
-    rows = []
-    for j in range(order + 1):
-        acc = {}
-        for k in range(min(dh, j) + 1):
-            hk = h[k]
-            if hk:
-                for e, x in ceta[j - k].items():
-                    acc[e] = acc.get(e, 0) + hk * x
-        if j > dg:
-            if any(acc.values()):
-                return None
-            continue
-        rows.append(QLaurent.from_sums({e: x for e, x in acc.items() if x}))
-    g = QTPoly.from_qlaurent_t_coeffs(rows)
-    if g.is_zero or g.q_degree() != eta.q_degree() - 2:
+    terms = [(k, hk) for k, hk in enumerate(h) if hk]
+    odd = m % 2
+
+    def product_row(j):
+        parts = [0, 0]
+        for k, hk in terms:
+            if k > j:
+                break
+            parts[k & odd] += hk * rows[j - k]
+        return parts
+
+    for j in range(dg + 1, order + 1):
+        if product_row(j) != [0, 0]:
+            return None
+    bound = (sum(abs(hk) for _k, hk in terms) << len(exps)) * math.comb(m + order, m)
+    if bound.bit_length() >= width:
+        raise _Repack(_width_for(bound))
+    g = []
+    for j in range(dg + 1):
+        row = {}
+        for part, parity in zip(product_row(j), (j * m % 2, (j * m + 1) % 2)):
+            for d, x in enumerate(_digits(part, width)):
+                if x:
+                    row[2 * d + parity] = x
+        g.append(QLaurent.from_sums(row))
+    g = QTPoly.from_qlaurent_t_coeffs(g)
+    if g.is_zero or g.q_degree() != sum(exps) - 2:
         return None
     gh = GHPair(m, g, QTPoly.from_t_coeffs(h))
     if not verify_functional_eq(m, gh):
@@ -375,45 +541,44 @@ def _certify(m: int, conn: list, n: int, eta: QTPoly, ceta: list, extend):
 
 
 class _BerlekampMassey:
-    """Incremental fraction-free Berlekamp-Massey over Z (Massey 1969).
+    """Incremental Berlekamp-Massey over GF(p), p prime (Massey 1969).
 
     After each ``feed``, ``length`` is the length L of the shortest linear
-    recurrence sum_{i<=L} C_i s_{n-i} = 0 (n >= L) of the integer terms fed
-    so far, and ``c`` lists its connection polynomial C as integers with no
-    common factor; C_0 != 0, and C/C_0 is the connection polynomial of
-    Berlekamp-Massey over Q.  A discrepancy d updates C to
-    last*C - d*x^shift*B, where B is an earlier C and last is the
-    discrepancy it had then, and divides out the content of the result.
+    recurrence sum_{i<=L} C_i s_{n-i} = 0 (n >= L) of the terms fed so far,
+    and ``c`` lists its connection polynomial C as residues in [0, p), with
+    C_0 = 1 and deg C <= L.  A discrepancy d updates C to
+    C - (d / last) x^shift B, where B is an earlier C and last is the
+    discrepancy it had then (kept as its inverse).  Every number stays
+    below p, so a feed costs O(L) word-size products.
     """
 
-    __slots__ = ("terms", "c", "b", "length", "shift", "last")
+    __slots__ = ("p", "terms", "c", "b", "length", "shift", "inverse")
 
-    def __init__(self):
+    def __init__(self, p: int):
+        self.p = p
         self.terms = []
         self.c = [1]
         self.b = [1]
         self.length = 0
         self.shift = 1
-        self.last = 1
+        self.inverse = 1
 
     def feed(self, s: int) -> None:
-        terms, c = self.terms, self.c
-        terms.append(s)
+        p, terms, c = self.p, self.terms, self.c
+        terms.append(s % p)
         n = len(terms) - 1
-        d = sum(ci * terms[n - i] for i, ci in enumerate(c) if ci)
+        d = sum(map(operator.mul, c, terms[n::-1])) % p
         if d == 0:
             self.shift += 1
             return
-        last, shift = self.last, self.shift
-        new = [last * ci for ci in c] + [0] * (shift + len(self.b) - len(c))
-        for i, bi in enumerate(self.b):
+        coef = d * self.inverse % p
+        shift = self.shift
+        new = c + [0] * (shift + len(self.b) - len(c))
+        for i, bi in enumerate(self.b, shift):
             if bi:
-                new[i + shift] -= d * bi
-        content = math.gcd(*new)
-        if content != 1:
-            new = [x // content for x in new]
+                new[i] = (new[i] - coef * bi) % p
         if 2 * self.length <= n:
-            self.b, self.last = c, d
+            self.b, self.inverse = c, pow(d, -1, p)
             self.length = n + 1 - self.length
             self.shift = 1
         else:

@@ -1,11 +1,12 @@
 from fractions import Fraction as F
 from functools import lru_cache
+from itertools import islice
 from math import comb
 
 import pytest
 
 from qzeta import QLaurent, bounded_partitions, gaussian_coeffs, q_binom_sym, q_int_sym, t_bracket
-from qzeta.qcombinat import gaussian_steps
+from qzeta.qcombinat import gaussian_steps, gaussian_steps_packed
 from qzeta.qtpoly import QTPoly
 
 
@@ -72,6 +73,35 @@ def test_gaussian_steps_list_every_step():
         gaussian_steps(-1)
     with pytest.raises(ValueError, match="a must be an integer, got 2.5"):
         gaussian_steps(2.5)
+
+
+def _unpack(v, width):
+    """The base-2^width digits of v >= 0, lowest first."""
+    out = []
+    while v:
+        out.append(v & (1 << width) - 1)
+        v >>= width
+    return out
+
+
+def test_packed_steps_match_the_list_steps():
+    # step i at q = 2^width is [a+i choose i]_q with one digit per coefficient;
+    # binomial(76, 16) < 2^63, so width 64 holds every digit here, and 40 does
+    # only while binomial(a + i, i) < 2^40
+    for width in (64, 128):
+        for a in range(17):
+            steps = zip(range(61), gaussian_steps(a), gaussian_steps_packed(a, width))
+            for i, coeffs, packed in steps:
+                assert _unpack(packed, width) == coeffs, (width, a, i)
+    # the digits are exact only below 2^width: the largest coefficient of
+    # [25 choose 5]_q is 1,394 < 2^14, that of [45 choose 5]_q 17,053 >= 2^14
+    steps = list(islice(gaussian_steps_packed(5, 14), 41))
+    assert _unpack(steps[20], 14) == gaussian_coeffs(25, 5)
+    assert _unpack(steps[40], 14) != gaussian_coeffs(45, 5)
+    with pytest.raises(ValueError, match="width must be >= 1"):
+        gaussian_steps_packed(3, 0)
+    with pytest.raises(ValueError, match="a must be non-negative"):
+        gaussian_steps_packed(-1, 8)
 
 
 def test_bounded_partitions_match_recursion():

@@ -369,6 +369,27 @@ def test_gcd_low_matches_euclid_and_sympy():
     assert len(seen) == 7
 
 
+def test_gcd_low_keeps_coefficients_small_at_high_degree():
+    # degrees 84 and 83 with a common factor of degree 5: Euclid over Q
+    # without content removal reached gcd coefficients of about 17,700 bits
+    # here; on primitive remainders the gcd is the shared factor itself
+    rng = random.Random(1007_5084)
+
+    def poly(degree):
+        p = [rng.randint(-9, 9) for _ in range(degree + 1)]
+        p[0], p[-1] = p[0] or 1, p[-1] or -1
+        return p
+
+    shared = poly(5)
+    a, b = _dense_mul(poly(79), shared), _dense_mul(poly(78), shared)
+    sign = 1 if shared[0] > 0 else -1
+    assert _gcd_low(a, b) == [sign * x for x in shared]
+    # int and Fraction inputs take the one path: denominators are cleared first
+    g = _gcd_low([F(x, 3) for x in a], [F(x, 7) for x in b])
+    assert g == [sign * x for x in shared]
+    assert max(abs(x).bit_length() for x in g) <= 4
+
+
 def test_gcd_low_strips_the_remainders_power_of_u():
     # 1 + u + u^3 + 2u^4 + u^5 = (1 + u)(1 + u^3 + u^4) over 1 + u + u^3 + u^4 =
     # (1 + u)(1 + u^3) leaves u^2 (u^2 + u^3): its leading zeros are a power of u

@@ -42,6 +42,47 @@ def test_cs_negative_multiplicity_is_a_typed_error(monkeypatch):
         cs_sym_power(2, 2)
 
 
+def _unpack_row(v, j, m, width):
+    """{p: multiplicity} of a packed c_m row: digit d is the coefficient of q^(2d + jm % 2)."""
+    row, d = {}, 0
+    while v:
+        x = v & (1 << width) - 1
+        if x >= 1 << width - 1:
+            x -= 1 << width
+        if x:
+            row[2 * d + j * m % 2] = x
+        v, d = (v - x) >> width, d + 1
+    return row
+
+
+def test_packed_cs_rows_match_cs_rows():
+    for m in range(15):
+        packed = sl2.cs_rows_packed(m, 96)
+        for j, row, v in zip(range(61), sl2.cs_rows(m), packed):
+            assert _unpack_row(v, j, m, 96) == row, (m, j)
+
+
+def test_packed_cs_rows_stop_where_the_width_stops_being_exact():
+    # the stream ends before the first j with binomial(j + m, m) >= 2^(width-1)
+    for m, width in ((1, 8), (3, 12), (5, 24), (8, 40)):
+        rows = list(sl2.cs_rows_packed(m, width))
+        j = len(rows)
+        assert comb(j - 1 + m, m) < 2 ** (width - 1) <= comb(j + m, m), (m, width)
+        assert [_unpack_row(v, i, m, width) for i, v in enumerate(rows)] == list(islice(sl2.cs_rows(m), j))
+    with pytest.raises(ValueError, match="width must be >= 2"):
+        sl2.cs_rows_packed(3, 1)
+
+
+def test_packed_cs_negative_multiplicity_is_a_typed_error(monkeypatch):
+    # the packed rows read the upper half of the palindrome, G[c + d] - G[c + d + 1];
+    # a step that rises from q^2 to q^3 gives V_1 of S^1(V_3) multiplicity 2 - 3
+    width = 16
+    step = sum(c << width * r for r, c in enumerate([1, 1, 2, 3]))
+    monkeypatch.setattr(sl2, "gaussian_steps_packed", lambda a, w: iter([1, step]))
+    with pytest.raises(QZetaError, match=r"negative CS multiplicity at \(m=3, j=1, r=1\)"):
+        list(sl2.cs_rows_packed(3, width))
+
+
 def test_weight_oracle_cases():
     assert sym_power_weight_oracle(2, 2) == Sl2Decomposition({4: 1, 0: 1})
     assert sym_power_weight_oracle(0, 5) == Sl2Decomposition({0: 1})

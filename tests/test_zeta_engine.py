@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -32,7 +33,7 @@ from qzeta.errors import ExactDivisionError, NoSolution
 from qzeta.linalg import solve_linear
 from qzeta.qtpoly import FactoredRatQT
 from qzeta.refdata import reference_cm_closed, reference_gh
-from qzeta.zeta_engine import _BerlekampMassey, _certify, _cm_eta_rows
+from qzeta.zeta_engine import _BerlekampMassey, _certify, _cm_eta_rows, _digits, _fit_width, _width_for
 from test_qlaurent import tpoly_divmod, tpoly_gcd, tpoly_trim
 
 
@@ -236,6 +237,59 @@ def test_functional_equation_cases():
     assert not verify_functional_eq(5, perturbed)
 
 
+def _verify_functional_eq_by_products(m: int, gh: GHPair) -> bool:
+    """Oracle: the functional equation as one QTPoly identity, every product a full QTPoly product."""
+    eta = eta_m(m)
+    qq = QTPoly({(1, 0): 1})
+    qq_inv = QTPoly({(-1, 0): 1})
+    lhs = qq * gh.g * eta.invert_q() - qq_inv * gh.g.invert_q() * eta
+    rhs = (qq - qq_inv) * gh.h
+    if m % 2 == 0:
+        lhs = lhs * QTPoly({(0, 0): 1, (0, 1): -1})
+    return lhs == rhs
+
+
+_CAPS = {9: 80, 10: 45, 11: 120, 12: 61, 13: 160, 14: 91}
+
+
+@pytest.fixture(scope="module")
+def fitted_pairs():
+    """fit_gh(m) for m = 2..12 at the caps the acceptance gates use."""
+    return {m: fit_gh(m, _CAPS.get(m, 40)) for m in range(2, 13)}
+
+
+def _fe_variants(gh):
+    """(label, pair, holds): gh itself, pairs the equation refuses, and pairs it still accepts.
+
+    delta = q^-1 eta_m(t, q) s(t, q) with s(q) = s(1/q) adds nothing to the left
+    side, since q delta(q) eta(1/q) is then symmetric under q -> 1/q; with
+    s = (q^(1/2) + q^(-1/2)) t / 2 the pair has half-integer exponents and
+    Fraction coefficients.
+    """
+    m, g, h = gh.m, gh.g, gh.h
+    yield "fitted", gh, True
+    a, b = max(((b, a) for (a, b), _c in g.items() if b), default=(1, 1))[::-1]
+    yield "g top", GHPair(m, g + QTPoly({(a, b): 1}), h), False
+    yield "g low", GHPair(m, g + QTPoly({(0, 1): F(1, 3)}), h), False
+    yield "g q^-1", GHPair(m, g + QTPoly({(-1, 2): 1}), h), False
+    yield "h term", GHPair(m, g, h + QTPoly({(0, h.t_degree() + 1): 1})), False
+    yield "h coefficient", GHPair(m, g, h + QTPoly({(0, 1): 1})), False
+    s = QTPoly({(F(1, 2), 1): F(1, 2), (F(-1, 2), 1): F(1, 2)})
+    delta = QTPoly({(-1, 0): 1}) * eta_m(m) * s
+    yield "delta", GHPair(m, g + delta, h), True
+    yield "delta, h term", GHPair(m, g + delta, h + QTPoly({(0, 2): F(1, 2)})), False
+
+
+def test_functional_equation_matches_the_qtpoly_product(fitted_pairs):
+    checked = 0
+    for m, gh in fitted_pairs.items():
+        for label, pair, holds in _fe_variants(gh):
+            assert verify_functional_eq(m, pair) is holds, (m, label)
+            assert _verify_functional_eq_by_products(m, pair) is holds, (m, label)
+            checked += 1
+    assert checked == 11 * 8
+
+
 def test_fit_small():
     gh3 = fit_gh(3)
     assert gh3.g == QTPoly({(0, 0): 1, (1, 1): -1, (2, 2): 1})
@@ -252,10 +306,10 @@ def test_fit_matches_reference():
 
 
 def _counting_rows(real, seen):
-    """cs_rows that appends j to seen as row j is pulled."""
+    """cs_rows_packed that appends j to seen as row j is pulled."""
 
-    def rows(m):
-        for j, row in enumerate(real(m)):
+    def rows(m, width):
+        for j, row in enumerate(real(m, width)):
             seen.append(j)
             yield row
 
@@ -267,7 +321,7 @@ def test_fit_extends_cm_rows_once(monkeypatch):
     import qzeta.zeta_engine as ze
 
     calls = []
-    monkeypatch.setattr(ze, "cs_rows", _counting_rows(ze.cs_rows, calls))
+    monkeypatch.setattr(ze, "cs_rows_packed", _counting_rows(ze.cs_rows_packed, calls))
     gh5 = fit_gh(5)
     assert calls == list(range(len(calls)))
     assert len(calls) == gh5.g.t_degree() + gh5.h.t_degree() + 7
@@ -400,10 +454,11 @@ def test_fit_matches_deg_h_search():
 
 
 def test_fit_restarts_at_next_point_when_a_factor_is_lost(monkeypatch):
-    # At q0 = 1 the specialised sequence has a shorter recurrence than h (a
-    # factor of h cancels against g there); that candidate must fail
-    # certification and the fit must go on at q0 = 2, on the rows already
-    # built: no t-degree of c_m is built twice across the restart.
+    # Modulo the small prime 13 the specialised sequence has a shorter
+    # recurrence than h (a factor of h cancels against g there); that
+    # candidate must fail certification and the fit must go on at the next
+    # point, on the rows already built: no t-degree of c_m is built twice
+    # across the restart.
     import qzeta.zeta_engine as ze
 
     defaults = {m: fit_gh(m) for m in (5, 6, 8)}
@@ -411,21 +466,21 @@ def test_fit_restarts_at_next_point_when_a_factor_is_lost(monkeypatch):
     built = []
     real = ze._certify
 
-    def recording(m, conn, *args):
-        gh = real(m, conn, *args)
-        certified.append((len(conn) - 1, gh))
+    def recording(m, h, *args):
+        gh = real(m, h, *args)  # drops h's trailing zeros in place
+        certified.append((len(h) - 1, gh))
         return gh
 
     monkeypatch.setattr(ze, "_certify", recording)
-    monkeypatch.setattr(ze, "cs_rows", _counting_rows(ze.cs_rows, built))
-    monkeypatch.setattr(ze, "_BM_POINTS", (1, 2))
-    for m, lost_deg in ((5, 17), (6, 14), (8, 23)):
+    monkeypatch.setattr(ze, "cs_rows_packed", _counting_rows(ze.cs_rows_packed, built))
+    monkeypatch.setattr(ze, "_BM_POINTS", (13, 2**61 - 1))
+    for m in (5, 6, 8):
         certified.clear()
         built.clear()
         assert fit_gh(m) == defaults[m]
-        assert certified[0] == (lost_deg, None), m
+        lost_deg, refused = certified[0]
+        assert refused is None and lost_deg < defaults[m].h.t_degree(), m
         assert certified[-1][1] == defaults[m]
-        assert lost_deg < defaults[m].h.t_degree()
         assert built == list(range(len(built))), m
 
 
@@ -454,7 +509,7 @@ def _cyclotomic_indices(h: QTPoly) -> list:
 
 
 def _assert_cyclotomic_h(gh: GHPair):
-    """h_m is +-1 times a product of Phi_k, with the largest k and deg h observed for m = 2..14.
+    """h_m is +-1 times a product of Phi_k, with the largest k and deg h observed for m = 2..16.
 
     Measured structure, not a proven one: fit_gh assumes neither claim.  The
     largest k is 2m - 2 for odd m and m - 1 for even m >= 4; deg h is
@@ -496,17 +551,22 @@ def test_lemma46_m9_past_default_cap():
     _assert_cyclotomic_h(gh)
 
 
-@pytest.mark.parametrize("m, cap, dh, dg", [(11, 120, 108, 102), (14, 91, 91, 83)])
+@pytest.mark.parametrize("m, cap, dh, dg", [
+    (11, 120, 108, 102), (14, 91, 91, 83), (13, 154, 154, 147), (15, 208, 208, 200), (16, 113, 113, 104),
+])
 def test_lemma46_m11_m14_with_raised_caps(m, cap, dh, dg):
-    # each cap is explicit: the default of 40 stops both fits, and m = 14 lands
-    # exactly on its cap
+    # each cap is explicit: the default of 40 stops every one of these fits,
+    # and m = 13..16 land exactly on their caps
     gh = fit_gh(m, max_h_degree=cap)
     eta = eta_m(m)
     assert verify_functional_eq(m, gh)
     assert gh.g.q_degree() - eta.q_degree() == -2
     assert gh.g.t_degree() - gh.h.t_degree() - eta.t_degree() == -(m + 1)
     assert (gh.h.t_degree(), gh.g.t_degree()) == (dh, dg)
-    _assert_cyclotomic_h(gh)
+    if m != 15:
+        # sympy factors each of the other h in about a second or less, h_15
+        # (degree 208) in about 3 s
+        _assert_cyclotomic_h(gh)
 
 
 def test_fit_rejects_empty_search():
@@ -606,22 +666,73 @@ def test_roundtrip_routes_reject_corrupted_pairs(fitted_roundtrips):
     assert checked == 12
 
 
+def _pack(row: dict, j: int, m: int, width: int) -> int:
+    """A {q-exponent: int} row of c_m eta_m packed in fit_gh's layout: digit d is q^(2d + jm % 2)."""
+    return sum(x << width * ((e - j * m % 2) // 2) for e, x in row.items())
+
+
+def _certify_by_dicts(m: int, conn: list, n: int, eta: QTPoly, ceta: list, extend):
+    """Oracle: _certify on {q-exponent: int} rows, with conn any integer connection polynomial.
+
+    The route fit_gh took before packed rows: h = conn / conn[0] if conn[0]
+    divides every entry, g and the tail of (c_m eta_m) h one dict product
+    per t-degree, then the q-degree claim and the QTPoly functional equation.
+    """
+    c0 = conn[0]
+    if any(x % c0 for x in conn):
+        return None
+    h = [x // c0 for x in conn]
+    while not h[-1]:
+        h.pop()
+    dh = len(h) - 1
+    dg = dh + eta.t_degree() - (m + 1)
+    if dg < 0:
+        return None
+    order = max(dg + dh + 6, n - 1)
+    extend(order)
+    rows = []
+    for j in range(order + 1):
+        acc = {}
+        for k in range(min(dh, j) + 1):
+            hk = h[k]
+            if hk:
+                for e, x in ceta[j - k].items():
+                    acc[e] = acc.get(e, 0) + hk * x
+        if j > dg:
+            if any(acc.values()):
+                return None
+            continue
+        rows.append(QLaurent.from_sums({e: x for e, x in acc.items() if x}))
+    g = QTPoly.from_qlaurent_t_coeffs(rows)
+    if g.is_zero or g.q_degree() != eta.q_degree() - 2:
+        return None
+    gh = GHPair(m, g, QTPoly.from_t_coeffs(h))
+    if not _verify_functional_eq_by_products(m, gh):
+        return None
+    return gh
+
+
 def test_certify_enforces_the_round_trip(fitted_roundtrips):
     # _certify's tail check is the only round trip in src/: a wrong h or a
     # wrong c_m eta_m row must be refused, not pass on the other checks.
+    # The packed route and the dict-row oracle decide every case alike.
     checked = 0
     for gh, order in fitted_roundtrips:
         m = gh.m
         if m not in (3, 4, 5, 6):
             continue
         eta = eta_m(m)
-        # c_m eta_m built by the TSeries product, not by fit_gh's dict loop
+        width = _fit_width(m, 40)
+        # c_m eta_m built by the TSeries product, not by fit_gh's row stream
         product = cm_series_cs(m, order).to_tseries() * eta.to_tseries(order)
         ceta = [dict(ql.items()) for ql in product.coeffs()]
         h = [int(gh.h.coeff(0, b)) for b in range(gh.h.t_degree() + 1)]
 
-        def certify(conn, rows):
-            return _certify(m, conn, order + 1, eta, rows, lambda _order: None)
+        def certify(h, rows):
+            packed = [_pack(row, j, m, width) for j, row in enumerate(rows)]
+            got = _certify(m, list(h), order + 1, packed, lambda _order: None, width)
+            assert got == _certify_by_dicts(m, h, order + 1, eta, rows, lambda _order: None), m
+            return got
 
         assert certify(h, ceta) == gh, m
         bad_h = list(h)
@@ -639,10 +750,10 @@ def test_certify_rejects_each_failed_check(monkeypatch):
     import qzeta.zeta_engine as ze
 
     m, gh = 5, reference_gh(5)
-    eta = eta_m(m)
     h = [int(gh.h.coeff(0, b)) for b in range(gh.h.t_degree() + 1)]
     order = gh.g.t_degree() + gh.h.t_degree() + 6
-    rows = [row for _j, row in zip(range(order + 1), _cm_eta_rows(m))]
+    width = _fit_width(m, 40)
+    rows = [row for _j, row in zip(range(order + 1), _cm_eta_rows(m, width))]
     fe_calls = []
 
     def recording_fe(m, gh):
@@ -651,16 +762,26 @@ def test_certify_rejects_each_failed_check(monkeypatch):
 
     monkeypatch.setattr(ze, "verify_functional_eq", recording_fe)
 
-    def certify(conn, ceta=rows):
-        return _certify(m, conn, order + 1, eta, ceta, lambda _order: None)
+    def certify(h, packed=rows, width=width):
+        return _certify(m, list(h), order + 1, packed, lambda _order: None, width)
 
     assert certify(h) == gh
-    assert certify(h + [0]) == gh                  # trailing zeros of conn are dropped
+    assert certify(h + [0]) == gh                  # trailing zeros of h are dropped
     assert len(fe_calls) == 2
-    assert certify([2, 1]) is None                 # constant term 2 does not divide 1
     assert certify([1]) is None                    # deg g = 0 + 3 - 6 < 0
     # c_m eta_m times q^2: g passes the tail check but has the wrong q-degree
-    assert certify(h, [{e + 2: x for e, x in row.items()} for row in rows]) is None
+    assert certify(h, [v << width for v in rows]) is None
+    assert len(fe_calls) == 2
+    # the same rows at width 24 hold every coefficient, but not the bound
+    # sum|h_k| 2^3 binomial(5 + 39, 5) >= 2^23: a vanishing tail is not
+    # accepted, it asks for a wider packing; a nonzero tail still refuses
+    narrow = [_pack(row, j, m, 24) for j, row in enumerate(_cm_eta_rows_by_convolution(m, order))]
+    with pytest.raises(ze._Repack) as repack:
+        certify(h, narrow, 24)
+    assert repack.value.width == _width_for((sum(map(abs, h)) << 3) * math.comb(5 + order, 5)) > 24
+    bad_h = list(h)
+    bad_h[gh.g.t_degree() + 1] += 1
+    assert certify(bad_h, narrow, 24) is None
     assert len(fe_calls) == 2
     monkeypatch.setattr(ze, "verify_functional_eq", lambda m, gh: False)
     assert certify(h) is None
@@ -706,22 +827,36 @@ def _cm_eta_rows_by_convolution(m: int, order: int) -> list:
     return ceta
 
 
+def _unpack(v: int, j: int, m: int, width: int) -> dict:
+    """The {q-exponent: int} row of a packed row j of c_m eta_m."""
+    return {2 * d + j * m % 2: x for d, x in enumerate(_digits(v, width)) if x}
+
+
 def test_factor_recurrence_rows_match_eta_convolution():
     for m in range(13):
         order = 40 if m <= 8 else 25
-        got = [row for _j, row in zip(range(order + 1), _cm_eta_rows(m))]
+        width = _fit_width(m, 40) if m >= 2 else 64
+        got = [_unpack(v, j, m, width) for j, v in zip(range(order + 1), _cm_eta_rows(m, width))]
         assert got == _cm_eta_rows_by_convolution(m, order), m
 
 
 def test_bad_kernel_raises_through_the_row_stream(monkeypatch):
-    # every step of the patched kernel decreases in r, so row 1 has
-    # p(1) - p(0) < 0; cm_series_cs and fit_gh read that row
+    # every step of the patched list kernel decreases in r, so row 1 has
+    # p(1) - p(0) < 0, and cm_series_cs reads that row.  fit_gh reads the
+    # packed kernel, whose rows take the upper half of the palindrome,
+    # G[c + d] - G[c + d + 1]; its patched steps decrease from the top digit
+    # down, so the first row already has a negative multiplicity.
     import itertools
 
     monkeypatch.setattr(sl2, "gaussian_steps", lambda a: itertools.repeat([3, 2, 1, 0, 0]))
     with pytest.raises(QZetaError, match="negative CS multiplicity"):
         cm_series_cs(2, 3)
-    with pytest.raises(QZetaError, match="negative CS multiplicity"):
+
+    def decreasing(a, width):
+        return itertools.repeat(sum(c << width * r for r, c in enumerate([0, 1, 2, 3])))
+
+    monkeypatch.setattr(sl2, "gaussian_steps_packed", decreasing)
+    with pytest.raises(QZetaError, match="negative CS multiplicity at \\(m=3, j=0"):
         fit_gh(3)
 
 
@@ -762,16 +897,69 @@ class _FractionBerlekampMassey:
         self.c = new
 
 
+class _IntegerBerlekampMassey:
+    """Oracle: incremental fraction-free Berlekamp-Massey over Z (Massey 1969).
+
+    The route fit_gh took before Berlekamp-Massey modulo a prime.  After
+    each ``feed``, ``c`` lists the connection polynomial C as integers with
+    no common factor; C_0 != 0, and C/C_0 is the connection polynomial of
+    Berlekamp-Massey over Q.  A discrepancy d updates C to
+    last*C - d*x^shift*B, where B is an earlier C and last is the
+    discrepancy it had then, and divides out the content of the result.
+    """
+
+    def __init__(self):
+        self.terms = []
+        self.c = [1]
+        self.b = [1]
+        self.length = 0
+        self.shift = 1
+        self.last = 1
+
+    def feed(self, s: int) -> None:
+        terms, c = self.terms, self.c
+        terms.append(s)
+        n = len(terms) - 1
+        d = sum(ci * terms[n - i] for i, ci in enumerate(c) if ci)
+        if d == 0:
+            self.shift += 1
+            return
+        last, shift = self.last, self.shift
+        new = [last * ci for ci in c] + [0] * (shift + len(self.b) - len(c))
+        for i, bi in enumerate(self.b):
+            if bi:
+                new[i + shift] -= d * bi
+        content = math.gcd(*new)
+        if content != 1:
+            new = [x // content for x in new]
+        if 2 * self.length <= n:
+            self.b, self.last = c, d
+            self.length = n + 1 - self.length
+            self.shift = 1
+        else:
+            self.shift += 1
+        self.c = new
+
+
+_P = 2**61 - 1
+
+
 def _assert_bm_routes_agree(seq, label) -> int:
-    """Feed both routes; after every term, equal L and C/C_0.  Returns how often |C_0| > 1."""
-    exact, integer = _FractionBerlekampMassey(), _BerlekampMassey()
+    """Feed the three routes; after every term, equal L, and C/C_0 equal over Q and mod p.
+
+    Returns how often the integer route's |C_0| > 1.
+    """
+    exact, integer, modular = _FractionBerlekampMassey(), _IntegerBerlekampMassey(), _BerlekampMassey(_P)
     scaled = 0
     for n, s in enumerate(seq):
         exact.feed(s)
         integer.feed(s)
+        modular.feed(s % _P)
         c0 = integer.c[0]
-        assert integer.length == exact.length, (label, n)
+        assert integer.length == exact.length == modular.length, (label, n)
         assert [F(x, c0) for x in integer.c] == exact.c, (label, n)
+        residues = [F(x).numerator * pow(F(x).denominator, -1, _P) % _P for x in exact.c]
+        assert modular.c == residues, (label, n)
         scaled += abs(c0) > 1
     return scaled
 
@@ -779,7 +967,8 @@ def _assert_bm_routes_agree(seq, label) -> int:
 def test_integer_bm_matches_fraction_bm_on_cm_eta_sequences():
     scaled = 0
     for m in range(2, 11):
-        rows = [row for _j, row in zip(range(60), _cm_eta_rows(m))]
+        width = _fit_width(m, 40)
+        rows = [_unpack(v, j, m, width) for j, v in zip(range(60), _cm_eta_rows(m, width))]
         for q0 in (1, 2, 3, 5):
             seq = [sum(x * q0**e for e, x in row.items()) for row in rows]
             scaled += _assert_bm_routes_agree(seq, (m, q0))
@@ -803,6 +992,68 @@ def test_integer_bm_matches_fraction_bm_on_random_sequences():
                 seq.append(nxt * lead)
         scaled += _assert_bm_routes_agree(seq, trial)
     assert scaled > 0
+
+
+def test_modular_bm_term_is_the_row_at_the_square_root_of_the_packing_base():
+    # fit_gh feeds row j mod p, times q0 = 2^(width/2) for odd jm: the value of
+    # (c_m eta_m)_j at q0, since q0^2 is the packing base 2^width
+    for m in (3, 4, 5):
+        width = _fit_width(m, 40)
+        q0 = pow(2, width // 2, _P)
+        for j, v in zip(range(30), _cm_eta_rows(m, width)):
+            row = _unpack(v, j, m, width)
+            term = v % _P * (q0 if j * m % 2 else 1) % _P
+            assert term == sum(x * pow(q0, e, _P) for e, x in row.items()) % _P, (m, j)
+
+
+def test_fit_repacks_when_the_width_is_too_small(monkeypatch):
+    # A width too small for the rows ends the row stream; one that holds
+    # the rows but not _certify's bound makes the certification ask for more.
+    # Either way the fit starts again wider and returns the very same pair.
+    import qzeta.zeta_engine as ze
+
+    expected = {m: fit_gh(m) for m in (3, 5, 6, 8)}
+    widths, asked = [], []
+    real_fit, real_certify = ze._fit_at, ze._certify
+
+    def fit_at(m, cap, width):
+        widths.append(width)
+        return real_fit(m, cap, width)
+
+    def certify(*args):
+        try:
+            return real_certify(*args)
+        except ze._Repack as repack:
+            asked.append(repack.width)
+            raise
+
+    monkeypatch.setattr(ze, "_fit_at", fit_at)
+    monkeypatch.setattr(ze, "_certify", certify)
+    for m in range(2, 13):
+        # the derived width decides every check of a default fit at once
+        widths.clear()
+        fit_gh(m, _CAPS.get(m, 40))
+        assert widths == [_fit_width(m, _CAPS.get(m, 40))] and not asked, m
+    monkeypatch.setattr(ze, "_fit_width", lambda m, cap: 8)
+    for m, gh in expected.items():
+        widths.clear()
+        assert fit_gh(m) == gh, m
+        assert widths[0] == 8 and len(widths) > 1, m
+        assert widths == sorted(set(widths)), m
+
+    def rows_only(m, cap):
+        # the least even width that holds the rows through the order the
+        # accepted certification reads; sum|h_k| 2^r >= 4 finds no room in it
+        order = expected[m].g.t_degree() + expected[m].h.t_degree() + 6
+        bits = math.comb(m + order, m).bit_length() + 1
+        return bits + bits % 2
+
+    monkeypatch.setattr(ze, "_fit_width", rows_only)
+    for m, gh in expected.items():
+        widths.clear()
+        asked.clear()
+        assert fit_gh(m) == gh, m
+        assert len(widths) == 2 and len(asked) == 1 and widths[1] >= asked[0] > widths[0], m
 
 
 def test_reference_closed_forms_match_series():
