@@ -6,18 +6,22 @@ so everything here is palindromic under q <-> q^-1.
 One integer kernel, ``gaussian_steps``, steps the coefficient list of the
 Gaussian polynomial [a+i choose i]_q from i - 1 to i in place.
 ``gaussian_coeffs`` runs it min(k, n-k) steps to list [n choose k]_q, which
-the symmetric q-binomial and the bounded partition counts read; the
-Cayley-Sylvester row stream in ``sl2`` reads every step with a = m, since
-[j+m choose m]_q is step j.
+the symmetric q-binomial and the bounded partition counts read.  Two
+streams read every step: the Cayley-Sylvester rows in ``sl2`` with a = m,
+since [j+m choose m]_q is step j, and ``weyl.zeta_cn_series`` with
+a = n - 1, since its t^j coefficient is step j, so neither builds a
+q-binomial from scratch.
 
 ``gaussian_steps_packed`` is the same step on the Kronecker-packed form,
 the polynomial's value at q = 2^width, one integer per step: a shift and
 a subtract, then a division by (1 - q^i) as a product of U = a.bit_length()
 factors (1 + q^(i 2^u)) and a mask.  ``fit_gh`` reads it through
 ``sl2.cs_rows_packed``.  The list step stays for its list readers
-(``gaussian_coeffs``, ``cs_rows``): decoding a packed step back to a list
-costs more than the list step itself (155 q-binomials: 1.5 ms as lists,
-2.4 ms packed and decoded).
+(``gaussian_coeffs``, ``cs_rows``, ``zeta_cn_series``): decoding a packed
+step back to a list costs more than the list step itself (155
+q-binomials: 1.5 ms as lists, 2.4 ms packed and decoded), and
+``zeta_cn_series`` must share no kernel with the packed closed product it
+is checked against.
 """
 
 from __future__ import annotations

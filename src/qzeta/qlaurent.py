@@ -14,6 +14,18 @@ that division plus a remainder check.  ``_gcd_low``, the gcd of
 polynomials over Z, lowest term first like the division, on primitive
 remainders so that no coefficient grows with the degree.
 
+It also owns the packed form of a row, the one pack/unpack layer that the
+(q, t) kernels share: a row of integer coefficients at digit positions
+0, 1, 2, ... is held as its value at X = 2^width (``_pack``), so that a
+product by a power of q is a shift and a sum of rows is one integer
+addition, and it is read back once, in balanced digits (``_unpack``), which
+is exact while every coefficient lies in (-2^(width-1), 2^(width-1)).  Each
+caller fixes the width before any arithmetic, from a bound on the
+coefficients it will read (``_width_for``, ``_row_width``); a packed integer
+is the row's exact value at X whatever the width, so only the decode rests
+on that bound.  ``_from_digits`` turns decoded digits into a QLaurent on an
+arithmetic progression of exponents.
+
 ``_degree`` is the one reader of integer arguments: every count, degree,
 order, size and exponent bound that a public function or constructor
 takes goes through it once, at entry.  It returns an int, so 2.0 and
@@ -25,6 +37,7 @@ half, read alone only where any integer is valid.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 from .errors import DivisionByZero, ExactDivisionError
@@ -214,6 +227,18 @@ class QLaurent:
             a, b = self._terms, other._terms
             if len(a) > len(b):
                 a, b = b, a
+            if len(a) == 1:
+                # a monomial shifts and scales b's terms, in b's order, as the loop below would
+                (e1, c1), = a.items()
+                out = {}
+                for e2, c2 in b.items():
+                    out[e1 + e2] = c1 * c2
+                if type(e1) is int and (c1 == 1 or c1 == -1):
+                    # an int shift and a sign leave b's canonical terms canonical
+                    res = QLaurent.__new__(QLaurent)
+                    res._terms = out
+                    return res
+                return QLaurent.from_sums(out)
             out = {}
             for e1, c1 in a.items():
                 for e2, c2 in b.items():
@@ -443,3 +468,82 @@ def _primitive(p) -> list:
     p = [int(x * den) for x in p]
     content = math.gcd(*p)
     return [x // content for x in p]
+
+
+# -- the packed form: one integer per row ----------------------------------------
+
+# The digit widths ``_unpack`` reads with one memoryview.cast, by format code.
+_CASTS = {8: "b", 16: "h", 32: "i", 64: "q"}
+
+
+def _width_for(bound: int) -> int:
+    """The least multiple of 8 with 2^(width-1) > bound."""
+    return -(-(bound.bit_length() + 1) // 8) * 8
+
+
+def _row_width(bound: int) -> int:
+    """The least of 8, 16, 32 and 64, or past 64 the least multiple of 8, with 2^(width-1) > bound.
+
+    Digits of 8, 16, 32 or 64 bits are read by one memoryview.cast, the
+    others one byte slice at a time.
+    """
+    width = _width_for(bound)
+    return width if width > 64 else 1 << (width - 1).bit_length()
+
+
+def _pack(digits, width: int) -> int:
+    """The sum of c X^d over the (d, c) pairs of digits, X = 2^width: the packed form of a row.
+
+    The digit positions d are non-negative ints and the coefficients c ints;
+    the sum is exact whatever their size.
+    """
+    return sum(c << width * d for d, c in digits)
+
+
+def _unpack(v: int, width: int) -> list:
+    """The balanced base-2^width digits of v, lowest first, with no trailing zero; width a multiple of 8.
+
+    The coefficients of the packed row v, exact while each lies in
+    (-2^(width-1), 2^(width-1)); any integer has exactly one such expansion.
+    Adding H, 2^(width-1) in each of n digits, makes every digit d + 2^(width-1)
+    a plain base-2^width digit, and XOR with H turns each into d's width-bit
+    two's complement, which the bytes of the sum hold side by side: read by
+    one memoryview.cast for 8, 16, 32 or 64 bits, else one slice per digit.
+    n is one digit more than v's bits fill, which every balanced expansion
+    of v fits.
+    """
+    if not v:
+        return []
+    size = width >> 3
+    n = (v.bit_length() + 1) // width + 1
+    half = int.from_bytes((bytes(size - 1) + b"\x80") * n, "little")
+    code = _CASTS.get(width)
+    if code is not None:
+        out = memoryview(((v + half) ^ half).to_bytes(size * n, sys.byteorder)).cast(code).tolist()
+        if sys.byteorder == "big":
+            out.reverse()
+    else:
+        data = ((v + half) ^ half).to_bytes(size * n, "little")
+        out = [int.from_bytes(data[i:i + size], "little", signed=True) for i in range(0, size * n, size)]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _from_digits(digits: list, base: int, step: int = 1, lattice: int = 1, den: int = 1) -> QLaurent:
+    """The QLaurent with coefficient digits[d] / den at q^((base + step d) / lattice), zeros left out.
+
+    Exponents and coefficients come out canonical: an int where the value is
+    integral, else a Fraction, in increasing exponent order for step > 0.
+    """
+    exps = range(base, base + step * len(digits), step)
+    if lattice == 1 and den == 1:
+        terms = {e: x for e, x in zip(exps, digits) if x}
+    else:
+        terms = {
+            e // lattice if e % lattice == 0 else Fraction(e, lattice): x // den if x % den == 0 else Fraction(x, den)
+            for e, x in zip(exps, digits) if x
+        }
+    res = QLaurent.__new__(QLaurent)
+    res._terms = terms
+    return res

@@ -8,15 +8,22 @@ that ``TSeries`` uses too.  FactoredRatQT is the closed-form shape that
 every zeta function in this library takes: a QTPoly numerator over a
 multiset of factors (1 - q^a t^b), which expands exactly to any series
 order by dividing the numerator's rows by each factor with the recurrence
-out[j] = s[j] + q^a out[j - b].
+out[j] = s[j] + q^a out[j - b].  ``expand`` runs it on Kronecker-packed
+rows: row j is one integer, its value at q^step = 2^width on the
+exponent lattice of the closed form (q^2 for every zeta(C^n) and
+zeta(V_m)), starting from a base exponent that falls by a fixed slope per
+t-degree, so each factor is one ``tseries._over_one_minus_packed`` pass
+of shift-adds.  The width comes from an a priori bound on the
+coefficients, and each row is decoded once (``qlaurent._unpack``).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from .qlaurent import QLaurent, _as_int, _degree, _exact
-from .tseries import TSeries, _mul_rows, _over_one_minus_rows
+from .qlaurent import QLaurent, _as_int, _degree, _exact, _exp_lattice, _from_digits, _pack, _row_width, _unpack
+from .tseries import TSeries, _mul_rows, _over_one_minus_packed
 
 
 class QTPoly:
@@ -168,7 +175,7 @@ class FactoredRatQT:
 
     Kept factored; expansion to a TSeries of any order is exact: each factor
     divides by the recurrence out[j] = s[j] + q^a out[j - b], all of them on
-    one set of rows.  Equality is decided by
+    one set of Kronecker-packed rows.  Equality is decided by
     cross-multiplying numerators against the factor products, never by
     series comparison.
     """
@@ -207,13 +214,46 @@ class FactoredRatQT:
         return acc
 
     def expand(self, order: int) -> TSeries:
-        """Exact series expansion through t^order."""
+        """Exact series expansion through t^order, on Kronecker-packed rows.
+
+        In units of u = q^(1/L), L the common denominator of every q-exponent,
+        a factor is (1 - u^A t^b).  Row j is held as one integer, its value at
+        X = 2^width: digit d is D times the coefficient of
+        u^(base - slope j + step d), D the common denominator of the
+        numerator's coefficients.  slope is the least integer with
+        A + slope b >= 0 for every factor, base the least E + slope k over the
+        numerator's terms u^E t^k, and step the gcd of every A + slope b and
+        every E + slope k - base, so each exponent of the expansion has a digit
+        and a factor's u^A t^b moves row j - b up by (A + slope b) / step
+        digits: the division is rows[j] += rows[j - b] << shift, low j first.
+
+        The width is fixed before any arithmetic: 2^(width-1) exceeds
+        ||D N||_1 binomial(order + K, K), N the numerator through t^order and
+        K the total multiplicity of the factors.  A coefficient of the
+        expansion sums, per numerator term, one term for each way of writing
+        its t-degree as sum n_i b_i over the K factors, and there are at most
+        binomial(order + K, K) of those, so every digit decodes exactly.
+        """
         order = _degree(order, "order")
         num = self.numerator._rows[: order + 1]
-        rows = [dict(c.items()) for c in num] + [{} for _ in range(order + 1 - len(num))]
-        for (a, b), mult in self.factors:
-            _over_one_minus_rows(rows, a, b, mult)
-        return TSeries(order, [QLaurent.from_sums(row) for row in rows])
+        qexps = [a for (a, _b), _mult in self.factors]
+        lattice = math.lcm(_exp_lattice(*num), *(a.denominator for a in qexps if type(a) is not int))
+        den = math.lcm(*(c.denominator for row in num for _e, c in row.items() if type(c) is not int))
+        factors = [(int(a * lattice), b, mult) for (a, b), mult in self.factors]
+        slope = max((-(a // b) for a, b, _mult in factors), default=0)
+        num = [[(int(e * lattice) + slope * k, int(c * den)) for e, c in row.items()] for k, row in enumerate(num)]
+        base = min((x for row in num for x, _c in row), default=0)
+        step = math.gcd(*(a + slope * b for a, b, _mult in factors), *(x - base for row in num for x, _c in row)) or 1
+        size = sum(mult for _a, _b, mult in factors)
+        width = _row_width(sum(abs(c) for row in num for _x, c in row) * math.comb(order + size, size))
+        rows = [_pack((((x - base) // step, c) for x, c in row), width) for row in num]
+        rows += [0] * (order + 1 - len(rows))
+        for a, b, mult in factors:
+            for _ in range(mult):
+                _over_one_minus_packed(rows, b, width * ((a + slope * b) // step))
+        return TSeries(order, [
+            _from_digits(_unpack(v, width), base - slope * j, step, lattice, den) for j, v in enumerate(rows)
+        ])
 
     def __eq__(self, other):
         if not isinstance(other, FactoredRatQT):

@@ -8,12 +8,17 @@ rather than a silent zero.
 
 Division by a closed-form factor (1 - q^a t^b) is the recurrence
 out[j] = s[j] + q^a out[j - b], never a product with a whole geometric
-series.  Its kernel ``_over_one_minus_rows`` runs on {exponent:
-coefficient} rows and has two callers, ``FactoredRatQT.expand`` (every
-closed form's expansion) and ``zeta_engine.cm_recursion_step`` (its five
-divisions); both divide one set of rows by several factors and wrap them
-into QLaurents once.  Series products serve crit 14(c) (the direct sum);
-``invert_unit`` and ``geometric_series`` serve the tests as oracles.
+series.  Its one kernel, ``_over_one_minus_packed``, runs on
+Kronecker-packed rows (``qlaurent._pack``): each row is one integer, and
+in a layout where q^a t^b moves a row a fixed number of digits up, the
+step is rows[j] += rows[j - b] << shift, one big-integer shift-add per
+t-degree.  It has two callers, ``FactoredRatQT.expand`` (every closed
+form's expansion) and ``zeta_engine.cm_recursion_step`` (its five
+divisions); each packs its rows once, divides them by all its factors and
+decodes each row once.  The dict-row recurrence it replaced is the oracle
+in ``tests/test_tseries.py``.  Series products serve crit 14(c) (the
+direct sum); ``invert_unit`` and ``geometric_series`` serve the tests as
+oracles.
 """
 
 from __future__ import annotations
@@ -148,24 +153,15 @@ def _mul_rows(a: list, b: list, top: int) -> list:
     return [QLaurent.from_sums(row) for row in sums]
 
 
-def _over_one_minus_rows(rows: list, qexp, texp: int, mult: int) -> None:
-    """Divide {exponent: coefficient} rows t^0..t^order by (1 - q^qexp t^texp)^mult in place.
+def _over_one_minus_packed(rows: list, texp: int, shift: int) -> None:
+    """Divide packed rows t^0..t^order by (1 - X^shift t^texp) in place, X = 2^width the packing base.
 
-    out[j] = s[j] + q^qexp out[j - texp], one pass per power, updated in
-    place from low j to high j, so out[j - texp] is final when read.
-    Values are left as summed (integral Fractions are not collapsed), which
-    ``QLaurent.from_sums`` does when wrapping.
+    out[j] = s[j] + (out[j - texp] << shift), updated from low j to high j,
+    so out[j - texp] is final when read.  A factor q^a t^b of the caller's
+    layout moves row j - b a fixed number of digits up, which is ``shift``.
     """
-    for _ in range(mult):
-        for j in range(texp, len(rows)):
-            row = rows[j]
-            for e, c in rows[j - texp].items():
-                e += qexp
-                v = row.get(e, 0) + c
-                if v:
-                    row[e] = v
-                else:
-                    del row[e]
+    for j in range(texp, len(rows)):
+        rows[j] += rows[j - texp] << shift
 
 
 def geometric_series(qexp, order: int, texp: int = 1) -> TSeries:

@@ -4,11 +4,18 @@ Positive roots of A_{n-1} are the intervals [i..k] of simple roots, so the
 inner products against a dominant weight need no Killing-form matrix:
 (alpha_[i..k], Lambda + rho) = sum_{l=i..k} (lambda_l + 1) and
 (alpha_[i..k], rho) = k - i + 1 (the height).
+
+The braided zeta of n points has two routes here.  ``zeta_cn_closed`` is
+the closed product prod 1/(1 - q^j t), which ``FactoredRatQT.expand``
+divides out on packed rows; ``zeta_cn_series`` lists the symmetric
+q-binomials (n+j-1 choose j)_q, all of them from one
+``qcombinat.gaussian_steps(n - 1)`` stream, whose step j is
+[n-1+j choose j]_q.  The two share no kernel, so crit 01 compares them.
 """
 
 from __future__ import annotations
 
-from .qcombinat import q_binom_sym, q_int_sym
+from .qcombinat import gaussian_steps, q_int_sym
 from .qlaurent import QLaurent, _degree
 from .qtpoly import FactoredRatQT, QTPoly
 from .tseries import TSeries
@@ -60,6 +67,17 @@ def zeta_cn_closed(n: int) -> FactoredRatQT:
 
 
 def zeta_cn_series(n: int, order: int) -> TSeries:
-    """Series route: coefficient of t^j is the symmetric q-binomial (n+j-1 choose j)_q."""
+    """Series route: coefficient of t^j is the symmetric q-binomial (n+j-1 choose j)_q.
+
+    Step j of one ``gaussian_steps(n - 1)`` stream is [n-1+j choose j]_q, so
+    the whole series costs one list step per t-degree; entry r of step j
+    sits at q^(2r - j(n-1)), as in ``q_binom_sym``.  The entries are
+    partition counts, all positive, so every one is a term.  The route shares
+    no kernel with ``FactoredRatQT.expand``, so crit 01 compares two.
+    """
     n, order = _degree(n, "n", 1), _degree(order, "order")
-    return TSeries(order, [q_binom_sym(n + j - 1, j) for j in range(order + 1)])
+    rows = []
+    for j, coeffs in zip(range(order + 1), gaussian_steps(n - 1)):
+        shift = j * (n - 1)
+        rows.append(QLaurent.from_sums({2 * r - shift: c for r, c in enumerate(coeffs)}))
+    return TSeries(order, rows)

@@ -23,8 +23,15 @@ zeta_j[-1] - zeta_j[1], must vanish, the result must be a valid CmSeries
 its character must reproduce the input.  The Cayley-Sylvester route and the
 recursion share neither kernel, so the three routes check them.
 
-The fit runs on Kronecker-packed rows.  Row j of c_m eta_m is one integer
-V_j, its value at q^2 = X = 2^width: digit d is the coefficient of
+The recursion and the fit run on Kronecker-packed rows, one integer per
+t-degree, packed and read back through ``qlaurent._pack`` and
+``qlaurent._unpack``.  In ``cm_recursion_step`` row j is its value at
+q^2 = X = 2^width with digit d the coefficient of q^(2d - jm): every row
+of the step has that parity and lower bound, so its five divisions by
+(1 - q^a t^b) are ``tseries._over_one_minus_packed`` passes of
+shift-adds, its two sums are integer additions, and the width is fixed in
+advance from the size of c_{m-2}.  In the fit, row j of c_m eta_m is one
+integer V_j, its value at q^2 = X = 2^width: digit d is the coefficient of
 q^(2d + jm % 2), the one parity that row has.  The Gaussian step
 (``qcombinat.gaussian_steps_packed``), the Cayley-Sylvester row
 (``sl2.cs_rows_packed``), each factor of eta_m (``_eta_rows``) and the tail
@@ -38,8 +45,8 @@ candidate before it accepts one, and the width starts from
 a check that needs more restarts the fit at a larger width.  Berlekamp-
 Massey runs over GF(p) for the primes of ``_BM_POINTS``, tried in order, on
 V_j mod p.  The fraction-free integer and the ``Fraction`` Berlekamp-Massey,
-the dict-row certification and the ``QTPoly`` functional equation are the
-oracles in ``tests/test_zeta_engine.py``.
+the dict-row certification, the dict-row recursion and the ``QTPoly``
+functional equation are the oracles in ``tests/test_zeta_engine.py``.
 """
 
 from __future__ import annotations
@@ -49,10 +56,10 @@ import math
 import operator
 
 from .errors import FitFailed, QZetaError
-from .qlaurent import QLaurent, _degree, _exp_lattice
+from .qlaurent import QLaurent, _degree, _exp_lattice, _from_digits, _pack, _row_width, _unpack, _width_for
 from .qtpoly import FactoredRatQT, QTPoly
 from .sl2 import Sl2Decomposition, _character_row, _multiplicity_row, cs_rows, cs_rows_packed
-from .tseries import TSeries, _over_one_minus_rows
+from .tseries import TSeries, _over_one_minus_packed
 from .weyl import zeta_cn_closed
 
 class CmSeries:
@@ -175,10 +182,22 @@ def cm_recursion_step(m: int, prev: CmSeries, order: int) -> CmSeries:
             - 1/(1-t^2) [ q^-m t/(1-q^-m t) sum_p c_{m-2}(t)_p q^p (q^-m t)^floor(p/m)
                         + q^-2/(1-q^m t)   sum_p c_{m-2}(t)_p q^-p (q^m t)^ceil((p+2)/m) ].
 
-    Everything runs on {q-exponent: int} rows.  Each division by
-    (1 - q^a t^b) is the recurrence out[j] = s[j] + q^a out[j - b]
-    (``tseries._over_one_minus_rows``) through t^order, the two sums are
-    added row by row, and each output row becomes a QLaurent once.
+    Everything runs on Kronecker-packed rows: row j is one integer, its value
+    at X = 2^width, with digit d the coefficient of q^(2d - jm).  Every term
+    of every row here has exponent = jm (mod 2) and at least -jm, so q^-m t
+    keeps a digit in place and q^m t and t^2 move it up m digits; each of the
+    five divisions by (1 - q^a t^b) is then rows[j] += rows[j - b] << shift,
+    low j first, through t^order, and each of the two sums one integer
+    addition per row.  A term q^p t^j of c_{m-2} lands in the first bracket
+    at the digit it has in packed c_{m-2}, (p + jm)/2, and in the second at
+    (jm + 2m ceil((p+2)/m) - p - 2)/2.  Each output row is decoded once.
+
+    The width is fixed before any arithmetic: 2^(width-1) exceeds
+    2 S binomial(order + 2, 2), S the sum of c_{m-2}'s coefficients through
+    t^order.  The powers of q and t fix how often each factor enters, so a
+    coefficient of the first quotient, and of each bracketed quotient, sums
+    every term of c_{m-2} at most once: the result is at most 3 S in size,
+    and at most S at order 0, where the brackets vanish.
     """
     m, order = _degree(m, "m", 2), _degree(order, "order")
     if prev.m != m - 2:
@@ -187,40 +206,33 @@ def cm_recursion_step(m: int, prev: CmSeries, order: int) -> CmSeries:
         raise QZetaError(f"prev order {prev.order} insufficient for requested order {order}")
 
     table = prev.table[: order + 1]
-    rows = [dict(ql.items()) for ql in table]
-    _over_one_minus_rows(rows, m, 1, 1)
-    _over_one_minus_rows(rows, -m, 1, 1)
+    width = _row_width(2 * sum(c for ql in table for _p, c in ql.items()) * math.comb(order + 2, 2))
+    up = width * m  # the shift of q^m t and of t^2
+    rows = [_pack((((p + j * m) >> 1, c) for p, c in ql.items()), width) for j, ql in enumerate(table)]
 
-    # the two bracketed sums, already times q^-m t and q^-2, one dict per t-degree
+    # the two bracketed sums, already times q^-m t and q^-2, one {digit: int} per t-degree
     s2 = [{} for _ in range(order + 1)]
     s3 = [{} for _ in range(order + 1)]
     for j, ql in enumerate(table):
         for p, coeff in ql.items():
             fl = p // m
             if j + fl + 1 <= order:
-                row, e = s2[j + fl + 1], p - m * fl - m
-                row[e] = row.get(e, 0) + coeff
+                row, d = s2[j + fl + 1], (p + j * m) >> 1
+                row[d] = row.get(d, 0) + coeff
             ce = -((-(p + 2)) // m)
             if j + ce <= order:
-                row, e = s3[j + ce], -p + m * ce - 2
-                row[e] = row.get(e, 0) + coeff
-    _over_one_minus_rows(s2, -m, 1, 1)
-    _over_one_minus_rows(s3, m, 1, 1)
-    _add_rows(s2, s3, 1)
-    _over_one_minus_rows(s2, 0, 2, 1)
-    _add_rows(rows, s2, -1)
-    return CmSeries(m, order, [QLaurent.from_sums(row) for row in rows])
-
-
-def _add_rows(rows: list, other: list, sign: int) -> None:
-    """rows[j] += sign * other[j] for {q-exponent: int} rows, in place, zeros removed."""
-    for row, add in zip(rows, other):
-        for e, c in add.items():
-            v = row.get(e, 0) + sign * c
-            if v:
-                row[e] = v
-            else:
-                del row[e]
+                row, d = s3[j + ce], (j * m + 2 * m * ce - p - 2) >> 1
+                row[d] = row.get(d, 0) + coeff
+    s2 = [_pack(row.items(), width) for row in s2]
+    s3 = [_pack(row.items(), width) for row in s3]
+    _over_one_minus_packed(rows, 1, up)  # 1/(1 - q^m t)
+    _over_one_minus_packed(rows, 1, 0)  # 1/(1 - q^-m t)
+    _over_one_minus_packed(s2, 1, 0)
+    _over_one_minus_packed(s3, 1, up)
+    s2 = [a + b for a, b in zip(s2, s3)]
+    _over_one_minus_packed(s2, 2, up)  # 1/(1 - t^2)
+    rows = [v - s for v, s in zip(rows, s2)]
+    return CmSeries(m, order, [_from_digits(_unpack(v, width), -j * m, 2) for j, v in enumerate(rows)])
 
 
 # -- functional equation form -------------------------------------------------
@@ -229,8 +241,8 @@ def _add_rows(rows: list, other: list, sign: int) -> None:
 # the t^j coefficient of a (q, t) object is held as one integer, its value at
 # q^2 = X = 2^width (or at q^(1/L) = X for the functional equation), so that a
 # product by q^e t is a shift and a sum of rows is one integer addition.  A
-# packed row is read back by ``_digits``, in balanced digits, which is exact
-# while every coefficient lies in (-2^(width-1), 2^(width-1)).  A packed
+# packed row is read back by ``qlaurent._unpack``, in balanced digits, which is
+# exact while every coefficient lies in (-2^(width-1), 2^(width-1)).  A packed
 # integer is the row's exact value at X, so a nonzero integer always proves a
 # nonzero row; only a zero, or a decode, rests on that bound.
 
@@ -243,12 +255,9 @@ def eta_m(m: int) -> QTPoly:
     """
     m = _degree(m, "m")
     r = len(_eta_exponents(m))
-    width = r + 2
+    width = _width_for(1 << r)
     rows = itertools.islice(_eta_rows(m, itertools.chain([1], itertools.repeat(0)), width), r + 1)
-    return QTPoly.from_qlaurent_t_coeffs([
-        QLaurent.from_sums({2 * d + j * m % 2: x for d, x in enumerate(_digits(v, width)) if x})
-        for j, v in enumerate(rows)
-    ])
+    return QTPoly.from_qlaurent_t_coeffs([_from_digits(_unpack(v, width), j * m % 2, 2) for j, v in enumerate(rows)])
 
 
 def _eta_exponents(m: int) -> range:
@@ -292,24 +301,6 @@ def _cm_eta_rows(m: int, width: int):
     return _eta_rows(m, cs_rows_packed(m, width), width)
 
 
-def _digits(v: int, width: int) -> list:
-    """The balanced base-2^width digits of v, lowest first, with no trailing zero.
-
-    The coefficients of the packed row v, exact while each lies in
-    (-2^(width-1), 2^(width-1)); any integer has exactly one such expansion.
-    """
-    full = 1 << width
-    half, mask = full >> 1, full - 1
-    out = []
-    while v:
-        d = v & mask
-        if d >= half:
-            d -= full
-        out.append(d)
-        v = (v - d) >> width
-    return out
-
-
 def verify_functional_eq(m: int, gh: GHPair) -> bool:
     """Check q g(t,q) eta(t,q^-1) - q^-1 g(t,q^-1) eta(t,q) = (q - q^-1) h(t) [1/(1-t) if m even].
 
@@ -337,15 +328,15 @@ def verify_functional_eq(m: int, gh: GHPair) -> bool:
     # digit k of a row of q^-1 g(t, q^-1) times D is the coefficient of q^(k/L - top - 1)
     digits = [{int(lattice * (top - e)): int(c * den) for e, c in row.items()} for row in g]
     size = sum(abs(x) for row in digits for x in row.values())
-    width = (size << len(exps) + 1).bit_length() + 1
-    packed = [sum(x << width * k for k, x in row.items()) for row in digits]
+    width = _width_for(size << len(exps) + 1)
+    packed = [_pack(row.items(), width) for row in digits]
     rows = _eta_rows(m, itertools.chain(packed, itertools.repeat(0)), width, lattice)
     prev = 0
     for j in range(max(len(g) + len(exps) + 1, len(h))):
         b = next(rows)
         if m % 2 == 0:
             prev, b = b, b - prev
-        d = _digits(b, width)
+        d = _unpack(b, width)
         if len(d) > 2 * zero + 1:
             return False
         d += [0] * (2 * zero + 1 - len(d))
@@ -372,11 +363,6 @@ class _Repack(Exception):
     def __init__(self, width: int):
         super().__init__(width)
         self.width = width
-
-
-def _width_for(bound: int) -> int:
-    """The least multiple of 8 with 2^(width-1) > bound."""
-    return -(-(bound.bit_length() + 1) // 8) * 8
 
 
 def _fit_width(m: int, max_h_degree: int) -> int:
@@ -527,7 +513,7 @@ def _certify(m: int, h: list, n: int, rows: list, extend, width: int):
     for j in range(dg + 1):
         row = {}
         for part, parity in zip(product_row(j), (j * m % 2, (j * m + 1) % 2)):
-            for d, x in enumerate(_digits(part, width)):
+            for d, x in enumerate(_unpack(part, width)):
                 if x:
                     row[2 * d + parity] = x
         g.append(QLaurent.from_sums(row))

@@ -7,7 +7,9 @@ from hypothesis import given, strategies as st
 
 from qzeta import DivisionByZero, ExactDivisionError, QLaurent, QRational, QTPoly
 from qzeta.qcombinat import q_int_sym
-from qzeta.qlaurent import _divide_low, _exp_lattice, _gcd_low, _to_intpoly
+from qzeta.qlaurent import (
+    _divide_low, _exp_lattice, _from_digits, _gcd_low, _pack, _row_width, _to_intpoly, _unpack, _width_for,
+)
 
 
 # -- the oracle: Euclid on dense Fraction lists, highest coefficient first ------
@@ -400,3 +402,105 @@ def test_gcd_low_strips_the_remainders_power_of_u():
     assert _gcd_low(a, b) == [1, 1]
     # 1 + u^4 over 1 + u^2 leaves u^3 (2u): a constant gcd once u is dropped
     assert _gcd_low([1, 0, 0, 0, 1], [1, 0, 1]) == [1]
+
+
+# -- products: the monomial path against the double loop ----------------------------
+
+
+def _dict_product(a: QLaurent, b: QLaurent) -> QLaurent:
+    """Oracle: every pair of terms, summed into one dict, the smaller operand outside."""
+    a, b = dict(a.items()), dict(b.items())
+    if len(a) > len(b):
+        a, b = b, a
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = e1 + e2
+            v = out.get(e, 0) + c1 * c2
+            if v:
+                out[e] = v
+            elif e in out:
+                del out[e]
+    return QLaurent.from_sums(out)
+
+
+monomials = st.builds(lambda e, c: QLaurent({e: c}), st.one_of(exps, half_exps), rat_coeffs.filter(bool))
+mixed_laurents = st.one_of(laurents, half_laurents)
+
+
+@given(monomials, st.one_of(mixed_laurents, monomials))
+def test_monomial_product_is_the_dict_product_term_for_term(mono, p):
+    # repr shows the term order: a monomial operand walks the other in its own order
+    for got in (mono * p, p * mono):
+        want = _dict_product(mono, p)
+        assert repr(got) == repr(want)
+        assert _typed(got) == _typed(want) and _canonical_types(got)
+
+
+def test_monomial_products_cover_cancelling_exponents_and_types():
+    # q^(1/2) * (q^(1/2) + 2/3 q^-1): q^1 with an int exponent, a Fraction coefficient kept
+    got = QLaurent({F(1, 2): -3}) * QLaurent({F(1, 2): 1, -1: F(2, 3)})
+    assert repr(got) == repr(QLaurent.from_sums({1: -3, F(-1, 2): -2}))
+    assert _typed(got) == {(1, int): (-3, int), (F(-1, 2), F): (-2, int)}
+    assert repr(QLaurent({2: F(1, 2)}) * QLaurent({-2: 2})) == "QLaurent({0: 1})"
+    # a unit monomial with an int exponent keeps the other operand's terms as they are, up to sign
+    p = QLaurent({F(1, 2): F(3, 2), 0: 4, -3: F(-1, 3)})
+    for unit in (QLaurent.one(), QLaurent({2: -1}), QLaurent({-1: 1})):
+        assert repr(unit * p) == repr(p * unit) == repr(_dict_product(unit, p))
+        assert _canonical_types(unit * p)
+
+
+# -- the packed form ------------------------------------------------------------------
+
+
+def _digits_by_loop(v: int, width: int) -> list:
+    """Oracle: balanced base-2^width digits of v, lowest first, one digit per shift and mask."""
+    full = 1 << width
+    half, mask = full >> 1, full - 1
+    out = []
+    while v:
+        d = v & mask
+        if d >= half:
+            d -= full
+        out.append(d)
+        v = (v - d) >> width
+    return out
+
+
+def test_unpack_matches_the_digit_loop_at_every_width():
+    rng = random.Random(11)
+    for width in range(8, 264, 8):
+        lim = 1 << width - 1
+        for _ in range(60):
+            digits = [rng.randrange(-lim, lim) for _ in range(rng.randrange(0, 30))]
+            if digits and rng.random() < 0.4:
+                digits[rng.randrange(len(digits))] = rng.choice((-lim, lim - 1, 0))
+            v = _pack(enumerate(digits), width)
+            assert _unpack(v, width) == _digits_by_loop(v, width), (width, digits)
+            while digits and not digits[-1]:
+                digits.pop()
+            assert _unpack(v, width) == digits
+        for v in (0, 1, -1, lim - 1, -lim, lim, -lim - 1, 1 << 5 * width, -(1 << 5 * width) + 1):
+            assert _unpack(v, width) == _digits_by_loop(v, width), (width, v)
+
+
+def test_pack_sums_digits_of_any_size():
+    # a digit of any size packs exactly; only the decode needs it below 2^(width-1)
+    assert _pack([(0, 1 << 100), (2, -3)], 8) == (1 << 100) - (3 << 16)
+    assert _pack([], 64) == 0
+
+
+def test_widths_are_the_least_that_hold_the_bound():
+    for bound in (0, 1, 127, 128, 2**15, 2**31 - 1, 2**31, 2**63 - 1, 2**63, 2**70):
+        width = _width_for(bound)
+        assert width % 8 == 0 and 2 ** (width - 1) > bound and (width == 8 or 2 ** (width - 9) <= bound)
+        row = _row_width(bound)
+        assert row == (width if width > 64 else min(w for w in (8, 16, 32, 64) if w >= width))
+
+
+def test_from_digits_gives_canonical_terms():
+    assert repr(_from_digits([3, 0, -1], -2, 2)) == "QLaurent({-2: 3, 2: -1})"
+    # exponents (1 + 3d)/2 and coefficients over 4: integral values come out as ints
+    got = _from_digits([2, 0, 8, 5], 1, 3, 2, 4)
+    assert _typed(got) == {(F(1, 2), F): (F(1, 2), F), (F(7, 2), F): (2, int), (5, int): (F(5, 4), F)}
+    assert _from_digits([], 7).is_zero

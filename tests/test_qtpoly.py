@@ -62,7 +62,7 @@ def _expand_by_products(f, order):
 
 def _canon(s):
     """Coefficients with their exact number types: int 2 and Fraction(2) differ here."""
-    return s.order, [sorted(c.items()) for c in s.coeffs()]
+    return s.order, [sorted((e, type(e).__name__, c, type(c).__name__) for e, c in row.items()) for row in s.coeffs()]
 
 
 def test_expand_recurrence_matches_products_on_closed_forms():

@@ -62,6 +62,13 @@ def test_zeta_series_low_cases():
     assert zeta_cn_series(3, 1).coeff(1) == q_int_sym(3)
 
 
+def test_series_steps_are_the_symmetric_q_binomials():
+    # one Gaussian stream gives, term for term and in the same order, what q_binom_sym builds from scratch
+    for n in range(1, 11):
+        s = zeta_cn_series(n, 40)
+        assert [repr(c) for c in s.coeffs()] == [repr(q_binom_sym(n + j - 1, j)) for j in range(41)], n
+
+
 def test_closed_equals_series_small():
     for n in range(1, 5):
         assert zeta_cn_closed(n).expand(12) == zeta_cn_series(n, 12)

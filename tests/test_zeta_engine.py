@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -33,8 +34,10 @@ from qzeta.errors import ExactDivisionError, NoSolution
 from qzeta.linalg import solve_linear
 from qzeta.qtpoly import FactoredRatQT
 from qzeta.refdata import reference_cm_closed, reference_gh
-from qzeta.zeta_engine import _BerlekampMassey, _certify, _cm_eta_rows, _digits, _fit_width, _width_for
+from qzeta.qlaurent import _unpack
+from qzeta.zeta_engine import _BerlekampMassey, _certify, _cm_eta_rows, _fit_width, _width_for
 from test_qlaurent import tpoly_divmod, tpoly_gcd, tpoly_trim
+from test_tseries import _over_one_minus_rows
 
 
 def test_zeta_vm_closed_structure():
@@ -190,7 +193,7 @@ def _cm_recursion_step_by_products(m, prev, order):
 
 def _canon(c):
     """The table with its exact number types: int 2 and Fraction(2) differ here."""
-    return c.m, c.order, [sorted(ql.items()) for ql in c.table]
+    return c.m, c.order, [sorted((e, type(e).__name__, x, type(x).__name__) for e, x in row.items()) for row in c.table]
 
 
 def test_recursion_step_matches_products():
@@ -199,6 +202,75 @@ def test_recursion_step_matches_products():
             prev = cm_series_cs(m - 2, order)
             got = cm_recursion_step(m, prev, order)
             assert _canon(got) == _canon(_cm_recursion_step_by_products(m, prev, order)), (m, order)
+
+
+def _cm_recursion_step_by_rows(m, prev, order):
+    """Oracle: cm_recursion_step as it ran on {q-exponent: int} rows, before rows were packed."""
+    table = prev.table[: order + 1]
+    rows = [dict(ql.items()) for ql in table]
+    _over_one_minus_rows(rows, m, 1, 1)
+    _over_one_minus_rows(rows, -m, 1, 1)
+    s2 = [{} for _ in range(order + 1)]
+    s3 = [{} for _ in range(order + 1)]
+    for j, ql in enumerate(table):
+        for p, coeff in ql.items():
+            fl = p // m
+            if j + fl + 1 <= order:
+                row, e = s2[j + fl + 1], p - m * fl - m
+                row[e] = row.get(e, 0) + coeff
+            ce = -((-(p + 2)) // m)
+            if j + ce <= order:
+                row, e = s3[j + ce], -p + m * ce - 2
+                row[e] = row.get(e, 0) + coeff
+    _over_one_minus_rows(s2, -m, 1, 1)
+    _over_one_minus_rows(s3, m, 1, 1)
+    _add_rows(s2, s3, 1)
+    _over_one_minus_rows(s2, 0, 2, 1)
+    _add_rows(rows, s2, -1)
+    return CmSeries(m, order, [QLaurent.from_sums(row) for row in rows])
+
+
+def _add_rows(rows: list, other: list, sign: int) -> None:
+    """rows[j] += sign * other[j] for {q-exponent: int} rows, in place, zeros removed."""
+    for row, add in zip(rows, other):
+        for e, c in add.items():
+            v = row.get(e, 0) + sign * c
+            if v:
+                row[e] = v
+            else:
+                del row[e]
+
+
+def test_packed_recursion_matches_the_dict_rows():
+    for m in range(2, 13):
+        prev = cm_series_cs(m - 2, 40)
+        for order in (0, 1, 2, 40):
+            got = cm_recursion_step(m, prev, order)
+            assert _canon(got) == _canon(_cm_recursion_step_by_rows(m, prev, order)), (m, order)
+
+
+def test_packed_recursion_matches_the_dict_rows_on_arbitrary_series():
+    # prev any valid CmSeries, not c_(m-2): the two routes give the same rows,
+    # or both refuse the same t-degree (the term named first follows the row's
+    # term order, which differs between the routes)
+    rng = random.Random(41)
+    outcomes = set()
+    for _ in range(60):
+        m, order = rng.randrange(2, 9), rng.randrange(0, 10)
+        k = m - 2
+        table = [QLaurent({p: rng.randrange(1, 10**rng.randrange(1, 25))
+                           for p in range(j * k % 2, j * k + 1, 2) if rng.random() < 0.5})
+                 for j in range(order + 1)]
+        prev = CmSeries(k, order, table)
+        results = []
+        for route in (cm_recursion_step, _cm_recursion_step_by_rows):
+            try:
+                results.append(_canon(route(m, prev, order)))
+            except QZetaError as exc:
+                results.append(re.match(r"invalid CmSeries: t\^\d+ ", str(exc)).group())
+        assert results[0] == results[1], (m, order)
+        outcomes.add(type(results[0]))
+    assert outcomes == {tuple, str}
 
 
 def test_recursion_chains_match_cayley_sylvester():
@@ -827,16 +899,16 @@ def _cm_eta_rows_by_convolution(m: int, order: int) -> list:
     return ceta
 
 
-def _unpack(v: int, j: int, m: int, width: int) -> dict:
+def _unpack_row(v: int, j: int, m: int, width: int) -> dict:
     """The {q-exponent: int} row of a packed row j of c_m eta_m."""
-    return {2 * d + j * m % 2: x for d, x in enumerate(_digits(v, width)) if x}
+    return {2 * d + j * m % 2: x for d, x in enumerate(_unpack(v, width)) if x}
 
 
 def test_factor_recurrence_rows_match_eta_convolution():
     for m in range(13):
         order = 40 if m <= 8 else 25
         width = _fit_width(m, 40) if m >= 2 else 64
-        got = [_unpack(v, j, m, width) for j, v in zip(range(order + 1), _cm_eta_rows(m, width))]
+        got = [_unpack_row(v, j, m, width) for j, v in zip(range(order + 1), _cm_eta_rows(m, width))]
         assert got == _cm_eta_rows_by_convolution(m, order), m
 
 
@@ -968,7 +1040,7 @@ def test_integer_bm_matches_fraction_bm_on_cm_eta_sequences():
     scaled = 0
     for m in range(2, 11):
         width = _fit_width(m, 40)
-        rows = [_unpack(v, j, m, width) for j, v in zip(range(60), _cm_eta_rows(m, width))]
+        rows = [_unpack_row(v, j, m, width) for j, v in zip(range(60), _cm_eta_rows(m, width))]
         for q0 in (1, 2, 3, 5):
             seq = [sum(x * q0**e for e, x in row.items()) for row in rows]
             scaled += _assert_bm_routes_agree(seq, (m, q0))
@@ -1001,7 +1073,7 @@ def test_modular_bm_term_is_the_row_at_the_square_root_of_the_packing_base():
         width = _fit_width(m, 40)
         q0 = pow(2, width // 2, _P)
         for j, v in zip(range(30), _cm_eta_rows(m, width)):
-            row = _unpack(v, j, m, width)
+            row = _unpack_row(v, j, m, width)
             term = v % _P * (q0 if j * m % 2 else 1) % _P
             assert term == sum(x * pow(q0, e, _P) for e, x in row.items()) % _P, (m, j)
 
