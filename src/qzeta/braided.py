@@ -77,6 +77,8 @@ class BraidedSet:
         if type(sign) is not int or sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         self.sign = sign
+        if not isinstance(label, str):
+            raise ValueError(f"label must be a str, got {label!r}")
         self.label = label or f"braided set on {n} elements"
         for table in (self.left, self.right):
             if len(table) != n or any(

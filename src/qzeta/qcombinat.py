@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from itertools import islice
 
-from .qlaurent import QLaurent, _as_int, _degree
+from .qlaurent import QLaurent, _as_int, _degree, _from_digits
 from .qtpoly import QTPoly
 
 
@@ -110,8 +110,7 @@ def q_binom_sym(n: int, k: int) -> QLaurent:
     k(n-k) is that polynomial's degree.
     """
     coeffs = gaussian_coeffs(n, k)
-    shift = len(coeffs) - 1
-    return QLaurent({2 * r - shift: c for r, c in enumerate(coeffs)})
+    return _from_digits(coeffs, 1 - len(coeffs), 2)
 
 
 def t_bracket(m: int) -> QTPoly:

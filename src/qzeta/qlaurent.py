@@ -5,6 +5,17 @@ exact rationals, not just integers: braided dimensions of odd-weight sl2
 modules involve q^(-j(j+2)/2), which is half-integral.  Values are stored
 as a finitely supported map exponent -> coefficient with no zero entries.
 
+Every exponent and coefficient is canonical: an int, or a Fraction that is
+not integral, so equal values are equal keys and one number has one
+encoding.  There are three constructors, one per kind of input.
+``QLaurent(terms)`` is for outside input and literals: it refuses floats
+and strings, merges repeated exponents and drops zeros.  ``from_sums`` is
+for accumulated sums with no zero value, whose Fraction parts may have
+summed to an integer: it collapses those to ints in one pass.  ``_wrap``
+is for terms that are canonical by construction (an integer kernel's
+row, a negation, a shift by an int): it holds the dict as given, checks
+nothing, and is the one place a QLaurent is made without ``__init__``.
+
 This module also owns the dense form of a Laurent polynomial: its
 coefficient list in u = q^(1/L) on the common exponent lattice of the
 operands (``_exp_lattice``, ``_to_intpoly``).  Its one long division,
@@ -117,10 +128,6 @@ class QLaurent:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "QLaurent":
-        return cls()
-
-    @classmethod
     def one(cls) -> "QLaurent":
         return cls({0: 1})
 
@@ -132,11 +139,16 @@ class QLaurent:
         ``QLaurent(terms)`` it neither merges exponents nor drops zeros, so it
         only walks the dict once.
         """
-        res = cls.__new__(cls)
-        res._terms = {
+        return cls._wrap({
             e if type(e) is int else _norm_num(e): c if type(c) is int else _norm_num(c)
             for e, c in terms.items()
-        }
+        })
+
+    @staticmethod
+    def _wrap(terms: dict) -> "QLaurent":
+        """The QLaurent that holds the canonical dict ``terms`` itself, unchecked and uncopied."""
+        res = QLaurent.__new__(QLaurent)
+        res._terms = terms
         return res
 
     # -- inspection ---------------------------------------------------
@@ -176,48 +188,33 @@ class QLaurent:
 
     # -- ring operations ----------------------------------------------
 
-    def __add__(self, other):
-        if type(other) is not QLaurent:
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            if not other:
-                return self
-            other = QLaurent({0: other})
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            v = out.get(e, 0) + c
-            if v:
-                out[e] = v if type(v) is int else _norm_num(v)
-            else:
-                del out[e]
-        res = QLaurent.__new__(QLaurent)
-        res._terms = out
-        return res
+    def _merge(subtract: bool):
+        """The method self + other, or self - other if ``subtract``: one pass over other's terms."""
 
-    __radd__ = __add__
+        def merge(self, other):
+            if type(other) is not QLaurent:
+                if not isinstance(other, (int, Fraction)):
+                    return NotImplemented
+                if not other:
+                    return self
+                other = QLaurent({0: other})
+            out = dict(self._terms)
+            for e, c in other._terms.items():
+                v = out.get(e, 0) - c if subtract else out.get(e, 0) + c
+                if v:
+                    out[e] = v if type(v) is int else _norm_num(v)
+                else:
+                    del out[e]
+            return QLaurent._wrap(out)
+
+        return merge
+
+    __add__ = __radd__ = _merge(False)
+    __sub__ = _merge(True)
+    del _merge
 
     def __neg__(self):
-        res = QLaurent.__new__(QLaurent)
-        res._terms = {e: -c for e, c in self._terms.items()}
-        return res
-
-    def __sub__(self, other):
-        if type(other) is not QLaurent:
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            if not other:
-                return self
-            other = QLaurent({0: other})
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            v = out.get(e, 0) - c
-            if v:
-                out[e] = v if type(v) is int else _norm_num(v)
-            else:
-                del out[e]
-        res = QLaurent.__new__(QLaurent)
-        res._terms = out
-        return res
+        return QLaurent._wrap({e: -c for e, c in self._terms.items()})
 
     def __rsub__(self, other):
         return (-self) + other
@@ -235,9 +232,7 @@ class QLaurent:
                     out[e1 + e2] = c1 * c2
                 if type(e1) is int and (c1 == 1 or c1 == -1):
                     # an int shift and a sign leave b's canonical terms canonical
-                    res = QLaurent.__new__(QLaurent)
-                    res._terms = out
-                    return res
+                    return QLaurent._wrap(out)
                 return QLaurent.from_sums(out)
             out = {}
             for e1, c1 in a.items():
@@ -285,9 +280,7 @@ class QLaurent:
 
     def invert_q(self) -> "QLaurent":
         """q -> q^-1: negate all exponents."""
-        res = QLaurent.__new__(QLaurent)
-        res._terms = {_norm_num(-e): c for e, c in self._terms.items()}
-        return res
+        return QLaurent._wrap({-e: c for e, c in self._terms.items()})
 
     def q_power_substitute(self, k: Exp) -> "QLaurent":
         """q -> q^k: multiply all exponents by k (k may be rational, nonzero)."""
@@ -333,9 +326,7 @@ class QLaurent:
             raise ExactDivisionError("nonzero remainder in exact_div")
         if lattice != 1:
             quot = {_norm_num(Fraction(k, lattice)): c for k, c in quot.items()}
-        res = QLaurent.__new__(QLaurent)
-        res._terms = quot
-        return res
+        return QLaurent._wrap(quot)
 
     # -- rendering ------------------------------------------------------
 
@@ -544,6 +535,4 @@ def _from_digits(digits: list, base: int, step: int = 1, lattice: int = 1, den: 
             e // lattice if e % lattice == 0 else Fraction(e, lattice): x // den if x % den == 0 else Fraction(x, den)
             for e, x in zip(exps, digits) if x
         }
-    res = QLaurent.__new__(QLaurent)
-    res._terms = terms
-    return res
+    return QLaurent._wrap(terms)

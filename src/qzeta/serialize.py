@@ -1,8 +1,12 @@
 """Canonical JSON serialization of library values.
 
 Exponents and coefficients are serialized as exact [numerator, denominator]
-pairs; term lists are ordered ascending by t-degree, then ascending by
-q-exponent, so re-parsing and re-serializing a document is byte-identical.
+pairs, written from their canonical form: the library holds every such
+number as an int or as a Fraction that is not integral, so an int n is
+written [n, 1] and a Fraction as its own numerator and denominator, with no
+conversion per number.  Term lists are ordered ascending by t-degree, then
+ascending by q-exponent, so re-parsing and re-serializing a document is
+byte-identical.
 """
 
 from __future__ import annotations
@@ -20,12 +24,12 @@ from .zeta_engine import CmSeries, GHPair
 
 
 def _frac(x) -> list:
-    f = Fraction(x)
-    return [f.numerator, f.denominator]
+    """[numerator, denominator] of a canonical number: an int, or a Fraction in lowest terms."""
+    return [x, 1] if type(x) is int else [x.numerator, x.denominator]
 
 
 def encode_qlaurent(p: QLaurent) -> dict:
-    return {"terms": [[_frac(e), _frac(c)] for e, c in sorted(p.items(), key=lambda ec: ec[0])]}
+    return {"terms": [[_frac(e), _frac(c)] for e, c in sorted(p.items())]}
 
 
 def decode_qlaurent(obj) -> QLaurent:

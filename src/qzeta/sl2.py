@@ -87,7 +87,7 @@ class Sl2Decomposition:
 
 def character(d: Sl2Decomposition) -> QLaurent:
     """Formal character: V_m contributes q^m + q^(m-2) + ... + q^-m = (m+1)_q."""
-    return QLaurent.from_sums(_character_row(d.parts))
+    return QLaurent._wrap(_character_row(d.parts))
 
 
 def peel_character(chi: QLaurent) -> Sl2Decomposition:

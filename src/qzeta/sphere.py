@@ -284,9 +284,14 @@ def verify_term_numeric(coeff: QRational, a: int, q: Fraction, tol: Fraction = F
     tail after N terms is at most |c| r^N / (1 - r), decreasing in N.
     Returns (gap, tail_bound) at the least N <= 200 whose bound is below
     tol, and raises QZetaError if there is none.  q and tol are read as
-    exact rationals and the slope a as an integer, all before any arithmetic.
+    exact rationals and the slope a as an integer, all before any arithmetic;
+    coeff is any coefficient that ``SExpr`` takes (an int, a Fraction, a
+    QLaurent or a QRational), and ValueError is raised for any other.
     """
     q, a, tol = Fraction(_exact(q, "q")), _as_int(a, "slope"), _exact(tol, "tol")
+    coeff, given = QRational._coerce(coeff), coeff
+    if coeff is None:
+        raise ValueError(f"coefficient must be an int, a Fraction, a QLaurent or a QRational, got {given!r}")
     if q <= 0 or q == 1:
         raise ValueError("need a positive rational q != 1")
     if a == 0:

@@ -16,7 +16,7 @@ q-binomials (n+j-1 choose j)_q, all of them from one
 from __future__ import annotations
 
 from .qcombinat import gaussian_steps, q_int_sym
-from .qlaurent import QLaurent, _degree
+from .qlaurent import QLaurent, _degree, _from_digits
 from .qtpoly import FactoredRatQT, QTPoly
 from .tseries import TSeries
 
@@ -76,8 +76,5 @@ def zeta_cn_series(n: int, order: int) -> TSeries:
     no kernel with ``FactoredRatQT.expand``, so crit 01 compares two.
     """
     n, order = _degree(n, "n", 1), _degree(order, "order")
-    rows = []
-    for j, coeffs in zip(range(order + 1), gaussian_steps(n - 1)):
-        shift = j * (n - 1)
-        rows.append(QLaurent.from_sums({2 * r - shift: c for r, c in enumerate(coeffs)}))
-    return TSeries(order, rows)
+    steps = zip(range(order + 1), gaussian_steps(n - 1))
+    return TSeries(order, [_from_digits(coeffs, -j * (n - 1), 2) for j, coeffs in steps])

@@ -142,7 +142,7 @@ def cm_series_cs(m: int, order: int) -> CmSeries:
     Row j of ``cs_rows(m)`` puts the multiplicity of V_p in S^j(V_m) at q^p.
     """
     order = _degree(order, "order")
-    return CmSeries(m, order, [QLaurent.from_sums(row) for _j, row in zip(range(order + 1), cs_rows(m))])
+    return CmSeries(m, order, [QLaurent._wrap(row) for _j, row in zip(range(order + 1), cs_rows(m))])
 
 
 def zeta_from_cm(c: CmSeries) -> TSeries:
@@ -151,7 +151,7 @@ def zeta_from_cm(c: CmSeries) -> TSeries:
     Equal to (q c_m(t,q) - q^-1 c_m(t,q^-1)) / (q - q^-1) coefficientwise,
     computed as one suffix sum per row (``_character_row``).
     """
-    return TSeries(c.order, [QLaurent.from_sums(_character_row(dict(ql.items()))) for ql in c.table])
+    return TSeries(c.order, [QLaurent._wrap(_character_row(dict(ql.items()))) for ql in c.table])
 
 
 def cm_from_zeta(m: int, z: TSeries) -> CmSeries:
@@ -516,7 +516,7 @@ def _certify(m: int, h: list, n: int, rows: list, extend, width: int):
             for d, x in enumerate(_unpack(part, width)):
                 if x:
                     row[2 * d + parity] = x
-        g.append(QLaurent.from_sums(row))
+        g.append(QLaurent._wrap(row))
     g = QTPoly.from_qlaurent_t_coeffs(g)
     if g.is_zero or g.q_degree() != sum(exps) - 2:
         return None

@@ -238,6 +238,18 @@ def test_from_json_rejects_malformed_documents():
         BraidedSet.from_json('{"left": [[0, 1], [0, 1]], "right": [[0, 0], [1, 1]], "sign": true}')
 
 
+def test_from_json_refuses_a_label_that_is_not_a_string():
+    # a number used to become the label and be written back as a number; 0 and [] became the default
+    for label in ("5", "0", "[]", "null", "true"):
+        with pytest.raises(ValueError, match="label must be a str"):
+            BraidedSet.from_json('{"left": [[0]], "right": [[0]], "label": %s}' % label)
+    with pytest.raises(ValueError, match="label must be a str"):
+        BraidedSet([[0]], [[0]], label=5)
+    assert BraidedSet.from_json('{"left": [[0]], "right": [[0]]}').label == "braided set on 1 elements"
+    assert BraidedSet.from_json('{"left": [[0]], "right": [[0]], "label": ""}').label == "braided set on 1 elements"
+    assert BraidedSet.from_json('{"left": [[0]], "right": [[0]], "label": "x"}').label == "x"
+
+
 def test_graded_dims_needs_d0_equal_to_one():
     for dims in ([], [2, 1]):
         with pytest.raises(ValueError, match="d_0 must be 1"):

@@ -241,6 +241,27 @@ def test_term_numeric_certificate():
     assert verify_term_numeric(coeff, 2.0, F(2)) == verify_term_numeric(coeff, 2, F(2))
 
 
+@pytest.mark.parametrize("coeff", [
+    2,
+    F(1, 2),
+    QLaurent({0: 3, 1: -1}),
+    _qr({1: 1}, {0: 1, 2: -1}),
+])
+def test_term_certificate_takes_every_sexpr_coefficient(coeff):
+    # an int or a Fraction used to fail with AttributeError on eval_at; SExpr coerces them
+    (as_sexpr, _a), = SExpr([(coeff, -2)]).terms
+    for slope in (-2, 2):
+        got = verify_term_numeric(coeff, slope, F(2), tol=F(1, 10**6))
+        assert got == verify_term_numeric(as_sexpr, slope, F(2), tol=F(1, 10**6))
+        assert got[1] < F(1, 10**6)
+
+
+@pytest.mark.parametrize("coeff", [1.5, "2", None, [1]])
+def test_term_certificate_refuses_other_coefficients(coeff):
+    with pytest.raises(ValueError, match="coefficient must be an int, a Fraction, a QLaurent or a QRational"):
+        verify_term_numeric(coeff, -2, F(2))
+
+
 def test_merged_summand_certificate():
     from qzeta.sphere import _finite_0_to_s, _tail_from_splus1
 

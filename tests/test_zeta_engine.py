@@ -19,6 +19,7 @@ from qzeta import (
     cm_from_zeta,
     cm_recursion_step,
     cm_series_cs,
+    character,
     cs_sym_power,
     eta_m,
     fit_gh,
@@ -28,6 +29,7 @@ from qzeta import (
     zeta_direct_sum,
     zeta_finite_set,
     zeta_from_cm,
+    zeta_cn_series,
     zeta_vm_closed,
 )
 from qzeta.errors import ExactDivisionError, NoSolution
@@ -121,9 +123,13 @@ def _cm_from_zeta_by_parts(m, z):
 
 
 def _typed_rows(rows):
-    """Sorted terms of each row, each checked to have int exponents and coefficients."""
+    """Sorted terms of each row, each checked to have int exponents and nonzero int coefficients.
+
+    The integer kernels hand their rows to ``QLaurent._wrap`` unchecked, so a
+    Fraction(2) or a zero that one of them let through shows here.
+    """
     out = [sorted(ql.items()) for ql in rows]
-    assert all(type(e) is int and type(c) is int for row in out for e, c in row)
+    assert all(type(e) is int and type(c) is int and c for row in out for e, c in row)
     return out
 
 
@@ -150,6 +156,15 @@ def test_cm_from_zeta_refuses_bad_series(m, row, message):
         cm_from_zeta(m, z)
     with pytest.raises(QZetaError):
         _cm_from_zeta_by_parts(m, z)
+
+
+def test_cm_from_zeta_turns_integral_fraction_differences_into_ints():
+    # no genuine character has a Fraction coefficient, but the differences of
+    # one that does may be integral: c_{1,0} = 5/2 - 3/2 = Fraction(1) passes
+    # as the int 1, and the refusal names the top multiplicity 3/2
+    z = TSeries(1, [QLaurent.one(), QLaurent({2: F(3, 2), 0: F(5, 2), -2: F(3, 2)})])
+    with pytest.raises(QZetaError, match=r"t\^1 q\^2 multiplicity 3/2"):
+        cm_from_zeta(2, z)
 
 
 def test_cm_series_rejects_negative_order():
@@ -328,6 +343,18 @@ _CAPS = {9: 80, 10: 45, 11: 120, 12: 61, 13: 160, 14: 91}
 def fitted_pairs():
     """fit_gh(m) for m = 2..12 at the caps the acceptance gates use."""
     return {m: fit_gh(m, _CAPS.get(m, 40)) for m in range(2, 13)}
+
+
+def test_integer_kernel_rows_are_int(fitted_pairs):
+    # every one of these rows goes to QLaurent._wrap without a canonical pass
+    for m in range(13):
+        c = cm_series_cs(m, 24)
+        _typed_rows(c.table)
+        _typed_rows(zeta_from_cm(c).coeffs())
+        _typed_rows(zeta_cn_series(m + 1, 24).coeffs())
+        _typed_rows([character(cs_sym_power(m, j)) for j in range(10)])
+        if m >= 2:
+            _typed_rows(fitted_pairs[m].g.t_coeff_list())
 
 
 def _fe_variants(gh):
