@@ -411,7 +411,7 @@ class SymmetrizerLadder:
 
     def __init__(self, x: BraidedSet, budget: int = DEFAULT_BUDGET):
         self.x = x
-        self.budget = budget
+        self.budget = _degree(budget, "budget")
         self.dims = [1, x.size]
         self._blocks = _ProductBlocks(x)
         # representative label -> (kept rows, kept column words) of that block; S_1 = id
@@ -559,7 +559,7 @@ def invariant_dims(x: BraidedSet, j: int, budget: int = DEFAULT_BUDGET) -> int:
     braided case no relation between the two is claimed, and no caller
     compares them.  ``budget`` bounds n^j.
     """
-    j = _degree(j)
+    j, budget = _degree(j), _degree(budget, "budget")
     if j <= 1:
         return 1 if j == 0 else x.size
     n = x.size
@@ -690,7 +690,7 @@ def hilbert_dims_quadratic(x: BraidedSet, max_degree: int, budget: int = DEFAULT
     every cycle vector of K (``_joint_kernel_dims``).  ``budget`` bounds n^j
     from degree 2 on, as in ``hilbert_dims``.
     """
-    max_degree = _degree(max_degree, "max_degree")
+    max_degree, budget = _degree(max_degree, "max_degree"), _degree(budget, "budget")
     n = x.size
     dims = [1, n][:max_degree + 1]
     kernel = _ker_s2_basis(x)

@@ -3,32 +3,29 @@
 Conventions: (n)_q = (q^n - q^-n)/(q - q^-1) = q^(n-1) + q^(n-3) + ... + q^(1-n),
 so everything here is palindromic under q <-> q^-1.
 
-One integer kernel, ``gaussian_steps``, steps the coefficient list of the
-Gaussian polynomial [a+i choose i]_q from i - 1 to i in place.
-``gaussian_coeffs`` runs it min(k, n-k) steps to list [n choose k]_q, which
-the symmetric q-binomial and the bounded partition counts read.  Two
-streams read every step: the Cayley-Sylvester rows in ``sl2`` with a = m,
-since [j+m choose m]_q is step j, and ``weyl.zeta_cn_series`` with
-a = n - 1, since its t^j coefficient is step j, so neither builds a
-q-binomial from scratch.
-
-``gaussian_steps_packed`` is the same step on the Kronecker-packed form,
-the polynomial's value at q = 2^width, one integer per step: a shift and
-a subtract, then a division by (1 - q^i) as a product of U = a.bit_length()
-factors (1 + q^(i 2^u)) and a mask.  ``fit_gh`` reads it through
-``sl2.cs_rows_packed``.  The list step stays for its list readers
-(``gaussian_coeffs``, ``cs_rows``, ``zeta_cn_series``): decoding a packed
-step back to a list costs more than the list step itself (155
-q-binomials: 1.5 ms as lists, 2.4 ms packed and decoded), and
-``zeta_cn_series`` must share no kernel with the packed closed product it
-is checked against.
+One integer kernel, ``gaussian_steps_packed``, steps the Gaussian polynomial
+[a+i choose i]_q from i - 1 to i on its Kronecker-packed form, its value at
+q = 2^width, one integer per step: a shift and a subtract, then a division
+by (1 - q^i) as a product of U = a.bit_length() factors (1 + q^(i 2^u)) and
+a mask.  Each reader fixes the width once, from the largest coefficient it
+will read (binomial(a + i, i), the polynomial's value at q = 1), and decodes
+the steps it reads with ``qlaurent._unpack``.  ``gaussian_coeffs`` runs it
+min(k, n-k) steps to list [n choose k]_q, which the symmetric q-binomial and
+the bounded partition counts read.  Two streams read every step: the
+Cayley-Sylvester rows of ``sl2.cs_rows_packed`` with a = m, since
+[j+m choose m]_q is step j, and ``weyl.zeta_cn_series`` with a = n - 1,
+since its t^j coefficient is step j, so neither builds a q-binomial from
+scratch.  Crit 01 compares ``zeta_cn_series`` with the closed product
+expanded by ``FactoredRatQT.expand``: the two routes share no arithmetic,
+only the decoder (``qlaurent._unpack`` and ``_from_digits``).
 """
 
 from __future__ import annotations
 
+import math
 from itertools import islice
 
-from .qlaurent import QLaurent, _as_int, _degree, _from_digits
+from .qlaurent import QLaurent, _as_int, _degree, _from_digits, _row_width, _unpack
 from .qtpoly import QTPoly
 
 
@@ -36,33 +33,6 @@ def q_int_sym(n: int) -> QLaurent:
     """Symmetric q-integer (n)_q; (0)_q = 0."""
     n = _degree(n, "n")
     return QLaurent({n - 1 - 2 * i: 1 for i in range(n)})
-
-
-def gaussian_steps(a: int):
-    """Yield the coefficients of [a+i choose i]_q, constant term first, for i = 0, 1, 2, ...
-
-    Entry r of step i is p(r, i, a), the number of partitions of r into at
-    most i parts each at most a.  Step i multiplies step i-1 by
-    (1 - q^(a+i)) and divides it by (1 - q^i); the quotient is a Gaussian
-    polynomial, so the division is exact and both passes run in place on
-    integers.  Every step yields the same list: read it before the next.
-    a is read at the call, before the first step is asked for.
-    """
-    a = _degree(a, "a")
-
-    def steps():
-        c = [1]
-        i = 0
-        while True:
-            yield c
-            i += 1
-            c.extend([0] * a)
-            for r in range(a * i, a + i - 1, -1):
-                c[r] -= c[r - a - i]
-            for r in range(i, a * i + 1):
-                c[r] += c[r - i]
-
-    return steps()
 
 
 def gaussian_steps_packed(a: int, width: int):
@@ -95,12 +65,15 @@ def gaussian_coeffs(n: int, k: int) -> list[int]:
     """Coefficients of the Gaussian polynomial [n choose k]_q, constant term first.
 
     Entry r is p(r, k, n-k), the number of partitions of r into at most k
-    parts each at most n-k: step min(k, n-k) of ``gaussian_steps(max(k, n-k))``.
+    parts each at most n-k: step min(k, n-k) of
+    ``gaussian_steps_packed(max(k, n-k), width)``, decoded, with every
+    coefficient at most binomial(n, k) < 2^(width-1).
     """
     n, k = _degree(n, "n"), _degree(k, "k")
     if k > n:
         raise ValueError(f"gaussian_coeffs requires 0 <= k <= n, got ({n}, {k})")
-    return next(islice(gaussian_steps(max(k, n - k)), min(k, n - k), None))
+    width = _row_width(math.comb(n, k))
+    return _unpack(next(islice(gaussian_steps_packed(max(k, n - k), width), min(k, n - k), None)), width)
 
 
 def q_binom_sym(n: int, k: int) -> QLaurent:

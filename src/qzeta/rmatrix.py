@@ -88,7 +88,12 @@ class RHat:
 
 
 def _check_budget(n: int, j: int, budget):
-    max_n, max_j = budget
+    """BudgetExceeded unless n <= max n and j <= max j; budget is the pair (max n, max j) of integers."""
+    try:
+        max_n, max_j = budget
+    except (TypeError, ValueError):
+        raise ValueError(f"budget must be a pair (max n, max j), got {budget!r}") from None
+    max_n, max_j = _degree(max_n, "budget max n"), _degree(max_j, "budget max j")
     if n > max_n or j > max_j:
         raise BudgetExceeded(f"R-matrix budget is n <= {max_n}, j <= {max_j}; got ({n}, {j})")
 

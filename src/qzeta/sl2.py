@@ -14,21 +14,24 @@ difference) are these two maps as integer kernels on {exponent: int} rows.
 zeta(V_m).
 
 S^j(V_m) decomposes with multiplicities given by the Cayley-Sylvester
-partition-count differences (``_cs_parts``, which shares no code with the
-kernels, so that comparing the routes checks them); a weight-counting oracle
-and a Newton-identity route on characters provide two independent
-cross-checks.  Only multiplicities are tracked, never explicit module maps.
-``cs_rows_packed`` is the Cayley-Sylvester row stream on Kronecker-packed
-rows, one integer per t-degree, for ``zeta_engine.fit_gh``.
+partition-count differences.  ``cs_rows_packed`` is their one producer: a
+row stream on Kronecker-packed rows, one integer per t-degree, read by
+``cs_sym_power`` and by ``zeta_engine.cm_series_cs`` and ``fit_gh``.  It
+shares no code with the character kernels, so that comparing the routes
+checks them; a weight-counting oracle and a Newton-identity route on
+characters provide two independent cross-checks.  Only multiplicities are
+tracked, never explicit module maps.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import islice
 
 from .errors import BudgetExceeded, QZetaError
-from .qcombinat import gaussian_coeffs, gaussian_steps, gaussian_steps_packed, q_int_sym
-from .qlaurent import QLaurent, _degree
+from .qcombinat import gaussian_steps_packed, q_int_sym
+from .qlaurent import QLaurent, _degree, _from_digits, _row_width, _unpack
 
 DEFAULT_WEIGHT_BUDGET = 200
 
@@ -146,22 +149,14 @@ def _multiplicity_row(chi: dict) -> dict:
 def cs_sym_power(m: int, j: int) -> Sl2Decomposition:
     """S^j(V_m) via Cayley-Sylvester: V_{jm-2r} with multiplicity p(r,j,m) - p(r-1,j,m).
 
-    p(r, j, m) is entry r of ``gaussian_coeffs(j + m, m)``, the coefficient
-    list of [j+m choose m]_q, read once for all r.
+    Row j of ``cs_rows_packed(m, width)``, decoded: digit d is the
+    multiplicity of V_(2d + jm % 2), and binomial(j + m, m) < 2^(width-1)
+    bounds every digit of the row and of its Gaussian step.
     """
     m, j = _degree(m, "m"), _degree(j, "j")
-    return Sl2Decomposition(_cs_parts(m, j, gaussian_coeffs(j + m, m)))
-
-
-def cs_rows(m: int):
-    """An iterator of {p: multiplicity of V_p in S^j(V_m)} for j = 0, 1, 2, ..., p increasing.
-
-    Row j is ``cs_sym_power(m, j).parts``: [j+m choose m]_q is step j of
-    ``gaussian_steps(m)``, so each row costs one step of the kernel, not a
-    Gaussian polynomial built from scratch.
-    """
-    m = _degree(m, "m")
-    return (_cs_parts(m, j, p) for j, p in enumerate(gaussian_steps(m)))
+    width = _row_width(math.comb(j + m, m))
+    v = next(islice(cs_rows_packed(m, width), j, None))
+    return Sl2Decomposition(_from_digits(_unpack(v, width), j * m % 2, 2).items())
 
 
 def cs_rows_packed(m: int, width: int):
@@ -175,7 +170,8 @@ def cs_rows_packed(m: int, width: int):
     digit d <= floor(jm/2), H, is added before the subtraction; no digit
     borrows while G's digits are below 2^(width-1), so every multiplicity is
     non-negative exactly when (A + H - B) & H == H.  A negative one raises
-    QZetaError("negative CS multiplicity ..."), as ``cs_rows`` does.
+    QZetaError("negative CS multiplicity at (m, j, r)"): this guard is the
+    one check on the Gaussian kernel's rows.
 
     The digits of G are at most binomial(j + m, m), so the stream ends before
     the first row j with binomial(j + m, m) >= 2^(width-1): every row it
@@ -205,27 +201,13 @@ def cs_rows_packed(m: int, width: int):
     return rows()
 
 
-def _cs_parts(m: int, j: int, p: list) -> dict:
-    """{jm - 2r: p[r] - p[r-1]} over 0 <= r <= jm/2, zero multiplicities left out, jm - 2r increasing."""
-    parts, bad = {}, None
-    for r in range(j * m // 2, -1, -1):
-        mult = p[r] - (p[r - 1] if r else 0)
-        if mult < 0:
-            bad = r
-        elif mult:
-            parts[j * m - 2 * r] = mult
-    if bad is not None:
-        raise QZetaError(f"negative CS multiplicity at (m={m}, j={j}, r={bad})")
-    return parts
-
-
 def sym_power_weight_oracle(m: int, j: int, budget: int = DEFAULT_WEIGHT_BUDGET) -> Sl2Decomposition:
     """Independent oracle: count weight multiplicities of S^j(V_m), then peel.
 
     N(w) = number of size-j multisets of the weights {m, m-2, ..., -m}
     summing to w; mult(V_p) = N(p) - N(p+2), by ``_multiplicity_row``.
     """
-    m, j = _degree(m, "m"), _degree(j, "j")
+    m, j, budget = _degree(m, "m"), _degree(j, "j"), _degree(budget, "budget")
     if m * j > budget:
         raise BudgetExceeded(f"weight oracle budget: jm = {m * j} > {budget}")
     # DP over the m+1 weights, choosing a non-increasing count profile is

@@ -9,14 +9,17 @@ The braided zeta of n points has two routes here.  ``zeta_cn_closed`` is
 the closed product prod 1/(1 - q^j t), which ``FactoredRatQT.expand``
 divides out on packed rows; ``zeta_cn_series`` lists the symmetric
 q-binomials (n+j-1 choose j)_q, all of them from one
-``qcombinat.gaussian_steps(n - 1)`` stream, whose step j is
-[n-1+j choose j]_q.  The two share no kernel, so crit 01 compares them.
+``qcombinat.gaussian_steps_packed(n - 1, width)`` stream, whose step j is
+[n-1+j choose j]_q.  The two share no arithmetic, only the decoder
+(``qlaurent._unpack`` and ``_from_digits``), so crit 01 compares them.
 """
 
 from __future__ import annotations
 
-from .qcombinat import gaussian_steps, q_int_sym
-from .qlaurent import QLaurent, _degree, _from_digits
+import math
+
+from .qcombinat import gaussian_steps_packed, q_int_sym
+from .qlaurent import QLaurent, _degree, _from_digits, _row_width, _unpack
 from .qtpoly import FactoredRatQT, QTPoly
 from .tseries import TSeries
 
@@ -69,12 +72,14 @@ def zeta_cn_closed(n: int) -> FactoredRatQT:
 def zeta_cn_series(n: int, order: int) -> TSeries:
     """Series route: coefficient of t^j is the symmetric q-binomial (n+j-1 choose j)_q.
 
-    Step j of one ``gaussian_steps(n - 1)`` stream is [n-1+j choose j]_q, so
-    the whole series costs one list step per t-degree; entry r of step j
-    sits at q^(2r - j(n-1)), as in ``q_binom_sym``.  The entries are
-    partition counts, all positive, so every one is a term.  The route shares
-    no kernel with ``FactoredRatQT.expand``, so crit 01 compares two.
+    Step j of one ``gaussian_steps_packed(n - 1, width)`` stream is
+    [n-1+j choose j]_q, so the whole series costs one packed step per
+    t-degree; digit r of step j sits at q^(2r - j(n-1)), as in
+    ``q_binom_sym``.  The digits are partition counts, all positive and at
+    most binomial(n-1+order, order) < 2^(width-1), so each decodes exactly
+    and every one is a term.
     """
     n, order = _degree(n, "n", 1), _degree(order, "order")
-    steps = zip(range(order + 1), gaussian_steps(n - 1))
-    return TSeries(order, [_from_digits(coeffs, -j * (n - 1), 2) for j, coeffs in steps])
+    width = _row_width(math.comb(n - 1 + order, order))
+    steps = zip(range(order + 1), gaussian_steps_packed(n - 1, width))
+    return TSeries(order, [_from_digits(_unpack(g, width), -j * (n - 1), 2) for j, g in steps])

@@ -23,6 +23,12 @@ zeta_j[-1] - zeta_j[1], must vanish, the result must be a valid CmSeries
 its character must reproduce the input.  The Cayley-Sylvester route and the
 recursion share neither kernel, so the three routes check them.
 
+The Cayley-Sylvester route shares no arithmetic with the other two, only
+the decoder (``qlaurent._unpack`` and ``_from_digits``), as the two routes
+of crit 01 do.  ``cm_series_cs`` decodes the very ``sl2.cs_rows_packed``
+stream the fit reads, so the criteria on c_m exercise the fit's Gaussian
+kernel.
+
 The recursion and the fit run on Kronecker-packed rows, one integer per
 t-degree, packed and read back through ``qlaurent._pack`` and
 ``qlaurent._unpack``.  In ``cm_recursion_step`` row j is its value at
@@ -58,7 +64,7 @@ import operator
 from .errors import FitFailed, QZetaError
 from .qlaurent import QLaurent, _degree, _exp_lattice, _from_digits, _pack, _row_width, _unpack, _width_for
 from .qtpoly import FactoredRatQT, QTPoly
-from .sl2 import Sl2Decomposition, _character_row, _multiplicity_row, cs_rows, cs_rows_packed
+from .sl2 import Sl2Decomposition, _character_row, _multiplicity_row, cs_rows_packed
 from .tseries import TSeries, _over_one_minus_packed
 from .weyl import zeta_cn_closed
 
@@ -139,10 +145,14 @@ def zeta_vm_closed(m: int) -> FactoredRatQT:
 def cm_series_cs(m: int, order: int) -> CmSeries:
     """c_m(t, q) assembled degreewise from the Cayley-Sylvester decomposition.
 
-    Row j of ``cs_rows(m)`` puts the multiplicity of V_p in S^j(V_m) at q^p.
+    Row j of ``cs_rows_packed(m, width)`` holds the multiplicity of V_p in
+    S^j(V_m) at digit (p - jm % 2)/2; every digit through t^order is at most
+    binomial(order + m, m) < 2^(width-1), so each row decodes exactly.
     """
-    order = _degree(order, "order")
-    return CmSeries(m, order, [QLaurent._wrap(row) for _j, row in zip(range(order + 1), cs_rows(m))])
+    m, order = _degree(m, "m"), _degree(order, "order")
+    width = _row_width(math.comb(order + m, m))
+    rows = zip(range(order + 1), cs_rows_packed(m, width))
+    return CmSeries(m, order, [_from_digits(_unpack(v, width), j * m % 2, 2) for j, v in rows])
 
 
 def zeta_from_cm(c: CmSeries) -> TSeries:
@@ -250,14 +260,15 @@ def cm_recursion_step(m: int, prev: CmSeries, order: int) -> CmSeries:
 def eta_m(m: int) -> QTPoly:
     """prod (1 - q^{2i} t) over i = 1..m/2 (even m) or (1 - q^{2i+1} t) over i = 0..(m-1)/2 (odd).
 
-    ``_eta_rows`` applied to the series 1, up to t^r, r the number of
-    factors, and decoded: the coefficients are at most 2^r in size.
+    The product of its linear factors as ``QTPoly`` products, so crit 09 and
+    the checks on fitted pairs read an eta_m that ``_eta_rows``, the fit's
+    kernel, did not build.  The highest factor comes first, which lists the
+    terms of each row in increasing q-exponent order.
     """
-    m = _degree(m, "m")
-    r = len(_eta_exponents(m))
-    width = _width_for(1 << r)
-    rows = itertools.islice(_eta_rows(m, itertools.chain([1], itertools.repeat(0)), width), r + 1)
-    return QTPoly.from_qlaurent_t_coeffs([_from_digits(_unpack(v, width), j * m % 2, 2) for j, v in enumerate(rows)])
+    eta = QTPoly.one()
+    for e in reversed(_eta_exponents(_degree(m, "m"))):
+        eta = eta * QTPoly({(0, 0): 1, (e, 1): -1})
+    return eta
 
 
 def _eta_exponents(m: int) -> range:
@@ -511,12 +522,11 @@ def _certify(m: int, h: list, n: int, rows: list, extend, width: int):
         raise _Repack(_width_for(bound))
     g = []
     for j in range(dg + 1):
-        row = {}
-        for part, parity in zip(product_row(j), (j * m % 2, (j * m + 1) % 2)):
-            for d, x in enumerate(_unpack(part, width)):
-                if x:
-                    row[2 * d + parity] = x
-        g.append(QLaurent._wrap(row))
+        same, other = product_row(j)
+        row = _from_digits(_unpack(same, width), j * m % 2, 2)
+        if other:  # odd m and odd k: row j - k of c_m eta_m has the other parity
+            row = row + _from_digits(_unpack(other, width), (j * m + 1) % 2, 2)
+        g.append(row)
     g = QTPoly.from_qlaurent_t_coeffs(g)
     if g.is_zero or g.q_degree() != sum(exps) - 2:
         return None

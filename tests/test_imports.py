@@ -145,6 +145,7 @@ EXPORT_REASONS = (
     ("verify_sexpr_numeric", "oracle: the numeric certificate of a merged summand's closed-form sum"),
     ("sparse_kernel", "documented entry point: the exact kernel of integer or QLaurent rows"),
     ("bounded_partitions", "documented entry point: p(r, j, m) of the Cayley-Sylvester formula"),
+    ("gaussian_coeffs", "documented entry point: the coefficient list of the Gaussian polynomial [n choose k]_q"),
     ("character", "documented entry point: the formal character of an sl2 module"),
     ("dimq", "documented entry point: the braided dimension dim_q"),
     ("dimq_prime", "documented entry point: the multiplicative braided dimension dim'_q"),

@@ -4,8 +4,9 @@ One table row per argument: a call with the argument in the place of v,
 and its least value (None where any integer is valid).  For each row, 2.0
 and Fraction(4, 2) give the same result as 2, 2.5 and "2" raise ValueError
 ("must be an integer"), and the value just below the least one raises
-ValueError.  Lookups of recorded data (``fk_reference_series``,
-``refdata``), budgets and data entries that must be ints
+ValueError.  Budgets are integer arguments too, and so is each entry of
+the R-matrix budget pair.  Lookups of recorded data
+(``fk_reference_series``, ``refdata``) and data entries that must be ints
 (``Sl2Decomposition`` parts, braiding tables) are not in the table.
 """
 
@@ -60,9 +61,9 @@ from qzeta import (
     zeta_vm_closed,
 )
 from qzeta.braided import SymmetrizerLadder, symmetrizer_matrix_bruteforce, symmetrizer_matrix_recursive
-from qzeta.qcombinat import gaussian_steps
+from qzeta.qcombinat import gaussian_steps_packed
 from qzeta.rmatrix import trace_of_blocks
-from qzeta.sl2 import cs_rows
+from qzeta.sl2 import cs_rows_packed
 from qzeta.sphere import verify_term_numeric
 
 _Q = QLaurent({1: 1})
@@ -74,7 +75,8 @@ _TOL = F(1, 1000)  # the term certificate at q = 9 stops at two terms
 TABLE = [
     # qcombinat
     ("q_int_sym(n)", lambda v: q_int_sym(v), 0),
-    ("gaussian_steps(a)", lambda v: [list(c) for c in islice(gaussian_steps(v), 4)], 0),
+    ("gaussian_steps_packed(a)", lambda v: list(islice(gaussian_steps_packed(v, 16), 4)), 0),
+    ("gaussian_steps_packed(width)", lambda v: list(islice(gaussian_steps_packed(3, v), 4)), 1),
     ("gaussian_coeffs(n)", lambda v: gaussian_coeffs(v, 1), 0),
     ("gaussian_coeffs(k)", lambda v: gaussian_coeffs(4, v), 0),
     ("q_binom_sym(n)", lambda v: q_binom_sym(v, 1), 0),
@@ -88,11 +90,13 @@ TABLE = [
     ("Sl2Decomposition.irreducible(mult)", lambda v: Sl2Decomposition.irreducible(3, v), 0),
     ("cs_sym_power(m)", lambda v: cs_sym_power(v, 3), 0),
     ("cs_sym_power(j)", lambda v: cs_sym_power(3, v), 0),
-    ("cs_rows(m)", lambda v: list(islice(cs_rows(v), 4)), 0),
+    ("cs_rows_packed(m)", lambda v: list(islice(cs_rows_packed(v, 16), 4)), 0),
+    ("cs_rows_packed(width)", lambda v: list(cs_rows_packed(3, v)), 2),
     ("sym_power_weight_oracle(m)", lambda v: sym_power_weight_oracle(v, 3), 0),
     ("sym_power_weight_oracle(j)", lambda v: sym_power_weight_oracle(3, v), 0),
     ("adams_sym_power(m)", lambda v: adams_sym_power(v, 3), 0),
     ("adams_sym_power(j)", lambda v: adams_sym_power(3, v), 0),
+    ("sym_power_weight_oracle(budget)", lambda v: sym_power_weight_oracle(2, 2, budget=v), 0),
     # weyl
     ("DominantWeightA(n)", lambda v: DominantWeightA(v, [1]), 2),
     ("DominantWeightA(coeffs)", lambda v: DominantWeightA(3, [v, 0]), 0),
@@ -142,12 +146,21 @@ TABLE = [
     ("invariant_dims(j)", lambda v: invariant_dims(_X3, v), 0),
     ("symmetrizer_matrix_bruteforce(j)", lambda v: symmetrizer_matrix_bruteforce(_X3, v), 0),
     ("symmetrizer_matrix_recursive(j)", lambda v: symmetrizer_matrix_recursive(_X3, v), 0),
+    ("SymmetrizerLadder(budget)", lambda v: SymmetrizerLadder(_X3, v).dim(2), 0),
+    ("symmetrizer_rank(budget)", lambda v: symmetrizer_rank(_X3, 2, budget=v), 0),
+    ("hilbert_dims(budget)", lambda v: hilbert_dims(_X3, 3, budget=v), 0),
+    ("hilbert_dims_quadratic(budget)", lambda v: hilbert_dims_quadratic(_X3, 3, budget=v), 0),
+    ("invariant_dims(budget)", lambda v: invariant_dims(_X3, 2, budget=v), 0),
     # rmatrix and linalg
     ("RHat(n)", lambda v: RHat(v).columns, 2),
     ("sym_subspace_dims(n)", lambda v: sym_subspace_dims(v, 3), 2),
     ("sym_subspace_dims(j)", lambda v: sym_subspace_dims(3, v), 0),
     ("quantum_trace_sym(n)", lambda v: quantum_trace_sym(v, 3), 2),
     ("quantum_trace_sym(j)", lambda v: quantum_trace_sym(3, v), 0),
+    ("sym_subspace_dims(budget max n)", lambda v: sym_subspace_dims(2, 2, budget=(v, 5)), 0),
+    ("sym_subspace_dims(budget max j)", lambda v: sym_subspace_dims(2, 2, budget=(4, v)), 0),
+    ("quantum_trace_sym(budget max n)", lambda v: quantum_trace_sym(2, 2, budget=(v, 5)), 0),
+    ("quantum_trace_sym(budget max j)", lambda v: quantum_trace_sym(2, 2, budget=(4, v)), 0),
     ("trace_of_blocks(n)", lambda v: trace_of_blocks(v, [((0, 1), 1)]), 2),
     ("sparse_kernel(width)", lambda v: sparse_kernel([{0: 1}, {0: 2}, {1: 1}], v), 0),
     # sphere
@@ -156,8 +169,19 @@ TABLE = [
     ("verify_term_numeric(a)", lambda v: verify_term_numeric(_TERM, v, F(9), tol=_TOL), None),
 ]
 
-# the value each row reads as valid, where it is not 2
-VALID = {"even_part_zeta_at_pm1(m)": 3}
+# the value each row reads as valid, where it is not 2; a budget of 9 = 3^2
+# admits degree 2 of _X3 and refuses degree 3
+VALID = {
+    "even_part_zeta_at_pm1(m)": 3,
+    "gaussian_steps_packed(width)": 16,
+    "cs_rows_packed(width)": 16,
+    "sym_power_weight_oracle(budget)": 4,
+    "SymmetrizerLadder(budget)": 9,
+    "symmetrizer_rank(budget)": 9,
+    "hilbert_dims(budget)": 9,
+    "hilbert_dims_quadratic(budget)": 9,
+    "invariant_dims(budget)": 9,
+}
 
 IDS = [name for name, _call, _least in TABLE]
 
@@ -196,6 +220,22 @@ def test_messages_name_the_argument_and_its_least_value():
         (lambda: fit_gh(1), "m must be >= 2"),
         (lambda: fit_gh(2, 0), "max_h_degree must be >= 1"),
         (lambda: cm_series_cs(2, 2.5), "order must be an integer, got 2.5"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+
+
+def test_budgets_are_read_at_entry():
+    # None, a string or a bare int where a pair is due are refused before any work
+    for call, message in (
+        (lambda: hilbert_dims(_X3, 3, budget=None), "budget must be an integer, got None"),
+        (lambda: hilbert_dims_quadratic(_X3, 3, budget="100"), "budget must be an integer, got '100'"),
+        (lambda: symmetrizer_rank(_X3, 0, budget=2.5), "budget must be an integer, got 2.5"),
+        (lambda: invariant_dims(_X3, 0, budget=-1), "budget must be non-negative"),
+        (lambda: sym_power_weight_oracle(2, 2, budget=None), "budget must be an integer, got None"),
+        (lambda: sym_subspace_dims(2, 2, budget=3), r"budget must be a pair \(max n, max j\), got 3"),
+        (lambda: sym_subspace_dims(2, 2, budget=(4, 5, 6)), r"budget must be a pair \(max n, max j\), got \(4, 5, 6\)"),
+        (lambda: quantum_trace_sym(2, 2, budget=(4, None)), "budget max j must be an integer, got None"),
     ):
         with pytest.raises(ValueError, match=f"^{message}$"):
             call()

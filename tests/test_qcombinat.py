@@ -6,7 +6,7 @@ from math import comb
 import pytest
 
 from qzeta import QLaurent, bounded_partitions, gaussian_coeffs, q_binom_sym, q_int_sym, t_bracket
-from qzeta.qcombinat import gaussian_steps, gaussian_steps_packed
+from qzeta.qcombinat import gaussian_steps_packed
 from qzeta.qtpoly import QTPoly
 
 
@@ -63,16 +63,19 @@ def test_gaussian_coeffs_match_both_oracles():
 
 
 def test_gaussian_steps_list_every_step():
-    # step i of gaussian_steps(a) is [a+i choose i]_q, the list gaussian_coeffs builds
+    # step i of gaussian_steps_packed(a, width) is [a+i choose i]_q, the list gaussian_coeffs builds
     for a in range(9):
-        for i, coeffs in zip(range(13), gaussian_steps(a)):
+        for i, packed in zip(range(13), gaussian_steps_packed(a, 64)):
+            coeffs = _unpack(packed, 64)
             assert coeffs == [partitions_by_recursion(r, i, a) for r in range(a * i + 1)], (a, i)
             assert coeffs == gaussian_coeffs(a + i, i), (a, i)
-    # a is read at the call, not at the first step
+    # a and width are read at the call, not at the first step
     with pytest.raises(ValueError, match="a must be non-negative"):
-        gaussian_steps(-1)
+        gaussian_steps_packed(-1, 8)
     with pytest.raises(ValueError, match="a must be an integer, got 2.5"):
-        gaussian_steps(2.5)
+        gaussian_steps_packed(2.5, 8)
+    with pytest.raises(ValueError, match="width must be an integer, got 2.5"):
+        gaussian_steps_packed(2, 2.5)
 
 
 def _unpack(v, width):
@@ -85,14 +88,16 @@ def _unpack(v, width):
 
 
 def test_packed_steps_match_the_list_steps():
-    # step i at q = 2^width is [a+i choose i]_q with one digit per coefficient;
-    # binomial(76, 16) < 2^63, so width 64 holds every digit here, and 40 does
-    # only while binomial(a + i, i) < 2^40
-    for width in (64, 128):
-        for a in range(17):
-            steps = zip(range(61), gaussian_steps(a), gaussian_steps_packed(a, width))
-            for i, coeffs, packed in steps:
-                assert _unpack(packed, width) == coeffs, (width, a, i)
+    # step i at q = 2^width is [a+i choose i]_q with one digit per coefficient,
+    # the partition counts p(r, i, a) = p(ai - r, i, a) of the recursion;
+    # binomial(76, 16) < 2^63, so width 64 holds every digit here
+    for a in range(17):
+        steps = zip(range(61), gaussian_steps_packed(a, 64), gaussian_steps_packed(a, 128))
+        for i, narrow, wide in steps:
+            low = [partitions_by_recursion(r, i, a) for r in range(a * i // 2 + 1)]
+            coeffs = low + low[: (a * i + 1) // 2][::-1]
+            assert _unpack(narrow, 64) == _unpack(wide, 128) == coeffs, (a, i)
+    partitions_by_recursion.cache_clear()  # a few hundred thousand entries
     # the digits are exact only below 2^width: the largest coefficient of
     # [25 choose 5]_q is 1,394 < 2^14, that of [45 choose 5]_q 17,053 >= 2^14
     steps = list(islice(gaussian_steps_packed(5, 14), 41))

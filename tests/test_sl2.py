@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction as F
-from itertools import islice
 from math import comb
 
 import pytest
@@ -19,6 +18,7 @@ from qzeta import (
     cs_sym_power,
     dimq,
     dimq_prime,
+    gaussian_coeffs,
     q_int_sym,
     sym_power_weight_oracle,
     tensor_decompose,
@@ -32,13 +32,19 @@ def test_cs_low_cases():
     assert cs_sym_power(2, 2) == Sl2Decomposition({4: 1, 0: 1})
     assert cs_sym_power(3, 2) == Sl2Decomposition({6: 1, 2: 1})
     with pytest.raises(ValueError):
-        next(sl2.cs_rows(-1))
+        sl2.cs_rows_packed(-1, 8)
+
+
+def _packed(digits, width):
+    return sum(c << width * r for r, c in enumerate(digits))
 
 
 def test_cs_negative_multiplicity_is_a_typed_error(monkeypatch):
-    # a coefficient list that decreases in r gives p(r) - p(r-1) < 0
-    monkeypatch.setattr(sl2, "gaussian_coeffs", lambda n, k: [3, 2, 1, 0, 0])
-    with pytest.raises(QZetaError, match="negative CS multiplicity"):
+    # a step that decreases from r = 1 to r = 2 gives p(2) - p(1) < 0, which
+    # the packed row reads from the upper half of the palindrome
+    steps = ([1], [1, 1, 1], [1, 2, 1, 2, 1])
+    monkeypatch.setattr(sl2, "gaussian_steps_packed", lambda a, w: iter([_packed(g, w) for g in steps]))
+    with pytest.raises(QZetaError, match=r"negative CS multiplicity at \(m=2, j=2, r=2\)"):
         cs_sym_power(2, 2)
 
 
@@ -55,10 +61,30 @@ def _unpack_row(v, j, m, width):
     return row
 
 
+def _cs_parts(m, j, p):
+    """Oracle: {jm - 2r: p[r] - p[r-1]} over 0 <= r <= jm/2, zeros left out, jm - 2r increasing.
+
+    The list route the packed rows replaced, on the coefficient list p of
+    [j+m choose m]_q.
+    """
+    parts = {}
+    for r in range(j * m // 2, -1, -1):
+        mult = p[r] - (p[r - 1] if r else 0)
+        assert mult >= 0, (m, j, r)
+        if mult:
+            parts[j * m - 2 * r] = mult
+    return parts
+
+
+def _cs_rows(m, count):
+    """Oracle rows j < count of c_m, from gaussian_coeffs(j + m, m): m steps of the kernel at a = j where j > m."""
+    return [_cs_parts(m, j, gaussian_coeffs(j + m, m)) for j in range(count)]
+
+
 def test_packed_cs_rows_match_cs_rows():
     for m in range(15):
         packed = sl2.cs_rows_packed(m, 96)
-        for j, row, v in zip(range(61), sl2.cs_rows(m), packed):
+        for j, row, v in zip(range(61), _cs_rows(m, 61), packed):
             assert _unpack_row(v, j, m, 96) == row, (m, j)
 
 
@@ -68,7 +94,7 @@ def test_packed_cs_rows_stop_where_the_width_stops_being_exact():
         rows = list(sl2.cs_rows_packed(m, width))
         j = len(rows)
         assert comb(j - 1 + m, m) < 2 ** (width - 1) <= comb(j + m, m), (m, width)
-        assert [_unpack_row(v, i, m, width) for i, v in enumerate(rows)] == list(islice(sl2.cs_rows(m), j))
+        assert [_unpack_row(v, i, m, width) for i, v in enumerate(rows)] == _cs_rows(m, j)
     with pytest.raises(ValueError, match="width must be >= 2"):
         sl2.cs_rows_packed(3, 1)
 
@@ -77,8 +103,7 @@ def test_packed_cs_negative_multiplicity_is_a_typed_error(monkeypatch):
     # the packed rows read the upper half of the palindrome, G[c + d] - G[c + d + 1];
     # a step that rises from q^2 to q^3 gives V_1 of S^1(V_3) multiplicity 2 - 3
     width = 16
-    step = sum(c << width * r for r, c in enumerate([1, 1, 2, 3]))
-    monkeypatch.setattr(sl2, "gaussian_steps_packed", lambda a, w: iter([1, step]))
+    monkeypatch.setattr(sl2, "gaussian_steps_packed", lambda a, w: iter([1, _packed([1, 1, 2, 3], w)]))
     with pytest.raises(QZetaError, match=r"negative CS multiplicity at \(m=3, j=1, r=1\)"):
         list(sl2.cs_rows_packed(3, width))
 
@@ -99,9 +124,9 @@ def test_adams_cases():
 
 def test_triple_agreement():
     for m in range(9):
-        for j, row in zip(range(11), sl2.cs_rows(m)):
+        for j, row in enumerate(cm_series_cs(m, 10).table):
             cs = cs_sym_power(m, j)
-            # the row stream gives the same dict, in the same (increasing p) order
+            # c_m's row gives the same multiplicities, in the same (increasing p) order
             assert list(row.items()) == list(cs.parts.items()), (m, j)
             assert cs == sym_power_weight_oracle(m, j), (m, j)
             assert cs == adams_sym_power(m, j), (m, j)
@@ -204,7 +229,7 @@ def test_peel_character_refuses_what_is_no_character(chi):
 
 def test_cayley_sylvester_and_recursion_share_no_character_kernel(monkeypatch):
     # crit 06 and test_triple_agreement check the character kernels against
-    # _cs_parts and the recursion, so neither route may call them
+    # cs_rows_packed and the recursion, so neither route may call them
     cs = [[cs_sym_power(m, j) for j in range(9)] for m in range(7)]
     series = [cm_series_cs(m, 12) for m in range(7)]
 
@@ -215,6 +240,5 @@ def test_cayley_sylvester_and_recursion_share_no_character_kernel(monkeypatch):
         monkeypatch.setattr(module, "_character_row", refuse)
         monkeypatch.setattr(module, "_multiplicity_row", refuse)
     assert [[cs_sym_power(m, j) for j in range(9)] for m in range(7)] == cs
-    assert [[Sl2Decomposition(row) for row in islice(sl2.cs_rows(m), 9)] for m in range(7)] == cs
     assert [cm_series_cs(m, 12) for m in range(7)] == series
     assert [cm_recursion_step(m, series[m - 2], 12) for m in range(2, 7)] == series[2:]

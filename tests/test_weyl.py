@@ -11,6 +11,7 @@ from qzeta import (
     zeta_cn_closed,
     zeta_cn_series,
 )
+from test_qcombinat import partitions_by_recursion
 
 
 def test_weyl_sl2():
@@ -67,6 +68,18 @@ def test_series_steps_are_the_symmetric_q_binomials():
     for n in range(1, 11):
         s = zeta_cn_series(n, 40)
         assert [repr(c) for c in s.coeffs()] == [repr(q_binom_sym(n + j - 1, j)) for j in range(41)], n
+
+
+def test_series_coefficients_are_partition_counts():
+    # q^(2r - j(n-1)) of the t^j coefficient is p(r, j, n-1).  Crit 01's two
+    # routes share the decoder (qlaurent._unpack and _from_digits); the
+    # recursion uses neither it nor the Gaussian kernel.
+    for n in range(1, 11):
+        s = zeta_cn_series(n, 24)
+        for j in range(25):
+            a = n - 1
+            want = {2 * r - j * a: partitions_by_recursion(r, j, a) for r in range(j * a + 1)}
+            assert list(s.coeff(j).items()) == list(want.items()), (n, j)
 
 
 def test_closed_equals_series_small():

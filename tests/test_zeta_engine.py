@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import re
@@ -36,8 +37,16 @@ from qzeta.errors import ExactDivisionError, NoSolution
 from qzeta.linalg import solve_linear
 from qzeta.qtpoly import FactoredRatQT
 from qzeta.refdata import reference_cm_closed, reference_gh
-from qzeta.qlaurent import _unpack
-from qzeta.zeta_engine import _BerlekampMassey, _certify, _cm_eta_rows, _fit_width, _width_for
+from qzeta.qlaurent import _from_digits, _unpack
+from qzeta.zeta_engine import (
+    _BerlekampMassey,
+    _certify,
+    _cm_eta_rows,
+    _eta_exponents,
+    _eta_rows,
+    _fit_width,
+    _width_for,
+)
 from test_qlaurent import tpoly_divmod, tpoly_gcd, tpoly_trim
 from test_tseries import _over_one_minus_rows
 
@@ -305,13 +314,21 @@ def test_eta_m():
 
 
 def test_eta_m_rows_match_the_factor_products():
-    """The shift-and-subtract rows give the very QTPoly that one product per factor gives."""
+    """The shift-and-subtract rows of ``_eta_rows`` give the very QTPoly that one product per factor gives.
+
+    ``_eta_rows`` runs on the series 1 through t^r, r the number of factors,
+    and each row is decoded: the coefficients are at most 2^r in size.
+    """
     for m in range(13):
         acc = QTPoly.one()
         for e in range(2 - m % 2, m + 1, 2):
             acc = acc * QTPoly({(0, 0): 1, (e, 1): -1})
-        assert repr(eta_m(m)) == repr(acc), m
-        assert eta_m(m) == acc, m
+        r = len(_eta_exponents(m))
+        width = _width_for(1 << r)
+        rows = itertools.islice(_eta_rows(m, itertools.chain([1], itertools.repeat(0)), width), r + 1)
+        got = QTPoly.from_qlaurent_t_coeffs([_from_digits(_unpack(v, width), j * m % 2, 2) for j, v in enumerate(rows)])
+        assert repr(got) == repr(acc), m
+        assert got == acc == eta_m(m), m
 
 
 def test_functional_equation_cases():
@@ -845,6 +862,23 @@ def test_certify_enforces_the_round_trip(fitted_roundtrips):
     assert checked == 4
 
 
+def test_certify_decodes_g_rows_of_both_parities():
+    # for odd m, h (1 + t) has odd-degree terms, so each row of g sums rows of
+    # c_m eta_m of both parities; the unreduced pair (g (1 + t), h (1 + t))
+    # passes every check, and each g row decodes both parts
+    one_plus_t = QTPoly.from_t_coeffs([1, 1])
+    for m in (3, 5, 7):
+        gh = fit_gh(m)
+        h = [int(c.coeff(0)) for c in (gh.h * one_plus_t).t_coeff_list()]
+        g = gh.g * one_plus_t
+        order = g.t_degree() + len(h) + 5
+        width = _fit_width(m, 40)
+        rows = [row for _j, row in zip(range(order + 1), _cm_eta_rows(m, width))]
+        got = _certify(m, list(h), order + 1, rows, lambda _order: None, width)
+        assert got == GHPair(m, g, gh.h * one_plus_t), m
+        assert any({e % 2 for e, _c in row.items()} == {0, 1} for row in got.g.t_coeff_list()), m
+
+
 def test_certify_rejects_each_failed_check(monkeypatch):
     import qzeta.zeta_engine as ze
 
@@ -940,23 +974,41 @@ def test_factor_recurrence_rows_match_eta_convolution():
 
 
 def test_bad_kernel_raises_through_the_row_stream(monkeypatch):
-    # every step of the patched list kernel decreases in r, so row 1 has
-    # p(1) - p(0) < 0, and cm_series_cs reads that row.  fit_gh reads the
-    # packed kernel, whose rows take the upper half of the palindrome,
-    # G[c + d] - G[c + d + 1]; its patched steps decrease from the top digit
-    # down, so the first row already has a negative multiplicity.
-    import itertools
-
-    monkeypatch.setattr(sl2, "gaussian_steps", lambda a: itertools.repeat([3, 2, 1, 0, 0]))
-    with pytest.raises(QZetaError, match="negative CS multiplicity"):
-        cm_series_cs(2, 3)
-
+    # cm_series_cs and fit_gh read the packed kernel through one row stream,
+    # whose rows take the upper half of the palindrome, G[c + d] - G[c + d + 1];
+    # the patched steps decrease from the top digit down, so the first row
+    # already has a negative multiplicity.
     def decreasing(a, width):
         return itertools.repeat(sum(c << width * r for r, c in enumerate([0, 1, 2, 3])))
 
     monkeypatch.setattr(sl2, "gaussian_steps_packed", decreasing)
+    with pytest.raises(QZetaError, match="negative CS multiplicity at \\(m=2, j=0"):
+        cm_series_cs(2, 3)
     with pytest.raises(QZetaError, match="negative CS multiplicity at \\(m=3, j=0"):
         fit_gh(3)
+
+
+def test_cs_readers_pull_rows_from_the_one_row_stream(monkeypatch):
+    # cm_series_cs, cs_sym_power and fit_gh read S^j(V_m) from sl2.cs_rows_packed,
+    # one row per t-degree, in order; no other producer of CS rows is left
+    import qzeta.zeta_engine as ze
+
+    calls = {
+        "cm_series_cs": lambda: cm_series_cs(5, 6),
+        "cs_sym_power": lambda: cs_sym_power(5, 6),
+        "fit_gh": lambda: fit_gh(5),
+    }
+    want = {name: call() for name, call in calls.items()}
+    pulled = []
+    counting = _counting_rows(sl2.cs_rows_packed, pulled)
+    monkeypatch.setattr(sl2, "cs_rows_packed", counting)
+    monkeypatch.setattr(ze, "cs_rows_packed", counting)
+    for name, call in calls.items():
+        pulled.clear()
+        assert call() == want[name], name
+        assert pulled and pulled == list(range(len(pulled))), name
+        # rows 0..6 for S^6(V_5); the fit reads as many as its certificate needs
+        assert name == "fit_gh" or len(pulled) == 7, name
 
 
 class _FractionBerlekampMassey:
