@@ -20,9 +20,10 @@ square restriction M = S_j[K_{j-1} x X, L_{j-1} x X], of size n d_{j-1},
 instead of n d_{j-1} full rows over n^j columns: streaming elimination
 keeps a row exactly when it raises the rank of the rows before it, so the
 kept rows K_j are the ones the full rows would keep.  Only those d_j rows
-are built in full.  The same elimination gives L_j: its echelon is
-T M[K_j, :], T invertible, triangular on its d_j pivot columns, so those
-columns of M are independent.  The words Psi_{j-1}...Psi_k are applied to
+are built in full, and only once the next level reads them.  The same
+elimination gives L_j: its echelon is T M[K_j, :], T invertible,
+triangular on its d_j pivot columns, so those columns of M are
+independent.  The words Psi_{j-1}...Psi_k are applied to
 the support of each kept row, and to each column word of M, one positional
 braiding step (an n^2-entry offset table) at a time, so no table over the
 n^j columns is ever built.  The quadratic variant BS^quad(A) = TA / <ker
@@ -40,11 +41,18 @@ block-diagonal by label.  When every sigma_x is an automorphism of (X, Psi)
 (checked once, in O(n^3); true for every conjugacy class), relabelling all
 tensor factors by one element g of the group they generate commutes with S_j
 and W_j and carries block l to block g l g^-1.  Only the least label of each
-such orbit is computed, its dimension counted |orbit| times; the rows and
-column words of any other block are its representative's, relabelled.
-Otherwise every block is its own orbit, through the same code.  Budgets
-still count the n^j columns of a level, not the columns of a block or the
-n d_{j-1} of the ladder's restriction.
+such orbit is computed, its dimension counted |orbit| times, and a level
+holds one copy of each representative's rows and column words.  The
+ladder reads a block l = g rep g^-1 through g: each column it looks up is
+sent through g^-1 by base-n digit tables.  It holds its d_j kept rows as
+recipes (w, g, i), the row (g w) n + i of S_j for a kept row w of a
+representative of level j-1, and relabels and builds them only when the
+next level reads them, so the top level's rows are never built.  The joint kernels need whole vectors, so their
+block function relabels its parts' rows.  Each label's targets
+l o sigma_i, and whether each is a representative, are found once per
+ladder.  Otherwise every block is its own orbit, through the same code.
+Budgets still count the n^j columns of a level, not the columns of a block
+or the n d_{j-1} of the ladder's restriction.
 """
 
 from __future__ import annotations
@@ -157,7 +165,7 @@ def check_braid_relation(tables) -> bool:
 
 
 def _compose(a, b):
-    return tuple(a[b[i]] for i in range(len(a)))
+    return tuple([a[i] for i in b])
 
 
 def _inverse(a):
@@ -255,6 +263,8 @@ class _ProductBlocks:
         self._generators = [(s, _inverse(s)) for s in gens]
         self._orbit = {}    # label -> (representative, g, orbit size), label = g rep g^-1
         self._members = {}  # representative -> [(label, g)] over its orbit, sorted
+        self._targets = {}  # label l -> [(i, l o sigma_i)] over the i whose target is a representative
+        self._digits = (None, {})  # (m, {g: digit tables of g}) of the last level asked
 
     def orbit(self, label):
         """(rep, g, size): the orbit's least label, a g with label = g rep g^-1, and its size."""
@@ -266,7 +276,7 @@ class _ProductBlocks:
                 m = frontier.pop()
                 h = conj[m]
                 for s, s_inv in self._generators:
-                    image = _compose(_compose(s, m), s_inv)
+                    image = tuple([s[m[t]] for t in s_inv])  # s m s^-1
                     if image not in conj:
                         conj[image] = _compose(s, h)
                         frontier.append(image)
@@ -286,65 +296,72 @@ class _ProductBlocks:
         """[(label, g)] over the orbit of a representative already passed to orbit()."""
         return self._members[rep]
 
-    def rows(self, basis, label, m: int, cache: dict):
-        """Entry of the level-m block ``label``: basis[rep] with every tensor factor sent through g.
+    def targets(self, label):
+        """[(i, l o sigma_i)] over the letters i that take label l to a representative, computed once."""
+        hit = self._targets.get(label)
+        if hit is None:
+            hit = self._targets[label] = []
+            for i, s in enumerate(self._sigma):
+                target = _compose(label, s)
+                if self.is_rep(target):
+                    hit.append((i, target))
+        return hit
 
-        basis maps representatives to their entries: a list of sparse rows,
-        or the ladder's (rows, column words) pair, whose column words go
-        through the same digit map.  Results are memoised in cache.
+    def digits(self, g, m: int):
+        """(high, low, base): the word c of m letters, each sent through g, is high[c // base] + low[c % base].
+
+        Base-n digit tables over the low and high halves of a word, kept
+        for the level m last asked.
         """
-        out = cache.get(label)
-        if out is None:
-            rep, g, _ = self.orbit(label)
-            out = basis[rep]
-            if g != self.identity:
-                n = self.size
-                half = m // 2
-                base = n ** half
-                low = [0]
-                for _ in range(half):
-                    low = [c * n + d for c in low for d in g]
-                high = [c * n + d for c in low for d in g] if m % 2 else low
-                high = [c * base for c in high]
+        level, maps = self._digits
+        if level != m:
+            maps = {}
+            self._digits = m, maps
+        hit = maps.get(g)
+        if hit is None:
+            n, half = self.size, m // 2
+            base = n ** half
+            low = [0]
+            for _ in range(half):
+                low = [c * n + d for c in low for d in g]
+            high = [c * n + d for c in low for d in g] if m % 2 else low
+            hit = maps[g] = [c * base for c in high], low, base
+        return hit
 
-                def relabel(rows):
-                    return [{high[c // base] + low[c % base]: v for c, v in row.items()} for row in rows]
-
-                if isinstance(out, tuple):
-                    rows, cols = out
-                    out = relabel(rows), [high[c // base] + low[c % base] for c in cols]
-                else:
-                    out = relabel(out)
-            cache[label] = out
-        return out
+    def relabel(self, row, g, m: int):
+        """A sparse row over n^m columns with every tensor factor sent through g."""
+        if g == self.identity:
+            return row
+        high, low, base = self.digits(g, m)
+        return {high[c // base] + low[c % base]: v for c, v in row.items()}
 
     def first(self):
-        """The level-1 basis: {rep: [e_i for the letters i with sigma_i = rep]}."""
-        basis = {}
+        """The level-1 blocks: {rep: [the letters i with sigma_i = rep]}."""
+        letters = {}
         for i, s in enumerate(self._sigma):
             if self.is_rep(s):
-                basis.setdefault(s, []).append({i: 1})
-        return basis
+                letters.setdefault(s, []).append(i)
+        return letters
 
-    def level(self, basis, m: int, block):
-        """The level-(m+1) blocks grown from the level-m basis: (sum of |orbit| * rows, {rep: entry}).
+    def level(self, basis, block):
+        """The next level's blocks grown from the representatives in basis: (sum of |orbit| * rank, {rep: entry}).
 
-        Each representative rep of level m+1, in sorted order, gets its entry
-        from block(parts), parts = [(entry of block l, [i])] over the labels l
-        in the orbits of basis and the letters i with l o sigma_i = rep.  An
-        entry is a list of rows or a (rows, column words) pair (``rows``);
-        blocks given no rows are left out.
+        Each representative of the next level, in sorted order, gets its
+        entry from block(parts), parts = [(rep, g, letters)] over the labels
+        l = g rep g^-1 in the orbits of basis and the letters i with
+        l o sigma_i equal to it.  The block reads basis[rep] itself and
+        sends it through g as it needs.  An entry is a list of rows or a
+        (rows, column words) pair, of which the rank is the length; blocks of
+        rank 0 are left out.
         """
-        sources = {}  # rep -> {label l: [i]}
+        sources = {}  # target -> {label l: (rep, g, [i])}
         for rep in basis:
-            for label, _ in self.members(rep):
-                for i, s in enumerate(self._sigma):
-                    target = _compose(label, s)
-                    if self.is_rep(target):
-                        sources.setdefault(target, {}).setdefault(label, []).append(i)
-        dim, out, cache = 0, {}, {}
+            for label, g in self.members(rep):
+                for i, target in self.targets(label):
+                    sources.setdefault(target, {}).setdefault(label, (rep, g, []))[2].append(i)
+        dim, out = 0, {}
         for target in sorted(sources):
-            entry = block([(self.rows(basis, label, m, cache), letters) for label, letters in sources[target].items()])
+            entry = block(list(sources[target].values()))
             rank = len(entry[0] if isinstance(entry, tuple) else entry)
             if rank:
                 out[target] = entry
@@ -389,24 +406,28 @@ class GradedDims:
 class SymmetrizerLadder:
     """Incremental row and column bases of the braided symmetrizers S_1, S_2, ...
 
-    Level j keeps, for each representative label of a block orbit (see the
-    module docstring), a pair: a maximal independent set K of the rows of
-    S_j in that block (sparse integer dicts over n^j columns, entries bounded
-    by j!), and a list L of as many independent column words of the block.
-    A representative block of level j takes as candidates the rows w n + i
-    of S_j, where w runs over the kept rows of the level-(j-1) blocks l and
-    i over the letters with l o sigma_i equal to its label; a
-    non-representative l contributes its representative's rows and column
-    words relabelled by the conjugating g.  The candidates are ranked on the
-    columns u n + i, u in the kept column words of l, only
-    (``_block_bases``): the transpose S_j(Psi)^T = S_j(Psi^-1) makes that
-    restriction keep the same rows as the full candidates would, and only
-    the kept rows are built in full, through ``_candidate_rows``.  The
-    elimination's pivot columns give the block's next column words.  The
-    level's rank is the sum over representatives of |orbit| times the
-    block's rank.  Words act step by step, with O(j n^2) tables per level.
-    ``budget`` still bounds the column count n^j of a level, although no
-    array of that size, or of a block's size, is built.
+    Level j keeps one entry for each representative label of a block orbit
+    (see the module docstring): a maximal independent set K of the rows of
+    S_j in that block, and a list L of as many independent column words of
+    the block.  K is held as recipes (w, g, i), the row (g w) n + i of S_j
+    for a kept row w of a level-(j-1) representative (a sparse integer dict
+    over n^(j-1) columns), a conjugator g and a letter i.  ``kept_rows``
+    relabels and builds them, entries bounded by j!, and ``extend`` does so
+    only when level j+1 reads them, so the top level's rows are never
+    built.  A representative block of level j+1 takes as
+    candidates the rows w n + i of S_(j+1), where w runs over the kept rows
+    of the level-j blocks l and i over the letters with l o sigma_i equal to
+    its label.  A non-representative l = g rep g^-1 is read through its
+    representative's one copy of the rows and column words and the digit
+    tables of g (``_block_bases``).  The candidates are ranked on the
+    columns u n + i, u in the kept column words of l, only: the transpose
+    S_j(Psi)^T = S_j(Psi^-1) makes that restriction keep the same rows as
+    the full candidates would.  The elimination's pivot columns give the
+    block's next column words.  The level's rank is the sum over
+    representatives of |orbit| times the block's rank.  Words act step by
+    step, with O(j n^2) tables per level.  ``budget`` still bounds the
+    column count n^j of a level, although no array of that size, or of a
+    block's size, is built.
     """
 
     def __init__(self, x: BraidedSet, budget: int = DEFAULT_BUDGET):
@@ -414,8 +435,14 @@ class SymmetrizerLadder:
         self.budget = _degree(budget, "budget")
         self.dims = [1, x.size]
         self._blocks = _ProductBlocks(x)
-        # representative label -> (kept rows, kept column words) of that block; S_1 = id
-        self._basis = {rep: (rows, [c for row in rows for c in row]) for rep, rows in self._blocks.first().items()}
+        # representative label -> (kept rows as recipes (w, g, i), kept column words): the recipe is
+        # row (g w) n + i of S_j for a kept row w of a representative of level j-1 and its conjugator g;
+        # S_0 is the 1 x 1 identity on the empty word, so S_1 = id has the recipes ({0: 1}, id, i)
+        self._basis = {
+            rep: ([({0: 1}, self._blocks.identity, i) for i in letters], letters)
+            for rep, letters in self._blocks.first().items()
+        }
+        self._steps = []  # _word_inverse_perms of the current level
 
     @property
     def level(self) -> int:
@@ -460,58 +487,84 @@ class SymmetrizerLadder:
                                 del out[y]
                     yield out
 
-    def _block_bases(self, steps, forward, parts):
-        """(kept rows, column words) of one block of S_j from parts [((rows, column words), letters)].
+    def kept_rows(self):
+        """{representative: its kept rows of S_j} at the current level j, built from their recipes."""
+        m, relabel = self.level - 1, self._blocks.relabel
+        return {
+            rep: list(self._candidate_rows(self._steps, [([relabel(w, g, m)], [i]) for w, g, i in recipes]))
+            for rep, (recipes, _) in self._basis.items()
+        }
 
-        Candidate r = (w, i) is row w n + i of S_j, for each kept row w of
-        S_(j-1) in parts and i in its letters, in the order of
-        ``_candidate_rows``; the columns are u n + i for each kept column
-        word u and i in its letters.  Entry (r, v) of M, the restriction of
-        S_j to these rows and columns, is sum_p sign^p row_w[c div n] over
-        the images c = W_p(v) with c mod n = i, W_p = Psi_(j-1)..Psi_(j-p)
-        (W_0 = id): one lookup per image in an index of the kept rows'
-        entries, which holds only the columns c div n that some image
-        reaches.  ``steps`` are ``_word_inverse_perms(j)`` and ``forward`` the same
+    def _block_bases(self, steps, forward, previous, parts):
+        """(kept rows as recipes, column words) of one block of S_j from parts [(rep, g, letters)].
+
+        ``previous`` maps each representative of level j-1 to its kept rows,
+        its column words and their index {column u: [(k, entry of row k at
+        u)]}, filled for the columns M reads; the block l = g rep g^-1 holds
+        them sent through g.  Candidate r = (w, i) is row w n + i of S_j,
+        for each kept row w of a part's block and i in its letters, in the
+        order of ``_candidate_rows``; the columns are v = u n + i for each of
+        the block's column words u and i in its letters.  Entry (r, v) of M,
+        the restriction of S_j to these rows and columns, is
+        sum_p sign^p row_w[c div n] over the images c = W_p(v) with
+        c mod n = i, W_p = Psi_(j-1)..Psi_(j-p) (W_0 = id).  The letter
+        c mod n names the one part whose block holds c div n, since
+        l o sigma_i is the block's label, and g^-1 (c div n) is looked up in
+        that part's representative's index: no other block is copied.
+        ``steps`` are ``_word_inverse_perms(j)`` and ``forward`` the same
         steps braiding forward, entry q at place value n^q; W_p runs
-        forward[p-1], ..., forward[0].
-        The rows of M kept by ``sparse_int_rank`` name the rows of S_j that
-        the full candidates would keep, and only those are built in full.
-        Its pivots are d_j independent columns of M: the echelon is T times
-        M on the kept rows, T invertible, and triangular on the pivots.
+        forward[p-1], ..., forward[0].  The rows of M kept by
+        ``sparse_int_rank`` name the rows of S_j that the full candidates
+        would keep; they are returned as recipes (w, g, i), which the next
+        level relabels and builds.  Its pivots are d_j independent columns of
+        M: the echelon is T times M on the kept rows, T invertible, and
+        triangular on the pivots.
         """
         n = self.x.size
         nn = n * n
-        columns = [u * n + i for (_, cols), letters in parts for u in cols for i in letters]
-        images = []  # column of M -> [(W_p(v), sign^p)]
-        for v in columns:
-            out = [(v, 1)]
-            for p in range(1, len(forward) + 1):
-                c = v
+        blocks, m = self._blocks, len(steps)  # level-(j-1) words have m = j-1 letters
+        columns = []
+        by_letter = {}  # letter i -> (candidate (row 0, i), candidates per row, rows, index, g^-1 digits or None)
+        sources = []  # candidate -> its recipe (w, g, i): row g w of S_(j-1), w in rep's block, and letter i
+        first = 0
+        for rep, g, letters in parts:
+            rows, cols, index = previous[rep]
+            if g == blocks.identity:
+                inverse = None
+            else:
+                high, low, base = blocks.digits(g, m)
+                cols = [high[u // base] + low[u % base] for u in cols]
+                inverse = blocks.digits(_inverse(g), m)
+            columns.extend(u * n + i for u in cols for i in letters)
+            stride = len(letters)
+            for pos, i in enumerate(letters):
+                by_letter[i] = (first + pos, stride, rows, index, inverse)
+            sources.extend((row, g, i) for row in rows for i in letters)
+            first += len(rows) * stride
+        m_rows = [{} for _ in range(first)]
+        for col, v in enumerate(columns):
+            for p in range(len(forward) + 1):
+                image = v
                 for lo, delta, _ in reversed(forward[:p]):  # place values n^(p-1), ..., n^0
-                    c += delta[c // lo % nn]
-                out.append((c, forward[p - 1][2]))
-            images.append(out)
-        looked_up = {c // n for out in images for c, _ in out}
-        index = {}  # column u of S_(j-1) -> [(first candidate of the row, letter -> offset, entry)]
-        sources = []  # candidate -> (row of S_(j-1), letter)
-        for (rows, _), letters in parts:
-            offset = {i: k for k, i in enumerate(letters)}
-            for row in rows:
-                first = len(sources)
-                for u, e in row.items():
-                    if u in looked_up:
-                        index.setdefault(u, []).append((first, offset, e))
-                sources.extend((row, i) for i in letters)
-        m = [{} for _ in sources]
-        for k, out in enumerate(images):
-            for c, sgn in out:
-                for first, offset, e in index.get(c // n, ()):
-                    row = m[first + offset[c % n]]
-                    row[k] = row.get(k, 0) + sgn * e
-        _, kept, pivots = sparse_int_rank(m)
-        source = {id(row): ([w], [i]) for row, (w, i) in zip(m, sources)}  # kept holds these very rows
-        rows = list(self._candidate_rows(steps, [source[id(row)] for row in kept]))
-        return rows, [columns[k] for k in pivots]
+                    image += delta[image // lo % nn]
+                sgn = forward[p - 1][2] if p else 1
+                hit = by_letter.get(image % n)
+                if hit is None:
+                    continue
+                start, stride, rows, index, inverse = hit
+                u = image // n
+                if inverse is not None:
+                    high, low, base = inverse
+                    u = high[u // base] + low[u % base]
+                hits = index.get(u)
+                if hits is None:
+                    hits = index[u] = [(k, row[u]) for k, row in enumerate(rows) if u in row]
+                for k, e in hits:
+                    row = m_rows[start + k * stride]
+                    row[col] = row.get(col, 0) + sgn * e
+        _, kept, pivots = sparse_int_rank(m_rows)
+        source = {id(row): r for r, row in enumerate(m_rows)}  # kept holds these very rows
+        return [sources[source[id(row)]] for row in kept], [columns[k] for k in pivots]
 
     def extend(self):
         """Build the next level and record its dimension."""
@@ -522,8 +575,10 @@ class SymmetrizerLadder:
         steps = self._word_inverse_perms(j)
         pairs = _pair_map(self.x)
         forward = [(lo, [(s - t) * lo for t, s in enumerate(pairs)], sgn) for lo, _, sgn in steps]
+        previous = {rep: (rows, self._basis[rep][1], {}) for rep, rows in self.kept_rows().items()}
         rank, self._basis = self._blocks.level(
-            self._basis, j - 1, lambda parts: self._block_bases(steps, forward, parts))
+            self._basis, lambda parts: self._block_bases(steps, forward, previous, parts))
+        self._steps = steps
         self.dims.append(rank)
         return rank
 
@@ -674,9 +729,18 @@ def _joint_kernel_dims(x: BraidedSet, pair_map, width: int):
     representative block is one intersection step.
     """
     blocks = _ProductBlocks(x)
-    n, basis = x.size, blocks.first()
+    n = x.size
+    basis = {rep: [{i: 1} for i in letters] for rep, letters in blocks.first().items()}
     for m in itertools.count(1):
-        dim, basis = blocks.level(basis, m, lambda parts: _intersect_step(parts, n, pair_map, width))
+        copies = {}  # (rep, g) -> basis[rep] sent through g; a label can feed several blocks
+
+        def relabelled(rep, g):
+            if (rep, g) not in copies:
+                copies[rep, g] = [blocks.relabel(row, g, m) for row in basis[rep]]
+            return copies[rep, g]
+
+        dim, basis = blocks.level(basis, lambda parts: _intersect_step(
+            [(relabelled(rep, g), letters) for rep, g, letters in parts], n, pair_map, width))
         yield dim
 
 

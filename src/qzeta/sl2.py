@@ -149,13 +149,16 @@ def _multiplicity_row(chi: dict) -> dict:
 def cs_sym_power(m: int, j: int) -> Sl2Decomposition:
     """S^j(V_m) via Cayley-Sylvester: V_{jm-2r} with multiplicity p(r,j,m) - p(r-1,j,m).
 
-    Row j of ``cs_rows_packed(m, width)``, decoded: digit d is the
-    multiplicity of V_(2d + jm % 2), and binomial(j + m, m) < 2^(width-1)
-    bounds every digit of the row and of its Gaussian step.
+    Row min(m, j) of ``cs_rows_packed(max(m, j), width)``, decoded: digit d
+    is the multiplicity of V_(2d + jm % 2), and binomial(j + m, m) <
+    2^(width-1) bounds every digit of the row and of its Gaussian step.
+    Hermite reciprocity, S^j(V_m) = S^m(V_j), is why either order will do:
+    both rows come from the same G = [j+m choose m]_q, so the stream runs
+    min(m, j) + 1 packed steps, not j + 1.
     """
     m, j = _degree(m, "m"), _degree(j, "j")
     width = _row_width(math.comb(j + m, m))
-    v = next(islice(cs_rows_packed(m, width), j, None))
+    v = next(islice(cs_rows_packed(max(m, j), width), min(m, j), None))
     return Sl2Decomposition(_from_digits(_unpack(v, width), j * m % 2, 2).items())
 
 

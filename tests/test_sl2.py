@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from itertools import islice
 from math import comb
 
 import pytest
@@ -23,6 +24,7 @@ from qzeta import (
     sym_power_weight_oracle,
     tensor_decompose,
 )
+from qzeta.qlaurent import _from_digits, _row_width, _unpack
 
 
 def test_cs_low_cases():
@@ -106,6 +108,28 @@ def test_packed_cs_negative_multiplicity_is_a_typed_error(monkeypatch):
     monkeypatch.setattr(sl2, "gaussian_steps_packed", lambda a, w: iter([1, _packed([1, 1, 2, 3], w)]))
     with pytest.raises(QZetaError, match=r"negative CS multiplicity at \(m=3, j=1, r=1\)"):
         list(sl2.cs_rows_packed(3, width))
+
+
+def test_cs_sym_power_reads_the_shorter_row_of_hermite_reciprocity(monkeypatch):
+    # S^j(V_m) = S^m(V_j): row min(m, j) of c_max(m, j) is row j of c_m, in either argument order
+    for m in range(17):
+        for j in range(17):
+            width = _row_width(comb(j + m, m))
+            row = next(islice(sl2.cs_rows_packed(m, width), j, None))
+            direct = Sl2Decomposition(_from_digits(_unpack(row, width), j * m % 2, 2).items())
+            assert cs_sym_power(m, j) == cs_sym_power(j, m) == direct, (m, j)
+            assert list(cs_sym_power(m, j).parts.items()) == list(direct.parts.items()), (m, j)
+    pulled = []
+    steps = sl2.gaussian_steps_packed
+
+    def counted(a, width):
+        for g in steps(a, width):
+            pulled.append(a)
+            yield g
+
+    monkeypatch.setattr(sl2, "gaussian_steps_packed", counted)
+    assert cs_sym_power(2, 200) == cs_sym_power(200, 2) == Sl2Decomposition({400 - 4 * k: 1 for k in range(101)})
+    assert pulled == [200] * 6  # 3 steps of [200 + i choose i]_q per call, i = 0, 1, 2
 
 
 def test_weight_oracle_cases():

@@ -1007,8 +1007,9 @@ def test_cs_readers_pull_rows_from_the_one_row_stream(monkeypatch):
         pulled.clear()
         assert call() == want[name], name
         assert pulled and pulled == list(range(len(pulled))), name
-        # rows 0..6 for S^6(V_5); the fit reads as many as its certificate needs
-        assert name == "fit_gh" or len(pulled) == 7, name
+        # rows 0..6 of c_5 for cm_series_cs(5, 6); S^6(V_5) = S^5(V_6) is row 5 of c_6, so rows 0..5;
+        # the fit reads as many as its certificate needs
+        assert name == "fit_gh" or len(pulled) == {"cm_series_cs": 7, "cs_sym_power": 6}[name], name
 
 
 class _FractionBerlekampMassey:
