@@ -64,7 +64,7 @@ from .errors import BudgetExceeded
 from .qcombinat import t_bracket
 from .qlaurent import _as_int, _degree
 from .qtpoly import QTPoly
-from .linalg import _intersect_step, sparse_int_rank
+from .linalg import _intersect_step, _word_tables, sparse_int_rank
 
 DEFAULT_BUDGET = 100_000
 
@@ -310,8 +310,7 @@ class _ProductBlocks:
     def digits(self, g, m: int):
         """(high, low, base): the word c of m letters, each sent through g, is high[c // base] + low[c % base].
 
-        Base-n digit tables over the low and high halves of a word, kept
-        for the level m last asked.
+        ``linalg._word_tables`` of g, kept for the level m last asked.
         """
         level, maps = self._digits
         if level != m:
@@ -319,13 +318,7 @@ class _ProductBlocks:
             self._digits = m, maps
         hit = maps.get(g)
         if hit is None:
-            n, half = self.size, m // 2
-            base = n ** half
-            low = [0]
-            for _ in range(half):
-                low = [c * n + d for c in low for d in g]
-            high = [c * n + d for c in low for d in g] if m % 2 else low
-            hit = maps[g] = [c * base for c in high], low, base
+            hit = maps[g] = _word_tables(g, m)
         return hit
 
     def relabel(self, row, g, m: int):

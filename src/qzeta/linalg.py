@@ -11,6 +11,11 @@ quadratic Hilbert series and the braided invariants in ``braided`` over Z,
 the R-matrix blocks in ``rmatrix`` over Q(q).  Rows enter one at a time and
 are reduced against the current echelon.
 
+``_intersect_step`` numbers the words of m letters in base n.
+``_word_tables`` relabels the letters of such a word column by table
+look-up, for the ladder's orbit blocks in ``braided`` and the R-matrix's
+composition blocks in ``rmatrix``.
+
 Every elimination goes through one fraction-free reduction step, ``_reduce``
 (Bareiss-style cross-multiplication of sparse rows), and one content strip,
 ``_strip``, that keeps rows primitive: the gcd of an integer row, the least
@@ -230,6 +235,22 @@ def _intersect_step(parts, n: int, pair_map, width: int) -> list[dict]:
     # a candidate column u n + x, u <= top, maps below (top // n + 1) width
     span = (top // n + 1) * width
     return [_combine(dep, candidates) for dep in sparse_kernel(images, span)]
+
+
+def _word_tables(g, m: int):
+    """(high, low, base): the base-n word c of m letters, each letter y sent to g[y], is high[c // base] + low[c % base].
+
+    n is len(g).  Digit tables over the low m // 2 letters of a word and
+    over the rest: a word column of ``_intersect_step`` is relabelled by
+    two look-ups instead of m digit steps.
+    """
+    n, half = len(g), m // 2
+    base = n ** half
+    low = [0]
+    for _ in range(half):
+        low = [c * n + d for c in low for d in g]
+    high = [c * n + d for c in low for d in g] if m % 2 else low
+    return [c * base for c in high], low, base
 
 
 def solve_linear(rows: list, rhs) -> tuple[list, int]:

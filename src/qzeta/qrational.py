@@ -7,6 +7,14 @@ then genuine equality of rational functions.  The reduction runs on the
 dense form that ``qlaurent`` owns (lists on the common exponent lattice, so
 half-integer exponents are supported): ``_gcd_low``, then ``_divide_low``,
 the long division behind ``QLaurent.exact_div``, on num and den.
+
+The quotients are divided by the denominator's lowest coefficient and
+decoded by ``_over`` straight into canonical terms.  Fraction appears only
+where the numbers are not integers: a coefficient that this lowest
+coefficient does not divide, a Fraction coefficient of the input (which
+``_to_intpoly`` passes on and ``_divide_low`` divides as it is), an
+exponent off the integers when the lattice is finer than 1, and the
+values of ``eval_at``.
 """
 
 from __future__ import annotations
@@ -14,7 +22,22 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DivisionByZero, ExactDivisionError
-from .qlaurent import QLaurent, _divide_low, _exp_lattice, _gcd_low, _to_intpoly
+from .qlaurent import QLaurent, _divide_low, _exp_lattice, _gcd_low, _norm_num, _to_intpoly
+
+
+def _over(quot: dict, lead, lat: int) -> QLaurent:
+    """The QLaurent with coefficient c / lead at q^(k / lat) for each k: c of a gcd quotient.
+
+    Exponents and coefficients come out canonical, as in ``_from_digits``:
+    an int where lat divides k, or where lead and c are ints and lead
+    divides c; a Fraction only where it does not.
+    """
+    integral = type(lead) is int
+    return QLaurent._wrap({
+        k if lat == 1 else k // lat if k % lat == 0 else Fraction(k, lat):
+        c // lead if integral and type(c) is int and c % lead == 0 else _norm_num(Fraction(c) / lead)
+        for k, c in quot.items()
+    })
 
 
 class QRational:
@@ -44,9 +67,8 @@ class QRational:
         quot_n, quot_d = _divide_low(top, g, shift - shift_d), _divide_low(bottom, g)
         if any(top[len(top) - len(g) + 1:]) or any(bottom[len(bottom) - len(g) + 1:]):
             raise ExactDivisionError("the gcd leaves a remainder")
-        scale = Fraction(1) / quot_d[0]
-        return (QLaurent.from_sums({Fraction(k, lat): c * scale for k, c in quot_n.items()}),
-                QLaurent.from_sums({Fraction(k, lat): c * scale for k, c in quot_d.items()}))
+        lead = quot_d[0]
+        return _over(quot_n, lead, lat), _over(quot_d, lead, lat)
 
     # -- constructors ---------------------------------------------------
 

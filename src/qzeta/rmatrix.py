@@ -10,14 +10,22 @@ R-hat preserves the multiset of tensor indices, so everything is done
 blockwise by content, which also makes the quantum trace a weighted count
 of block kernel dimensions.  The eigenspace grows one tensor factor at a
 time: block mu of level j is a kernel on candidates from the blocks mu - e_x.
+
+R-hat's column at (a, b) depends only on whether a <, = or > b, so an
+order-preserving relabelling of the letters carries one block's kernel onto
+another's: the block of a content depends only on its composition, the
+multiplicities of its distinct letters in increasing order.  One basis is
+built per composition (m_1, ..., m_k), k <= n, on the letters 0..k-1, and
+read for every content with that composition.  ``_sym_levels`` checks that
+symmetry on the columns before it relies on it.
 """
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement, count, islice
+from itertools import combinations, combinations_with_replacement, count, groupby, islice
 
 from .errors import BudgetExceeded, QZetaError
-from .linalg import _intersect_step
+from .linalg import _intersect_step, _word_tables
 from .qlaurent import QLaurent, _degree
 
 _Q = QLaurent({1: 1})
@@ -55,7 +63,7 @@ class RHat:
                 start = {(i, j): QLaurent.one()}
                 lhs = self.apply_pair(self.apply_pair(start))
                 rhs = {k: v * _Q_MINUS_QINV for k, v in self.apply_pair(start).items()}
-                rhs[(i, j)] = rhs.get((i, j), QLaurent()) + QLaurent.one()
+                rhs[(i, j)] = rhs[(i, j)] + 1 if (i, j) in rhs else QLaurent.one()
                 rhs = {k: v for k, v in rhs.items() if not v.is_zero}
                 if lhs != rhs:
                     raise QZetaError(f"Hecke relation fails at basis pair {(i, j)}")
@@ -67,12 +75,9 @@ class RHat:
             pair = (tup[slot], tup[slot + 1])
             for (a, b), c in self.columns[pair].items():
                 target = tup[:slot] + (a, b) + tup[slot + 2:]
-                acc = out.get(target, QLaurent()) + coeff * c
-                if acc.is_zero:
-                    out.pop(target, None)
-                else:
-                    out[target] = acc
-        return out
+                term = coeff * c
+                out[target] = out[target] + term if target in out else term
+        return {t: v for t, v in out.items() if v}
 
     def _verify_braid(self):
         """R1 R2 R1 = R2 R1 R2 on all n^3 basis tensors."""
@@ -105,13 +110,55 @@ def sym_subspace_dims(n: int, j: int, budget=(4, 5)):
     intersected with V^(x j-2) (x) ker(R - q id), and R-hat keeps content:
     block mu of Sym_j is the part of the sum of Sym_(j-1)[mu - e_x] (x) e_x
     that R-hat - q id in the last two slots sends to 0 (``_intersect_step``
-    over Q(q)).  Block bases are sparse {base-n column: QLaurent} vectors and
-    every dimension is counted, never assumed.  Level j is taken from
-    ``_sym_levels(RHat(n))``.
+    over Q(q)).  R-hat is invariant under order-preserving relabelling of
+    the letters (checked on its columns), so contents with one composition
+    share one block, built once on the letters 0..k-1.  Block bases are
+    sparse {base-n column: QLaurent} vectors and every dimension is counted,
+    never assumed.  Level j is taken from ``_sym_levels(RHat(n))``.
     """
     n, j = _degree(n, "n", 2), _degree(j)
     _check_budget(n, j, budget)
     return next(islice(_sym_levels(RHat(n)), j, None))
+
+
+def _check_order_invariant(r: RHat):
+    """QZetaError unless each column of r is the column of its order pattern, relabelled.
+
+    The patterns are (0, 0), (0, 1) and (1, 0), for a = b, a < b and a > b;
+    the column at (a, b) must be its pattern's column with the pattern's
+    letters sent to a and b, and every target must be (a, b) or (b, a), so
+    R-hat keeps content.  n^2 columns of at most two entries each.
+    """
+    for a in range(r.n):
+        for b in range(r.n):
+            pattern = (0, 0) if a == b else (0, 1) if a < b else (1, 0)
+            letter = {pattern[0]: a, pattern[1]: b}
+            want = {(letter.get(x), letter.get(y)): c for (x, y), c in r.columns[pattern].items()}
+            if r.columns[(a, b)] != want or not want.keys() <= {(a, b), (b, a)}:
+                raise QZetaError(f"R-hat column {(a, b)} is not its order pattern's column relabelled")
+
+
+def _composition(content) -> tuple:
+    """The multiplicities of the distinct letters of a sorted content, in increasing order of letter."""
+    return tuple(len(list(run)) for _, run in groupby(content))
+
+
+def _compositions(j: int, n: int):
+    """Every composition of j >= 1 with at most n parts."""
+    for k in range(1, min(j, n) + 1):
+        for cuts in combinations(range(1, j), k - 1):
+            bounds = (0, *cuts, j)
+            yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
+
+
+def _relabel(rows, x: int, n: int, length: int) -> list[dict]:
+    """Rows on ``length``-letter words in base n, with every letter y >= x below n - 1 raised to y + 1.
+
+    The letters go through the cycle (x, x+1, ..., n-1); the rows hold no
+    letter n - 1, so no letter is sent to x.
+    """
+    high, low, base = _word_tables((*range(x), *range(x + 1, n), x), length)
+    return [{high[c // base] + low[c % base]: v for c, v in row.items()} for row in rows]
 
 
 def _sym_levels(r: RHat):
@@ -119,9 +166,18 @@ def _sym_levels(r: RHat):
 
     Each level's block bases are built once, from the level before, so a
     caller that needs every j up to some bound walks this generator instead
-    of calling ``sym_subspace_dims`` once per j.
+    of calling ``sym_subspace_dims`` once per j.  A level holds one basis
+    per composition c of j with at most n parts, on the letters 0..k-1 of
+    its k parts; its candidates are the bases of the parts c - e_x, each
+    letter x of c in turn.  When x occurs once in c, that part is the
+    composition without x, whose letters are relabelled onto
+    {0..k-1} minus {x}.  The blocks are yielded per content, in
+    ``combinations_with_replacement`` order, each with the dimension of its
+    composition's basis.  Raises QZetaError, at the first level, if R-hat
+    is not invariant under order-preserving relabelling.
     """
     n = r.n
+    _check_order_invariant(r)
     shifted = []  # pair a n + b -> [(pair, entry)] of the column of R-hat - q id
     for a in range(n):
         for b in range(n):
@@ -129,16 +185,22 @@ def _sym_levels(r: RHat):
             col[(a, b)] = col.get((a, b), QLaurent()) - _Q
             shifted.append([(a2 * n + b2, c) for (a2, b2), c in col.items() if c])
     yield [((), 1)]
-    basis = {(x,): [{x: QLaurent.one()}] for x in range(n)}
+    basis = {(1,): [{0: QLaurent.one()}]}
     for level in count(2):
-        yield [(content, len(vectors)) for content, vectors in basis.items()]
+        yield [(content, len(basis[_composition(content)]))
+               for content in combinations_with_replacement(range(n), level - 1)]
         below, basis = basis, {}
-        for content in combinations_with_replacement(range(n), level):
+        for comp in _compositions(level, n):
             parts = []
-            for x in sorted(set(content)):
-                k = content.index(x)
-                parts.append((below[content[:k] + content[k + 1:]], (x,)))
-            basis[content] = _intersect_step(parts, n, shifted, n * n)
+            for x, m in enumerate(comp):
+                if m > 1:
+                    rows = below[comp[:x] + (m - 1,) + comp[x + 1:]]
+                else:
+                    rows = below[comp[:x] + comp[x + 1:]]
+                    if x < len(comp) - 1:  # the last letter has no letter above it to move
+                        rows = _relabel(rows, x, n, level - 1)
+                parts.append((rows, (x,)))
+            basis[comp] = _intersect_step(parts, n, shifted, n * n)
 
 
 def quantum_trace_sym(n: int, j: int, budget=(4, 5)) -> QLaurent:

@@ -6,7 +6,7 @@ import sympy
 
 import qzeta.qrational as qrational
 from qzeta import DivisionByZero, ExactDivisionError, QLaurent, QRational
-from qzeta.qlaurent import _exp_lattice, _to_intpoly
+from qzeta.qlaurent import _divide_low, _exp_lattice, _gcd_low, _to_intpoly
 from qzeta.sphere import even_part_zeta_at_pm1, sphere_dims, sphere_zeta_coeff
 from test_qlaurent import _from_intpoly, tpoly_gcd
 
@@ -151,6 +151,62 @@ def test_sphere_values_match_the_euclid_route(monkeypatch):
     assert [repr(r) for r in new] == [repr(r) for r in old]
     assert [_typed_terms(r) for r in new] == [_typed_terms(r) for r in old]
     assert any(len(r.den) > 1 for r in new) and any(type(e) is F for r in new for e in r.num.support())
+
+
+def _reduce_by_fraction_decode(num: QLaurent, den: QLaurent):
+    """The canonical form with every quotient coefficient decoded through Fraction, then normalized."""
+    if num.is_zero:
+        return QLaurent(), QLaurent.one()
+    lat = _exp_lattice(num, den)
+    shift, top = _to_intpoly(num, lat)
+    shift_d, bottom = _to_intpoly(den, lat)
+    g = _gcd_low(top, bottom)
+    quot_n, quot_d = _divide_low(top, g, shift - shift_d), _divide_low(bottom, g)
+    scale = F(1) / quot_d[0]
+    return (QLaurent.from_sums({F(k, lat): c * scale for k, c in quot_n.items()}),
+            QLaurent.from_sums({F(k, lat): c * scale for k, c in quot_d.items()}))
+
+
+def _random_pair(rng):
+    """num, den with a common factor, on the integer or the half-integer lattice.
+
+    Coefficients are ints of either sign, some not units, and Fractions; the
+    denominator is scaled so its lowest coefficient is rarely 1.
+    """
+    step = rng.choice([1, 1, F(1, 2)])
+
+    def poly():
+        terms = {}
+        while not terms:
+            terms = {e * step: rng.choice([-6, -3, -2, -1, 1, 2, 3, 4, F(1, 2), F(-2, 3)])
+                     for e in range(-3, 4) if rng.random() < 0.4}
+        return QLaurent(terms)
+
+    shared = poly()
+    return poly() * shared * rng.choice([1, 2, -3]), poly() * shared * rng.choice([1, -1, 2, -4, F(3, 2)])
+
+
+def _decode_lead(num: QLaurent, den: QLaurent):
+    """The lowest coefficient of den over the gcd: what the canonical form divides by."""
+    lat = _exp_lattice(num, den)
+    top, bottom = _to_intpoly(num, lat)[1], _to_intpoly(den, lat)[1]
+    return _divide_low(bottom, _gcd_low(top, bottom))[0]
+
+
+def test_integer_decode_matches_the_fraction_decode(monkeypatch):
+    rng = random.Random(35_1007)
+    pairs = [_random_pair(rng) for _ in range(300)]
+    new = [QRational(num, den) for num, den in pairs] + _sphere_values()
+    monkeypatch.setattr(QRational, "_reduce", staticmethod(_reduce_by_fraction_decode))
+    old = [QRational(num, den) for num, den in pairs] + _sphere_values()
+    assert [repr(r) for r in new] == [repr(r) for r in old]
+    assert [_typed_terms(r) for r in new] == [_typed_terms(r) for r in old]
+    # the sample reaches every kind of decode: a lowest coefficient that is
+    # an int other than +-1 or a Fraction, and a half-integer exponent
+    leads = [_decode_lead(num, den) for num, den in pairs]
+    assert any(type(c) is int and abs(c) > 1 for c in leads) and any(type(c) is F for c in leads)
+    assert any(type(c) is F for r in new for _, c in r.num.items())
+    assert any(type(e) is F for r in new for e in r.num.support())
 
 
 _Q = sympy.Symbol("q")

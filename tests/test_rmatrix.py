@@ -1,11 +1,11 @@
 from fractions import Fraction as F
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, count, islice, permutations
 from math import comb
 
 import pytest
 
 from qzeta import BudgetExceeded, QLaurent, QZetaError, RHat, q_binom_sym, q_int_sym, quantum_trace_sym, sym_subspace_dims
-from qzeta.linalg import sparse_int_rank
+from qzeta.linalg import _intersect_step, sparse_int_rank
 from qzeta.rmatrix import _sym_levels, trace_of_blocks
 
 
@@ -113,10 +113,10 @@ def test_integral_floats_count_and_other_values_are_value_errors():
             RHat(bad)
 
 
-@pytest.mark.parametrize("n, j", [(5, 5), (4, 6), (3, 7), (5, 6), (6, 5), (7, 5)])
+@pytest.mark.parametrize("n, j", [(5, 5), (4, 6), (3, 7), (5, 6), (6, 5), (7, 5), (6, 6), (7, 7), (8, 7)])
 def test_sym_power_theorem_beyond_criterion_range(n, j):
     # crit 04 checks n <= 4, j <= 5 under the default cap (4, 5); the same
-    # generic route with the budget raised, up to C^7
+    # generic route with the budget raised, up to C^8
     blocks = sym_subspace_dims(n, j, budget=(n, j))
     assert len(blocks) == comb(n + j - 1, j)
     assert all(k == 1 for _, k in blocks)
@@ -124,15 +124,69 @@ def test_sym_power_theorem_beyond_criterion_range(n, j):
 
 
 def test_criterion_04_builds_each_level_once(monkeypatch):
-    # one _intersect_step per content block of levels 2..5 for each n = 2..4;
-    # calling sym_subspace_dims(n, j) for every j rebuilt levels 2..j each time
+    # one _intersect_step per composition of j with at most n parts, for
+    # levels j = 2..5 and n = 2..4: 67 blocks, where one per content block
+    # (the by-content route) built 191
     import qzeta.rmatrix as rmatrix
     from qzeta.verify import crit_04_rmatrix_oracle
 
     real, built = rmatrix._intersect_step, []
     monkeypatch.setattr(rmatrix, "_intersect_step", lambda *args: built.append(1) or real(*args))
     crit_04_rmatrix_oracle()
-    assert len(built) == sum(comb(n + j - 1, j) for n in range(2, 5) for j in range(2, 6))
+    compositions = sum(comb(j - 1, k - 1) for n in range(2, 5) for j in range(2, 6) for k in range(1, n + 1))
+    assert len(built) == compositions == 67
+
+
+# -- oracle: one block per content, the route the per-composition blocks replaced --
+
+
+def _sym_levels_by_content(r):
+    """Yield the (content, kernel dimension) blocks of Sym_j, each content's block built on its own.
+
+    Block mu of level j is ``_intersect_step`` on the candidates
+    Sym_(j-1)[mu - e_x] (x) e_x for the distinct letters x of mu, so no block
+    is read for another content and no symmetry of R-hat is assumed.
+    """
+    n = r.n
+    shifted = []
+    for a in range(n):
+        for b in range(n):
+            col = dict(r.columns[(a, b)])
+            col[(a, b)] = col.get((a, b), QLaurent()) - QLaurent({1: 1})
+            shifted.append([(a2 * n + b2, c) for (a2, b2), c in col.items() if c])
+    yield [((), 1)]
+    basis = {(x,): [{x: QLaurent.one()}] for x in range(n)}
+    for level in count(2):
+        yield [(content, len(vectors)) for content, vectors in basis.items()]
+        below, basis = basis, {}
+        for content in combinations_with_replacement(range(n), level):
+            parts = []
+            for x in sorted(set(content)):
+                k = content.index(x)
+                parts.append((below[content[:k] + content[k + 1:]], (x,)))
+            basis[content] = _intersect_step(parts, n, shifted, n * n)
+
+
+def test_blocks_per_composition_match_blocks_per_content():
+    for n in range(2, 7):
+        got = list(islice(_sym_levels(RHat(n)), 7))
+        assert repr(got) == repr(list(islice(_sym_levels_by_content(RHat(n)), 7))), n
+        assert repr(got[6]) == repr(sym_subspace_dims(n, 6, budget=(n, 6)))
+
+
+def test_rhat_that_is_not_order_invariant_is_refused():
+    # the altered column still keeps content, so the by-content route reads
+    # dimensions off it; one block per composition would be wrong, so it refuses
+    r = RHat(3)
+    r.columns[(0, 2)] = {(2, 0): QLaurent({0: 2})}
+    assert len(list(islice(_sym_levels_by_content(r), 4))) == 4
+    with pytest.raises(QZetaError, match=r"column \(0, 2\)"):
+        next(_sym_levels(r))
+    # a column that leaves its content is refused too
+    r = RHat(3)
+    r.columns[(0, 1)] = {(1, 0): QLaurent.one(), (0, 0): QLaurent.one()}
+    with pytest.raises(QZetaError, match=r"column \(0, 1\)"):
+        next(_sym_levels(r))
 
 
 # -- oracle: the stacked-constraint route the recursion replaced ----------------
@@ -187,9 +241,11 @@ def test_recursion_computes_blocks_of_any_dimension():
         col = dict(col)
         col[pair] = col.get(pair, QLaurent()) + q + qinv
         antisym.columns[pair] = {t: c for t, c in col.items() if c}
-    for j, blocks in zip(range(5), _sym_levels(scalar)):
+    for j, blocks, oracle in zip(range(5), _sym_levels(scalar), _sym_levels_by_content(scalar)):
         assert blocks == _sym_subspace_dims_stacked(3, j, r=scalar), j
+        assert repr(blocks) == repr(oracle), j
         assert [k for _, k in blocks] == [len(set(permutations(content))) for content, _ in blocks]
-    for j, blocks in zip(range(5), _sym_levels(antisym)):
+    for j, blocks, oracle in zip(range(5), _sym_levels(antisym), _sym_levels_by_content(antisym)):
         assert blocks == _sym_subspace_dims_stacked(3, j, r=antisym), j
+        assert repr(blocks) == repr(oracle), j
         assert [k for _, k in blocks] == [int(len(set(content)) == j) for content, _ in blocks]
