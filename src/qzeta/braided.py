@@ -64,7 +64,7 @@ from .errors import BudgetExceeded
 from .qcombinat import t_bracket
 from .qlaurent import _as_int, _degree
 from .qtpoly import QTPoly
-from .linalg import _intersect_step, _word_tables, sparse_int_rank
+from .linalg import _intersect_step, _relabel, _word_tables, sparse_int_rank
 
 DEFAULT_BUDGET = 100_000
 
@@ -310,8 +310,10 @@ class _ProductBlocks:
     def digits(self, g, m: int):
         """(high, low, base): the word c of m letters, each sent through g, is high[c // base] + low[c % base].
 
-        ``linalg._word_tables`` of g, kept for the level m last asked.
+        ``linalg._word_tables`` of g, kept for the level m last asked; None for the identity.
         """
+        if g == self.identity:
+            return None
         level, maps = self._digits
         if level != m:
             maps = {}
@@ -320,13 +322,6 @@ class _ProductBlocks:
         if hit is None:
             hit = maps[g] = _word_tables(g, m)
         return hit
-
-    def relabel(self, row, g, m: int):
-        """A sparse row over n^m columns with every tensor factor sent through g."""
-        if g == self.identity:
-            return row
-        high, low, base = self.digits(g, m)
-        return {high[c // base] + low[c % base]: v for c, v in row.items()}
 
     def first(self):
         """The level-1 blocks: {rep: [the letters i with sigma_i = rep]}."""
@@ -482,9 +477,9 @@ class SymmetrizerLadder:
 
     def kept_rows(self):
         """{representative: its kept rows of S_j} at the current level j, built from their recipes."""
-        m, relabel = self.level - 1, self._blocks.relabel
+        m, digits = self.level - 1, self._blocks.digits
         return {
-            rep: list(self._candidate_rows(self._steps, [([relabel(w, g, m)], [i]) for w, g, i in recipes]))
+            rep: list(self._candidate_rows(self._steps, [([_relabel(w, digits(g, m))], [i]) for w, g, i in recipes]))
             for rep, (recipes, _) in self._basis.items()
         }
 
@@ -522,12 +517,10 @@ class SymmetrizerLadder:
         first = 0
         for rep, g, letters in parts:
             rows, cols, index = previous[rep]
-            if g == blocks.identity:
-                inverse = None
-            else:
+            inverse = blocks.digits(_inverse(g), m)  # None when g is the identity
+            if inverse is not None:
                 high, low, base = blocks.digits(g, m)
                 cols = [high[u // base] + low[u % base] for u in cols]
-                inverse = blocks.digits(_inverse(g), m)
             columns.extend(u * n + i for u in cols for i in letters)
             stride = len(letters)
             for pos, i in enumerate(letters):
@@ -729,7 +722,8 @@ def _joint_kernel_dims(x: BraidedSet, pair_map, width: int):
 
         def relabelled(rep, g):
             if (rep, g) not in copies:
-                copies[rep, g] = [blocks.relabel(row, g, m) for row in basis[rep]]
+                tables = blocks.digits(g, m)
+                copies[rep, g] = [_relabel(row, tables) for row in basis[rep]]
             return copies[rep, g]
 
         dim, basis = blocks.level(basis, lambda parts: _intersect_step(

@@ -14,8 +14,8 @@ from .sphere import sphere_zeta_coeff
 from .verify import SUITES, run_suite
 from .weyl import zeta_cn_closed, zeta_cn_series
 from .zeta_engine import (
+    _cm_by_recursion,
     cm_from_zeta,
-    cm_recursion_step,
     cm_series_cs,
     fit_gh,
     zeta_finite_set,
@@ -112,13 +112,7 @@ def _cmd_cm(args) -> int:
     elif args.route == "extract":
         series = cm_from_zeta(args.m, zeta_vm_closed(args.m).expand(args.order))
     else:
-        if args.m < 2:
-            series = cm_series_cs(args.m, args.order)
-        else:
-            prev = cm_series_cs(args.m % 2, args.order)
-            for mm in range(args.m % 2 + 2, args.m + 1, 2):
-                prev = cm_recursion_step(mm, prev, args.order)
-            series = prev
+        series = _cm_by_recursion(args.m, args.order)
     params = {"m": args.m, "order": args.order, "route": args.route}
     if args.format == "json":
         _emit(series, args, "cm", params)
@@ -195,7 +189,8 @@ def _cmd_verify(args) -> int:
     else:
         for r in results:
             status = "PASS" if r.passed else "FAIL"
-            line = f"[{status}] {r.number:2d}. {r.name} ({r.seconds:.2f}s)"
+            peak = "" if r.peak_rss_mib is None else f", peak RSS {r.peak_rss_mib} MiB"
+            line = f"[{status}] {r.number:2d}. {r.name} ({r.seconds:.2f}s{peak})"
             if r.detail:
                 line += f" -- {r.detail}"
             print(line)

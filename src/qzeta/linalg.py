@@ -13,8 +13,8 @@ are reduced against the current echelon.
 
 ``_intersect_step`` numbers the words of m letters in base n.
 ``_word_tables`` relabels the letters of such a word column by table
-look-up, for the ladder's orbit blocks in ``braided`` and the R-matrix's
-composition blocks in ``rmatrix``.
+look-up, and ``_relabel`` a sparse row's columns, for the ladder's orbit
+blocks in ``braided`` and the R-matrix's composition blocks in ``rmatrix``.
 
 Every elimination goes through one fraction-free reduction step, ``_reduce``
 (Bareiss-style cross-multiplication of sparse rows), and one content strip,
@@ -251,6 +251,14 @@ def _word_tables(g, m: int):
         low = [c * n + d for c in low for d in g]
     high = [c * n + d for c in low for d in g] if m % 2 else low
     return [c * base for c in high], low, base
+
+
+def _relabel(row: dict, tables) -> dict:
+    """row with word column c sent to high[c // base] + low[c % base] of ``tables``; None returns row itself."""
+    if tables is None:
+        return row
+    high, low, base = tables
+    return {high[c // base] + low[c % base]: v for c, v in row.items()}
 
 
 def solve_linear(rows: list, rhs) -> tuple[list, int]:

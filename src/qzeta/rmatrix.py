@@ -25,7 +25,7 @@ from __future__ import annotations
 from itertools import combinations, combinations_with_replacement, count, groupby, islice
 
 from .errors import BudgetExceeded, QZetaError
-from .linalg import _intersect_step, _word_tables
+from .linalg import _intersect_step, _relabel, _word_tables
 from .qlaurent import QLaurent, _degree
 
 _Q = QLaurent({1: 1})
@@ -151,16 +151,6 @@ def _compositions(j: int, n: int):
             yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
 
 
-def _relabel(rows, x: int, n: int, length: int) -> list[dict]:
-    """Rows on ``length``-letter words in base n, with every letter y >= x below n - 1 raised to y + 1.
-
-    The letters go through the cycle (x, x+1, ..., n-1); the rows hold no
-    letter n - 1, so no letter is sent to x.
-    """
-    high, low, base = _word_tables((*range(x), *range(x + 1, n), x), length)
-    return [{high[c // base] + low[c % base]: v for c, v in row.items()} for row in rows]
-
-
 def _sym_levels(r: RHat):
     """Yield the (content, kernel dimension) blocks of Sym_j for j = 0, 1, 2, ...
 
@@ -198,7 +188,9 @@ def _sym_levels(r: RHat):
                 else:
                     rows = below[comp[:x] + comp[x + 1:]]
                     if x < len(comp) - 1:  # the last letter has no letter above it to move
-                        rows = _relabel(rows, x, n, level - 1)
+                        # the cycle (x, x+1, ..., n-1) raises each letter y >= x; no row holds n - 1
+                        tables = _word_tables((*range(x), *range(x + 1, n), x), level - 1)
+                        rows = [_relabel(row, tables) for row in rows]
                 parts.append((rows, (x,)))
             basis[comp] = _intersect_step(parts, n, shifted, n * n)
 

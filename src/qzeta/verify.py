@@ -1,11 +1,11 @@
 """End-to-end verification suite: every acceptance check as exact symbolic equality.
 
-Each criterion returns quietly on success and raises CriterionFailed with a
+Each check returns quietly on success and raises CriterionFailed with a
 diagnostic on failure; run_suite wraps them with timing and produces one
-pass/fail record per criterion.  The conditions go through check(), not
-assert, so they still run under ``python -O``.  This module is the single
-source of truth for CI: the pytest acceptance tests and the CLI `verify`
-subcommand both call into it.
+pass/fail record per check.  The conditions go through check(), not
+assert, so they still run under ``python -O``.  CI's step "Acceptance
+criteria" runs the 14 ``CRITERIA`` (``qzeta verify``), and its step "Checks
+past tier-1's range" the ``EXTENDED`` table (``qzeta verify --suite extended``).
 """
 
 from __future__ import annotations
@@ -34,14 +34,15 @@ from .qlaurent import QLaurent
 from .qrational import QRational
 from .qtpoly import FactoredRatQT, QTPoly
 from .refdata import reference_cm_closed, reference_gh
-from .rmatrix import RHat, _sym_levels, trace_of_blocks
-from .sl2 import Sl2Decomposition
+from .rmatrix import RHat, _sym_levels, quantum_trace_sym, trace_of_blocks
+from .sl2 import Sl2Decomposition, adams_sym_power, cs_sym_power, sym_power_weight_oracle
 from .sphere import sphere_dims, sphere_zeta_coeff, verify_dim_numeric
 from .tseries import TSeries
 from .weyl import DominantWeightA, weyl_qdim_prime, zeta_cn_closed, zeta_cn_series
 from .zeta_engine import (
     CmSeries,
     GHPair,
+    _cm_by_recursion,
     cm_from_zeta,
     cm_recursion_step,
     cm_series_cs,
@@ -249,8 +250,6 @@ def crit_14_property_suites():
     for x in _property_pool():
         dims = hilbert_dims(x, 4).dims
         for j in range(2, 5):
-            if x.size**j > 4096:
-                continue
             brute = symmetrizer_matrix_bruteforce(x, j)
             check(symmetrizer_matrix_recursive(x, j) == brute, f"recursion != brute force for {x.label}, j={j}")
             rows = {}
@@ -287,6 +286,56 @@ def crit_14_property_suites():
         check(cm_from_zeta(m, zeta_from_cm(c)) == c, f"round trip fails at m={m}")
 
 
+def ext_01_fomin_kirillov_x5():
+    """X_5 through degree 8 equals the Fomin-Kirillov product; degree 8 reads 10^8 columns."""
+    dims = hilbert_dims(transposition_class(5), 8, budget=10**8)
+    ref = [int(c.coeff(0)) for c in fk_reference_series(5).t_coeff_list()[:9]]
+    check(dims.complete and list(dims) == ref, f"X_5: {list(dims)} differs from the Fomin-Kirillov product {ref}")
+
+
+def ext_02_rmatrix_trace():
+    """The quantum trace on Sym_8 is [n+7 choose 8]_q, n = 5 and 8; up to 8! words per block."""
+    for n in (5, 8):
+        check(quantum_trace_sym(n, 8, budget=(n, 8)) == q_binom_sym(n + 7, 8), f"n={n}, j=8")
+
+
+def ext_03_cm_routes():
+    """cs, extract and recursion give the same c_m payload, byte for byte; m = 12 has digits past 64 bits."""
+    from .serialize import dumps, encode_payload
+
+    for m, order in ((7, 20), (8, 20), (12, 200)):
+        cs = dumps(encode_payload(cm_series_cs(m, order)))
+        extracted = cm_from_zeta(m, zeta_vm_closed(m).expand(order))
+        check(dumps(encode_payload(extracted)) == cs, f"m={m}: the extract payload differs from the cs payload")
+        recursed = _cm_by_recursion(m, order)
+        check(dumps(encode_payload(recursed)) == cs, f"m={m}: the recursion payload differs from the cs payload")
+
+
+def ext_04_cn_equals_vm():
+    """zeta(C^n) and zeta(V_(n-1)) give the same payload at order 200, n = 7 and 12."""
+    from .serialize import dumps, encode_payload
+
+    for n in (7, 12):
+        cn = dumps(encode_payload(zeta_cn_series(n, 200)))
+        check(cn == dumps(encode_payload(zeta_vm_closed(n - 1).expand(200))), f"n={n}: the payloads differ")
+
+
+def ext_05_sl2_routes():
+    """S^j(V_m) by Cayley-Sylvester, by weights and by Adams operations agree for m, j <= 16."""
+    for m in range(17):
+        for j in range(17):
+            cs = cs_sym_power(m, j)
+            check(cs == sym_power_weight_oracle(m, j, budget=m * j) == adams_sym_power(m, j), f"S^{j}(V_{m})")
+
+
+def ext_06_fit_degrees():
+    """fit_gh at m = 17 and 18, whose rows need digits past 128 bits, has the known (deg h, deg g)."""
+    for m, max_h_degree, expected in ((17, 270, (270, 261)), (18, 153, (153, 143))):
+        gh = fit_gh(m, max_h_degree=max_h_degree)
+        got = (gh.h.t_degree(), gh.g.t_degree())
+        check(got == expected, f"m={m}: (deg h, deg g) = {got}, expected {expected}")
+
+
 @dataclass
 class CriterionResult:
     number: int
@@ -295,6 +344,7 @@ class CriterionResult:
     passed: bool
     seconds: float
     detail: str = ""
+    peak_rss_mib: int | None = None  # EXTENDED entries only
 
 
 CRITERIA = [
@@ -314,17 +364,26 @@ CRITERIA = [
     (14, "property suites: recursion oracle, palindromicity, lambda-ring, round trip", "all", crit_14_property_suites),
 ]
 
-SUITES = ("all", "zeta", "cm", "sphere", "nichols")
+# the rows of CRITERIA with a timeout in seconds; not among the 14 criteria
+EXTENDED = [
+    (1, "Fomin-Kirillov X_5 through degree 8", "extended", ext_01_fomin_kirillov_x5, 60),
+    (2, "R-matrix quantum trace at j=8 (n=5, 8)", "extended", ext_02_rmatrix_trace, 60),
+    (3, "c_m routes byte for byte (m=7, 8 at order 20; m=12 at order 200)", "extended", ext_03_cm_routes, 60),
+    (4, "zeta(C^n) = zeta(V_(n-1)) byte for byte (n=7, 12, order 200)", "extended", ext_04_cn_equals_vm, 60),
+    (5, "sl2 routes: Cayley-Sylvester = weight = Adams (m, j<=16)", "extended", ext_05_sl2_routes, 60),
+    (6, "fit (deg h, deg g) at m=17, 18", "extended", ext_06_fit_degrees, 60),
+]
+
+SUITES = ("all", "zeta", "cm", "sphere", "nichols", "extended")
 
 
 def run_suite(suite: str = "all"):
-    """Run the selected criteria; returns a list of CriterionResult."""
+    """Run the selected checks; returns a list of CriterionResult.  An ``EXTENDED`` entry past its timeout fails."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
+    selected = EXTENDED if suite == "extended" else [(*c, None) for c in CRITERIA if suite in ("all", c[2])]
     results = []
-    for number, name, group, fn in CRITERIA:
-        if suite != "all" and group != suite:
-            continue
+    for number, name, group, fn, timeout in selected:
         start = time.monotonic()
         try:
             fn()
@@ -333,5 +392,12 @@ def run_suite(suite: str = "all"):
             passed, detail = False, str(exc)
         except Exception as exc:  # surface unexpected breakage as a failure, not a crash
             passed, detail = False, f"{type(exc).__name__}: {exc}"
-        results.append(CriterionResult(number, name, group, passed, time.monotonic() - start, detail))
+        seconds = time.monotonic() - start
+        peak = None
+        if timeout is not None:
+            import resource  # Unix only, and read by EXTENDED alone
+            peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024  # KiB on Linux
+            if passed and seconds > timeout:
+                passed, detail = False, f"took {seconds:.1f} s, past its timeout of {timeout} s"
+        results.append(CriterionResult(number, name, group, passed, seconds, detail, peak))
     return results

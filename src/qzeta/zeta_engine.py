@@ -245,6 +245,15 @@ def cm_recursion_step(m: int, prev: CmSeries, order: int) -> CmSeries:
     return CmSeries(m, order, [_from_digits(_unpack(v, width), -j * m, 2) for j, v in enumerate(rows)])
 
 
+def _cm_by_recursion(m: int, order: int) -> CmSeries:
+    """c_m by the recursion alone: ``cm_recursion_step`` up from c_(m mod 2), two at a time."""
+    m = _degree(m, "m")
+    series = cm_series_cs(m % 2, order)
+    for mm in range(m % 2 + 2, m + 1, 2):
+        series = cm_recursion_step(mm, series, order)
+    return series
+
+
 # -- functional equation form -------------------------------------------------
 #
 # Every kernel from here to the end of the fit works on Kronecker-packed rows:

@@ -140,8 +140,6 @@ def test_unread_name_check_flags_a_dead_constant():
 # src/qzeta, or has its reason for being public here, one line each.
 EXPORT_REASONS = (
     ("geometric_series", "oracle: 1/(1 - q^a t^b) expanded term by term, against TSeries inversion"),
-    ("adams_sym_power", "oracle: S^j(V_m) by Newton's identity on characters, against cs_sym_power"),
-    ("sym_power_weight_oracle", "oracle: S^j(V_m) by counting weight multisets, against cs_sym_power"),
     ("verify_sexpr_numeric", "oracle: the numeric certificate of a merged summand's closed-form sum"),
     ("sparse_kernel", "documented entry point: the exact kernel of integer or QLaurent rows"),
     ("bounded_partitions", "documented entry point: p(r, j, m) of the Cayley-Sylvester formula"),
@@ -156,8 +154,6 @@ EXPORT_REASONS = (
     ("check_braid_relation", "documented entry point: the braid-relation check of a pair of tables"),
     ("symmetrizer_rank", "documented entry point: rank of the braided symmetrizer S_j"),
     ("solve_linear", "oracle for the tests' deg-h search of fit_gh; tests/test_linalg.py imports it from qzeta"),
-    ("cs_sym_power", "documented entry point: S^j(V_m) by the Cayley-Sylvester formula"),
-    ("quantum_trace_sym", "documented entry point: the quantum trace of the R-matrix symmetric subspace"),
     ("sym_subspace_dims", "documented entry point: the content blocks of the R-matrix symmetric subspace at one j"),
 )
 

@@ -280,9 +280,10 @@ def test_merged_summand_with_s_independent_term_is_refused():
 
 
 def test_certificates_refuse_a_tail_above_tolerance():
-    # 200 terms at q = 3/2 leave the dimension's bound near 10^-28000
-    with pytest.raises(QZetaError, match="not below tolerance"):
-        verify_dim_numeric(F(3, 2), tol=F(1, 10**100000))
+    # 200 terms at q = 3/2 leave the dimension's bound near 10^-28000, and far above it near q = 1
+    for q in (F(101, 100), F(3, 2)):
+        with pytest.raises(QZetaError, match="not below tolerance"):
+            verify_dim_numeric(q, tol=F(1, 10**100000))
     # ratio (100/101)^2 near 1: 200 terms leave a bound near 50
     coeff = _qr({1: 1}, {0: 1, 2: -1})
     with pytest.raises(QZetaError, match="not below tolerance"):

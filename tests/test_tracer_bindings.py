@@ -11,16 +11,9 @@ form expansion and the property criterion, which reach ``QTPoly.__mul__``,
 ``FactoredRatQT.expand`` and ``TSeries.__mul__``.
 """
 
-import sys
-from pathlib import Path
-
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
-if str(ROOT) not in sys.path:
-    sys.path.insert(0, str(ROOT))
-
-from bench.tracer import (  # noqa: E402
+from bench.tracer import (
     CANDIDATE_ROWS,
     LAYERS,
     Tracer,

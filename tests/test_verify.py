@@ -1,12 +1,15 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import qzeta.verify as verify
 from qzeta import CriterionFailed, QZetaError
+from qzeta.cli import main
 
 
 def _swap_5_and_6(original):
@@ -48,3 +51,38 @@ def test_sabotaged_criterion_fails_under_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "FAIL g_5 mismatch"
+
+
+
+def test_run_suite_refuses_an_unknown_suite():
+    with pytest.raises(ValueError, match="unknown suite 'bogus'"):
+        verify.run_suite("bogus")
+
+
+def test_run_suite_all_keeps_the_pinned_criteria():
+    # bench/pins.json pins [number, name, suite, passed] of each of the 14 criteria
+    from bench.workloads import judge, load_pins
+
+    verdict = judge("verify", None, {"run_suite(all)": verify.run_suite("all")}, {}, load_pins()["verify"])
+    assert verdict == {f"crit_{k:02d}": None for k in range(1, 15)}
+
+
+def test_extended_entries_fail_on_a_wrong_reference_an_exception_or_their_timeout(monkeypatch, capsys):
+    def wrong():
+        verify.check(verify.q_binom_sym(4, 2) == verify.q_binom_sym(4, 1), "[4 choose 2]_q")
+
+    def broken():
+        raise TypeError("unsupported operand")
+
+    entries = [(1, "right", "extended", lambda: None, 60), (2, "wrong", "extended", wrong, 60),
+               (3, "broken", "extended", broken, 60), (4, "slow", "extended", lambda: None, 60)]
+    monkeypatch.setattr(verify, "EXTENDED", entries)
+    monkeypatch.setattr(verify, "time", SimpleNamespace(monotonic=iter([0, 1.5] * 3 + [0, 61.5]).__next__))
+    assert main(["verify", "--suite", "extended"]) == 1
+    assert re.sub(r"RSS \d+ MiB", "RSS N MiB", capsys.readouterr().out).splitlines() == [
+        "[PASS]  1. right (1.50s, peak RSS N MiB)",
+        "[FAIL]  2. wrong (1.50s, peak RSS N MiB) -- [4 choose 2]_q",
+        "[FAIL]  3. broken (1.50s, peak RSS N MiB) -- TypeError: unsupported operand",
+        "[FAIL]  4. slow (61.50s, peak RSS N MiB) -- took 61.5 s, past its timeout of 60 s",
+        "FAILURES PRESENT (1/4)",
+    ]
