@@ -47,10 +47,11 @@ ladder reads a block l = g rep g^-1 through g: each column it looks up is
 sent through g^-1 by base-n digit tables.  It holds its d_j kept rows as
 recipes (w, g, i), the row (g w) n + i of S_j for a kept row w of a
 representative of level j-1, and relabels and builds them only when the
-next level reads them, so the top level's rows are never built.  The joint kernels need whole vectors, so their
-block function relabels its parts' rows.  Each label's targets
-l o sigma_i, and whether each is a representative, are found once per
-ladder.  Otherwise every block is its own orbit, through the same code.
+next level reads them, so the top level's rows are never built.  The
+joint kernels hand ``linalg._intersect_step`` the same one copy, each row
+relabelled through the digit tables of g only as the step reads it.  Each
+label's targets l o sigma_i, and whether each is a representative, are
+found once per ladder.  Otherwise every block is its own orbit, through the same code.
 Budgets still count the n^j columns of a level, not the columns of a block
 or the n d_{j-1} of the ladder's restriction.
 """
@@ -230,6 +231,12 @@ def _pair_map(x: BraidedSet) -> list[int]:
     """Psi on pair indices a*n + b, as a permutation of range(n^2)."""
     n = x.size
     return [x.left[a][b] * n + x.right[a][b] for a in range(n) for b in range(n)]
+
+
+def _check_budget(n: int, j: int, budget: int):
+    """BudgetExceeded if degree j's n^j columns exceed budget; every route checks degree 2 on here."""
+    if n ** j > budget:
+        raise BudgetExceeded(f"n^j = {n}^{j} = {n ** j} exceeds budget {budget}")
 
 
 def _is_automorphism(x: BraidedSet, g) -> bool:
@@ -555,9 +562,7 @@ class SymmetrizerLadder:
     def extend(self):
         """Build the next level and record its dimension."""
         j = self.level + 1
-        n = self.x.size
-        if n ** j > self.budget:
-            raise BudgetExceeded(f"n^j = {n}^{j} = {n ** j} exceeds budget {self.budget}")
+        _check_budget(self.x.size, j, self.budget)
         steps = self._word_inverse_perms(j)
         pairs = _pair_map(self.x)
         forward = [(lo, [(s - t) * lo for t, s in enumerate(pairs)], sgn) for lo, _, sgn in steps]
@@ -595,23 +600,19 @@ def invariant_dims(x: BraidedSet, j: int, budget: int = DEFAULT_BUDGET) -> int:
     """Dimension of the joint eigenvalue-1 invariants of the (signed) braidings.
 
     The intersection over the adjacent slot pairs i of ker(sign Psi_i - id),
-    grown one tensor factor at a time like the quadratic variant's W_j.  For
-    involutive braidings this agrees with symmetrizer_rank.  In the strictly
-    braided case no relation between the two is claimed, and no caller
-    compares them.  ``budget`` bounds n^j.
+    grown like the quadratic variant's W_j: entry j of
+    ``_joint_kernel_dims``.  For involutive braidings this agrees with
+    symmetrizer_rank.  In the strictly braided case no relation between the
+    two is claimed, and no caller compares them.  ``budget`` bounds n^j from
+    degree 2 on, as in the ladder.
     """
     j, budget = _degree(j), _degree(budget, "budget")
-    if j <= 1:
-        return 1 if j == 0 else x.size
-    n = x.size
-    if n ** j > budget:
-        raise BudgetExceeded(f"n^j = {n ** j} exceeds budget {budget}")
     pair_map = []  # pair a n + b -> its image under sign Psi - id
     for c, image in enumerate(_pair_map(x)):
         col = {image: x.sign}
         col[c] = col.get(c, 0) - 1
         pair_map.append([(k, v) for k, v in col.items() if v])
-    return next(itertools.islice(_joint_kernel_dims(x, pair_map, n * n), j - 2, None))
+    return next(itertools.islice(_joint_kernel_dims(x, pair_map, x.size ** 2, budget), j, None))
 
 
 # -- dense small-scale symmetrizers (oracle for the ladder's recursion) --------
@@ -704,30 +705,27 @@ def _ker_s2_basis(x: BraidedSet):
     return basis
 
 
-def _joint_kernel_dims(x: BraidedSet, pair_map, width: int):
-    """Yield dim W_j for j = 2, 3, ..., one level per next().
+def _joint_kernel_dims(x: BraidedSet, pair_map, width: int, budget: int):
+    """Yield dim W_j for j = 0, 1, 2, ..., one level per next(); BudgetExceeded at the first n^j, j >= 2, above budget.
 
     W_1 = V and W_j = (W_(j-1) (x) V) cap (V^(x j-2) (x) ker M), the joint
     kernel of the 2-slot map M (``linalg._intersect_step``'s ``pair_map``
     and ``width``) at every adjacent slot pair.  When ker M is spanned by
     vectors within the label blocks of V (x) V and is stable under every
     relabelling, W_j is block-diagonal and orbit-stable like S_j, so each
-    representative block is one intersection step.
+    representative block is one intersection step, which reads each part's
+    rows through the digit tables of its g as it forms its candidates.
     """
-    blocks = _ProductBlocks(x)
     n = x.size
+    yield 1
+    yield n
+    blocks = _ProductBlocks(x)
     basis = {rep: [{i: 1} for i in letters] for rep, letters in blocks.first().items()}
     for m in itertools.count(1):
-        copies = {}  # (rep, g) -> basis[rep] sent through g; a label can feed several blocks
-
-        def relabelled(rep, g):
-            if (rep, g) not in copies:
-                tables = blocks.digits(g, m)
-                copies[rep, g] = [_relabel(row, tables) for row in basis[rep]]
-            return copies[rep, g]
-
-        dim, basis = blocks.level(basis, lambda parts: _intersect_step(
-            [(relabelled(rep, g), letters) for rep, g, letters in parts], n, pair_map, width))
+        _check_budget(n, m + 1, budget)
+        dim, basis = blocks.level(basis, lambda parts: _intersect_step([  # reads basis before the rebinding
+            (map(_relabel, basis[rep], itertools.repeat(blocks.digits(g, m))), letters)
+            for rep, g, letters in parts], n, pair_map, width))
         yield dim
 
 
@@ -742,18 +740,17 @@ def hilbert_dims_quadratic(x: BraidedSet, max_degree: int, budget: int = DEFAULT
     from degree 2 on, as in ``hilbert_dims``.
     """
     max_degree, budget = _degree(max_degree, "max_degree"), _degree(budget, "budget")
-    n = x.size
-    dims = [1, n][:max_degree + 1]
     kernel = _ker_s2_basis(x)
-    contract = [[] for _ in range(n * n)]  # pair a n + b -> [(t, entry (a, b) of kernel[t])]
+    contract = [[] for _ in range(x.size ** 2)]  # pair a n + b -> [(t, entry (a, b) of kernel[t])]
     for t, vec in enumerate(kernel):
         for c, v in vec.items():
             contract[c].append((t, v))
-    levels = _joint_kernel_dims(x, contract, len(kernel))
-    for j in range(2, max_degree + 1):
-        if n ** j > budget:
-            break
-        dims.append(next(levels))
+    dims = []
+    try:
+        for dim in itertools.islice(_joint_kernel_dims(x, contract, len(kernel), budget), max_degree + 1):
+            dims.append(dim)
+    except BudgetExceeded:
+        pass
     return GradedDims(dims, max_degree)
 
 

@@ -454,9 +454,9 @@ def _gcd_low(a, b) -> list:
 
 
 def _primitive(p) -> list:
-    """The int or Fraction list p times the one rational that makes it a primitive integer list."""
+    """The int or Fraction list p times the one rational that makes it a primitive integer list, as a new list."""
     den = math.lcm(*(x.denominator for x in p))
-    p = [int(x * den) for x in p]
+    p = [x.numerator * (den // x.denominator) for x in p]
     content = math.gcd(*p)
     return [x // content for x in p]
 

@@ -22,7 +22,7 @@ symmetry on the columns before it relies on it.
 
 from __future__ import annotations
 
-from itertools import combinations, combinations_with_replacement, count, groupby, islice
+from itertools import combinations, combinations_with_replacement, count, groupby, islice, repeat
 
 from .errors import BudgetExceeded, QZetaError
 from .linalg import _intersect_step, _relabel, _word_tables
@@ -160,11 +160,11 @@ def _sym_levels(r: RHat):
     per composition c of j with at most n parts, on the letters 0..k-1 of
     its k parts; its candidates are the bases of the parts c - e_x, each
     letter x of c in turn.  When x occurs once in c, that part is the
-    composition without x, whose letters are relabelled onto
-    {0..k-1} minus {x}.  The blocks are yielded per content, in
-    ``combinations_with_replacement`` order, each with the dimension of its
-    composition's basis.  Raises QZetaError, at the first level, if R-hat
-    is not invariant under order-preserving relabelling.
+    composition without x, whose letters are relabelled onto {0..k-1}
+    minus {x} as ``_intersect_step`` reads them.  The blocks are yielded
+    per content, in ``combinations_with_replacement`` order, each with the
+    dimension of its composition's basis.  Raises QZetaError, at the first
+    level, if R-hat is not invariant under order-preserving relabelling.
     """
     n = r.n
     _check_order_invariant(r)
@@ -190,7 +190,7 @@ def _sym_levels(r: RHat):
                     if x < len(comp) - 1:  # the last letter has no letter above it to move
                         # the cycle (x, x+1, ..., n-1) raises each letter y >= x; no row holds n - 1
                         tables = _word_tables((*range(x), *range(x + 1, n), x), level - 1)
-                        rows = [_relabel(row, tables) for row in rows]
+                        rows = map(_relabel, rows, repeat(tables))  # read once, as the step forms its candidates
                 parts.append((rows, (x,)))
             basis[comp] = _intersect_step(parts, n, shifted, n * n)
 

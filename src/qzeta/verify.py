@@ -336,6 +336,13 @@ def ext_06_fit_degrees():
         check(got == expected, f"m={m}: (deg h, deg g) = {got}, expected {expected}")
 
 
+def ext_07_fomin_kirillov_quadratic_x4():
+    """The quadratic cover of X_4 through degree 11 equals the Fomin-Kirillov product; degree 11 reads 6^11 columns."""
+    dims = hilbert_dims_quadratic(transposition_class(4), 11, budget=6**11)
+    ref = [int(c.coeff(0)) for c in fk_reference_series(4).t_coeff_list()[:12]]
+    check(dims.complete and list(dims) == ref, f"X_4 quadratic: {list(dims)} differs from the Fomin-Kirillov product {ref}")
+
+
 @dataclass
 class CriterionResult:
     number: int
@@ -372,6 +379,7 @@ EXTENDED = [
     (4, "zeta(C^n) = zeta(V_(n-1)) byte for byte (n=7, 12, order 200)", "extended", ext_04_cn_equals_vm, 60),
     (5, "sl2 routes: Cayley-Sylvester = weight = Adams (m, j<=16)", "extended", ext_05_sl2_routes, 60),
     (6, "fit (deg h, deg g) at m=17, 18", "extended", ext_06_fit_degrees, 60),
+    (7, "Fomin-Kirillov X_4 quadratic cover through degree 11", "extended", ext_07_fomin_kirillov_quadratic_x4, 60),
 ]
 
 SUITES = ("all", "zeta", "cm", "sphere", "nichols", "extended")

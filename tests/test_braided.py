@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 from math import comb, gcd
 
@@ -30,7 +31,7 @@ from qzeta.braided import (
     symmetrizer_matrix_bruteforce,
     symmetrizer_matrix_recursive,
 )
-from qzeta.linalg import sparse_int_rank
+from qzeta.linalg import _intersect_step, _relabel, sparse_int_rank
 from qzeta.qcombinat import t_bracket
 from qzeta.verify import _property_pool
 from test_linalg import _rank_bareiss
@@ -134,6 +135,25 @@ def test_quadratic_variant_refuses_degree_2_over_budget():
     assert not partial.complete
     with pytest.raises(BudgetExceeded):
         invariant_dims(x4, 2, budget=1)
+
+
+@pytest.mark.parametrize("x", [transposition_class(3), transposition_class(4), flip_set(3)], ids=["X_3", "X_4", "flip_3"])
+def test_every_braided_route_stops_at_the_first_level_past_the_budget(x):
+    # the budget bounds n^j from degree 2 on; n^j equal to the budget is still computed
+    n = x.size
+    for budget in (1, n, n ** 2, n ** 3 - 1, n ** 3):
+        first = next(j for j in itertools.count(2) if n ** j > budget)
+        quadratic, ladder = hilbert_dims_quadratic(x, 5, budget=budget), hilbert_dims(x, 5, budget=budget)
+        assert quadratic.achieved_degree == ladder.achieved_degree == first - 1, budget
+        assert list(quadratic) == list(hilbert_dims_quadratic(x, first - 1)), budget
+        assert invariant_dims(x, first - 1, budget=budget) == invariant_dims(x, first - 1), budget
+        for j in (first, 5):
+            with pytest.raises(BudgetExceeded) as raised:
+                invariant_dims(x, j, budget=budget)
+            with pytest.raises(BudgetExceeded) as ladder_raised:
+                symmetrizer_rank(x, j, budget=budget)
+            message = f"n^j = {n}^{first} = {n ** first} exceeds budget {budget}"
+            assert str(raised.value) == str(ladder_raised.value) == message, (budget, j)
 
 
 def test_recursion_equals_bruteforce():
@@ -612,6 +632,45 @@ def _hilbert_dims_quadratic_ungraded(x, max_degree, budget=10**5):
     return dims
 
 
+def _joint_kernel_pair_maps(x):
+    """[(pair_map, width)] of the quadratic variant's contraction against ker S_2 and of the invariants' sign Psi - id."""
+    kernel = _ker_s2_basis(x)
+    contract = [[] for _ in range(x.size ** 2)]
+    for t, vec in enumerate(kernel):
+        for c, v in vec.items():
+            contract[c].append((t, v))
+    shifted = []
+    for c, image in enumerate(_pair_map(x)):
+        col = {image: x.sign}
+        col[c] = col.get(c, 0) - 1
+        shifted.append([(k, v) for k, v in col.items() if v])
+    return [(contract, len(kernel)), (shifted, x.size ** 2)]
+
+
+def _joint_kernel_dims_by_copies(x, pair_map, width):
+    """Yield dim W_j for j = 2, 3, ...: the joint kernels before each part was read through its digit tables.
+
+    Every level copies the basis of each (rep, g) that feeds a block, sent
+    through g by ``_relabel``, and passes the copies to ``_intersect_step``
+    as they are.  No budget is read.
+    """
+    blocks = _ProductBlocks(x)
+    n = x.size
+    basis = {rep: [{i: 1} for i in letters] for rep, letters in blocks.first().items()}
+    for m in itertools.count(1):
+        copies = {}  # (rep, g) -> basis[rep] sent through g; a label can feed several blocks
+
+        def relabelled(rep, g):
+            if (rep, g) not in copies:
+                tables = blocks.digits(g, m)
+                copies[rep, g] = [_relabel(row, tables) for row in basis[rep]]
+            return copies[rep, g]
+
+        dim, basis = blocks.level(basis, lambda parts: _intersect_step(
+            [(relabelled(rep, g), letters) for rep, g, letters in parts], n, pair_map, width))
+        yield dim
+
+
 def _invariant_dims_stacked(x, j):
     """n^j minus the rank of the stacked rows of sign Psi_i^-1 - id over every adjacent position i.
 
@@ -731,6 +790,17 @@ def test_block_ladder_matches_ungraded():
 def test_block_quadratic_matches_ungraded():
     for x, _, top in _block_pool():
         assert list(hilbert_dims_quadratic(x, top)) == _hilbert_dims_quadratic_ungraded(x, top), x.label
+
+
+def test_joint_kernels_read_through_digit_tables_match_relabelled_copies():
+    # _block_pool() at the quadratic variant's top, crit 13's flip sets and crit 12's X_2, X_3, X_4
+    pool = [(x, top) for x, _, top in _block_pool()] + [(flip_set(n), 5) for n in range(1, 5)] + [
+        (transposition_class(k), top) for k, top in ((2, 4), (3, 5), (4, 6))]
+    for x, top in pool:
+        for pair_map, width in _joint_kernel_pair_maps(x):
+            got = list(itertools.islice(braided._joint_kernel_dims(x, pair_map, width, x.size ** top), top + 1))
+            oracle = list(itertools.islice(_joint_kernel_dims_by_copies(x, pair_map, width), top - 1))
+            assert got == [1, x.size] + oracle, (x.label, width)
 
 
 def test_invariant_dims_match_stacked_rows():

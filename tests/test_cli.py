@@ -191,6 +191,14 @@ def test_nichols_partial_result_exit_1(monkeypatch, capsys):
     assert err.strip() == "error: budget exceeded: reached degree 2 of 7"
 
 
+def test_nichols_quadratic_partial_result_exit_1(capsys):
+    # X_5 has n = 10: degree 6 reads 10^6 columns, past the default budget of 100,000
+    code, out, err = run(capsys, "nichols", "--sym-group", "5", "--max-degree", "6", "--quadratic")
+    assert code == 1
+    assert out.strip() == "1,10,55,220,711,1960  (partial: reached degree 5)"
+    assert err.strip() == "error: budget exceeded: reached degree 5 of 6"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

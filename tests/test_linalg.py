@@ -1,6 +1,7 @@
 import random
 import signal
 from contextlib import contextmanager
+from itertools import repeat
 from fractions import Fraction as F
 from math import comb, gcd
 
@@ -351,14 +352,17 @@ def test_sparse_kernel_on_random_q_matrices():
     assert nontrivial > 40
 
 
-def _check_intersect_levels(rows, n, one, rank, top):
+def _check_intersect_levels(rows, n, one, rank, top, perms):
     """Grow W_1 = V to W_top by _intersect_step with the map M on V (x) V whose rows are ``rows``.
 
-    Returns how many steps kept some but not all candidates.  At each level:
-    the step's count is the candidates minus the dense ``rank`` of their
-    images under M in the last two slots, the vectors are independent and
-    lie in the candidates' span, and M at every adjacent slot pair kills
-    each of them.
+    Returns how many steps kept some but not all candidates.  Each step
+    reads its basis lazily through the ``_word_tables`` of a letter
+    permutation g drawn from ``perms``, from a copy stored through g^-1,
+    and must return what the same step returns on the ``_relabel``led
+    copies.  At each level: the step's count is the candidates minus the
+    dense ``rank`` of their images under M in the last two slots, the
+    vectors are independent and lie in the candidates' span, and M at every
+    adjacent slot pair kills each of them.
     """
     nn, width = n * n, len(rows)
     pair_map = [[(k, row[p]) for k, row in enumerate(rows) if p in row] for p in range(nn)]
@@ -379,7 +383,13 @@ def _check_intersect_levels(rows, n, one, rank, top):
     basis, nontrivial = [{x: one} for x in range(n)], 0
     for size in range(2, top + 1):
         candidates = [{c * n + x: v for c, v in b.items()} for b in basis for x in range(n)]
-        new = linalg._intersect_step([(basis, range(n))], n, pair_map, width)
+        g = perms.sample(range(n), n)
+        tables, back = linalg._word_tables(g, size - 1), linalg._word_tables([g.index(y) for y in range(n)], size - 1)
+        stored = [linalg._relabel(b, back) for b in basis]
+        copies = [linalg._relabel(b, tables) for b in stored]
+        assert copies == basis, (rows, size)
+        new = linalg._intersect_step([(map(linalg._relabel, stored, repeat(tables)), range(n))], n, pair_map, width)
+        assert new == linalg._intersect_step([(copies, range(n))], n, pair_map, width), (rows, size)
         images = [apply(cand, size - 2, size) for cand in candidates]
         assert len(new) == len(candidates) - rank(dense(images)), (rows, size)
         assert sparse_int_rank(candidates + new)[0] == len(candidates), (rows, size)
@@ -391,23 +401,23 @@ def _check_intersect_levels(rows, n, one, rank, top):
 
 
 def test_intersect_step_on_random_int_maps():
-    rng = random.Random(20_5084)
+    rng, perms = random.Random(20_5084), random.Random(21_5084)
     kinds = ("empty", "zero", "square", "tall", "wide", "square")
     nontrivial = 0
     for i in range(60):
         m = _random_rational_matrix(rng, kinds[i % len(kinds)])
         rows = [linalg._int_row(row) for row in m]
-        nontrivial += _check_intersect_levels(rows, 3, 1, _rank_bareiss, 4)
+        nontrivial += _check_intersect_levels(rows, 3, 1, _rank_bareiss, 4, perms)
     assert nontrivial > 80
 
 
 def test_intersect_step_on_random_q_maps():
-    rng = random.Random(20_7_5084)
+    rng, perms = random.Random(20_7_5084), random.Random(21_7_5084)
     nontrivial = 0
     for _ in range(7):
         # a few maps only: the dense QRational oracle is slow past them
         rows = [_laurent_row(row) for row in _random_q_matrix(rng)]
-        nontrivial += _check_intersect_levels(rows, 2, QLaurent.one(), _rank_qgeneric, 3)
+        nontrivial += _check_intersect_levels(rows, 2, QLaurent.one(), _rank_qgeneric, 3, perms)
     assert nontrivial > 10
 
 
