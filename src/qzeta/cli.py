@@ -189,7 +189,7 @@ def _cmd_verify(args) -> int:
     else:
         for r in results:
             status = "PASS" if r.passed else "FAIL"
-            peak = "" if r.peak_rss_mib is None else f", peak RSS {r.peak_rss_mib} MiB"
+            peak = "" if r.peak_rss_mib is None else f", peak RSS {'≤ ' if r.peak_rss_bound else ''}{r.peak_rss_mib} MiB"
             line = f"[{status}] {r.number:2d}. {r.name} ({r.seconds:.2f}s{peak})"
             if r.detail:
                 line += f" -- {r.detail}"

@@ -141,15 +141,15 @@ def _reduce(echelon: dict, out: dict) -> dict:
 def _unit_quotient(b: QLaurent, a: QLaurent):
     """b / a when a is a unit +-q^e of the Laurent ring, else None.
 
-    Dividing by +-q^e shifts every exponent of b down by e and multiplies
-    by the sign; ``from_sums`` collapses integral Fraction exponents.
+    Dividing by +-q^e is multiplying by the monomial +-q^-e, whose product
+    shifts and signs b's terms canonically.
     """
     if len(a) != 1:
         return None
     (e, c), = a.items()
     if c != 1 and c != -1:
         return None
-    return QLaurent.from_sums({k - e: v * c for k, v in b.items()})
+    return b * QLaurent._wrap({-e: c})
 
 
 def sparse_int_rank(rows):

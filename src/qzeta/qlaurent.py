@@ -19,11 +19,12 @@ nothing, and is the one place a QLaurent is made without ``__init__``.
 This module also owns the dense form of a Laurent polynomial: its
 coefficient list in u = q^(1/L) on the common exponent lattice of the
 operands (``_exp_lattice``, ``_to_intpoly``).  Its one long division,
-``_divide_low``, works lowest exponent first.  ``QLaurent.exact_div`` is
-that division plus a remainder check.  ``_gcd_low``, the gcd of
-``QRational``'s canonical form, is Euclid's algorithm on the reversed
-polynomials over Z, lowest term first like the division, on primitive
-remainders so that no coefficient grows with the degree.
+``_divide_low``, works lowest exponent first and returns a dense quotient.
+``QLaurent.exact_div`` is that division plus a remainder check.
+``_gcd_low``, the gcd of ``QRational``'s canonical form, is Euclid's
+algorithm on the reversed polynomials over Z, lowest term first like the
+division, on primitive remainders so that no coefficient grows with the
+degree.
 
 It also owns the packed form of a row, the one pack/unpack layer that the
 (q, t) kernels share: a row of integer coefficients at digit positions
@@ -32,10 +33,13 @@ product by a power of q is a shift and a sum of rows is one integer
 addition, and it is read back once, in balanced digits (``_unpack``), which
 is exact while every coefficient lies in (-2^(width-1), 2^(width-1)).  Each
 caller fixes the width before any arithmetic, from a bound on the
-coefficients it will read (``_width_for``, ``_row_width``); a packed integer
+coefficients it will read, by the one rule ``_row_width``; a packed integer
 is the row's exact value at X whatever the width, so only the decode rests
-on that bound.  ``_from_digits`` turns decoded digits into a QLaurent on an
-arithmetic progression of exponents.
+on that bound.
+
+Both forms are read back by one decoder, ``_from_digits``: digit d, over a
+divisor, is the coefficient at exponent (base + step d) / lattice.  It is
+the only code that turns a lattice position into an exponent.
 
 ``_degree`` is the one reader of integer arguments: every count, degree,
 order, size and exponent bound that a public function or constructor
@@ -317,16 +321,11 @@ class QLaurent:
         lattice = _exp_lattice(self, other)
         shift, rem = _to_intpoly(self, lattice)
         shift_b, div = _to_intpoly(other, lattice)
-        shift -= shift_b
-        steps = len(rem) - len(div) + 1
-        if steps < 1:
+        quot = _divide_low(rem, div)
+        # rem[0] != 0, so a divisor longer than rem leaves all of rem
+        if any(rem[len(quot):]):
             raise ExactDivisionError("nonzero remainder in exact_div")
-        quot = _divide_low(rem, div, shift)
-        if any(rem[steps:]):
-            raise ExactDivisionError("nonzero remainder in exact_div")
-        if lattice != 1:
-            quot = {_norm_num(Fraction(k, lattice)): c for k, c in quot.items()}
-        return QLaurent._wrap(quot)
+        return _from_digits(quot, shift - shift_b, 1, lattice)
 
     # -- rendering ------------------------------------------------------
 
@@ -392,21 +391,22 @@ def _to_intpoly(p: QLaurent, lattice: int):
     return int(v * lattice), coeffs
 
 
-def _divide_low(rem, div, shift: int = 0) -> dict:
+def _divide_low(rem, div) -> list:
     """Divide the dense list rem by div (``div[0] != 0``) lowest term first, in place.
 
-    Returns the quotient {shift + i: coefficient of u^i} without zeros; the
-    remainder, times u^steps, is left in ``rem[len(rem) - len(div) + 1:]``.
-    Quotient coefficients stay ``int`` while ``div[0]`` divides them; from the
-    first step where it does not, steps use ``Fraction``.
+    Returns the dense quotient, entry i the coefficient of u^i, one entry
+    per step (none if div is longer than rem); the remainder, times
+    u^steps, is left in ``rem[steps:]``.  Quotient coefficients stay ``int``
+    while ``div[0]`` divides them; from the first step where it does not,
+    steps use ``Fraction``.  ``_from_digits`` decodes the quotient.
     """
     lead = div[0]
     # rem[i] is not read again once step i is done, so the divisor's
     # lowest term is left out of the update.
     tail = [(j, d) for j, d in enumerate(div) if j and d]
     integral = type(lead) is int
-    quot = {}
-    for i in range(len(rem) - len(div) + 1):
+    quot = [0] * (len(rem) - len(div) + 1)
+    for i in range(len(quot)):
         c = rem[i]
         if not c:
             continue
@@ -415,7 +415,7 @@ def _divide_low(rem, div, shift: int = 0) -> dict:
             integral = not r
         if not integral:
             qc = _norm_num(Fraction(c) / lead)
-        quot[shift + i] = qc
+        quot[i] = qc
         for j, d in tail:
             rem[i + j] -= qc * d
     return quot
@@ -467,19 +467,14 @@ def _primitive(p) -> list:
 _CASTS = {8: "b", 16: "h", 32: "i", 64: "q"}
 
 
-def _width_for(bound: int) -> int:
-    """The least multiple of 8 with 2^(width-1) > bound."""
-    return -(-(bound.bit_length() + 1) // 8) * 8
-
-
 def _row_width(bound: int) -> int:
     """The least of 8, 16, 32 and 64, or past 64 the least multiple of 8, with 2^(width-1) > bound.
 
-    Digits of 8, 16, 32 or 64 bits are read by one memoryview.cast, the
-    others one byte slice at a time.
+    The one width rule of the packed form: digits of 64 bits or fewer are
+    read by one memoryview.cast, wider ones one byte slice at a time.
     """
-    width = _width_for(bound)
-    return width if width > 64 else 1 << (width - 1).bit_length()
+    bits = bound.bit_length() + 1
+    return max(8, 1 << (bits - 1).bit_length()) if bits <= 64 else -(-bits // 8) * 8
 
 
 def _pack(digits, width: int) -> int:
@@ -499,7 +494,8 @@ def _unpack(v: int, width: int) -> list:
     Adding H, 2^(width-1) in each of n digits, makes every digit d + 2^(width-1)
     a plain base-2^width digit, and XOR with H turns each into d's width-bit
     two's complement, which the bytes of the sum hold side by side: read by
-    one memoryview.cast for 8, 16, 32 or 64 bits, else one slice per digit.
+    one memoryview.cast for 8, 16, 32 or 64 bits, else one slice per digit
+    (``_row_width`` gives the slices only widths above 64).
     n is one digit more than v's bits fill, which every balanced expansion
     of v fits.
     """
@@ -521,10 +517,13 @@ def _unpack(v: int, width: int) -> list:
     return out
 
 
-def _from_digits(digits: list, base: int, step: int = 1, lattice: int = 1, den: int = 1) -> QLaurent:
+def _from_digits(digits: list, base: int, step: int = 1, lattice: int = 1, den: Coeff = 1) -> QLaurent:
     """The QLaurent with coefficient digits[d] / den at q^((base + step d) / lattice), zeros left out.
 
-    Exponents and coefficients come out canonical: an int where the value is
+    The one way back from the dense and the packed form: a quotient of
+    ``_divide_low`` or an ``_unpack``ed row.  The digits are ints or
+    Fractions and den a nonzero int or Fraction of either sign.  Exponents
+    and coefficients come out canonical: an int where the value is
     integral, else a Fraction, in increasing exponent order for step > 0.
     """
     exps = range(base, base + step * len(digits), step)

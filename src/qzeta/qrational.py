@@ -8,8 +8,9 @@ dense form that ``qlaurent`` owns (lists on the common exponent lattice, so
 half-integer exponents are supported): ``_gcd_low``, then ``_divide_low``,
 the long division behind ``QLaurent.exact_div``, on num and den.
 
-The quotients are divided by the denominator's lowest coefficient and
-decoded by ``_over`` straight into canonical terms.  Fraction appears only
+Both dense quotients are decoded over the denominator quotient's lowest
+coefficient by ``qlaurent._from_digits``, the decoder of every dense and
+packed form, straight into canonical terms.  Fraction appears only
 where the numbers are not integers: a coefficient that this lowest
 coefficient does not divide, a Fraction coefficient of the input (which
 ``_to_intpoly`` passes on and ``_divide_low`` divides as it is), an
@@ -22,22 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DivisionByZero, ExactDivisionError
-from .qlaurent import QLaurent, _divide_low, _exp_lattice, _gcd_low, _norm_num, _to_intpoly
-
-
-def _over(quot: dict, lead, lat: int) -> QLaurent:
-    """The QLaurent with coefficient c / lead at q^(k / lat) for each k: c of a gcd quotient.
-
-    Exponents and coefficients come out canonical, as in ``_from_digits``:
-    an int where lat divides k, or where lead and c are ints and lead
-    divides c; a Fraction only where it does not.
-    """
-    integral = type(lead) is int
-    return QLaurent._wrap({
-        k if lat == 1 else k // lat if k % lat == 0 else Fraction(k, lat):
-        c // lead if integral and type(c) is int and c % lead == 0 else _norm_num(Fraction(c) / lead)
-        for k, c in quot.items()
-    })
+from .qlaurent import QLaurent, _divide_low, _exp_lattice, _from_digits, _gcd_low, _to_intpoly
 
 
 class QRational:
@@ -63,12 +49,12 @@ class QRational:
         shift, top = _to_intpoly(num, lat)
         shift_d, bottom = _to_intpoly(den, lat)
         g = _gcd_low(top, bottom)
-        # denominator: valuation 0, lowest coefficient 1; the shift goes to num
-        quot_n, quot_d = _divide_low(top, g, shift - shift_d), _divide_low(bottom, g)
-        if any(top[len(top) - len(g) + 1:]) or any(bottom[len(bottom) - len(g) + 1:]):
+        quot_n, quot_d = _divide_low(top, g), _divide_low(bottom, g)
+        if any(top[len(quot_n):]) or any(bottom[len(quot_d):]):
             raise ExactDivisionError("the gcd leaves a remainder")
+        # denominator: valuation 0, lowest coefficient 1; the shift goes to num
         lead = quot_d[0]
-        return _over(quot_n, lead, lat), _over(quot_d, lead, lat)
+        return _from_digits(quot_n, shift - shift_d, 1, lat, lead), _from_digits(quot_d, 0, 1, lat, lead)
 
     # -- constructors ---------------------------------------------------
 

@@ -352,6 +352,7 @@ class CriterionResult:
     seconds: float
     detail: str = ""
     peak_rss_mib: int | None = None  # EXTENDED entries only
+    peak_rss_bound: bool = False  # peak_rss_mib is the process peak the entry started under, not one it raised
 
 
 CRITERIA = [
@@ -392,6 +393,9 @@ def run_suite(suite: str = "all"):
     selected = EXTENDED if suite == "extended" else [(*c, None) for c in CRITERIA if suite in ("all", c[2])]
     results = []
     for number, name, group, fn, timeout in selected:
+        if timeout is not None:
+            import resource  # Unix only, and read by EXTENDED alone
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
         start = time.monotonic()
         try:
             fn()
@@ -401,11 +405,13 @@ def run_suite(suite: str = "all"):
         except Exception as exc:  # surface unexpected breakage as a failure, not a crash
             passed, detail = False, f"{type(exc).__name__}: {exc}"
         seconds = time.monotonic() - start
-        peak = None
+        peak, bound = None, False
         if timeout is not None:
-            import resource  # Unix only, and read by EXTENDED alone
-            peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024  # KiB on Linux
+            # the process peak is the entry's own only if the entry raised it;
+            # else the entry stayed at or below the peak it started under
+            after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            peak, bound = after // 1024, after == before
             if passed and seconds > timeout:
                 passed, detail = False, f"took {seconds:.1f} s, past its timeout of {timeout} s"
-        results.append(CriterionResult(number, name, group, passed, seconds, detail, peak))
+        results.append(CriterionResult(number, name, group, passed, seconds, detail, peak, bound))
     return results

@@ -31,12 +31,14 @@ kernel.
 
 The recursion and the fit run on Kronecker-packed rows, one integer per
 t-degree, packed and read back through ``qlaurent._pack`` and
-``qlaurent._unpack``.  In ``cm_recursion_step`` row j is its value at
-q^2 = X = 2^width with digit d the coefficient of q^(2d - jm): every row
-of the step has that parity and lower bound, so its five divisions by
-(1 - q^a t^b) are ``tseries._over_one_minus_packed`` passes of
-shift-adds, its two sums are integer additions, and the width is fixed in
-advance from the size of c_{m-2}.  In the fit, row j of c_m eta_m is one
+``qlaurent._unpack``, with every width from the one rule
+``qlaurent._row_width`` and every row decoded by ``_from_digits``.  In
+``cm_recursion_step`` row j is its value at q^2 = X = 2^width with digit
+d the coefficient of q^(2d - jm): every row of the step has that parity
+and lower bound, so its five divisions by (1 - q^a t^b) are
+``tseries._over_one_minus_packed`` passes of shift-adds, its two sums are
+integer additions, and the width is fixed in advance from the size of
+c_{m-2}.  In the fit, row j of c_m eta_m is one
 integer V_j, its value at q^2 = X = 2^width: digit d is the coefficient of
 q^(2d + jm % 2), the one parity that row has.  The Gaussian step
 (``qcombinat.gaussian_steps_packed``), the Cayley-Sylvester row
@@ -62,7 +64,7 @@ import math
 import operator
 
 from .errors import FitFailed, QZetaError
-from .qlaurent import QLaurent, _degree, _exp_lattice, _from_digits, _pack, _row_width, _unpack, _width_for
+from .qlaurent import QLaurent, _degree, _exp_lattice, _from_digits, _pack, _row_width, _unpack
 from .qtpoly import FactoredRatQT, QTPoly
 from .sl2 import Sl2Decomposition, _character_row, _multiplicity_row, cs_rows_packed
 from .tseries import TSeries, _over_one_minus_packed
@@ -328,9 +330,9 @@ def verify_functional_eq(m: int, gh: GHPair) -> bool:
     B(t, q^-1) - B(t, q).  B is computed through ``_eta_rows``, one linear
     factor at a time, on packed rows: g's coefficients times their common
     denominator D, one digit per step q^(1/L) of g's exponent lattice, with
-    width bits for each, where 2^(width-1) exceeds 2^(r+1) times the sum of
-    the |D g| coefficients, so every coefficient of B and of (1 - t) B
-    decodes exactly.  In the even case B is first multiplied by (1 - t), so
+    width bits for each, ``_row_width`` of 2^(r+1) times the sum of the
+    |D g| coefficients, so every coefficient of B and of (1 - t) B decodes
+    exactly.  In the even case B is first multiplied by (1 - t), so
     the identity is checked as a polynomial one, as (1 - t) times the left
     side against (q - q^-1) h(t).  Row by row, B(q^-1) - B(q) is read off
     the decoded row and its mirror image about q^0: it must vanish off
@@ -348,7 +350,7 @@ def verify_functional_eq(m: int, gh: GHPair) -> bool:
     # digit k of a row of q^-1 g(t, q^-1) times D is the coefficient of q^(k/L - top - 1)
     digits = [{int(lattice * (top - e)): int(c * den) for e, c in row.items()} for row in g]
     size = sum(abs(x) for row in digits for x in row.values())
-    width = _width_for(size << len(exps) + 1)
+    width = _row_width(size << len(exps) + 1)
     packed = [_pack(row.items(), width) for row in digits]
     rows = _eta_rows(m, itertools.chain(packed, itertools.repeat(0)), width, lattice)
     prev = 0
@@ -386,7 +388,7 @@ class _Repack(Exception):
 
 
 def _fit_width(m: int, max_h_degree: int) -> int:
-    """The packing width fit_gh starts from: 2^(width-1) above 64 (cap + 1) 2^r binomial(m + N, m).
+    """The packing width fit_gh starts from: ``_row_width`` of 64 (cap + 1) 2^r binomial(m + N, m).
 
     N is the largest t-degree the fit can read with cap = max_h_degree: at
     each point Berlekamp-Massey certifies at n = 2L + 2 terms, gives up at
@@ -400,7 +402,7 @@ def _fit_width(m: int, max_h_degree: int) -> int:
     """
     r = len(_eta_exponents(m))
     top = max(3 * max_h_degree + 1, 2 * max_h_degree + r - m + 5)
-    return _width_for((64 * (max_h_degree + 1) << r) * math.comb(m + top, m))
+    return _row_width((64 * (max_h_degree + 1) << r) * math.comb(m + top, m))
 
 
 def fit_gh(m: int, max_h_degree: int = 40) -> GHPair:
@@ -528,7 +530,7 @@ def _certify(m: int, h: list, n: int, rows: list, extend, width: int):
             return None
     bound = (sum(abs(hk) for _k, hk in terms) << len(exps)) * math.comb(m + order, m)
     if bound.bit_length() >= width:
-        raise _Repack(_width_for(bound))
+        raise _Repack(_row_width(bound))
     g = []
     for j in range(dg + 1):
         same, other = product_row(j)

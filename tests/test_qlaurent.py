@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from qzeta import DivisionByZero, ExactDivisionError, QLaurent, QRational, QTPoly
 from qzeta.qcombinat import q_int_sym
 from qzeta.qlaurent import (
-    _divide_low, _exp_lattice, _from_digits, _gcd_low, _pack, _row_width, _to_intpoly, _unpack, _width_for,
+    _divide_low, _exp_lattice, _from_digits, _gcd_low, _pack, _row_width, _to_intpoly, _unpack,
 )
 
 
@@ -491,11 +491,10 @@ def test_pack_sums_digits_of_any_size():
 
 
 def test_widths_are_the_least_that_hold_the_bound():
-    for bound in (0, 1, 127, 128, 2**15, 2**31 - 1, 2**31, 2**63 - 1, 2**63, 2**70):
-        width = _width_for(bound)
-        assert width % 8 == 0 and 2 ** (width - 1) > bound and (width == 8 or 2 ** (width - 9) <= bound)
-        row = _row_width(bound)
-        assert row == (width if width > 64 else min(w for w in (8, 16, 32, 64) if w >= width))
+    # the one rule: 8, 16, 32 or 64 at or below 64 bits, else the least multiple of 8
+    widths = [8, 16, 32, 64, *range(72, 272, 8)]
+    for bound in (0, 1, 127, 128, 2**15, 2**31 - 1, 2**31, 2**39, 2**63 - 1, 2**63, 2**70, 2**127, 2**263 - 1):
+        assert _row_width(bound) == min(w for w in widths if 2 ** (w - 1) > bound), bound
 
 
 def test_from_digits_gives_canonical_terms():
@@ -504,3 +503,14 @@ def test_from_digits_gives_canonical_terms():
     got = _from_digits([2, 0, 8, 5], 1, 3, 2, 4)
     assert _typed(got) == {(F(1, 2), F): (F(1, 2), F), (F(7, 2), F): (2, int), (5, int): (F(5, 4), F)}
     assert _from_digits([], 7).is_zero
+    # the quotients of exact_div and QRational: int and Fraction digits over
+    # a negative int or a Fraction divisor, the gcd quotient's lowest entry
+    digits = [6, 0, F(3, 2), -4, F(-9, 4), 12, F(2, 3)]
+    for lattice in (1, 2, 3):
+        for den in (1, -1, -3, 4, F(3, 2), F(-3, 4), F(1, 6)):
+            for base, step in ((-5, 1), (0, 1), (4, 1), (-1, 2), (2, 3)):
+                got = _from_digits(digits, base, step, lattice, den)
+                want = {F(base + step * d, lattice): F(x) / den for d, x in enumerate(digits) if x}
+                assert {F(e): F(c) for e, c in got.items()} == want, (lattice, den, base, step)
+                assert list(got.support()) == [e for e, _c in got.items()]
+                assert _canonical_types(got), (lattice, den, base, step)

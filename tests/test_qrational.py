@@ -161,10 +161,10 @@ def _reduce_by_fraction_decode(num: QLaurent, den: QLaurent):
     shift, top = _to_intpoly(num, lat)
     shift_d, bottom = _to_intpoly(den, lat)
     g = _gcd_low(top, bottom)
-    quot_n, quot_d = _divide_low(top, g, shift - shift_d), _divide_low(bottom, g)
+    quot_n, quot_d = _divide_low(top, g), _divide_low(bottom, g)
     scale = F(1) / quot_d[0]
-    return (QLaurent.from_sums({F(k, lat): c * scale for k, c in quot_n.items()}),
-            QLaurent.from_sums({F(k, lat): c * scale for k, c in quot_d.items()}))
+    return (QLaurent.from_sums({F(shift - shift_d + k, lat): c * scale for k, c in enumerate(quot_n) if c}),
+            QLaurent.from_sums({F(k, lat): c * scale for k, c in enumerate(quot_d) if c}))
 
 
 def _random_pair(rng):

@@ -1,5 +1,5 @@
 import os
-import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -78,11 +78,17 @@ def test_extended_entries_fail_on_a_wrong_reference_an_exception_or_their_timeou
                (3, "broken", "extended", broken, 60), (4, "slow", "extended", lambda: None, 60)]
     monkeypatch.setattr(verify, "EXTENDED", entries)
     monkeypatch.setattr(verify, "time", SimpleNamespace(monotonic=iter([0, 1.5] * 3 + [0, 61.5]).__next__))
+    # the process peak in KiB before and after each entry: entries 1 and 3
+    # raise it and print it as their own; 2 and 4 stay under the peak they
+    # started at, which bounds theirs
+    peaks = iter([100 << 10, 200 << 10, 200 << 10, 200 << 10, 200 << 10, 300 << 10, 300 << 10, 300 << 10])
+    monkeypatch.setattr(resource, "getrusage", lambda who: SimpleNamespace(ru_maxrss=next(peaks)))
     assert main(["verify", "--suite", "extended"]) == 1
-    assert re.sub(r"RSS \d+ MiB", "RSS N MiB", capsys.readouterr().out).splitlines() == [
-        "[PASS]  1. right (1.50s, peak RSS N MiB)",
-        "[FAIL]  2. wrong (1.50s, peak RSS N MiB) -- [4 choose 2]_q",
-        "[FAIL]  3. broken (1.50s, peak RSS N MiB) -- TypeError: unsupported operand",
-        "[FAIL]  4. slow (61.50s, peak RSS N MiB) -- took 61.5 s, past its timeout of 60 s",
+    assert capsys.readouterr().out.splitlines() == [
+        "[PASS]  1. right (1.50s, peak RSS 200 MiB)",
+        "[FAIL]  2. wrong (1.50s, peak RSS ≤ 200 MiB) -- [4 choose 2]_q",
+        "[FAIL]  3. broken (1.50s, peak RSS 300 MiB) -- TypeError: unsupported operand",
+        "[FAIL]  4. slow (61.50s, peak RSS ≤ 300 MiB) -- took 61.5 s, past its timeout of 60 s",
         "FAILURES PRESENT (1/4)",
     ]
+    assert next(peaks, None) is None

@@ -37,7 +37,7 @@ from qzeta.errors import ExactDivisionError, NoSolution
 from qzeta.linalg import solve_linear
 from qzeta.qtpoly import FactoredRatQT
 from qzeta.refdata import reference_cm_closed, reference_gh
-from qzeta.qlaurent import _from_digits, _unpack
+from qzeta.qlaurent import _from_digits, _row_width, _unpack
 from qzeta.zeta_engine import (
     _BerlekampMassey,
     _certify,
@@ -45,7 +45,6 @@ from qzeta.zeta_engine import (
     _eta_exponents,
     _eta_rows,
     _fit_width,
-    _width_for,
 )
 from test_qlaurent import tpoly_divmod, tpoly_gcd, tpoly_trim
 from test_tseries import _over_one_minus_rows
@@ -324,7 +323,7 @@ def test_eta_m_rows_match_the_factor_products():
         for e in range(2 - m % 2, m + 1, 2):
             acc = acc * QTPoly({(0, 0): 1, (e, 1): -1})
         r = len(_eta_exponents(m))
-        width = _width_for(1 << r)
+        width = _row_width(1 << r)
         rows = itertools.islice(_eta_rows(m, itertools.chain([1], itertools.repeat(0)), width), r + 1)
         got = QTPoly.from_qlaurent_t_coeffs([_from_digits(_unpack(v, width), j * m % 2, 2) for j, v in enumerate(rows)])
         assert repr(got) == repr(acc), m
@@ -911,7 +910,7 @@ def test_certify_rejects_each_failed_check(monkeypatch):
     narrow = [_pack(row, j, m, 24) for j, row in enumerate(_cm_eta_rows_by_convolution(m, order))]
     with pytest.raises(ze._Repack) as repack:
         certify(h, narrow, 24)
-    assert repack.value.width == _width_for((sum(map(abs, h)) << 3) * math.comb(5 + order, 5)) > 24
+    assert repack.value.width == _row_width((sum(map(abs, h)) << 3) * math.comb(5 + order, 5)) > 24
     bad_h = list(h)
     bad_h[gh.g.t_degree() + 1] += 1
     assert certify(bad_h, narrow, 24) is None
