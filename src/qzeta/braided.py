@@ -26,46 +26,58 @@ triangular on its d_j pivot columns, so those columns of M are
 independent.  The words Psi_{j-1}...Psi_k are applied to
 the support of each kept row, and to each column word of M, one positional
 braiding step (an n^2-entry offset table) at a time, so no table over the
-n^j columns is ever built.  The quadratic variant BS^quad(A) = TA / <ker
-S_2> and the braided invariants are joint kernels W_j = (W_{j-1} (x) V) cap
-(V^{j-2} (x) ker M), M the contraction against ker S_2 or sign Psi - id:
-each level is a kernel on n dim W_{j-1} candidates
-(``linalg._intersect_step``), not on n^j columns.
+n^j columns is ever built.  The quadratic variant A = TA / <K>, K = ker
+S_2, is a quotient in normal-word coordinates (Polishchuk-Positselski):
+A_j = (A_{j-1} (x) V) / image(A_{j-2} (x) K), on the n d_{j-1} columns
+u x, u a normal word of A_{j-1}, with one relation row per normal word
+w of A_{j-2} and cycle vector k of K, sum k_ab rho_a(w) (x) e_b, rho_a(w)
+the class of w a read off level j-1's normal forms
+(``linalg._normal_forms``).  The braided invariants are joint kernels W_j
+= (W_{j-1} (x) V) cap (V^{j-2} (x) ker M), M = sign Psi - id: each level is
+a kernel on n dim W_{j-1} candidates (``linalg._intersect_step``).
 
-The ladder and the joint kernels run block by block through one level
-driver, ``_ProductBlocks.level``.  Column (x_1, ..., x_j) is labelled by the
-map sigma_{x_1} o ... o sigma_{x_j} of X, with sigma_x = left[x]; the first
-component of the braid relation, sigma_{L(x,y)} sigma_{R(x,y)} = sigma_x
-sigma_y, says every braiding keeps the label, so S_j and W_j are
-block-diagonal by label.  When every sigma_x is an automorphism of (X, Psi)
-(checked once, in O(n^3); true for every conjugacy class), relabelling all
-tensor factors by one element g of the group they generate commutes with S_j
-and W_j and carries block l to block g l g^-1.  Only the least label of each
-such orbit is computed, its dimension counted |orbit| times, and a level
-holds one copy of each representative's rows and column words.  The
-ladder reads a block l = g rep g^-1 through g: each column it looks up is
-sent through g^-1 by base-n digit tables.  It holds its d_j kept rows as
-recipes (w, g, i), the row (g w) n + i of S_j for a kept row w of a
-representative of level j-1, and relabels and builds them only when the
-next level reads them, so the top level's rows are never built.  The
-joint kernels hand ``linalg._intersect_step`` the same one copy, each row
-relabelled through the digit tables of g only as the step reads it.  Each
-label's targets l o sigma_i, and whether each is a representative, are
-found once per ladder.  Otherwise every block is its own orbit, through the same code.
-Budgets still count the n^j columns of a level, not the columns of a block
-or the n d_{j-1} of the ladder's restriction.
+The ladder, the quotient and the joint kernels run block by block through
+one level routine, ``_ProductBlocks.level``.  Column (x_1, ..., x_j) is
+labelled by the map sigma_{x_1} o ... o sigma_{x_j} of X, with sigma_x =
+left[x]; the first component of the braid relation, sigma_{L(x,y)}
+sigma_{R(x,y)} = sigma_x sigma_y, says every braiding keeps the label, so
+S_j, A_j and W_j are block-diagonal by label.  When every sigma_x is an
+automorphism of (X, Psi) (checked once, in O(n^3); true for every
+conjugacy class), relabelling all tensor factors by one element g of the
+group they generate commutes with S_j, the ideal of A and W_j, and carries
+block l to block g l g^-1.  Only the least label of each such orbit is
+computed, its dimension counted |orbit| times, and a level holds one copy
+of each representative's rows and column words.  The ladder reads a block l
+= g rep g^-1 through g: each column it looks up is sent through g^-1 by
+base-n digit tables.  It holds its d_j kept rows as recipes (w, g, i), the
+row (g w) n + i of S_j for a kept row w of a representative of level j-1,
+and relabels and builds them only when the next level reads them, so the
+top level's rows are never built.  The joint kernels hand
+``linalg._intersect_step`` the same one copy, each row relabelled through
+the digit tables of g only as the step reads it.  Each label's targets l o
+sigma_i, and whether each is a representative, are found once per
+ladder.  The quotient gives block l the representative's normal words sent
+through g, and reads a block through its conjugator as a change of basis:
+its representative's normal words need not be stable under the
+representative's centralizer, so the matrices of the centralizer elements
+it meets are built, level by level, from the normal forms
+(``_quadratic_levels``).  Otherwise every block is its own orbit, through
+the same code.  Budgets still count the n^j columns of a level, not the
+columns of a block or the n d_{j-1} of the ladder's restriction.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+from fractions import Fraction
+from math import lcm
 
 from .errors import BudgetExceeded
 from .qcombinat import t_bracket
 from .qlaurent import _as_int, _degree
 from .qtpoly import QTPoly
-from .linalg import _intersect_step, _relabel, _word_tables, sparse_int_rank
+from .linalg import _intersect_step, _normal_forms, _reduce, _relabel, _strip, _word_tables, sparse_int_rank
 
 DEFAULT_BUDGET = 100_000
 
@@ -80,6 +92,12 @@ class BraidedSet:
     __slots__ = ("size", "left", "right", "sign", "label")
 
     def __init__(self, left, right, sign: int = 1, label: str = ""):
+        self._set_tables(left, right, sign, label)
+        if not check_braid_relation((self.left, self.right)):
+            raise ValueError("table is not a bijective solution of the braid relation")
+
+    def _set_tables(self, left, right, sign, label):
+        """Store the tables, sign and label, checked for type and shape; the braid relation is left to the caller."""
         self.left = tuple(tuple(row) for row in left)
         self.right = tuple(tuple(row) for row in right)
         self.size = n = len(self.left)
@@ -95,8 +113,6 @@ class BraidedSet:
                 for row in table
             ):
                 raise ValueError(f"left and right must be {n} x {n} tables of indices 0..{n - 1}")
-        if not check_braid_relation((self.left, self.right)):
-            raise ValueError("table is not a bijective solution of the braid relation")
 
     def apply(self, x: int, y: int) -> tuple[int, int]:
         return self.left[x][y], self.right[x][y]
@@ -182,6 +198,11 @@ def from_conjugacy_class(k: int, representative) -> BraidedSet:
     representative: tuple of 1-based images.  Elements are indexed
     lexicographically by image tuples; the braiding is conjugation,
     Psi(x, y) = (x y x^-1, x), and the linearization sign is -1.
+
+    Conjugation is a group action, so the table braids by construction and
+    ``check_braid_relation``'s n^3 triples are not walked: the table is
+    checked to be the conjugation, and its pair map a bijection, in
+    O(n^2 k) (``_conjugation_holds``).
     """
     k = _degree(k, "k", 2)
     rep = tuple(_as_int(i, "representative entry") - 1 for i in representative)
@@ -207,7 +228,30 @@ def from_conjugacy_class(k: int, representative) -> BraidedSet:
         for j, y in enumerate(elems):
             left[i][j] = index[_compose(_compose(x, y), xinv)]
             right[i][j] = i
-    return BraidedSet(left, right, sign=-1, label=f"conjugacy class in S_{k}, size {n}")
+    if not _conjugation_holds(elems, left):
+        raise ValueError("table is not the conjugation action of the class")
+    out = BraidedSet.__new__(BraidedSet)
+    out._set_tables(left, right, -1, f"conjugacy class in S_{k}, size {n}")
+    return out
+
+
+def _conjugation_holds(elems, left) -> bool:
+    """True iff Psi(i, j) = (left[i][j], i) is conjugation on the permutations elems, and a bijection of pairs.
+
+    Entry z = elems[left[i][j]] must be x y x^-1 for x, y = elems[i],
+    elems[j], checked pointwise as z(x(t)) = x(y(t)); the pair map is a
+    bijection iff no row of left repeats an index.  O(n^2 k) for n
+    permutations of k points.
+    """
+    k = len(elems[0])
+    for x, row in zip(elems, left):
+        if len(set(row)) != len(row):
+            return False
+        for y, z in zip(elems, row):
+            z = elems[z]
+            if any(z[x[t]] != x[y[t]] for t in range(k)):
+                return False
+    return True
 
 
 def transposition_class(k: int) -> BraidedSet:
@@ -599,20 +643,25 @@ def hilbert_dims(x: BraidedSet, max_degree: int, budget: int = DEFAULT_BUDGET) -
 def invariant_dims(x: BraidedSet, j: int, budget: int = DEFAULT_BUDGET) -> int:
     """Dimension of the joint eigenvalue-1 invariants of the (signed) braidings.
 
-    The intersection over the adjacent slot pairs i of ker(sign Psi_i - id),
-    grown like the quadratic variant's W_j: entry j of
-    ``_joint_kernel_dims``.  For involutive braidings this agrees with
-    symmetrizer_rank.  In the strictly braided case no relation between the
-    two is claimed, and no caller compares them.  ``budget`` bounds n^j from
-    degree 2 on, as in the ladder.
+    The intersection over the adjacent slot pairs i of ker(sign Psi_i - id):
+    entry j of ``_joint_kernel_dims`` on ``_invariant_pair_map``.  For
+    involutive braidings this agrees with symmetrizer_rank.  In the strictly
+    braided case no relation between the two is claimed, and no caller
+    compares them.  ``budget`` bounds n^j from degree 2 on, as in the
+    ladder.
     """
     j, budget = _degree(j), _degree(budget, "budget")
-    pair_map = []  # pair a n + b -> its image under sign Psi - id
+    return next(itertools.islice(_joint_kernel_dims(x, _invariant_pair_map(x), x.size ** 2, budget), j, None))
+
+
+def _invariant_pair_map(x: BraidedSet):
+    """sign Psi - id on pairs, as ``_intersect_step`` reads it: pair a n + b -> [(k, entry)] of its image."""
+    pair_map = []
     for c, image in enumerate(_pair_map(x)):
         col = {image: x.sign}
         col[c] = col.get(c, 0) - 1
         pair_map.append([(k, v) for k, v in col.items() if v])
-    return next(itertools.islice(_joint_kernel_dims(x, pair_map, x.size ** 2, budget), j, None))
+    return pair_map
 
 
 # -- dense small-scale symmetrizers (oracle for the ladder's recursion) --------
@@ -715,6 +764,11 @@ def _joint_kernel_dims(x: BraidedSet, pair_map, width: int, budget: int):
     relabelling, W_j is block-diagonal and orbit-stable like S_j, so each
     representative block is one intersection step, which reads each part's
     rows through the digit tables of its g as it forms its candidates.
+    W_j is a subspace of V^(x j) held in its own words, so a relabelled row
+    is a vector of the other block as it is.  ``invariant_dims`` and crit
+    13 walk it with M = sign Psi - id; the tests keep the contraction
+    against ker S_2 as the quadratic variant's oracle, whose W_j is the
+    annihilator of the degree-j ideal.
     """
     n = x.size
     yield 1
@@ -729,25 +783,164 @@ def _joint_kernel_dims(x: BraidedSet, pair_map, width: int, budget: int):
         yield dim
 
 
+def _quadratic_levels(x: BraidedSet, budget: int):
+    """Yield dim A_j for j = 0, 1, 2, ..., one level per next(); BudgetExceeded at the first n^j, j >= 2, above budget.
+
+    A = TV / <K>, K = ker S_2 (``_ker_s2_basis``), splits into the label
+    blocks of ``_ProductBlocks``, since every cycle vector of K lies in one
+    block of V (x) V, and A_j = (A_(j-1) (x) V) / image(A_(j-2) (x) K)
+    block by block.  A block of level m has a basis of normal words: a
+    representative keeps its own, and a block l = g rep g^-1 has B_l, rep's
+    sent through g.  A vector of a block is {index of a normal word: entry}.
+
+    Representative L of level j (``_ProductBlocks.level``) has the columns
+    y n^(j-1) + u, for each letter y and normal word u of the block l of
+    level j-1 with l o sigma_y = L: the last letter leads the column order.
+    Each cycle vector k of K and normal word w of the block
+    L o (sigma_a sigma_b)^-1 of level j-2 give one relation row
+    sum_ab k_ab rho_a(w) (x) e_b, where rho_a(w) is the class of the word
+    w a in B_(l o sigma_a).  The rows, sorted by their last column and then
+    their length, go through ``linalg._reduce``.  Of the orders tried on
+    X_5, these two kept the rows sparsest: through degree 8 they took 6 s
+    where word order took 72 s.  The free columns are L's normal words, and
+    ``linalg._normal_forms`` writes every other column in them.  So
+    d_j = n d_(j-1) - rank, and no vector over the n^j words is formed.
+
+    The digit tables of g alone do not give rho: the normal words of a
+    representative need not be stable under its centralizer C(rep), since
+    relabelling does not keep the column order that picked them, so h(B_l)
+    is in general another basis of block h l h^-1 than B_(h l h^-1).
+    ``act`` writes h(B_l) in B_(h l h^-1) by the one c in C(rep) with
+    h g = g' c, for the conjugators g of l and g' of h l h^-1: the matrix
+    of c on rep's normal words, built from level m-1's matrices and rep's
+    normal forms and kept, per level, for each c asked.
+    """
+    n = x.size
+    sigma = x.left
+    sigma_inv = [_inverse(s) for s in sigma]
+    blocks = _ProductBlocks(x)
+    identity = blocks.identity
+    blocks.orbit(identity)
+    relations = []  # per cycle vector k: (the inverse of its label sigma_a sigma_b, [(a, b, k_ab)])
+    for vec in _ker_s2_basis(x):
+        a, b = divmod(min(vec), n)
+        relations.append((_inverse(_compose(sigma[a], sigma[b])), [(*divmod(c, n), v) for c, v in vec.items()]))
+    # level m: {rep: (its normal words as columns, {column: its class in B_rep})}; level 0 is the empty word
+    levels = [{identity: ([0], {})}]
+    acts = [{}]  # level m: {(rep, c) or (label, h): [c(B_rep[i]) in B_rep or h(B_label[i]) in B_(h label h^-1)]}
+    fractional = False  # whether a normal form so far has a non-integer entry
+
+    def append(vec, forms, m, y):
+        """The class of (sum_i vec[i] B[i]) y in a block of level m with the normal forms ``forms``."""
+        shift = y * n ** (m - 1)
+        out = {}
+        for i, v in vec.items():
+            for k, e in forms[shift + i].items():
+                out[k] = out.get(k, 0) + v * e
+        return {k: v for k, v in out.items() if v}
+
+    def act(m, label, h):
+        """[h(B_label[i]) in B_(h label h^-1), over i] for a nonzero block of level m."""
+        hit = acts[m].get((label, h))
+        if hit is not None:
+            return hit
+        rep, g, _ = blocks.orbit(label)
+        _, g2, _ = blocks.orbit(tuple([h[label[t]] for t in _inverse(h)]))
+        c = _compose(_inverse(g2), _compose(h, g))
+        hit = acts[m].get((rep, c))
+        if hit is None:
+            normal, forms = levels[m][rep]
+            if m == 0 or c == identity:
+                hit = [{i: 1} for i in range(len(normal))]
+            else:  # normal word i is u y, u a normal word of l1 = rep o sigma_y^-1: c(u) in B_(c l1 c^-1), then c(y)
+                hit = []
+                for col in normal:
+                    y, i = divmod(col, n ** (m - 1))
+                    hit.append(append(act(m - 1, _compose(rep, sigma_inv[y]), c)[i], forms, m, c[y]))
+            acts[m][rep, c] = hit
+        acts[m][label, h] = hit
+        return hit
+
+    yield 1
+    try:
+        for j in itertools.count(1):
+            if j >= 2:
+                _check_budget(n, j, budget)
+            previous, before = levels[j - 1], levels[j - 2] if j >= 2 else {}
+            base = n ** (j - 1)
+            rhos = {}
+
+            def rho(lp, a):
+                """[the class of B_lp[i] a in B_(lp o sigma_a), over i]; None where that block of j-1 is 0."""
+                if (lp, a) not in rhos:
+                    rep, g, _ = blocks.orbit(_compose(lp, sigma[a]))
+                    entry = previous.get(rep)
+                    g_inv = _inverse(g)  # g^-1 (w a) = (g^-1 w) (g^-1 a), g^-1 w in B_(g^-1 lp g)
+                    rhos[lp, a] = None if entry is None else [
+                        append(v, entry[1], j - 1, g_inv[a]) for v in act(j - 2, lp, g_inv)]
+                return rhos[lp, a]
+
+            def block(parts):
+                """(normal words, normal forms) of the representative block that ``parts`` feed."""
+                nonlocal fractional
+                rep, g, letters = parts[0]
+                target = _compose(tuple([g[rep[t]] for t in _inverse(g)]), sigma[letters[0]])
+                rows = []
+                for lam_inv, terms in relations:
+                    lp = _compose(target, lam_inv)
+                    entry = before.get(blocks.orbit(lp)[0])
+                    if entry is None:
+                        continue
+                    maps = [(vecs, b * base, v) for a, b, v in terms if (vecs := rho(lp, a)) is not None]
+                    for i in range(len(entry[0])):
+                        row = {}
+                        for vecs, shift, v in maps:
+                            for k, e in vecs[i].items():
+                                row[shift + k] = row.get(shift + k, 0) + v * e
+                        row = {c: v for c, v in row.items() if v}
+                        if row:
+                            if fractional:  # an int row proportional to it
+                                den = lcm(*(Fraction(v).denominator for v in row.values()))
+                                row = {c: int(v * den) for c, v in row.items()}
+                            rows.append(row)
+                rows.sort(key=lambda row: (max(row), len(row)))
+                echelon = {}
+                for row in rows:
+                    out = _reduce(echelon, row)
+                    if out:
+                        echelon[min(out)] = _strip(out)
+                columns = sorted(y * base + i for rep, _, letters in parts
+                                 for y in letters for i in range(len(previous[rep][0])))
+                normal = [c for c in columns if c not in echelon]
+                index = {c: i for i, c in enumerate(normal)}
+                forms = {c: {i: 1} for c, i in index.items()}
+                for p, form in _normal_forms(echelon).items():
+                    forms[p] = {index[c]: v for c, v in form.items()}
+                    fractional = fractional or not all(type(v) is int for v in form.values())
+                return normal, forms
+
+            dim, level = blocks.level(previous, block)
+            levels.append(level)
+            acts.append({})
+            yield dim
+    finally:  # act calls itself through its closure: break that cycle, which holds every level, on close
+        del act
+
+
 def hilbert_dims_quadratic(x: BraidedSet, max_degree: int, budget: int = DEFAULT_BUDGET) -> GradedDims:
     """Degreewise dimensions of the quadratic algebra TA / <ker S_2>.
 
-    Its degree-j ideal is the sum of the V^(x i) (x) K (x) V^(x j-2-i),
-    K = ker S_2, so the orthogonal complement W_j, of dimension n^j minus
-    the ideal's, is (W_(j-1) (x) V) intersected with V^(x j-2) (x) K^perp:
-    the part of W_(j-1) (x) V whose last two slots contract to 0 against
-    every cycle vector of K (``_joint_kernel_dims``).  ``budget`` bounds n^j
-    from degree 2 on, as in ``hilbert_dims``.
+    Its degree-j ideal is I_(j-1) (x) V + V^(x j-2) (x) K, K = ker S_2, so
+    A_j = (A_(j-1) (x) V) / image(A_(j-2) (x) K): d_j is n d_(j-1) minus
+    the rank of the relation rows, each over normal words of A_(j-1) times a
+    letter, block by block (``_quadratic_levels``).  No vector over the n^j
+    columns is formed.  ``budget`` bounds n^j from degree 2 on, as in
+    ``hilbert_dims``.
     """
     max_degree, budget = _degree(max_degree, "max_degree"), _degree(budget, "budget")
-    kernel = _ker_s2_basis(x)
-    contract = [[] for _ in range(x.size ** 2)]  # pair a n + b -> [(t, entry (a, b) of kernel[t])]
-    for t, vec in enumerate(kernel):
-        for c, v in vec.items():
-            contract[c].append((t, v))
     dims = []
     try:
-        for dim in itertools.islice(_joint_kernel_dims(x, contract, len(kernel), budget), max_degree + 1):
+        for dim in itertools.islice(_quadratic_levels(x, budget), max_degree + 1):
             dims.append(dim)
     except BudgetExceeded:
         pass

@@ -138,7 +138,7 @@ def _cmd_sphere(args) -> int:
 
 def _cmd_nichols(args) -> int:
     n = args.sym_group * (args.sym_group - 1) // 2
-    if args.sym_group >= 2 and n * n > DEFAULT_BUDGET:  # building X_K alone checks n^3 triples
+    if args.sym_group >= 2 and n * n > DEFAULT_BUDGET:  # X_K's table takes n^2 K steps, its blocks' check n^3
         raise BudgetExceeded(f"n^2 = {n}^2 = {n * n} exceeds budget {DEFAULT_BUDGET}")
     x = transposition_class(args.sym_group)
     fn = hilbert_dims_quadratic if args.quadratic else hilbert_dims

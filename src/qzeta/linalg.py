@@ -7,9 +7,12 @@ keeps the ones that extend the rank (the symmetrizer ladder in ``braided``;
 the tests' R-matrix oracle ranks QLaurent rows with it).  sparse_kernel finds
 the dependencies among rows.  Its one caller in the library is
 ``_intersect_step``, which grows a joint kernel by one tensor factor: the
-quadratic Hilbert series and the braided invariants in ``braided`` over Z,
-the R-matrix blocks in ``rmatrix`` over Q(q).  Rows enter one at a time and
-are reduced against the current echelon.
+braided invariants in ``braided`` over Z, the R-matrix blocks in
+``rmatrix`` over Q(q).  Rows enter one at a time and are reduced against
+the current echelon.  ``_normal_forms`` back-substitutes an integer
+echelon built by ``_reduce`` and writes every pivot column in the free
+columns; its one caller is the quadratic variant's quotient in
+``braided``, which reads each block's normal forms off it.
 
 ``_intersect_step`` numbers the words of m letters in base n.
 ``_word_tables`` relabels the letters of such a word column by table
@@ -170,6 +173,46 @@ def sparse_int_rank(rows):
             echelon[min(out)] = _strip(out)
             kept.append(row)
     return len(echelon), kept, sorted(echelon)
+
+
+def _normal_forms(echelon: dict) -> dict:
+    """{pivot column p: {free column f: c_f}}: e_p = sum_f c_f e_f modulo the rows of an integer echelon.
+
+    ``echelon`` is {pivot column: row} as ``_reduce`` builds it over Z: row
+    p leads at p, and every other column it holds lies above p.  The rows
+    are back-substituted, highest pivot first, so that each keeps its own
+    pivot and free columns only (a row that holds pivot q > p is
+    cross-multiplied with q's finished row, or loses an exact multiple of
+    it when q's entry divides, and is stripped of its content).  A finished
+    row a e_p + sum_f r_f e_f gives c_f = -r_f / a: an int where a divides
+    r_f, else a Fraction.  The echelon is not modified.
+    """
+    done: dict[int, dict] = {}
+    for p in sorted(echelon, reverse=True):
+        row = dict(echelon[p])
+        for q in [q for q in row if q != p and q in echelon]:
+            piv = done[q]
+            a, b = piv[q], row.pop(q)
+            if b % a:
+                for c in row:
+                    row[c] *= a
+            else:
+                a, b = 1, b // a
+            for c, v in piv.items():
+                if c != q:
+                    w = row.get(c, 0) - b * v
+                    if w:
+                        row[c] = w
+                    else:
+                        del row[c]
+            if a != 1:
+                row = _strip(row)
+        done[p] = row
+    forms = {}
+    for p, row in done.items():
+        a = row[p]
+        forms[p] = {c: -v // a if v % a == 0 else Fraction(-v, a) for c, v in row.items() if c != p}
+    return forms
 
 
 def sparse_kernel(rows, width: int) -> list[dict]:

@@ -17,12 +17,14 @@ from fractions import Fraction
 from math import comb
 
 from .braided import (
+    DEFAULT_BUDGET,
+    _invariant_pair_map,
+    _joint_kernel_dims,
     fk_reference_series,
     flip_set,
     from_conjugacy_class,
     hilbert_dims,
     hilbert_dims_quadratic,
-    invariant_dims,
     symmetrizer_matrix_bruteforce,
     symmetrizer_matrix_recursive,
     transposition_class,
@@ -226,12 +228,17 @@ def crit_12_fomin_kirillov():
 
 
 def crit_13_flip_consistency():
-    """Flip sets recover classical symmetric algebras: binomial dimensions everywhere."""
+    """Flip sets recover classical symmetric algebras: binomial dimensions everywhere.
+
+    Each n walks the levels j = 0..5 of one ``_joint_kernel_dims`` generator
+    of the invariants (entry j is ``invariant_dims(f, j)``), so every level
+    is built once.
+    """
     for n in range(1, 5):
         f = flip_set(n)
-        for j in range(6):
-            expected = comb(n + j - 1, j)
-            check(invariant_dims(f, j) == expected, f"invariants n={n}, j={j}")
+        levels = _joint_kernel_dims(f, _invariant_pair_map(f), n * n, DEFAULT_BUDGET)
+        for j, dim in zip(range(6), levels):
+            check(dim == comb(n + j - 1, j), f"invariants n={n}, j={j}")
         check(list(hilbert_dims(f, 5)) == [comb(n + j - 1, j) for j in range(6)], f"hilbert n={n}")
 
 
@@ -337,10 +344,19 @@ def ext_06_fit_degrees():
 
 
 def ext_07_fomin_kirillov_quadratic_x4():
-    """The quadratic cover of X_4 through degree 11 equals the Fomin-Kirillov product; degree 11 reads 6^11 columns."""
-    dims = hilbert_dims_quadratic(transposition_class(4), 11, budget=6**11)
-    ref = [int(c.coeff(0)) for c in fk_reference_series(4).t_coeff_list()[:12]]
-    check(dims.complete and list(dims) == ref, f"X_4 quadratic: {list(dims)} differs from the Fomin-Kirillov product {ref}")
+    """The quadratic cover of X_4 through degree 13 equals the Fomin-Kirillov product: d_12 = 1 is the top, d_13 = 0."""
+    dims = hilbert_dims_quadratic(transposition_class(4), 13, budget=6**13)
+    ref = _pad([int(c.coeff(0)) for c in fk_reference_series(4).t_coeff_list()], 14)
+    check(dims.complete and list(dims) == ref,
+          f"X_4 quadratic: {list(dims)} differs from the Fomin-Kirillov product {ref}")
+
+
+def ext_08_fomin_kirillov_quadratic_x5():
+    """The quadratic cover of X_5 through degree 8 equals the Fomin-Kirillov product; degree 8 counts 10^8 columns."""
+    dims = hilbert_dims_quadratic(transposition_class(5), 8, budget=10**8)
+    ref = [int(c.coeff(0)) for c in fk_reference_series(5).t_coeff_list()[:9]]
+    check(dims.complete and list(dims) == ref,
+          f"X_5 quadratic: {list(dims)} differs from the Fomin-Kirillov product {ref}")
 
 
 @dataclass
@@ -380,7 +396,8 @@ EXTENDED = [
     (4, "zeta(C^n) = zeta(V_(n-1)) byte for byte (n=7, 12, order 200)", "extended", ext_04_cn_equals_vm, 60),
     (5, "sl2 routes: Cayley-Sylvester = weight = Adams (m, j<=16)", "extended", ext_05_sl2_routes, 60),
     (6, "fit (deg h, deg g) at m=17, 18", "extended", ext_06_fit_degrees, 60),
-    (7, "Fomin-Kirillov X_4 quadratic cover through degree 11", "extended", ext_07_fomin_kirillov_quadratic_x4, 60),
+    (7, "Fomin-Kirillov X_4 quadratic cover through degree 13", "extended", ext_07_fomin_kirillov_quadratic_x4, 60),
+    (8, "Fomin-Kirillov X_5 quadratic cover through degree 8", "extended", ext_08_fomin_kirillov_quadratic_x5, 60),
 ]
 
 SUITES = ("all", "zeta", "cm", "sphere", "nichols", "extended")

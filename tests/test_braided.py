@@ -108,6 +108,17 @@ def test_invariant_dims():
     assert invariant_dims(x, 0) == 1
 
 
+def test_criterion_13_builds_each_level_once(monkeypatch):
+    # one flip set is one block: one _intersect_step per level j = 2..5 for each n = 1..4, 16 in
+    # all, where one invariant_dims call per j rebuilt levels 2..j, 40 in all
+    from qzeta.verify import crit_13_flip_consistency
+
+    real, built = braided._intersect_step, []
+    monkeypatch.setattr(braided, "_intersect_step", lambda *args: built.append(1) or real(*args))
+    crit_13_flip_consistency()
+    assert len(built) == 4 * 4
+
+
 def test_flip_symmetrizer_equals_invariants():
     for n in (2, 3):
         f = flip_set(n)
@@ -287,6 +298,88 @@ def test_conjugacy_class_input_validation():
         with pytest.raises(ValueError, match="must be an integer"):
             from_conjugacy_class(k, rep)
     assert from_conjugacy_class(3.0, (2.0, Fraction(1), 3)).size == 3
+
+
+def _cycle_type_representatives(k):
+    """1-based images of one permutation of S_k per cycle type with a cycle longer than 1."""
+    def partitions(m, largest):
+        if m == 0:
+            yield ()
+        for p in range(min(m, largest), 0, -1):
+            for rest in partitions(m - p, p):
+                yield (p,) + rest
+
+    reps = []
+    for parts in partitions(k, k):
+        if parts[0] > 1:
+            images, start = [], 1
+            for p in parts:
+                images += [start + (t + 1) % p for t in range(p)]
+                start += p
+            reps.append(tuple(images))
+    return reps
+
+
+def _cycle_lengths(perm):
+    seen, lengths = set(), []
+    for start in range(len(perm)):
+        length, t = 0, start
+        while t not in seen:
+            seen.add(t)
+            t, length = perm[t], length + 1
+        if length:
+            lengths.append(length)
+    return lengths
+
+
+def test_conjugacy_classes_satisfy_the_triple_check_they_skip():
+    """Every class of S_k, k <= 6, of at most 45 elements: the braid relation holds on all n^3 triples.
+
+    The table is also rebuilt from every permutation of the cycle type, and
+    the public constructor, which walks the triples, takes it unchanged.
+    """
+    checked = 0
+    for k in range(2, 7):
+        for rep in _cycle_type_representatives(k):
+            x = from_conjugacy_class(k, rep)
+            cycle_type = sorted(_cycle_lengths(tuple(i - 1 for i in rep)))
+            elems = sorted(p for p in itertools.permutations(range(k)) if sorted(_cycle_lengths(p)) == cycle_type)
+            assert x.size == len(elems), (k, rep)
+            if x.size > 45:
+                continue
+            index = {e: i for i, e in enumerate(elems)}
+            for i, a in enumerate(elems):
+                for j, b in enumerate(elems):
+                    conj = tuple(a[b[a.index(t)]] for t in range(k))
+                    assert x.apply(i, j) == (index[conj], i), (k, rep, i, j)
+            assert check_braid_relation((x.left, x.right)), (k, rep)
+            assert repr(BraidedSet(x.left, x.right, sign=-1, label=x.label)) == repr(x)
+            checked += 1
+    assert checked == 18
+
+
+def test_conjugation_check_rejects_a_table_the_braid_relation_accepts():
+    # x |> y = y braids (the trivial rack) and is a bijection of pairs, but is not conjugation
+    x = transposition_class(4)
+    elems = sorted(p for p in itertools.permutations(range(4)) if sorted(_cycle_lengths(p)) == [1, 1, 2])
+    assert braided._conjugation_holds(elems, x.left)
+    trivial = [list(range(x.size)) for _ in range(x.size)]
+    assert check_braid_relation((trivial, x.right))
+    assert not braided._conjugation_holds(elems, trivial)
+    repeated = [list(row) for row in x.left]
+    repeated[0][1] = repeated[0][2]              # row 0 no longer a permutation
+    assert not braided._conjugation_holds(elems, repeated)
+
+
+def test_braided_set_still_checks_a_corrupted_conjugation_table():
+    x = transposition_class(4)
+    swapped = [list(row) for row in x.left]
+    swapped[1][0], swapped[1][2] = swapped[1][2], swapped[1][0]  # still a bijection of pairs
+    assert not check_braid_relation((swapped, x.right))
+    with pytest.raises(ValueError, match="braid relation"):
+        BraidedSet(swapped, x.right, sign=-1)
+    with pytest.raises(ValueError, match="braid relation"):
+        BraidedSet.from_json(x.to_json().replace(str(list(x.left[1])), str(swapped[1])))
 
 
 # -- oracles: the routes the ladder and the quadratic variant used before ------
@@ -790,6 +883,82 @@ def test_block_ladder_matches_ungraded():
 def test_block_quadratic_matches_ungraded():
     for x, _, top in _block_pool():
         assert list(hilbert_dims_quadratic(x, top)) == _hilbert_dims_quadratic_ungraded(x, top), x.label
+
+
+def _hilbert_dims_quadratic_by_intersection(x, max_degree, budget=braided.DEFAULT_BUDGET):
+    """The quadratic variant before normal words: dim W_j, W_j the annihilator of the degree-j ideal.
+
+    W_j = (W_(j-1) (x) V) cap (V^(x j-2) (x) K^perp), K = ker S_2, is the
+    joint kernel of the contraction against K's cycle vectors at every
+    adjacent slot pair (``_joint_kernel_dims``); its vectors fill their
+    blocks over n^j columns.  The budget is read as in the library.
+    """
+    contract, width = _joint_kernel_pair_maps(x)[0]
+    dims = []
+    try:
+        for dim in itertools.islice(braided._joint_kernel_dims(x, contract, width, budget), max_degree + 1):
+            dims.append(dim)
+    except BudgetExceeded:
+        pass
+    return GradedDims(dims, max_degree)
+
+
+def _permutation_rack(f, sign):
+    """x |> y = f(y) on range(len(f)): every sigma_x is f.  Its quadratic normal forms have Fraction entries."""
+    n = len(f)
+    return BraidedSet([list(f)] * n, [[x] * n for x in range(n)], sign=sign, label=f"permutation rack {f}, sign {sign:+d}")
+
+
+def _fraction_pool():
+    """(braided set, degree) whose quadratic variant has normal forms with Fraction entries by then."""
+    return [(_permutation_rack((2, 0, 1), -1), 5), (_permutation_rack((2, 0, 1, 3), 1), 5),
+            (_permutation_rack((2, 0, 1, 3), -1), 5)]
+
+
+def test_quadratic_normal_words_match_the_intersection_oracle():
+    # _block_pool() at the quadratic variant's top (the non-automorphic sets of sign +1 and -1 among
+    # them), crit 13's flip sets, crit 12's X_2, X_3, X_4 and racks whose normal forms need Fractions
+    pool = [(x, top) for x, _, top in _block_pool()] + [(flip_set(n), 5) for n in range(1, 5)] + [
+        (transposition_class(k), top) for k, top in ((2, 4), (3, 5), (4, 6))] + _fraction_pool()
+    for x, top in pool:
+        assert repr(hilbert_dims_quadratic(x, top)) == repr(_hilbert_dims_quadratic_by_intersection(x, top)), x.label
+
+
+@pytest.mark.parametrize("x", [transposition_class(3), transposition_class(4), flip_set(3)], ids=["X_3", "X_4", "flip_3"])
+def test_quadratic_normal_words_match_the_intersection_oracle_under_every_budget(x):
+    n = x.size
+    for budget in (1, n, n ** 2, n ** 3 - 1, n ** 3):
+        got = hilbert_dims_quadratic(x, 5, budget=budget)
+        assert repr(got) == repr(_hilbert_dims_quadratic_by_intersection(x, 5, budget)), budget
+
+
+def test_quadratic_rows_from_fraction_normal_forms_are_integer(monkeypatch):
+    """Where a normal form has a Fraction entry, every later relation row is cleared to an int row first."""
+    forms, reduce = braided._normal_forms, braided._reduce
+    fractions, rows = [], []
+
+    def spy_forms(echelon):
+        out = forms(echelon)
+        fractions.extend(v for form in out.values() for v in form.values() if type(v) is not int)
+        return out
+
+    monkeypatch.setattr(braided, "_normal_forms", spy_forms)
+    monkeypatch.setattr(braided, "_reduce", lambda echelon, row: rows.append(row) or reduce(echelon, row))
+    for x, top in _fraction_pool():
+        del fractions[:], rows[:]
+        assert repr(hilbert_dims_quadratic(x, top)) == repr(_hilbert_dims_quadratic_by_intersection(x, top)), x.label
+        assert fractions, x.label
+        assert all(type(v) is int for row in rows for v in row.values()), x.label
+
+
+def test_x4_quadratic_is_complete_at_degree_13():
+    """The quadratic cover of X_4 is the Fomin-Kirillov algebra: top degree 12, 576 in all, palindromic."""
+    dims = hilbert_dims_quadratic(transposition_class(4), 13, budget=6 ** 13)
+    assert dims.complete
+    assert dims.dims[12:] == [1, 0]
+    assert sum(dims) == 576
+    assert dims.dims[:13] == dims.dims[12::-1]
+    assert dims.dims[:13] == [c.coeff(0) for c in fk_reference_series(4).t_coeff_list()]
 
 
 def test_joint_kernels_read_through_digit_tables_match_relabelled_copies():

@@ -153,6 +153,7 @@ EXPORT_REASONS = (
     ("even_part_zeta_at_pm1", "documented entry point: (zeta_1 + zeta_-1)/2 of V_m for odd m"),
     ("check_braid_relation", "documented entry point: the braid-relation check of a pair of tables"),
     ("symmetrizer_rank", "documented entry point: rank of the braided symmetrizer S_j"),
+    ("invariant_dims", "documented entry point: the joint braiding invariants at one degree; crit 13 walks their levels"),
     ("solve_linear", "oracle for the tests' deg-h search of fit_gh; tests/test_linalg.py imports it from qzeta"),
     ("sym_subspace_dims", "documented entry point: the content blocks of the R-matrix symmetric subspace at one j"),
 )

@@ -867,3 +867,50 @@ def test_wrong_unit_quotient_raises_instead_of_hanging(monkeypatch):
             except QZetaError:
                 raised += 1
     assert raised > 30
+
+
+def _fraction_rref(rows, cols):
+    """{pivot column: {other column: entry}} of the reduced row echelon form over Fractions, pivots scaled to 1."""
+    m = [[F(row.get(c, 0)) for c in range(cols)] for row in rows]
+    pivots, rank = [], 0
+    for c in range(cols):
+        piv = next((r for r in range(rank, len(m)) if m[r][c] != 0), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        m[rank] = [x / m[rank][c] for x in m[rank]]
+        for r in range(len(m)):
+            if r != rank and m[r][c] != 0:
+                m[r] = [x - m[r][c] * y for x, y in zip(m[r], m[rank])]
+        pivots.append(c)
+        rank += 1
+    return {p: {c: x for c, x in enumerate(m[k]) if x and c != p} for k, p in enumerate(pivots)}
+
+
+def test_normal_forms_match_the_fraction_reduced_echelon():
+    """Each pivot column of a _reduce echelon, written in the free columns, is minus its reduced row's free part."""
+    rng = random.Random(39_5084)
+    fractional = integral = 0
+    for _ in range(300):
+        cols = rng.randrange(2, 14)
+        rows = _unit_rich_rows(rng, rng.randrange(1, 20), cols)
+        if rng.random() < 0.3:                      # entries past +-3 as well
+            rows = [{c: v * rng.choice([1, 2, 5, -7]) for c, v in row.items()} for row in rows]
+        echelon = {}
+        for row in rows:
+            out = linalg._reduce(echelon, dict(row))
+            if out:
+                echelon[min(out)] = linalg._strip(out)
+        before = {p: dict(row) for p, row in echelon.items()}
+        forms = linalg._normal_forms(echelon)
+        assert echelon == before                    # the echelon is not modified
+        rref = _fraction_rref(rows, cols)
+        assert sorted(forms) == sorted(rref) == sorted(echelon), rows
+        for p, form in forms.items():
+            assert form == {c: -x for c, x in rref[p].items()}, (rows, p)
+            assert not set(form) & set(echelon)     # free columns only
+            for v in form.values():
+                assert type(v) is int or v.denominator > 1   # an int wherever the entry is one
+                fractional += type(v) is not int
+                integral += type(v) is int
+    assert fractional > 100 and integral > 200
