@@ -42,10 +42,11 @@ labelled by the map sigma_{x_1} o ... o sigma_{x_j} of X, with sigma_x =
 left[x]; the first component of the braid relation, sigma_{L(x,y)}
 sigma_{R(x,y)} = sigma_x sigma_y, says every braiding keeps the label, so
 S_j, A_j and W_j are block-diagonal by label.  When every sigma_x is an
-automorphism of (X, Psi) (checked once, in O(n^3); true for every
-conjugacy class), relabelling all tensor factors by one element g of the
-group they generate commutes with S_j, the ideal of A and W_j, and carries
-block l to block g l g^-1.  Only the least label of each such orbit is
+automorphism of (X, Psi) (true for every rack, Psi(x, y) = (sigma_x(y),
+x), so for every conjugacy class; checked in O(n^3) for other sets),
+relabelling all tensor factors by one element g of the group they
+generate commutes with S_j, the ideal of A and W_j, and carries block l
+to block g l g^-1.  Only the least label of each such orbit is
 computed, its dimension counted |orbit| times, and a level holds one copy
 of each representative's rows and column words.  The ladder reads a block l
 = g rep g^-1 through g: each column it looks up is sent through g^-1 by
@@ -70,6 +71,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 
@@ -309,7 +311,10 @@ class _ProductBlocks:
         self.size = x.size
         self._sigma = x.left
         self.identity = tuple(range(x.size))
-        self.symmetric = all(_is_automorphism(x, s) for s in set(x.left))
+        # a rack-type Psi(a, b) = (sigma_a(b), a) braids only if sigma_a(sigma_b(c)) =
+        # sigma_(sigma_a(b))(sigma_a(c)), which makes each sigma_a an automorphism: O(n^2)
+        rack = all(row == (a,) * x.size for a, row in enumerate(x.right))
+        self.symmetric = rack or all(_is_automorphism(x, s) for s in set(x.left))
         gens = sorted(set(x.left)) if self.symmetric else []
         self._generators = [(s, _inverse(s)) for s in gens]
         self._orbit = {}    # label -> (representative, g, orbit size), label = g rep g^-1
@@ -683,28 +688,34 @@ def _reduced_word(perm) -> list[int]:
     return word
 
 
-def _apply_word(x: BraidedSet, word, tup):
-    digits = list(tup)
-    for pos in reversed(word):
-        a, b = digits[pos], digits[pos + 1]
-        digits[pos], digits[pos + 1] = x.left[a][b], x.right[a][b]
-    return tuple(digits)
-
-
 def symmetrizer_matrix_bruteforce(x: BraidedSet, j: int):
-    """S_j as a dense dict {(row, col): int} from the literal sum over all j! reduced words."""
+    """S_j as a dense dict {(row, col): int} from the literal sum over all j! reduced words.
+
+    The columns are the tuples of ``itertools.product`` in order.  Psi at
+    position p is one map of those tuples, read off x.left and x.right;
+    each permutation's term composes the maps along its reduced word, and
+    its (row, col) hits are counted per sign.
+    """
     j = _degree(j)
     n = x.size
-    out: dict[tuple[int, int], int] = {}
     tuples = list(itertools.product(range(n), repeat=j))
     index = {t: i for i, t in enumerate(tuples)}
+    steps = [
+        [index[t[:p] + (x.left[t[p]][t[p + 1]], x.right[t[p]][t[p + 1]]) + t[p + 2:]] for t in tuples]
+        for p in range(j - 1)
+    ]
+    cols = range(len(tuples))
+    hits = {1: Counter(), -1: Counter()}
     for perm in itertools.permutations(range(j)):
         word = _reduced_word(perm)
-        sgn = x.sign ** len(word)
-        for c, tup in enumerate(tuples):
-            r = index[_apply_word(x, word, tup)]
-            out[(r, c)] = out.get((r, c), 0) + sgn
-    return {k: v for k, v in out.items() if v}
+        rows = cols
+        for p in reversed(word):
+            step = steps[p]
+            rows = [step[r] for r in rows]
+        hits[x.sign ** len(word)].update(zip(rows, cols))
+    total = hits[1]
+    total.subtract(hits[-1])
+    return {k: v for k, v in total.items() if v}
 
 
 def symmetrizer_matrix_recursive(x: BraidedSet, j: int):

@@ -7,11 +7,13 @@ keeps the ones that extend the rank (the symmetrizer ladder in ``braided``;
 the tests' R-matrix oracle ranks QLaurent rows with it).  sparse_kernel finds
 the dependencies among rows.  Its one caller in the library is
 ``_intersect_step``, which grows a joint kernel by one tensor factor: the
-braided invariants in ``braided`` over Z, the R-matrix blocks in
-``rmatrix`` over Q(q).  Rows enter one at a time and are reduced against
-the current echelon.  ``_normal_forms`` back-substitutes an integer
-echelon built by ``_reduce`` and writes every pivot column in the free
-columns; its one caller is the quadratic variant's quotient in
+braided invariants in ``braided`` and the R-matrix blocks in ``rmatrix``,
+both over Z (the R-matrix at an integer point q0).  The library eliminates
+nothing over Q(q); that branch serves the tests' R-matrix oracles, which
+run the same steps on QLaurent rows.  Rows enter one at a time and are
+reduced against the current echelon.  ``_normal_forms`` back-substitutes
+an integer echelon built by ``_reduce`` and writes every pivot column in
+the free columns; its one caller is the quadratic variant's quotient in
 ``braided``, which reads each block's normal forms off it.
 
 ``_intersect_step`` numbers the words of m letters in base n.

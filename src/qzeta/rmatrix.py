@@ -14,21 +14,34 @@ time: block mu of level j is a kernel on candidates from the blocks mu - e_x.
 R-hat's column at (a, b) depends only on whether a <, = or > b, so an
 order-preserving relabelling of the letters carries one block's kernel onto
 another's: the block of a content depends only on its composition, the
-multiplicities of its distinct letters in increasing order.  One basis is
+multiplicities of its distinct letters in increasing order.  One block is
 built per composition (m_1, ..., m_k), k <= n, on the letters 0..k-1, and
 read for every content with that composition.  ``_sym_levels`` checks that
 symmetry on the columns before it relies on it.
+
+No elimination runs over Q(q).  q (R-hat - q id) has its entries in Z[q],
+so each block is bounded above by its kernel over Z at the integer point
+q = _Q0 (a kernel over Q(q) can only grow under specialization, Schwartz,
+J. ACM 1980), and below by the exact witness sum_w q^inv(w) e_w over the
+words w of the content (Jimbo, Lett. Math. Phys. 11, 1986), checked over
+Z[q].  A bound of 1 met by its witness is a dimension of 1; anything else
+raises QZetaError.  The tests keep the elimination over Q(q) as the oracle.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, combinations_with_replacement, count, groupby, islice, repeat
+from itertools import combinations, combinations_with_replacement, count, islice, repeat
 
 from .errors import BudgetExceeded, QZetaError
 from .linalg import _intersect_step, _relabel, _word_tables
 from .qlaurent import QLaurent, _degree
 
 _Q = QLaurent({1: 1})
+# The integer point at which _sym_levels bounds each Sym_j block.  Any integer
+# q0 >= 2 bounds R-hat's blocks by 1, since the q-symmetrizer needs only
+# [k]_(q^2) != 0, true off the roots of unity; a small q0 keeps the integers
+# small (at (5, 9), q0 = 1000003 takes a fifth more time and memory than 3).
+_Q0 = 3
 _Q_MINUS_QINV = QLaurent({1: 1, -1: -1})
 
 
@@ -109,12 +122,14 @@ def sym_subspace_dims(n: int, j: int, budget=(4, 5)):
     Sym_j, the intersection of the ker(R_i - q id), is (Sym_(j-1) (x) V)
     intersected with V^(x j-2) (x) ker(R - q id), and R-hat keeps content:
     block mu of Sym_j is the part of the sum of Sym_(j-1)[mu - e_x] (x) e_x
-    that R-hat - q id in the last two slots sends to 0 (``_intersect_step``
-    over Q(q)).  R-hat is invariant under order-preserving relabelling of
-    the letters (checked on its columns), so contents with one composition
-    share one block, built once on the letters 0..k-1.  Block bases are
-    sparse {base-n column: QLaurent} vectors and every dimension is counted,
-    never assumed.  Level j is taken from ``_sym_levels(RHat(n))``.
+    that R-hat - q id in the last two slots sends to 0.  R-hat is invariant
+    under order-preserving relabelling of the letters (checked on its
+    columns), so contents with one composition share one block, built once
+    on the letters 0..k-1.  Each block is bounded above by its kernel over
+    Z at q = _Q0 (``_intersect_step``) and met below by the exact witness
+    sum_w q^inv(w) e_w, so every dimension is certified, never assumed; a
+    block the two do not pin to 1 raises QZetaError.  Level j is taken from
+    ``_sym_levels(RHat(n))``.
     """
     n, j = _degree(n, "n", 2), _degree(j)
     _check_budget(n, j, budget)
@@ -138,11 +153,6 @@ def _check_order_invariant(r: RHat):
                 raise QZetaError(f"R-hat column {(a, b)} is not its order pattern's column relabelled")
 
 
-def _composition(content) -> tuple:
-    """The multiplicities of the distinct letters of a sorted content, in increasing order of letter."""
-    return tuple(len(list(run)) for _, run in groupby(content))
-
-
 def _compositions(j: int, n: int):
     """Every composition of j >= 1 with at most n parts."""
     for k in range(1, min(j, n) + 1):
@@ -151,48 +161,107 @@ def _compositions(j: int, n: int):
             yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
 
 
-def _sym_levels(r: RHat):
-    """Yield the (content, kernel dimension) blocks of Sym_j for j = 0, 1, 2, ...
+def _pair_maps(r: RHat):
+    """The columns of q (R-hat - q id), by pair a n + b: exactly over Z[q], and evaluated at q = _Q0.
 
-    Each level's block bases are built once, from the level before, so a
-    caller that needs every j up to some bound walks this generator instead
-    of calling ``sym_subspace_dims`` once per j.  A level holds one basis
-    per composition c of j with at most n parts, on the letters 0..k-1 of
-    its k parts; its candidates are the bases of the parts c - e_x, each
-    letter x of c in turn.  When x occurs once in c, that part is the
-    composition without x, whose letters are relabelled onto {0..k-1}
-    minus {x} as ``_intersect_step`` reads them.  The blocks are yielded
-    per content, in ``combinations_with_replacement`` order, each with the
-    dimension of its composition's basis.  Raises QZetaError, at the first
-    level, if R-hat is not invariant under order-preserving relabelling.
+    ``exact[a n + b]`` is [(a' n + b', ((e, c), ...))], the entry sum c q^e
+    at pair a' n + b'; ``at_q0[a n + b]`` is [(a' n + b', value at _Q0)],
+    zero values dropped, the pair map ``_intersect_step`` reads over Z.
+    Raises QZetaError if an entry times q is not in Z[q]: an exponent that
+    is negative or not an integer, or a coefficient that is not an integer.
     """
     n = r.n
-    _check_order_invariant(r)
-    shifted = []  # pair a n + b -> [(pair, entry)] of the column of R-hat - q id
+    exact, at_q0 = [], []
     for a in range(n):
         for b in range(n):
             col = dict(r.columns[(a, b)])
             col[(a, b)] = col.get((a, b), QLaurent()) - _Q
-            shifted.append([(a2 * n + b2, c) for (a2, b2), c in col.items() if c])
+            terms = []
+            for (a2, b2), c in col.items():
+                poly = tuple((c * _Q).items())
+                if any(type(e) is not int or e < 0 or type(k) is not int for e, k in poly):
+                    raise QZetaError(f"q (R-hat - q id) at {(a2, b2)} of column {(a, b)} is not in Z[q]: {c * _Q}")
+                if poly:
+                    terms.append((a2 * n + b2, poly))
+            exact.append(terms)
+            at_q0.append([(k, v) for k, poly in terms if (v := sum(c * _Q0 ** e for e, c in poly))])
+    return exact, at_q0
+
+
+def _check_witness(witness: dict, exact, n: int, comp):
+    """QZetaError unless q (R-hat - q id) in the last two slots sends witness {column: exponent} to 0 in Z[q].
+
+    The witness is sum q^exponent e_column over base-n word columns, and
+    ``exact`` the Z[q] pair map of ``_pair_maps``; the image is summed per
+    (column, power of q), so the check is exact, not at a point.
+    """
+    nn = n * n
+    image = {}
+    for c, e in witness.items():
+        base = c - c % nn
+        for k, poly in exact[c % nn]:
+            for d, v in poly:
+                key = (base + k, e + d)
+                image[key] = image.get(key, 0) + v
+    if any(image.values()):
+        raise QZetaError(f"the witness of composition {comp} is not in the kernel of R-hat - q id (q0 = {_Q0})")
+
+
+def _sym_levels(r: RHat):
+    """Yield the (content, kernel dimension) blocks of Sym_j for j = 0, 1, 2, ...
+
+    Each level's blocks are built once, from the level before, so a caller
+    that needs every j up to some bound walks this generator instead of
+    calling ``sym_subspace_dims`` once per j.  A level holds one block per
+    composition c of j with at most n parts, on the letters 0..k-1 of its k
+    parts, built from the parts c - e_x, each letter x of c in turn.  When
+    x occurs once in c, that part is the composition without x, whose
+    letters are relabelled onto {0..k-1} minus {x} as ``_intersect_step``
+    reads them.  A block is certified two ways:
+
+    * an upper bound: its kernel over Z with q (R-hat - q id) evaluated at
+      q = _Q0 (``_intersect_step``), which no specialization can make
+      smaller than the kernel over Q(q);
+    * a lower bound: the witness v_c = sum_x q^(number of letters of c
+      above x) (v_(c - e_x), relabelled) (x) e_x, which is sum_w q^inv(w)
+      e_w over the words w of content c, held as {column: exponent}.  Its
+      last two slots are checked exactly over Z[q] (``_check_witness``);
+      the others hold by the level below and the order invariance.
+
+    A bound of 1 met by a witness gives dimension 1; any other bound, or a
+    witness that fails, raises QZetaError naming the composition and q0, so
+    no bound is ever returned as a dimension.  The blocks are yielded per
+    content, in ``combinations_with_replacement`` order.  Raises
+    QZetaError, at the first level, if R-hat is not invariant under
+    order-preserving relabelling or q (R-hat - q id) is not over Z[q].
+    """
+    n = r.n
+    _check_order_invariant(r)
+    exact, at_q0 = _pair_maps(r)
     yield [((), 1)]
-    basis = {(1,): [{0: QLaurent.one()}]}
+    basis, witness = {(1,): [{0: 1}]}, {(1,): {0: 0}}
     for level in count(2):
-        yield [(content, len(basis[_composition(content)]))
-               for content in combinations_with_replacement(range(n), level - 1)]
-        below, basis = basis, {}
+        yield [(content, 1) for content in combinations_with_replacement(range(n), level - 1)]
+        below, below_witness, basis, witness = basis, witness, {}, {}
         for comp in _compositions(level, n):
-            parts = []
+            parts, vec = [], {}
             for x, m in enumerate(comp):
-                if m > 1:
-                    rows = below[comp[:x] + (m - 1,) + comp[x + 1:]]
-                else:
-                    rows = below[comp[:x] + comp[x + 1:]]
-                    if x < len(comp) - 1:  # the last letter has no letter above it to move
-                        # the cycle (x, x+1, ..., n-1) raises each letter y >= x; no row holds n - 1
-                        tables = _word_tables((*range(x), *range(x + 1, n), x), level - 1)
-                        rows = map(_relabel, rows, repeat(tables))  # read once, as the step forms its candidates
+                part = comp[:x] + (m - 1,) + comp[x + 1:] if m > 1 else comp[:x] + comp[x + 1:]
+                rows, w = below[part], below_witness[part]
+                if m == 1 and x < len(comp) - 1:  # the last letter has no letter above it to move
+                    # the cycle (x, x+1, ..., n-1) raises each letter y >= x; no row holds n - 1
+                    tables = _word_tables((*range(x), *range(x + 1, n), x), level - 1)
+                    rows = map(_relabel, rows, repeat(tables))  # read once, as the step forms its candidates
+                    w = _relabel(w, tables)
                 parts.append((rows, (x,)))
-            basis[comp] = _intersect_step(parts, n, shifted, n * n)
+                above = sum(comp[x + 1:])
+                for c, e in w.items():
+                    vec[c * n + x] = e + above
+            rows = _intersect_step(parts, n, at_q0, n * n)
+            if len(rows) != 1:
+                raise QZetaError(f"the block of composition {comp} has kernel dimension {len(rows)} at q0 = {_Q0}, not 1")
+            _check_witness(vec, exact, n, comp)
+            basis[comp], witness[comp] = rows, vec
 
 
 def quantum_trace_sym(n: int, j: int, budget=(4, 5)) -> QLaurent:

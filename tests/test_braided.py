@@ -22,12 +22,12 @@ from qzeta import braided
 from qzeta.braided import (
     GradedDims,
     SymmetrizerLadder,
-    _apply_word,
     _compose,
     _inverse,
     _ker_s2_basis,
     _pair_map,
     _ProductBlocks,
+    _reduced_word,
     symmetrizer_matrix_bruteforce,
     symmetrizer_matrix_recursive,
 )
@@ -176,6 +176,36 @@ def test_recursion_equals_bruteforce():
     for fn in (symmetrizer_matrix_recursive, symmetrizer_matrix_bruteforce):
         with pytest.raises(ValueError):
             fn(flip_set(2), -1)
+
+
+def _apply_word(x, word, tup):
+    """The tuple tup braided at the positions of word, last position first."""
+    digits = list(tup)
+    for pos in reversed(word):
+        a, b = digits[pos], digits[pos + 1]
+        digits[pos], digits[pos + 1] = x.left[a][b], x.right[a][b]
+    return tuple(digits)
+
+
+def _symmetrizer_by_tuples(x, j):
+    """Oracle: S_j as {(row, col): int}, each reduced word applied to each tuple on its own."""
+    tuples = list(itertools.product(range(x.size), repeat=j))
+    index = {t: i for i, t in enumerate(tuples)}
+    out = {}
+    for perm in itertools.permutations(range(j)):
+        word = _reduced_word(perm)
+        sgn = x.sign ** len(word)
+        for c, tup in enumerate(tuples):
+            r = index[_apply_word(x, word, tup)]
+            out[(r, c)] = out.get((r, c), 0) + sgn
+    return {k: v for k, v in out.items() if v}
+
+
+def test_bruteforce_tuple_maps_match_braiding_each_tuple():
+    pool = _property_pool() + [x for x, _, _ in _block_pool()]
+    for x in pool:
+        for j in range(5):
+            assert symmetrizer_matrix_bruteforce(x, j) == _symmetrizer_by_tuples(x, j), (x.label, j)
 
 
 def test_recursion_runs_the_ladder_kernel(monkeypatch):
@@ -356,6 +386,20 @@ def test_conjugacy_classes_satisfy_the_triple_check_they_skip():
             assert repr(BraidedSet(x.left, x.right, sign=-1, label=x.label)) == repr(x)
             checked += 1
     assert checked == 18
+
+
+def test_product_blocks_read_symmetry_of_racks_without_the_automorphism_loop(monkeypatch):
+    racks = [flip_set(n) for n in range(1, 6)]
+    racks += [from_conjugacy_class(k, rep) for k in range(2, 7) for rep in _cycle_type_representatives(k)]
+    for x in [x for x, _, _ in _block_pool()] + racks:
+        loop = all(braided._is_automorphism(x, s) for s in set(x.left))
+        assert _ProductBlocks(x).symmetric == loop, x.label
+    real, calls = braided._is_automorphism, []
+    monkeypatch.setattr(braided, "_is_automorphism", lambda x, g: calls.append(x.label) or real(x, g))
+    for x in racks:
+        assert _ProductBlocks(x).symmetric
+    assert calls == []
+    assert not _ProductBlocks(_non_automorphic_set(1)).symmetric and calls
 
 
 def test_conjugation_check_rejects_a_table_the_braid_relation_accepts():

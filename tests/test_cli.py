@@ -58,6 +58,18 @@ def test_closed_stdout_exits_1_quietly():
     assert proc.returncode == 1
 
 
+def test_importing_the_cli_leaves_dataclasses_out():
+    # every command imports qzeta.verify; dataclasses would pull in inspect, ast, dis and tokenize
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(qzeta.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, qzeta.cli; print('dataclasses' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
 def test_importing_main_module_runs_nothing():
     # tools that import every submodule (the benchmark tracer does) must not start the CLI
     importlib.import_module("qzeta.__main__")

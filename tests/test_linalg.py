@@ -1,7 +1,7 @@
 import random
 import signal
 from contextlib import contextmanager
-from itertools import repeat
+from itertools import islice, repeat
 from fractions import Fraction as F
 from math import comb, gcd
 
@@ -13,6 +13,7 @@ from qzeta import (
     QLaurent,
     QRational,
     QZetaError,
+    RHat,
     solve_linear,
     sparse_int_rank,
     sparse_kernel,
@@ -641,14 +642,26 @@ def test_strip_matches_the_monomial_product():
 
 
 def test_sym_subspace_dims_unchanged_under_the_monomial_strip(monkeypatch):
-    strip = linalg._strip
-    ours = [sym_subspace_dims(n, j) for n in range(2, 5) for j in range(6)]
+    # the R-matrix blocks over Q(q) are the tests' oracle since sym_subspace_dims runs over Z
+    import test_rmatrix
+
+    strip, calls = linalg._strip, []
+
+    def blocks():
+        return [list(islice(test_rmatrix._sym_levels_over_qq(RHat(n)), 6)) for n in range(2, 5)]
+
+    ours = blocks()
+    assert ours == [[sym_subspace_dims(n, j) for j in range(6)] for n in range(2, 5)]
 
     def monomial_strip(row):
-        return strip(row) if type(next(iter(row.values()))) is int else _strip_by_monomial(row)
+        if type(next(iter(row.values()))) is int:
+            return strip(row)
+        calls.append(1)
+        return _strip_by_monomial(row)
 
     monkeypatch.setattr(linalg, "_strip", monomial_strip)
-    assert [sym_subspace_dims(n, j) for n in range(2, 5) for j in range(6)] == ours
+    assert blocks() == ours
+    assert calls  # the oracle's QLaurent rows reach the strip
 
 
 def _reduce_by_cross_multiplication(echelon, out):

@@ -1,12 +1,13 @@
 from fractions import Fraction as F
-from itertools import combinations_with_replacement, count, islice, permutations
+from itertools import combinations_with_replacement, count, groupby, islice, permutations, repeat
 from math import comb
 
 import pytest
 
+import qzeta.rmatrix as rmatrix
 from qzeta import BudgetExceeded, QLaurent, QZetaError, RHat, q_binom_sym, q_int_sym, quantum_trace_sym, sym_subspace_dims
-from qzeta.linalg import _intersect_step, sparse_int_rank
-from qzeta.rmatrix import _sym_levels, trace_of_blocks
+from qzeta.linalg import _intersect_step, _relabel, _word_tables, sparse_int_rank
+from qzeta.rmatrix import _check_order_invariant, _compositions, _sym_levels, trace_of_blocks
 
 
 def test_diagonal_action():
@@ -137,6 +138,105 @@ def test_criterion_04_builds_each_level_once(monkeypatch):
     assert len(built) == compositions == 67
 
 
+# -- oracle: the blocks over Q(q), the route the bound at q0 and the witness replaced --
+
+
+def _sym_levels_over_qq(r):
+    """Yield the (content, kernel dimension) blocks of Sym_j, each composition's block a kernel over Q(q).
+
+    The same walk as ``_sym_levels``, one ``_intersect_step`` per
+    composition on its parts' relabelled bases, with R-hat - q id in
+    QLaurent entries: every dimension is the rank of an elimination over
+    Q(q), with no integer point and no witness.
+    """
+    n = r.n
+    _check_order_invariant(r)
+    shifted = []  # pair a n + b -> [(pair, entry)] of the column of R-hat - q id
+    for a in range(n):
+        for b in range(n):
+            col = dict(r.columns[(a, b)])
+            col[(a, b)] = col.get((a, b), QLaurent()) - QLaurent({1: 1})
+            shifted.append([(a2 * n + b2, c) for (a2, b2), c in col.items() if c])
+    yield [((), 1)]
+    basis = {(1,): [{0: QLaurent.one()}]}
+    for level in count(2):
+        yield [(content, len(basis[tuple(len(list(run)) for _, run in groupby(content))]))
+               for content in combinations_with_replacement(range(n), level - 1)]
+        below, basis = basis, {}
+        for comp in _compositions(level, n):
+            parts = []
+            for x, m in enumerate(comp):
+                if m > 1:
+                    rows = below[comp[:x] + (m - 1,) + comp[x + 1:]]
+                else:
+                    rows = below[comp[:x] + comp[x + 1:]]
+                    if x < len(comp) - 1:
+                        tables = _word_tables((*range(x), *range(x + 1, n), x), level - 1)
+                        rows = map(_relabel, rows, repeat(tables))
+                parts.append((rows, (x,)))
+            basis[comp] = _intersect_step(parts, n, shifted, n * n)
+
+
+def test_blocks_at_q0_with_witnesses_match_the_blocks_over_qq():
+    for n in range(2, 5):
+        got = list(islice(_sym_levels(RHat(n)), 6))
+        assert repr(got) == repr(list(islice(_sym_levels_over_qq(RHat(n)), 6))), n
+        for j in range(6):
+            assert repr(sym_subspace_dims(n, j)) == repr(got[j]), (n, j)
+            assert repr(quantum_trace_sym(n, j)) == repr(trace_of_blocks(n, got[j])), (n, j)
+    for n, j in ((6, 6), (7, 7), (8, 7)):
+        oracle = next(islice(_sym_levels_over_qq(RHat(n)), j, None))
+        assert repr(sym_subspace_dims(n, j, budget=(n, j))) == repr(oracle), (n, j)
+        assert repr(quantum_trace_sym(n, j, budget=(n, j))) == repr(trace_of_blocks(n, oracle)), (n, j)
+
+
+def test_a_corrupted_witness_exponent_is_refused(monkeypatch):
+    # the witness of composition (1, 2) is e_011 + q e_101 + q^2 e_110; one
+    # exponent moved on a word whose last two letters differ breaks its last slot
+    real, seen = rmatrix._check_witness, []
+
+    def corrupting(witness, exact, n, comp):
+        seen.append(comp)
+        real(witness, exact, n, comp)
+        if comp == (1, 2):
+            column = next(c for c in witness if c // n % n != c % n)
+            real({**witness, column: witness[column] + 1}, exact, n, comp)
+
+    monkeypatch.setattr(rmatrix, "_check_witness", corrupting)
+    with pytest.raises(QZetaError, match=r"witness of composition \(1, 2\) .*q0 = 3"):
+        list(islice(_sym_levels(RHat(3)), 5))
+    assert seen == [(2,), (1, 1), (3,), (1, 2)]  # every block's true witness passed before it
+
+
+def _every_column_of_pattern(r, pattern, column):
+    """r with every column of the order pattern (0, 1) (a < b) or (1, 0) (a > b) replaced, as order invariance needs."""
+    for (a, b) in r.columns:
+        if (a < b) == (pattern == (0, 1)) and a != b:
+            letter = {0: min(a, b), 1: max(a, b)}
+            r.columns[(a, b)] = {(letter[x], letter[y]): c for (x, y), c in column.items()}
+    return r
+
+
+def test_a_corrupted_rhat_column_is_refused():
+    q, qinv = QLaurent({1: 1}), QLaurent({-1: 1})
+    # the a > b columns with q - 2 q^-1 for q - q^-1: the pair blocks have no kernel,
+    # so the bound at q0 is 0
+    r = _every_column_of_pattern(RHat(3), (1, 0), {(0, 1): QLaurent.one(), (1, 0): q - qinv - qinv})
+    assert [k for _, k in next(islice(_sym_levels_over_qq(r), 2, None))] == [1, 0, 0, 1, 0, 1]
+    with pytest.raises(QZetaError, match=r"composition \(1, 1\) has kernel dimension 0 at q0 = 3"):
+        list(islice(_sym_levels(r), 3))
+    # the a < b columns with (1 - q^-1) e_ba + e_ab for e_ba: the pair blocks keep a
+    # kernel, e_ab + (q - 1) e_ba, so the bound is 1 and the witness e_ab + q e_ba fails
+    r = _every_column_of_pattern(RHat(3), (0, 1), {(1, 0): QLaurent.one() - qinv, (0, 1): QLaurent.one()})
+    assert [k for _, k in next(islice(_sym_levels_over_qq(r), 2, None))] == [1] * 6
+    with pytest.raises(QZetaError, match=r"witness of composition \(1, 1\) .*q0 = 3"):
+        list(islice(_sym_levels(r), 3))
+    # an entry that q does not carry into Z[q] is refused before any block
+    r = _every_column_of_pattern(RHat(3), (1, 0), {(0, 1): QLaurent.one(), (1, 0): q - qinv * qinv})
+    with pytest.raises(QZetaError, match=r"not in Z\[q\]"):
+        next(_sym_levels(r))
+
+
 # -- oracle: one block per content, the route the per-composition blocks replaced --
 
 
@@ -233,7 +333,8 @@ def test_recursion_matches_stacked_constraints_block_by_block():
 def test_recursion_computes_blocks_of_any_dimension():
     # crit 04's "every block is 1-dim" must be found, not assumed: with q id in
     # place of R-hat every block is all of its kernel, and with R-hat + q^-1 + q
-    # the kernel is the antisymmetric eigenspace, whose repeated-index blocks are 0
+    # the kernel is the antisymmetric eigenspace, whose repeated-index blocks are 0;
+    # the Q(q) recursion computes them, and the route at q0 refuses them
     q, qinv = QLaurent({1: 1}), QLaurent({-1: 1})
     scalar, antisym = RHat(3), RHat(3)
     for pair, col in antisym.columns.items():
@@ -241,11 +342,14 @@ def test_recursion_computes_blocks_of_any_dimension():
         col = dict(col)
         col[pair] = col.get(pair, QLaurent()) + q + qinv
         antisym.columns[pair] = {t: c for t, c in col.items() if c}
-    for j, blocks, oracle in zip(range(5), _sym_levels(scalar), _sym_levels_by_content(scalar)):
+    for r in (scalar, antisym):
+        with pytest.raises(QZetaError, match="q0 = 3"):
+            list(islice(_sym_levels(r), 3))
+    for j, blocks, oracle in zip(range(5), _sym_levels_over_qq(scalar), _sym_levels_by_content(scalar)):
         assert blocks == _sym_subspace_dims_stacked(3, j, r=scalar), j
         assert repr(blocks) == repr(oracle), j
         assert [k for _, k in blocks] == [len(set(permutations(content))) for content, _ in blocks]
-    for j, blocks, oracle in zip(range(5), _sym_levels(antisym), _sym_levels_by_content(antisym)):
+    for j, blocks, oracle in zip(range(5), _sym_levels_over_qq(antisym), _sym_levels_by_content(antisym)):
         assert blocks == _sym_subspace_dims_stacked(3, j, r=antisym), j
         assert repr(blocks) == repr(oracle), j
         assert [k for _, k in blocks] == [int(len(set(content)) == j) for content, _ in blocks]
